@@ -335,7 +335,7 @@ def as_counting(oracle) -> CountingOracle:
 MODES = ("deterministic", "stochastic", "finite_sum")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToleranceConfig:
     """First/second-order tolerances and run controls.
 
@@ -364,7 +364,6 @@ class SmoothnessSpec:
     L: float
     rho: float = 0.0
     rho_min: float = 1e-3
-    delta_f: Optional[float] = None
     h_star: Optional[float] = None
     sigma: Optional[float] = None
 
@@ -382,12 +381,8 @@ class ValidatedConfig:
     eps_h: float
     delta: float
     c1: float
-    max_outer: int
-    seed: int
     L: float
     rho_eff: float
-    delta_f: Optional[float]
-    h_star: Optional[float]
     sigma: Optional[float]
     eta_escape: float  # eps_h / (2 * c1 * rho_eff)
 
@@ -433,9 +428,8 @@ def validate_config(tol: ToleranceConfig, smooth: SmoothnessSpec, mode: str) -> 
     return ValidatedConfig(
         mode=mode,
         eps=tol.eps, eps_h=tol.eps_h, delta=tol.delta, c1=tol.c1,
-        max_outer=tol.max_outer, seed=tol.seed,
         L=smooth.L, rho_eff=rho_eff,
-        delta_f=smooth.delta_f, h_star=smooth.h_star, sigma=smooth.sigma,
+        sigma=smooth.sigma,
         eta_escape=tol.eps_h / (2.0 * tol.c1 * rho_eff),
     )
 

@@ -1,6 +1,6 @@
 """Outer drivers: split the domain by gradient norm and dispatch.
 
-Each driver loops over outer iterations.  Large measured gradient: run the
+All drivers share one outer loop, _drive.  Large measured gradient: run the
 region-appropriate first-order machinery (a full solve to stationarity in the
 deterministic driver, one variance-reduced epoch otherwise).  Small measured
 gradient: enter the small-gradient region, call the negative-curvature escape
@@ -50,15 +50,15 @@ class RunReport:
     all_runs_failed: bool = False
 
 
-def _config_echo(mode, tol, smooth, esc, extra=None) -> dict:
+def _config_echo(mode, tol, smooth, esc, ncfg, **extra) -> dict:
     echo = {
         "mode": mode,
         "tolerance": dataclasses.asdict(tol),
         "smoothness": dataclasses.asdict(smooth),
         "escape": dataclasses.asdict(esc),
+        "nc": dataclasses.asdict(ncfg),
     }
-    if extra:
-        echo.update(extra)
+    echo.update(extra)
     return echo
 
 
@@ -77,6 +77,53 @@ def _budget_status(grad_norm, eps):
     return STATUS_FIRST_ORDER if grad_norm <= eps else STATUS_BUDGET
 
 
+def _drive(oracle, x0, K, measure, threshold, large_step, escape, echo, seed):
+    """The one outer loop behind every driver.
+
+    Per outer iteration, g = measure(x).  If ||g|| <= threshold, enter the
+    small-gradient region and take one escape(x, g); bottom certifies x.
+    Otherwise, a non-finite norm included, large_step(x, g) returns the new
+    point and the gradient norm the run ends at, or None to go on.
+    """
+    x = np.asarray(x0, float)
+    trace: list[TraceRecord] = []
+    last_nc_estimate = float("nan")
+
+    for k in range(1, K + 1):
+        oracle.counters.outer_iters += 1
+        g = measure(x)
+        gn = float(np.linalg.norm(g))
+        fx = oracle.value(x)
+        if not gn <= threshold:
+            x, stop = large_step(x, g)
+            trace.append(TraceRecord(k, LARGE, gn, fx, False, oracle.counters.snapshot()))
+            if stop is not None:
+                return _finish(oracle, x, stop, last_nc_estimate,
+                               _budget_status(stop, threshold), trace, echo, seed)
+        else:
+            oracle.counters.small_region_entries += 1
+            res = escape(x, g)
+            trace.append(TraceRecord(k, SMALL, gn, fx, res.escaped, oracle.counters.snapshot()))
+            last_nc_estimate = res.nc.lambda_hat
+            if not res.escaped:
+                return _finish(oracle, x, gn, res.nc.lambda_hat,
+                               STATUS_SECOND_ORDER, trace, echo, seed)
+            x = res.point
+
+    gn = float(np.linalg.norm(measure(x)))
+    return _finish(oracle, x, gn, last_nc_estimate,
+                   _budget_status(gn, threshold), trace, echo, seed)
+
+
+def _epoch_step(oracle, scsg_cfg, rng):
+    """Large-gradient step of the sampling drivers: one SCSG epoch anchored at g."""
+    def step(x, g):
+        x = scsg_epoch(oracle, x, scsg_cfg, g, rng)
+        oracle.counters.epochs_run += 1
+        return x, None
+    return step
+
+
 def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
                        esc: EscapeConfig = EscapeConfig(),
                        solver_choice: str = "gd",
@@ -93,38 +140,16 @@ def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     vcfg = validate_config(tol, smooth, "deterministic")
     rng = rng if rng is not None else np.random.default_rng(tol.seed)
     oracle = as_counting(oracle)
-    echo = _config_echo("deterministic", tol, smooth, esc,
-                        {"solver_choice": solver_choice, "nc": dataclasses.asdict(ncfg)})
-    x = np.asarray(x0, float)
-    trace: list[TraceRecord] = []
-    last_nc_estimate = float("nan")
+    echo = _config_echo("deterministic", tol, smooth, esc, ncfg, solver_choice=solver_choice)
 
-    for k in range(1, tol.max_outer + 1):
-        oracle.counters.outer_iters += 1
-        g = oracle.gradient(x)
-        gn = float(np.linalg.norm(g))
-        fx = oracle.value(x)
-        if gn > tol.eps:
-            res = run_solver(solver_choice, oracle, x, smooth.L, vcfg.rho_eff,
-                             tol.eps, solver_max_iters)
-            trace.append(TraceRecord(k, LARGE, gn, fx, False, oracle.counters.snapshot()))
-            x = res.point
-            if not res.converged:
-                return _finish(oracle, x, res.grad_norm, last_nc_estimate,
-                               _budget_status(res.grad_norm, tol.eps), trace, echo, tol.seed)
-        else:
-            oracle.counters.small_region_entries += 1
-            res = one_step_deterministic(oracle, x, tol, smooth, esc, rng, ncfg, g=g)
-            trace.append(TraceRecord(k, SMALL, gn, fx, res.escaped, oracle.counters.snapshot()))
-            last_nc_estimate = res.nc.lambda_hat
-            if not res.escaped:
-                return _finish(oracle, x, gn, res.nc.lambda_hat,
-                               STATUS_SECOND_ORDER, trace, echo, tol.seed)
-            x = res.point
+    def solve(x, g):
+        res = run_solver(solver_choice, oracle, x, smooth.L, vcfg.rho_eff,
+                         tol.eps, solver_max_iters)
+        return res.point, None if res.converged else res.grad_norm
 
-    gn = float(np.linalg.norm(oracle.gradient(x)))
-    return _finish(oracle, x, gn, last_nc_estimate,
-                   _budget_status(gn, tol.eps), trace, echo, tol.seed)
+    return _drive(oracle, x0, tol.max_outer, oracle.gradient, tol.eps, solve,
+                  lambda x, g: one_step_deterministic(oracle, x, tol, smooth, esc, rng, ncfg, g=g),
+                  echo, tol.seed)
 
 
 def gose_stochastic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
@@ -145,36 +170,13 @@ def gose_stochastic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     oracle = as_counting(oracle)
     if scsg_cfg is None:
         scsg_cfg = derive_scsg_params(tol, smooth, "stochastic")
-    K = K if K is not None else tol.max_outer
-    echo = _config_echo("stochastic", tol, smooth, esc,
-                        {"scsg": dataclasses.asdict(scsg_cfg), "nc": dataclasses.asdict(ncfg)})
-    x = np.asarray(x0, float)
-    trace: list[TraceRecord] = []
-    last_nc_estimate = float("nan")
+    echo = _config_echo("stochastic", tol, smooth, esc, ncfg, scsg=dataclasses.asdict(scsg_cfg))
 
-    for k in range(1, K + 1):
-        oracle.counters.outer_iters += 1
-        g_k = oracle.sample_gradient_batch(x, scsg_cfg.B, rng)
-        gn = float(np.linalg.norm(g_k))
-        fx = oracle.value(x)
-        if gn > tol.eps / 2.0:
-            x = scsg_epoch(oracle, x, scsg_cfg, g_k, rng)
-            oracle.counters.epochs_run += 1
-            trace.append(TraceRecord(k, LARGE, gn, fx, False, oracle.counters.snapshot()))
-        else:
-            oracle.counters.small_region_entries += 1
-            res = one_step_stochastic(oracle, x, tol, smooth, esc, rng, ncfg)
-            trace.append(TraceRecord(k, SMALL, gn, fx, res.escaped, oracle.counters.snapshot()))
-            last_nc_estimate = res.nc.lambda_hat
-            if not res.escaped:
-                return _finish(oracle, x, gn, res.nc.lambda_hat,
-                               STATUS_SECOND_ORDER, trace, echo, tol.seed)
-            x = res.point
-
-    g_k = oracle.sample_gradient_batch(x, scsg_cfg.B, rng)
-    gn = float(np.linalg.norm(g_k))
-    return _finish(oracle, x, gn, last_nc_estimate,
-                   _budget_status(gn, tol.eps / 2.0), trace, echo, tol.seed)
+    return _drive(oracle, x0, K if K is not None else tol.max_outer,
+                  lambda x: oracle.sample_gradient_batch(x, scsg_cfg.B, rng), tol.eps / 2.0,
+                  _epoch_step(oracle, scsg_cfg, rng),
+                  lambda x, g: one_step_stochastic(oracle, x, tol, smooth, esc, rng, ncfg),
+                  echo, tol.seed)
 
 
 def gose_finite_sum(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
@@ -192,38 +194,14 @@ def gose_finite_sum(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     validate_config(tol, smooth, "finite_sum")
     rng = rng if rng is not None else np.random.default_rng(tol.seed)
     oracle = as_counting(oracle)
-    n = oracle.n_components
     if scsg_cfg is None:
-        scsg_cfg = derive_scsg_params(tol, smooth, "finite_sum", n=n)
-    K = K if K is not None else tol.max_outer
-    echo = _config_echo("finite_sum", tol, smooth, esc,
-                        {"scsg": dataclasses.asdict(scsg_cfg), "nc": dataclasses.asdict(ncfg)})
-    x = np.asarray(x0, float)
-    trace: list[TraceRecord] = []
-    last_nc_estimate = float("nan")
+        scsg_cfg = derive_scsg_params(tol, smooth, "finite_sum", n=oracle.n_components)
+    echo = _config_echo("finite_sum", tol, smooth, esc, ncfg, scsg=dataclasses.asdict(scsg_cfg))
 
-    for k in range(1, K + 1):
-        oracle.counters.outer_iters += 1
-        g_k = oracle.gradient(x)
-        gn = float(np.linalg.norm(g_k))
-        fx = oracle.value(x)
-        if gn > tol.eps:
-            x = scsg_epoch(oracle, x, scsg_cfg, g_k, rng)
-            oracle.counters.epochs_run += 1
-            trace.append(TraceRecord(k, LARGE, gn, fx, False, oracle.counters.snapshot()))
-        else:
-            oracle.counters.small_region_entries += 1
-            res = one_step_finite_sum(oracle, x, tol, smooth, esc, rng, ncfg, g=g_k)
-            trace.append(TraceRecord(k, SMALL, gn, fx, res.escaped, oracle.counters.snapshot()))
-            last_nc_estimate = res.nc.lambda_hat
-            if not res.escaped:
-                return _finish(oracle, x, gn, res.nc.lambda_hat,
-                               STATUS_SECOND_ORDER, trace, echo, tol.seed)
-            x = res.point
-
-    gn = float(np.linalg.norm(oracle.gradient(x)))
-    return _finish(oracle, x, gn, last_nc_estimate,
-                   _budget_status(gn, tol.eps), trace, echo, tol.seed)
+    return _drive(oracle, x0, K if K is not None else tol.max_outer, oracle.gradient,
+                  tol.eps, _epoch_step(oracle, scsg_cfg, rng),
+                  lambda x, g: one_step_finite_sum(oracle, x, tol, smooth, esc, rng, ncfg, g=g),
+                  echo, tol.seed)
 
 
 def amplify(run_once: Callable[[int], RunReport], reps: int,

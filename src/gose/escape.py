@@ -24,7 +24,7 @@ from .ncfind import (NcConfig, NcOutcome, approx_nc_deterministic,
                      approx_nc_finite_sum, approx_nc_stochastic)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EscapeConfig:
     """Escape step-size coefficient and subsample rules.
 
@@ -117,10 +117,20 @@ def escape_step_length(vcfg: ValidatedConfig, esc: EscapeConfig) -> float:
     return esc.c_h * vcfg.eps_h / (vcfg.c1 * vcfg.rho_eff)
 
 
-def _step(x, g_for_sign, v_hat, vcfg, esc):
-    eta = escape_step_length(vcfg, esc)
-    v_tilde = adjust_direction(g_for_sign, v_hat)
-    return np.asarray(x, float) + eta * v_tilde
+def _one_step(oracle, x, tol, smooth, esc, rng, ncfg, mode, finder, sign_gradient):
+    """The one escape body: one finder call, then one step unless bottom.
+
+    sign_gradient(vcfg) supplies the gradient estimate the direction is
+    flipped against; it is only evaluated when a direction came back.
+    """
+    vcfg = validate_config(tol, smooth, mode)
+    esc.validate(vcfg)
+    out = finder(oracle, x, vcfg.eps_h, vcfg.delta, vcfg.L, rng, ncfg)
+    if out.is_bottom:
+        return EscapeResult(False, None, out)
+    v_tilde = adjust_direction(sign_gradient(vcfg), out.direction)
+    oracle.counters.escape_steps += 1
+    return EscapeResult(True, np.asarray(x, float) + escape_step_length(vcfg, esc) * v_tilde, out)
 
 
 def one_step_deterministic(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,
@@ -134,15 +144,9 @@ def one_step_deterministic(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSp
     spent.  Cost: one finder call plus at most one gradient.
     """
     oracle = as_counting(oracle)
-    vcfg = validate_config(tol, smooth, "deterministic")
-    esc.validate(vcfg)
-    out = approx_nc_deterministic(oracle, x, vcfg.eps_h, vcfg.delta, vcfg.L, rng, ncfg)
-    if out.is_bottom:
-        return EscapeResult(False, None, out)
-    if g is None:
-        g = oracle.gradient(x)
-    oracle.counters.escape_steps += 1
-    return EscapeResult(True, _step(x, g, out.direction, vcfg, esc), out)
+    return _one_step(oracle, x, tol, smooth, esc, rng, ncfg, "deterministic",
+                     approx_nc_deterministic,
+                     lambda vcfg: oracle.gradient(x) if g is None else g)
 
 
 def one_step_stochastic(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,
@@ -156,14 +160,9 @@ def one_step_stochastic(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,
     oracle = as_counting(oracle)
     if not oracle.capabilities.stochastic:
         raise NotStochastic("one_step_stochastic needs a stochastic oracle")
-    vcfg = validate_config(tol, smooth, "stochastic")
-    esc.validate(vcfg)
-    out = approx_nc_stochastic(oracle, x, vcfg.eps_h, vcfg.delta, vcfg.L, rng, ncfg)
-    if out.is_bottom:
-        return EscapeResult(False, None, out)
-    g_hat = oracle.sample_gradient_batch(x, esc.subsample_size(vcfg), rng)
-    oracle.counters.escape_steps += 1
-    return EscapeResult(True, _step(x, g_hat, out.direction, vcfg, esc), out)
+    return _one_step(oracle, x, tol, smooth, esc, rng, ncfg, "stochastic",
+                     approx_nc_stochastic,
+                     lambda vcfg: oracle.sample_gradient_batch(x, esc.subsample_size(vcfg), rng))
 
 
 def one_step_finite_sum(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,
@@ -174,12 +173,6 @@ def one_step_finite_sum(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,
     oracle = as_counting(oracle)
     if not oracle.capabilities.finite_sum:
         raise NotFiniteSum("one_step_finite_sum needs a finite-sum oracle")
-    vcfg = validate_config(tol, smooth, "finite_sum")
-    esc.validate(vcfg)
-    out = approx_nc_finite_sum(oracle, x, vcfg.eps_h, vcfg.delta, vcfg.L, rng, ncfg)
-    if out.is_bottom:
-        return EscapeResult(False, None, out)
-    if g is None:
-        g = oracle.gradient(x)
-    oracle.counters.escape_steps += 1
-    return EscapeResult(True, _step(x, g, out.direction, vcfg, esc), out)
+    return _one_step(oracle, x, tol, smooth, esc, rng, ncfg, "finite_sum",
+                     approx_nc_finite_sum,
+                     lambda vcfg: oracle.gradient(x) if g is None else g)

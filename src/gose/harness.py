@@ -13,23 +13,23 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .core import (Certificate, ConfigError, DimensionTooLarge,
+from .core import (ConfigError, DimensionTooLarge, EvalCounters,
                    ObjectiveOracle, STATUS_BUDGET, STATUS_SECOND_ORDER,
-                   SmoothnessSpec, ToleranceConfig, as_counting,
-                   validate_config)
-from .drivers import (LARGE, SMALL, RunReport, TraceRecord,
+                   SmoothnessSpec, ToleranceConfig, as_counting)
+from .drivers import (LARGE, SMALL, RunReport, TraceRecord, _finish,
                       gose_deterministic, gose_finite_sum, gose_stochastic)
-from .escape import EscapeConfig, adjust_direction, escape_step_length
+from .escape import EscapeConfig, one_step_deterministic
 from .ncfind import (NcBudget, NcConfig, approx_nc_deterministic,
                      approx_nc_finite_sum, approx_nc_stochastic,
                      lanczos_min_eig)
-from .problems import (ProblemSpec, certify_second_order, get_problem,
-                       with_gradient_noise)
+from .problems import (ProblemSpec, _quadratic_oracle, _random_orthogonal,
+                       certify_second_order, get_problem, with_gradient_noise)
 from .solvers import derive_scsg_params
 
 OUT_ENV_VAR = "GOSE_OUT"
@@ -57,7 +57,6 @@ class ExperimentConfig:
     L: Optional[float] = None
     rho: Optional[float] = None
     rho_min: float = 1e-3
-    delta_f: Optional[float] = None
     h_star: Optional[float] = None
     sigma: Optional[float] = None
     noise_sigma: Optional[float] = None  # gradient noise added in stochastic mode
@@ -78,7 +77,6 @@ class ExperimentConfig:
     scsg_b_mult: float = 1.0
     scsg_B_mult: float = 96.0
     # orchestration
-    reps: int = 1
     write_trace: bool = False
     out_dir: Optional[str] = None
 
@@ -130,7 +128,7 @@ def build_configs(cfg: ExperimentConfig, spec: ProblemSpec, seed: int):
         L=cfg.L if cfg.L is not None else spec.known_L,
         rho=cfg.rho if cfg.rho is not None else spec.known_rho,
         rho_min=cfg.rho_min,
-        delta_f=cfg.delta_f, h_star=h_star, sigma=sigma,
+        h_star=h_star, sigma=sigma,
     )
     esc = EscapeConfig(c_h=cfg.c_h, s_mult=cfg.s_mult, c_conc=cfg.c_conc,
                        s_rule=cfg.s_rule)
@@ -300,19 +298,13 @@ def run_sweep(sweep: dict, out_dir: Optional[str] = None) -> list:
         cell.update(overrides)
         try:
             cfg = ExperimentConfig.from_dict(cell)
-            seeds = cfg.seeds
-            totals = None
-            for seed in seeds:
+            totals = Counter()
+            for seed in cfg.seeds:
                 _, row = run_one(cfg, seed)
-                counters = row["counters"]
-                if totals is None:
-                    totals = dict(counters)
-                else:
-                    for key in totals:
-                        totals[key] += counters[key]
+                totals.update(row["counters"])
                 rows.append({"cell": overrides, **row})
             rows.append({"cell": overrides, "aggregate": True,
-                         "seeds": len(seeds), "totals": totals})
+                         "seeds": len(cfg.seeds), "totals": dict(totals)})
         except ConfigError as exc:
             rows.append({"cell": overrides, "error": str(exc)})
     write_summaries(rows, resolve_out_dir(out_dir), "sweep_summary.jsonl")
@@ -324,10 +316,8 @@ def sweep_table(rows: list) -> str:
     lines = [f"{'cell':<60} {'work_units':>12} {'nc_calls':>9}"]
     for row in rows:
         if row.get("aggregate"):
-            t = row["totals"]
-            work = (t["grad_evals"] + t["stoch_grad_evals"]
-                    + t["component_grad_evals"] + t["hvp_evals"])
-            lines.append(f"{json.dumps(row['cell']):<60} {work:>12} {t['nc_calls']:>9}")
+            t = EvalCounters(**row["totals"])
+            lines.append(f"{json.dumps(row['cell']):<60} {t.work_units():>12} {t.nc_calls:>9}")
         elif "error" in row:
             lines.append(f"{json.dumps(row['cell']):<60} VALIDATION-FAILED: {row['error']}")
     return "\n".join(lines)
@@ -338,8 +328,7 @@ def sweep_table(rows: list) -> str:
 
 
 def _planted_operator(d: int, spectrum: np.ndarray, rng: np.random.Generator):
-    Q, R = np.linalg.qr(rng.standard_normal((d, d)))
-    Q = Q * np.sign(np.diag(R))
+    Q = _random_orthogonal(d, rng)
     A = (Q * spectrum) @ Q.T
     return 0.5 * (A + A.T)
 
@@ -352,12 +341,6 @@ def _negative_spectrum(d: int, eps_h: float, rng) -> np.ndarray:
 
 def _psd_spectrum(d: int, rng) -> np.ndarray:
     return rng.uniform(0.05, 1.0, size=d)
-
-
-def _quadratic(A: np.ndarray) -> ObjectiveOracle:
-    d = A.shape[0]
-    return ObjectiveOracle(d, lambda x: 0.5 * float(x @ (A @ x)),
-                           lambda x: A @ x, hvp=lambda x, v: A @ v)
 
 
 def _finite_sum_quadratic(A: np.ndarray, n: int, noise: float,
@@ -420,11 +403,9 @@ def verify_nc_suite(d: int = 50, trials: int = 200, eps_h: float = 0.5,
     x = np.zeros(d)
 
     def call(A):
-        if engine == "deterministic":
-            return approx_nc_deterministic(_quadratic(A), x, eps_h, delta, L, rng, cfg)
-        if engine == "fd":
-            return approx_nc_deterministic(_quadratic(A), x, eps_h, delta, L, rng, cfg,
-                                           hvp_source="fd")
+        if engine in ("deterministic", "fd"):
+            return approx_nc_deterministic(_quadratic_oracle(A), x, eps_h, delta, L, rng, cfg,
+                                           hvp_source="fd" if engine == "fd" else "auto")
         if engine == "finite_sum":
             oracle = _finite_sum_quadratic(A, 32, noise, rng)
             return approx_nc_finite_sum(oracle, x, eps_h, delta, L, rng, cfg)
@@ -484,11 +465,9 @@ def always_probe_baseline(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSp
     already small.  Exists purely to quantify how many probes the
     region-splitting drivers save.
     """
-    vcfg = validate_config(tol, smooth, "deterministic")
     rng = rng if rng is not None else np.random.default_rng(tol.seed)
     oracle = as_counting(oracle)
     x = np.asarray(x0, float)
-    eta = escape_step_length(vcfg, esc)
     trace = []
     for k in range(1, max_iters + 1):
         oracle.counters.outer_iters += 1
@@ -496,22 +475,16 @@ def always_probe_baseline(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSp
         g = oracle.gradient(x)
         gn = float(np.linalg.norm(g))
         fx = oracle.value(x)
-        out = approx_nc_deterministic(oracle, x, tol.eps_h, tol.delta, smooth.L,
-                                      rng, ncfg)
-        if out.is_direction:
-            oracle.counters.escape_steps += 1
-            x = x + eta * adjust_direction(g, out.direction)
+        res = one_step_deterministic(oracle, x, tol, smooth, esc, rng, ncfg, g=g)
+        if res.escaped:
+            x = res.point
             trace.append(TraceRecord(k, SMALL, gn, fx, True, oracle.counters.snapshot()))
-        elif gn > tol.eps:
+        elif not gn <= tol.eps:
             x = x - g / smooth.L
             trace.append(TraceRecord(k, LARGE, gn, fx, False, oracle.counters.snapshot()))
         else:
             trace.append(TraceRecord(k, SMALL, gn, fx, False, oracle.counters.snapshot()))
-            cert = Certificate(point=x, grad_norm=gn, min_eig_estimate=out.lambda_hat,
-                               status=STATUS_SECOND_ORDER,
-                               counters=oracle.counters.snapshot())
-            return RunReport(certificate=cert, trace=trace, seed=tol.seed)
+            return _finish(oracle, x, gn, res.nc.lambda_hat, STATUS_SECOND_ORDER,
+                           trace, {}, tol.seed)
     gn = float(np.linalg.norm(oracle.gradient(x)))
-    cert = Certificate(point=x, grad_norm=gn, min_eig_estimate=float("nan"),
-                       status=STATUS_BUDGET, counters=oracle.counters.snapshot())
-    return RunReport(certificate=cert, trace=trace, seed=tol.seed)
+    return _finish(oracle, x, gn, float("nan"), STATUS_BUDGET, trace, {}, tol.seed)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .core import (AsymmetricOperator, BudgetZero, NotFiniteSum, NotStochastic,
-                   as_counting)
+                   as_counting, finite_diff_hvp)
 
 BOTTOM = "bottom"
 DIRECTION = "direction"
@@ -70,7 +70,7 @@ class NcBudget:
             raise BudgetZero(f"restarts must be >= 1, got {self.restarts}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NcConfig:
     """Knobs shared by the finder front ends.
 
@@ -199,16 +199,26 @@ def lanczos_min_eig(hvp: Callable, d: int, budget: NcBudget,
 # Finder front ends
 
 
-def _run_lanczos_restarts(hvp, d, max_matvecs, restarts, rng, probe_tol, accept):
-    """Repeat Lanczos with fresh random starts until `accept` or restarts spent."""
-    best_lam, best_v = math.inf, None
+def _search(oracle, restarts: int, candidate: Callable, threshold: float) -> NcOutcome:
+    """The one finder skeleton: up to `restarts` candidates, best one validated.
+
+    candidate() returns (validated Rayleigh quotient, unit vector); the search
+    stops at the first quotient at or below threshold.  Counts the call and
+    its oracle work and returns a direction or bottom.
+    """
+    oracle.counters.nc_calls += 1
+    start = oracle.counters.work_units()
+    best_ray, best_v = math.inf, None
     for _ in range(restarts):
-        lam, v = lanczos_min_eig(hvp, d, NcBudget(max_matvecs), rng, probe_tol=probe_tol)
-        if lam < best_lam:
-            best_lam, best_v = lam, v
-        if accept(best_lam):
+        ray, v = candidate()
+        if ray < best_ray:
+            best_ray, best_v = ray, v
+        if best_ray <= threshold:
             break
-    return best_lam, best_v
+    cost = oracle.counters.work_units() - start
+    if best_ray <= threshold:
+        return NcOutcome(DIRECTION, best_v, best_ray, cost, best_ray)
+    return NcOutcome(BOTTOM, None, None, cost, best_ray)
 
 
 def approx_nc_deterministic(oracle, x, eps_h: float, delta: float, L: float,
@@ -224,24 +234,18 @@ def approx_nc_deterministic(oracle, x, eps_h: float, delta: float, L: float,
     two when differencing gradients.
     """
     oracle = as_counting(oracle)
-    oracle.counters.nc_calls += 1
-    start = oracle.counters.work_units()
     x = np.asarray(x, float)
     d = oracle.dimension
 
     if hvp_source == "fd":
-        from .core import finite_diff_hvp
         hvp = lambda v: finite_diff_hvp(oracle, x, v)
     else:
         hvp = lambda v: oracle.hvp(x, v)
 
     mm = det_max_matvecs(d, eps_h, delta, L, cfg.budget_mult)
-    lam, v = _run_lanczos_restarts(hvp, d, mm, cfg.restarts, rng, cfg.probe_tol,
-                                   accept=lambda t: t <= -eps_h / 2.0)
-    cost = oracle.counters.work_units() - start
-    if lam <= -eps_h / 2.0:
-        return NcOutcome(DIRECTION, v, lam, cost, lam)
-    return NcOutcome(BOTTOM, None, None, cost, lam)
+    return _search(oracle, cfg.restarts,
+                   lambda: lanczos_min_eig(hvp, d, NcBudget(mm), rng, probe_tol=cfg.probe_tol),
+                   -eps_h / 2.0)
 
 
 def approx_nc_stochastic(oracle, x, eps_h: float, delta: float, L: float,
@@ -259,8 +263,6 @@ def approx_nc_stochastic(oracle, x, eps_h: float, delta: float, L: float,
     oracle = as_counting(oracle)
     if not oracle.capabilities.stochastic:
         raise NotStochastic("approx_nc_stochastic needs a stochastic oracle")
-    oracle.counters.nc_calls += 1
-    start = oracle.counters.work_units()
     x = np.asarray(x, float)
     d = oracle.dimension
 
@@ -270,35 +272,42 @@ def approx_nc_stochastic(oracle, x, eps_h: float, delta: float, L: float,
             acc += oracle.sample_hvp(x, v, rng)
         return acc / m
 
-    m_val = validation_batch(eps_h, L, cfg.budget_mult)
-    threshold = -(eps_h / 2.0 + eps_h / 8.0)
-    best_ray, best_v = math.inf, None
+    if cfg.engine == "oja":
+        eta = cfg.oja_step if cfg.oja_step is not None else eps_h / (8.0 * L ** 2)
+        total = oja_total_samples(d, eps_h, delta, L, cfg.budget_mult)
 
-    for _ in range(cfg.restarts):
-        if cfg.engine == "oja":
-            eta = cfg.oja_step if cfg.oja_step is not None else eps_h / (8.0 * L ** 2)
-            total = oja_total_samples(d, eps_h, delta, L, cfg.budget_mult)
+        def draw():
             v = _random_unit(d, rng)
             for _ in range(total):
                 v = v - eta * oracle.sample_hvp(x, v, rng)
                 v = v / np.linalg.norm(v)
-        elif cfg.engine == "minibatch_lanczos":
-            m = cfg.minibatch if cfg.minibatch is not None else stoch_minibatch(d, eps_h, L, cfg.budget_mult)
-            mm = det_max_matvecs(d, eps_h, delta, L, cfg.budget_mult)
+            return v
+    elif cfg.engine == "minibatch_lanczos":
+        m = cfg.minibatch if cfg.minibatch is not None else stoch_minibatch(d, eps_h, L, cfg.budget_mult)
+        mm = det_max_matvecs(d, eps_h, delta, L, cfg.budget_mult)
+
+        def draw():
             _, v = lanczos_min_eig(lambda w: mean_sample_hvp(w, m), d,
                                    NcBudget(mm), rng, probe_tol=None)
-        else:
-            raise ValueError(f"unknown stochastic engine {cfg.engine!r}")
-        ray = float(v @ mean_sample_hvp(v, m_val))
-        if ray < best_ray:
-            best_ray, best_v = ray, v
-        if best_ray <= threshold:
-            break
+            return v
+    else:
+        raise ValueError(f"unknown stochastic engine {cfg.engine!r}")
 
-    cost = oracle.counters.work_units() - start
-    if best_ray <= threshold:
-        return NcOutcome(DIRECTION, best_v, best_ray, cost, best_ray)
-    return NcOutcome(BOTTOM, None, None, cost, best_ray)
+    m_val = validation_batch(eps_h, L, cfg.budget_mult)
+
+    def candidate():
+        v = draw()
+        return float(v @ mean_sample_hvp(v, m_val)), v
+
+    return _search(oracle, cfg.restarts, candidate, -(eps_h / 2.0 + eps_h / 8.0))
+
+
+def _index_mean_hvp(oracle, x, v, indices) -> np.ndarray:
+    """Mean of component HVPs at x along v over `indices`."""
+    acc = np.zeros(oracle.dimension)
+    for i in indices:
+        acc += oracle.component_hvp(int(i), x, v)
+    return acc / len(indices)
 
 
 def approx_nc_finite_sum(oracle, x, eps_h: float, delta: float, L: float,
@@ -315,8 +324,6 @@ def approx_nc_finite_sum(oracle, x, eps_h: float, delta: float, L: float,
     oracle = as_counting(oracle)
     if not oracle.capabilities.finite_sum:
         raise NotFiniteSum("approx_nc_finite_sum needs a finite-sum oracle")
-    oracle.counters.nc_calls += 1
-    start = oracle.counters.work_units()
     x = np.asarray(x, float)
     d = oracle.dimension
     n = oracle.n_components
@@ -325,28 +332,10 @@ def approx_nc_finite_sum(oracle, x, eps_h: float, delta: float, L: float,
     m = cfg.minibatch if cfg.minibatch is not None else finite_sum_minibatch(n, eps_h, L, cfg.budget_mult, mm)
 
     def minibatch_hvp(v):
-        idx = rng.integers(0, n, size=m)
-        acc = np.zeros(d)
-        for i in idx:
-            acc += oracle.component_hvp(int(i), x, v)
-        return acc / m
+        return _index_mean_hvp(oracle, x, v, rng.integers(0, n, size=m))
 
-    def full_hvp(v):
-        acc = np.zeros(d)
-        for i in range(n):
-            acc += oracle.component_hvp(i, x, v)
-        return acc / n
-
-    best_ray, best_v = math.inf, None
-    for _ in range(cfg.restarts):
+    def candidate():
         _, v = lanczos_min_eig(minibatch_hvp, d, NcBudget(mm), rng, probe_tol=None)
-        ray = float(v @ full_hvp(v))
-        if ray < best_ray:
-            best_ray, best_v = ray, v
-        if best_ray <= -eps_h / 2.0:
-            break
+        return float(v @ _index_mean_hvp(oracle, x, v, range(n))), v
 
-    cost = oracle.counters.work_units() - start
-    if best_ray <= -eps_h / 2.0:
-        return NcOutcome(DIRECTION, best_v, best_ray, cost, best_ray)
-    return NcOutcome(BOTTOM, None, None, cost, best_ray)
+    return _search(oracle, cfg.restarts, candidate, -eps_h / 2.0)

@@ -232,9 +232,6 @@ def guarded_agd(oracle, x0, L: float, rho: float, eps: float,
     return SolveResult(x, gn, gn <= eps, max_iters)
 
 
-SOLVERS = {"gd": gd_to_stationarity, "agd": guarded_agd}
-
-
 def run_solver(choice: str, oracle, x0, L: float, rho: float, eps: float,
                max_iters: int = 200_000) -> SolveResult:
     """Dispatch on the solver name; any solver obeys the same output contract."""
@@ -242,4 +239,4 @@ def run_solver(choice: str, oracle, x0, L: float, rho: float, eps: float,
         return gd_to_stationarity(oracle, x0, L, eps, max_iters)
     if choice == "agd":
         return guarded_agd(oracle, x0, L, rho, eps, max_iters)
-    raise ConfigError(f"unknown solver {choice!r}; options: {sorted(SOLVERS)}")
+    raise ConfigError(f"unknown solver {choice!r}; options: ['agd', 'gd']")

@@ -7,6 +7,7 @@ from gose import (EscapeConfig, ObjectiveOracle, SmoothnessSpec,
                   gose_finite_sum, gose_stochastic, with_gradient_noise)
 from gose.core import (STATUS_BUDGET, STATUS_FIRST_ORDER, STATUS_SECOND_ORDER)
 from gose.drivers import LARGE, SMALL
+from gose.harness import always_probe_baseline
 from gose.problems import as_finite_sum
 
 
@@ -334,3 +335,112 @@ def test_amplify_failure_probability_decay():
         out = amplify(runner, 12, lambda p: p[0] > 0.5, base_seed=base)
         failures += out.all_runs_failed
     assert failures == 0
+
+
+# ---------------------------------------------------------------------------
+# non-finite measurements never certify
+
+
+def nan_gradient_oracle():
+    # every gradient surface returns NaN; curvature is a finite identity, so
+    # a finder asked at any point declares bottom
+    nan = np.full(3, np.nan)
+    return ObjectiveOracle(
+        3, lambda x: 0.0, lambda x: nan.copy(),
+        hvp=lambda x, v: v.copy(),
+        n_components=2,
+        component_gradient=lambda i, x: nan.copy(),
+        component_hvp=lambda i, x, v: v.copy(),
+        sample_gradient=lambda x, rng: nan.copy(),
+        sample_hvp=lambda x, v, rng: v.copy(),
+    )
+
+
+NAN_RUNNERS = {
+    "deterministic": lambda o, tol, sm, rng: gose_deterministic(o, np.zeros(3), tol, sm, rng=rng),
+    "stochastic": lambda o, tol, sm, rng: gose_stochastic(o, np.zeros(3), tol, sm, rng=rng),
+    "finite_sum": lambda o, tol, sm, rng: gose_finite_sum(o, np.zeros(3), tol, sm, rng=rng),
+    "baseline": lambda o, tol, sm, rng: always_probe_baseline(o, np.zeros(3), tol, sm, rng=rng,
+                                                              max_iters=tol.max_outer),
+}
+
+
+@pytest.mark.parametrize("entry", list(NAN_RUNNERS))
+def test_nan_gradient_never_certifies(entry):
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=5, seed=0)
+    smooth = SmoothnessSpec(L=1.0, rho=1.0, h_star=0.0, sigma=0.0)
+    report = NAN_RUNNERS[entry](nan_gradient_oracle(), tol, smooth,
+                                np.random.default_rng(0))
+    c = report.certificate
+    assert c.status == STATUS_BUDGET
+    assert np.isnan(c.grad_norm)
+    assert all(r.branch == LARGE for r in report.trace)
+
+
+# ---------------------------------------------------------------------------
+# golden counters: fixed seeds must reproduce these exact tallies
+
+
+BOWL_SPECTRUM = [-1.0] + list(np.linspace(0.3, 1.0, 9))
+
+
+def golden_chained(solver):
+    prob = get_problem("chained_saddles", d=5)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=100, seed=0)
+    smooth = SmoothnessSpec(L=prob.known_L, rho=1.0)
+    return run_det(prob, tol, smooth, solver_choice=solver)
+
+
+def golden_saddle_path(runner):
+    prob = get_problem("saddle_path", d=2)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=50, seed=0)
+    smooth = SmoothnessSpec(L=prob.known_L, rho=1.0)
+    return runner(prob.oracle, prob.x0, tol, smooth, rng=np.random.default_rng(0))
+
+
+def golden_pca():
+    pca = get_problem("nonconvex_pca", n=50, d=8, seed=13)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.1, max_outer=1500, seed=0)
+    smooth = SmoothnessSpec(L=8.0, rho=1.0)
+    return gose_finite_sum(pca.oracle, pca.x0, tol, smooth,
+                           rng=np.random.default_rng(0))
+
+
+def golden_noisy_bowl():
+    prob = get_problem("bowl_saddle", d=10, spectrum=BOWL_SPECTRUM, q=0.5, seed=3)
+    noisy = with_gradient_noise(prob, sigma=0.05)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.1, max_outer=10, seed=0)
+    smooth = SmoothnessSpec(L=7.0, rho=1.0, h_star=0.005, sigma=0.05)
+    scsg = derive_scsg_params(tol, smooth, "stochastic", b_override=32)
+    return gose_stochastic(noisy.oracle, np.zeros(10), tol, smooth,
+                           scsg_cfg=scsg, rng=np.random.default_rng(0))
+
+
+def counts(grad, stoch, comp, hvp, fn, nc, esc, small, outer, epochs):
+    return dict(grad_evals=grad, stoch_grad_evals=stoch, component_grad_evals=comp,
+                hvp_evals=hvp, fn_evals=fn, nc_calls=nc, escape_steps=esc,
+                small_region_entries=small, outer_iters=outer, epochs_run=epochs)
+
+
+GOLDEN = {
+    "chained_gd": (lambda: golden_chained("gd"), STATUS_SECOND_ORDER,
+                   counts(153, 0, 0, 48, 11, 6, 5, 6, 11, 0)),
+    "chained_agd": (lambda: golden_chained("agd"), STATUS_SECOND_ORDER,
+                    counts(86, 0, 0, 48, 91, 6, 5, 6, 11, 0)),
+    "saddle_path_driver": (lambda: golden_saddle_path(gose_deterministic),
+                           STATUS_SECOND_ORDER, counts(58, 0, 0, 10, 4, 2, 1, 2, 4, 0)),
+    "saddle_path_baseline": (lambda: golden_saddle_path(always_probe_baseline),
+                             STATUS_SECOND_ORDER,
+                             counts(36, 0, 0, 180, 36, 36, 3, 36, 36, 0)),
+    "pca_finite_sum": (golden_pca, STATUS_SECOND_ORDER,
+                       counts(48, 0, 6416, 95, 48, 1, 0, 1, 48, 47)),
+    "noisy_bowl": (golden_noisy_bowl, STATUS_BUDGET,
+                   counts(0, 276692, 0, 3512, 10, 1, 1, 1, 10, 9)),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_golden_counters_per_seed(name):
+    run, status, expected = GOLDEN[name]
+    c = run().certificate
+    assert (c.status, c.counters.as_dict()) == (status, expected)
