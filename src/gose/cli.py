@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .core import ConfigError, GoseError
+from .core import MODES, ConfigError, GoseError
 from .harness import (ExperimentConfig, inject_asymmetric_probe, run_experiment,
                       run_sweep, summary_line, sweep_table, verify_nc_suite)
 from .problems import list_problems
@@ -28,8 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="JSON experiment config")
     p_run.add_argument("--seed", type=int, default=None, help="override: run this seed only")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--mode", default=None,
-                       choices=["deterministic", "stochastic", "finite_sum"])
+    p_run.add_argument("--mode", default=None, choices=MODES)
     p_run.add_argument("--engine", default=None,
                        help="negative-curvature engine override")
     p_run.add_argument("--trace", action="store_true", help="also write trace tables")

@@ -113,7 +113,6 @@ class EvalCounters:
 
 @dataclass(frozen=True)
 class Capabilities:
-    deterministic: bool
     finite_sum: bool
     stochastic: bool
     analytic_hvp: bool
@@ -165,7 +164,6 @@ class ObjectiveOracle:
     @property
     def capabilities(self) -> Capabilities:
         return Capabilities(
-            deterministic=True,
             finite_sum=self.n_components > 0,
             stochastic=self._sample_gradient is not None,
             analytic_hvp=self._hvp is not None,
@@ -384,7 +382,6 @@ class ValidatedConfig:
     L: float
     rho_eff: float
     sigma: Optional[float]
-    eta_escape: float  # eps_h / (2 * c1 * rho_eff)
 
 
 def validate_config(tol: ToleranceConfig, smooth: SmoothnessSpec, mode: str) -> ValidatedConfig:
@@ -428,9 +425,7 @@ def validate_config(tol: ToleranceConfig, smooth: SmoothnessSpec, mode: str) -> 
     return ValidatedConfig(
         mode=mode,
         eps=tol.eps, eps_h=tol.eps_h, delta=tol.delta, c1=tol.c1,
-        L=smooth.L, rho_eff=rho_eff,
-        sigma=smooth.sigma,
-        eta_escape=tol.eps_h / (2.0 * tol.c1 * rho_eff),
+        L=smooth.L, rho_eff=rho_eff, sigma=smooth.sigma,
     )
 
 

@@ -12,6 +12,7 @@ second_order_stationary certificate.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -80,10 +81,11 @@ def _budget_status(grad_norm, eps):
 def _drive(oracle, x0, K, measure, threshold, large_step, escape, echo, seed):
     """The one outer loop behind every driver.
 
-    Per outer iteration, g = measure(x).  If ||g|| <= threshold, enter the
-    small-gradient region and take one escape(x, g); bottom certifies x.
-    Otherwise, a non-finite norm included, large_step(x, g) returns the new
-    point and the gradient norm the run ends at, or None to go on.
+    Per outer iteration, g = measure(x).  A non-finite ||g|| ends the run
+    budget_exhausted at once, before any further oracle work.  If
+    ||g|| <= threshold, enter the small-gradient region and take one
+    escape(x, g); bottom certifies x.  Otherwise large_step(x, g) returns the
+    new point and the gradient norm the run ends at, or None to go on.
     """
     x = np.asarray(x0, float)
     trace: list[TraceRecord] = []
@@ -93,6 +95,8 @@ def _drive(oracle, x0, K, measure, threshold, large_step, escape, echo, seed):
         oracle.counters.outer_iters += 1
         g = measure(x)
         gn = float(np.linalg.norm(g))
+        if not math.isfinite(gn):
+            return _finish(oracle, x, gn, last_nc_estimate, STATUS_BUDGET, trace, echo, seed)
         fx = oracle.value(x)
         if not gn <= threshold:
             x, stop = large_step(x, g)
@@ -138,6 +142,7 @@ def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     finder's delta).
     """
     vcfg = validate_config(tol, smooth, "deterministic")
+    esc.validate(vcfg)
     rng = rng if rng is not None else np.random.default_rng(tol.seed)
     oracle = as_counting(oracle)
     echo = _config_echo("deterministic", tol, smooth, esc, ncfg, solver_choice=solver_choice)
@@ -155,7 +160,6 @@ def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
 def gose_stochastic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
                     esc: EscapeConfig = EscapeConfig(),
                     scsg_cfg: Optional[ScsgConfig] = None,
-                    K: Optional[int] = None,
                     rng: Optional[np.random.Generator] = None,
                     ncfg: NcConfig = NcConfig()) -> RunReport:
     """Sampling-only driver.
@@ -165,14 +169,14 @@ def gose_stochastic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     small when escaping), and either run one variance-reduced epoch anchored
     at that same batch gradient or take one stochastic escape step.
     """
-    validate_config(tol, smooth, "stochastic")
+    esc.validate(validate_config(tol, smooth, "stochastic"))
     rng = rng if rng is not None else np.random.default_rng(tol.seed)
     oracle = as_counting(oracle)
     if scsg_cfg is None:
         scsg_cfg = derive_scsg_params(tol, smooth, "stochastic")
     echo = _config_echo("stochastic", tol, smooth, esc, ncfg, scsg=dataclasses.asdict(scsg_cfg))
 
-    return _drive(oracle, x0, K if K is not None else tol.max_outer,
+    return _drive(oracle, x0, tol.max_outer,
                   lambda x: oracle.sample_gradient_batch(x, scsg_cfg.B, rng), tol.eps / 2.0,
                   _epoch_step(oracle, scsg_cfg, rng),
                   lambda x, g: one_step_stochastic(oracle, x, tol, smooth, esc, rng, ncfg),
@@ -181,7 +185,6 @@ def gose_stochastic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
 
 def gose_finite_sum(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
                     esc: EscapeConfig = EscapeConfig(),
-                    K: Optional[int] = None,
                     rng: Optional[np.random.Generator] = None,
                     ncfg: NcConfig = NcConfig(),
                     scsg_cfg: Optional[ScsgConfig] = None) -> RunReport:
@@ -191,14 +194,14 @@ def gose_finite_sum(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     iteration and branches at eps (not eps/2); the epoch uses batch size n and
     minibatch size 1.
     """
-    validate_config(tol, smooth, "finite_sum")
+    esc.validate(validate_config(tol, smooth, "finite_sum"))
     rng = rng if rng is not None else np.random.default_rng(tol.seed)
     oracle = as_counting(oracle)
     if scsg_cfg is None:
         scsg_cfg = derive_scsg_params(tol, smooth, "finite_sum", n=oracle.n_components)
     echo = _config_echo("finite_sum", tol, smooth, esc, ncfg, scsg=dataclasses.asdict(scsg_cfg))
 
-    return _drive(oracle, x0, K if K is not None else tol.max_outer, oracle.gradient,
+    return _drive(oracle, x0, tol.max_outer, oracle.gradient,
                   tol.eps, _epoch_step(oracle, scsg_cfg, rng),
                   lambda x, g: one_step_finite_sum(oracle, x, tol, smooth, esc, rng, ncfg, g=g),
                   echo, tol.seed)

@@ -17,11 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ConfigError, NotFiniteSum, NotStochastic, SmoothnessSpec,
-                   ToleranceConfig, ValidatedConfig, as_counting,
-                   validate_config)
+from .core import (ConfigError, SmoothnessSpec, ToleranceConfig,
+                   ValidatedConfig, as_counting, validate_config)
 from .ncfind import (NcConfig, NcOutcome, approx_nc_deterministic,
                      approx_nc_finite_sum, approx_nc_stochastic)
+
+S_RULES = ("auto", "eps_h", "eps")
 
 
 @dataclass(frozen=True)
@@ -37,13 +38,19 @@ class EscapeConfig:
     ceil(s_mult * log(1/delta) / eps_h**2); "eps" uses the concentration size
     ceil(s_mult * sigma**2 * log(1/delta) / (c_conc * eps)**2), which is what
     the decrease argument actually consumes.  "auto" takes the larger of the
-    two when sigma is known, else "eps_h".
+    two when sigma is known, else "eps_h".  An unknown s_rule is rejected on
+    construction; the c_h window depends on the tolerances and is checked by
+    validate().
     """
 
     c_h: float = 0.5
     s_mult: float = 4.0
     c_conc: float = 0.25
-    s_rule: str = "auto"  # "auto" | "eps_h" | "eps"
+    s_rule: str = "auto"
+
+    def __post_init__(self):
+        if self.s_rule not in S_RULES:
+            raise ConfigError(f"unknown s_rule {self.s_rule!r}; options: {S_RULES}")
 
     @property
     def c_prime_det(self) -> float:
@@ -158,8 +165,6 @@ def one_step_stochastic(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,
     the gradient; the step direction satisfies g_hat . v <= 0.
     """
     oracle = as_counting(oracle)
-    if not oracle.capabilities.stochastic:
-        raise NotStochastic("one_step_stochastic needs a stochastic oracle")
     return _one_step(oracle, x, tol, smooth, esc, rng, ncfg, "stochastic",
                      approx_nc_stochastic,
                      lambda vcfg: oracle.sample_gradient_batch(x, esc.subsample_size(vcfg), rng))
@@ -171,8 +176,6 @@ def one_step_finite_sum(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,
                         g: Optional[np.ndarray] = None) -> EscapeResult:
     """Single escape step for finite sums; the sign uses the full gradient."""
     oracle = as_counting(oracle)
-    if not oracle.capabilities.finite_sum:
-        raise NotFiniteSum("one_step_finite_sum needs a finite-sum oracle")
     return _one_step(oracle, x, tol, smooth, esc, rng, ncfg, "finite_sum",
                      approx_nc_finite_sum,
                      lambda vcfg: oracle.gradient(x) if g is None else g)

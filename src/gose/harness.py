@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ConfigError, DimensionTooLarge, EvalCounters,
+from .core import (MODES, ConfigError, DimensionTooLarge, EvalCounters,
                    ObjectiveOracle, STATUS_BUDGET, STATUS_SECOND_ORDER,
                    SmoothnessSpec, ToleranceConfig, as_counting)
 from .drivers import (LARGE, SMALL, RunReport, TraceRecord, _finish,
@@ -28,7 +28,7 @@ from .escape import EscapeConfig, one_step_deterministic
 from .ncfind import (NcBudget, NcConfig, approx_nc_deterministic,
                      approx_nc_finite_sum, approx_nc_stochastic,
                      lanczos_min_eig)
-from .problems import (ProblemSpec, _quadratic_oracle, _random_orthogonal,
+from .problems import (ProblemSpec, _planted_spectrum, _quadratic_oracle,
                        certify_second_order, get_problem, with_gradient_noise)
 from .solvers import derive_scsg_params
 
@@ -101,6 +101,8 @@ class ExperimentConfig:
 
 
 def build_problem(cfg: ExperimentConfig) -> ProblemSpec:
+    if cfg.mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {cfg.mode!r}")
     spec = get_problem(cfg.problem, **cfg.problem_params)
     if cfg.mode == "stochastic" and not spec.oracle.capabilities.stochastic:
         sigma = cfg.noise_sigma if cfg.noise_sigma is not None else cfg.sigma
@@ -148,20 +150,12 @@ def run_one(cfg: ExperimentConfig, seed: int) -> tuple[RunReport, dict]:
         report = gose_deterministic(spec.oracle, x0, tol, smooth, esc,
                                     solver_choice=cfg.solver_choice, rng=rng,
                                     ncfg=ncfg, solver_max_iters=cfg.solver_max_iters)
-    elif cfg.mode == "stochastic":
-        scsg = derive_scsg_params(tol, smooth, "stochastic",
+    else:
+        scsg = derive_scsg_params(tol, smooth, cfg.mode, n=spec.oracle.n_components,
                                   b_mult=cfg.scsg_b_mult, B_mult=cfg.scsg_B_mult,
                                   B_override=cfg.scsg_B, b_override=cfg.scsg_b)
-        report = gose_stochastic(spec.oracle, x0, tol, smooth, esc,
-                                 scsg_cfg=scsg, rng=rng, ncfg=ncfg)
-    elif cfg.mode == "finite_sum":
-        scsg = derive_scsg_params(tol, smooth, "finite_sum",
-                                  n=spec.oracle.n_components,
-                                  B_override=cfg.scsg_B, b_override=cfg.scsg_b)
-        report = gose_finite_sum(spec.oracle, x0, tol, smooth, esc,
-                                 scsg_cfg=scsg, rng=rng, ncfg=ncfg)
-    else:
-        raise ConfigError(f"unknown mode {cfg.mode!r}")
+        driver = gose_stochastic if cfg.mode == "stochastic" else gose_finite_sum
+        report = driver(spec.oracle, x0, tol, smooth, esc, scsg_cfg=scsg, rng=rng, ncfg=ncfg)
     wall = time.perf_counter() - t0
 
     cert = report.certificate
@@ -202,7 +196,7 @@ def _jsonify(obj):
         return obj.tolist()
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        return None if math.isnan(v) else v
+        return v if math.isfinite(v) else None
     if isinstance(obj, np.integer):
         return int(obj)
     return obj
@@ -216,7 +210,8 @@ def _atomic_write(path: str, text: str):
 
 
 def summary_line(row: dict) -> str:
-    return json.dumps(_jsonify(row), sort_keys=True)
+    """Strict JSON: non-finite numbers are written as null."""
+    return json.dumps(_jsonify(row), sort_keys=True, allow_nan=False)
 
 
 def write_summaries(rows: list, out_dir: str, name: str = "summary.jsonl") -> str:
@@ -227,21 +222,15 @@ def write_summaries(rows: list, out_dir: str, name: str = "summary.jsonl") -> st
 
 
 TRACE_HEADER = ["k", "branch", "grad_norm", "f_value", "escape_taken",
-                "grad_evals", "stoch_grad_evals", "component_grad_evals",
-                "hvp_evals", "fn_evals", "nc_calls", "escape_steps",
-                "small_region_entries", "outer_iters", "epochs_run"]
+                *(f.name for f in dataclasses.fields(EvalCounters))]
 
 
 def trace_table(report: RunReport) -> str:
     lines = [",".join(TRACE_HEADER)]
     for rec in report.trace:
-        c = rec.counters
         lines.append(",".join(str(v) for v in [
             rec.k, rec.branch, repr(rec.grad_norm), repr(rec.f_value),
-            int(rec.escape_taken),
-            c.grad_evals, c.stoch_grad_evals, c.component_grad_evals,
-            c.hvp_evals, c.fn_evals, c.nc_calls, c.escape_steps,
-            c.small_region_entries, c.outer_iters, c.epochs_run,
+            int(rec.escape_taken), *rec.counters.as_dict().values(),
         ]))
     return "\n".join(lines) + "\n"
 
@@ -327,12 +316,6 @@ def sweep_table(rows: list) -> str:
 # Negative-curvature contract suite (verify-nc)
 
 
-def _planted_operator(d: int, spectrum: np.ndarray, rng: np.random.Generator):
-    Q = _random_orthogonal(d, rng)
-    A = (Q * spectrum) @ Q.T
-    return 0.5 * (A + A.T)
-
-
 def _negative_spectrum(d: int, eps_h: float, rng) -> np.ndarray:
     spec = rng.uniform(-eps_h / 4.0, 1.0, size=d)
     spec[0] = -2.0 * eps_h
@@ -357,21 +340,6 @@ def _finite_sum_quadratic(A: np.ndarray, n: int, noise: float,
         component_gradient=lambda i, x: comps[i] @ x,
         component_hvp=lambda i, x, v: comps[i] @ v,
     )
-
-
-def _stochastic_quadratic(A: np.ndarray, noise: float) -> ObjectiveOracle:
-    d = A.shape[0]
-
-    def sample_hvp(x, v, rng):
-        z = rng.standard_normal(d)
-        return A @ v + noise * (z * float(z @ v) - v)
-
-    def sample_gradient(x, rng):
-        return A @ x + noise * rng.standard_normal(d)
-
-    return ObjectiveOracle(d, lambda x: 0.5 * float(x @ (A @ x)),
-                           lambda x: A @ x, hvp=lambda x, v: A @ v,
-                           sample_gradient=sample_gradient, sample_hvp=sample_hvp)
 
 
 NC_THRESHOLDS = {
@@ -409,13 +377,15 @@ def verify_nc_suite(d: int = 50, trials: int = 200, eps_h: float = 0.5,
         if engine == "finite_sum":
             oracle = _finite_sum_quadratic(A, 32, noise, rng)
             return approx_nc_finite_sum(oracle, x, eps_h, delta, L, rng, cfg)
-        oracle = _stochastic_quadratic(A, noise)
+        planted = ProblemSpec(name="planted", oracle=_quadratic_oracle(A),
+                              known_L=L, known_rho=0.0, box=(-1.0, 1.0))
+        oracle = with_gradient_noise(planted, noise).oracle
         scfg = dataclasses.replace(cfg, engine=engine)
         return approx_nc_stochastic(oracle, x, eps_h, delta, L, rng, scfg)
 
     directions = unsound = 0
     for _ in range(trials):
-        A = _planted_operator(d, _negative_spectrum(d, eps_h, rng), rng)
+        A, _ = _planted_spectrum(_negative_spectrum(d, eps_h, rng), rng)
         out = call(A)
         if out.is_direction:
             directions += 1
@@ -423,7 +393,7 @@ def verify_nc_suite(d: int = 50, trials: int = 200, eps_h: float = 0.5,
                 unsound += 1
     bottoms = 0
     for _ in range(trials):
-        A = _planted_operator(d, _psd_spectrum(d, rng), rng)
+        A, _ = _planted_spectrum(_psd_spectrum(d, rng), rng)
         out = call(A)
         if out.is_bottom:
             bottoms += 1
@@ -462,8 +432,9 @@ def always_probe_baseline(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSp
     Each iteration spends one finder call no matter where the iterate is:
     take a curvature step if a direction comes back, otherwise a single
     gradient step; stop only when the finder says bottom and the gradient is
-    already small.  Exists purely to quantify how many probes the
-    region-splitting drivers save.
+    already small; a non-finite gradient norm ends the run budget_exhausted
+    at once.  Exists purely to quantify how many probes the region-splitting
+    drivers save.
     """
     rng = rng if rng is not None else np.random.default_rng(tol.seed)
     oracle = as_counting(oracle)
@@ -471,9 +442,11 @@ def always_probe_baseline(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSp
     trace = []
     for k in range(1, max_iters + 1):
         oracle.counters.outer_iters += 1
-        oracle.counters.small_region_entries += 1  # probes every iteration
         g = oracle.gradient(x)
         gn = float(np.linalg.norm(g))
+        if not math.isfinite(gn):
+            return _finish(oracle, x, gn, float("nan"), STATUS_BUDGET, trace, {}, tol.seed)
+        oracle.counters.small_region_entries += 1  # probes every iteration
         fx = oracle.value(x)
         res = one_step_deterministic(oracle, x, tol, smooth, esc, rng, ncfg, g=g)
         if res.escaped:

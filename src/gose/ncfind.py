@@ -21,8 +21,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .core import (AsymmetricOperator, BudgetZero, NotFiniteSum, NotStochastic,
-                   as_counting, finite_diff_hvp)
+from .core import (AsymmetricOperator, BudgetZero, ConfigError, NotFiniteSum,
+                   NotStochastic, as_counting, finite_diff_hvp)
 
 BOTTOM = "bottom"
 DIRECTION = "direction"
@@ -58,34 +58,38 @@ class NcOutcome:
 
 @dataclass
 class NcBudget:
-    """Iteration cap and restart count for one finder invocation."""
+    """Iteration cap for one Lanczos run."""
 
     max_matvecs: int
-    restarts: int = 1
 
     def __post_init__(self):
         if self.max_matvecs < 1:
             raise BudgetZero(f"max_matvecs must be >= 1, got {self.max_matvecs}")
-        if self.restarts < 1:
-            raise BudgetZero(f"restarts must be >= 1, got {self.restarts}")
+
+
+ENGINES = ("minibatch_lanczos", "oja")
 
 
 @dataclass(frozen=True)
 class NcConfig:
-    """Knobs shared by the finder front ends.
+    """Knobs shared by the finder front ends, checked when constructed.
 
     budget_mult scales the iteration/sample budgets (the asymptotic formulas
-    carry unspecified constants, exposed here).  engine selects the stochastic
-    core: a minibatch-averaged Lanczos or the streaming power update on fresh
-    draws ("oja").  oja_step of None means eps_h/(8*L**2).
+    carry unspecified constants, exposed here).  restarts (>= 1) caps the
+    candidates one call may draw.  engine selects the stochastic core: a
+    minibatch-averaged Lanczos or the streaming power update on fresh draws
+    ("oja").
     """
 
     budget_mult: float = 4.0
     restarts: int = 1
-    engine: str = "minibatch_lanczos"  # or "oja"
-    minibatch: Optional[int] = None
-    oja_step: Optional[float] = None
-    probe_tol: Optional[float] = 1e-6
+    engine: str = "minibatch_lanczos"
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise BudgetZero(f"restarts must be >= 1, got {self.restarts}")
+        if self.engine not in ENGINES:
+            raise ConfigError(f"unknown stochastic engine {self.engine!r}; options: {ENGINES}")
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +248,7 @@ def approx_nc_deterministic(oracle, x, eps_h: float, delta: float, L: float,
 
     mm = det_max_matvecs(d, eps_h, delta, L, cfg.budget_mult)
     return _search(oracle, cfg.restarts,
-                   lambda: lanczos_min_eig(hvp, d, NcBudget(mm), rng, probe_tol=cfg.probe_tol),
+                   lambda: lanczos_min_eig(hvp, d, NcBudget(mm), rng),
                    -eps_h / 2.0)
 
 
@@ -273,7 +277,7 @@ def approx_nc_stochastic(oracle, x, eps_h: float, delta: float, L: float,
         return acc / m
 
     if cfg.engine == "oja":
-        eta = cfg.oja_step if cfg.oja_step is not None else eps_h / (8.0 * L ** 2)
+        eta = eps_h / (8.0 * L ** 2)
         total = oja_total_samples(d, eps_h, delta, L, cfg.budget_mult)
 
         def draw():
@@ -282,16 +286,14 @@ def approx_nc_stochastic(oracle, x, eps_h: float, delta: float, L: float,
                 v = v - eta * oracle.sample_hvp(x, v, rng)
                 v = v / np.linalg.norm(v)
             return v
-    elif cfg.engine == "minibatch_lanczos":
-        m = cfg.minibatch if cfg.minibatch is not None else stoch_minibatch(d, eps_h, L, cfg.budget_mult)
+    else:
+        m = stoch_minibatch(d, eps_h, L, cfg.budget_mult)
         mm = det_max_matvecs(d, eps_h, delta, L, cfg.budget_mult)
 
         def draw():
             _, v = lanczos_min_eig(lambda w: mean_sample_hvp(w, m), d,
                                    NcBudget(mm), rng, probe_tol=None)
             return v
-    else:
-        raise ValueError(f"unknown stochastic engine {cfg.engine!r}")
 
     m_val = validation_batch(eps_h, L, cfg.budget_mult)
 
@@ -329,7 +331,7 @@ def approx_nc_finite_sum(oracle, x, eps_h: float, delta: float, L: float,
     n = oracle.n_components
 
     mm = det_max_matvecs(d, eps_h, delta, L, cfg.budget_mult)
-    m = cfg.minibatch if cfg.minibatch is not None else finite_sum_minibatch(n, eps_h, L, cfg.budget_mult, mm)
+    m = finite_sum_minibatch(n, eps_h, L, cfg.budget_mult, mm)
 
     def minibatch_hvp(v):
         return _index_mean_hvp(oracle, x, v, rng.integers(0, n, size=m))

@@ -47,6 +47,13 @@ def _random_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def _planted_spectrum(spectrum: np.ndarray, rng: np.random.Generator):
+    """(A, Q): A = Q diag(spectrum) Q' for a random orthogonal Q drawn from rng, symmetrized."""
+    Q = _random_orthogonal(len(spectrum), rng)
+    A = (Q * spectrum) @ Q.T
+    return 0.5 * (A + A.T), Q
+
+
 def _quadratic_oracle(A: np.ndarray) -> ObjectiveOracle:
     d = A.shape[0]
     return ObjectiveOracle(
@@ -69,9 +76,7 @@ def make_quadratic_saddle(d: int, spectrum, seed: int = 0,
     if spectrum.shape != (d,):
         raise ConfigError(f"spectrum must have length d={d}")
     if orth and d > 1:
-        Q = _random_orthogonal(d, np.random.default_rng(seed))
-        A = (Q * spectrum) @ Q.T
-        A = 0.5 * (A + A.T)
+        A, _ = _planted_spectrum(spectrum, np.random.default_rng(seed))
     else:
         A = np.diag(spectrum)
     saddles = [np.zeros(d)] if spectrum.min() < 0.0 else []
@@ -101,11 +106,8 @@ def make_bowl_saddle(d: int, spectrum, q: float = 0.5, seed: int = 0,
     spectrum = np.asarray(spectrum, float)
     if spectrum.shape != (d,):
         raise ConfigError(f"spectrum must have length d={d}")
-    rng = np.random.default_rng(seed)
     if orth and d > 1:
-        Q = _random_orthogonal(d, rng)
-        A = (Q * spectrum) @ Q.T
-        A = 0.5 * (A + A.T)
+        A, Q = _planted_spectrum(spectrum, np.random.default_rng(seed))
         vmin = Q[:, int(np.argmin(spectrum))]
     else:
         A = np.diag(spectrum)
@@ -403,19 +405,17 @@ def make_standard(name: str, d: int = 2) -> ProblemSpec:
 # Mode wrappers
 
 
-def with_gradient_noise(spec: ProblemSpec, sigma: float,
-                        sigma_h: Optional[float] = None) -> ProblemSpec:
+def with_gradient_noise(spec: ProblemSpec, sigma: float) -> ProblemSpec:
     """Stochastic view of a deterministic problem.
 
     Gradient draws are grad f(x) + zeta with zeta ~ N(0, (sigma**2/d) I), so
     E||zeta||**2 = sigma**2 and the variance bound h_star = 2 sigma**2 holds.
     HVP draws add the rank-one mean-zero perturbation
-    sigma_h * (z (z.v) - v), z ~ N(0, I).  All randomness flows through the
+    sigma * (z (z.v) - v), z ~ N(0, I).  All randomness flows through the
     generator argument, so equal generator states reproduce the same draw.
     """
     base = spec.oracle
     d = base.dimension
-    sigma_h = sigma if sigma_h is None else sigma_h
     coord = sigma / math.sqrt(d)
 
     def sample_gradient(x, rng):
@@ -426,7 +426,7 @@ def with_gradient_noise(spec: ProblemSpec, sigma: float,
 
     def sample_hvp(x, v, rng):
         z = rng.standard_normal(d)
-        return base.hvp(x, v) + sigma_h * (z * float(z @ v) - v)
+        return base.hvp(x, v) + sigma * (z * float(z @ v) - v)
 
     oracle = ObjectiveOracle(
         d, base.value, base.gradient, hvp=base.hvp,

@@ -44,8 +44,6 @@ class ScsgConfig:
     p: float
     mode: str  # "stochastic" | "finite_sum"
     degenerate_sgd: bool = False
-    b_mult: float = 1.0
-    B_mult: float = 96.0
 
     def __post_init__(self):
         if not (1 <= self.b <= self.B):
@@ -92,8 +90,7 @@ def derive_scsg_params(tol, smooth, mode: str, n: int = 0,
         b = 1 if b_override is None else int(b_override)
         eta = 1.0 / (smooth.L * n ** (2.0 / 3.0))
         return ScsgConfig(B=B, b=min(b, B), eta=eta, p=B / (B + b),
-                          mode=mode, degenerate_sgd=False,
-                          b_mult=b_mult, B_mult=B_mult)
+                          mode=mode, degenerate_sgd=False)
     if mode != "stochastic":
         raise ConfigError(f"mode must be 'stochastic' or 'finite_sum', got {mode!r}")
     h_star = smooth.h_star
@@ -117,7 +114,7 @@ def derive_scsg_params(tol, smooth, mode: str, n: int = 0,
     b = min(max(b_raw, 1), B)
     eta = b ** (2.0 / 3.0) / (6.0 * smooth.L * B ** (2.0 / 3.0))
     return ScsgConfig(B=B, b=b, eta=eta, p=B / (B + b), mode=mode,
-                      degenerate_sgd=degenerate, b_mult=b_mult, B_mult=B_mult)
+                      degenerate_sgd=degenerate)
 
 
 def estimate_variance_bound(oracle, x, rng: np.random.Generator,

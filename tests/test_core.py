@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from gose import (Capabilities, CountingOracle, EvalCounters, ObjectiveOracle,
-                  SmoothnessSpec, ToleranceConfig, as_counting,
-                  finite_diff_hvp, get_problem, validate_config)
+from gose import (Capabilities, CountingOracle, EscapeConfig, EvalCounters,
+                  ObjectiveOracle, SmoothnessSpec, ToleranceConfig, as_counting,
+                  escape_step_length, finite_diff_hvp, get_problem,
+                  validate_config)
 from gose.core import (EpsilonTooLarge, NonPositiveConstant,
                        StochasticEpsilonTooLarge, ZeroDirection)
 
@@ -37,7 +38,7 @@ def test_validate_accepts_instantiated_inequality():
     smooth = SmoothnessSpec(L=1.0, rho=1.0)
     vcfg = validate_config(tol, smooth, "deterministic")
     assert vcfg.rho_eff == 1.0
-    assert vcfg.eta_escape == pytest.approx(0.25)
+    assert escape_step_length(vcfg, EscapeConfig()) == pytest.approx(0.25)
 
 
 def test_validate_rejects_eps_at_boundary_and_above():
@@ -85,7 +86,7 @@ def test_rho_floor_applies_to_quadratics():
     smooth = SmoothnessSpec(L=1.0, rho=0.0, rho_min=1e-3)
     vcfg = validate_config(tol, smooth, "deterministic")
     assert vcfg.rho_eff == 1e-3
-    assert vcfg.eta_escape == pytest.approx(0.5 / (2 * 1e-3))
+    assert escape_step_length(vcfg, EscapeConfig()) == pytest.approx(0.5 / (2 * 1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +152,7 @@ def test_synthesized_hvp_is_linear(rng):
 
 def test_capabilities_flags():
     det = quad_oracle([1.0, 2.0])
-    assert det.capabilities == Capabilities(True, False, False, False)
+    assert det.capabilities == Capabilities(False, False, False)
     ana = quad_oracle_analytic([1.0, 2.0])
     assert ana.capabilities.analytic_hvp
     pca = get_problem("nonconvex_pca", n=5, d=3, seed=0)

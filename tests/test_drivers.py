@@ -5,7 +5,8 @@ from gose import (EscapeConfig, ObjectiveOracle, SmoothnessSpec,
                   ToleranceConfig, amplify, as_counting, certify_second_order,
                   derive_scsg_params, get_problem, gose_deterministic,
                   gose_finite_sum, gose_stochastic, with_gradient_noise)
-from gose.core import (STATUS_BUDGET, STATUS_FIRST_ORDER, STATUS_SECOND_ORDER)
+from gose.core import (STATUS_BUDGET, STATUS_FIRST_ORDER, STATUS_SECOND_ORDER,
+                       ConfigError, EvalCounters)
 from gose.drivers import LARGE, SMALL
 from gose.harness import always_probe_baseline
 from gose.problems import as_finite_sum
@@ -375,6 +376,20 @@ def test_nan_gradient_never_certifies(entry):
     assert c.status == STATUS_BUDGET
     assert np.isnan(c.grad_norm)
     assert all(r.branch == LARGE for r in report.trace)
+    # the first non-finite measurement ends the run
+    assert c.counters.outer_iters == 1
+    assert c.counters.nc_calls == 0
+    assert c.counters.epochs_run == 0
+
+
+def test_escape_window_checked_before_any_oracle_work():
+    prob = get_problem("saddle_path", d=2)
+    oracle = as_counting(prob.oracle)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=50, seed=0)
+    smooth = SmoothnessSpec(L=prob.known_L, rho=1.0)
+    with pytest.raises(ConfigError, match="gradient-growth window"):
+        gose_deterministic(oracle, prob.x0, tol, smooth, EscapeConfig(c_h=0.8))
+    assert oracle.counters == EvalCounters()
 
 
 # ---------------------------------------------------------------------------

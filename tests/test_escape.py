@@ -70,6 +70,11 @@ def test_window_validation_rejects_out_of_window_coefficients():
         EscapeConfig(c_h=0.8).validate(svcfg)  # above the stochastic cap 3/4
 
 
+def test_unknown_subsample_rule_rejected_on_construction():
+    with pytest.raises(ConfigError, match="s_rule"):
+        EscapeConfig(s_rule="bogus")
+
+
 def test_subsample_size_rules():
     esc = EscapeConfig(s_mult=4.0, c_conc=0.25)
     vcfg = validate_config(TOL, UNIT_RHO, "stochastic")

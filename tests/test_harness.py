@@ -216,6 +216,44 @@ def test_cli_run_validation_error_names_inequality(tmp_path, capsys):
     assert "eps_h**2/(16*c1*rho_eff)" in err
 
 
+CHAINED_ORIGIN_CFG = {
+    "problem": "chained_saddles",
+    "problem_params": {"d": 2},
+    "mode": "deterministic",
+    "eps": 0.01,
+    "eps_h": 0.5,
+    "rho": 1.0,
+}
+
+
+@pytest.mark.parametrize("cfg, extra", [
+    ({**CHAINED_ORIGIN_CFG, "nc_restarts": 0}, []),
+    (CONVEX_CFG, ["--engine", "bogus"]),
+    ({**CONVEX_CFG, "mode": "stochastic", "noise_sigma": 0.05}, ["--engine", "bogus"]),
+], ids=["nc_restarts_zero", "engine_deterministic", "engine_stochastic"])
+def test_cli_run_rejects_bad_finder_setting(tmp_path, capsys, cfg, extra):
+    # a finder that may draw no candidate would certify a saddle unseen
+    path = write_cfg(tmp_path, cfg)
+    code = main(["run", "--config", path, "--out", str(tmp_path / "out"), *extra])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_summary_line_is_strict_json_for_diverging_run():
+    cfg = ExperimentConfig(problem="quadratic_saddle", problem_params={"d": 3},
+                           eps=0.01, eps_h=0.5, rho=1.0)
+    _, row = run_one(cfg, 0)
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    parsed = json.loads(summary_line(row), parse_constant=reject)
+    assert parsed["status"] == "budget_exhausted"
+    assert parsed["grad_norm"] is None and parsed["final_f"] is None
+
+
 def test_cli_run_missing_config():
     assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2
 

@@ -56,7 +56,7 @@ def test_lanczos_budget_validation(rng):
     with pytest.raises(BudgetZero):
         NcBudget(0)
     with pytest.raises(BudgetZero):
-        NcBudget(5, restarts=0)
+        NcConfig(restarts=0)
 
 
 # ---------------------------------------------------------------------------
