@@ -130,6 +130,12 @@ class ObjectiveOracle:
     generator they receive, so that equal generator states reproduce the same
     draw of the underlying random index xi.  This is what lets variance-reduced
     updates evaluate the same xi at two points.
+
+    A sample_gradient_batch(x, m, rng) callable returns the mean of m draws.
+    It receives either one point of shape (d,) or a (k, d) stack of points;
+    for a stack it must evaluate the same m draws at every row and return a
+    (k, d) array.  The SCSG epoch relies on this to evaluate its minibatch at
+    the current point and at the anchor in one call.
     """
 
     def __init__(self, dimension: int,
@@ -213,13 +219,25 @@ class ObjectiveOracle:
         return np.asarray(self._sample_gradient(np.asarray(x, float), rng), float)
 
     def sample_gradient_batch(self, x, m: int, rng: np.random.Generator) -> np.ndarray:
-        """Mean of m independent stochastic gradient draws."""
+        """Mean of m independent stochastic gradient draws.
+
+        x may also be a (k, d) stack of points: the same m draws are then
+        evaluated at every row (common random numbers) and a (k, d) array of
+        means comes back.  Without a batch callable each row replays the
+        generator from its starting state.
+        """
+        x = np.asarray(x, float)
         if self._sample_gradient_batch is not None:
-            return np.asarray(self._sample_gradient_batch(np.asarray(x, float), int(m), rng), float)
-        acc = np.zeros(self.dimension)
-        for _ in range(int(m)):
-            acc += self.sample_gradient(x, rng)
-        return acc / max(int(m), 1)
+            return np.asarray(self._sample_gradient_batch(x, int(m), rng), float)
+        points = np.atleast_2d(x)
+        means = np.zeros_like(points)
+        state = rng.bit_generator.state
+        for acc, row in zip(means, points):
+            rng.bit_generator.state = state
+            for _ in range(int(m)):
+                acc += self.sample_gradient(row, rng)
+        means /= max(int(m), 1)
+        return means.reshape(x.shape)
 
     def sample_hvp(self, x, v, rng: np.random.Generator) -> np.ndarray:
         if self._sample_hvp is not None:
@@ -311,7 +329,8 @@ class CountingOracle:
         return self.base.sample_gradient(x, rng)
 
     def sample_gradient_batch(self, x, m, rng):
-        self.counters.stoch_grad_evals += int(m)
+        rows = len(x) if np.ndim(x) == 2 else 1
+        self.counters.stoch_grad_evals += int(m) * rows
         return self.base.sample_gradient_batch(x, m, rng)
 
     def sample_hvp(self, x, v, rng):

@@ -85,10 +85,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(types)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in data.items():
+            if not _json_type_fits(value, types[name]):
+                raise ConfigError(f"config field {name!r} must be {types[name]},"
+                                  f" got {type(value).__name__} {value!r}")
         return cls(**data)
 
     @classmethod
@@ -98,6 +102,22 @@ class ExperimentConfig:
 
     def dump(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+
+
+# the JSON values each ExperimentConfig annotation accepts; an int is a valid
+# float, and bool (an int subclass) is accepted only by "bool"
+_JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,),
+               "bool": (bool,), "dict": (dict,), "list": (list,)}
+
+
+def _json_type_fits(value, annotation: str) -> bool:
+    if annotation.startswith("Optional["):
+        if value is None:
+            return True
+        annotation = annotation[len("Optional["):-1]
+    if isinstance(value, bool):
+        return annotation == "bool"
+    return isinstance(value, _JSON_TYPES[annotation])
 
 
 def build_problem(cfg: ExperimentConfig) -> ProblemSpec:

@@ -422,7 +422,11 @@ def with_gradient_noise(spec: ProblemSpec, sigma: float) -> ProblemSpec:
         return base.gradient(x) + coord * rng.standard_normal(d)
 
     def sample_gradient_batch(x, m, rng):
-        return base.gradient(x) + coord * rng.standard_normal((m, d)).mean(axis=0)
+        # one noise draw, shared by every row of a (k, d) stack
+        noise = coord * rng.standard_normal((m, d)).mean(axis=0)
+        if x.ndim == 1:
+            return base.gradient(x) + noise
+        return np.stack([base.gradient(row) for row in x]) + noise
 
     def sample_hvp(x, v, rng):
         z = rng.standard_normal(d)

@@ -137,8 +137,9 @@ def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
     Draws T ~ Geom(B/(B+b)) and iterates
         y <- y - eta * (g_I(y) - g_I(x0) + g_anchor)
     where g_I is the minibatch-mean gradient over b fresh indices (finite-sum)
-    or b fresh draws replayed at both points (stochastic, common random
-    numbers).  Returns x0 unchanged when T = 0.  Costs 2*b*T gradient evals.
+    or b fresh draws evaluated at both points in one stacked call (stochastic,
+    common random numbers).  Returns x0 unchanged when T = 0.  Costs 2*b*T
+    gradient evals.
     """
     oracle = as_counting(oracle)
     x0 = np.asarray(x0, float)
@@ -146,16 +147,20 @@ def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
     if T == 0:
         return x0
     y = x0.copy()
-    n = oracle.n_components
-    for _ in range(T):
-        if cfg.mode == "finite_sum":
+    if cfg.mode == "finite_sum":
+        n = oracle.n_components
+        for _ in range(T):
             idx = rng.integers(0, n, size=cfg.b)
             g_y = oracle.component_gradient_batch(idx, y)
             g_0 = oracle.component_gradient_batch(idx, x0)
-        else:
-            seed = int(rng.integers(0, 2**63 - 1))
-            g_y = oracle.sample_gradient_batch(y, cfg.b, np.random.default_rng(seed))
-            g_0 = oracle.sample_gradient_batch(x0, cfg.b, np.random.default_rng(seed))
+            y = y - cfg.eta * (g_y - g_0 + g_anchor)
+        return y
+    # one child generator per step; its seeds are the stream T single draws give
+    points = np.stack([y, x0])
+    for seed in rng.integers(0, 2**63 - 1, size=T):
+        points[0] = y
+        g_y, g_0 = oracle.sample_gradient_batch(
+            points, cfg.b, np.random.Generator(np.random.PCG64(seed)))
         y = y - cfg.eta * (g_y - g_0 + g_anchor)
     return y
 

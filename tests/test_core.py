@@ -4,7 +4,7 @@ import pytest
 from gose import (Capabilities, CountingOracle, EscapeConfig, EvalCounters,
                   ObjectiveOracle, SmoothnessSpec, ToleranceConfig, as_counting,
                   escape_step_length, finite_diff_hvp, get_problem,
-                  validate_config)
+                  validate_config, with_gradient_noise)
 from gose.core import (EpsilonTooLarge, NonPositiveConstant,
                        StochasticEpsilonTooLarge, ZeroDirection)
 
@@ -221,6 +221,31 @@ def test_counting_stochastic_batches(rng):
     noisy.sample_hvp(np.ones(3), np.ones(3), rng)
     assert noisy.counters.stoch_grad_evals == 10
     assert noisy.counters.hvp_evals == 1
+
+
+def _stochastic_oracles():
+    noisy = with_gradient_noise(get_problem("bowl_saddle", d=4, seed=2), sigma=0.3).oracle
+    draws_only = ObjectiveOracle(4, noisy.value, noisy.gradient,
+                                 sample_gradient=noisy.sample_gradient)
+    return {"batch_callable": noisy, "row_replay": draws_only}
+
+
+@pytest.mark.parametrize("kind", ["batch_callable", "row_replay"])
+def test_sample_gradient_batch_evaluates_one_draw_at_every_row(kind):
+    oracle = _stochastic_oracles()[kind]
+    points = np.random.default_rng(1).standard_normal((3, 4))
+    co = as_counting(oracle)
+    rng = np.random.default_rng(7)
+    stacked = co.sample_gradient_batch(points, 5, rng)
+    assert stacked.shape == (3, 4)
+    assert co.counters.stoch_grad_evals == 5 * 3
+    for row, got in zip(points, stacked):
+        one_rng = np.random.default_rng(7)
+        one = oracle.sample_gradient_batch(row, 5, one_rng)
+        assert one.shape == (4,)
+        np.testing.assert_array_equal(got, one)
+    # the generator moved exactly as far as one single-point call moves it
+    assert rng.bit_generator.state == one_rng.bit_generator.state
 
 
 def test_as_counting_is_idempotent():

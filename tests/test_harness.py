@@ -42,6 +42,20 @@ def test_config_rejects_unknown_fields():
         ExperimentConfig.from_dict({"problem": "sphere", "banana": 1})
 
 
+@pytest.mark.parametrize("name, value", [
+    ("eps", "0.01"), ("max_outer", "5"), ("eps", True), ("max_outer", 5.0),
+    ("scsg_b", True), ("L", "7"), ("write_trace", 1), ("seeds", 0),
+])
+def test_config_rejects_wrong_json_type_naming_field(name, value):
+    with pytest.raises(ConfigError, match=repr(name)):
+        ExperimentConfig.from_dict({**CONVEX_CFG, name: value})
+
+
+def test_config_accepts_int_for_float_and_null_for_optional():
+    cfg = ExperimentConfig.from_dict({**CONVEX_CFG, "eps_h": 1, "L": None, "scsg_b": 4})
+    assert (cfg.eps_h, cfg.L, cfg.scsg_b) == (1, None, 4)
+
+
 # ---------------------------------------------------------------------------
 # run_one / run_experiment
 
@@ -252,6 +266,15 @@ def test_summary_line_is_strict_json_for_diverging_run():
     parsed = json.loads(summary_line(row), parse_constant=reject)
     assert parsed["status"] == "budget_exhausted"
     assert parsed["grad_norm"] is None and parsed["final_f"] is None
+
+
+@pytest.mark.parametrize("name, value", [("eps", "0.01"), ("max_outer", "5")])
+def test_cli_run_rejects_wrong_json_type(tmp_path, capsys, name, value):
+    path = write_cfg(tmp_path, {**CONVEX_CFG, name: value})
+    code = main(["run", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(name) in err
 
 
 def test_cli_run_missing_config():

@@ -8,7 +8,7 @@ from gose import (ObjectiveOracle, ScsgConfig, SmoothnessSpec, ToleranceConfig,
                   as_counting, derive_scsg_params, estimate_variance_bound,
                   gd_to_stationarity, get_problem, guarded_agd,
                   sample_geometric, scsg_epoch, with_gradient_noise)
-from gose.core import ConfigError, InvalidP, MissingVarianceBound
+from gose.core import ConfigError, CountingOracle, InvalidP, MissingVarianceBound
 from gose.problems import as_finite_sum
 from gose.solvers import run_solver
 from conftest import planted_symmetric
@@ -204,6 +204,59 @@ def test_epoch_stochastic_common_random_numbers():
     for _ in range(5):
         z = z - 0.05 * (sphere.oracle.gradient(z) - sphere.oracle.gradient(x0) + g_anchor)
     assert np.max(np.abs(y - z)) <= 1e-9
+
+
+def _replay_epoch(oracle, x0, cfg, g_anchor, rng):
+    # reference: one child seed per step, replayed by two fresh generators
+    T = sample_geometric(cfg.p, rng)
+    y = x0.copy()
+    for _ in range(T):
+        seed = int(rng.integers(0, 2**63 - 1))
+        g_y = oracle.sample_gradient_batch(y, cfg.b, np.random.default_rng(seed))
+        g_0 = oracle.sample_gradient_batch(x0, cfg.b, np.random.default_rng(seed))
+        y = y - cfg.eta * (g_y - g_0 + g_anchor)
+    return y, T
+
+
+def _noisy_bowl_oracles():
+    noisy = with_gradient_noise(get_problem("bowl_saddle", d=6, seed=1), sigma=0.2)
+    base = noisy.oracle
+    # only single draws: sample_gradient_batch takes the row-replay fallback
+    draws_only = ObjectiveOracle(6, base.value, base.gradient,
+                                 sample_gradient=base.sample_gradient)
+    return {"batch_callable": base, "row_replay": draws_only}
+
+
+@pytest.mark.parametrize("kind", ["batch_callable", "row_replay"])
+def test_epoch_stochastic_stream_matches_two_generator_replay(kind):
+    oracle = _noisy_bowl_oracles()[kind]
+    cfg = ScsgConfig(B=40, b=3, eta=0.05, p=40.0 / 43.0, mode="stochastic")
+    x0 = np.linspace(-1.0, 1.0, 6)
+    g_anchor = oracle.gradient(x0)
+    for seed in range(20):
+        co = as_counting(oracle)
+        y = scsg_epoch(co, x0, cfg, g_anchor, np.random.default_rng(seed))
+        ref, T = _replay_epoch(oracle, x0, cfg, g_anchor, np.random.default_rng(seed))
+        assert y.tobytes() == ref.tobytes(), seed
+        assert co.counters.stoch_grad_evals == 2 * cfg.b * T
+
+
+class BatchCallCounter(CountingOracle):
+    calls = 0
+
+    def sample_gradient_batch(self, x, m, rng):
+        self.calls += 1
+        return super().sample_gradient_batch(x, m, rng)
+
+
+def test_epoch_stochastic_makes_one_batch_call_per_step():
+    noisy = with_gradient_noise(get_problem("sphere", d=4), sigma=0.3)
+    cfg = ScsgConfig(B=8, b=2, eta=0.05, p=8.0 / 10.0, mode="stochastic")
+    seed = _seed_with_T(8.0 / 10.0, 5)
+    co = BatchCallCounter(noisy.oracle)
+    scsg_epoch(co, np.ones(4), cfg, np.ones(4), np.random.default_rng(seed))
+    assert co.calls == 5
+    assert co.counters.stoch_grad_evals == 2 * 2 * 5
 
 
 # ---------------------------------------------------------------------------
