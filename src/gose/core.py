@@ -54,6 +54,14 @@ class AsymmetricOperator(GoseError, ValueError):
     """Hessian-vector operator failed the random symmetry probe."""
 
 
+class NonFiniteMeasurement(GoseError, ValueError):
+    """An oracle measurement a decision rests on is NaN or infinite."""
+
+
+class LapackFailure(GoseError, ArithmeticError):
+    """A LAPACK routine reported failure (info != 0)."""
+
+
 class BudgetZero(ConfigError):
     pass
 

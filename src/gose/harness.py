@@ -8,6 +8,7 @@ any acceptance decision; oracle-call counters are the cost measure.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import itertools
 import json
 import math
@@ -20,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (MODES, ConfigError, DimensionTooLarge, EvalCounters,
-                   ObjectiveOracle, STATUS_BUDGET, STATUS_SECOND_ORDER,
+                   GoseError, ObjectiveOracle, STATUS_BUDGET, STATUS_SECOND_ORDER,
                    SmoothnessSpec, ToleranceConfig, as_counting)
 from .drivers import (LARGE, SMALL, RunReport, TraceRecord, _finish,
                       gose_deterministic, gose_finite_sum, gose_stochastic)
@@ -28,8 +29,9 @@ from .escape import EscapeConfig, one_step_deterministic
 from .ncfind import (NcBudget, NcConfig, approx_nc_deterministic,
                      approx_nc_finite_sum, approx_nc_stochastic,
                      lanczos_min_eig)
-from .problems import (ProblemSpec, _planted_spectrum, _quadratic_oracle,
-                       certify_second_order, get_problem, with_gradient_noise)
+from .problems import (PROBLEM_FACTORIES, ProblemSpec, _planted_spectrum,
+                       _quadratic_oracle, certify_second_order, get_problem,
+                       with_gradient_noise)
 from .solvers import derive_scsg_params
 
 OUT_ENV_VAR = "GOSE_OUT"
@@ -52,7 +54,7 @@ class ExperimentConfig:
     delta: float = 0.01
     c1: float = 1.0
     max_outer: int = 100
-    seeds: list = field(default_factory=lambda: [0])
+    seeds: list[int] = field(default_factory=lambda: [0])
     # smoothness; None means take the problem's declared constant
     L: Optional[float] = None
     rho: Optional[float] = None
@@ -115,6 +117,8 @@ def _json_type_fits(value, annotation: str) -> bool:
         if value is None:
             return True
         annotation = annotation[len("Optional["):-1]
+    if annotation == "list[int]":
+        return isinstance(value, list) and all(_json_type_fits(v, "int") for v in value)
     if isinstance(value, bool):
         return annotation == "bool"
     return isinstance(value, _JSON_TYPES[annotation])
@@ -123,7 +127,7 @@ def _json_type_fits(value, annotation: str) -> bool:
 def build_problem(cfg: ExperimentConfig) -> ProblemSpec:
     if cfg.mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {cfg.mode!r}")
-    spec = get_problem(cfg.problem, **cfg.problem_params)
+    spec = _make_problem(cfg.problem, cfg.problem_params)
     if cfg.mode == "stochastic" and not spec.oracle.capabilities.stochastic:
         sigma = cfg.noise_sigma if cfg.noise_sigma is not None else cfg.sigma
         if sigma is None:
@@ -137,6 +141,29 @@ def build_problem(cfg: ExperimentConfig) -> ProblemSpec:
             " such as nonconvex_pca"
         )
     return spec
+
+
+def _make_problem(name: str, params: dict) -> ProblemSpec:
+    """get_problem, with a parameter its factory cannot take as a ConfigError.
+
+    A JSON value that does not fit the factory's annotation is named up front;
+    any other TypeError or ValueError the factory raises is reported with the
+    problem and its parameters.
+    """
+    factory = PROBLEM_FACTORIES.get(name)
+    if factory is not None:
+        signature = inspect.signature(factory).parameters
+        for key, value in params.items():
+            annotation = signature[key].annotation if key in signature else None
+            if annotation in _JSON_TYPES and not _json_type_fits(value, annotation):
+                raise ConfigError(f"problem {name!r} parameter {key!r} must be {annotation},"
+                                  f" got {type(value).__name__} {value!r}")
+    try:
+        return get_problem(name, **params)
+    except GoseError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"problem {name!r} rejects problem_params {params!r}: {exc}") from exc
 
 
 def build_configs(cfg: ExperimentConfig, spec: ProblemSpec, seed: int):

@@ -19,16 +19,18 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
-from .core import (AsymmetricOperator, BudgetZero, ConfigError, NotFiniteSum,
-                   NotStochastic, as_counting, finite_diff_hvp)
+from .core import (AsymmetricOperator, BudgetZero, ConfigError, LapackFailure,
+                   NonFiniteMeasurement, NotFiniteSum, NotStochastic, as_counting,
+                   finite_diff_hvp)
 
 BOTTOM = "bottom"
 DIRECTION = "direction"
 
 _BREAKDOWN = 1e-13
 _RESID_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -131,6 +133,8 @@ def _symmetry_probe(hvp: Callable, d: int, rng: np.random.Generator, tol: float)
     w = _random_unit(d, rng)
     s1 = float(w @ hvp(u))
     s2 = float(u @ hvp(w))
+    if not (math.isfinite(s1) and math.isfinite(s2)):
+        raise NonFiniteMeasurement(f"symmetry probe: w'Hu={s1} vs u'Hw={s2}")
     if abs(s1 - s2) > tol * (1.0 + max(abs(s1), abs(s2))):
         raise AsymmetricOperator(
             f"probe mismatch: w'Hu={s1:.6g} vs u'Hw={s2:.6g}"
@@ -142,20 +146,60 @@ def _random_unit(d: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def eigh_tridiagonal(d: np.ndarray, e: np.ndarray,
+                     vector_needed: Optional[Callable[[float], bool]] = None):
+    """Bottom eigenpair (theta, y) of the symmetric tridiagonal matrix (d, e).
+
+    LAPACK dstebz (bisection, block order) gives the smallest eigenvalue and
+    dstein (inverse iteration) its eigenvector: the routines and arguments of
+    scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0)),
+    bit for bit, without that wrapper's argument checks (d and e must be
+    finite float64 vectors).  vector_needed(theta), when given, is asked
+    between the two calls; y is None when it answers False.
+    """
+    _, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info != 0:
+        raise LapackFailure(f"dstebz returned info={info} (tridiagonal of size {len(d)})")
+    theta = float(w[0])
+    if vector_needed is not None and not vector_needed(theta):
+        return theta, None
+    z, info = dstein(d, e, w[:1], iblock, isplit)
+    if info != 0:
+        raise LapackFailure(f"dstein returned info={info} (tridiagonal of size {len(d)})")
+    return theta, z[:, 0]
+
+
 def lanczos_min_eig(hvp: Callable, d: int, budget: NcBudget,
                     rng: np.random.Generator,
                     probe_tol: Optional[float] = 1e-6) -> tuple[float, np.ndarray]:
     """Bottom Ritz pair of a symmetric operator given only v -> H v.
 
-    Random unit start, full reorthogonalization, tridiagonal eigensolve each
-    iteration, at most budget.max_matvecs matvecs in the loop (capped at d,
-    where the Krylov space is exact).  Stops early on an invariant subspace
-    or once the bottom Ritz residual is negligible.  The returned eigenvalue
+    Random unit start, full reorthogonalization, at most budget.max_matvecs
+    matvecs in the loop (capped at d, where the Krylov space is exact).
+    Stops early on an invariant subspace or once the bottom Ritz residual
+    |b * y[-1]| is at most 1e-12 * max(1, |theta|).  The returned eigenvalue
     is recomputed as v' H v with one extra matvec at exit, so it is a true
     Rayleigh quotient of the returned unit vector.
 
-    probe_tol of None skips the symmetry probe, which is meaningless for
-    operators that resample noise on every call.
+    Each step solves the k x k tridiagonal Ritz problem T_k with one call to
+    this module's eigh_tridiagonal, looked up at call time (the benchmark
+    tracer patches that name to time the Ritz solves): LAPACK dstebz for the
+    Ritz value theta, then dstein for its vector y only where y is used.
+    Between exits y only feeds the residual test, and interlacing bounds its
+    last entry from below: with gap = theta_prev - theta (theta_prev the
+    bottom Ritz value of T_{k-1}) and b_prev the off-diagonal joining T_{k-1}
+    to the last row, |y[-1]| >= gap / hypot(gap, b_prev).  The gap is first
+    shrunk and b_prev grown by a rounding margin of 8 k eps ||T_k||, which
+    covers the errors of both computed Ritz values and the backward error of
+    dstein's vector, and the floor must clear the tolerance by a factor of 2.
+    Where it does, the test provably fails and dstein is skipped; on an exit
+    step (breakdown, last step) y is always computed.  Every step therefore
+    takes the same branch, and every result is bit-identical, to solving the
+    full Ritz pair each step.
+
+    Raises NonFiniteMeasurement if a Lanczos coefficient or a symmetry probe
+    value is NaN or infinite.  probe_tol of None skips the symmetry probe,
+    which is meaningless for operators that resample noise on every call.
     """
     if probe_tol is not None:
         _symmetry_probe(hvp, d, rng, probe_tol)
@@ -166,11 +210,14 @@ def lanczos_min_eig(hvp: Callable, d: int, budget: NcBudget,
     betas = np.zeros(max(m - 1, 0))
     q = _random_unit(d, rng)
     theta, y, steps = 0.0, None, 0
+    a_max = b_max = b_prev = 0.0
 
     for j in range(m):
         Q[:, j] = q
         u = hvp(q)
         a = float(q @ u)
+        if not math.isfinite(a):
+            raise NonFiniteMeasurement(f"Lanczos step {j + 1}: a={a}")
         alphas[j] = a
         r = u - a * q
         if j > 0:
@@ -178,25 +225,47 @@ def lanczos_min_eig(hvp: Callable, d: int, budget: NcBudget,
         # full reorthogonalization against all Lanczos vectors so far
         r -= Q[:, :j + 1] @ (Q[:, :j + 1].T @ r)
         b = float(np.linalg.norm(r))
+        if not math.isfinite(b):
+            raise NonFiniteMeasurement(f"Lanczos step {j + 1}: b={b}")
         steps = j + 1
+        a_max = max(a_max, abs(a))
         if j == 0:
             theta, y = a, np.array([1.0])
         else:
-            vals, vecs = eigh_tridiagonal(alphas[:j + 1], betas[:j],
-                                          select="i", select_range=(0, 0))
-            theta, y = float(vals[0]), vecs[:, 0]
+            b_max = max(b_max, b_prev)
+            exit_step = b < _BREAKDOWN or steps == m
+            margin = 8.0 * steps * _EPS * (a_max + 2.0 * b_max)
+            need = None if exit_step else _residual_can_pass(theta, b_prev, b, margin)
+            theta, y = eigh_tridiagonal(alphas[:j + 1], betas[:j], need)
         if b < _BREAKDOWN:                      # invariant subspace found
             break
-        if abs(b * y[-1]) <= _RESID_TOL * max(1.0, abs(theta)):
+        if y is not None and abs(b * y[-1]) <= _RESID_TOL * max(1.0, abs(theta)):
             break
         if j + 1 < m:
-            betas[j] = b
+            betas[j] = b_prev = b
             q = r / b
 
     v = Q[:, :steps] @ y
     v = v / np.linalg.norm(v)
     lam = float(v @ hvp(v))
     return lam, v
+
+
+def _residual_can_pass(theta_prev: float, b_prev: float, b: float,
+                       margin: float) -> Callable[[float], bool]:
+    """Whether the residual test at Ritz value theta is not ruled out.
+
+    False only when the interlacing floor on |y[-1]| (see lanczos_min_eig),
+    taken with the rounding margin, puts |b * y[-1]| above twice the
+    tolerance.
+    """
+    def can_pass(theta: float) -> bool:
+        gap = theta_prev - theta - margin
+        if gap <= 0.0:
+            return True
+        floor = gap / math.hypot(gap, b_prev + margin)
+        return b * floor <= 2.0 * _RESID_TOL * max(1.0, abs(theta))
+    return can_pass
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +284,8 @@ def _search(oracle, restarts: int, candidate: Callable, threshold: float) -> NcO
     best_ray, best_v = math.inf, None
     for _ in range(restarts):
         ray, v = candidate()
+        if not math.isfinite(ray):
+            raise NonFiniteMeasurement(f"candidate Rayleigh quotient is {ray}")
         if ray < best_ray:
             best_ray, best_v = ray, v
         if best_ray <= threshold:

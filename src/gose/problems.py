@@ -64,17 +64,22 @@ def _quadratic_oracle(A: np.ndarray) -> ObjectiveOracle:
     )
 
 
-def make_quadratic_saddle(d: int, spectrum, seed: int = 0,
+def _spectrum_or_default(spectrum, d: int) -> np.ndarray:
+    spectrum = np.asarray([1.0] * (d - 1) + [-1.0] if spectrum is None else spectrum, float)
+    if spectrum.shape != (d,):
+        raise ConfigError(f"spectrum must have length d={d}")
+    return spectrum
+
+
+def make_quadratic_saddle(d: int = 2, spectrum=None, seed: int = 0,
                           orth: bool = True) -> ProblemSpec:
     """f(x) = 0.5 x' Q diag(spectrum) Q' x with seeded random orthogonal Q.
 
     The origin is a critical point; it is a strict saddle iff the spectrum has
     a negative entry.  L = max |spectrum|; the Hessian is constant so rho = 0
-    (the config floor applies).
+    (the config floor applies).  The default spectrum is d-1 ones and one -1.
     """
-    spectrum = np.asarray(spectrum, float)
-    if spectrum.shape != (d,):
-        raise ConfigError(f"spectrum must have length d={d}")
+    spectrum = _spectrum_or_default(spectrum, d)
     if orth and d > 1:
         A, _ = _planted_spectrum(spectrum, np.random.default_rng(seed))
     else:
@@ -94,18 +99,17 @@ def make_quadratic_saddle(d: int, spectrum, seed: int = 0,
     )
 
 
-def make_bowl_saddle(d: int, spectrum, q: float = 0.5, seed: int = 0,
+def make_bowl_saddle(d: int = 2, spectrum=None, q: float = 0.5, seed: int = 0,
                      orth: bool = True) -> ProblemSpec:
     """Quartic-confined saddle: f(x) = 0.5 x'Ax + (q/4)||x||^4.
 
     A pure quadratic saddle is unbounded below and admits no second-order
     stationary point; the ||x||^4 bowl creates minima at ||x*|| =
     sqrt(-lambda_min(A)/q) along the most-negative eigenvector, with value
-    -lambda_min(A)**2/(4q).  The origin stays a strict saddle.
+    -lambda_min(A)**2/(4q).  The origin stays a strict saddle.  The default
+    spectrum is d-1 ones and one -1.
     """
-    spectrum = np.asarray(spectrum, float)
-    if spectrum.shape != (d,):
-        raise ConfigError(f"spectrum must have length d={d}")
+    spectrum = _spectrum_or_default(spectrum, d)
     if orth and d > 1:
         A, Q = _planted_spectrum(spectrum, np.random.default_rng(seed))
         vmin = Q[:, int(np.argmin(spectrum))]
@@ -539,10 +543,8 @@ def verify_lipschitz_constants(spec: ProblemSpec, rng: np.random.Generator,
 
 
 PROBLEM_FACTORIES: dict[str, Callable[..., ProblemSpec]] = {
-    "quadratic_saddle": lambda d=2, spectrum=None, seed=0, orth=True: make_quadratic_saddle(
-        d, spectrum if spectrum is not None else ([1.0] * (d - 1) + [-1.0]), seed, orth),
-    "bowl_saddle": lambda d=2, spectrum=None, q=0.5, seed=0, orth=True: make_bowl_saddle(
-        d, spectrum if spectrum is not None else ([1.0] * (d - 1) + [-1.0]), q, seed, orth),
+    "quadratic_saddle": make_quadratic_saddle,
+    "bowl_saddle": make_bowl_saddle,
     "chained_saddles": make_chained_saddles,
     "saddle_path": make_saddle_path,
     "nonconvex_pca": make_nonconvex_pca,

@@ -1,14 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from gose import (EscapeConfig, ObjectiveOracle, SmoothnessSpec,
+from gose import (EscapeConfig, NcConfig, ObjectiveOracle, SmoothnessSpec,
                   ToleranceConfig, amplify, as_counting, certify_second_order,
                   derive_scsg_params, get_problem, gose_deterministic,
                   gose_finite_sum, gose_stochastic, with_gradient_noise)
 from gose.core import (STATUS_BUDGET, STATUS_FIRST_ORDER, STATUS_SECOND_ORDER,
-                       ConfigError, EvalCounters)
+                       ConfigError, EvalCounters, NonFiniteMeasurement)
 from gose.drivers import LARGE, SMALL
-from gose.harness import always_probe_baseline
+from gose.harness import ExperimentConfig, always_probe_baseline, run_one
 from gose.problems import as_finite_sum
 
 
@@ -382,6 +384,40 @@ def test_nan_gradient_never_certifies(entry):
     assert c.counters.epochs_run == 0
 
 
+def nan_curvature_oracle():
+    # a zero gradient sends every driver straight to the finder, and every
+    # curvature surface returns NaN
+    nan, zero = np.full(3, np.nan), np.zeros(3)
+    return ObjectiveOracle(
+        3, lambda x: 0.0, lambda x: zero.copy(),
+        hvp=lambda x, v: nan.copy(),
+        n_components=2,
+        component_gradient=lambda i, x: zero.copy(),
+        component_hvp=lambda i, x, v: nan.copy(),
+        sample_gradient=lambda x, rng: zero.copy(),
+        sample_hvp=lambda x, v, rng: nan.copy(),
+    )
+
+
+NAN_CURVATURE_RUNNERS = {
+    "deterministic": NAN_RUNNERS["deterministic"],
+    "baseline": NAN_RUNNERS["baseline"],
+    "stochastic_lanczos": NAN_RUNNERS["stochastic"],
+    "stochastic_oja": lambda o, tol, sm, rng: gose_stochastic(
+        o, np.zeros(3), tol, sm, rng=rng, ncfg=NcConfig(engine="oja")),
+    "finite_sum": NAN_RUNNERS["finite_sum"],
+}
+
+
+@pytest.mark.parametrize("entry", list(NAN_CURVATURE_RUNNERS))
+def test_nan_curvature_raises_typed_and_never_certifies(entry):
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=5, seed=0)
+    smooth = SmoothnessSpec(L=1.0, rho=1.0, h_star=0.0, sigma=0.0)
+    with pytest.raises(NonFiniteMeasurement):
+        NAN_CURVATURE_RUNNERS[entry](nan_curvature_oracle(), tol, smooth,
+                                     np.random.default_rng(0))
+
+
 def test_escape_window_checked_before_any_oracle_work():
     prob = get_problem("saddle_path", d=2)
     oracle = as_counting(prob.oracle)
@@ -431,6 +467,15 @@ def golden_noisy_bowl():
                            scsg_cfg=scsg, rng=np.random.default_rng(0))
 
 
+def golden_det_chained_d200():
+    # the config of the benchmark's det_chained workload: Lanczos runs long
+    # enough here for the Ritz solves to skip eigenvectors
+    cfg = ExperimentConfig(problem="chained_saddles", problem_params={"d": 200},
+                           mode="deterministic", eps=0.01, eps_h=0.5, delta=0.01,
+                           rho=1.0, max_outer=200)
+    return run_one(cfg, 0)[0]
+
+
 def counts(grad, stoch, comp, hvp, fn, nc, esc, small, outer, epochs):
     return dict(grad_evals=grad, stoch_grad_evals=stoch, component_grad_evals=comp,
                 hvp_evals=hvp, fn_evals=fn, nc_calls=nc, escape_steps=esc,
@@ -451,6 +496,13 @@ GOLDEN = {
                        counts(48, 0, 6416, 95, 48, 1, 0, 1, 48, 47)),
     "noisy_bowl": (golden_noisy_bowl, STATUS_BUDGET,
                    counts(0, 276692, 0, 3512, 10, 1, 1, 1, 10, 9)),
+    "det_chained_d200": (golden_det_chained_d200, STATUS_SECOND_ORDER,
+                         counts(460, 0, 0, 822, 15, 8, 7, 8, 15, 0)),
+}
+
+# sha256 of certificate.point.tobytes()
+GOLDEN_POINTS = {
+    "det_chained_d200": "a533633108ac276f522488171c781596f909218052a5b385a9edd0cd0eb760e3",
 }
 
 
@@ -459,3 +511,5 @@ def test_golden_counters_per_seed(name):
     run, status, expected = GOLDEN[name]
     c = run().certificate
     assert (c.status, c.counters.as_dict()) == (status, expected)
+    if name in GOLDEN_POINTS:
+        assert hashlib.sha256(c.point.tobytes()).hexdigest() == GOLDEN_POINTS[name]

@@ -268,13 +268,26 @@ def test_summary_line_is_strict_json_for_diverging_run():
     assert parsed["grad_norm"] is None and parsed["final_f"] is None
 
 
-@pytest.mark.parametrize("name, value", [("eps", "0.01"), ("max_outer", "5")])
+@pytest.mark.parametrize("name, value", [("eps", "0.01"), ("max_outer", "5"),
+                                         ("seeds", ["x"])])
 def test_cli_run_rejects_wrong_json_type(tmp_path, capsys, name, value):
     path = write_cfg(tmp_path, {**CONVEX_CFG, name: value})
     code = main(["run", "--config", path, "--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and repr(name) in err
+
+
+@pytest.mark.parametrize("params, named", [
+    ({"d": "3", "spectrum": [0.5, 1.0, 2.0]}, "parameter 'd' must be int"),
+    ({"dd": 3}, "'dd'"),
+])
+def test_cli_run_rejects_problem_parameter_it_cannot_take(tmp_path, capsys, params, named):
+    path = write_cfg(tmp_path, {**CONVEX_CFG, "problem_params": params})
+    code = main(["run", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'quadratic_saddle'" in err and named in err
 
 
 def test_cli_run_missing_config():

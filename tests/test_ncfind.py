@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gose import (NcBudget, NcConfig, ObjectiveOracle, approx_nc_deterministic,
                   approx_nc_finite_sum, approx_nc_stochastic, as_counting,
                   get_problem, lanczos_min_eig, make_nonconvex_pca,
                   with_gradient_noise)
-from gose.core import (AsymmetricOperator, BudgetZero, NotFiniteSum,
-                       NotStochastic)
-from gose.ncfind import (det_max_matvecs, finite_sum_minibatch,
-                         oja_total_samples, stoch_minibatch, validation_batch)
+from gose.core import (AsymmetricOperator, BudgetZero, LapackFailure,
+                       NonFiniteMeasurement, NotFiniteSum, NotStochastic)
+from gose.ncfind import (_random_unit, _symmetry_probe, det_max_matvecs,
+                         eigh_tridiagonal, finite_sum_minibatch, oja_total_samples,
+                         stoch_minibatch, validation_batch)
 from conftest import planted_symmetric
 
 
@@ -57,6 +59,130 @@ def test_lanczos_budget_validation(rng):
         NcBudget(0)
     with pytest.raises(BudgetZero):
         NcConfig(restarts=0)
+
+
+def test_lanczos_non_finite_operator_raises_typed(rng):
+    nan = np.full(4, np.nan)
+    with pytest.raises(NonFiniteMeasurement, match="symmetry probe"):
+        lanczos_min_eig(lambda w: nan, 4, NcBudget(4), rng)
+    with pytest.raises(NonFiniteMeasurement, match="Lanczos step 1"):
+        lanczos_min_eig(lambda w: nan, 4, NcBudget(4), rng, probe_tol=None)
+    calls = []
+
+    def inf_on_third(w):
+        calls.append(1)
+        return w * (np.inf if len(calls) == 3 else 1.0 + np.arange(4))
+    with pytest.raises(NonFiniteMeasurement, match="Lanczos step 3"):
+        lanczos_min_eig(inf_on_third, 4, NcBudget(4), rng, probe_tol=None)
+
+
+# ---------------------------------------------------------------------------
+# Ritz solves: gose's own LAPACK route must match scipy's wrapper bit for bit
+
+
+def tridiagonal_cases(count=300):
+    rng = np.random.default_rng(0)
+    for k in range(count):
+        n = int(rng.integers(2, 201))
+        d = rng.standard_normal(n)
+        e = rng.standard_normal(n - 1)
+        if k % 3 == 1:      # tiny off-diagonals: the matrix nearly splits into blocks
+            tiny = rng.random(n - 1) < 0.3
+            e[tiny] *= 10.0 ** -rng.uniform(8, 300, tiny.sum())
+        elif k % 3 == 2:    # two clustered bottom eigenvalues, weakly coupled
+            d = rng.uniform(0.0, 1.0, n)
+            i, j = rng.choice(n, 2, replace=False)
+            d[i], d[j] = -1.0, -1.0 + 10.0 ** -rng.uniform(8, 16)
+            e *= 10.0 ** -rng.uniform(0, 12)
+        yield d, e
+
+
+def test_eigh_tridiagonal_matches_scipy_bit_for_bit():
+    for d, e in tridiagonal_cases():
+        vals, vecs = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+        theta, y = eigh_tridiagonal(d, e)
+        assert np.float64(theta).tobytes() == vals[:1].tobytes()
+        assert y.tobytes() == vecs[:, 0].tobytes()
+        # asking only for the eigenvalue gives the same eigenvalue
+        assert eigh_tridiagonal(d, e, lambda t: False) == (theta, None)
+
+
+def test_eigh_tridiagonal_lapack_failure_is_typed():
+    with pytest.raises(LapackFailure, match="dstebz returned info="):
+        eigh_tridiagonal(np.array([np.nan, 1.0, 2.0]), np.array([1.0, 0.5]))
+
+
+def reference_lanczos(hvp, d, budget, rng):
+    """lanczos_min_eig as it reads with scipy's full Ritz pair on every step."""
+    _symmetry_probe(hvp, d, rng, 1e-6)
+    m = min(budget.max_matvecs, d)
+    Q, alphas, betas = np.zeros((d, m)), np.zeros(m), np.zeros(max(m - 1, 0))
+    q = _random_unit(d, rng)
+    for j in range(m):
+        Q[:, j] = q
+        u = hvp(q)
+        a = float(q @ u)
+        alphas[j] = a
+        r = u - a * q
+        if j > 0:
+            r -= betas[j - 1] * Q[:, j - 1]
+        r -= Q[:, :j + 1] @ (Q[:, :j + 1].T @ r)
+        b = float(np.linalg.norm(r))
+        steps = j + 1
+        if j == 0:
+            theta, y = a, np.array([1.0])
+        else:
+            vals, vecs = scipy.linalg.eigh_tridiagonal(alphas[:j + 1], betas[:j],
+                                                       select="i", select_range=(0, 0))
+            theta, y = float(vals[0]), vecs[:, 0]
+        if b < 1e-13 or abs(b * y[-1]) <= 1e-12 * max(1.0, abs(theta)):
+            break
+        if j + 1 < m:
+            betas[j] = b
+            q = r / b
+    v = Q[:, :steps] @ y
+    v = v / np.linalg.norm(v)
+    return float(v @ hvp(v)), v
+
+
+def ritz_operator(kind, d, seed):
+    rng = np.random.default_rng(1000 + seed)
+    if kind == "chained":
+        # Hessian of chained saddles at a point where the wells differ
+        prob = get_problem("chained_saddles", d=d, seed=seed)
+        x = rng.uniform(-1.2, 1.2, d)
+        return lambda v: prob.oracle.hvp(x, v)
+    if kind == "uniform":
+        spec = rng.uniform(-1.0, 1.0, d)
+    elif kind == "clustered_bottom":
+        spec = rng.uniform(0.0, 1.0, d)
+        spec[:2] = -1.0, -1.0 + 10.0 ** -rng.uniform(8, 14)
+    else:
+        # a few tight clusters: Krylov spaces become nearly invariant, so the
+        # tridiagonal gets tiny off-diagonals between large ones
+        centres = rng.uniform(-1.0, 1.0, 3)
+        spec = centres[rng.integers(0, 3, d)] + 10.0 ** -rng.uniform(6, 12) * rng.standard_normal(d)
+    A = planted_symmetric(d, spec, rng)
+    return lambda v: A @ v
+
+
+@pytest.mark.parametrize("kind", ["chained", "uniform", "clustered_bottom", "clusters"])
+@pytest.mark.parametrize("d", [5, 50, 200])
+def test_lanczos_matches_full_ritz_reference(kind, d):
+    """Skipping dstein where the residual test provably fails changes nothing."""
+    for seed in range(20):
+        op = ritz_operator(kind, d, seed)
+        for budget in (NcBudget(d), NcBudget(max(2, d // 4))):
+            runs = []
+            for run in (lanczos_min_eig, reference_lanczos):
+                calls = []
+
+                def hvp(v):
+                    calls.append(1)
+                    return op(v)
+                lam, v = run(hvp, d, budget, np.random.default_rng(seed))
+                runs.append((np.float64(lam).tobytes(), v.tobytes(), len(calls)))
+            assert runs[0] == runs[1], (kind, d, seed, budget)
 
 
 # ---------------------------------------------------------------------------
