@@ -82,6 +82,11 @@ class ExperimentConfig:
     write_trace: bool = False
     out_dir: Optional[str] = None
 
+    def __post_init__(self):
+        if any(seed < 0 for seed in self.seeds):  # numpy seeds only from ints >= 0
+            raise ConfigError(f"config field 'seeds' must hold non-negative ints,"
+                              f" got {self.seeds!r}")
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 

@@ -140,6 +140,10 @@ def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
     or b fresh draws evaluated at both points in one stacked call (stochastic,
     common random numbers).  Returns x0 unchanged when T = 0.  Costs 2*b*T
     gradient evals.
+
+    Finite-sum indices come from one (T, b) draw per epoch, held in memory as
+    T*b ints: numpy fills bounded integers one element at a time, so the draw
+    yields the same values, and leaves rng in the same state, as T draws of b.
     """
     oracle = as_counting(oracle)
     x0 = np.asarray(x0, float)
@@ -148,9 +152,7 @@ def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
         return x0
     y = x0.copy()
     if cfg.mode == "finite_sum":
-        n = oracle.n_components
-        for _ in range(T):
-            idx = rng.integers(0, n, size=cfg.b)
+        for idx in rng.integers(0, oracle.n_components, size=(T, cfg.b)):
             g_y = oracle.component_gradient_batch(idx, y)
             g_0 = oracle.component_gradient_batch(idx, x0)
             y = y - cfg.eta * (g_y - g_0 + g_anchor)

@@ -476,6 +476,16 @@ def golden_det_chained_d200():
     return run_one(cfg, 0)[0]
 
 
+def golden_fs_pca_n200():
+    # the config of the benchmark's fs_pca workload: thousands of SCSG inner
+    # steps, each on freshly drawn component indices
+    cfg = ExperimentConfig(problem="nonconvex_pca",
+                           problem_params={"n": 200, "d": 20, "seed": 13},
+                           mode="finite_sum", eps=0.01, eps_h=0.5, delta=0.1,
+                           L=8.0, rho=1.0, max_outer=1500)
+    return run_one(cfg, 0)[0]
+
+
 def counts(grad, stoch, comp, hvp, fn, nc, esc, small, outer, epochs):
     return dict(grad_evals=grad, stoch_grad_evals=stoch, component_grad_evals=comp,
                 hvp_evals=hvp, fn_evals=fn, nc_calls=nc, escape_steps=esc,
@@ -498,11 +508,15 @@ GOLDEN = {
                    counts(0, 276692, 0, 3512, 10, 1, 1, 1, 10, 9)),
     "det_chained_d200": (golden_det_chained_d200, STATUS_SECOND_ORDER,
                          counts(460, 0, 0, 822, 15, 8, 7, 8, 15, 0)),
+    "fs_pca_n200": (golden_fs_pca_n200, STATUS_SECOND_ORDER,
+                    counts(28, 0, 16238, 431, 28, 1, 0, 1, 28, 27)),
 }
 
 # sha256 of certificate.point.tobytes()
 GOLDEN_POINTS = {
     "det_chained_d200": "a533633108ac276f522488171c781596f909218052a5b385a9edd0cd0eb760e3",
+    "pca_finite_sum": "399aff15784f241795dd2073aa47e41aa020777c617815e93e43cb52d828cc71",
+    "fs_pca_n200": "60a1c55fd251e66b8c75c697dde7d4d2dd4f2791aa2252fa7332b83f14d116d3",
 }
 
 

@@ -269,7 +269,8 @@ def test_summary_line_is_strict_json_for_diverging_run():
 
 
 @pytest.mark.parametrize("name, value", [("eps", "0.01"), ("max_outer", "5"),
-                                         ("seeds", ["x"])])
+                                         ("seeds", ["x"]), ("seeds", [-1]),
+                                         ("seeds", [0, 3, -2])])
 def test_cli_run_rejects_wrong_json_type(tmp_path, capsys, name, value):
     path = write_cfg(tmp_path, {**CONVEX_CFG, name: value})
     code = main(["run", "--config", path, "--out", str(tmp_path / "out")])

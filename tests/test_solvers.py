@@ -241,6 +241,59 @@ def test_epoch_stochastic_stream_matches_two_generator_replay(kind):
         assert co.counters.stoch_grad_evals == 2 * cfg.b * T
 
 
+def _per_step_draw_epoch(oracle, x0, cfg, g_anchor, rng):
+    # reference: fresh indices drawn on every inner step
+    T = sample_geometric(cfg.p, rng)
+    y = x0.copy()
+    for _ in range(T):
+        idx = rng.integers(0, oracle.n_components, size=cfg.b)
+        g_y = oracle.component_gradient_batch(idx, y)
+        g_0 = oracle.component_gradient_batch(idx, x0)
+        y = y - cfg.eta * (g_y - g_0 + g_anchor)
+    return y, T
+
+
+def _pca_oracles():
+    base = get_problem("nonconvex_pca", n=200, d=20, seed=13).oracle
+    # component gradients only: component_gradient_batch takes the loop fallback
+    loop_only = ObjectiveOracle(20, base.value, base.gradient,
+                                n_components=base.n_components,
+                                component_gradient=base.component_gradient)
+    return {"batch_callable": base, "loop_fallback": loop_only}
+
+
+@pytest.mark.parametrize("kind", ["batch_callable", "loop_fallback"])
+@pytest.mark.parametrize("b", [1, 3])
+def test_epoch_finite_sum_stream_matches_per_step_draws(kind, b):
+    oracle = _pca_oracles()[kind]
+    cfg = ScsgConfig(B=40, b=b, eta=0.05, p=40.0 / (40 + b), mode="finite_sum")
+    x0 = np.linspace(-0.5, 0.5, 20)
+    g_anchor = oracle.gradient(x0)
+    for seed in range(20):
+        co = as_counting(oracle)
+        rng = np.random.default_rng(seed)
+        y = scsg_epoch(co, x0, cfg, g_anchor, rng)
+        ref_rng = np.random.default_rng(seed)
+        ref, T = _per_step_draw_epoch(oracle, x0, cfg, g_anchor, ref_rng)
+        assert y.tobytes() == ref.tobytes(), seed
+        assert co.counters.component_grad_evals == 2 * b * T
+        assert rng.random() == ref_rng.random(), seed
+
+
+@pytest.mark.parametrize("n", [1, 2, 200, 2**32 + 5])
+def test_integer_draw_chunking_is_stream_neutral(n):
+    # scsg_epoch draws one (T, b) block in place of T draws of size b, which
+    # keeps the stream only if numpy fills bounded integers element by element
+    for seed in range(10):
+        for T, b in [(1, 1), (7, 1), (5, 3), (13, 4)]:
+            block_rng = np.random.default_rng(seed)
+            step_rng = np.random.default_rng(seed)
+            block = block_rng.integers(0, n, size=(T, b))
+            steps = np.stack([step_rng.integers(0, n, size=b) for _ in range(T)])
+            assert block.tobytes() == steps.tobytes(), (seed, T, b)
+            assert block_rng.bit_generator.state == step_rng.bit_generator.state
+
+
 class BatchCallCounter(CountingOracle):
     calls = 0
 
