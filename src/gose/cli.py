@@ -8,6 +8,7 @@ error.  GOSE_OUT sets the default output directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -52,15 +53,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
-    cfg = ExperimentConfig.load(args.config)
-    if args.seed is not None:
-        cfg.seeds = [args.seed]
-    if args.mode is not None:
-        cfg.mode = args.mode
-    if args.engine is not None:
-        cfg.nc_engine = args.engine
-    if args.trace:
-        cfg.write_trace = True
+    overrides = {"seeds": None if args.seed is None else [args.seed], "mode": args.mode,
+                 "nc_engine": args.engine, "write_trace": args.trace or None}
+    # replace() re-runs the checks a value from the file gets
+    cfg = dataclasses.replace(ExperimentConfig.load(args.config),
+                              **{k: v for k, v in overrides.items() if v is not None})
     rows = run_experiment(cfg, out_dir=args.out)
     for row in rows:
         print(summary_line(row))

@@ -37,8 +37,8 @@ class TraceRecord:
     k: int
     branch: str
     grad_norm: float  # exact norm, or batch-estimate norm in stochastic mode
-    f_value: float
-    escape_taken: bool
+    f_value: Optional[float]  # exact f(x); None in stochastic mode, which has no f oracle
+    escape_taken: bool  # counters.escape_steps grew during the iteration
     counters: EvalCounters  # snapshot after the iteration's work
 
 
@@ -78,14 +78,15 @@ def _budget_status(grad_norm, eps):
     return STATUS_FIRST_ORDER if grad_norm <= eps else STATUS_BUDGET
 
 
-def _drive(oracle, x0, K, measure, threshold, large_step, escape, echo, seed):
-    """The one outer loop behind every driver.
+def _drive(oracle, x0, K, measure, value, threshold, large_step, escape, echo, seed):
+    """The one outer loop behind every driver and the always-probe baseline.
 
     Per outer iteration, g = measure(x).  A non-finite ||g|| ends the run
     budget_exhausted at once, before any further oracle work.  If
     ||g|| <= threshold, enter the small-gradient region and take one
     escape(x, g); bottom certifies x.  Otherwise large_step(x, g) returns the
     new point and the gradient norm the run ends at, or None to go on.
+    value(x) fills each trace row's f_value; with value=None it is never read.
     """
     x = np.asarray(x0, float)
     trace: list[TraceRecord] = []
@@ -93,21 +94,24 @@ def _drive(oracle, x0, K, measure, threshold, large_step, escape, echo, seed):
 
     for k in range(1, K + 1):
         oracle.counters.outer_iters += 1
+        escapes = oracle.counters.escape_steps
         g = measure(x)
         gn = float(np.linalg.norm(g))
         if not math.isfinite(gn):
             return _finish(oracle, x, gn, last_nc_estimate, STATUS_BUDGET, trace, echo, seed)
-        fx = oracle.value(x)
+        fx = None if value is None else value(x)
         if not gn <= threshold:
             x, stop = large_step(x, g)
-            trace.append(TraceRecord(k, LARGE, gn, fx, False, oracle.counters.snapshot()))
+            trace.append(TraceRecord(k, LARGE, gn, fx, oracle.counters.escape_steps > escapes,
+                                     oracle.counters.snapshot()))
             if stop is not None:
                 return _finish(oracle, x, stop, last_nc_estimate,
                                _budget_status(stop, threshold), trace, echo, seed)
         else:
             oracle.counters.small_region_entries += 1
             res = escape(x, g)
-            trace.append(TraceRecord(k, SMALL, gn, fx, res.escaped, oracle.counters.snapshot()))
+            trace.append(TraceRecord(k, SMALL, gn, fx, oracle.counters.escape_steps > escapes,
+                                     oracle.counters.snapshot()))
             last_nc_estimate = res.nc.lambda_hat
             if not res.escaped:
                 return _finish(oracle, x, gn, res.nc.lambda_hat,
@@ -152,7 +156,7 @@ def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
                          tol.eps, solver_max_iters)
         return res.point, None if res.converged else res.grad_norm
 
-    return _drive(oracle, x0, tol.max_outer, oracle.gradient, tol.eps, solve,
+    return _drive(oracle, x0, tol.max_outer, oracle.gradient, oracle.value, tol.eps, solve,
                   lambda x, g: one_step_deterministic(oracle, x, tol, smooth, esc, rng, ncfg, g=g),
                   echo, tol.seed)
 
@@ -167,7 +171,8 @@ def gose_stochastic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     Per outer iteration: draw a batch of size B, branch on the batch-mean
     gradient norm against eps/2 (the halved threshold keeps the true gradient
     small when escaping), and either run one variance-reduced epoch anchored
-    at that same batch gradient or take one stochastic escape step.
+    at that same batch gradient or take one stochastic escape step.  Only the
+    sampling oracles are called, so trace rows carry f_value None.
     """
     esc.validate(validate_config(tol, smooth, "stochastic"))
     rng = rng if rng is not None else np.random.default_rng(tol.seed)
@@ -177,7 +182,7 @@ def gose_stochastic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     echo = _config_echo("stochastic", tol, smooth, esc, ncfg, scsg=dataclasses.asdict(scsg_cfg))
 
     return _drive(oracle, x0, tol.max_outer,
-                  lambda x: oracle.sample_gradient_batch(x, scsg_cfg.B, rng), tol.eps / 2.0,
+                  lambda x: oracle.sample_gradient_batch(x, scsg_cfg.B, rng), None, tol.eps / 2.0,
                   _epoch_step(oracle, scsg_cfg, rng),
                   lambda x, g: one_step_stochastic(oracle, x, tol, smooth, esc, rng, ncfg),
                   echo, tol.seed)
@@ -201,7 +206,7 @@ def gose_finite_sum(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
         scsg_cfg = derive_scsg_params(tol, smooth, "finite_sum", n=oracle.n_components)
     echo = _config_echo("finite_sum", tol, smooth, esc, ncfg, scsg=dataclasses.asdict(scsg_cfg))
 
-    return _drive(oracle, x0, tol.max_outer, oracle.gradient,
+    return _drive(oracle, x0, tol.max_outer, oracle.gradient, oracle.value,
                   tol.eps, _epoch_step(oracle, scsg_cfg, rng),
                   lambda x, g: one_step_finite_sum(oracle, x, tol, smooth, esc, rng, ncfg, g=g),
                   echo, tol.seed)

@@ -21,10 +21,10 @@ from typing import Optional
 import numpy as np
 
 from .core import (MODES, ConfigError, DimensionTooLarge, EvalCounters,
-                   GoseError, ObjectiveOracle, STATUS_BUDGET, STATUS_SECOND_ORDER,
-                   SmoothnessSpec, ToleranceConfig, as_counting)
-from .drivers import (LARGE, SMALL, RunReport, TraceRecord, _finish,
-                      gose_deterministic, gose_finite_sum, gose_stochastic)
+                   GoseError, ObjectiveOracle, SmoothnessSpec, ToleranceConfig,
+                   as_counting, validate_config)
+from .drivers import (RunReport, _drive, gose_deterministic, gose_finite_sum,
+                      gose_stochastic)
 from .escape import EscapeConfig, one_step_deterministic
 from .ncfind import (NcBudget, NcConfig, approx_nc_deterministic,
                      approx_nc_finite_sum, approx_nc_stochastic,
@@ -76,15 +76,13 @@ class ExperimentConfig:
     solver_max_iters: int = 200_000
     scsg_B: Optional[int] = None
     scsg_b: Optional[int] = None
-    scsg_b_mult: float = 1.0
-    scsg_B_mult: float = 96.0
     # orchestration
     write_trace: bool = False
     out_dir: Optional[str] = None
 
     def __post_init__(self):
-        if any(seed < 0 for seed in self.seeds):  # numpy seeds only from ints >= 0
-            raise ConfigError(f"config field 'seeds' must hold non-negative ints,"
+        if not self.seeds or any(seed < 0 for seed in self.seeds):  # numpy seeds are ints >= 0
+            raise ConfigError(f"config field 'seeds' must hold one or more non-negative ints,"
                               f" got {self.seeds!r}")
 
     def to_dict(self) -> dict:
@@ -204,7 +202,6 @@ def run_one(cfg: ExperimentConfig, seed: int) -> tuple[RunReport, dict]:
                                     ncfg=ncfg, solver_max_iters=cfg.solver_max_iters)
     else:
         scsg = derive_scsg_params(tol, smooth, cfg.mode, n=spec.oracle.n_components,
-                                  b_mult=cfg.scsg_b_mult, B_mult=cfg.scsg_B_mult,
                                   B_override=cfg.scsg_B, b_override=cfg.scsg_b)
         driver = gose_stochastic if cfg.mode == "stochastic" else gose_finite_sum
         report = driver(spec.oracle, x0, tol, smooth, esc, scsg_cfg=scsg, rng=rng, ncfg=ncfg)
@@ -281,7 +278,8 @@ def trace_table(report: RunReport) -> str:
     lines = [",".join(TRACE_HEADER)]
     for rec in report.trace:
         lines.append(",".join(str(v) for v in [
-            rec.k, rec.branch, repr(rec.grad_norm), repr(rec.f_value),
+            rec.k, rec.branch, repr(rec.grad_norm),
+            "" if rec.f_value is None else repr(rec.f_value),
             int(rec.escape_taken), *rec.counters.as_dict().values(),
         ]))
     return "\n".join(lines) + "\n"
@@ -481,35 +479,24 @@ def always_probe_baseline(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSp
                           max_iters: int = 10_000) -> RunReport:
     """Reference scheme that probes for negative curvature every iteration.
 
-    Each iteration spends one finder call no matter where the iterate is:
-    take a curvature step if a direction comes back, otherwise a single
-    gradient step; stop only when the finder says bottom and the gradient is
-    already small; a non-finite gradient norm ends the run budget_exhausted
-    at once.  Exists purely to quantify how many probes the region-splitting
-    drivers save.
+    Runs the drivers' outer loop for max_iters iterations, but each iteration
+    spends one finder call no matter where the iterate is: take a curvature
+    step if a direction comes back, otherwise a single gradient step 1/L when
+    ||grad f|| > eps, or stop on bottom when the gradient is already small.
+    Exists purely to quantify how many probes the region-splitting drivers
+    save.
     """
+    esc.validate(validate_config(tol, smooth, "deterministic"))
     rng = rng if rng is not None else np.random.default_rng(tol.seed)
     oracle = as_counting(oracle)
-    x = np.asarray(x0, float)
-    trace = []
-    for k in range(1, max_iters + 1):
-        oracle.counters.outer_iters += 1
-        g = oracle.gradient(x)
-        gn = float(np.linalg.norm(g))
-        if not math.isfinite(gn):
-            return _finish(oracle, x, gn, float("nan"), STATUS_BUDGET, trace, {}, tol.seed)
-        oracle.counters.small_region_entries += 1  # probes every iteration
-        fx = oracle.value(x)
-        res = one_step_deterministic(oracle, x, tol, smooth, esc, rng, ncfg, g=g)
-        if res.escaped:
-            x = res.point
-            trace.append(TraceRecord(k, SMALL, gn, fx, True, oracle.counters.snapshot()))
-        elif not gn <= tol.eps:
-            x = x - g / smooth.L
-            trace.append(TraceRecord(k, LARGE, gn, fx, False, oracle.counters.snapshot()))
-        else:
-            trace.append(TraceRecord(k, SMALL, gn, fx, False, oracle.counters.snapshot()))
-            return _finish(oracle, x, gn, res.nc.lambda_hat, STATUS_SECOND_ORDER,
-                           trace, {}, tol.seed)
-    gn = float(np.linalg.norm(oracle.gradient(x)))
-    return _finish(oracle, x, gn, float("nan"), STATUS_BUDGET, trace, {}, tol.seed)
+
+    def probe(x, g):
+        return one_step_deterministic(oracle, x, tol, smooth, esc, rng, ncfg, g=g)
+
+    def probe_or_gradient_step(x, g):
+        oracle.counters.small_region_entries += 1  # probes on the large branch too
+        res = probe(x, g)
+        return (res.point if res.escaped else x - g / smooth.L), None
+
+    return _drive(oracle, x0, max_iters, oracle.gradient, oracle.value, tol.eps,
+                  probe_or_gradient_step, probe, {}, tol.seed)

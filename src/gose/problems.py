@@ -394,17 +394,6 @@ def make_sphere(d: int = 2) -> ProblemSpec:
     )
 
 
-_STANDARD = {"rosenbrock": make_rosenbrock, "rastrigin": make_rastrigin,
-             "sphere": make_sphere}
-
-
-def make_standard(name: str, d: int = 2) -> ProblemSpec:
-    """Standard regression objectives by name (rosenbrock, rastrigin, sphere)."""
-    if name not in _STANDARD:
-        raise ConfigError(f"unknown standard problem {name!r}; options: {sorted(_STANDARD)}")
-    return _STANDARD[name](d)
-
-
 # ---------------------------------------------------------------------------
 # Mode wrappers
 

@@ -67,14 +67,13 @@ def sample_geometric(p: float, rng: np.random.Generator) -> int:
 
 
 def derive_scsg_params(tol, smooth, mode: str, n: int = 0,
-                       b_mult: float = 1.0, B_mult: float = 96.0,
                        B_override: Optional[int] = None,
                        b_override: Optional[int] = None) -> ScsgConfig:
     """Derive epoch parameters for the chosen mode.
 
-    Stochastic: B = ceil(B_mult * h_star * log(1/delta) / eps**2),
-    b = clamp(ceil(b_mult * rho_eff**6 * h_star * eps**4 / (L**3 * eps_h**9)), 1, B),
-    eta = b**(2/3) / (6 L B**(2/3)).  The default B_mult of 96 keeps
+    Stochastic: B = ceil(96 * h_star * log(1/delta) / eps**2),
+    b = clamp(ceil(rho_eff**6 * h_star * eps**4 / (L**3 * eps_h**9)), 1, B),
+    eta = b**(2/3) / (6 L B**(2/3)).  The factor 96 keeps
     B >= 96 * h_star / eps**2, the level the epoch analysis assumes.  When the
     unclamped b reaches B the config is flagged degenerate (plain SGD).
 
@@ -102,13 +101,13 @@ def derive_scsg_params(tol, smooth, mode: str, n: int = 0,
     if B_override is not None:
         B = int(B_override)
     else:
-        B = int(math.ceil(B_mult * h_star * math.log(1.0 / tol.delta) / tol.eps ** 2))
+        B = int(math.ceil(96.0 * h_star * math.log(1.0 / tol.delta) / tol.eps ** 2))
     B = max(B, 1)
     if b_override is not None:
         b_raw = int(b_override)
     else:
         b_raw = int(math.ceil(
-            b_mult * rho ** 6 * h_star * tol.eps ** 4 / (smooth.L ** 3 * tol.eps_h ** 9)
+            rho ** 6 * h_star * tol.eps ** 4 / (smooth.L ** 3 * tol.eps_h ** 9)
         ))
     degenerate = b_raw >= B
     b = min(max(b_raw, 1), B)

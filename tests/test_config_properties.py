@@ -27,7 +27,7 @@ BY_ANNOTATION = {
     "str": st.text(),
     "bool": st.booleans(),
     "dict": st.dictionaries(st.text(), json_scalar, max_size=3),
-    "list[int]": st.lists(st.integers(min_value=0), max_size=4),
+    "list[int]": st.lists(st.integers(min_value=0), min_size=1, max_size=4),
     "Optional[float]": st.none() | finite,
     "Optional[int]": st.none() | st.integers(),
     "Optional[str]": st.none() | st.text(),

@@ -114,6 +114,19 @@ def test_trace_table_shape():
     assert len(table) == len(report.trace) + 1
 
 
+def test_stochastic_trace_leaves_f_value_empty():
+    cfg = ExperimentConfig(problem="quadratic_saddle",
+                           problem_params={"d": 3, "spectrum": [0.5, 1.0, 2.0]},
+                           mode="stochastic", eps=0.01, eps_h=0.5, delta=0.1,
+                           rho=1.0, noise_sigma=0.05, max_outer=3)
+    report, row = run_one(cfg, 0)
+    table = [line.split(",") for line in trace_table(report).splitlines()]
+    column = table[0].index("f_value")
+    assert len(table) > 1
+    assert all(line[column] == "" for line in table[1:])
+    assert row["counters"]["fn_evals"] == 0
+
+
 def test_resolve_out_dir_env(monkeypatch):
     monkeypatch.delenv(OUT_ENV_VAR, raising=False)
     assert resolve_out_dir(None) == "gose_out"
@@ -220,6 +233,14 @@ def test_cli_run_seed_override(tmp_path):
     assert json.loads(lines[0])["seed"] == 5
 
 
+def test_cli_run_seed_override_checked_like_file_value(tmp_path, capsys):
+    path = write_cfg(tmp_path, CONVEX_CFG)
+    code = main(["run", "--config", path, "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'seeds'" in err
+
+
 def test_cli_run_validation_error_names_inequality(tmp_path, capsys):
     bad = dict(CONVEX_CFG)
     bad["eps"] = 0.5 ** 2 / (8 * 1.0)  # eps_h**2/(8 rho) >= the 1/16 bound
@@ -270,7 +291,7 @@ def test_summary_line_is_strict_json_for_diverging_run():
 
 @pytest.mark.parametrize("name, value", [("eps", "0.01"), ("max_outer", "5"),
                                          ("seeds", ["x"]), ("seeds", [-1]),
-                                         ("seeds", [0, 3, -2])])
+                                         ("seeds", [0, 3, -2]), ("seeds", [])])
 def test_cli_run_rejects_wrong_json_type(tmp_path, capsys, name, value):
     path = write_cfg(tmp_path, {**CONVEX_CFG, name: value})
     code = main(["run", "--config", path, "--out", str(tmp_path / "out")])

@@ -4,8 +4,7 @@ import pytest
 from gose import (approx_nc_deterministic, certify_second_order, dense_hessian,
                   finite_diff_hvp, get_problem, list_problems,
                   make_chained_saddles, make_nonconvex_pca,
-                  make_quadratic_saddle, make_standard,
-                  verify_lipschitz_constants)
+                  make_quadratic_saddle, verify_lipschitz_constants)
 from gose.core import ConfigError, DimensionTooLarge, ObjectiveOracle
 
 
@@ -17,8 +16,6 @@ def test_registry_contents():
         assert expected in names
     with pytest.raises(ConfigError):
         get_problem("does_not_exist")
-    with pytest.raises(ConfigError):
-        make_standard("ackley")
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +180,19 @@ def test_pca_component_average_is_full_gradient(rng):
 
 
 def test_rosenbrock_known_minimum():
-    spec = make_standard("rosenbrock", 2)
+    spec = get_problem("rosenbrock", d=2)
     x = np.ones(2)
     assert spec.oracle.value(x) == 0.0
     np.testing.assert_allclose(spec.oracle.gradient(x), np.zeros(2))
 
 
 def test_rastrigin_known_minimum():
-    spec = make_standard("rastrigin", 2)
+    spec = get_problem("rastrigin", d=2)
     assert spec.oracle.value(np.zeros(2)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rosenbrock_gradient_matches_finite_differences(rng):
-    spec = make_standard("rosenbrock", 2)
+    spec = get_problem("rosenbrock", d=2)
     for _ in range(20):
         x = rng.uniform(-2, 2, 2)
         g = spec.oracle.gradient(x)

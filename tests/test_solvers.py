@@ -66,7 +66,7 @@ def test_derive_stochastic_B_example():
     # B = ceil(96 * 1 * ln(10) / 0.01) = 22105
     tol = ToleranceConfig(eps=0.1, eps_h=0.5, delta=0.1)
     smooth = SmoothnessSpec(L=1.0, rho=1.0, h_star=1.0)
-    cfg = derive_scsg_params(tol, smooth, "stochastic", B_mult=96.0)
+    cfg = derive_scsg_params(tol, smooth, "stochastic")
     assert cfg.B == math.ceil(96.0 * math.log(10.0) / 0.01)
     assert cfg.B == 22105
     assert cfg.eta == pytest.approx(cfg.b ** (2 / 3) / (6.0 * cfg.B ** (2 / 3)))
