@@ -34,8 +34,7 @@ print(f"analytic HVPs:      {out.kind}, Rayleigh {out.rayleigh:.4f},"
       f" cost {out.hvp_or_grad_cost} products")
 
 gradient_only = ObjectiveOracle(d, oracle.value, oracle.gradient)
-out = approx_nc_deterministic(gradient_only, np.zeros(d), eps_h, delta, 1.0,
-                              rng, hvp_source="fd")
+out = approx_nc_deterministic(gradient_only, np.zeros(d), eps_h, delta, 1.0, rng)
 print(f"gradients only:     {out.kind}, Rayleigh {out.rayleigh:.4f},"
       f" cost {out.hvp_or_grad_cost} gradient evals")
 

@@ -89,7 +89,8 @@ class EvalCounters:
     All fields are nondecreasing over a run.  A full-batch gradient of a
     finite-sum oracle counts one grad_eval plus n_components
     component_grad_evals (that is what it costs).  A synthesized
-    Hessian-vector product counts two gradient evals instead of an hvp_eval.
+    Hessian-vector product counts the two gradient evals of its kind (full,
+    component or stochastic) instead of an hvp_eval.
     """
 
     grad_evals: int = 0
@@ -174,13 +175,10 @@ class ObjectiveOracle:
         self._sample_gradient = sample_gradient
         self._sample_hvp = sample_hvp
         self._sample_gradient_batch = sample_gradient_batch
-
-    @property
-    def capabilities(self) -> Capabilities:
-        return Capabilities(
+        self.capabilities = Capabilities(
             finite_sum=self.n_components > 0,
-            stochastic=self._sample_gradient is not None,
-            analytic_hvp=self._hvp is not None,
+            stochastic=sample_gradient is not None,
+            analytic_hvp=hvp is not None,
         )
 
     # -- deterministic surface
@@ -215,9 +213,7 @@ class ObjectiveOracle:
     def component_hvp(self, i: int, x, v) -> np.ndarray:
         if self._component_hvp is not None:
             return np.asarray(self._component_hvp(int(i), np.asarray(x, float), np.asarray(v, float)), float)
-        if self._component_gradient is None:
-            raise NotFiniteSum("oracle has no component gradients")
-        return _central_diff(lambda y: self.component_gradient(i, y), x, v)
+        return _finite_diff_component_hvp(self, i, x, v)
 
     # -- stochastic surface
 
@@ -250,12 +246,7 @@ class ObjectiveOracle:
     def sample_hvp(self, x, v, rng: np.random.Generator) -> np.ndarray:
         if self._sample_hvp is not None:
             return np.asarray(self._sample_hvp(np.asarray(x, float), np.asarray(v, float), rng), float)
-        if self._sample_gradient is None:
-            raise NotStochastic("oracle has no stochastic gradients")
-        # Same xi at both probe points: replay one child seed.
-        seed = int(rng.integers(0, 2**63 - 1))
-        grad = lambda y, s=seed: self.sample_gradient(y, np.random.default_rng(s))
-        return _central_diff(grad, x, v)
+        return _finite_diff_sample_hvp(self, x, v, rng)
 
 
 def _central_diff(grad: Callable, x, v) -> np.ndarray:
@@ -280,12 +271,29 @@ def finite_diff_hvp(oracle, x, v) -> np.ndarray:
     return _central_diff(oracle.gradient, x, v)
 
 
+def _finite_diff_component_hvp(oracle, i: int, x, v) -> np.ndarray:
+    """Component-i HVP from two component gradients, as finite_diff_hvp."""
+    return _central_diff(lambda y: oracle.component_gradient(i, y), x, v)
+
+
+def _finite_diff_sample_hvp(oracle, x, v, rng: np.random.Generator) -> np.ndarray:
+    """Stochastic HVP from two stochastic gradients that share one draw.
+
+    One child seed is taken from rng and replayed at both probe points, so
+    both gradients see the same xi.
+    """
+    if not oracle.capabilities.stochastic:
+        raise NotStochastic("oracle has no stochastic gradients")
+    seed = int(rng.integers(0, 2**63 - 1))
+    return _central_diff(lambda y: oracle.sample_gradient(y, np.random.default_rng(seed)), x, v)
+
+
 class CountingOracle:
     """Oracle wrapper that tallies every call into an EvalCounters.
 
     The wrapped oracle stays untouched; all mutation lives here.  Synthesized
-    HVPs route through self.gradient so their two gradient calls are counted
-    instead of an hvp_eval.
+    HVPs route through this wrapper's gradient methods, so their two gradient
+    calls are counted instead of an hvp_eval.
     """
 
     def __init__(self, base: ObjectiveOracle, counters: Optional[EvalCounters] = None):
@@ -329,6 +337,8 @@ class CountingOracle:
         return self.base.component_gradient_batch(indices, x)
 
     def component_hvp(self, i, x, v):
+        if self.base._component_hvp is None:
+            return _finite_diff_component_hvp(self, i, x, v)
         self.counters.hvp_evals += 1
         return self.base.component_hvp(i, x, v)
 
@@ -342,6 +352,8 @@ class CountingOracle:
         return self.base.sample_gradient_batch(x, m, rng)
 
     def sample_hvp(self, x, v, rng):
+        if self.base._sample_hvp is None:
+            return _finite_diff_sample_hvp(self, x, v, rng)
         self.counters.hvp_evals += 1
         return self.base.sample_hvp(x, v, rng)
 
@@ -362,7 +374,7 @@ MODES = ("deterministic", "stochastic", "finite_sum")
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """First/second-order tolerances and run controls.
+    """First/second-order tolerances and run controls, checked when constructed.
 
     eps: gradient-norm tolerance.  eps_h: Hessian min-eigenvalue tolerance.
     delta: per-subroutine failure probability.  c1: step-size overshoot
@@ -376,10 +388,20 @@ class ToleranceConfig:
     max_outer: int = 1000
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("eps", "eps_h", "delta"):
+            val = getattr(self, name)
+            if not (0.0 < val < 1.0):
+                raise NonPositiveConstant(f"{name} must lie in (0, 1), got {val}")
+        if self.c1 < 1.0:
+            raise NonPositiveConstant(f"c1 must be >= 1, got {self.c1}")
+        if self.max_outer < 1:
+            raise NonPositiveConstant(f"max_outer must be >= 1, got {self.max_outer}")
 
-@dataclass
+
+@dataclass(frozen=True)
 class SmoothnessSpec:
-    """Smoothness constants of the objective.
+    """Smoothness constants of the objective, checked when constructed.
 
     rho_min floors rho: quadratics have rho = 0, which would make the escape
     step eps_h/(2*c1*rho) infinite; any constant above the true rho is still a
@@ -392,51 +414,31 @@ class SmoothnessSpec:
     h_star: Optional[float] = None
     sigma: Optional[float] = None
 
+    def __post_init__(self):
+        if self.L <= 0.0:
+            raise NonPositiveConstant(f"L must be positive, got {self.L}")
+        if self.rho < 0.0:
+            raise NonPositiveConstant(f"rho must be nonnegative, got {self.rho}")
+        if self.rho_min <= 0.0:
+            raise NonPositiveConstant(f"rho_min must be positive, got {self.rho_min}")
+        if self.h_star is not None and self.h_star < 0.0:
+            raise NonPositiveConstant(f"h_star must be nonnegative, got {self.h_star}")
+
     @property
     def rho_eff(self) -> float:
         return max(self.rho, self.rho_min)
 
 
-@dataclass(frozen=True)
-class ValidatedConfig:
-    """Frozen output of validate_config: tolerances plus derived constants."""
-
-    mode: str
-    eps: float
-    eps_h: float
-    delta: float
-    c1: float
-    L: float
-    rho_eff: float
-    sigma: Optional[float]
-
-
-def validate_config(tol: ToleranceConfig, smooth: SmoothnessSpec, mode: str) -> ValidatedConfig:
-    """Check tolerance preconditions and freeze derived constants.
+def validate_config(tol: ToleranceConfig, smooth: SmoothnessSpec, mode: str) -> None:
+    """Check the preconditions that tie the tolerances to smoothness in `mode`.
 
     Deterministic and finite-sum modes need eps < eps_h**2/(16*c1*rho_eff);
-    stochastic mode additionally needs eps <= eps_h**1.5.
+    stochastic mode additionally needs eps <= eps_h**1.5.  Each config has
+    already checked its own ranges when it was constructed.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    for name, val in (("eps", tol.eps), ("eps_h", tol.eps_h), ("delta", tol.delta)):
-        if not (0.0 < val < 1.0):
-            raise NonPositiveConstant(f"{name} must lie in (0, 1), got {val}")
-    if tol.c1 < 1.0:
-        raise NonPositiveConstant(f"c1 must be >= 1, got {tol.c1}")
-    if tol.max_outer < 1:
-        raise NonPositiveConstant(f"max_outer must be >= 1, got {tol.max_outer}")
-    if smooth.L <= 0.0:
-        raise NonPositiveConstant(f"L must be positive, got {smooth.L}")
-    if smooth.rho < 0.0:
-        raise NonPositiveConstant(f"rho must be nonnegative, got {smooth.rho}")
-    if smooth.rho_min <= 0.0:
-        raise NonPositiveConstant(f"rho_min must be positive, got {smooth.rho_min}")
-    if smooth.h_star is not None and smooth.h_star < 0.0:
-        raise NonPositiveConstant(f"h_star must be nonnegative, got {smooth.h_star}")
-
-    rho_eff = smooth.rho_eff
-    bound = tol.eps_h ** 2 / (16.0 * tol.c1 * rho_eff)
+    bound = tol.eps_h ** 2 / (16.0 * tol.c1 * smooth.rho_eff)
     if not tol.eps < bound:
         raise EpsilonTooLarge(
             f"eps={tol.eps:.6g} must satisfy eps < eps_h**2/(16*c1*rho_eff)"
@@ -448,12 +450,6 @@ def validate_config(tol: ToleranceConfig, smooth: SmoothnessSpec, mode: str) -> 
             raise StochasticEpsilonTooLarge(
                 f"stochastic mode needs eps <= eps_h**1.5 = {sbound:.6g}, got eps={tol.eps:.6g}"
             )
-
-    return ValidatedConfig(
-        mode=mode,
-        eps=tol.eps, eps_h=tol.eps_h, delta=tol.delta, c1=tol.c1,
-        L=smooth.L, rho_eff=rho_eff, sigma=smooth.sigma,
-    )
 
 
 # ---------------------------------------------------------------------------

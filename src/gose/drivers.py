@@ -20,11 +20,12 @@ import numpy as np
 
 from .core import (Certificate, EvalCounters, SmoothnessSpec, STATUS_BUDGET,
                    STATUS_FIRST_ORDER, STATUS_SECOND_ORDER, ToleranceConfig,
-                   as_counting, validate_config)
+                   as_counting)
 from .escape import (EscapeConfig, one_step_deterministic, one_step_finite_sum,
                      one_step_stochastic)
 from .ncfind import NcConfig
-from .solvers import ScsgConfig, derive_scsg_params, run_solver, scsg_epoch
+from .solvers import (ScsgConfig, check_solver, derive_scsg_params, run_solver,
+                      scsg_epoch)
 
 LARGE = "large_gradient"
 SMALL = "small_gradient"
@@ -63,7 +64,7 @@ def _config_echo(mode, tol, smooth, esc, ncfg, **extra) -> dict:
     return echo
 
 
-def _finish(oracle, point, grad_norm, min_eig, status, trace, echo, seed):
+def _finish(oracle, point, grad_norm, status, trace, echo, seed, min_eig=math.nan):
     cert = Certificate(
         point=np.asarray(point, float),
         grad_norm=float(grad_norm),
@@ -84,13 +85,14 @@ def _drive(oracle, x0, K, measure, value, threshold, large_step, escape, echo, s
     Per outer iteration, g = measure(x).  A non-finite ||g|| ends the run
     budget_exhausted at once, before any further oracle work.  If
     ||g|| <= threshold, enter the small-gradient region and take one
-    escape(x, g); bottom certifies x.  Otherwise large_step(x, g) returns the
-    new point and the gradient norm the run ends at, or None to go on.
+    escape(x, g); bottom certifies x with the finder's min_eig_estimate.
+    Otherwise large_step(x, g) returns the new point and the gradient norm the
+    run ends at, or None to go on.  A run that ends any other way has measured
+    no curvature at its final point and reports min_eig_estimate NaN.
     value(x) fills each trace row's f_value; with value=None it is never read.
     """
     x = np.asarray(x0, float)
     trace: list[TraceRecord] = []
-    last_nc_estimate = float("nan")
 
     for k in range(1, K + 1):
         oracle.counters.outer_iters += 1
@@ -98,29 +100,27 @@ def _drive(oracle, x0, K, measure, value, threshold, large_step, escape, echo, s
         g = measure(x)
         gn = float(np.linalg.norm(g))
         if not math.isfinite(gn):
-            return _finish(oracle, x, gn, last_nc_estimate, STATUS_BUDGET, trace, echo, seed)
+            return _finish(oracle, x, gn, STATUS_BUDGET, trace, echo, seed)
         fx = None if value is None else value(x)
         if not gn <= threshold:
             x, stop = large_step(x, g)
             trace.append(TraceRecord(k, LARGE, gn, fx, oracle.counters.escape_steps > escapes,
                                      oracle.counters.snapshot()))
             if stop is not None:
-                return _finish(oracle, x, stop, last_nc_estimate,
-                               _budget_status(stop, threshold), trace, echo, seed)
+                return _finish(oracle, x, stop, _budget_status(stop, threshold),
+                               trace, echo, seed)
         else:
             oracle.counters.small_region_entries += 1
             res = escape(x, g)
             trace.append(TraceRecord(k, SMALL, gn, fx, oracle.counters.escape_steps > escapes,
                                      oracle.counters.snapshot()))
-            last_nc_estimate = res.nc.lambda_hat
             if not res.escaped:
-                return _finish(oracle, x, gn, res.nc.lambda_hat,
-                               STATUS_SECOND_ORDER, trace, echo, seed)
+                return _finish(oracle, x, gn, STATUS_SECOND_ORDER, trace, echo, seed,
+                               res.nc.lambda_hat)
             x = res.point
 
     gn = float(np.linalg.norm(measure(x)))
-    return _finish(oracle, x, gn, last_nc_estimate,
-                   _budget_status(gn, threshold), trace, echo, seed)
+    return _finish(oracle, x, gn, _budget_status(gn, threshold), trace, echo, seed)
 
 
 def _epoch_step(oracle, scsg_cfg, rng):
@@ -145,14 +145,14 @@ def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     step.  A bottom outcome certifies the current point (subject to the
     finder's delta).
     """
-    vcfg = validate_config(tol, smooth, "deterministic")
-    esc.validate(vcfg)
+    esc.validate(tol, smooth, "deterministic")
+    check_solver(solver_choice)
     rng = rng if rng is not None else np.random.default_rng(tol.seed)
     oracle = as_counting(oracle)
     echo = _config_echo("deterministic", tol, smooth, esc, ncfg, solver_choice=solver_choice)
 
     def solve(x, g):
-        res = run_solver(solver_choice, oracle, x, smooth.L, vcfg.rho_eff,
+        res = run_solver(solver_choice, oracle, x, smooth.L, smooth.rho_eff,
                          tol.eps, solver_max_iters)
         return res.point, None if res.converged else res.grad_norm
 
@@ -174,7 +174,7 @@ def gose_stochastic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     at that same batch gradient or take one stochastic escape step.  Only the
     sampling oracles are called, so trace rows carry f_value None.
     """
-    esc.validate(validate_config(tol, smooth, "stochastic"))
+    esc.validate(tol, smooth, "stochastic")
     rng = rng if rng is not None else np.random.default_rng(tol.seed)
     oracle = as_counting(oracle)
     if scsg_cfg is None:
@@ -199,7 +199,7 @@ def gose_finite_sum(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     iteration and branches at eps (not eps/2); the epoch uses batch size n and
     minibatch size 1.
     """
-    esc.validate(validate_config(tol, smooth, "finite_sum"))
+    esc.validate(tol, smooth, "finite_sum")
     rng = rng if rng is not None else np.random.default_rng(tol.seed)
     oracle = as_counting(oracle)
     if scsg_cfg is None:

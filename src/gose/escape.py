@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ConfigError, SmoothnessSpec, ToleranceConfig,
-                   ValidatedConfig, as_counting, validate_config)
+from .core import (ConfigError, SmoothnessSpec, ToleranceConfig, as_counting,
+                   validate_config)
 from .ncfind import (NcConfig, NcOutcome, approx_nc_deterministic,
                      approx_nc_finite_sum, approx_nc_stochastic)
 
@@ -39,8 +39,8 @@ class EscapeConfig:
     ceil(s_mult * sigma**2 * log(1/delta) / (c_conc * eps)**2), which is what
     the decrease argument actually consumes.  "auto" takes the larger of the
     two when sigma is known, else "eps_h".  An unknown s_rule is rejected on
-    construction; the c_h window depends on the tolerances and is checked by
-    validate().
+    construction; the c_h window depends on the tolerances and is checked,
+    together with validate_config, by validate().
     """
 
     c_h: float = 0.5
@@ -60,20 +60,24 @@ class EscapeConfig:
     def c_prime_stoch(self) -> float:
         return self.c_h ** 2 / 4.0 - self.c_h ** 3 / 3.0
 
-    def validate(self, vcfg: ValidatedConfig) -> None:
-        """Check the step-coefficient window for the configured mode."""
+    def validate(self, tol: ToleranceConfig, smooth: SmoothnessSpec, mode: str) -> None:
+        """The entry check of a run or escape in `mode`.
+
+        Runs validate_config, then checks the step-coefficient window.
+        """
+        validate_config(tol, smooth, mode)
         if not (0.0 < self.c_h < 1.5):
             raise ConfigError(f"c_h must lie in (0, 3/2), got {self.c_h}")
-        ratio = 16.0 * vcfg.c1 * vcfg.rho_eff * vcfg.eps / vcfg.eps_h ** 2
-        # validate_config guarantees ratio < 1
+        ratio = 16.0 * tol.c1 * smooth.rho_eff * tol.eps / tol.eps_h ** 2
+        # eps < bound holds, but the rounded ratio may still reach 1
         half_width = 0.5 * math.sqrt(max(1.0 - ratio, 0.0))
         lo, hi = 0.5 - half_width, 0.5 + half_width
         if not (lo < self.c_h < hi):
             raise ConfigError(
                 f"c_h={self.c_h} outside the gradient-growth window ({lo:.6g}, {hi:.6g})"
             )
-        if vcfg.mode == "stochastic":
-            lo_s = math.sqrt(6.0 * self.c_conc * vcfg.c1 * vcfg.rho_eff * vcfg.eps / vcfg.eps_h ** 2)
+        if mode == "stochastic":
+            lo_s = math.sqrt(6.0 * self.c_conc * tol.c1 * smooth.rho_eff * tol.eps / tol.eps_h ** 2)
             if not (lo_s <= self.c_h <= 0.75):
                 raise ConfigError(
                     f"stochastic mode needs sqrt(6*c*rho*eps/eps_h**2) <= c_h <= 3/4,"
@@ -84,18 +88,18 @@ class EscapeConfig:
         if self.c_prime_det <= 0.0:
             raise ConfigError(f"c_h={self.c_h} gives nonpositive decrease constant")
 
-    def subsample_size(self, vcfg: ValidatedConfig) -> int:
+    def subsample_size(self, tol: ToleranceConfig, smooth: SmoothnessSpec) -> int:
         rule = self.s_rule
-        log_term = math.log(1.0 / vcfg.delta)
-        size_eps_h = int(math.ceil(self.s_mult * log_term / vcfg.eps_h ** 2))
+        log_term = math.log(1.0 / tol.delta)
+        size_eps_h = int(math.ceil(self.s_mult * log_term / tol.eps_h ** 2))
         if rule == "eps_h":
             return size_eps_h
-        if vcfg.sigma is None:
+        if smooth.sigma is None:
             if rule == "eps":
                 raise ConfigError("s_rule 'eps' needs sigma in SmoothnessSpec")
             return size_eps_h
         size_eps = int(math.ceil(
-            self.s_mult * vcfg.sigma ** 2 * log_term / (self.c_conc * vcfg.eps) ** 2
+            self.s_mult * smooth.sigma ** 2 * log_term / (self.c_conc * tol.eps) ** 2
         ))
         if rule == "eps":
             return size_eps
@@ -119,25 +123,25 @@ def adjust_direction(g: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
     return v_hat if float(np.asarray(g) @ np.asarray(v_hat)) <= 0.0 else -np.asarray(v_hat)
 
 
-def escape_step_length(vcfg: ValidatedConfig, esc: EscapeConfig) -> float:
+def escape_step_length(tol: ToleranceConfig, smooth: SmoothnessSpec,
+                       esc: EscapeConfig) -> float:
     """c_h * eps_h / (c1 * rho_eff); at the default c_h = 1/2 this is eps_h/(2*c1*rho_eff)."""
-    return esc.c_h * vcfg.eps_h / (vcfg.c1 * vcfg.rho_eff)
+    return esc.c_h * tol.eps_h / (tol.c1 * smooth.rho_eff)
 
 
 def _one_step(oracle, x, tol, smooth, esc, rng, ncfg, mode, finder, sign_gradient):
     """The one escape body: one finder call, then one step unless bottom.
 
-    sign_gradient(vcfg) supplies the gradient estimate the direction is
-    flipped against; it is only evaluated when a direction came back.
+    sign_gradient() supplies the gradient estimate the direction is flipped
+    against; it is only evaluated when a direction came back.
     """
-    vcfg = validate_config(tol, smooth, mode)
-    esc.validate(vcfg)
-    out = finder(oracle, x, vcfg.eps_h, vcfg.delta, vcfg.L, rng, ncfg)
+    esc.validate(tol, smooth, mode)
+    out = finder(oracle, x, tol.eps_h, tol.delta, smooth.L, rng, ncfg)
     if out.is_bottom:
         return EscapeResult(False, None, out)
-    v_tilde = adjust_direction(sign_gradient(vcfg), out.direction)
+    v_tilde = adjust_direction(sign_gradient(), out.direction)
     oracle.counters.escape_steps += 1
-    return EscapeResult(True, np.asarray(x, float) + escape_step_length(vcfg, esc) * v_tilde, out)
+    return EscapeResult(True, np.asarray(x, float) + escape_step_length(tol, smooth, esc) * v_tilde, out)
 
 
 def one_step_deterministic(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,
@@ -153,7 +157,7 @@ def one_step_deterministic(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSp
     oracle = as_counting(oracle)
     return _one_step(oracle, x, tol, smooth, esc, rng, ncfg, "deterministic",
                      approx_nc_deterministic,
-                     lambda vcfg: oracle.gradient(x) if g is None else g)
+                     lambda: oracle.gradient(x) if g is None else g)
 
 
 def one_step_stochastic(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,
@@ -167,7 +171,7 @@ def one_step_stochastic(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,
     oracle = as_counting(oracle)
     return _one_step(oracle, x, tol, smooth, esc, rng, ncfg, "stochastic",
                      approx_nc_stochastic,
-                     lambda vcfg: oracle.sample_gradient_batch(x, esc.subsample_size(vcfg), rng))
+                     lambda: oracle.sample_gradient_batch(x, esc.subsample_size(tol, smooth), rng))
 
 
 def one_step_finite_sum(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,
@@ -178,4 +182,4 @@ def one_step_finite_sum(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,
     oracle = as_counting(oracle)
     return _one_step(oracle, x, tol, smooth, esc, rng, ncfg, "finite_sum",
                      approx_nc_finite_sum,
-                     lambda vcfg: oracle.gradient(x) if g is None else g)
+                     lambda: oracle.gradient(x) if g is None else g)

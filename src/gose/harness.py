@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import (MODES, ConfigError, DimensionTooLarge, EvalCounters,
                    GoseError, ObjectiveOracle, SmoothnessSpec, ToleranceConfig,
-                   as_counting, validate_config)
+                   as_counting)
 from .drivers import (RunReport, _drive, gose_deterministic, gose_finite_sum,
                       gose_stochastic)
 from .escape import EscapeConfig, one_step_deterministic
@@ -81,6 +81,8 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.seeds or any(seed < 0 for seed in self.seeds):  # numpy seeds are ints >= 0
             raise ConfigError(f"config field 'seeds' must hold one or more non-negative ints,"
                               f" got {self.seeds!r}")
@@ -128,8 +130,6 @@ def _json_type_fits(value, annotation: str) -> bool:
 
 
 def build_problem(cfg: ExperimentConfig) -> ProblemSpec:
-    if cfg.mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {cfg.mode!r}")
     spec = _make_problem(cfg.problem, cfg.problem_params)
     if cfg.mode == "stochastic" and not spec.oracle.capabilities.stochastic:
         sigma = cfg.noise_sigma if cfg.noise_sigma is not None else cfg.sigma
@@ -422,8 +422,10 @@ def verify_nc_suite(d: int = 50, trials: int = 200, eps_h: float = 0.5,
 
     def call(A):
         if engine in ("deterministic", "fd"):
-            return approx_nc_deterministic(_quadratic_oracle(A), x, eps_h, delta, L, rng, cfg,
-                                           hvp_source="fd" if engine == "fd" else "auto")
+            oracle = _quadratic_oracle(A)
+            if engine == "fd":  # no analytic HVP: matvecs difference gradients
+                oracle = ObjectiveOracle(d, oracle.value, oracle.gradient)
+            return approx_nc_deterministic(oracle, x, eps_h, delta, L, rng, cfg)
         if engine == "finite_sum":
             oracle = _finite_sum_quadratic(A, 32, noise, rng)
             return approx_nc_finite_sum(oracle, x, eps_h, delta, L, rng, cfg)
@@ -486,7 +488,7 @@ def always_probe_baseline(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSp
     Exists purely to quantify how many probes the region-splitting drivers
     save.
     """
-    esc.validate(validate_config(tol, smooth, "deterministic"))
+    esc.validate(tol, smooth, "deterministic")
     rng = rng if rng is not None else np.random.default_rng(tol.seed)
     oracle = as_counting(oracle)
 

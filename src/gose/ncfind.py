@@ -22,8 +22,7 @@ import numpy as np
 from scipy.linalg.lapack import dstebz, dstein
 
 from .core import (AsymmetricOperator, BudgetZero, ConfigError, LapackFailure,
-                   NonFiniteMeasurement, NotFiniteSum, NotStochastic, as_counting,
-                   finite_diff_hvp)
+                   NonFiniteMeasurement, NotFiniteSum, NotStochastic, as_counting)
 
 BOTTOM = "bottom"
 DIRECTION = "direction"
@@ -298,28 +297,20 @@ def _search(oracle, restarts: int, candidate: Callable, threshold: float) -> NcO
 
 def approx_nc_deterministic(oracle, x, eps_h: float, delta: float, L: float,
                             rng: np.random.Generator,
-                            cfg: NcConfig = NcConfig(),
-                            hvp_source: str = "auto") -> NcOutcome:
+                            cfg: NcConfig = NcConfig()) -> NcOutcome:
     """Exact-Hessian negative-curvature search via Lanczos.
 
-    hvp_source "auto" uses the oracle's analytic HVP when present, otherwise
-    central differences of gradients (two gradient evals per matvec); "fd"
-    forces the gradient-only route.  Cost is at most
-    restarts * (max_matvecs + 3) matvec-equivalents (probe 2, exit 1), times
-    two when differencing gradients.
+    Matvecs are the oracle's HVPs: analytic when it has them, otherwise
+    central differences of gradients (two gradient evals per matvec).  Cost
+    is at most restarts * (max_matvecs + 3) matvec-equivalents (probe 2,
+    exit 1), times two when differencing gradients.
     """
     oracle = as_counting(oracle)
     x = np.asarray(x, float)
     d = oracle.dimension
-
-    if hvp_source == "fd":
-        hvp = lambda v: finite_diff_hvp(oracle, x, v)
-    else:
-        hvp = lambda v: oracle.hvp(x, v)
-
     mm = det_max_matvecs(d, eps_h, delta, L, cfg.budget_mult)
     return _search(oracle, cfg.restarts,
-                   lambda: lanczos_min_eig(hvp, d, NcBudget(mm), rng),
+                   lambda: lanczos_min_eig(lambda v: oracle.hvp(x, v), d, NcBudget(mm), rng),
                    -eps_h / 2.0)
 
 

@@ -10,7 +10,7 @@ geometrically distributed number of control-variate steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -29,19 +29,20 @@ class SolveResult:
     iters: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScsgConfig:
     """Batch/minibatch sizes and step size for one variance-reduced epoch.
 
-    p = B/(B+b) parameterizes the geometric epoch length, whose mean is B/b.
-    degenerate_sgd marks the regime where the minibatch rule met or exceeded
-    the batch size and was clamped (the epoch then behaves like plain SGD).
+    p = B/(B+b) parameterizes the geometric epoch length, whose mean is B/b;
+    it is derived from B and b, never passed.  degenerate_sgd marks the regime
+    where the minibatch rule met or exceeded the batch size and was clamped
+    (the epoch then behaves like plain SGD).
     """
 
     B: int
     b: int
     eta: float
-    p: float
+    p: float = field(init=False)
     mode: str  # "stochastic" | "finite_sum"
     degenerate_sgd: bool = False
 
@@ -50,8 +51,7 @@ class ScsgConfig:
             raise ConfigError(f"need 1 <= b <= B, got b={self.b}, B={self.B}")
         if self.eta <= 0.0:
             raise NonPositiveConstant(f"eta must be positive, got {self.eta}")
-        if not (0.0 < self.p < 1.0):
-            raise InvalidP(f"p must lie in (0, 1), got {self.p}")
+        object.__setattr__(self, "p", self.B / (self.B + self.b))
 
 
 def sample_geometric(p: float, rng: np.random.Generator) -> int:
@@ -79,8 +79,8 @@ def derive_scsg_params(tol, smooth, mode: str, n: int = 0,
 
     Finite-sum: B = n, b = 1, eta = 1/(L * n**(2/3)).
 
-    Explicit overrides bypass the corresponding rule (the flag and p are still
-    derived from the effective values).
+    Explicit overrides bypass the corresponding rule; the flag and p are still
+    derived from the effective (clamped) values.
     """
     if mode == "finite_sum":
         if n < 1:
@@ -88,8 +88,7 @@ def derive_scsg_params(tol, smooth, mode: str, n: int = 0,
         B = n if B_override is None else int(B_override)
         b = 1 if b_override is None else int(b_override)
         eta = 1.0 / (smooth.L * n ** (2.0 / 3.0))
-        return ScsgConfig(B=B, b=min(b, B), eta=eta, p=B / (B + b),
-                          mode=mode, degenerate_sgd=False)
+        return ScsgConfig(B=B, b=min(b, B), eta=eta, mode=mode)
     if mode != "stochastic":
         raise ConfigError(f"mode must be 'stochastic' or 'finite_sum', got {mode!r}")
     h_star = smooth.h_star
@@ -112,8 +111,7 @@ def derive_scsg_params(tol, smooth, mode: str, n: int = 0,
     degenerate = b_raw >= B
     b = min(max(b_raw, 1), B)
     eta = b ** (2.0 / 3.0) / (6.0 * smooth.L * B ** (2.0 / 3.0))
-    return ScsgConfig(B=B, b=b, eta=eta, p=B / (B + b), mode=mode,
-                      degenerate_sgd=degenerate)
+    return ScsgConfig(B=B, b=b, eta=eta, mode=mode, degenerate_sgd=degenerate)
 
 
 def estimate_variance_bound(oracle, x, rng: np.random.Generator,
@@ -235,11 +233,19 @@ def guarded_agd(oracle, x0, L: float, rho: float, eps: float,
     return SolveResult(x, gn, gn <= eps, max_iters)
 
 
+SOLVERS = ("agd", "gd")
+
+
+def check_solver(choice: str) -> None:
+    """Reject a solver name run_solver does not know."""
+    if choice not in SOLVERS:
+        raise ConfigError(f"unknown solver {choice!r}; options: {list(SOLVERS)}")
+
+
 def run_solver(choice: str, oracle, x0, L: float, rho: float, eps: float,
                max_iters: int = 200_000) -> SolveResult:
     """Dispatch on the solver name; any solver obeys the same output contract."""
-    if choice == "gd":
-        return gd_to_stationarity(oracle, x0, L, eps, max_iters)
+    check_solver(choice)
     if choice == "agd":
         return guarded_agd(oracle, x0, L, rho, eps, max_iters)
-    raise ConfigError(f"unknown solver {choice!r}; options: ['agd', 'gd']")
+    return gd_to_stationarity(oracle, x0, L, eps, max_iters)

@@ -331,7 +331,7 @@ def test_criterion_7_scsg_mechanics():
 
         sphere = get_problem("sphere", d=4)
         fs = as_finite_sum(sphere, 1)
-        cfg = ScsgConfig(B=1, b=1, eta=0.2, p=0.5, mode="finite_sum")
+        cfg = ScsgConfig(B=1, b=1, eta=0.2, mode="finite_sum")
         x0 = np.array([1.0, -0.5, 2.0, 0.25])
         for seed in range(50):
             y = scsg_epoch(fs.oracle, x0, cfg, fs.oracle.gradient(x0),

@@ -10,8 +10,8 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gose import EscapeConfig, NcConfig
-from gose.core import BudgetZero, ConfigError
+from gose import EscapeConfig, NcConfig, SmoothnessSpec, ToleranceConfig
+from gose.core import MODES, BudgetZero, ConfigError, NonPositiveConstant
 from gose.harness import ExperimentConfig
 
 deterministic = settings(derandomize=True, database=None, deadline=None)
@@ -33,9 +33,11 @@ BY_ANNOTATION = {
     "Optional[str]": st.none() | st.text(),
 }
 
+# mode is checked on construction, so only the valid modes build a config
 experiment_configs = st.builds(
     ExperimentConfig,
-    **{f.name: BY_ANNOTATION[f.type] for f in dataclasses.fields(ExperimentConfig)},
+    **{**{f.name: BY_ANNOTATION[f.type] for f in dataclasses.fields(ExperimentConfig)},
+       "mode": st.sampled_from(MODES)},
 )
 
 
@@ -74,3 +76,32 @@ def test_escape_config_rejects_exactly_unknown_s_rule(c_h, s_mult, c_conc, s_rul
         assert bad
     else:
         assert not bad
+
+
+@deterministic
+@given(mode=st.sampled_from(MODES) | st.text())
+def test_experiment_config_rejects_exactly_unknown_mode(mode):
+    try:
+        ExperimentConfig(mode=mode)
+    except ConfigError:
+        assert mode not in MODES
+    else:
+        assert mode in MODES
+
+
+@deterministic
+@given(eps=finite, eps_h=finite, delta=finite, c1=finite, max_outer=st.integers(-2, 3),
+       L=finite, rho=finite, rho_min=finite, h_star=st.none() | finite)
+def test_tolerance_and_smoothness_reject_exactly_out_of_range(
+        eps, eps_h, delta, c1, max_outer, L, rho, rho_min, h_star):
+    tol_bad = (not all(0.0 < v < 1.0 for v in (eps, eps_h, delta))
+               or c1 < 1.0 or max_outer < 1)
+    smooth_bad = L <= 0.0 or rho < 0.0 or rho_min <= 0.0 or (h_star is not None and h_star < 0.0)
+    for build, bad in ((lambda: ToleranceConfig(eps, eps_h, delta, c1, max_outer), tol_bad),
+                       (lambda: SmoothnessSpec(L, rho, rho_min, h_star), smooth_bad)):
+        try:
+            build()
+        except NonPositiveConstant:
+            assert bad
+        else:
+            assert not bad

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,9 +38,9 @@ def test_validate_accepts_instantiated_inequality():
     # 0.01 < 0.5**2 / (16*1*1) = 0.015625
     tol = ToleranceConfig(eps=0.01, eps_h=0.5, c1=1.0)
     smooth = SmoothnessSpec(L=1.0, rho=1.0)
-    vcfg = validate_config(tol, smooth, "deterministic")
-    assert vcfg.rho_eff == 1.0
-    assert escape_step_length(vcfg, EscapeConfig()) == pytest.approx(0.25)
+    assert validate_config(tol, smooth, "deterministic") is None
+    assert smooth.rho_eff == 1.0
+    assert escape_step_length(tol, smooth, EscapeConfig()) == pytest.approx(0.25)
 
 
 def test_validate_rejects_eps_at_boundary_and_above():
@@ -66,27 +68,37 @@ def test_validate_stochastic_three_halves_rule():
     {"eps": 0.01, "eps_h": 1.0},
     {"eps": 0.01, "eps_h": 0.5, "delta": 0.0},
     {"eps": 0.01, "eps_h": 0.5, "c1": 0.5},
+    {"eps": 0.01, "eps_h": 0.5, "max_outer": 0},
 ])
 def test_validate_rejects_nonpositive_or_out_of_range(kwargs):
     with pytest.raises(NonPositiveConstant):
-        validate_config(ToleranceConfig(**kwargs), SmoothnessSpec(L=1.0, rho=1.0),
-                        "deterministic")
+        ToleranceConfig(**kwargs)
 
 
 def test_validate_rejects_bad_smoothness():
-    tol = ToleranceConfig(eps=0.001, eps_h=0.5)
-    with pytest.raises(NonPositiveConstant):
-        validate_config(tol, SmoothnessSpec(L=0.0, rho=1.0), "deterministic")
-    with pytest.raises(NonPositiveConstant):
-        validate_config(tol, SmoothnessSpec(L=1.0, rho=-1.0), "deterministic")
+    for kwargs in ({"L": 0.0}, {"L": 1.0, "rho": -1.0}, {"L": 1.0, "rho_min": 0.0},
+                   {"L": 1.0, "h_star": -1.0}):
+        with pytest.raises(NonPositiveConstant):
+            SmoothnessSpec(**kwargs)
+
+
+def test_configs_check_themselves_on_construction():
+    with pytest.raises(NonPositiveConstant, match="eps must lie in"):
+        ToleranceConfig(eps=0.0, eps_h=0.5)
+    with pytest.raises(NonPositiveConstant, match="L must be positive"):
+        SmoothnessSpec(L=0.0)
+    smooth = SmoothnessSpec(L=1.0, rho=1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        smooth.L = 2.0
+    assert dataclasses.replace(smooth, rho=2.0).rho_eff == 2.0
 
 
 def test_rho_floor_applies_to_quadratics():
     tol = ToleranceConfig(eps=1e-5, eps_h=0.5)
     smooth = SmoothnessSpec(L=1.0, rho=0.0, rho_min=1e-3)
-    vcfg = validate_config(tol, smooth, "deterministic")
-    assert vcfg.rho_eff == 1e-3
-    assert escape_step_length(vcfg, EscapeConfig()) == pytest.approx(0.5 / (2 * 1e-3))
+    validate_config(tol, smooth, "deterministic")
+    assert smooth.rho_eff == 1e-3
+    assert escape_step_length(tol, smooth, EscapeConfig()) == pytest.approx(0.5 / (2 * 1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +212,24 @@ def test_counting_hvp_analytic_vs_synthesized():
     fd.hvp(np.ones(2), np.ones(2))
     assert fd.counters.hvp_evals == 0
     assert fd.counters.grad_evals == 2  # synthesized: two gradient calls
+
+
+def test_counting_synthesized_component_and_sample_hvps():
+    # without analytic component or sample HVPs each product costs two
+    # gradients of its kind, with the bare oracle's values and stream
+    A = np.diag([1.0, 2.0])
+    bare = ObjectiveOracle(2, lambda x: 0.5 * float(x @ (A @ x)), lambda x: A @ x,
+                           n_components=2,
+                           component_gradient=lambda i, x: (i + 1.0) * (A @ x),
+                           sample_gradient=lambda x, rng: A @ x + rng.standard_normal(2))
+    co = as_counting(bare)
+    x, v = np.ones(2), np.array([1.0, -2.0])
+    np.testing.assert_array_equal(co.component_hvp(1, x, v), bare.component_hvp(1, x, v))
+    assert (co.counters.component_grad_evals, co.counters.hvp_evals) == (2, 0)
+    counted, plain = np.random.default_rng(3), np.random.default_rng(3)
+    np.testing.assert_array_equal(co.sample_hvp(x, v, counted), bare.sample_hvp(x, v, plain))
+    assert (co.counters.stoch_grad_evals, co.counters.hvp_evals) == (2, 0)
+    assert counted.random() == plain.random()
 
 
 def test_counting_finite_sum_full_gradient():

@@ -464,6 +464,32 @@ def test_baseline_trace_marks_every_escape_step():
     assert any(r.branch == LARGE and r.escape_taken for r in report.trace)
 
 
+def test_runs_ending_without_bottom_report_no_curvature_estimate():
+    # both runs escape the origin (lambda_min = -2) and end at a later point
+    # whose curvature no finder measured
+    prob = get_problem("chained_saddles", d=5)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=2, seed=0)
+    smooth = SmoothnessSpec(L=prob.known_L, rho=1.0)
+    baseline = always_probe_baseline(prob.oracle, prob.x0, tol, smooth,
+                                     rng=np.random.default_rng(0), max_iters=3)
+    driver = run_det(prob, tol, smooth)
+    for report, status in ((baseline, STATUS_BUDGET), (driver, STATUS_FIRST_ORDER)):
+        c = report.certificate
+        assert c.status == status
+        assert c.counters.escape_steps >= 1
+        assert np.isnan(c.min_eig_estimate)
+
+
+def test_unknown_solver_rejected_before_any_oracle_work():
+    prob = get_problem("chained_saddles", d=3)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=10, seed=0)
+    oracle = as_counting(prob.oracle)
+    with pytest.raises(ConfigError, match="unknown solver 'bogus'"):
+        gose_deterministic(oracle, prob.x0, tol, SmoothnessSpec(L=prob.known_L, rho=1.0),
+                           solver_choice="bogus")
+    assert oracle.counters == EvalCounters()
+
+
 # ---------------------------------------------------------------------------
 # golden counters: fixed seeds must reproduce these exact tallies
 

@@ -7,7 +7,7 @@ from gose import (EscapeConfig, ObjectiveOracle, SmoothnessSpec,
                   ToleranceConfig, adjust_direction, as_counting,
                   certify_second_order, escape_step_length, get_problem,
                   make_nonconvex_pca, one_step_deterministic,
-                  one_step_finite_sum, one_step_stochastic, validate_config,
+                  one_step_finite_sum, one_step_stochastic,
                   with_gradient_noise)
 from gose.core import ConfigError, NotFiniteSum, NotStochastic
 from gose.problems import as_finite_sum
@@ -61,13 +61,12 @@ def test_decrease_constants_at_default_coefficient():
 
 
 def test_window_validation_rejects_out_of_window_coefficients():
-    vcfg = validate_config(TOL, UNIT_RHO, "deterministic")
-    EscapeConfig(c_h=0.5).validate(vcfg)  # centered, always fine
-    with pytest.raises(ConfigError):
-        EscapeConfig(c_h=1.4).validate(vcfg)  # outside gradient-growth window
-    svcfg = validate_config(TOL, UNIT_RHO, "stochastic")
-    with pytest.raises(ConfigError):
-        EscapeConfig(c_h=0.8).validate(svcfg)  # above the stochastic cap 3/4
+    # centered, always fine
+    EscapeConfig(c_h=0.5).validate(TOL, UNIT_RHO, "deterministic")
+    with pytest.raises(ConfigError):  # outside gradient-growth window
+        EscapeConfig(c_h=1.4).validate(TOL, UNIT_RHO, "deterministic")
+    with pytest.raises(ConfigError):  # above the stochastic cap 3/4
+        EscapeConfig(c_h=0.8).validate(TOL, UNIT_RHO, "stochastic")
 
 
 def test_unknown_subsample_rule_rejected_on_construction():
@@ -77,16 +76,14 @@ def test_unknown_subsample_rule_rejected_on_construction():
 
 def test_subsample_size_rules():
     esc = EscapeConfig(s_mult=4.0, c_conc=0.25)
-    vcfg = validate_config(TOL, UNIT_RHO, "stochastic")
-    size_h = esc.subsample_size(vcfg)
+    size_h = esc.subsample_size(TOL, UNIT_RHO)
     assert size_h == math.ceil(4.0 * math.log(1 / 0.01) / 0.25)
     smooth = SmoothnessSpec(L=1.0, rho=0.0, rho_min=1.0, sigma=0.1)
-    vcfg_s = validate_config(TOL, smooth, "stochastic")
     esc_eps = EscapeConfig(s_mult=4.0, c_conc=0.25, s_rule="eps")
-    size_e = esc_eps.subsample_size(vcfg_s)
+    size_e = esc_eps.subsample_size(TOL, smooth)
     assert size_e == math.ceil(4.0 * 0.01 * math.log(100) / (0.25 * 0.01) ** 2)
     esc_auto = EscapeConfig(s_mult=4.0, c_conc=0.25, s_rule="auto")
-    assert esc_auto.subsample_size(vcfg_s) == max(size_h, size_e)
+    assert esc_auto.subsample_size(TOL, smooth) == max(size_h, size_e)
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +127,7 @@ def test_one_step_deterministic_chained_saddle(rng):
 
 def test_step_length_is_exact(rng):
     prob = saddle_problem()
-    vcfg = validate_config(TOL, UNIT_RHO, "deterministic")
-    eta = escape_step_length(vcfg, EscapeConfig())
+    eta = escape_step_length(TOL, UNIT_RHO, EscapeConfig())
     assert eta == pytest.approx(0.25)
     res = one_step_deterministic(prob.oracle, np.zeros(2), TOL, UNIT_RHO,
                                  EscapeConfig(), rng)
@@ -142,8 +138,7 @@ def test_escape_descent_alignment_per_call(rng):
     # the taken direction (y - x)/eta never ascends against the exact gradient
     chain = get_problem("chained_saddles", d=5)
     smooth = SmoothnessSpec(L=chain.known_L, rho=0.0, rho_min=1.0)
-    vcfg = validate_config(TOL, smooth, "deterministic")
-    eta = escape_step_length(vcfg, EscapeConfig())
+    eta = escape_step_length(TOL, smooth, EscapeConfig())
     for s in chain.planted_saddles:
         x = np.asarray(s, float) + 1e-3  # slightly off the saddle: nonzero gradient
         res = one_step_deterministic(chain.oracle, x, TOL, smooth,

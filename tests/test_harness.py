@@ -6,9 +6,10 @@ import pytest
 
 from gose.cli import main
 from gose.core import ConfigError
-from gose.harness import (ExperimentConfig, OUT_ENV_VAR, always_probe_baseline,
-                          resolve_out_dir, run_experiment, run_one, run_sweep,
-                          summary_line, trace_table, verify_nc_suite)
+from gose.harness import (NC_THRESHOLDS, ExperimentConfig, OUT_ENV_VAR,
+                          always_probe_baseline, resolve_out_dir, run_experiment,
+                          run_one, run_sweep, summary_line, trace_table,
+                          verify_nc_suite)
 from gose import (EscapeConfig, SmoothnessSpec, ToleranceConfig, get_problem,
                   gose_deterministic)
 
@@ -184,6 +185,12 @@ def test_verify_nc_deterministic_small():
     assert res["bottom_rate_psd"] == 1.0
 
 
+@pytest.mark.parametrize("engine", sorted(NC_THRESHOLDS))
+def test_verify_nc_every_engine_small(engine):
+    res = verify_nc_suite(d=10, trials=20, engine=engine, seed=0)
+    assert res["passed"] and res["unsound_directions"] == 0
+
+
 def test_verify_nc_unknown_engine():
     with pytest.raises(ConfigError):
         verify_nc_suite(engine="power_iteration")
@@ -272,6 +279,17 @@ def test_cli_run_rejects_bad_finder_setting(tmp_path, capsys, cfg, extra):
     code = main(["run", "--config", path, "--out", str(tmp_path / "out"), *extra])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_rejects_unknown_solver(tmp_path, capsys):
+    # the bowl starts at a stationary convex point and certifies with no
+    # solver call, so only an entry check can catch the name
+    path = write_cfg(tmp_path, {**CONVEX_CFG, "problem": "bowl_saddle",
+                                "solver_choice": "bogus"})
+    code = main(["run", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "unknown solver 'bogus'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -224,7 +224,7 @@ def test_nc_det_statistical_near_threshold():
 def test_nc_det_fd_source_matches_contract(rng):
     prob = get_problem("quadratic_saddle", d=4, spectrum=[1.0, 0.5, 0.2, -1.0], orth=True)
     bare = ObjectiveOracle(4, prob.oracle.value, prob.oracle.gradient)
-    out = approx_nc_deterministic(bare, np.zeros(4), 0.5, 0.01, 1.0, rng, hvp_source="fd")
+    out = approx_nc_deterministic(bare, np.zeros(4), 0.5, 0.01, 1.0, rng)
     assert out.is_direction
     assert out.rayleigh <= -0.25
     assert np.linalg.norm(out.direction) == pytest.approx(1.0, abs=1e-10)

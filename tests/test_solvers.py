@@ -62,6 +62,16 @@ def test_derive_finite_sum_rules():
     assert cfg.p == pytest.approx(1000.0 / 1001.0)
 
 
+def test_derive_finite_sum_clamped_minibatch_derives_p():
+    # b_override 500 > n = 200 clamps b to B = 200, so p = B/(B+b) = 1/2
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5)
+    cfg = derive_scsg_params(tol, SmoothnessSpec(L=4.0, rho=1.0), "finite_sum",
+                             n=200, b_override=500)
+    assert (cfg.B, cfg.b, cfg.p) == (200, 200, 0.5)
+    with pytest.raises(TypeError):  # p is derived, never passed
+        ScsgConfig(B=2, b=1, eta=0.1, p=0.5, mode="finite_sum")
+
+
 def test_derive_stochastic_B_example():
     # B = ceil(96 * 1 * ln(10) / 0.01) = 22105
     tol = ToleranceConfig(eps=0.1, eps_h=0.5, delta=0.1)
@@ -103,9 +113,9 @@ def test_derive_invariants_hold(rng):
 
 def test_scsg_config_validation():
     with pytest.raises(ConfigError):
-        ScsgConfig(B=1, b=2, eta=0.1, p=0.5, mode="stochastic")
+        ScsgConfig(B=1, b=2, eta=0.1, mode="stochastic")
     with pytest.raises(Exception):
-        ScsgConfig(B=2, b=1, eta=-0.1, p=0.5, mode="stochastic")
+        ScsgConfig(B=2, b=1, eta=-0.1, mode="stochastic")
 
 
 def test_estimate_variance_bound_near_two_sigma_squared(rng):
@@ -130,7 +140,7 @@ def _seed_with_T(p, want):
 def test_epoch_T_zero_returns_x0_exactly():
     sphere = get_problem("sphere", d=3)
     fs = as_finite_sum(sphere, 1)
-    cfg = ScsgConfig(B=1, b=1, eta=0.1, p=0.5, mode="finite_sum")
+    cfg = ScsgConfig(B=1, b=1, eta=0.1, mode="finite_sum")
     seed = _seed_with_T(0.5, 0)
     x0 = np.array([1.0, -2.0, 0.5])
     y = scsg_epoch(fs.oracle, x0, cfg, fs.oracle.gradient(x0),
@@ -142,7 +152,7 @@ def test_epoch_collapses_to_gd_when_b_B_n_one():
     # the control variate cancels: g_I(y) - g_I(x0) + g_anchor = grad f(y)
     sphere = get_problem("sphere", d=3)
     fs = as_finite_sum(sphere, 1)
-    cfg = ScsgConfig(B=1, b=1, eta=0.1, p=0.5, mode="finite_sum")
+    cfg = ScsgConfig(B=1, b=1, eta=0.1, mode="finite_sum")
     seed = _seed_with_T(0.5, 4)
     x0 = np.array([1.0, -2.0, 0.5])
     y = scsg_epoch(fs.oracle, x0, cfg, fs.oracle.gradient(x0),
@@ -157,7 +167,7 @@ def test_epoch_collapses_to_gd_when_b_B_n_one():
 def test_epoch_counts_two_b_T_evals():
     sphere = get_problem("sphere", d=3)
     fs = as_finite_sum(sphere, 4)
-    cfg = ScsgConfig(B=4, b=2, eta=0.05, p=4.0 / 6.0, mode="finite_sum")
+    cfg = ScsgConfig(B=4, b=2, eta=0.05, mode="finite_sum")
     seed = _seed_with_T(4.0 / 6.0, 3)
     co = as_counting(fs.oracle)
     scsg_epoch(co, np.ones(3), cfg, fs.oracle.gradient(np.ones(3)),
@@ -178,8 +188,7 @@ def test_epoch_mean_descent_on_finite_sum_quadratic():
         hvp=lambda x, v: A @ v, n_components=n,
         component_gradient=lambda i, x: comps[i] @ x,
     )
-    cfg = ScsgConfig(B=n, b=1, eta=1.0 / (1.0 * n ** (2 / 3)), p=n / (n + 1),
-                     mode="finite_sum")
+    cfg = ScsgConfig(B=n, b=1, eta=1.0 / (1.0 * n ** (2 / 3)), mode="finite_sum")
     x0 = np.full(d, 2.0)
     f0 = oracle.value(x0)
     vals = []
@@ -195,7 +204,7 @@ def test_epoch_stochastic_common_random_numbers():
     # zero-variance check: epoch equals anchored full-gradient recursion
     sphere = get_problem("sphere", d=4)
     noisy = with_gradient_noise(sphere, sigma=0.3)
-    cfg = ScsgConfig(B=8, b=2, eta=0.05, p=8.0 / 10.0, mode="stochastic")
+    cfg = ScsgConfig(B=8, b=2, eta=0.05, mode="stochastic")
     seed = _seed_with_T(8.0 / 10.0, 5)
     x0 = np.ones(4)
     g_anchor = sphere.oracle.gradient(x0)  # exact anchor isolates the noise path
@@ -230,7 +239,7 @@ def _noisy_bowl_oracles():
 @pytest.mark.parametrize("kind", ["batch_callable", "row_replay"])
 def test_epoch_stochastic_stream_matches_two_generator_replay(kind):
     oracle = _noisy_bowl_oracles()[kind]
-    cfg = ScsgConfig(B=40, b=3, eta=0.05, p=40.0 / 43.0, mode="stochastic")
+    cfg = ScsgConfig(B=40, b=3, eta=0.05, mode="stochastic")
     x0 = np.linspace(-1.0, 1.0, 6)
     g_anchor = oracle.gradient(x0)
     for seed in range(20):
@@ -266,7 +275,7 @@ def _pca_oracles():
 @pytest.mark.parametrize("b", [1, 3])
 def test_epoch_finite_sum_stream_matches_per_step_draws(kind, b):
     oracle = _pca_oracles()[kind]
-    cfg = ScsgConfig(B=40, b=b, eta=0.05, p=40.0 / (40 + b), mode="finite_sum")
+    cfg = ScsgConfig(B=40, b=b, eta=0.05, mode="finite_sum")
     x0 = np.linspace(-0.5, 0.5, 20)
     g_anchor = oracle.gradient(x0)
     for seed in range(20):
@@ -304,7 +313,7 @@ class BatchCallCounter(CountingOracle):
 
 def test_epoch_stochastic_makes_one_batch_call_per_step():
     noisy = with_gradient_noise(get_problem("sphere", d=4), sigma=0.3)
-    cfg = ScsgConfig(B=8, b=2, eta=0.05, p=8.0 / 10.0, mode="stochastic")
+    cfg = ScsgConfig(B=8, b=2, eta=0.05, mode="stochastic")
     seed = _seed_with_T(8.0 / 10.0, 5)
     co = BatchCallCounter(noisy.oracle)
     scsg_epoch(co, np.ones(4), cfg, np.ones(4), np.random.default_rng(seed))
