@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: run, sweep, verify-nc, list-problems.  Exit codes: 0 success,
-2 configuration error (the message names the violated inequality), 3 internal
-error.  GOSE_OUT sets the default output directory.
+2 configuration error (the message names the violated inequality; a sweep in
+which no cell passed validation is one), 3 internal error.  GOSE_OUT sets the
+default output directory.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ def cmd_sweep(args) -> int:
         sweep = json.load(fh)
     rows = run_sweep(sweep, out_dir=args.out)
     print(sweep_table(rows))
+    if not any(row.get("aggregate") for row in rows):
+        raise ConfigError("no sweep cell passed validation")
     return 0
 
 

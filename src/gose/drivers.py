@@ -152,8 +152,7 @@ def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     echo = _config_echo("deterministic", tol, smooth, esc, ncfg, solver_choice=solver_choice)
 
     def solve(x, g):
-        res = run_solver(solver_choice, oracle, x, smooth.L, smooth.rho_eff,
-                         tol.eps, solver_max_iters)
+        res = run_solver(solver_choice, oracle, x, smooth.L, tol.eps, solver_max_iters)
         return res.point, None if res.converged else res.grad_norm
 
     return _drive(oracle, x0, tol.max_outer, oracle.gradient, oracle.value, tol.eps, solve,

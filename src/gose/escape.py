@@ -17,40 +17,41 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ConfigError, SmoothnessSpec, ToleranceConfig, as_counting,
-                   validate_config)
+from .core import (ConfigError, NonPositiveConstant, SmoothnessSpec,
+                   ToleranceConfig, as_counting, validate_config)
 from .ncfind import (NcConfig, NcOutcome, approx_nc_deterministic,
                      approx_nc_finite_sum, approx_nc_stochastic)
-
-S_RULES = ("auto", "eps_h", "eps")
 
 
 @dataclass(frozen=True)
 class EscapeConfig:
-    """Escape step-size coefficient and subsample rules.
+    """Escape step-size coefficient and subsample constants, checked when constructed.
 
     c_h is the step coefficient: step length c_h * eps_h / (c1 * rho_eff).
     The decrease constants it implies are c_h**2/4 - c_h**3/6 (exact-gradient
-    adjustment) and c_h**2/4 - c_h**3/3 (subsampled adjustment); both must be
-    positive, which the window checks in validate() guarantee.
+    adjustment) and c_h**2/4 - c_h**3/3 (subsampled adjustment).  c_h must lie
+    in (0, 3/2), and s_mult and c_conc in (0, inf); the c_h windows depend on
+    the tolerances and are checked, together with validate_config, by
+    validate().  Inside them c_h < 1 (and c_h < 3/4 in stochastic mode), so
+    both decrease constants are positive.
 
-    The subsample size for the gradient estimate has two rules: "eps_h" uses
-    ceil(s_mult * log(1/delta) / eps_h**2); "eps" uses the concentration size
+    The subsample for the gradient estimate has ceil(s_mult * log(1/delta) /
+    eps_h**2) draws, raised to the concentration size
     ceil(s_mult * sigma**2 * log(1/delta) / (c_conc * eps)**2), which is what
-    the decrease argument actually consumes.  "auto" takes the larger of the
-    two when sigma is known, else "eps_h".  An unknown s_rule is rejected on
-    construction; the c_h window depends on the tolerances and is checked,
-    together with validate_config, by validate().
+    the decrease argument actually consumes, when sigma is known.
     """
 
     c_h: float = 0.5
     s_mult: float = 4.0
     c_conc: float = 0.25
-    s_rule: str = "auto"
 
     def __post_init__(self):
-        if self.s_rule not in S_RULES:
-            raise ConfigError(f"unknown s_rule {self.s_rule!r}; options: {S_RULES}")
+        if not (0.0 < self.c_h < 1.5):
+            raise ConfigError(f"c_h must lie in (0, 3/2), got {self.c_h}")
+        for name in ("s_mult", "c_conc"):
+            val = getattr(self, name)
+            if not (0.0 < val < math.inf):
+                raise NonPositiveConstant(f"{name} must be positive and finite, got {val}")
 
     @property
     def c_prime_det(self) -> float:
@@ -63,11 +64,9 @@ class EscapeConfig:
     def validate(self, tol: ToleranceConfig, smooth: SmoothnessSpec, mode: str) -> None:
         """The entry check of a run or escape in `mode`.
 
-        Runs validate_config, then checks the step-coefficient window.
+        Runs validate_config, then checks the step-coefficient windows.
         """
         validate_config(tol, smooth, mode)
-        if not (0.0 < self.c_h < 1.5):
-            raise ConfigError(f"c_h must lie in (0, 3/2), got {self.c_h}")
         ratio = 16.0 * tol.c1 * smooth.rho_eff * tol.eps / tol.eps_h ** 2
         # eps < bound holds, but the rounded ratio may still reach 1
         half_width = 0.5 * math.sqrt(max(1.0 - ratio, 0.0))
@@ -78,32 +77,20 @@ class EscapeConfig:
             )
         if mode == "stochastic":
             lo_s = math.sqrt(6.0 * self.c_conc * tol.c1 * smooth.rho_eff * tol.eps / tol.eps_h ** 2)
-            if not (lo_s <= self.c_h <= 0.75):
+            if not (lo_s <= self.c_h < 0.75):
                 raise ConfigError(
-                    f"stochastic mode needs sqrt(6*c*rho*eps/eps_h**2) <= c_h <= 3/4,"
-                    f" i.e. {lo_s:.6g} <= c_h <= 0.75, got {self.c_h}"
+                    f"stochastic mode needs sqrt(6*c*rho*eps/eps_h**2) <= c_h < 3/4,"
+                    f" i.e. {lo_s:.6g} <= c_h < 0.75, got {self.c_h}"
                 )
-            if self.c_prime_stoch <= 0.0:
-                raise ConfigError(f"c_h={self.c_h} gives nonpositive stochastic decrease constant")
-        if self.c_prime_det <= 0.0:
-            raise ConfigError(f"c_h={self.c_h} gives nonpositive decrease constant")
 
     def subsample_size(self, tol: ToleranceConfig, smooth: SmoothnessSpec) -> int:
-        rule = self.s_rule
         log_term = math.log(1.0 / tol.delta)
-        size_eps_h = int(math.ceil(self.s_mult * log_term / tol.eps_h ** 2))
-        if rule == "eps_h":
-            return size_eps_h
+        size = int(math.ceil(self.s_mult * log_term / tol.eps_h ** 2))
         if smooth.sigma is None:
-            if rule == "eps":
-                raise ConfigError("s_rule 'eps' needs sigma in SmoothnessSpec")
-            return size_eps_h
-        size_eps = int(math.ceil(
+            return size
+        return max(size, int(math.ceil(
             self.s_mult * smooth.sigma ** 2 * log_term / (self.c_conc * tol.eps) ** 2
-        ))
-        if rule == "eps":
-            return size_eps
-        return max(size_eps_h, size_eps)
+        )))
 
 
 @dataclass

@@ -66,7 +66,6 @@ class ExperimentConfig:
     c_h: float = 0.5
     s_mult: float = 4.0
     c_conc: float = 0.25
-    s_rule: str = "auto"
     # negative-curvature finder
     nc_engine: str = "minibatch_lanczos"
     nc_budget_mult: float = 4.0
@@ -182,8 +181,7 @@ def build_configs(cfg: ExperimentConfig, spec: ProblemSpec, seed: int):
         rho_min=cfg.rho_min,
         h_star=h_star, sigma=sigma,
     )
-    esc = EscapeConfig(c_h=cfg.c_h, s_mult=cfg.s_mult, c_conc=cfg.c_conc,
-                       s_rule=cfg.s_rule)
+    esc = EscapeConfig(c_h=cfg.c_h, s_mult=cfg.s_mult, c_conc=cfg.c_conc)
     ncfg = NcConfig(budget_mult=cfg.nc_budget_mult, restarts=cfg.nc_restarts,
                     engine=cfg.nc_engine)
     return tol, smooth, esc, ncfg

@@ -22,7 +22,8 @@ import numpy as np
 from scipy.linalg.lapack import dstebz, dstein
 
 from .core import (AsymmetricOperator, BudgetZero, ConfigError, LapackFailure,
-                   NonFiniteMeasurement, NotFiniteSum, NotStochastic, as_counting)
+                   NonFiniteMeasurement, NonPositiveConstant, NotFiniteSum,
+                   NotStochastic, as_counting)
 
 BOTTOM = "bottom"
 DIRECTION = "direction"
@@ -75,8 +76,9 @@ ENGINES = ("minibatch_lanczos", "oja")
 class NcConfig:
     """Knobs shared by the finder front ends, checked when constructed.
 
-    budget_mult scales the iteration/sample budgets (the asymptotic formulas
-    carry unspecified constants, exposed here).  restarts (>= 1) caps the
+    budget_mult (in (0, inf)) scales the iteration/sample budgets (the
+    asymptotic formulas carry unspecified constants, exposed here), so every
+    budget formula below yields at least 1.  restarts (>= 1) caps the
     candidates one call may draw.  engine selects the stochastic core: a
     minibatch-averaged Lanczos or the streaming power update on fresh draws
     ("oja").
@@ -87,6 +89,9 @@ class NcConfig:
     engine: str = "minibatch_lanczos"
 
     def __post_init__(self):
+        if not (0.0 < self.budget_mult < math.inf):
+            raise NonPositiveConstant(
+                f"budget_mult must be positive and finite, got {self.budget_mult}")
         if self.restarts < 1:
             raise BudgetZero(f"restarts must be >= 1, got {self.restarts}")
         if self.engine not in ENGINES:

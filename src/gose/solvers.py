@@ -33,10 +33,9 @@ class SolveResult:
 class ScsgConfig:
     """Batch/minibatch sizes and step size for one variance-reduced epoch.
 
-    p = B/(B+b) parameterizes the geometric epoch length, whose mean is B/b;
-    it is derived from B and b, never passed.  degenerate_sgd marks the regime
-    where the minibatch rule met or exceeded the batch size and was clamped
-    (the epoch then behaves like plain SGD).
+    p = B/(B+b) parameterizes the geometric epoch length, whose mean is B/b.
+    degenerate_sgd marks b == B, where the epoch behaves like plain SGD.  Both
+    are derived from B and b, never passed.
     """
 
     B: int
@@ -44,7 +43,7 @@ class ScsgConfig:
     eta: float
     p: float = field(init=False)
     mode: str  # "stochastic" | "finite_sum"
-    degenerate_sgd: bool = False
+    degenerate_sgd: bool = field(init=False)
 
     def __post_init__(self):
         if not (1 <= self.b <= self.B):
@@ -52,6 +51,7 @@ class ScsgConfig:
         if self.eta <= 0.0:
             raise NonPositiveConstant(f"eta must be positive, got {self.eta}")
         object.__setattr__(self, "p", self.B / (self.B + self.b))
+        object.__setattr__(self, "degenerate_sgd", self.b == self.B)
 
 
 def sample_geometric(p: float, rng: np.random.Generator) -> int:
@@ -75,13 +75,16 @@ def derive_scsg_params(tol, smooth, mode: str, n: int = 0,
     b = clamp(ceil(rho_eff**6 * h_star * eps**4 / (L**3 * eps_h**9)), 1, B),
     eta = b**(2/3) / (6 L B**(2/3)).  The factor 96 keeps
     B >= 96 * h_star / eps**2, the level the epoch analysis assumes.  When the
-    unclamped b reaches B the config is flagged degenerate (plain SGD).
+    rule for b reaches B, b is clamped to B (the epoch is then plain SGD).
 
     Finite-sum: B = n, b = 1, eta = 1/(L * n**(2/3)).
 
-    Explicit overrides bypass the corresponding rule; the flag and p are still
-    derived from the effective (clamped) values.
+    Explicit overrides (each >= 1) bypass the corresponding rule; b is still
+    clamped to B.
     """
+    for name, value in (("B_override (scsg_B)", B_override), ("b_override (scsg_b)", b_override)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
     if mode == "finite_sum":
         if n < 1:
             raise ConfigError("finite_sum mode needs n >= 1")
@@ -99,19 +102,17 @@ def derive_scsg_params(tol, smooth, mode: str, n: int = 0,
     rho = smooth.rho_eff
     if B_override is not None:
         B = int(B_override)
-    else:
-        B = int(math.ceil(96.0 * h_star * math.log(1.0 / tol.delta) / tol.eps ** 2))
-    B = max(B, 1)
+    else:  # h_star = 0 gives B = 0
+        B = max(int(math.ceil(96.0 * h_star * math.log(1.0 / tol.delta) / tol.eps ** 2)), 1)
     if b_override is not None:
-        b_raw = int(b_override)
+        b = int(b_override)
     else:
-        b_raw = int(math.ceil(
+        b = max(int(math.ceil(
             rho ** 6 * h_star * tol.eps ** 4 / (smooth.L ** 3 * tol.eps_h ** 9)
-        ))
-    degenerate = b_raw >= B
-    b = min(max(b_raw, 1), B)
+        )), 1)
+    b = min(b, B)
     eta = b ** (2.0 / 3.0) / (6.0 * smooth.L * B ** (2.0 / 3.0))
-    return ScsgConfig(B=B, b=b, eta=eta, mode=mode, degenerate_sgd=degenerate)
+    return ScsgConfig(B=B, b=b, eta=eta, mode=mode)
 
 
 def estimate_variance_bound(oracle, x, rng: np.random.Generator,
@@ -188,7 +189,7 @@ def gd_to_stationarity(oracle, x0, L: float, eps: float,
     return SolveResult(x, gn, gn <= eps, max_iters)
 
 
-def guarded_agd(oracle, x0, L: float, rho: float, eps: float,
+def guarded_agd(oracle, x0, L: float, eps: float,
                 max_iters: int = 200_000) -> SolveResult:
     """Accelerated gradient descent with a nonconvexity guard.
 
@@ -196,8 +197,7 @@ def guarded_agd(oracle, x0, L: float, rho: float, eps: float,
     accelerated step fails to decrease f, momentum is reset and a plain
     1/L step is taken from the current iterate instead (which always
     decreases f under a valid L).  Never returns a point with larger f than
-    x0.  rho is accepted for interface parity with the escape machinery but
-    the guard needs no Hessian information.
+    x0.
     """
     if L <= 0.0:
         raise NonPositiveConstant(f"L must be positive, got {L}")
@@ -242,10 +242,10 @@ def check_solver(choice: str) -> None:
         raise ConfigError(f"unknown solver {choice!r}; options: {list(SOLVERS)}")
 
 
-def run_solver(choice: str, oracle, x0, L: float, rho: float, eps: float,
+def run_solver(choice: str, oracle, x0, L: float, eps: float,
                max_iters: int = 200_000) -> SolveResult:
     """Dispatch on the solver name; any solver obeys the same output contract."""
     check_solver(choice)
     if choice == "agd":
-        return guarded_agd(oracle, x0, L, rho, eps, max_iters)
+        return guarded_agd(oracle, x0, L, eps, max_iters)
     return gd_to_stationarity(oracle, x0, L, eps, max_iters)

@@ -6,6 +6,7 @@ database is kept, so every run checks the same inputs.
 
 import dataclasses
 import json
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,11 +48,17 @@ def test_experiment_config_survives_json_round_trip(cfg):
     assert ExperimentConfig.from_dict(json.loads(cfg.dump())) == cfg
 
 
+def in_open_range(val, lo, hi):
+    return lo < val < hi  # False for NaN
+
+
 @deterministic
-@given(budget_mult=finite, restarts=st.integers(-3, 5),
+@given(budget_mult=st.floats(), restarts=st.integers(-3, 5),
        engine=st.sampled_from(["minibatch_lanczos", "oja"]) | st.text())
-def test_nc_config_rejects_exactly_bad_restarts_or_engine(budget_mult, restarts, engine):
-    if restarts < 1:
+def test_nc_config_rejects_exactly_bad_budget_restarts_or_engine(budget_mult, restarts, engine):
+    if not in_open_range(budget_mult, 0.0, math.inf):
+        expected = NonPositiveConstant
+    elif restarts < 1:
         expected = BudgetZero
     elif engine not in ("minibatch_lanczos", "oja"):
         expected = ConfigError
@@ -61,21 +68,26 @@ def test_nc_config_rejects_exactly_bad_restarts_or_engine(budget_mult, restarts,
         NcConfig(budget_mult=budget_mult, restarts=restarts, engine=engine)
     except ConfigError as exc:
         assert expected is not None and isinstance(exc, expected)
+        if expected is NonPositiveConstant:
+            assert "budget_mult" in str(exc)
     else:
         assert expected is None
 
 
 @deterministic
-@given(c_h=finite, s_mult=finite, c_conc=finite,
-       s_rule=st.sampled_from(["auto", "eps_h", "eps"]) | st.text())
-def test_escape_config_rejects_exactly_unknown_s_rule(c_h, s_mult, c_conc, s_rule):
-    bad = s_rule not in ("auto", "eps_h", "eps")
+@given(c_h=st.floats() | st.floats(0.0, 1.5), s_mult=st.floats(), c_conc=st.floats())
+def test_escape_config_rejects_exactly_out_of_range(c_h, s_mult, c_conc):
+    bad_c_h = not in_open_range(c_h, 0.0, 1.5)
+    bad_positive = not (in_open_range(s_mult, 0.0, math.inf)
+                        and in_open_range(c_conc, 0.0, math.inf))
     try:
-        EscapeConfig(c_h=c_h, s_mult=s_mult, c_conc=c_conc, s_rule=s_rule)
-    except ConfigError:
-        assert bad
+        EscapeConfig(c_h=c_h, s_mult=s_mult, c_conc=c_conc)
+    except NonPositiveConstant:
+        assert bad_positive and not bad_c_h
+    except ConfigError as exc:
+        assert bad_c_h and "c_h must lie in (0, 3/2)" in str(exc)
     else:
-        assert not bad
+        assert not (bad_c_h or bad_positive)
 
 
 @deterministic

@@ -7,7 +7,7 @@ from gose import (Capabilities, CountingOracle, EscapeConfig, EvalCounters,
                   ObjectiveOracle, SmoothnessSpec, ToleranceConfig, as_counting,
                   escape_step_length, finite_diff_hvp, get_problem,
                   validate_config, with_gradient_noise)
-from gose.core import (EpsilonTooLarge, NonPositiveConstant,
+from gose.core import (ConfigError, EpsilonTooLarge, NonPositiveConstant,
                        StochasticEpsilonTooLarge, ZeroDirection)
 
 
@@ -91,6 +91,21 @@ def test_configs_check_themselves_on_construction():
     with pytest.raises(dataclasses.FrozenInstanceError):
         smooth.L = 2.0
     assert dataclasses.replace(smooth, rho=2.0).rho_eff == 2.0
+
+
+def test_objective_oracle_checks_itself_on_construction():
+    def f(x):
+        return 0.0
+
+    def g(x):
+        return x
+
+    with pytest.raises(NonPositiveConstant, match="dimension"):
+        ObjectiveOracle(0, f, g)
+    with pytest.raises(NonPositiveConstant, match="n_components"):
+        ObjectiveOracle(2, f, g, n_components=-1)
+    with pytest.raises(ConfigError, match="needs component_gradient"):
+        ObjectiveOracle(2, f, g, n_components=3)
 
 
 def test_rho_floor_applies_to_quadratics():

@@ -69,21 +69,34 @@ def test_window_validation_rejects_out_of_window_coefficients():
         EscapeConfig(c_h=0.8).validate(TOL, UNIT_RHO, "stochastic")
 
 
-def test_unknown_subsample_rule_rejected_on_construction():
-    with pytest.raises(ConfigError, match="s_rule"):
-        EscapeConfig(s_rule="bogus")
+@pytest.mark.parametrize("c_h", [0.05, 0.75, 0.8])
+def test_stochastic_window_rejects_coefficients_the_gradient_window_allows(c_h):
+    # eps = 0.001: gradient-growth window (0.0163, 0.9837); the stochastic one
+    # is [sqrt(6 * 0.25 * 0.001 / 0.25), 3/4) = [0.0775, 0.75)
+    tol = ToleranceConfig(eps=0.001, eps_h=0.5, delta=0.01, c1=1.0)
+    esc = EscapeConfig(c_h=c_h)
+    esc.validate(tol, UNIT_RHO, "deterministic")
+    with pytest.raises(ConfigError, match="stochastic mode needs"):
+        esc.validate(tol, UNIT_RHO, "stochastic")
+
+
+def test_stochastic_window_keeps_decrease_constant_positive():
+    tol = ToleranceConfig(eps=0.001, eps_h=0.5, delta=0.01, c1=1.0)
+    c_h = math.nextafter(0.75, 0.0)  # the largest coefficient the window admits
+    EscapeConfig(c_h=c_h).validate(tol, UNIT_RHO, "stochastic")
+    assert EscapeConfig(c_h=c_h).c_prime_stoch > 0.0
 
 
 def test_subsample_size_rules():
     esc = EscapeConfig(s_mult=4.0, c_conc=0.25)
-    size_h = esc.subsample_size(TOL, UNIT_RHO)
+    size_h = esc.subsample_size(TOL, UNIT_RHO)  # no sigma: the eps_h size
     assert size_h == math.ceil(4.0 * math.log(1 / 0.01) / 0.25)
     smooth = SmoothnessSpec(L=1.0, rho=0.0, rho_min=1.0, sigma=0.1)
-    esc_eps = EscapeConfig(s_mult=4.0, c_conc=0.25, s_rule="eps")
-    size_e = esc_eps.subsample_size(TOL, smooth)
-    assert size_e == math.ceil(4.0 * 0.01 * math.log(100) / (0.25 * 0.01) ** 2)
-    esc_auto = EscapeConfig(s_mult=4.0, c_conc=0.25, s_rule="auto")
-    assert esc_auto.subsample_size(TOL, smooth) == max(size_h, size_e)
+    size_e = math.ceil(4.0 * 0.01 * math.log(100) / (0.25 * 0.01) ** 2)
+    assert size_e > size_h
+    assert esc.subsample_size(TOL, smooth) == max(size_h, size_e)
+    tiny_sigma = SmoothnessSpec(L=1.0, rho=0.0, rho_min=1.0, sigma=1e-6)
+    assert esc.subsample_size(TOL, tiny_sigma) == size_h  # never below the eps_h size
 
 
 # ---------------------------------------------------------------------------

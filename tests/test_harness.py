@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from gose.cli import main
-from gose.core import ConfigError
+from gose.core import ConfigError, EvalCounters
 from gose.harness import (NC_THRESHOLDS, ExperimentConfig, OUT_ENV_VAR,
-                          always_probe_baseline, resolve_out_dir, run_experiment,
-                          run_one, run_sweep, summary_line, trace_table,
-                          verify_nc_suite)
-from gose import (EscapeConfig, SmoothnessSpec, ToleranceConfig, get_problem,
-                  gose_deterministic)
+                          always_probe_baseline, build_configs, build_problem,
+                          resolve_out_dir, run_experiment, run_one, run_sweep,
+                          summary_line, trace_table, verify_nc_suite)
+from gose import (EscapeConfig, SmoothnessSpec, ToleranceConfig, as_counting,
+                  derive_scsg_params, get_problem, gose_deterministic,
+                  gose_finite_sum, gose_stochastic)
 
 
 CONVEX_CFG = {
@@ -134,6 +135,13 @@ def test_resolve_out_dir_env(monkeypatch):
     monkeypatch.setenv(OUT_ENV_VAR, "/tmp/custom_out")
     assert resolve_out_dir(None) == "/tmp/custom_out"
     assert resolve_out_dir("explicit") == "explicit"
+
+
+def test_build_problem_rejects_mode_the_problem_cannot_serve():
+    with pytest.raises(ConfigError, match="needs noise_sigma"):
+        build_problem(ExperimentConfig.from_dict({**CONVEX_CFG, "mode": "stochastic"}))
+    with pytest.raises(ConfigError, match="has no components"):
+        build_problem(ExperimentConfig.from_dict({**CONVEX_CFG, "mode": "finite_sum"}))
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +301,66 @@ def test_cli_run_rejects_unknown_solver(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+NOISY_BOWL_CFG = {
+    "problem": "bowl_saddle",
+    "problem_params": {"d": 10, "spectrum": [-1.0, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.0],
+                       "q": 0.5, "seed": 3},
+    "mode": "stochastic", "eps": 0.01, "eps_h": 0.5, "delta": 0.1, "L": 7.0, "rho": 1.0,
+    "noise_sigma": 0.05, "sigma": 0.05, "scsg_b": 32, "max_outer": 3,
+}
+
+PCA_CFG = {
+    "problem": "nonconvex_pca", "problem_params": {"n": 50, "d": 8, "seed": 13},
+    "mode": "finite_sum", "eps": 0.01, "eps_h": 0.5, "delta": 0.1, "L": 8.0, "rho": 1.0,
+}
+
+# settings outside their config's range: a config error before any oracle work
+OUT_OF_RANGE = pytest.mark.parametrize("cfg, named", [
+    ({**NOISY_BOWL_CFG, "c_conc": 0}, "c_conc"),
+    ({**PCA_CFG, "nc_budget_mult": 0}, "budget_mult"),
+    ({**NOISY_BOWL_CFG, "nc_engine": "oja", "nc_budget_mult": 0}, "budget_mult"),
+    ({**CHAINED_ORIGIN_CFG, "problem_params": {"d": 5}, "nc_budget_mult": 0}, "budget_mult"),
+    ({**NOISY_BOWL_CFG, "s_mult": -1}, "s_mult"),
+    ({**NOISY_BOWL_CFG, "s_mult": 0}, "s_mult"),
+    ({**NOISY_BOWL_CFG, "scsg_b": 0}, "scsg_b"),
+    ({**NOISY_BOWL_CFG, "scsg_B": 0}, "scsg_B"),
+], ids=["c_conc_zero", "budget_finite_sum", "budget_oja", "budget_deterministic",
+        "s_mult_negative", "s_mult_zero", "scsg_b_zero", "scsg_B_zero"])
+
+
+@OUT_OF_RANGE
+def test_cli_run_rejects_out_of_range_setting(tmp_path, capsys, cfg, named):
+    path = write_cfg(tmp_path, cfg)
+    code = main(["run", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    assert not (tmp_path / "out").exists()
+
+
+@OUT_OF_RANGE
+def test_out_of_range_setting_raises_before_any_oracle_work(cfg, named):
+    cfg = ExperimentConfig.from_dict(cfg)
+    spec = build_problem(cfg)
+    oracle = as_counting(spec.oracle)
+    with pytest.raises(ConfigError, match=named):
+        tol, smooth, esc, ncfg = build_configs(cfg, spec, 0)
+        if cfg.mode == "deterministic":
+            gose_deterministic(oracle, spec.x0, tol, smooth, esc, ncfg=ncfg)
+        else:
+            scsg = derive_scsg_params(tol, smooth, cfg.mode, n=oracle.n_components,
+                                      B_override=cfg.scsg_B, b_override=cfg.scsg_b)
+            driver = gose_stochastic if cfg.mode == "stochastic" else gose_finite_sum
+            driver(oracle, spec.x0, tol, smooth, esc, scsg_cfg=scsg, ncfg=ncfg)
+    assert oracle.counters == EvalCounters()
+
+
+def test_cli_run_rejects_removed_subsample_rule(tmp_path, capsys):
+    path = write_cfg(tmp_path, {**CONVEX_CFG, "s_rule": "auto"})
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert "unknown config fields: ['s_rule']" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_summary_line_is_strict_json_for_diverging_run():
     cfg = ExperimentConfig(problem="quadratic_saddle", problem_params={"d": 3},
@@ -373,6 +441,20 @@ def test_cli_sweep(tmp_path, capsys):
     code = main(["sweep", "--config", sweep_path, "--out", str(tmp_path / "out")])
     assert code == 0
     assert "work_units" in capsys.readouterr().out
+    assert (tmp_path / "out" / "sweep_summary.jsonl").exists()
+
+
+@pytest.mark.parametrize("c_h, code, failed", [((0.9, 1.4), 2, 2), ((0.5, 0.9), 0, 1)])
+def test_cli_sweep_exits_2_only_when_no_cell_ran(tmp_path, capsys, c_h, code, failed):
+    # c_h outside the gradient-growth window (0.2, 0.8) fails a cell
+    sweep_path = write_cfg(tmp_path, {"base": {**CONVEX_CFG, "seeds": [0, 1]},
+                                      "grid": {"c_h": list(c_h)}}, name="sweep.json")
+    assert main(["sweep", "--config", sweep_path, "--out", str(tmp_path / "out")]) == code
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[1:]
+    assert len(rows) == 2
+    assert sum("VALIDATION-FAILED: c_h=" in row for row in rows) == failed
+    assert ("no sweep cell passed validation" in captured.err) == (code == 2)
     assert (tmp_path / "out" / "sweep_summary.jsonl").exists()
 
 

@@ -91,6 +91,28 @@ def test_derive_stochastic_degenerate_clamp():
     assert cfg.b == cfg.B
 
 
+@pytest.mark.parametrize("mode", ["stochastic", "finite_sum"])
+@pytest.mark.parametrize("override", ["B_override", "b_override"])
+def test_derive_rejects_override_below_one(mode, override):
+    # an override below 1 is rejected, not clamped to 1
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5)
+    smooth = SmoothnessSpec(L=1.0, rho=1.0, h_star=0.005)
+    with pytest.raises(ConfigError, match=f"{override} \\(scsg_{override[0]}\\) must be >= 1"):
+        derive_scsg_params(tol, smooth, mode, n=50, **{override: 0})
+
+
+def test_degenerate_flag_derived_from_b_and_B():
+    assert ScsgConfig(B=4, b=4, eta=0.1, mode="stochastic").degenerate_sgd
+    assert not ScsgConfig(B=4, b=1, eta=0.1, mode="stochastic").degenerate_sgd
+    with pytest.raises(TypeError):  # derived, never passed
+        ScsgConfig(B=2, b=1, eta=0.1, mode="finite_sum", degenerate_sgd=True)
+    # a finite-sum minibatch clamped to n is plain SGD too
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5)
+    cfg = derive_scsg_params(tol, SmoothnessSpec(L=4.0, rho=1.0), "finite_sum",
+                             n=200, b_override=500)
+    assert cfg.degenerate_sgd
+
+
 def test_derive_requires_variance_bound():
     tol = ToleranceConfig(eps=0.01, eps_h=0.5)
     with pytest.raises(MissingVarianceBound):
@@ -373,14 +395,14 @@ def test_agd_beats_gd_on_conditioned_quadratic():
     gd_oracle = as_counting(prob.oracle)
     gd = gd_to_stationarity(gd_oracle, x0, 1.0, 1e-6)
     agd_oracle = as_counting(prob.oracle)
-    agd = guarded_agd(agd_oracle, x0, 1.0, 1.0, 1e-6)
+    agd = guarded_agd(agd_oracle, x0, 1.0, 1e-6)
     assert gd.converged and agd.converged
     assert agd_oracle.counters.grad_evals < gd_oracle.counters.grad_evals
 
 
 def test_agd_sphere_converges():
     sphere = get_problem("sphere", d=4)
-    res = guarded_agd(sphere.oracle, np.ones(4), 1.0, 1.0, 1e-8)
+    res = guarded_agd(sphere.oracle, np.ones(4), 1.0, 1e-8)
     assert res.converged
     assert np.linalg.norm(res.point) <= 1e-7
 
@@ -391,7 +413,7 @@ def test_agd_output_contract_on_nonconvex_starts():
         rng = np.random.default_rng(seed)
         chain = get_problem("chained_saddles", d=4)
         x0 = rng.uniform(-1.2, 1.2, 4)
-        res = guarded_agd(chain.oracle, x0, chain.known_L, 1.0, 1e-4,
+        res = guarded_agd(chain.oracle, x0, chain.known_L, 1e-4,
                           max_iters=50_000)
         assert chain.oracle.value(res.point) <= chain.oracle.value(x0) + 1e-12
         if res.converged:
@@ -407,11 +429,11 @@ def test_solver_convergence_budget_rule():
         delta_f = prob.oracle.value(x0)
         eps = 0.05
         budget = int(10 * 1.0 * delta_f / eps ** 2)
-        res = run_solver(name, prob.oracle, x0, 1.0, 1.0, eps, max_iters=budget)
+        res = run_solver(name, prob.oracle, x0, 1.0, eps, max_iters=budget)
         assert res.converged, name
 
 
 def test_run_solver_unknown_name():
     sphere = get_problem("sphere", d=2)
     with pytest.raises(ConfigError):
-        run_solver("newton", sphere.oracle, np.ones(2), 1.0, 1.0, 0.01)
+        run_solver("newton", sphere.oracle, np.ones(2), 1.0, 0.01)
