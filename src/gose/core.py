@@ -78,6 +78,41 @@ class DimensionTooLarge(GoseError, ValueError):
     pass
 
 
+class SizeOutOfRange(ConfigError):
+    """A size formula gave a count that is not finite, or above MAX_DRAWS."""
+
+
+# ---------------------------------------------------------------------------
+# Sizes
+
+
+# Cap on a draw or loop count that nothing clamps afterwards: about 10**4
+# times the largest the benchmark workloads draw (SCSG B = 11,053 on
+# stoch_bowl).  A loop of this many oracle calls already runs for hours, and
+# one stacked draw of it holds 8 * MAX_DRAWS * d bytes.  Not a setting.
+MAX_DRAWS = 10 ** 8
+
+
+def checked_size(name: str, formula: Callable[[], float], clamped: bool = False,
+                 **settings) -> int:
+    """int(ceil(formula())), the one path from a size formula to a count.
+
+    Raises SizeOutOfRange, naming `settings` (the formula's inputs, by name and
+    value), when the formula divides by zero, overflows or is not finite, or,
+    unless the caller clamps the count itself (clamped=True), exceeds
+    MAX_DRAWS.
+    """
+    try:
+        raw = formula()
+    except (ZeroDivisionError, OverflowError):
+        raw = math.inf
+    if math.isfinite(raw) and (clamped or raw <= MAX_DRAWS):
+        return int(math.ceil(raw))
+    given = ", ".join(f"{key}={value!r}" for key, value in settings.items())
+    problem = "is not finite" if not math.isfinite(raw) else f"= {raw:.6g} exceeds {MAX_DRAWS}"
+    raise SizeOutOfRange(f"{name} {problem}; from {given}")
+
+
 # ---------------------------------------------------------------------------
 # Evaluation accounting
 
@@ -296,9 +331,9 @@ class CountingOracle:
     calls are counted instead of an hvp_eval.
     """
 
-    def __init__(self, base: ObjectiveOracle, counters: Optional[EvalCounters] = None):
+    def __init__(self, base: ObjectiveOracle):
         self.base = base
-        self.counters = counters if counters is not None else EvalCounters()
+        self.counters = EvalCounters()
 
     @property
     def dimension(self):

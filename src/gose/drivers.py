@@ -18,14 +18,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (Certificate, EvalCounters, SmoothnessSpec, STATUS_BUDGET,
-                   STATUS_FIRST_ORDER, STATUS_SECOND_ORDER, ToleranceConfig,
-                   as_counting)
+from .core import (Certificate, ConfigError, EvalCounters, SmoothnessSpec,
+                   STATUS_BUDGET, STATUS_FIRST_ORDER, STATUS_SECOND_ORDER,
+                   ToleranceConfig, as_counting)
 from .escape import (EscapeConfig, one_step_deterministic, one_step_finite_sum,
                      one_step_stochastic)
 from .ncfind import NcConfig
-from .solvers import (ScsgConfig, check_solver, derive_scsg_params, run_solver,
-                      scsg_epoch)
+from .solvers import (DEFAULT_MAX_ITERS, DEFAULT_SOLVER, ScsgConfig, check_solver,
+                      derive_scsg_params, run_solver, scsg_epoch)
 
 LARGE = "large_gradient"
 SMALL = "small_gradient"
@@ -134,10 +134,10 @@ def _epoch_step(oracle, scsg_cfg, rng):
 
 def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
                        esc: EscapeConfig = EscapeConfig(),
-                       solver_choice: str = "gd",
+                       solver_choice: str = DEFAULT_SOLVER,
                        rng: Optional[np.random.Generator] = None,
                        ncfg: NcConfig = NcConfig(),
-                       solver_max_iters: int = 200_000) -> RunReport:
+                       solver_max_iters: int = DEFAULT_MAX_ITERS) -> RunReport:
     """Full-information driver.
 
     Per outer iteration: if ||grad f(x)|| > eps, run the first-order solver to
@@ -223,7 +223,7 @@ def amplify(run_once: Callable[[int], RunReport], reps: int,
     (1-p)**reps.
     """
     if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+        raise ConfigError(f"reps must be >= 1, got {reps}")
     reports = []
     for i in range(reps):
         report = run_once(base_seed + i)

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (ConfigError, NonPositiveConstant, SmoothnessSpec,
-                   ToleranceConfig, as_counting, validate_config)
+                   ToleranceConfig, as_counting, checked_size, validate_config)
 from .ncfind import (NcConfig, NcOutcome, approx_nc_deterministic,
                      approx_nc_finite_sum, approx_nc_stochastic)
 
@@ -38,7 +38,8 @@ class EscapeConfig:
     The subsample for the gradient estimate has ceil(s_mult * log(1/delta) /
     eps_h**2) draws, raised to the concentration size
     ceil(s_mult * sigma**2 * log(1/delta) / (c_conc * eps)**2), which is what
-    the decrease argument actually consumes, when sigma is known.
+    the decrease argument actually consumes, when sigma is known.  A size
+    above MAX_DRAWS, or one that is not finite, raises SizeOutOfRange.
     """
 
     c_h: float = 0.5
@@ -85,12 +86,16 @@ class EscapeConfig:
 
     def subsample_size(self, tol: ToleranceConfig, smooth: SmoothnessSpec) -> int:
         log_term = math.log(1.0 / tol.delta)
-        size = int(math.ceil(self.s_mult * log_term / tol.eps_h ** 2))
+        size = checked_size("escape subsample size",
+                            lambda: self.s_mult * log_term / tol.eps_h ** 2,
+                            s_mult=self.s_mult, delta=tol.delta, eps_h=tol.eps_h)
         if smooth.sigma is None:
             return size
-        return max(size, int(math.ceil(
-            self.s_mult * smooth.sigma ** 2 * log_term / (self.c_conc * tol.eps) ** 2
-        )))
+        return max(size, checked_size(
+            "escape concentration size",
+            lambda: self.s_mult * smooth.sigma ** 2 * log_term / (self.c_conc * tol.eps) ** 2,
+            s_mult=self.s_mult, sigma=smooth.sigma, delta=tol.delta, c_conc=self.c_conc,
+            eps=tol.eps))
 
 
 @dataclass

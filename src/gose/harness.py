@@ -32,7 +32,7 @@ from .ncfind import (NcBudget, NcConfig, approx_nc_deterministic,
 from .problems import (PROBLEM_FACTORIES, ProblemSpec, _planted_spectrum,
                        _quadratic_oracle, certify_second_order, get_problem,
                        with_gradient_noise)
-from .solvers import derive_scsg_params
+from .solvers import DEFAULT_MAX_ITERS, DEFAULT_SOLVER, derive_scsg_params
 
 OUT_ENV_VAR = "GOSE_OUT"
 DEFAULT_OUT = "gose_out"
@@ -51,28 +51,27 @@ class ExperimentConfig:
     mode: str = "deterministic"
     eps: float = 0.01
     eps_h: float = 0.5
-    delta: float = 0.01
-    c1: float = 1.0
+    delta: float = ToleranceConfig.delta
+    c1: float = ToleranceConfig.c1
     max_outer: int = 100
     seeds: list[int] = field(default_factory=lambda: [0])
     # smoothness; None means take the problem's declared constant
     L: Optional[float] = None
     rho: Optional[float] = None
-    rho_min: float = 1e-3
+    rho_min: float = SmoothnessSpec.rho_min
     h_star: Optional[float] = None
     sigma: Optional[float] = None
     noise_sigma: Optional[float] = None  # gradient noise added in stochastic mode
     # escape
-    c_h: float = 0.5
-    s_mult: float = 4.0
-    c_conc: float = 0.25
+    c_h: float = EscapeConfig.c_h
+    s_mult: float = EscapeConfig.s_mult
+    c_conc: float = EscapeConfig.c_conc
     # negative-curvature finder
-    nc_engine: str = "minibatch_lanczos"
-    nc_budget_mult: float = 4.0
-    nc_restarts: int = 1
+    nc_engine: str = NcConfig.engine
+    nc_budget_mult: float = NcConfig.budget_mult
     # first-order machinery
-    solver_choice: str = "gd"
-    solver_max_iters: int = 200_000
+    solver_choice: str = DEFAULT_SOLVER
+    solver_max_iters: int = DEFAULT_MAX_ITERS
     scsg_B: Optional[int] = None
     scsg_b: Optional[int] = None
     # orchestration
@@ -182,8 +181,7 @@ def build_configs(cfg: ExperimentConfig, spec: ProblemSpec, seed: int):
         h_star=h_star, sigma=sigma,
     )
     esc = EscapeConfig(c_h=cfg.c_h, s_mult=cfg.s_mult, c_conc=cfg.c_conc)
-    ncfg = NcConfig(budget_mult=cfg.nc_budget_mult, restarts=cfg.nc_restarts,
-                    engine=cfg.nc_engine)
+    ncfg = NcConfig(budget_mult=cfg.nc_budget_mult, engine=cfg.nc_engine)
     return tol, smooth, esc, ncfg
 
 
@@ -363,6 +361,8 @@ def sweep_table(rows: list) -> str:
 # ---------------------------------------------------------------------------
 # Negative-curvature contract suite (verify-nc)
 
+SUITE_NOISE = 0.02  # scale of the perturbations around the planted operators
+
 
 def _negative_spectrum(d: int, eps_h: float, rng) -> np.ndarray:
     spec = rng.uniform(-eps_h / 4.0, 1.0, size=d)
@@ -374,11 +374,10 @@ def _psd_spectrum(d: int, rng) -> np.ndarray:
     return rng.uniform(0.05, 1.0, size=d)
 
 
-def _finite_sum_quadratic(A: np.ndarray, n: int, noise: float,
-                          rng: np.random.Generator) -> ObjectiveOracle:
+def _finite_sum_quadratic(A: np.ndarray, n: int, rng: np.random.Generator) -> ObjectiveOracle:
     """n components (A + E_i) with sum_i E_i = 0 exactly."""
     d = A.shape[0]
-    E = rng.standard_normal((n, d, d)) * noise
+    E = rng.standard_normal((n, d, d)) * SUITE_NOISE
     E = 0.5 * (E + E.transpose(0, 2, 1))
     E -= E.mean(axis=0, keepdims=True)
     comps = A[None, :, :] + E
@@ -402,8 +401,7 @@ NC_THRESHOLDS = {
 
 def verify_nc_suite(d: int = 50, trials: int = 200, eps_h: float = 0.5,
                     delta: float = 0.01, engine: str = "deterministic",
-                    seed: int = 0, noise: float = 0.02,
-                    budget_mult: float = 4.0) -> dict:
+                    seed: int = 0) -> dict:
     """Statistical contract check on planted spectra.
 
     Half the battery plants lambda_min = -2*eps_h (expect a direction), half
@@ -414,7 +412,6 @@ def verify_nc_suite(d: int = 50, trials: int = 200, eps_h: float = 0.5,
     if engine not in NC_THRESHOLDS:
         raise ConfigError(f"unknown engine {engine!r}; options: {sorted(NC_THRESHOLDS)}")
     rng = np.random.default_rng(seed)
-    cfg = NcConfig(budget_mult=budget_mult)
     L = 2.0 * eps_h
     x = np.zeros(d)
 
@@ -423,15 +420,14 @@ def verify_nc_suite(d: int = 50, trials: int = 200, eps_h: float = 0.5,
             oracle = _quadratic_oracle(A)
             if engine == "fd":  # no analytic HVP: matvecs difference gradients
                 oracle = ObjectiveOracle(d, oracle.value, oracle.gradient)
-            return approx_nc_deterministic(oracle, x, eps_h, delta, L, rng, cfg)
+            return approx_nc_deterministic(oracle, x, eps_h, delta, L, rng)
         if engine == "finite_sum":
-            oracle = _finite_sum_quadratic(A, 32, noise, rng)
-            return approx_nc_finite_sum(oracle, x, eps_h, delta, L, rng, cfg)
+            oracle = _finite_sum_quadratic(A, 32, rng)
+            return approx_nc_finite_sum(oracle, x, eps_h, delta, L, rng)
         planted = ProblemSpec(name="planted", oracle=_quadratic_oracle(A),
                               known_L=L, known_rho=0.0, box=(-1.0, 1.0))
-        oracle = with_gradient_noise(planted, noise).oracle
-        scfg = dataclasses.replace(cfg, engine=engine)
-        return approx_nc_stochastic(oracle, x, eps_h, delta, L, rng, scfg)
+        oracle = with_gradient_noise(planted, SUITE_NOISE).oracle
+        return approx_nc_stochastic(oracle, x, eps_h, delta, L, rng, NcConfig(engine=engine))
 
     directions = unsound = 0
     for _ in range(trials):
@@ -475,11 +471,10 @@ def inject_asymmetric_probe(d: int = 10, seed: int = 0):
 def always_probe_baseline(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
                           esc: EscapeConfig = EscapeConfig(),
                           rng: Optional[np.random.Generator] = None,
-                          ncfg: NcConfig = NcConfig(),
-                          max_iters: int = 10_000) -> RunReport:
+                          ncfg: NcConfig = NcConfig()) -> RunReport:
     """Reference scheme that probes for negative curvature every iteration.
 
-    Runs the drivers' outer loop for max_iters iterations, but each iteration
+    Runs the drivers' outer loop for tol.max_outer iterations, but each iteration
     spends one finder call no matter where the iterate is: take a curvature
     step if a direction comes back, otherwise a single gradient step 1/L when
     ||grad f|| > eps, or stop on bottom when the gradient is already small.
@@ -498,5 +493,5 @@ def always_probe_baseline(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSp
         res = probe(x, g)
         return (res.point if res.escaped else x - g / smooth.L), None
 
-    return _drive(oracle, x0, max_iters, oracle.gradient, oracle.value, tol.eps,
+    return _drive(oracle, x0, tol.max_outer, oracle.gradient, oracle.value, tol.eps,
                   probe_or_gradient_step, probe, {}, tol.seed)

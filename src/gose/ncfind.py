@@ -23,7 +23,7 @@ from scipy.linalg.lapack import dstebz, dstein
 
 from .core import (AsymmetricOperator, BudgetZero, ConfigError, LapackFailure,
                    NonFiniteMeasurement, NonPositiveConstant, NotFiniteSum,
-                   NotStochastic, as_counting)
+                   NotStochastic, as_counting, checked_size)
 
 BOTTOM = "bottom"
 DIRECTION = "direction"
@@ -78,22 +78,18 @@ class NcConfig:
 
     budget_mult (in (0, inf)) scales the iteration/sample budgets (the
     asymptotic formulas carry unspecified constants, exposed here), so every
-    budget formula below yields at least 1.  restarts (>= 1) caps the
-    candidates one call may draw.  engine selects the stochastic core: a
-    minibatch-averaged Lanczos or the streaming power update on fresh draws
-    ("oja").
+    budget formula below yields at least 1.  engine selects the stochastic
+    core: a minibatch-averaged Lanczos or the streaming power update on fresh
+    draws ("oja").
     """
 
     budget_mult: float = 4.0
-    restarts: int = 1
     engine: str = "minibatch_lanczos"
 
     def __post_init__(self):
         if not (0.0 < self.budget_mult < math.inf):
             raise NonPositiveConstant(
                 f"budget_mult must be positive and finite, got {self.budget_mult}")
-        if self.restarts < 1:
-            raise BudgetZero(f"restarts must be >= 1, got {self.restarts}")
         if self.engine not in ENGINES:
             raise ConfigError(f"unknown stochastic engine {self.engine!r}; options: {ENGINES}")
 
@@ -103,28 +99,36 @@ class NcConfig:
 
 
 def det_max_matvecs(d: int, eps_h: float, delta: float, L: float, mult: float) -> int:
-    """ceil(mult * log(d/delta) * sqrt(L/eps_h))"""
-    return int(math.ceil(mult * math.log(d / delta) * math.sqrt(L / eps_h)))
+    """ceil(mult * log(d/delta) * sqrt(L/eps_h)); lanczos_min_eig clamps it to d"""
+    return checked_size("det_max_matvecs",
+                        lambda: mult * math.log(d / delta) * math.sqrt(L / eps_h), clamped=True,
+                        budget_mult=mult, delta=delta, L=L, eps_h=eps_h)
 
 
 def oja_total_samples(d: int, eps_h: float, delta: float, L: float, mult: float) -> int:
     """ceil(mult * log(d/delta)**2 * L**2 / eps_h**2)"""
-    return int(math.ceil(mult * math.log(d / delta) ** 2 * L ** 2 / eps_h ** 2))
+    return checked_size("oja_total_samples",
+                        lambda: mult * math.log(d / delta) ** 2 * L ** 2 / eps_h ** 2,
+                        budget_mult=mult, delta=delta, L=L, eps_h=eps_h)
 
 
 def stoch_minibatch(d: int, eps_h: float, L: float, mult: float) -> int:
     """ceil(mult * L**2 / eps_h**2 / sqrt(d)), per matvec"""
-    return int(math.ceil(mult * L ** 2 / eps_h ** 2 / math.sqrt(d)))
+    return checked_size("stoch_minibatch", lambda: mult * L ** 2 / eps_h ** 2 / math.sqrt(d),
+                        budget_mult=mult, L=L, eps_h=eps_h)
 
 
 def validation_batch(eps_h: float, L: float, mult: float) -> int:
     """ceil(mult * L**2 / eps_h**2), one fresh batch at exit"""
-    return int(math.ceil(mult * L ** 2 / eps_h ** 2))
+    return checked_size("validation_batch", lambda: mult * L ** 2 / eps_h ** 2,
+                        budget_mult=mult, L=L, eps_h=eps_h)
 
 
 def finite_sum_minibatch(n: int, eps_h: float, L: float, mult: float, max_matvecs: int) -> int:
     """min(n, ceil(mult * n**0.75 * sqrt(L/eps_h) / max_matvecs)), per matvec"""
-    m = int(math.ceil(mult * n ** 0.75 * math.sqrt(L / eps_h) / max_matvecs))
+    m = checked_size("finite_sum_minibatch",
+                     lambda: mult * n ** 0.75 * math.sqrt(L / eps_h) / max_matvecs, clamped=True,
+                     budget_mult=mult, L=L, eps_h=eps_h)
     return min(n, max(m, 1))
 
 
@@ -276,28 +280,22 @@ def _residual_can_pass(theta_prev: float, b_prev: float, b: float,
 # Finder front ends
 
 
-def _search(oracle, restarts: int, candidate: Callable, threshold: float) -> NcOutcome:
-    """The one finder skeleton: up to `restarts` candidates, best one validated.
+def _search(oracle, candidate: Callable, threshold: float) -> NcOutcome:
+    """The one finder skeleton: one candidate, validated against threshold.
 
-    candidate() returns (validated Rayleigh quotient, unit vector); the search
-    stops at the first quotient at or below threshold.  Counts the call and
-    its oracle work and returns a direction or bottom.
+    candidate() returns (validated Rayleigh quotient, unit vector).  Counts the
+    call and its oracle work and returns a direction if the quotient is at or
+    below threshold, bottom otherwise.
     """
     oracle.counters.nc_calls += 1
     start = oracle.counters.work_units()
-    best_ray, best_v = math.inf, None
-    for _ in range(restarts):
-        ray, v = candidate()
-        if not math.isfinite(ray):
-            raise NonFiniteMeasurement(f"candidate Rayleigh quotient is {ray}")
-        if ray < best_ray:
-            best_ray, best_v = ray, v
-        if best_ray <= threshold:
-            break
+    ray, v = candidate()
+    if not math.isfinite(ray):
+        raise NonFiniteMeasurement(f"candidate Rayleigh quotient is {ray}")
     cost = oracle.counters.work_units() - start
-    if best_ray <= threshold:
-        return NcOutcome(DIRECTION, best_v, best_ray, cost, best_ray)
-    return NcOutcome(BOTTOM, None, None, cost, best_ray)
+    if ray <= threshold:
+        return NcOutcome(DIRECTION, v, ray, cost, ray)
+    return NcOutcome(BOTTOM, None, None, cost, ray)
 
 
 def approx_nc_deterministic(oracle, x, eps_h: float, delta: float, L: float,
@@ -307,14 +305,14 @@ def approx_nc_deterministic(oracle, x, eps_h: float, delta: float, L: float,
 
     Matvecs are the oracle's HVPs: analytic when it has them, otherwise
     central differences of gradients (two gradient evals per matvec).  Cost
-    is at most restarts * (max_matvecs + 3) matvec-equivalents (probe 2,
-    exit 1), times two when differencing gradients.
+    is at most max_matvecs + 3 matvec-equivalents (probe 2, exit 1), times two
+    when differencing gradients.
     """
     oracle = as_counting(oracle)
     x = np.asarray(x, float)
     d = oracle.dimension
     mm = det_max_matvecs(d, eps_h, delta, L, cfg.budget_mult)
-    return _search(oracle, cfg.restarts,
+    return _search(oracle,
                    lambda: lanczos_min_eig(lambda v: oracle.hvp(x, v), d, NcBudget(mm), rng),
                    -eps_h / 2.0)
 
@@ -368,7 +366,7 @@ def approx_nc_stochastic(oracle, x, eps_h: float, delta: float, L: float,
         v = draw()
         return float(v @ mean_sample_hvp(v, m_val)), v
 
-    return _search(oracle, cfg.restarts, candidate, -(eps_h / 2.0 + eps_h / 8.0))
+    return _search(oracle, candidate, -(eps_h / 2.0 + eps_h / 8.0))
 
 
 def _index_mean_hvp(oracle, x, v, indices) -> np.ndarray:
@@ -407,4 +405,4 @@ def approx_nc_finite_sum(oracle, x, eps_h: float, delta: float, L: float,
         _, v = lanczos_min_eig(minibatch_hvp, d, NcBudget(mm), rng, probe_tol=None)
         return float(v @ _index_mean_hvp(oracle, x, v, range(n))), v
 
-    return _search(oracle, cfg.restarts, candidate, -eps_h / 2.0)
+    return _search(oracle, candidate, -eps_h / 2.0)

@@ -501,9 +501,8 @@ def certify_second_order(oracle, x, eps: float, eps_h: float):
     return (grad_norm <= eps and lam_min >= -eps_h), grad_norm, lam_min
 
 
-def verify_lipschitz_constants(spec: ProblemSpec, rng: np.random.Generator,
-                               pairs: int = 1000) -> bool:
-    """Spot-verify known_L and known_rho on random pairs in the box.
+def verify_lipschitz_constants(spec: ProblemSpec, rng: np.random.Generator) -> bool:
+    """Spot-verify known_L and known_rho on 1000 random pairs in the box.
 
     For each pair: ||grad f(x) - grad f(y)|| <= L ||x - y|| and
     ||H(x) - H(y)||_2 <= rho ||x - y|| + 1e-8.  Raises AssertionError naming
@@ -511,7 +510,7 @@ def verify_lipschitz_constants(spec: ProblemSpec, rng: np.random.Generator,
     """
     lo, hi = spec.box
     d = spec.oracle.dimension
-    for _ in range(pairs):
+    for _ in range(1000):
         x = rng.uniform(lo, hi, size=d)
         y = rng.uniform(lo, hi, size=d)
         dist = float(np.linalg.norm(x - y))

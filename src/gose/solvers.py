@@ -16,7 +16,10 @@ from typing import Optional
 import numpy as np
 
 from .core import (ConfigError, InvalidP, MissingVarianceBound,
-                   NonPositiveConstant, as_counting)
+                   NonPositiveConstant, as_counting, checked_size)
+
+DEFAULT_SOLVER = "gd"
+DEFAULT_MAX_ITERS = 200_000
 
 
 @dataclass
@@ -76,6 +79,7 @@ def derive_scsg_params(tol, smooth, mode: str, n: int = 0,
     eta = b**(2/3) / (6 L B**(2/3)).  The factor 96 keeps
     B >= 96 * h_star / eps**2, the level the epoch analysis assumes.  When the
     rule for b reaches B, b is clamped to B (the epoch is then plain SGD).
+    A B above MAX_DRAWS, or a size that is not finite, raises SizeOutOfRange.
 
     Finite-sum: B = n, b = 1, eta = 1/(L * n**(2/3)).
 
@@ -103,13 +107,16 @@ def derive_scsg_params(tol, smooth, mode: str, n: int = 0,
     if B_override is not None:
         B = int(B_override)
     else:  # h_star = 0 gives B = 0
-        B = max(int(math.ceil(96.0 * h_star * math.log(1.0 / tol.delta) / tol.eps ** 2)), 1)
+        B = max(checked_size("SCSG batch size B",
+                             lambda: 96.0 * h_star * math.log(1.0 / tol.delta) / tol.eps ** 2,
+                             h_star=h_star, delta=tol.delta, eps=tol.eps), 1)
     if b_override is not None:
         b = int(b_override)
     else:
-        b = max(int(math.ceil(
-            rho ** 6 * h_star * tol.eps ** 4 / (smooth.L ** 3 * tol.eps_h ** 9)
-        )), 1)
+        b = max(checked_size(
+            "SCSG minibatch size b",
+            lambda: rho ** 6 * h_star * tol.eps ** 4 / (smooth.L ** 3 * tol.eps_h ** 9),
+            clamped=True, rho=rho, h_star=h_star, eps=tol.eps, L=smooth.L, eps_h=tol.eps_h), 1)
     b = min(b, B)
     eta = b ** (2.0 / 3.0) / (6.0 * smooth.L * B ** (2.0 / 3.0))
     return ScsgConfig(B=B, b=b, eta=eta, mode=mode)
@@ -119,9 +126,11 @@ def estimate_variance_bound(oracle, x, rng: np.random.Generator,
                             samples: int = 512) -> float:
     """Pilot estimate of the gradient-variance bound h_star (= 2 sigma**2).
 
-    Twice the empirical mean squared deviation of `samples` stochastic
+    Twice the empirical mean squared deviation of `samples` (>= 2) stochastic
     gradients drawn at x; the factor two is slack for the pilot being local.
     """
+    if samples < 2:
+        raise ConfigError(f"samples must be >= 2 (one draw has no variance), got {samples}")
     oracle = as_counting(oracle)
     draws = np.stack([oracle.sample_gradient(x, rng) for _ in range(samples)])
     mean = draws.mean(axis=0)
@@ -166,7 +175,7 @@ def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
 
 
 def gd_to_stationarity(oracle, x0, L: float, eps: float,
-                       max_iters: int = 200_000) -> SolveResult:
+                       max_iters: int = DEFAULT_MAX_ITERS) -> SolveResult:
     """Plain gradient descent with step 1/L until ||grad f|| <= eps.
 
     Returns the first iterate meeting the condition; on budget exhaustion the
@@ -190,7 +199,7 @@ def gd_to_stationarity(oracle, x0, L: float, eps: float,
 
 
 def guarded_agd(oracle, x0, L: float, eps: float,
-                max_iters: int = 200_000) -> SolveResult:
+                max_iters: int = DEFAULT_MAX_ITERS) -> SolveResult:
     """Accelerated gradient descent with a nonconvexity guard.
 
     Nesterov extrapolation with the usual momentum schedule; whenever the
@@ -243,7 +252,7 @@ def check_solver(choice: str) -> None:
 
 
 def run_solver(choice: str, oracle, x0, L: float, eps: float,
-               max_iters: int = 200_000) -> SolveResult:
+               max_iters: int = DEFAULT_MAX_ITERS) -> SolveResult:
     """Dispatch on the solver name; any solver obeys the same output contract."""
     check_solver(choice)
     if choice == "agd":

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gose import EscapeConfig, NcConfig, SmoothnessSpec, ToleranceConfig
-from gose.core import MODES, BudgetZero, ConfigError, NonPositiveConstant
+from gose.core import MODES, ConfigError, NonPositiveConstant
 from gose.harness import ExperimentConfig
 
 deterministic = settings(derandomize=True, database=None, deadline=None)
@@ -53,19 +53,17 @@ def in_open_range(val, lo, hi):
 
 
 @deterministic
-@given(budget_mult=st.floats(), restarts=st.integers(-3, 5),
+@given(budget_mult=st.floats(),
        engine=st.sampled_from(["minibatch_lanczos", "oja"]) | st.text())
-def test_nc_config_rejects_exactly_bad_budget_restarts_or_engine(budget_mult, restarts, engine):
+def test_nc_config_rejects_exactly_bad_budget_or_engine(budget_mult, engine):
     if not in_open_range(budget_mult, 0.0, math.inf):
         expected = NonPositiveConstant
-    elif restarts < 1:
-        expected = BudgetZero
     elif engine not in ("minibatch_lanczos", "oja"):
         expected = ConfigError
     else:
         expected = None
     try:
-        NcConfig(budget_mult=budget_mult, restarts=restarts, engine=engine)
+        NcConfig(budget_mult=budget_mult, engine=engine)
     except ConfigError as exc:
         assert expected is not None and isinstance(exc, expected)
         if expected is NonPositiveConstant:

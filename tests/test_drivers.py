@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -306,6 +307,11 @@ def test_amplify_reps_one_is_identity():
     assert not out.all_runs_failed
 
 
+def test_amplify_rejects_no_repetition():
+    with pytest.raises(ConfigError, match="reps must be >= 1, got 0"):
+        amplify(lambda seed: fake_report(0.5, [1.0]), 0, lambda p: True)
+
+
 def test_amplify_returns_first_certified():
     calls = []
 
@@ -363,8 +369,7 @@ NAN_RUNNERS = {
     "deterministic": lambda o, tol, sm, rng: gose_deterministic(o, np.zeros(3), tol, sm, rng=rng),
     "stochastic": lambda o, tol, sm, rng: gose_stochastic(o, np.zeros(3), tol, sm, rng=rng),
     "finite_sum": lambda o, tol, sm, rng: gose_finite_sum(o, np.zeros(3), tol, sm, rng=rng),
-    "baseline": lambda o, tol, sm, rng: always_probe_baseline(o, np.zeros(3), tol, sm, rng=rng,
-                                                              max_iters=tol.max_outer),
+    "baseline": lambda o, tol, sm, rng: always_probe_baseline(o, np.zeros(3), tol, sm, rng=rng),
 }
 
 
@@ -464,14 +469,26 @@ def test_baseline_trace_marks_every_escape_step():
     assert any(r.branch == LARGE and r.escape_taken for r in report.trace)
 
 
+def test_baseline_runs_max_outer_iterations():
+    # the origin is a saddle of every coordinate: bottom is many steps away
+    prob = get_problem("chained_saddles", d=5)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=3, seed=0)
+    smooth = SmoothnessSpec(L=prob.known_L, rho=1.0)
+    report = always_probe_baseline(prob.oracle, prob.x0, tol, smooth,
+                                   rng=np.random.default_rng(0))
+    assert report.certificate.counters.outer_iters == 3
+    assert [r.k for r in report.trace] == [1, 2, 3]
+    assert report.certificate.status == STATUS_BUDGET
+
+
 def test_runs_ending_without_bottom_report_no_curvature_estimate():
     # both runs escape the origin (lambda_min = -2) and end at a later point
     # whose curvature no finder measured
     prob = get_problem("chained_saddles", d=5)
     tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=2, seed=0)
     smooth = SmoothnessSpec(L=prob.known_L, rho=1.0)
-    baseline = always_probe_baseline(prob.oracle, prob.x0, tol, smooth,
-                                     rng=np.random.default_rng(0), max_iters=3)
+    baseline = always_probe_baseline(prob.oracle, prob.x0, dataclasses.replace(tol, max_outer=3),
+                                     smooth, rng=np.random.default_rng(0))
     driver = run_det(prob, tol, smooth)
     for report, status in ((baseline, STATUS_BUDGET), (driver, STATUS_FIRST_ORDER)):
         c = report.certificate

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 
@@ -10,7 +11,7 @@ from gose.harness import (NC_THRESHOLDS, ExperimentConfig, OUT_ENV_VAR,
                           always_probe_baseline, build_configs, build_problem,
                           resolve_out_dir, run_experiment, run_one, run_sweep,
                           summary_line, trace_table, verify_nc_suite)
-from gose import (EscapeConfig, SmoothnessSpec, ToleranceConfig, as_counting,
+from gose import (EscapeConfig, NcConfig, SmoothnessSpec, ToleranceConfig, as_counting,
                   derive_scsg_params, get_problem, gose_deterministic,
                   gose_finite_sum, gose_stochastic)
 
@@ -280,9 +281,11 @@ CHAINED_ORIGIN_CFG = {
     ({**CHAINED_ORIGIN_CFG, "nc_restarts": 0}, []),
     (CONVEX_CFG, ["--engine", "bogus"]),
     ({**CONVEX_CFG, "mode": "stochastic", "noise_sigma": 0.05}, ["--engine", "bogus"]),
-], ids=["nc_restarts_zero", "engine_deterministic", "engine_stochastic"])
+], ids=["nc_restarts_unknown", "engine_deterministic", "engine_stochastic"])
 def test_cli_run_rejects_bad_finder_setting(tmp_path, capsys, cfg, extra):
-    # a finder that may draw no candidate would certify a saddle unseen
+    # every finder call runs one candidate, so the removed nc_restarts key is
+    # an unknown field; an unknown engine is rejected even where the mode never
+    # runs the stochastic finder
     path = write_cfg(tmp_path, cfg)
     code = main(["run", "--config", path, "--out", str(tmp_path / "out"), *extra])
     assert code == 2
@@ -353,6 +356,37 @@ def test_out_of_range_setting_raises_before_any_oracle_work(cfg, named):
             driver = gose_stochastic if cfg.mode == "stochastic" else gose_finite_sum
             driver(oracle, spec.x0, tol, smooth, esc, scsg_cfg=scsg, ncfg=ncfg)
     assert oracle.counters == EvalCounters()
+
+
+# settings inside their ranges whose sizes divide by zero, overflow or pass
+# MAX_DRAWS on the noisy bowl: a config error naming the setting and its value
+@pytest.mark.parametrize("cfg, named", [
+    ({**NOISY_BOWL_CFG, "c_conc": 1e-200}, "c_conc=1e-200"),
+    ({**NOISY_BOWL_CFG, "s_mult": 1e300}, "s_mult=1e+300"),
+    ({**NOISY_BOWL_CFG, "nc_budget_mult": 1e308}, "budget_mult=1e+308"),
+    ({**NOISY_BOWL_CFG, "eps": 1e-200}, "eps=1e-200"),
+    ({**NOISY_BOWL_CFG, "h_star": 1e300}, "h_star=1e+300"),
+], ids=["c_conc_tiny", "s_mult_huge", "budget_mult_huge", "eps_tiny", "h_star_huge"])
+def test_cli_run_rejects_size_out_of_range(tmp_path, capsys, cfg, named):
+    path = write_cfg(tmp_path, cfg)
+    code = main(["run", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_defaults_are_the_library_defaults():
+    # gose run builds the configs a library caller gets by default
+    cfg = ExperimentConfig()
+    tol, smooth, esc, ncfg = build_configs(cfg, build_problem(cfg), 0)
+    assert esc == EscapeConfig() and ncfg == NcConfig()
+    default_tol = ToleranceConfig(eps=cfg.eps, eps_h=cfg.eps_h)
+    assert (tol.delta, tol.c1) == (default_tol.delta, default_tol.c1)
+    assert smooth.rho_min == SmoothnessSpec(L=1.0).rho_min
+    solver = inspect.signature(gose_deterministic).parameters
+    assert cfg.solver_choice == solver["solver_choice"].default
+    assert cfg.solver_max_iters == solver["solver_max_iters"].default
 
 
 def test_cli_run_rejects_removed_subsample_rule(tmp_path, capsys):

@@ -1,13 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
+
+import gose.ncfind
 
 from gose import (NcBudget, NcConfig, ObjectiveOracle, approx_nc_deterministic,
                   approx_nc_finite_sum, approx_nc_stochastic, as_counting,
                   get_problem, lanczos_min_eig, make_nonconvex_pca,
                   with_gradient_noise)
-from gose.core import (AsymmetricOperator, BudgetZero, LapackFailure,
-                       NonFiniteMeasurement, NotFiniteSum, NotStochastic)
+from gose.core import (MAX_DRAWS, AsymmetricOperator, BudgetZero, LapackFailure,
+                       NonFiniteMeasurement, NotFiniteSum, NotStochastic,
+                       SizeOutOfRange)
+from gose.harness import verify_nc_suite
 from gose.ncfind import (_random_unit, _symmetry_probe, det_max_matvecs,
                          eigh_tridiagonal, finite_sum_minibatch, oja_total_samples,
                          stoch_minibatch, validation_batch)
@@ -57,8 +63,6 @@ def test_lanczos_rejects_asymmetric_operator(rng):
 def test_lanczos_budget_validation(rng):
     with pytest.raises(BudgetZero):
         NcBudget(0)
-    with pytest.raises(BudgetZero):
-        NcConfig(restarts=0)
 
 
 def test_lanczos_non_finite_operator_raises_typed(rng):
@@ -231,16 +235,16 @@ def test_nc_det_fd_source_matches_contract(rng):
 
 
 def test_nc_det_budget_compliance(rng):
-    cfg = NcConfig(budget_mult=4.0, restarts=1)
+    cfg = NcConfig(budget_mult=4.0)
     mm = det_max_matvecs(12, 0.5, 0.01, 1.0, 4.0)
     spec = np.linspace(-1.0, 1.0, 12)
     A = planted_symmetric(12, spec, rng)
     out = approx_nc_deterministic(matrix_oracle(A), np.zeros(12), 0.5, 0.01, 1.0, rng, cfg)
-    assert out.hvp_or_grad_cost <= cfg.restarts * (mm + 3)
+    assert out.hvp_or_grad_cost <= mm + 3
 
     bare = ObjectiveOracle(12, lambda x: 0.5 * float(x @ (A @ x)), lambda x: A @ x)
     out_fd = approx_nc_deterministic(bare, np.zeros(12), 0.5, 0.01, 1.0, rng, cfg)
-    assert out_fd.hvp_or_grad_cost <= 2 * cfg.restarts * (mm + 3)
+    assert out_fd.hvp_or_grad_cost <= 2 * (mm + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +321,7 @@ def test_nc_stochastic_requires_capability(rng):
 def test_nc_stochastic_budget_compliance(rng):
     A = np.diag([1.0, -1.0, 0.3, 0.7])
     oracle = as_counting(zero_variance_stochastic(A))
-    cfg = NcConfig(budget_mult=2.0, restarts=1, engine="minibatch_lanczos")
+    cfg = NcConfig(budget_mult=2.0, engine="minibatch_lanczos")
     out = approx_nc_stochastic(oracle, np.zeros(4), 0.5, 0.01, 1.0, rng, cfg)
     mm = det_max_matvecs(4, 0.5, 0.01, 1.0, 2.0)
     m = stoch_minibatch(4, 0.5, 1.0, 2.0)
@@ -325,10 +329,21 @@ def test_nc_stochastic_budget_compliance(rng):
     assert out.hvp_or_grad_cost <= (mm + 1) * m + m_val
 
     oracle2 = as_counting(zero_variance_stochastic(A))
-    cfg2 = NcConfig(budget_mult=1.0, restarts=1, engine="oja")
+    cfg2 = NcConfig(budget_mult=1.0, engine="oja")
     out2 = approx_nc_stochastic(oracle2, np.zeros(4), 0.5, 0.01, 1.0, rng, cfg2)
     total = oja_total_samples(4, 0.5, 0.01, 1.0, 1.0)
     assert out2.hvp_or_grad_cost <= total + validation_batch(0.5, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("spectrum", [[1.0, -1.0, 0.3, 0.7], [1.0, 0.2, 0.3, 0.7]])
+def test_oja_call_costs_its_budget_exactly(spectrum, rng):
+    # one stream of oja_total_samples draws, then one validation batch
+    oracle = as_counting(zero_variance_stochastic(np.diag(spectrum)))
+    cfg = NcConfig(budget_mult=1.0, engine="oja")
+    out = approx_nc_stochastic(oracle, np.zeros(4), 0.5, 0.01, 1.0, rng, cfg)
+    assert out.is_direction == (min(spectrum) < 0.0)
+    assert out.hvp_or_grad_cost == (oja_total_samples(4, 0.5, 0.01, 1.0, 1.0)
+                                    + validation_batch(0.5, 1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +399,55 @@ def test_nc_finite_sum_budget_compliance(rng):
 
 # ---------------------------------------------------------------------------
 # shared contract details
+
+
+@pytest.mark.parametrize("engine", ["deterministic", "fd", "finite_sum", "minibatch_lanczos"])
+def test_finder_call_runs_lanczos_once(engine, monkeypatch):
+    # one candidate per counted call, whether it ends a direction or bottom
+    runs = []
+    lanczos = gose.ncfind.lanczos_min_eig
+
+    def counted(*args, **kwargs):
+        runs.append(engine)
+        return lanczos(*args, **kwargs)
+
+    monkeypatch.setattr(gose.ncfind, "lanczos_min_eig", counted)
+    result = verify_nc_suite(d=10, trials=5, engine=engine)
+    assert result["direction_rate"] > 0.0 and result["bottom_rate_psd"] > 0.0
+    assert len(runs) == 2 * result["trials"]
+
+
+# budgets that nothing clamps afterwards, as functions of budget_mult
+UNCLAMPED_BUDGETS = {
+    "oja_total_samples": lambda mult: oja_total_samples(10, 0.5, 0.01, 1.0, mult),
+    "stoch_minibatch": lambda mult: stoch_minibatch(10, 0.5, 1.0, mult),
+    "validation_batch": lambda mult: validation_batch(0.5, 1.0, mult),
+}
+
+
+@pytest.mark.parametrize("name", list(UNCLAMPED_BUDGETS))
+@pytest.mark.parametrize("mult, problem", [(1e300, "exceeds"), (1e308, "is not finite")])
+def test_unclamped_budget_out_of_range_names_budget_mult(name, mult, problem):
+    with pytest.raises(SizeOutOfRange, match=re.escape(name) + f".*{problem}.*"
+                       + re.escape(f"budget_mult={mult!r}")):
+        UNCLAMPED_BUDGETS[name](mult)
+
+
+def test_budget_cap_is_inclusive():
+    # validation_batch = ceil(4 * mult) at eps_h = 0.5, L = 1; both products are exact
+    assert validation_batch(0.5, 1.0, MAX_DRAWS / 4) == MAX_DRAWS
+    with pytest.raises(SizeOutOfRange, match="validation_batch = 1e\\+08 exceeds"):
+        validation_batch(0.5, 1.0, (MAX_DRAWS + 1) / 4)
+
+
+def test_clamped_budgets_need_only_be_finite():
+    # Lanczos clamps max_matvecs to d, and the finite-sum minibatch is clamped to n
+    assert det_max_matvecs(10, 0.5, 0.01, 1.0, 1e300) > MAX_DRAWS
+    assert finite_sum_minibatch(50, 0.5, 1.0, 1e300, 5) == 50
+    with pytest.raises(SizeOutOfRange, match="det_max_matvecs is not finite"):
+        det_max_matvecs(10, 0.5, 0.01, 1.0, 1e308)
+    with pytest.raises(SizeOutOfRange, match="finite_sum_minibatch is not finite"):
+        finite_sum_minibatch(50, 0.5, 1.0, 1e308, 5)
 
 
 def test_nc_call_counter_increments(rng):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from gose import (ObjectiveOracle, ScsgConfig, SmoothnessSpec, ToleranceConfig,
                   as_counting, derive_scsg_params, estimate_variance_bound,
                   gd_to_stationarity, get_problem, guarded_agd,
                   sample_geometric, scsg_epoch, with_gradient_noise)
-from gose.core import ConfigError, CountingOracle, InvalidP, MissingVarianceBound
+from gose.core import (ConfigError, CountingOracle, InvalidP, MissingVarianceBound,
+                       SizeOutOfRange)
 from gose.problems import as_finite_sum
 from gose.solvers import run_solver
 from conftest import planted_symmetric
@@ -113,6 +115,27 @@ def test_degenerate_flag_derived_from_b_and_B():
     assert cfg.degenerate_sgd
 
 
+@pytest.mark.parametrize("smooth_kw, tol_kw, named", [
+    ({"h_star": 1e300}, {}, "h_star=1e+300"),       # B past MAX_DRAWS
+    ({"h_star": 0.005}, {"eps": 1e-200}, "eps=1e-200"),  # eps**2 underflows to 0
+])
+def test_derive_rejects_batch_size_out_of_range(smooth_kw, tol_kw, named):
+    tol = ToleranceConfig(**{"eps": 0.01, "eps_h": 0.5, **tol_kw})
+    smooth = SmoothnessSpec(L=1.0, rho=1.0, **smooth_kw)
+    with pytest.raises(SizeOutOfRange, match="SCSG batch size B .*" + re.escape(named)):
+        derive_scsg_params(tol, smooth, "stochastic")
+
+
+def test_derive_minibatch_rule_raises_only_when_not_finite():
+    # rho**6 overflows at rho=1e60; a finite b rule of any size is clamped to B
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5)
+    smooth = SmoothnessSpec(L=1.0, rho=1e60, h_star=0.005)
+    with pytest.raises(SizeOutOfRange, match="SCSG minibatch size b is not finite"):
+        derive_scsg_params(tol, smooth, "stochastic")
+    cfg = derive_scsg_params(tol, SmoothnessSpec(L=1.0, rho=1e40, h_star=0.005), "stochastic")
+    assert cfg.b == cfg.B
+
+
 def test_derive_requires_variance_bound():
     tol = ToleranceConfig(eps=0.01, eps_h=0.5)
     with pytest.raises(MissingVarianceBound):
@@ -146,6 +169,13 @@ def test_estimate_variance_bound_near_two_sigma_squared(rng):
     est = estimate_variance_bound(noisy.oracle, np.ones(8), rng, samples=512)
     # draws have E||noise||^2 = sigma^2 = 0.04, so the estimate targets 0.08
     assert 0.05 <= est <= 0.12
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_estimate_variance_bound_needs_two_draws(rng, samples):
+    noisy = with_gradient_noise(get_problem("sphere", d=2), sigma=0.2)
+    with pytest.raises(ConfigError, match=f"samples must be >= 2.*got {samples}"):
+        estimate_variance_bound(noisy.oracle, np.ones(2), rng, samples=samples)
 
 
 # ---------------------------------------------------------------------------
