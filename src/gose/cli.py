@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 
@@ -17,6 +18,9 @@ from .core import MODES, ConfigError, GoseError
 from .harness import (ExperimentConfig, inject_asymmetric_probe, run_experiment,
                       run_sweep, summary_line, sweep_table, verify_nc_suite)
 from .problems import list_problems
+
+
+_SUITE_PARAMS = inspect.signature(verify_nc_suite).parameters
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,12 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default=None)
 
     p_nc = sub.add_parser("verify-nc", help="statistical contract suite for the NC finders")
-    p_nc.add_argument("--d", type=int, default=50)
-    p_nc.add_argument("--trials", type=int, default=200)
-    p_nc.add_argument("--eps-h", type=float, default=0.5)
-    p_nc.add_argument("--delta", type=float, default=0.01)
-    p_nc.add_argument("--engine", default="deterministic")
-    p_nc.add_argument("--seed", type=int, default=0)
+    # one option per verify_nc_suite parameter, with its default and type
+    for name, param in _SUITE_PARAMS.items():
+        p_nc.add_argument("--" + name.replace("_", "-"), type=type(param.default),
+                          default=param.default)
     p_nc.add_argument("--inject-asymmetric", action="store_true",
                       help="feed an asymmetric operator to demonstrate the probe")
 
@@ -79,8 +81,7 @@ def cmd_verify_nc(args) -> int:
     if args.inject_asymmetric:
         inject_asymmetric_probe(d=min(args.d, 20), seed=args.seed)
         return 0  # unreachable; the probe raises
-    result = verify_nc_suite(d=args.d, trials=args.trials, eps_h=args.eps_h,
-                             delta=args.delta, engine=args.engine, seed=args.seed)
+    result = verify_nc_suite(**{name: getattr(args, name) for name in _SUITE_PARAMS})
     print(f"{'engine':<20} {'direction_rate':>15} {'bottom_rate_psd':>16} {'unsound':>8} {'pass':>6}")
     print(f"{result['engine']:<20} {result['direction_rate']:>15.3f} "
           f"{result['bottom_rate_psd']:>16.3f} {result['unsound_directions']:>8} "

@@ -179,7 +179,9 @@ class ObjectiveOracle:
     It receives either one point of shape (d,) or a (k, d) stack of points;
     for a stack it must evaluate the same m draws at every row and return a
     (k, d) array.  The SCSG epoch relies on this to evaluate its minibatch at
-    the current point and at the anchor in one call.
+    the current point and at the anchor in one call.  A sample_hvp_batch(x,
+    v, m, rng) callable likewise returns the mean of m HVP draws at x along v;
+    it needs sample_hvp, which serves single draws.
     """
 
     def __init__(self, dimension: int,
@@ -192,13 +194,16 @@ class ObjectiveOracle:
                  component_gradient_batch: Optional[Callable] = None,
                  sample_gradient: Optional[Callable] = None,
                  sample_hvp: Optional[Callable] = None,
-                 sample_gradient_batch: Optional[Callable] = None):
+                 sample_gradient_batch: Optional[Callable] = None,
+                 sample_hvp_batch: Optional[Callable] = None):
         if dimension < 1:
             raise NonPositiveConstant("dimension must be a positive integer")
         if n_components < 0:
             raise NonPositiveConstant("n_components must be nonnegative")
         if n_components > 0 and component_gradient is None:
             raise ConfigError("finite-sum oracle needs component_gradient")
+        if sample_hvp_batch is not None and sample_hvp is None:
+            raise ConfigError("sample_hvp_batch needs sample_hvp")
         self.dimension = int(dimension)
         self.n_components = int(n_components)
         self._value = value
@@ -210,6 +215,7 @@ class ObjectiveOracle:
         self._sample_gradient = sample_gradient
         self._sample_hvp = sample_hvp
         self._sample_gradient_batch = sample_gradient_batch
+        self._sample_hvp_batch = sample_hvp_batch
         self.capabilities = Capabilities(
             finite_sum=self.n_components > 0,
             stochastic=sample_gradient is not None,
@@ -278,10 +284,29 @@ class ObjectiveOracle:
         means /= max(int(m), 1)
         return means.reshape(x.shape)
 
-    def sample_hvp(self, x, v, rng: np.random.Generator) -> np.ndarray:
-        if self._sample_hvp is not None:
-            return np.asarray(self._sample_hvp(np.asarray(x, float), np.asarray(v, float), rng), float)
-        return _finite_diff_sample_hvp(self, x, v, rng)
+    def sample_hvp(self, x, v, rng: np.random.Generator, m: int = 1) -> np.ndarray:
+        """Mean of m stochastic HVP draws at x along v (one draw for m == 1).
+
+        For m > 1 the batch callable, if given, returns the mean; otherwise the
+        draws are summed in order and divided by m.
+        """
+        x, v = np.asarray(x, float), np.asarray(v, float)
+        if m > 1 and self._sample_hvp_batch is not None:
+            return np.asarray(self._sample_hvp_batch(x, v, int(m), rng), float)
+        if self._sample_hvp is None:
+            return _mean_of_draws(lambda: _finite_diff_sample_hvp(self, x, v, rng), self.dimension, m)
+        return _mean_of_draws(lambda: np.asarray(self._sample_hvp(x, v, rng), float),
+                              self.dimension, m)
+
+
+def _mean_of_draws(draw: Callable, d: int, m: int) -> np.ndarray:
+    """draw() for m == 1; else m draws summed in order into zeros(d), over m."""
+    if m == 1:
+        return draw()
+    acc = np.zeros(d)
+    for _ in range(int(m)):
+        acc += draw()
+    return acc / m
 
 
 def _central_diff(grad: Callable, x, v) -> np.ndarray:
@@ -386,11 +411,11 @@ class CountingOracle:
         self.counters.stoch_grad_evals += int(m) * rows
         return self.base.sample_gradient_batch(x, m, rng)
 
-    def sample_hvp(self, x, v, rng):
+    def sample_hvp(self, x, v, rng, m=1):
         if self.base._sample_hvp is None:
-            return _finite_diff_sample_hvp(self, x, v, rng)
-        self.counters.hvp_evals += 1
-        return self.base.sample_hvp(x, v, rng)
+            return _mean_of_draws(lambda: _finite_diff_sample_hvp(self, x, v, rng), self.dimension, m)
+        self.counters.hvp_evals += int(m)
+        return self.base.sample_hvp(x, v, rng, m)
 
 
 def as_counting(oracle) -> CountingOracle:

@@ -21,8 +21,8 @@ import numpy as np
 from .core import (Certificate, ConfigError, EvalCounters, SmoothnessSpec,
                    STATUS_BUDGET, STATUS_FIRST_ORDER, STATUS_SECOND_ORDER,
                    ToleranceConfig, as_counting)
-from .escape import (EscapeConfig, one_step_deterministic, one_step_finite_sum,
-                     one_step_stochastic)
+from .escape import (EscapeConfig, check_run, one_step_deterministic,
+                     one_step_finite_sum, one_step_stochastic)
 from .ncfind import NcConfig
 from .solvers import (DEFAULT_MAX_ITERS, DEFAULT_SOLVER, ScsgConfig, check_solver,
                       derive_scsg_params, run_solver, scsg_epoch)
@@ -145,7 +145,7 @@ def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     step.  A bottom outcome certifies the current point (subject to the
     finder's delta).
     """
-    esc.validate(tol, smooth, "deterministic")
+    check_run(oracle, tol, smooth, esc, ncfg, "deterministic")
     check_solver(solver_choice)
     rng = rng if rng is not None else np.random.default_rng(tol.seed)
     oracle = as_counting(oracle)
@@ -173,7 +173,7 @@ def gose_stochastic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     at that same batch gradient or take one stochastic escape step.  Only the
     sampling oracles are called, so trace rows carry f_value None.
     """
-    esc.validate(tol, smooth, "stochastic")
+    check_run(oracle, tol, smooth, esc, ncfg, "stochastic")
     rng = rng if rng is not None else np.random.default_rng(tol.seed)
     oracle = as_counting(oracle)
     if scsg_cfg is None:
@@ -198,7 +198,7 @@ def gose_finite_sum(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     iteration and branches at eps (not eps/2); the epoch uses batch size n and
     minibatch size 1.
     """
-    esc.validate(tol, smooth, "finite_sum")
+    check_run(oracle, tol, smooth, esc, ncfg, "finite_sum")
     rng = rng if rng is not None else np.random.default_rng(tol.seed)
     oracle = as_counting(oracle)
     if scsg_cfg is None:

@@ -20,7 +20,7 @@ import numpy as np
 from .core import (ConfigError, NonPositiveConstant, SmoothnessSpec,
                    ToleranceConfig, as_counting, checked_size, validate_config)
 from .ncfind import (NcConfig, NcOutcome, approx_nc_deterministic,
-                     approx_nc_finite_sum, approx_nc_stochastic)
+                     approx_nc_finite_sum, approx_nc_stochastic, finder_sizes)
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,20 @@ class EscapeConfig:
             lambda: self.s_mult * smooth.sigma ** 2 * log_term / (self.c_conc * tol.eps) ** 2,
             s_mult=self.s_mult, sigma=smooth.sigma, delta=tol.delta, c_conc=self.c_conc,
             eps=tol.eps))
+
+
+def check_run(oracle, tol: ToleranceConfig, smooth: SmoothnessSpec, esc: EscapeConfig,
+              ncfg: NcConfig, mode: str) -> None:
+    """The entry check of a run in `mode`, before any oracle work.
+
+    esc.validate, then every size the run's finder and escapes will draw,
+    computed by the functions that draw them: the finder sizes of `mode` and
+    ncfg.engine, and in stochastic mode the escape subsample.
+    """
+    esc.validate(tol, smooth, mode)
+    finder_sizes(mode, oracle, tol.eps_h, tol.delta, smooth.L, ncfg)
+    if mode == "stochastic":
+        esc.subsample_size(tol, smooth)
 
 
 @dataclass

@@ -25,7 +25,7 @@ from .core import (MODES, ConfigError, DimensionTooLarge, EvalCounters,
                    as_counting)
 from .drivers import (RunReport, _drive, gose_deterministic, gose_finite_sum,
                       gose_stochastic)
-from .escape import EscapeConfig, one_step_deterministic
+from .escape import EscapeConfig, check_run, one_step_deterministic
 from .ncfind import (NcBudget, NcConfig, approx_nc_deterministic,
                      approx_nc_finite_sum, approx_nc_stochastic,
                      lanczos_min_eig)
@@ -481,7 +481,7 @@ def always_probe_baseline(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSp
     Exists purely to quantify how many probes the region-splitting drivers
     save.
     """
-    esc.validate(tol, smooth, "deterministic")
+    check_run(oracle, tol, smooth, esc, ncfg, "deterministic")
     rng = rng if rng is not None else np.random.default_rng(tol.seed)
     oracle = as_counting(oracle)
 

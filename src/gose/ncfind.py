@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg.lapack import dstebz, dstein
@@ -130,6 +130,35 @@ def finite_sum_minibatch(n: int, eps_h: float, L: float, mult: float, max_matvec
                      lambda: mult * n ** 0.75 * math.sqrt(L / eps_h) / max_matvecs, clamped=True,
                      budget_mult=mult, L=L, eps_h=eps_h)
     return min(n, max(m, 1))
+
+
+class FinderSizes(NamedTuple):
+    """The counts one finder call draws; None where its engine draws none."""
+
+    max_matvecs: Optional[int] = None   # Lanczos iteration cap, before clamping to d
+    minibatch: Optional[int] = None     # draws or component indices per matvec
+    validation: Optional[int] = None    # draws of the stochastic exit measurement
+    oja_samples: Optional[int] = None   # single draws of the oja stream
+
+
+def finder_sizes(mode: str, oracle, eps_h: float, delta: float, L: float,
+                 cfg: NcConfig) -> FinderSizes:
+    """The sizes the finder of `mode` (and, stochastic, of cfg.engine) draws.
+
+    The finders take their budgets from here, and the drivers call it at entry,
+    so a setting whose size is not finite or passes MAX_DRAWS raises
+    SizeOutOfRange before any oracle work.
+    """
+    d, mult = oracle.dimension, cfg.budget_mult
+    if mode == "stochastic" and cfg.engine == "oja":
+        return FinderSizes(oja_samples=oja_total_samples(d, eps_h, delta, L, mult),
+                           validation=validation_batch(eps_h, L, mult))
+    mm = det_max_matvecs(d, eps_h, delta, L, mult)
+    if mode == "stochastic":
+        return FinderSizes(mm, stoch_minibatch(d, eps_h, L, mult), validation_batch(eps_h, L, mult))
+    if mode == "finite_sum":
+        return FinderSizes(mm, finite_sum_minibatch(oracle.n_components, eps_h, L, mult, mm))
+    return FinderSizes(mm)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +340,7 @@ def approx_nc_deterministic(oracle, x, eps_h: float, delta: float, L: float,
     oracle = as_counting(oracle)
     x = np.asarray(x, float)
     d = oracle.dimension
-    mm = det_max_matvecs(d, eps_h, delta, L, cfg.budget_mult)
+    mm = finder_sizes("deterministic", oracle, eps_h, delta, L, cfg).max_matvecs
     return _search(oracle,
                    lambda: lanczos_min_eig(lambda v: oracle.hvp(x, v), d, NcBudget(mm), rng),
                    -eps_h / 2.0)
@@ -322,49 +351,40 @@ def approx_nc_stochastic(oracle, x, eps_h: float, delta: float, L: float,
                          cfg: NcConfig = NcConfig()) -> NcOutcome:
     """Negative-curvature search from stochastic Hessian-vector draws.
 
-    Engine "minibatch_lanczos" averages sample HVPs over a fresh minibatch per
-    matvec; engine "oja" streams v <- normalize(v - eta * sample_hvp(x, v))
-    over fresh single draws with eta = eps_h/(8 L**2).  Either way the
-    candidate is accepted only if its Rayleigh quotient on a fresh validation
-    minibatch is at most -(eps_h/2 + eps_h/8); the extra eps_h/8 absorbs
-    validation noise.
+    Engine "minibatch_lanczos" takes each matvec as one sample_hvp(x, v, rng,
+    m) call, the mean of a fresh minibatch of m draws; engine "oja" streams
+    v <- normalize(v - eta * sample_hvp(x, v, rng)) over fresh single draws
+    with eta = eps_h/(8 L**2).  Either way the candidate is accepted only if
+    its Rayleigh quotient on a fresh validation minibatch (one more m-draw
+    call) is at most -(eps_h/2 + eps_h/8); the extra eps_h/8 absorbs
+    validation noise.  Cost: one hvp_eval per draw, or two stochastic
+    gradients per draw when the oracle synthesizes its HVPs.
     """
     oracle = as_counting(oracle)
     if not oracle.capabilities.stochastic:
         raise NotStochastic("approx_nc_stochastic needs a stochastic oracle")
     x = np.asarray(x, float)
     d = oracle.dimension
-
-    def mean_sample_hvp(v, m):
-        acc = np.zeros(d)
-        for _ in range(m):
-            acc += oracle.sample_hvp(x, v, rng)
-        return acc / m
+    sizes = finder_sizes("stochastic", oracle, eps_h, delta, L, cfg)
 
     if cfg.engine == "oja":
         eta = eps_h / (8.0 * L ** 2)
-        total = oja_total_samples(d, eps_h, delta, L, cfg.budget_mult)
 
         def draw():
             v = _random_unit(d, rng)
-            for _ in range(total):
+            for _ in range(sizes.oja_samples):
                 v = v - eta * oracle.sample_hvp(x, v, rng)
                 v = v / np.linalg.norm(v)
             return v
     else:
-        m = stoch_minibatch(d, eps_h, L, cfg.budget_mult)
-        mm = det_max_matvecs(d, eps_h, delta, L, cfg.budget_mult)
-
         def draw():
-            _, v = lanczos_min_eig(lambda w: mean_sample_hvp(w, m), d,
-                                   NcBudget(mm), rng, probe_tol=None)
+            _, v = lanczos_min_eig(lambda w: oracle.sample_hvp(x, w, rng, sizes.minibatch), d,
+                                   NcBudget(sizes.max_matvecs), rng, probe_tol=None)
             return v
-
-    m_val = validation_batch(eps_h, L, cfg.budget_mult)
 
     def candidate():
         v = draw()
-        return float(v @ mean_sample_hvp(v, m_val)), v
+        return float(v @ oracle.sample_hvp(x, v, rng, sizes.validation)), v
 
     return _search(oracle, candidate, -(eps_h / 2.0 + eps_h / 8.0))
 
@@ -394,9 +414,7 @@ def approx_nc_finite_sum(oracle, x, eps_h: float, delta: float, L: float,
     x = np.asarray(x, float)
     d = oracle.dimension
     n = oracle.n_components
-
-    mm = det_max_matvecs(d, eps_h, delta, L, cfg.budget_mult)
-    m = finite_sum_minibatch(n, eps_h, L, cfg.budget_mult, mm)
+    mm, m, _, _ = finder_sizes("finite_sum", oracle, eps_h, delta, L, cfg)
 
     def minibatch_hvp(v):
         return _index_mean_hvp(oracle, x, v, rng.integers(0, n, size=m))

@@ -406,6 +406,8 @@ def with_gradient_noise(spec: ProblemSpec, sigma: float) -> ProblemSpec:
     HVP draws add the rank-one mean-zero perturbation
     sigma * (z (z.v) - v), z ~ N(0, I).  All randomness flows through the
     generator argument, so equal generator states reproduce the same draw.
+    The batch callables return, bit for bit, what m single draws summed in
+    order give.
     """
     base = spec.oracle
     d = base.dimension
@@ -416,20 +418,34 @@ def with_gradient_noise(spec: ProblemSpec, sigma: float) -> ProblemSpec:
 
     def sample_gradient_batch(x, m, rng):
         # one noise draw, shared by every row of a (k, d) stack
-        noise = coord * rng.standard_normal((m, d)).mean(axis=0)
+        noise = coord * (rng.standard_normal((m, d)).sum(axis=0) / m)
         if x.ndim == 1:
             return base.gradient(x) + noise
-        return np.stack([base.gradient(row) for row in x]) + noise
+        out = np.empty(x.shape)
+        for row, point in zip(out, x):
+            row[:] = base.gradient(point)
+        out += noise
+        return out
 
     def sample_hvp(x, v, rng):
         z = rng.standard_normal(d)
         return base.hvp(x, v) + sigma * (z * float(z @ v) - v)
 
+    def sample_hvp_batch(x, v, m, rng):
+        # sample_hvp's arithmetic on all m draws at once: one (m, d) draw is the
+        # stream of m draws of d, a per-row z @ v rounds as a single draw's does
+        # (Z @ v may not), and accumulate sums in draw order (add.reduce pairs
+        # the rows when d == 1)
+        Z = rng.standard_normal((m, d))
+        c = np.array([float(z @ v) for z in Z])
+        terms = base.hvp(x, v) + sigma * (Z * c[:, None] - v)
+        return np.add.accumulate(terms, axis=0)[-1] / m
+
     oracle = ObjectiveOracle(
         d, base.value, base.gradient, hvp=base.hvp,
         sample_gradient=sample_gradient,
         sample_gradient_batch=sample_gradient_batch,
-        sample_hvp=sample_hvp,
+        sample_hvp=sample_hvp, sample_hvp_batch=sample_hvp_batch,
     )
     out = ProblemSpec(**{**spec.__dict__, "oracle": oracle,
                          "name": spec.name + "+noise"})

@@ -157,21 +157,24 @@ def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
     T = sample_geometric(cfg.p, rng)
     if T == 0:
         return x0
-    y = x0.copy()
     if cfg.mode == "finite_sum":
+        y = x0.copy()
         for idx in rng.integers(0, oracle.n_components, size=(T, cfg.b)):
             g_y = oracle.component_gradient_batch(idx, y)
             g_0 = oracle.component_gradient_batch(idx, x0)
             y = y - cfg.eta * (g_y - g_0 + g_anchor)
         return y
     # one child generator per step; its seeds are the stream T single draws give
-    points = np.stack([y, x0])
+    points = np.stack([x0, x0])
+    y = points[0]  # stepped in place, so every call sees the current iterate
     for seed in rng.integers(0, 2**63 - 1, size=T):
-        points[0] = y
-        g_y, g_0 = oracle.sample_gradient_batch(
+        g = oracle.sample_gradient_batch(
             points, cfg.b, np.random.Generator(np.random.PCG64(seed)))
-        y = y - cfg.eta * (g_y - g_0 + g_anchor)
-    return y
+        step = g[0] - g[1]
+        step += g_anchor
+        step *= cfg.eta
+        y -= step
+    return y.copy()
 
 
 def gd_to_stationarity(oracle, x0, L: float, eps: float,

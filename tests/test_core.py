@@ -245,6 +245,14 @@ def test_counting_synthesized_component_and_sample_hvps():
     np.testing.assert_array_equal(co.sample_hvp(x, v, counted), bare.sample_hvp(x, v, plain))
     assert (co.counters.stoch_grad_evals, co.counters.hvp_evals) == (2, 0)
     assert counted.random() == plain.random()
+    # the mean of m draws: two stochastic gradients per draw when synthesized,
+    # one hvp_eval per draw when the oracle has sample HVPs
+    np.testing.assert_array_equal(co.sample_hvp(x, v, counted, 3), bare.sample_hvp(x, v, plain, 3))
+    assert (co.counters.stoch_grad_evals, co.counters.hvp_evals) == (2 + 2 * 3, 0)
+    assert counted.random() == plain.random()
+    analytic = as_counting(with_gradient_noise(get_problem("sphere", d=2), sigma=0.1).oracle)
+    analytic.sample_hvp(x, v, counted, 5)
+    assert (analytic.counters.stoch_grad_evals, analytic.counters.hvp_evals) == (0, 5)
 
 
 def test_counting_finite_sum_full_gradient():
@@ -291,6 +299,40 @@ def test_sample_gradient_batch_evaluates_one_draw_at_every_row(kind):
         np.testing.assert_array_equal(got, one)
     # the generator moved exactly as far as one single-point call moves it
     assert rng.bit_generator.state == one_rng.bit_generator.state
+
+
+def _per_draw_mean(oracle, x, v, rng, m):
+    acc = np.zeros(oracle.dimension)
+    for _ in range(m):
+        acc += oracle.sample_hvp(x, v, rng)
+    return acc / m
+
+
+@pytest.mark.parametrize("m", [1, 2, 248, 784])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("d", [1, 3, 10])
+def test_sample_hvp_of_m_draws_is_the_per_draw_mean(d, seed, m):
+    # the noise wrapper's batch callable and the loop fallback both give, bit
+    # for bit, the mean m single draws summed in order give, and leave the
+    # generator where those draws leave it
+    noisy = with_gradient_noise(get_problem("bowl_saddle", d=d, seed=seed), sigma=0.3).oracle
+    draws_only = ObjectiveOracle(d, noisy.value, noisy.gradient, hvp=noisy.hvp,
+                                 sample_gradient=noisy.sample_gradient,
+                                 sample_hvp=noisy.sample_hvp)
+    x, v = np.random.default_rng(seed + 10).standard_normal((2, d))
+    loop_rng = np.random.default_rng(seed)
+    expected = _per_draw_mean(noisy, x, v, loop_rng, m)
+    for oracle in (noisy, draws_only):
+        rng = np.random.default_rng(seed)
+        got = oracle.sample_hvp(x, v, rng, m)
+        assert got.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def test_sample_hvp_batch_needs_single_draws():
+    with pytest.raises(ConfigError, match="sample_hvp_batch needs sample_hvp"):
+        ObjectiveOracle(1, lambda x: 0.0, lambda x: x, sample_gradient=lambda x, rng: x,
+                        sample_hvp_batch=lambda x, v, m, rng: v)
 
 
 def test_as_counting_is_idempotent():

@@ -565,6 +565,18 @@ def golden_fs_pca_n200():
     return run_one(cfg, 0)[0]
 
 
+def golden_stoch_bowl_b32():
+    # the config of the benchmark's stoch_bowl workload: thousands of SCSG
+    # inner steps and two stochastic finder calls on the noisy bowl
+    cfg = ExperimentConfig(problem="bowl_saddle",
+                           problem_params={"d": 10, "spectrum": BOWL_SPECTRUM,
+                                           "q": 0.5, "seed": 3},
+                           mode="stochastic", eps=0.01, eps_h=0.5, delta=0.1,
+                           L=7.0, rho=1.0, noise_sigma=0.05, sigma=0.05,
+                           h_star=2 * 0.05 ** 2, scsg_b=32, max_outer=80)
+    return run_one(cfg, 0)[0]
+
+
 def counts(grad, stoch, comp, hvp, fn, nc, esc, small, outer, epochs):
     return dict(grad_evals=grad, stoch_grad_evals=stoch, component_grad_evals=comp,
                 hvp_evals=hvp, fn_evals=fn, nc_calls=nc, escape_steps=esc,
@@ -589,6 +601,8 @@ GOLDEN = {
                          counts(460, 0, 0, 822, 15, 8, 7, 8, 15, 0)),
     "fs_pca_n200": (golden_fs_pca_n200, STATUS_SECOND_ORDER,
                     counts(28, 0, 16238, 431, 28, 1, 0, 1, 28, 27)),
+    "stoch_bowl_b32": (golden_stoch_bowl_b32, STATUS_SECOND_ORDER,
+                       counts(0, 1013196, 0, 7024, 0, 2, 1, 2, 35, 33)),
 }
 
 # sha256 of certificate.point.tobytes()
@@ -596,6 +610,8 @@ GOLDEN_POINTS = {
     "det_chained_d200": "a533633108ac276f522488171c781596f909218052a5b385a9edd0cd0eb760e3",
     "pca_finite_sum": "399aff15784f241795dd2073aa47e41aa020777c617815e93e43cb52d828cc71",
     "fs_pca_n200": "60a1c55fd251e66b8c75c697dde7d4d2dd4f2791aa2252fa7332b83f14d116d3",
+    "noisy_bowl": "e197fecd5c20ddf91db3603207756715e6684c928c0f6510c56c3203f052290d",
+    "stoch_bowl_b32": "4b04d884ff0d78e1e0ef66a198003a712f36138013392d149989c27ed3e85dd8",
 }
 
 

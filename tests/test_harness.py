@@ -1,11 +1,12 @@
 import inspect
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from gose.cli import main
+from gose.cli import _build_parser, main
 from gose.core import ConfigError, EvalCounters
 from gose.harness import (NC_THRESHOLDS, ExperimentConfig, OUT_ENV_VAR,
                           always_probe_baseline, build_configs, build_problem,
@@ -200,6 +201,13 @@ def test_verify_nc_every_engine_small(engine):
     assert res["passed"] and res["unsound_directions"] == 0
 
 
+def test_verify_nc_cli_defaults_are_the_suite_defaults():
+    args = _build_parser().parse_args(["verify-nc"])
+    suite = inspect.signature(verify_nc_suite).parameters
+    assert {name: getattr(args, name) for name in suite} == {
+        name: param.default for name, param in suite.items()}
+
+
 def test_verify_nc_unknown_engine():
     with pytest.raises(ConfigError):
         verify_nc_suite(engine="power_iteration")
@@ -318,20 +326,32 @@ PCA_CFG = {
 }
 
 # settings outside their config's range: a config error before any oracle work
-OUT_OF_RANGE = pytest.mark.parametrize("cfg, named", [
-    ({**NOISY_BOWL_CFG, "c_conc": 0}, "c_conc"),
-    ({**PCA_CFG, "nc_budget_mult": 0}, "budget_mult"),
-    ({**NOISY_BOWL_CFG, "nc_engine": "oja", "nc_budget_mult": 0}, "budget_mult"),
-    ({**CHAINED_ORIGIN_CFG, "problem_params": {"d": 5}, "nc_budget_mult": 0}, "budget_mult"),
-    ({**NOISY_BOWL_CFG, "s_mult": -1}, "s_mult"),
-    ({**NOISY_BOWL_CFG, "s_mult": 0}, "s_mult"),
-    ({**NOISY_BOWL_CFG, "scsg_b": 0}, "scsg_b"),
-    ({**NOISY_BOWL_CFG, "scsg_B": 0}, "scsg_B"),
-], ids=["c_conc_zero", "budget_finite_sum", "budget_oja", "budget_deterministic",
-        "s_mult_negative", "s_mult_zero", "scsg_b_zero", "scsg_B_zero"])
+OUT_OF_RANGE_CASES = [
+    pytest.param({**NOISY_BOWL_CFG, "c_conc": 0}, "c_conc", id="c_conc_zero"),
+    pytest.param({**PCA_CFG, "nc_budget_mult": 0}, "budget_mult", id="budget_finite_sum"),
+    pytest.param({**NOISY_BOWL_CFG, "nc_engine": "oja", "nc_budget_mult": 0}, "budget_mult",
+                 id="budget_oja"),
+    pytest.param({**CHAINED_ORIGIN_CFG, "problem_params": {"d": 5}, "nc_budget_mult": 0},
+                 "budget_mult", id="budget_deterministic"),
+    pytest.param({**NOISY_BOWL_CFG, "s_mult": -1}, "s_mult", id="s_mult_negative"),
+    pytest.param({**NOISY_BOWL_CFG, "s_mult": 0}, "s_mult", id="s_mult_zero"),
+    pytest.param({**NOISY_BOWL_CFG, "scsg_b": 0}, "scsg_b", id="scsg_b_zero"),
+    pytest.param({**NOISY_BOWL_CFG, "scsg_B": 0}, "scsg_B", id="scsg_B_zero"),
+]
+
+# settings inside their ranges whose sizes divide by zero, overflow or pass
+# MAX_DRAWS on the noisy bowl: a config error naming the setting and its value
+SIZE_OUT_OF_RANGE_CASES = [
+    pytest.param({**NOISY_BOWL_CFG, "c_conc": 1e-200}, "c_conc=1e-200", id="c_conc_tiny"),
+    pytest.param({**NOISY_BOWL_CFG, "s_mult": 1e300}, "s_mult=1e+300", id="s_mult_huge"),
+    pytest.param({**NOISY_BOWL_CFG, "nc_budget_mult": 1e308}, "budget_mult=1e+308",
+                 id="budget_mult_huge"),
+    pytest.param({**NOISY_BOWL_CFG, "eps": 1e-200}, "eps=1e-200", id="eps_tiny"),
+    pytest.param({**NOISY_BOWL_CFG, "h_star": 1e300}, "h_star=1e+300", id="h_star_huge"),
+]
 
 
-@OUT_OF_RANGE
+@pytest.mark.parametrize("cfg, named", OUT_OF_RANGE_CASES)
 def test_cli_run_rejects_out_of_range_setting(tmp_path, capsys, cfg, named):
     path = write_cfg(tmp_path, cfg)
     code = main(["run", "--config", path, "--out", str(tmp_path / "out")])
@@ -341,12 +361,14 @@ def test_cli_run_rejects_out_of_range_setting(tmp_path, capsys, cfg, named):
     assert not (tmp_path / "out").exists()
 
 
-@OUT_OF_RANGE
+@pytest.mark.parametrize("cfg, named", OUT_OF_RANGE_CASES + SIZE_OUT_OF_RANGE_CASES)
 def test_out_of_range_setting_raises_before_any_oracle_work(cfg, named):
+    # the drivers compute every size the run draws at entry, so a size out of
+    # range fails as early as a setting out of range
     cfg = ExperimentConfig.from_dict(cfg)
     spec = build_problem(cfg)
     oracle = as_counting(spec.oracle)
-    with pytest.raises(ConfigError, match=named):
+    with pytest.raises(ConfigError, match=re.escape(named)):
         tol, smooth, esc, ncfg = build_configs(cfg, spec, 0)
         if cfg.mode == "deterministic":
             gose_deterministic(oracle, spec.x0, tol, smooth, esc, ncfg=ncfg)
@@ -358,15 +380,7 @@ def test_out_of_range_setting_raises_before_any_oracle_work(cfg, named):
     assert oracle.counters == EvalCounters()
 
 
-# settings inside their ranges whose sizes divide by zero, overflow or pass
-# MAX_DRAWS on the noisy bowl: a config error naming the setting and its value
-@pytest.mark.parametrize("cfg, named", [
-    ({**NOISY_BOWL_CFG, "c_conc": 1e-200}, "c_conc=1e-200"),
-    ({**NOISY_BOWL_CFG, "s_mult": 1e300}, "s_mult=1e+300"),
-    ({**NOISY_BOWL_CFG, "nc_budget_mult": 1e308}, "budget_mult=1e+308"),
-    ({**NOISY_BOWL_CFG, "eps": 1e-200}, "eps=1e-200"),
-    ({**NOISY_BOWL_CFG, "h_star": 1e300}, "h_star=1e+300"),
-], ids=["c_conc_tiny", "s_mult_huge", "budget_mult_huge", "eps_tiny", "h_star_huge"])
+@pytest.mark.parametrize("cfg, named", SIZE_OUT_OF_RANGE_CASES)
 def test_cli_run_rejects_size_out_of_range(tmp_path, capsys, cfg, named):
     path = write_cfg(tmp_path, cfg)
     code = main(["run", "--config", path, "--out", str(tmp_path / "out")])
