@@ -62,6 +62,10 @@ class LapackFailure(GoseError, ArithmeticError):
     """A LAPACK routine reported failure (info != 0)."""
 
 
+class MalformedOracleOutput(GoseError, ValueError):
+    """A user oracle callable returned an array of the wrong shape."""
+
+
 class BudgetZero(ConfigError):
     pass
 
@@ -182,6 +186,13 @@ class ObjectiveOracle:
     the current point and at the anchor in one call.  A sample_hvp_batch(x,
     v, m, rng) callable likewise returns the mean of m HVP draws at x along v;
     it needs sample_hvp, which serves single draws.
+
+    A component_gradient_batch(indices, x) callable returns the mean component
+    gradient over `indices`.  It receives either one index array of shape (b,),
+    and returns shape (d,), or a (T, b) array of index rows, and returns a
+    (T, d) array of means, one row per index row.  The SCSG epoch relies on
+    this to evaluate the anchor side of many steps in one call.  Any other
+    shape raises MalformedOracleOutput.
     """
 
     def __init__(self, dimension: int,
@@ -243,13 +254,31 @@ class ObjectiveOracle:
         return np.asarray(self._component_gradient(int(i), np.asarray(x, float)), float)
 
     def component_gradient_batch(self, indices, x) -> np.ndarray:
-        """Mean of component gradients over `indices`."""
-        if self._component_gradient_batch is not None:
-            return np.asarray(self._component_gradient_batch(np.asarray(indices), np.asarray(x, float)), float)
-        acc = np.zeros(self.dimension)
-        for i in indices:
-            acc += self.component_gradient(i, x)
-        return acc / max(len(indices), 1)
+        """Mean of component gradients over `indices`.
+
+        A (T, b) array of index rows gives a (T, d) array, one mean per row.
+        Without a batch callable each row sums its component gradients in
+        order and divides by b.
+        """
+        indices = np.asarray(indices)
+        if indices.ndim not in (1, 2):
+            raise ConfigError(f"component_gradient_batch needs 1-D or 2-D indices,"
+                              f" got shape {indices.shape}")
+        x = np.asarray(x, float)
+        shape = indices.shape[:-1] + (self.dimension,)
+        if self._component_gradient_batch is None:
+            means = np.zeros(shape).reshape(-1, self.dimension)
+            for acc, row in zip(means, np.atleast_2d(indices)):
+                for i in row:
+                    acc += self.component_gradient(i, x)
+            means /= max(indices.shape[-1], 1)
+            return means.reshape(shape)
+        out = np.asarray(self._component_gradient_batch(indices, x), float)
+        if out.shape != shape:
+            raise MalformedOracleOutput(
+                f"component_gradient_batch returned shape {out.shape} for indices of"
+                f" shape {indices.shape}; expected {shape}")
+        return out
 
     def component_hvp(self, i: int, x, v) -> np.ndarray:
         if self._component_hvp is not None:
@@ -393,7 +422,7 @@ class CountingOracle:
         return self.base.component_gradient(i, x)
 
     def component_gradient_batch(self, indices, x):
-        self.counters.component_grad_evals += len(indices)
+        self.counters.component_grad_evals += np.size(indices)
         return self.base.component_gradient_batch(indices, x)
 
     def component_hvp(self, i, x, v):

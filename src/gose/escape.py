@@ -139,9 +139,10 @@ def _one_step(oracle, x, tol, smooth, esc, rng, ncfg, mode, finder, sign_gradien
     """The one escape body: one finder call, then one step unless bottom.
 
     sign_gradient() supplies the gradient estimate the direction is flipped
-    against; it is only evaluated when a direction came back.
+    against; it is only evaluated when a direction came back.  check_run runs
+    first, so a size out of range raises before the finder spends anything.
     """
-    esc.validate(tol, smooth, mode)
+    check_run(oracle, tol, smooth, esc, ncfg, mode)
     out = finder(oracle, x, tol.eps_h, tol.delta, smooth.L, rng, ncfg)
     if out.is_bottom:
         return EscapeResult(False, None, out)

@@ -289,6 +289,9 @@ def make_nonconvex_pca(n: int, d: int, seed: int = 0,
 
     def component_gradient_batch(idx, x):
         Ai = A[idx]
+        if idx.ndim == 2:  # stacked products, so each row rounds as a 1-D call
+            b = idx.shape[1]
+            return -(Ai.transpose(0, 2, 1) @ (Ai @ x)[:, :, None])[:, :, 0] / b + float(x @ x) * x
         return -Ai.T @ (Ai @ x) / len(idx) + float(x @ x) * x
 
     oracle = ObjectiveOracle(

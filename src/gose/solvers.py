@@ -21,6 +21,11 @@ from .core import (ConfigError, InvalidP, MissingVarianceBound,
 DEFAULT_SOLVER = "gd"
 DEFAULT_MAX_ITERS = 200_000
 
+# Floats (rows * b * d) one finite-sum anchor call may gather: bounds the
+# epoch's memory whatever T is.  fs_pca (b = 1, d = 20) fits 3,276 rows, 16
+# times its mean T.  Not a setting.
+ANCHOR_BLOCK_FLOATS = 2 ** 16
+
 
 @dataclass
 class SolveResult:
@@ -151,6 +156,10 @@ def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
     Finite-sum indices come from one (T, b) draw per epoch, held in memory as
     T*b ints: numpy fills bounded integers one element at a time, so the draw
     yields the same values, and leaves rng in the same state, as T draws of b.
+    The anchor means g_I(x0) depend only on x0 and the indices, so they are
+    evaluated one block of index rows per component_gradient_batch call, each
+    block at most ANCHOR_BLOCK_FLOATS floats (rows * b * d); every step then
+    makes one call at y.
     """
     oracle = as_counting(oracle)
     x0 = np.asarray(x0, float)
@@ -158,11 +167,16 @@ def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
     if T == 0:
         return x0
     if cfg.mode == "finite_sum":
+        indices = rng.integers(0, oracle.n_components, size=(T, cfg.b))
+        rows = max(ANCHOR_BLOCK_FLOATS // (cfg.b * oracle.dimension), 1)
         y = x0.copy()
-        for idx in rng.integers(0, oracle.n_components, size=(T, cfg.b)):
-            g_y = oracle.component_gradient_batch(idx, y)
-            g_0 = oracle.component_gradient_batch(idx, x0)
-            y = y - cfg.eta * (g_y - g_0 + g_anchor)
+        for start in range(0, T, rows):
+            block = indices[start:start + rows]
+            for idx, g_0 in zip(block, oracle.component_gradient_batch(block, x0)):
+                step = oracle.component_gradient_batch(idx, y) - g_0
+                step += g_anchor
+                step *= cfg.eta
+                y -= step
         return y
     # one child generator per step; its seeds are the stream T single draws give
     points = np.stack([x0, x0])

@@ -9,10 +9,11 @@ from gose import (EscapeConfig, NcConfig, ObjectiveOracle, SmoothnessSpec,
                   derive_scsg_params, get_problem, gose_deterministic,
                   gose_finite_sum, gose_stochastic, with_gradient_noise)
 from gose.core import (STATUS_BUDGET, STATUS_FIRST_ORDER, STATUS_SECOND_ORDER,
-                       ConfigError, EvalCounters, NonFiniteMeasurement)
+                       ConfigError, EvalCounters, MalformedOracleOutput,
+                       NonFiniteMeasurement)
 from gose.drivers import LARGE, SMALL
 from gose.harness import ExperimentConfig, always_probe_baseline, run_one
-from gose.problems import as_finite_sum
+from gose.problems import as_finite_sum, make_nonconvex_pca
 
 
 def run_det(problem, tol, smooth, seed=0, **kw):
@@ -285,6 +286,37 @@ def test_fs_counter_identity_and_certification():
     assert report.certificate.status == STATUS_SECOND_ORDER
     ok, _, _ = certify_second_order(pca.oracle, report.certificate.point, 0.01, 0.5)
     assert ok
+
+
+def _one_dimensional_batch_pca(shape):
+    # a PCA oracle whose batch callable knows only 1-D indices: given (T, b)
+    # rows it returns (d, b, b) (the transpose broadcasts) or one flat (d,) mean
+    A = np.random.default_rng(5).standard_normal((60, 8))
+    base = make_nonconvex_pca(60, 8, data=A).oracle
+
+    def matrix(idx, x):
+        Ai = A[idx]
+        return -Ai.T @ (Ai @ x) / len(idx) + float(x @ x) * x
+
+    def flat(idx, x):
+        return np.mean([base.component_gradient(i, x) for i in np.ravel(idx)], axis=0)
+
+    return ObjectiveOracle(8, base.value, base.gradient, hvp=base.hvp, n_components=60,
+                           component_gradient=base.component_gradient,
+                           component_gradient_batch={"matrix": matrix, "flat": flat}[shape])
+
+
+@pytest.mark.parametrize("shape", ["matrix", "flat"])
+def test_fs_batch_callable_of_wrong_shape_raises_typed_error(shape):
+    oracle = _one_dimensional_batch_pca(shape)
+    x = np.linspace(-1.0, 1.0, 8)
+    assert oracle.component_gradient_batch(np.array([3, 7]), x).shape == (8,)
+    with pytest.raises(MalformedOracleOutput, match="component_gradient_batch"):
+        oracle.component_gradient_batch(np.array([[3], [7]]), x)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.1, max_outer=50, seed=0)
+    smooth = SmoothnessSpec(L=8.0, rho=1.0)
+    with pytest.raises(MalformedOracleOutput, match="component_gradient_batch"):
+        gose_finite_sum(oracle, x, tol, smooth, rng=np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

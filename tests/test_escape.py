@@ -9,7 +9,8 @@ from gose import (EscapeConfig, ObjectiveOracle, SmoothnessSpec,
                   make_nonconvex_pca, one_step_deterministic,
                   one_step_finite_sum, one_step_stochastic,
                   with_gradient_noise)
-from gose.core import ConfigError, NotFiniteSum, NotStochastic
+from gose.core import (ConfigError, EvalCounters, NotFiniteSum, NotStochastic,
+                       SizeOutOfRange)
 from gose.problems import as_finite_sum
 from conftest import planted_symmetric
 
@@ -228,6 +229,20 @@ def test_one_step_stochastic_noisy_monte_carlo():
         if drop <= -0.5 * (1.0 / 48.0) * 0.5 ** 3 and grown:
             passes += 1
     assert passes >= 95
+
+
+def test_one_step_stochastic_checks_subsample_size_before_the_finder():
+    # the subsample is drawn after the finder, but its size is checked first
+    bowl = get_problem("bowl_saddle", d=10, q=0.5, seed=3,
+                       spectrum=[-1.0, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.0])
+    co = as_counting(with_gradient_noise(bowl, sigma=0.05).oracle)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.1)
+    smooth = SmoothnessSpec(L=7.0, rho=1.0, sigma=0.05)
+    with pytest.raises(SizeOutOfRange, match=r"s_mult=1e\+300"):
+        one_step_stochastic(co, bowl.x0_list[0], tol, smooth, EscapeConfig(s_mult=1e300),
+                            np.random.default_rng(0))
+    assert co.counters == EvalCounters()
+    assert co.counters.work_units() == 0 and co.counters.nc_calls == 0
 
 
 # ---------------------------------------------------------------------------

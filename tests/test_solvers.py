@@ -12,7 +12,7 @@ from gose import (ObjectiveOracle, ScsgConfig, SmoothnessSpec, ToleranceConfig,
 from gose.core import (ConfigError, CountingOracle, InvalidP, MissingVarianceBound,
                        SizeOutOfRange)
 from gose.problems import as_finite_sum
-from gose.solvers import run_solver
+from gose.solvers import ANCHOR_BLOCK_FLOATS, run_solver
 from conftest import planted_symmetric
 
 
@@ -323,14 +323,24 @@ def _pca_oracles():
     return {"batch_callable": base, "loop_fallback": loop_only}
 
 
+ANCHOR_ROWS_B32 = ANCHOR_BLOCK_FLOATS // (32 * 20)  # rows per anchor call, b=32, d=20
+
+
 @pytest.mark.parametrize("kind", ["batch_callable", "loop_fallback"])
-@pytest.mark.parametrize("b", [1, 3])
-def test_epoch_finite_sum_stream_matches_per_step_draws(kind, b):
+@pytest.mark.parametrize("b, B, seeds, min_crossing", [
+    pytest.param(1, 40, 20, 0, id="1"),
+    pytest.param(3, 40, 20, 0, id="3"),
+    # mean T = B/b is 4 anchor blocks, so most epochs make several anchor
+    # calls; fewer seeds, as each epoch costs about 50k component gradients
+    pytest.param(32, 32 * 4 * ANCHOR_ROWS_B32, 8, 5, id="32-anchor_blocks"),
+])
+def test_epoch_finite_sum_stream_matches_per_step_draws(kind, b, B, seeds, min_crossing):
     oracle = _pca_oracles()[kind]
-    cfg = ScsgConfig(B=40, b=b, eta=0.05, mode="finite_sum")
+    cfg = ScsgConfig(B=B, b=b, eta=0.05, mode="finite_sum")
     x0 = np.linspace(-0.5, 0.5, 20)
     g_anchor = oracle.gradient(x0)
-    for seed in range(20):
+    crossing = 0
+    for seed in range(seeds):
         co = as_counting(oracle)
         rng = np.random.default_rng(seed)
         y = scsg_epoch(co, x0, cfg, g_anchor, rng)
@@ -339,6 +349,26 @@ def test_epoch_finite_sum_stream_matches_per_step_draws(kind, b):
         assert y.tobytes() == ref.tobytes(), seed
         assert co.counters.component_grad_evals == 2 * b * T
         assert rng.random() == ref_rng.random(), seed
+        crossing += T > ANCHOR_BLOCK_FLOATS // (b * 20)
+    assert crossing >= min_crossing
+
+
+@pytest.mark.parametrize("kind", ["batch_callable", "loop_fallback"])
+@pytest.mark.parametrize("b", [1, 3, 32])
+def test_component_gradient_batch_rows_match_one_dimensional_calls(kind, b):
+    # (T, b) indices give (T, d) means, each row byte-equal to its 1-D call
+    oracle = _pca_oracles()[kind]
+    cap = ANCHOR_BLOCK_FLOATS // (b * 20)
+    rng = np.random.default_rng(b)
+    for T in (1, int(rng.integers(2, cap)), cap + int(rng.integers(1, 100))):
+        indices = rng.integers(0, oracle.n_components, size=(T, b))
+        x = rng.standard_normal(20)
+        co = as_counting(oracle)
+        rows = co.component_gradient_batch(indices, x)
+        assert rows.shape == (T, 20)
+        assert co.counters.component_grad_evals == T * b
+        for idx, row in zip(indices, rows):
+            assert row.tobytes() == oracle.component_gradient_batch(idx, x).tobytes(), (T, b)
 
 
 @pytest.mark.parametrize("n", [1, 2, 200, 2**32 + 5])
