@@ -254,11 +254,9 @@ class ObjectiveOracle:
         return np.asarray(self._component_gradient(int(i), np.asarray(x, float)), float)
 
     def component_gradient_batch(self, indices, x) -> np.ndarray:
-        """Mean of component gradients over `indices`.
+        """Mean of component gradients over `indices`; (T, b) rows give (T, d) means.
 
-        A (T, b) array of index rows gives a (T, d) array, one mean per row.
-        Without a batch callable each row sums its component gradients in
-        order and divides by b.
+        Without a batch callable each row sums its gradients in order, over b.
         """
         indices = np.asarray(indices)
         if indices.ndim not in (1, 2):
