@@ -8,8 +8,7 @@ computed at most once per region entry.
 
 from .core import (Capabilities, Certificate, ConfigError, CountingOracle,
                    EvalCounters, GoseError, ObjectiveOracle, SmoothnessSpec,
-                   ToleranceConfig, as_counting, finite_diff_hvp,
-                   validate_config)
+                   ToleranceConfig, as_counting, finite_diff_hvp)
 from .drivers import (RunReport, TraceRecord, amplify, gose_deterministic,
                       gose_finite_sum, gose_stochastic)
 from .escape import (EscapeConfig, EscapeResult, adjust_direction,
@@ -33,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Capabilities", "Certificate", "ConfigError", "CountingOracle",
     "EvalCounters", "GoseError", "ObjectiveOracle", "SmoothnessSpec",
-    "ToleranceConfig", "as_counting", "finite_diff_hvp", "validate_config",
+    "ToleranceConfig", "as_counting", "finite_diff_hvp",
     "RunReport", "TraceRecord", "amplify", "gose_deterministic",
     "gose_finite_sum", "gose_stochastic",
     "EscapeConfig", "EscapeResult", "adjust_direction", "escape_step_length",

@@ -480,8 +480,8 @@ class ToleranceConfig:
             val = getattr(self, name)
             if not (0.0 < val < 1.0):
                 raise NonPositiveConstant(f"{name} must lie in (0, 1), got {val}")
-        if self.c1 < 1.0:
-            raise NonPositiveConstant(f"c1 must be >= 1, got {self.c1}")
+        if not 1.0 <= self.c1 < math.inf:
+            raise NonPositiveConstant(f"c1 must lie in [1, inf), got {self.c1}")
         if self.max_outer < 1:
             raise NonPositiveConstant(f"max_outer must be >= 1, got {self.max_outer}")
 
@@ -502,41 +502,19 @@ class SmoothnessSpec:
     sigma: Optional[float] = None
 
     def __post_init__(self):
-        if self.L <= 0.0:
-            raise NonPositiveConstant(f"L must be positive, got {self.L}")
-        if self.rho < 0.0:
-            raise NonPositiveConstant(f"rho must be nonnegative, got {self.rho}")
-        if self.rho_min <= 0.0:
-            raise NonPositiveConstant(f"rho_min must be positive, got {self.rho_min}")
-        if self.h_star is not None and self.h_star < 0.0:
-            raise NonPositiveConstant(f"h_star must be nonnegative, got {self.h_star}")
+        # L and rho_min in (0, inf); rho, and h_star and sigma when given, in [0, inf)
+        for name, kind in (("L", "positive"), ("rho", "nonnegative"), ("rho_min", "positive"),
+                           ("h_star", "nonnegative"), ("sigma", "nonnegative")):
+            val = getattr(self, name)
+            if val is None and name in ("h_star", "sigma"):
+                continue
+            above = 0.0 < val if kind == "positive" else 0.0 <= val
+            if not (above and val < math.inf):
+                raise NonPositiveConstant(f"{name} must be {kind} and finite, got {val}")
 
     @property
     def rho_eff(self) -> float:
         return max(self.rho, self.rho_min)
-
-
-def validate_config(tol: ToleranceConfig, smooth: SmoothnessSpec, mode: str) -> None:
-    """Check the preconditions that tie the tolerances to smoothness in `mode`.
-
-    Deterministic and finite-sum modes need eps < eps_h**2/(16*c1*rho_eff);
-    stochastic mode additionally needs eps <= eps_h**1.5.  Each config has
-    already checked its own ranges when it was constructed.
-    """
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    bound = tol.eps_h ** 2 / (16.0 * tol.c1 * smooth.rho_eff)
-    if not tol.eps < bound:
-        raise EpsilonTooLarge(
-            f"eps={tol.eps:.6g} must satisfy eps < eps_h**2/(16*c1*rho_eff)"
-            f" = {bound:.6g}"
-        )
-    if mode == "stochastic":
-        sbound = tol.eps_h ** 1.5
-        if tol.eps > sbound:
-            raise StochasticEpsilonTooLarge(
-                f"stochastic mode needs eps <= eps_h**1.5 = {sbound:.6g}, got eps={tol.eps:.6g}"
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ class RunReport:
     certificate: Certificate
     trace: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
-    seed: int = 0
     all_runs_failed: bool = False
 
 
@@ -64,7 +63,7 @@ def _config_echo(mode, tol, smooth, esc, ncfg, **extra) -> dict:
     return echo
 
 
-def _finish(oracle, point, grad_norm, status, trace, echo, seed, min_eig=math.nan):
+def _finish(oracle, point, grad_norm, status, trace, echo, min_eig=math.nan):
     cert = Certificate(
         point=np.asarray(point, float),
         grad_norm=float(grad_norm),
@@ -72,14 +71,14 @@ def _finish(oracle, point, grad_norm, status, trace, echo, seed, min_eig=math.na
         status=status,
         counters=oracle.counters.snapshot(),
     )
-    return RunReport(certificate=cert, trace=trace, config=echo, seed=seed)
+    return RunReport(certificate=cert, trace=trace, config=echo)
 
 
 def _budget_status(grad_norm, eps):
     return STATUS_FIRST_ORDER if grad_norm <= eps else STATUS_BUDGET
 
 
-def _drive(oracle, x0, K, measure, value, threshold, large_step, escape, echo, seed):
+def _drive(oracle, x0, K, measure, value, threshold, large_step, escape, echo):
     """The one outer loop behind every driver and the always-probe baseline.
 
     Per outer iteration, g = measure(x).  A non-finite ||g|| ends the run
@@ -100,27 +99,26 @@ def _drive(oracle, x0, K, measure, value, threshold, large_step, escape, echo, s
         g = measure(x)
         gn = float(np.linalg.norm(g))
         if not math.isfinite(gn):
-            return _finish(oracle, x, gn, STATUS_BUDGET, trace, echo, seed)
+            return _finish(oracle, x, gn, STATUS_BUDGET, trace, echo)
         fx = None if value is None else value(x)
         if not gn <= threshold:
             x, stop = large_step(x, g)
             trace.append(TraceRecord(k, LARGE, gn, fx, oracle.counters.escape_steps > escapes,
                                      oracle.counters.snapshot()))
             if stop is not None:
-                return _finish(oracle, x, stop, _budget_status(stop, threshold),
-                               trace, echo, seed)
+                return _finish(oracle, x, stop, _budget_status(stop, threshold), trace, echo)
         else:
             oracle.counters.small_region_entries += 1
             res = escape(x, g)
             trace.append(TraceRecord(k, SMALL, gn, fx, oracle.counters.escape_steps > escapes,
                                      oracle.counters.snapshot()))
             if not res.escaped:
-                return _finish(oracle, x, gn, STATUS_SECOND_ORDER, trace, echo, seed,
+                return _finish(oracle, x, gn, STATUS_SECOND_ORDER, trace, echo,
                                res.nc.lambda_hat)
             x = res.point
 
     gn = float(np.linalg.norm(measure(x)))
-    return _finish(oracle, x, gn, _budget_status(gn, threshold), trace, echo, seed)
+    return _finish(oracle, x, gn, _budget_status(gn, threshold), trace, echo)
 
 
 def _epoch_step(oracle, scsg_cfg, rng):
@@ -157,7 +155,7 @@ def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
 
     return _drive(oracle, x0, tol.max_outer, oracle.gradient, oracle.value, tol.eps, solve,
                   lambda x, g: one_step_deterministic(oracle, x, tol, smooth, esc, rng, ncfg, g=g),
-                  echo, tol.seed)
+                  echo)
 
 
 def gose_stochastic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
@@ -173,7 +171,7 @@ def gose_stochastic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     at that same batch gradient or take one stochastic escape step.  Only the
     sampling oracles are called, so trace rows carry f_value None.
     """
-    check_run(oracle, tol, smooth, esc, ncfg, "stochastic")
+    check_run(oracle, tol, smooth, esc, ncfg, "stochastic", scsg_cfg)
     rng = rng if rng is not None else np.random.default_rng(tol.seed)
     oracle = as_counting(oracle)
     if scsg_cfg is None:
@@ -184,7 +182,7 @@ def gose_stochastic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
                   lambda x: oracle.sample_gradient_batch(x, scsg_cfg.B, rng), None, tol.eps / 2.0,
                   _epoch_step(oracle, scsg_cfg, rng),
                   lambda x, g: one_step_stochastic(oracle, x, tol, smooth, esc, rng, ncfg),
-                  echo, tol.seed)
+                  echo)
 
 
 def gose_finite_sum(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
@@ -198,7 +196,7 @@ def gose_finite_sum(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     iteration and branches at eps (not eps/2); the epoch uses batch size n and
     minibatch size 1.
     """
-    check_run(oracle, tol, smooth, esc, ncfg, "finite_sum")
+    check_run(oracle, tol, smooth, esc, ncfg, "finite_sum", scsg_cfg)
     rng = rng if rng is not None else np.random.default_rng(tol.seed)
     oracle = as_counting(oracle)
     if scsg_cfg is None:
@@ -208,7 +206,7 @@ def gose_finite_sum(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     return _drive(oracle, x0, tol.max_outer, oracle.gradient, oracle.value,
                   tol.eps, _epoch_step(oracle, scsg_cfg, rng),
                   lambda x, g: one_step_finite_sum(oracle, x, tol, smooth, esc, rng, ncfg, g=g),
-                  echo, tol.seed)
+                  echo)
 
 
 def amplify(run_once: Callable[[int], RunReport], reps: int,

@@ -17,10 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ConfigError, NonPositiveConstant, SmoothnessSpec,
-                   ToleranceConfig, as_counting, checked_size, validate_config)
+from .core import (MODES, ConfigError, EpsilonTooLarge, NonPositiveConstant,
+                   SmoothnessSpec, StochasticEpsilonTooLarge, ToleranceConfig,
+                   as_counting, checked_size)
 from .ncfind import (NcConfig, NcOutcome, approx_nc_deterministic,
                      approx_nc_finite_sum, approx_nc_stochastic, finder_sizes)
+from .solvers import ScsgConfig
 
 
 @dataclass(frozen=True)
@@ -31,9 +33,9 @@ class EscapeConfig:
     The decrease constants it implies are c_h**2/4 - c_h**3/6 (exact-gradient
     adjustment) and c_h**2/4 - c_h**3/3 (subsampled adjustment).  c_h must lie
     in (0, 3/2), and s_mult and c_conc in (0, inf); the c_h windows depend on
-    the tolerances and are checked, together with validate_config, by
-    validate().  Inside them c_h < 1 (and c_h < 3/4 in stochastic mode), so
-    both decrease constants are positive.
+    the tolerances and the mode and are checked by check_run.  Inside them
+    c_h < 1 (and c_h < 3/4 in stochastic mode), so both decrease constants are
+    positive.
 
     The subsample for the gradient estimate has ceil(s_mult * log(1/delta) /
     eps_h**2) draws, raised to the concentration size
@@ -62,28 +64,6 @@ class EscapeConfig:
     def c_prime_stoch(self) -> float:
         return self.c_h ** 2 / 4.0 - self.c_h ** 3 / 3.0
 
-    def validate(self, tol: ToleranceConfig, smooth: SmoothnessSpec, mode: str) -> None:
-        """The entry check of a run or escape in `mode`.
-
-        Runs validate_config, then checks the step-coefficient windows.
-        """
-        validate_config(tol, smooth, mode)
-        ratio = 16.0 * tol.c1 * smooth.rho_eff * tol.eps / tol.eps_h ** 2
-        # eps < bound holds, but the rounded ratio may still reach 1
-        half_width = 0.5 * math.sqrt(max(1.0 - ratio, 0.0))
-        lo, hi = 0.5 - half_width, 0.5 + half_width
-        if not (lo < self.c_h < hi):
-            raise ConfigError(
-                f"c_h={self.c_h} outside the gradient-growth window ({lo:.6g}, {hi:.6g})"
-            )
-        if mode == "stochastic":
-            lo_s = math.sqrt(6.0 * self.c_conc * tol.c1 * smooth.rho_eff * tol.eps / tol.eps_h ** 2)
-            if not (lo_s <= self.c_h < 0.75):
-                raise ConfigError(
-                    f"stochastic mode needs sqrt(6*c*rho*eps/eps_h**2) <= c_h < 3/4,"
-                    f" i.e. {lo_s:.6g} <= c_h < 0.75, got {self.c_h}"
-                )
-
     def subsample_size(self, tol: ToleranceConfig, smooth: SmoothnessSpec) -> int:
         log_term = math.log(1.0 / tol.delta)
         size = checked_size("escape subsample size",
@@ -99,14 +79,49 @@ class EscapeConfig:
 
 
 def check_run(oracle, tol: ToleranceConfig, smooth: SmoothnessSpec, esc: EscapeConfig,
-              ncfg: NcConfig, mode: str) -> None:
-    """The entry check of a run in `mode`, before any oracle work.
+              ncfg: NcConfig, mode: str, scsg_cfg: Optional[ScsgConfig] = None) -> None:
+    """The entry check of a run or escape in `mode`, before any oracle work.
 
-    esc.validate, then every size the run's finder and escapes will draw,
-    computed by the functions that draw them: the finder sizes of `mode` and
-    ncfg.engine, and in stochastic mode the escape subsample.
+    The one home of the rules that tie the configs, the oracle and the mode
+    together (each config checks its own ranges when constructed), in order:
+    the mode, and scsg_cfg's when given; eps < eps_h**2/(16*c1*rho_eff), and
+    eps <= eps_h**1.5 in stochastic mode; the c_h windows; then every size the
+    run's finder and escapes will draw, computed by the functions that draw
+    them: finder_sizes of `mode` and ncfg.engine, which also rejects an oracle
+    that cannot serve the mode, and in stochastic mode the escape subsample.
     """
-    esc.validate(tol, smooth, mode)
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    if scsg_cfg is not None and scsg_cfg.mode != mode:
+        raise ConfigError(f"a {mode} run needs an ScsgConfig of mode {mode!r},"
+                          f" got {scsg_cfg.mode!r}")
+    bound = tol.eps_h ** 2 / (16.0 * tol.c1 * smooth.rho_eff)
+    if not tol.eps < bound:
+        raise EpsilonTooLarge(
+            f"eps={tol.eps:.6g} must satisfy eps < eps_h**2/(16*c1*rho_eff)"
+            f" = {bound:.6g}"
+        )
+    if mode == "stochastic":
+        sbound = tol.eps_h ** 1.5
+        if tol.eps > sbound:
+            raise StochasticEpsilonTooLarge(
+                f"stochastic mode needs eps <= eps_h**1.5 = {sbound:.6g}, got eps={tol.eps:.6g}"
+            )
+    ratio = 16.0 * tol.c1 * smooth.rho_eff * tol.eps / tol.eps_h ** 2
+    # eps < bound holds, but the rounded ratio may still reach 1
+    half_width = 0.5 * math.sqrt(max(1.0 - ratio, 0.0))
+    lo, hi = 0.5 - half_width, 0.5 + half_width
+    if not (lo < esc.c_h < hi):
+        raise ConfigError(
+            f"c_h={esc.c_h} outside the gradient-growth window ({lo:.6g}, {hi:.6g})"
+        )
+    if mode == "stochastic":
+        lo_s = math.sqrt(6.0 * esc.c_conc * tol.c1 * smooth.rho_eff * tol.eps / tol.eps_h ** 2)
+        if not (lo_s <= esc.c_h < 0.75):
+            raise ConfigError(
+                f"stochastic mode needs sqrt(6*c*rho*eps/eps_h**2) <= c_h < 3/4,"
+                f" i.e. {lo_s:.6g} <= c_h < 0.75, got {esc.c_h}"
+            )
     finder_sizes(mode, oracle, tol.eps_h, tol.delta, smooth.L, ncfg)
     if mode == "stochastic":
         esc.subsample_size(tol, smooth)

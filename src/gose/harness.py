@@ -411,6 +411,9 @@ def verify_nc_suite(d: int = 50, trials: int = 200, eps_h: float = 0.5,
     """
     if engine not in NC_THRESHOLDS:
         raise ConfigError(f"unknown engine {engine!r}; options: {sorted(NC_THRESHOLDS)}")
+    for name, value in (("d", d), ("trials", trials)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
     rng = np.random.default_rng(seed)
     L = 2.0 * eps_h
     x = np.zeros(d)
@@ -494,4 +497,4 @@ def always_probe_baseline(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSp
         return (res.point if res.escaped else x - g / smooth.L), None
 
     return _drive(oracle, x0, tol.max_outer, oracle.gradient, oracle.value, tol.eps,
-                  probe_or_gradient_step, probe, {}, tol.seed)
+                  probe_or_gradient_step, probe, {})

@@ -145,11 +145,16 @@ def finder_sizes(mode: str, oracle, eps_h: float, delta: float, L: float,
                  cfg: NcConfig) -> FinderSizes:
     """The sizes the finder of `mode` (and, stochastic, of cfg.engine) draws.
 
-    The finders take their budgets from here, and the drivers call it at entry,
-    so a setting whose size is not finite or passes MAX_DRAWS raises
-    SizeOutOfRange before any oracle work.
+    The finders take their budgets from here, and check_run calls it at entry,
+    so an oracle that cannot serve `mode` (NotStochastic, NotFiniteSum), or a
+    setting whose size is not finite or passes MAX_DRAWS (SizeOutOfRange),
+    raises before any oracle work.
     """
     d, mult = oracle.dimension, cfg.budget_mult
+    if mode == "stochastic" and not oracle.capabilities.stochastic:
+        raise NotStochastic("stochastic mode needs an oracle with sample_gradient")
+    if mode == "finite_sum" and not oracle.capabilities.finite_sum:
+        raise NotFiniteSum("finite_sum mode needs an oracle with n_components >= 1")
     if mode == "stochastic" and cfg.engine == "oja":
         return FinderSizes(oja_samples=oja_total_samples(d, eps_h, delta, L, mult),
                            validation=validation_batch(eps_h, L, mult))
@@ -361,8 +366,6 @@ def approx_nc_stochastic(oracle, x, eps_h: float, delta: float, L: float,
     gradients per draw when the oracle synthesizes its HVPs.
     """
     oracle = as_counting(oracle)
-    if not oracle.capabilities.stochastic:
-        raise NotStochastic("approx_nc_stochastic needs a stochastic oracle")
     x = np.asarray(x, float)
     d = oracle.dimension
     sizes = finder_sizes("stochastic", oracle, eps_h, delta, L, cfg)
@@ -409,8 +412,6 @@ def approx_nc_finite_sum(oracle, x, eps_h: float, delta: float, L: float,
     -eps_h/2 threshold.
     """
     oracle = as_counting(oracle)
-    if not oracle.capabilities.finite_sum:
-        raise NotFiniteSum("approx_nc_finite_sum needs a finite-sum oracle")
     x = np.asarray(x, float)
     d = oracle.dimension
     n = oracle.n_components

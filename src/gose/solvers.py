@@ -41,6 +41,7 @@ class SolveResult:
 class ScsgConfig:
     """Batch/minibatch sizes and step size for one variance-reduced epoch.
 
+    Needs 1 <= b <= B, eta in (0, inf) and mode "stochastic" or "finite_sum".
     p = B/(B+b) parameterizes the geometric epoch length, whose mean is B/b.
     degenerate_sgd marks b == B, where the epoch behaves like plain SGD.  Both
     are derived from B and b, never passed.
@@ -56,8 +57,10 @@ class ScsgConfig:
     def __post_init__(self):
         if not (1 <= self.b <= self.B):
             raise ConfigError(f"need 1 <= b <= B, got b={self.b}, B={self.B}")
-        if self.eta <= 0.0:
-            raise NonPositiveConstant(f"eta must be positive, got {self.eta}")
+        if not 0.0 < self.eta < math.inf:
+            raise NonPositiveConstant(f"eta must be positive and finite, got {self.eta}")
+        if self.mode not in ("stochastic", "finite_sum"):
+            raise ConfigError(f"mode must be 'stochastic' or 'finite_sum', got {self.mode!r}")
         object.__setattr__(self, "p", self.B / (self.B + self.b))
         object.__setattr__(self, "degenerate_sgd", self.b == self.B)
 

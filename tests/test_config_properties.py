@@ -8,7 +8,7 @@ import dataclasses
 import json
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gose import EscapeConfig, NcConfig, SmoothnessSpec, ToleranceConfig
@@ -99,19 +99,49 @@ def test_experiment_config_rejects_exactly_unknown_mode(mode):
         assert mode in MODES
 
 
+def first_bad(checks):
+    """Name of the first (name, ok) pair that fails, or None."""
+    return next((name for name, ok in checks if not ok), None)
+
+
+def in_range(val, lo, hi, closed_lo=False):
+    """lo < val < hi, or lo <= val < hi; False for NaN, and None stays in range."""
+    return val is None or (lo <= val < hi if closed_lo else lo < val < hi)
+
+
+# all floats, NaN and the infinities included, mixed with ones in range so
+# that valid configs come up too
+any_float = st.floats() | st.floats(0.0, 2.0)
+nan = math.nan
+
+
 @deterministic
-@given(eps=finite, eps_h=finite, delta=finite, c1=finite, max_outer=st.integers(-2, 3),
-       L=finite, rho=finite, rho_min=finite, h_star=st.none() | finite)
+@given(eps=any_float, eps_h=any_float, delta=any_float, c1=any_float,
+       max_outer=st.integers(-2, 3), L=any_float, rho=any_float, rho_min=any_float,
+       h_star=st.none() | any_float, sigma=st.none() | any_float)
+@example(eps=0.01, eps_h=0.5, delta=0.1, c1=nan, max_outer=1, L=1.0, rho=0.0, rho_min=nan,
+         h_star=None, sigma=None)
+@example(eps=0.01, eps_h=0.5, delta=0.1, c1=math.inf, max_outer=1, L=math.inf, rho=nan,
+         rho_min=1.0, h_star=math.inf, sigma=nan)
+@example(eps=nan, eps_h=0.5, delta=0.1, c1=1.0, max_outer=1, L=nan, rho=math.inf,
+         rho_min=math.inf, h_star=nan, sigma=math.inf)
 def test_tolerance_and_smoothness_reject_exactly_out_of_range(
-        eps, eps_h, delta, c1, max_outer, L, rho, rho_min, h_star):
-    tol_bad = (not all(0.0 < v < 1.0 for v in (eps, eps_h, delta))
-               or c1 < 1.0 or max_outer < 1)
-    smooth_bad = L <= 0.0 or rho < 0.0 or rho_min <= 0.0 or (h_star is not None and h_star < 0.0)
+        eps, eps_h, delta, c1, max_outer, L, rho, rho_min, h_star, sigma):
+    inf = math.inf
+    tol_bad = first_bad([("eps", in_range(eps, 0.0, 1.0)), ("eps_h", in_range(eps_h, 0.0, 1.0)),
+                         ("delta", in_range(delta, 0.0, 1.0)),
+                         ("c1", in_range(c1, 1.0, inf, closed_lo=True)),
+                         ("max_outer", max_outer >= 1)])
+    smooth_bad = first_bad([("L", in_range(L, 0.0, inf)),
+                            ("rho", in_range(rho, 0.0, inf, closed_lo=True)),
+                            ("rho_min", in_range(rho_min, 0.0, inf)),
+                            ("h_star", in_range(h_star, 0.0, inf, closed_lo=True)),
+                            ("sigma", in_range(sigma, 0.0, inf, closed_lo=True))])
     for build, bad in ((lambda: ToleranceConfig(eps, eps_h, delta, c1, max_outer), tol_bad),
-                       (lambda: SmoothnessSpec(L, rho, rho_min, h_star), smooth_bad)):
+                       (lambda: SmoothnessSpec(L, rho, rho_min, h_star, sigma), smooth_bad)):
         try:
             build()
-        except NonPositiveConstant:
-            assert bad
+        except NonPositiveConstant as exc:
+            assert bad is not None and str(exc).startswith(f"{bad} must")
         else:
-            assert not bad
+            assert bad is None

@@ -3,12 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gose import (Capabilities, CountingOracle, EscapeConfig, EvalCounters,
+from gose import (Capabilities, CountingOracle, EscapeConfig, EvalCounters, NcConfig,
                   ObjectiveOracle, SmoothnessSpec, ToleranceConfig, as_counting,
                   escape_step_length, finite_diff_hvp, get_problem,
-                  validate_config, with_gradient_noise)
+                  with_gradient_noise)
 from gose.core import (ConfigError, EpsilonTooLarge, NonPositiveConstant,
                        StochasticEpsilonTooLarge, ZeroDirection)
+from gose.escape import check_run
 
 
 def quad_oracle(diag):
@@ -31,36 +32,55 @@ def quad_oracle_analytic(diag):
 
 
 # ---------------------------------------------------------------------------
-# validate_config
+# check_run: the tolerance/smoothness inequalities
+
+
+def check_tolerances(tol, smooth, mode):
+    """check_run with the default escape and finder configs.
+
+    The zero-noise saddle serves the deterministic and stochastic modes, and
+    at these tolerances c_h = 1/2 lies inside every window, so only the
+    inequality under test can fail.
+    """
+    prob = get_problem("quadratic_saddle", d=2, spectrum=[1.0, -1.0], orth=False)
+    oracle = with_gradient_noise(prob, sigma=0.0).oracle
+    return check_run(oracle, tol, smooth, EscapeConfig(), NcConfig(), mode)
 
 
 def test_validate_accepts_instantiated_inequality():
     # 0.01 < 0.5**2 / (16*1*1) = 0.015625
     tol = ToleranceConfig(eps=0.01, eps_h=0.5, c1=1.0)
     smooth = SmoothnessSpec(L=1.0, rho=1.0)
-    assert validate_config(tol, smooth, "deterministic") is None
+    assert check_tolerances(tol, smooth, "deterministic") is None
     assert smooth.rho_eff == 1.0
     assert escape_step_length(tol, smooth, EscapeConfig()) == pytest.approx(0.25)
 
 
+def test_check_run_rejects_unknown_mode():
+    with pytest.raises(ConfigError, match="mode must be one of"):
+        check_tolerances(ToleranceConfig(eps=0.01, eps_h=0.5), SmoothnessSpec(L=1.0), "bogus")
+
+
 def test_validate_rejects_eps_at_boundary_and_above():
     smooth = SmoothnessSpec(L=1.0, rho=1.0)
+    with pytest.raises(EpsilonTooLarge, match=r"eps=0.02 must satisfy eps <"
+                                              r" eps_h\*\*2/\(16\*c1\*rho_eff\) = 0.015625"):
+        check_tolerances(ToleranceConfig(eps=0.02, eps_h=0.5), smooth, "deterministic")
     with pytest.raises(EpsilonTooLarge):
-        validate_config(ToleranceConfig(eps=0.02, eps_h=0.5), smooth, "deterministic")
-    with pytest.raises(EpsilonTooLarge):
-        validate_config(ToleranceConfig(eps=0.015625, eps_h=0.5), smooth, "deterministic")
+        check_tolerances(ToleranceConfig(eps=0.015625, eps_h=0.5), smooth, "deterministic")
 
 
 def test_validate_stochastic_three_halves_rule():
     smooth = SmoothnessSpec(L=1.0, rho=0.001)
     # 0.4**1.5 = 0.25298... < 0.3, so eps = 0.3 must be rejected
     assert 0.4 ** 1.5 == pytest.approx(0.2529822128134703)
-    with pytest.raises(StochasticEpsilonTooLarge):
-        validate_config(ToleranceConfig(eps=0.3, eps_h=0.4, c1=1.0), smooth, "stochastic")
+    with pytest.raises(StochasticEpsilonTooLarge,
+                       match=r"stochastic mode needs eps <= eps_h\*\*1.5 = 0.252982, got eps=0.3"):
+        check_tolerances(ToleranceConfig(eps=0.3, eps_h=0.4, c1=1.0), smooth, "stochastic")
     # but it passes in deterministic mode with the same constants
-    validate_config(ToleranceConfig(eps=0.3, eps_h=0.4, c1=1.0), smooth, "deterministic")
+    check_tolerances(ToleranceConfig(eps=0.3, eps_h=0.4, c1=1.0), smooth, "deterministic")
     # and a compliant stochastic eps is accepted
-    validate_config(ToleranceConfig(eps=0.2, eps_h=0.4, c1=1.0), smooth, "stochastic")
+    check_tolerances(ToleranceConfig(eps=0.2, eps_h=0.4, c1=1.0), smooth, "stochastic")
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -111,7 +131,7 @@ def test_objective_oracle_checks_itself_on_construction():
 def test_rho_floor_applies_to_quadratics():
     tol = ToleranceConfig(eps=1e-5, eps_h=0.5)
     smooth = SmoothnessSpec(L=1.0, rho=0.0, rho_min=1e-3)
-    validate_config(tol, smooth, "deterministic")
+    check_tolerances(tol, smooth, "deterministic")
     assert smooth.rho_eff == 1e-3
     assert escape_step_length(tol, smooth, EscapeConfig()) == pytest.approx(0.5 / (2 * 1e-3))
 

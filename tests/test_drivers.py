@@ -10,7 +10,7 @@ from gose import (EscapeConfig, NcConfig, ObjectiveOracle, SmoothnessSpec,
                   gose_finite_sum, gose_stochastic, with_gradient_noise)
 from gose.core import (STATUS_BUDGET, STATUS_FIRST_ORDER, STATUS_SECOND_ORDER,
                        ConfigError, EvalCounters, MalformedOracleOutput,
-                       NonFiniteMeasurement)
+                       NonFiniteMeasurement, NotFiniteSum, NotStochastic)
 from gose.drivers import LARGE, SMALL
 from gose.harness import ExperimentConfig, always_probe_baseline, run_one
 from gose.problems import as_finite_sum, make_nonconvex_pca
@@ -329,7 +329,7 @@ def fake_report(grad_norm, point):
     cert = Certificate(point=np.asarray(point, float), grad_norm=grad_norm,
                        min_eig_estimate=0.0, status=STATUS_SECOND_ORDER,
                        counters=EvalCounters())
-    return RunReport(certificate=cert, seed=0)
+    return RunReport(certificate=cert)
 
 
 def test_amplify_reps_one_is_identity():
@@ -536,6 +536,70 @@ def test_unknown_solver_rejected_before_any_oracle_work():
     with pytest.raises(ConfigError, match="unknown solver 'bogus'"):
         gose_deterministic(oracle, prob.x0, tol, SmoothnessSpec(L=prob.known_L, rho=1.0),
                            solver_choice="bogus")
+    assert oracle.counters == EvalCounters()
+
+
+# ---------------------------------------------------------------------------
+# the entry check: check_run rejects before any oracle work
+
+
+def bowl_settings():
+    bowl = get_problem("bowl_saddle", d=10, spectrum=BOWL_SPECTRUM, q=0.5, seed=3)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.1, max_outer=80, seed=0)
+    smooth = SmoothnessSpec(L=7.0, rho=1.0, h_star=2 * 0.05 ** 2, sigma=0.05)
+    return bowl, tol, smooth
+
+
+def oracle_of_every_mode(bowl):
+    """The bowl with 200 identical components and noisy draws: serves all three modes."""
+    noisy = with_gradient_noise(bowl, sigma=0.05).oracle
+    return ObjectiveOracle(10, bowl.oracle.value, bowl.oracle.gradient, hvp=bowl.oracle.hvp,
+                           n_components=200,
+                           component_gradient=lambda i, x: bowl.oracle.gradient(x),
+                           sample_gradient=noisy.sample_gradient, sample_hvp=noisy.sample_hvp)
+
+
+def stochastic_scsg(tol, smooth):
+    return derive_scsg_params(tol, smooth, "stochastic", b_override=32)
+
+
+def finite_sum_scsg(tol, smooth):
+    return derive_scsg_params(tol, smooth, "finite_sum", n=200)
+
+
+# (driver, its error, the oracle's kind, an explicit ScsgConfig or None)
+INCAPABLE_ORACLE_CASES = {
+    "stochastic-exact": (gose_stochastic, NotStochastic, "exact", None),
+    "stochastic-exact-scsg": (gose_stochastic, NotStochastic, "exact", stochastic_scsg),
+    "stochastic-finite_sum": (gose_stochastic, NotStochastic, "finite_sum", None),
+    "finite_sum-exact": (gose_finite_sum, NotFiniteSum, "exact", None),
+    "finite_sum-exact-scsg": (gose_finite_sum, NotFiniteSum, "exact", finite_sum_scsg),
+    "finite_sum-sampling": (gose_finite_sum, NotFiniteSum, "sampling", None),
+}
+
+
+@pytest.mark.parametrize("case", list(INCAPABLE_ORACLE_CASES))
+def test_oracle_that_cannot_serve_the_mode_raises_before_any_oracle_work(case):
+    driver, error, kind, scsg = INCAPABLE_ORACLE_CASES[case]
+    bowl, tol, smooth = bowl_settings()
+    spec = {"exact": bowl, "finite_sum": as_finite_sum(bowl, 200),
+            "sampling": with_gradient_noise(bowl, sigma=0.05)}[kind]
+    oracle = as_counting(spec.oracle)
+    with pytest.raises(error, match=f"{driver.__name__[len('gose_'):]} mode needs"):
+        driver(oracle, bowl.x0_list[0], tol, smooth, rng=np.random.default_rng(0),
+               scsg_cfg=None if scsg is None else scsg(tol, smooth))
+    assert oracle.counters == EvalCounters()
+
+
+@pytest.mark.parametrize("driver", [gose_stochastic, gose_finite_sum])
+def test_scsg_config_of_the_other_mode_raises_before_any_oracle_work(driver):
+    bowl, tol, smooth = bowl_settings()
+    mine = driver.__name__[len("gose_"):]
+    other = finite_sum_scsg if mine == "stochastic" else stochastic_scsg
+    oracle = as_counting(oracle_of_every_mode(bowl))
+    with pytest.raises(ConfigError, match=f"a {mine} run needs an ScsgConfig of mode '{mine}'"):
+        driver(oracle, bowl.x0_list[0], tol, smooth, rng=np.random.default_rng(0),
+               scsg_cfg=other(tol, smooth))
     assert oracle.counters == EvalCounters()
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gose import (EscapeConfig, ObjectiveOracle, SmoothnessSpec,
+from gose import (EscapeConfig, NcConfig, ObjectiveOracle, SmoothnessSpec,
                   ToleranceConfig, adjust_direction, as_counting,
                   certify_second_order, escape_step_length, get_problem,
                   make_nonconvex_pca, one_step_deterministic,
@@ -11,6 +11,7 @@ from gose import (EscapeConfig, ObjectiveOracle, SmoothnessSpec,
                   with_gradient_noise)
 from gose.core import (ConfigError, EvalCounters, NotFiniteSum, NotStochastic,
                        SizeOutOfRange)
+from gose.escape import check_run
 from gose.problems import as_finite_sum
 from conftest import planted_symmetric
 
@@ -20,6 +21,12 @@ UNIT_RHO = SmoothnessSpec(L=1.0, rho=0.0, rho_min=1.0)  # rho_eff = 1
 
 def saddle_problem():
     return get_problem("quadratic_saddle", d=2, spectrum=[1.0, -1.0], orth=False)
+
+
+def check_windows(esc, tol, smooth, mode):
+    """check_run on the zero-noise saddle, an oracle that serves both modes used here."""
+    oracle = with_gradient_noise(saddle_problem(), sigma=0.0).oracle
+    check_run(oracle, tol, smooth, esc, NcConfig(), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -63,11 +70,12 @@ def test_decrease_constants_at_default_coefficient():
 
 def test_window_validation_rejects_out_of_window_coefficients():
     # centered, always fine
-    EscapeConfig(c_h=0.5).validate(TOL, UNIT_RHO, "deterministic")
-    with pytest.raises(ConfigError):  # outside gradient-growth window
-        EscapeConfig(c_h=1.4).validate(TOL, UNIT_RHO, "deterministic")
+    check_windows(EscapeConfig(c_h=0.5), TOL, UNIT_RHO, "deterministic")
+    with pytest.raises(ConfigError, match=r"c_h=1.4 outside the gradient-growth window"
+                                          r" \(0.2, 0.8\)"):
+        check_windows(EscapeConfig(c_h=1.4), TOL, UNIT_RHO, "deterministic")
     with pytest.raises(ConfigError):  # above the stochastic cap 3/4
-        EscapeConfig(c_h=0.8).validate(TOL, UNIT_RHO, "stochastic")
+        check_windows(EscapeConfig(c_h=0.8), TOL, UNIT_RHO, "stochastic")
 
 
 @pytest.mark.parametrize("c_h", [0.05, 0.75, 0.8])
@@ -76,15 +84,15 @@ def test_stochastic_window_rejects_coefficients_the_gradient_window_allows(c_h):
     # is [sqrt(6 * 0.25 * 0.001 / 0.25), 3/4) = [0.0775, 0.75)
     tol = ToleranceConfig(eps=0.001, eps_h=0.5, delta=0.01, c1=1.0)
     esc = EscapeConfig(c_h=c_h)
-    esc.validate(tol, UNIT_RHO, "deterministic")
+    check_windows(esc, tol, UNIT_RHO, "deterministic")
     with pytest.raises(ConfigError, match="stochastic mode needs"):
-        esc.validate(tol, UNIT_RHO, "stochastic")
+        check_windows(esc, tol, UNIT_RHO, "stochastic")
 
 
 def test_stochastic_window_keeps_decrease_constant_positive():
     tol = ToleranceConfig(eps=0.001, eps_h=0.5, delta=0.01, c1=1.0)
     c_h = math.nextafter(0.75, 0.0)  # the largest coefficient the window admits
-    EscapeConfig(c_h=c_h).validate(tol, UNIT_RHO, "stochastic")
+    check_windows(EscapeConfig(c_h=c_h), tol, UNIT_RHO, "stochastic")
     assert EscapeConfig(c_h=c_h).c_prime_stoch > 0.0
 
 
@@ -197,10 +205,10 @@ def test_one_step_stochastic_zero_variance_matches_deterministic(rng):
 
 
 def test_one_step_stochastic_requires_capability(rng):
-    prob = saddle_problem()
-    with pytest.raises(NotStochastic):
-        one_step_stochastic(prob.oracle, np.zeros(2), TOL, UNIT_RHO,
-                            EscapeConfig(), rng)
+    co = as_counting(saddle_problem().oracle)
+    with pytest.raises(NotStochastic, match="stochastic mode needs"):
+        one_step_stochastic(co, np.zeros(2), TOL, UNIT_RHO, EscapeConfig(), rng)
+    assert co.counters == EvalCounters()
 
 
 def test_one_step_stochastic_noisy_monte_carlo():
@@ -279,10 +287,10 @@ def test_one_step_finite_sum_psd_bottom(rng):
 
 
 def test_one_step_finite_sum_requires_capability(rng):
-    prob = saddle_problem()
-    with pytest.raises(NotFiniteSum):
-        one_step_finite_sum(prob.oracle, np.zeros(2), TOL, UNIT_RHO,
-                            EscapeConfig(), rng)
+    co = as_counting(saddle_problem().oracle)
+    with pytest.raises(NotFiniteSum, match="finite_sum mode needs"):
+        one_step_finite_sum(co, np.zeros(2), TOL, UNIT_RHO, EscapeConfig(), rng)
+    assert co.counters == EvalCounters()
 
 
 # ---------------------------------------------------------------------------

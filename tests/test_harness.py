@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import os
 import re
 
@@ -337,6 +338,13 @@ OUT_OF_RANGE_CASES = [
     pytest.param({**NOISY_BOWL_CFG, "s_mult": 0}, "s_mult", id="s_mult_zero"),
     pytest.param({**NOISY_BOWL_CFG, "scsg_b": 0}, "scsg_b", id="scsg_b_zero"),
     pytest.param({**NOISY_BOWL_CFG, "scsg_B": 0}, "scsg_B", id="scsg_B_zero"),
+    # NaN and inf, which JSON configs can carry, are out of every range
+    pytest.param({**CHAINED_ORIGIN_CFG, "rho": 0.0, "rho_min": math.nan}, "rho_min must",
+                 id="rho_min_nan"),
+    pytest.param({**NOISY_BOWL_CFG, "c1": math.nan}, "c1 must", id="c1_nan"),
+    pytest.param({**PCA_CFG, "L": math.inf}, "L must", id="L_inf"),
+    pytest.param({**NOISY_BOWL_CFG, "h_star": 0.005, "sigma": math.inf}, "sigma must",
+                 id="sigma_inf"),
 ]
 
 # settings inside their ranges whose sizes divide by zero, overflow or pass
@@ -473,6 +481,14 @@ def test_cli_verify_nc(capsys):
                  "--engine", "deterministic"])
     assert code == 0
     assert "direction_rate" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("option, named", [("--trials", "trials"), ("--d", "d")])
+def test_cli_verify_nc_rejects_empty_suite(capsys, option, named):
+    assert main(["verify-nc", option, "0"]) == 2
+    assert f"config error: {named} must be >= 1, got 0" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=f"{named} must be >= 1, got -1"):
+        verify_nc_suite(**{named: -1})
 
 
 def test_cli_verify_nc_asymmetric_injection(capsys):

@@ -10,13 +10,13 @@ from gose import (NcBudget, NcConfig, ObjectiveOracle, approx_nc_deterministic,
                   approx_nc_finite_sum, approx_nc_stochastic, as_counting,
                   get_problem, lanczos_min_eig, make_nonconvex_pca,
                   with_gradient_noise)
-from gose.core import (MAX_DRAWS, AsymmetricOperator, BudgetZero, LapackFailure,
-                       NonFiniteMeasurement, NotFiniteSum, NotStochastic,
+from gose.core import (MAX_DRAWS, AsymmetricOperator, BudgetZero, EvalCounters,
+                       LapackFailure, NonFiniteMeasurement, NotFiniteSum, NotStochastic,
                        SizeOutOfRange)
 from gose.harness import verify_nc_suite
-from gose.ncfind import (_random_unit, _symmetry_probe, det_max_matvecs,
-                         eigh_tridiagonal, finite_sum_minibatch, oja_total_samples,
-                         stoch_minibatch, validation_batch)
+from gose.ncfind import (ENGINES, _random_unit, _symmetry_probe, det_max_matvecs,
+                         eigh_tridiagonal, finder_sizes, finite_sum_minibatch,
+                         oja_total_samples, stoch_minibatch, validation_batch)
 from conftest import planted_symmetric
 
 
@@ -316,6 +316,18 @@ def test_nc_stochastic_requires_capability(rng):
     prob = get_problem("sphere", d=2)
     with pytest.raises(NotStochastic):
         approx_nc_stochastic(prob.oracle, np.zeros(2), 0.5, 0.01, 1.0, rng)
+
+
+@pytest.mark.parametrize("mode, error", [("stochastic", NotStochastic),
+                                         ("finite_sum", NotFiniteSum)])
+def test_finder_sizes_rejects_an_oracle_that_cannot_serve_the_mode(mode, error):
+    # the finders and check_run read their sizes here before any oracle work
+    co = as_counting(get_problem("sphere", d=2).oracle)
+    for engine in ENGINES:
+        with pytest.raises(error, match=f"{mode} mode needs an oracle with"):
+            finder_sizes(mode, co, 0.5, 0.01, 1.0, NcConfig(engine=engine))
+    finder_sizes("deterministic", co, 0.5, 0.01, 1.0, NcConfig())  # every oracle serves it
+    assert co.counters == EvalCounters()
 
 
 def test_nc_stochastic_budget_compliance(rng):

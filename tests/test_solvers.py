@@ -10,7 +10,7 @@ from gose import (ObjectiveOracle, ScsgConfig, SmoothnessSpec, ToleranceConfig,
                   gd_to_stationarity, get_problem, guarded_agd,
                   sample_geometric, scsg_epoch, with_gradient_noise)
 from gose.core import (ConfigError, CountingOracle, InvalidP, MissingVarianceBound,
-                       SizeOutOfRange)
+                       NonPositiveConstant, SizeOutOfRange)
 from gose.problems import as_finite_sum
 from gose.solvers import ANCHOR_BLOCK_FLOATS, run_solver
 from conftest import planted_symmetric
@@ -161,6 +161,20 @@ def test_scsg_config_validation():
         ScsgConfig(B=1, b=2, eta=0.1, mode="stochastic")
     with pytest.raises(Exception):
         ScsgConfig(B=2, b=1, eta=-0.1, mode="stochastic")
+
+
+@pytest.mark.parametrize("change, error, named", [
+    ({"eta": math.nan}, NonPositiveConstant, "eta"),
+    ({"eta": math.inf}, NonPositiveConstant, "eta"),
+    ({"eta": 0.0}, NonPositiveConstant, "eta"),
+    ({"mode": "bogus"}, ConfigError, "mode"),
+    ({"mode": "deterministic"}, ConfigError, "mode"),
+], ids=["eta_nan", "eta_inf", "eta_zero", "mode_bogus", "mode_deterministic"])
+def test_scsg_config_rejects_bad_eta_and_mode(change, error, named):
+    with pytest.raises(error, match=f"^{named} must"):
+        ScsgConfig(**{"B": 4, "b": 2, "eta": 0.1, "mode": "stochastic", **change})
+    for mode in ("stochastic", "finite_sum"):
+        assert ScsgConfig(B=4, b=2, eta=0.1, mode=mode).mode == mode
 
 
 def test_estimate_variance_bound_near_two_sigma_squared(rng):
