@@ -15,7 +15,7 @@ from gose import (SmoothnessSpec, ToleranceConfig, certify_second_order,
 
 for d in (2, 5, 10):
     prob = get_problem("chained_saddles", d=d)
-    tol = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.01, max_outer=100, seed=0)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.01, max_outer=100)
     smooth = SmoothnessSpec(L=prob.known_L, rho=1.0)
     report = gose_deterministic(prob.oracle, prob.x0, tol, smooth,
                                 rng=np.random.default_rng(0))
@@ -28,7 +28,7 @@ for d in (2, 5, 10):
 
 # the trace of the d=5 run, iteration by iteration
 prob = get_problem("chained_saddles", d=5)
-tol = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.01, max_outer=100, seed=0)
+tol = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.01, max_outer=100)
 report = gose_deterministic(prob.oracle, prob.x0, tol,
                             SmoothnessSpec(L=prob.known_L, rho=1.0),
                             rng=np.random.default_rng(0))

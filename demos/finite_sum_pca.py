@@ -17,7 +17,7 @@ pca = get_problem("nonconvex_pca", n=200, d=20, seed=13)
 print(f"n=200 components in R^20, global minimum value"
       f" {pca.known_minimum_value:.6f}")
 
-tol = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.1, max_outer=1500, seed=0)
+tol = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.1, max_outer=1500)
 smooth = SmoothnessSpec(L=8.0, rho=1.0)
 x0 = np.zeros(20)  # start exactly on the saddle
 report = gose_finite_sum(pca.oracle, x0, tol, smooth,

@@ -23,7 +23,7 @@ print(f"confined saddle in R^{d}: minimum value {prob.known_minimum_value},"
 
 
 def run(seed):
-    tol = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.1, max_outer=80, seed=seed)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.1, max_outer=80)
     smooth = SmoothnessSpec(L=7.0, rho=1.0, h_star=2 * sigma ** 2, sigma=sigma)
     scsg = derive_scsg_params(tol, smooth, "stochastic", b_override=32)
     return gose_stochastic(noisy.oracle, np.zeros(d), tol, smooth,

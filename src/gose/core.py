@@ -459,13 +459,24 @@ def as_counting(oracle) -> CountingOracle:
 MODES = ("deterministic", "stochastic", "finite_sum")
 
 
+def check_mode(mode: str, oracle, modes: tuple = MODES) -> None:
+    """Reject a mode outside `modes` (ConfigError), or an oracle that cannot serve it."""
+    if mode not in modes:
+        raise ConfigError(f"mode must be one of {modes}, got {mode!r}")
+    if mode == "stochastic" and not oracle.capabilities.stochastic:
+        raise NotStochastic("stochastic mode needs an oracle with sample_gradient")
+    if mode == "finite_sum" and not oracle.capabilities.finite_sum:
+        raise NotFiniteSum("finite_sum mode needs an oracle with n_components >= 1")
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """First/second-order tolerances and run controls, checked when constructed.
+    """First/second-order tolerances and the outer-loop cap, checked when constructed.
 
     eps: gradient-norm tolerance.  eps_h: Hessian min-eigenvalue tolerance.
     delta: per-subroutine failure probability.  c1: step-size overshoot
-    factor (>= 1) applied to the Hessian-Lipschitz constant.
+    factor (>= 1) applied to the Hessian-Lipschitz constant.  Randomness is
+    not configured here: every run draws from the generator its caller passes.
     """
 
     eps: float
@@ -473,7 +484,6 @@ class ToleranceConfig:
     delta: float = 0.01
     c1: float = 1.0
     max_outer: int = 1000
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("eps", "eps_h", "delta"):

@@ -6,7 +6,8 @@ deterministic driver, one variance-reduced epoch otherwise).  Small measured
 gradient: enter the small-gradient region, call the negative-curvature escape
 exactly once, and either leave in that single step or terminate because the
 finder declared bottom.  Termination by bottom is the only path to a
-second_order_stationary certificate.
+second_order_stationary certificate.  Every driver takes the caller's
+generator as the required keyword rng, the run's only source of randomness.
 """
 
 from __future__ import annotations
@@ -121,10 +122,10 @@ def _drive(oracle, x0, K, measure, value, threshold, large_step, escape, echo):
     return _finish(oracle, x, gn, _budget_status(gn, threshold), trace, echo)
 
 
-def _epoch_step(oracle, scsg_cfg, rng):
+def _epoch_step(oracle, scsg_cfg, rng, mode):
     """Large-gradient step of the sampling drivers: one SCSG epoch anchored at g."""
     def step(x, g):
-        x = scsg_epoch(oracle, x, scsg_cfg, g, rng)
+        x = scsg_epoch(oracle, x, scsg_cfg, g, rng, mode)
         oracle.counters.epochs_run += 1
         return x, None
     return step
@@ -132,8 +133,8 @@ def _epoch_step(oracle, scsg_cfg, rng):
 
 def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
                        esc: EscapeConfig = EscapeConfig(),
-                       solver_choice: str = DEFAULT_SOLVER,
-                       rng: Optional[np.random.Generator] = None,
+                       solver_choice: str = DEFAULT_SOLVER, *,
+                       rng: np.random.Generator,
                        ncfg: NcConfig = NcConfig(),
                        solver_max_iters: int = DEFAULT_MAX_ITERS) -> RunReport:
     """Full-information driver.
@@ -145,7 +146,6 @@ def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     """
     check_run(oracle, tol, smooth, esc, ncfg, "deterministic")
     check_solver(solver_choice)
-    rng = rng if rng is not None else np.random.default_rng(tol.seed)
     oracle = as_counting(oracle)
     echo = _config_echo("deterministic", tol, smooth, esc, ncfg, solver_choice=solver_choice)
 
@@ -160,8 +160,8 @@ def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
 
 def gose_stochastic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
                     esc: EscapeConfig = EscapeConfig(),
-                    scsg_cfg: Optional[ScsgConfig] = None,
-                    rng: Optional[np.random.Generator] = None,
+                    scsg_cfg: Optional[ScsgConfig] = None, *,
+                    rng: np.random.Generator,
                     ncfg: NcConfig = NcConfig()) -> RunReport:
     """Sampling-only driver.
 
@@ -171,8 +171,7 @@ def gose_stochastic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     at that same batch gradient or take one stochastic escape step.  Only the
     sampling oracles are called, so trace rows carry f_value None.
     """
-    check_run(oracle, tol, smooth, esc, ncfg, "stochastic", scsg_cfg)
-    rng = rng if rng is not None else np.random.default_rng(tol.seed)
+    check_run(oracle, tol, smooth, esc, ncfg, "stochastic")
     oracle = as_counting(oracle)
     if scsg_cfg is None:
         scsg_cfg = derive_scsg_params(tol, smooth, "stochastic")
@@ -180,14 +179,14 @@ def gose_stochastic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
 
     return _drive(oracle, x0, tol.max_outer,
                   lambda x: oracle.sample_gradient_batch(x, scsg_cfg.B, rng), None, tol.eps / 2.0,
-                  _epoch_step(oracle, scsg_cfg, rng),
+                  _epoch_step(oracle, scsg_cfg, rng, "stochastic"),
                   lambda x, g: one_step_stochastic(oracle, x, tol, smooth, esc, rng, ncfg),
                   echo)
 
 
 def gose_finite_sum(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
-                    esc: EscapeConfig = EscapeConfig(),
-                    rng: Optional[np.random.Generator] = None,
+                    esc: EscapeConfig = EscapeConfig(), *,
+                    rng: np.random.Generator,
                     ncfg: NcConfig = NcConfig(),
                     scsg_cfg: Optional[ScsgConfig] = None) -> RunReport:
     """Finite-sum driver.
@@ -196,15 +195,14 @@ def gose_finite_sum(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     iteration and branches at eps (not eps/2); the epoch uses batch size n and
     minibatch size 1.
     """
-    check_run(oracle, tol, smooth, esc, ncfg, "finite_sum", scsg_cfg)
-    rng = rng if rng is not None else np.random.default_rng(tol.seed)
+    check_run(oracle, tol, smooth, esc, ncfg, "finite_sum")
     oracle = as_counting(oracle)
     if scsg_cfg is None:
         scsg_cfg = derive_scsg_params(tol, smooth, "finite_sum", n=oracle.n_components)
     echo = _config_echo("finite_sum", tol, smooth, esc, ncfg, scsg=dataclasses.asdict(scsg_cfg))
 
     return _drive(oracle, x0, tol.max_outer, oracle.gradient, oracle.value,
-                  tol.eps, _epoch_step(oracle, scsg_cfg, rng),
+                  tol.eps, _epoch_step(oracle, scsg_cfg, rng, "finite_sum"),
                   lambda x, g: one_step_finite_sum(oracle, x, tol, smooth, esc, rng, ncfg, g=g),
                   echo)
 

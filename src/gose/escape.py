@@ -17,12 +17,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (MODES, ConfigError, EpsilonTooLarge, NonPositiveConstant,
+from .core import (ConfigError, EpsilonTooLarge, NonPositiveConstant,
                    SmoothnessSpec, StochasticEpsilonTooLarge, ToleranceConfig,
-                   as_counting, checked_size)
+                   as_counting, check_mode, checked_size)
 from .ncfind import (NcConfig, NcOutcome, approx_nc_deterministic,
                      approx_nc_finite_sum, approx_nc_stochastic, finder_sizes)
-from .solvers import ScsgConfig
 
 
 @dataclass(frozen=True)
@@ -79,22 +78,18 @@ class EscapeConfig:
 
 
 def check_run(oracle, tol: ToleranceConfig, smooth: SmoothnessSpec, esc: EscapeConfig,
-              ncfg: NcConfig, mode: str, scsg_cfg: Optional[ScsgConfig] = None) -> None:
+              ncfg: NcConfig, mode: str) -> None:
     """The entry check of a run or escape in `mode`, before any oracle work.
 
     The one home of the rules that tie the configs, the oracle and the mode
     together (each config checks its own ranges when constructed), in order:
-    the mode, and scsg_cfg's when given; eps < eps_h**2/(16*c1*rho_eff), and
-    eps <= eps_h**1.5 in stochastic mode; the c_h windows; then every size the
-    run's finder and escapes will draw, computed by the functions that draw
-    them: finder_sizes of `mode` and ncfg.engine, which also rejects an oracle
-    that cannot serve the mode, and in stochastic mode the escape subsample.
+    the mode and whether the oracle serves it (check_mode);
+    eps < eps_h**2/(16*c1*rho_eff), and eps <= eps_h**1.5 in stochastic mode;
+    the c_h windows; then every size the run's finder and escapes will draw,
+    computed by the functions that draw them: finder_sizes of `mode` and
+    ncfg.engine, and in stochastic mode the escape subsample.
     """
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    if scsg_cfg is not None and scsg_cfg.mode != mode:
-        raise ConfigError(f"a {mode} run needs an ScsgConfig of mode {mode!r},"
-                          f" got {scsg_cfg.mode!r}")
+    check_mode(mode, oracle)
     bound = tol.eps_h ** 2 / (16.0 * tol.c1 * smooth.rho_eff)
     if not tol.eps < bound:
         raise EpsilonTooLarge(

@@ -21,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (MODES, ConfigError, DimensionTooLarge, EvalCounters,
-                   GoseError, ObjectiveOracle, SmoothnessSpec, ToleranceConfig,
-                   as_counting)
+                   GoseError, NonPositiveConstant, ObjectiveOracle,
+                   SmoothnessSpec, ToleranceConfig, as_counting)
 from .drivers import (RunReport, _drive, gose_deterministic, gose_finite_sum,
                       gose_stochastic)
 from .escape import EscapeConfig, check_run, one_step_deterministic
@@ -84,6 +84,9 @@ class ExperimentConfig:
         if not self.seeds or any(seed < 0 for seed in self.seeds):  # numpy seeds are ints >= 0
             raise ConfigError(f"config field 'seeds' must hold one or more non-negative ints,"
                               f" got {self.seeds!r}")
+        if self.noise_sigma is not None and not 0.0 <= self.noise_sigma < math.inf:
+            raise NonPositiveConstant(f"noise_sigma must be nonnegative and finite,"
+                                      f" got {self.noise_sigma}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -167,19 +170,24 @@ def _make_problem(name: str, params: dict) -> ProblemSpec:
         raise ConfigError(f"problem {name!r} rejects problem_params {params!r}: {exc}") from exc
 
 
-def build_configs(cfg: ExperimentConfig, spec: ProblemSpec, seed: int):
+def build_configs(cfg: ExperimentConfig, spec: ProblemSpec):
+    """The run's configs; h_star defaults to 2*sigma**2 once SmoothnessSpec has checked sigma."""
     tol = ToleranceConfig(eps=cfg.eps, eps_h=cfg.eps_h, delta=cfg.delta,
-                          c1=cfg.c1, max_outer=cfg.max_outer, seed=seed)
+                          c1=cfg.c1, max_outer=cfg.max_outer)
     sigma = cfg.sigma if cfg.sigma is not None else cfg.noise_sigma
-    h_star = cfg.h_star
-    if h_star is None and sigma is not None:
-        h_star = 2.0 * sigma ** 2
     smooth = SmoothnessSpec(
         L=cfg.L if cfg.L is not None else spec.known_L,
         rho=cfg.rho if cfg.rho is not None else spec.known_rho,
         rho_min=cfg.rho_min,
-        h_star=h_star, sigma=sigma,
+        h_star=cfg.h_star, sigma=sigma,
     )
+    if smooth.h_star is None and sigma is not None:
+        try:
+            h_star = 2.0 * sigma ** 2
+        except OverflowError:
+            raise ConfigError(f"h_star = 2*sigma**2 overflows for sigma={sigma};"
+                              " set h_star") from None
+        smooth = dataclasses.replace(smooth, h_star=h_star)
     esc = EscapeConfig(c_h=cfg.c_h, s_mult=cfg.s_mult, c_conc=cfg.c_conc)
     ncfg = NcConfig(budget_mult=cfg.nc_budget_mult, engine=cfg.nc_engine)
     return tol, smooth, esc, ncfg
@@ -188,7 +196,7 @@ def build_configs(cfg: ExperimentConfig, spec: ProblemSpec, seed: int):
 def run_one(cfg: ExperimentConfig, seed: int) -> tuple[RunReport, dict]:
     """Run one seed of the configured experiment; returns (report, summary row)."""
     spec = build_problem(cfg)
-    tol, smooth, esc, ncfg = build_configs(cfg, spec, seed)
+    tol, smooth, esc, ncfg = build_configs(cfg, spec)
     rng = np.random.default_rng(seed)
     x0 = spec.x0
     t0 = time.perf_counter()
@@ -460,7 +468,9 @@ def verify_nc_suite(d: int = 50, trials: int = 200, eps_h: float = 0.5,
 
 
 def inject_asymmetric_probe(d: int = 10, seed: int = 0):
-    """Drive the Lanczos symmetry probe with a deliberately asymmetric operator."""
+    """Drive the Lanczos symmetry probe with a deliberately asymmetric operator (d >= 2)."""
+    if d < 2:
+        raise ConfigError(f"d must be >= 2 for an asymmetric operator, got {d}")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((d, d))
     A[0, 1] += 5.0  # guarantee asymmetry
@@ -472,8 +482,8 @@ def inject_asymmetric_probe(d: int = 10, seed: int = 0):
 
 
 def always_probe_baseline(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
-                          esc: EscapeConfig = EscapeConfig(),
-                          rng: Optional[np.random.Generator] = None,
+                          esc: EscapeConfig = EscapeConfig(), *,
+                          rng: np.random.Generator,
                           ncfg: NcConfig = NcConfig()) -> RunReport:
     """Reference scheme that probes for negative curvature every iteration.
 
@@ -485,7 +495,6 @@ def always_probe_baseline(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSp
     save.
     """
     check_run(oracle, tol, smooth, esc, ncfg, "deterministic")
-    rng = rng if rng is not None else np.random.default_rng(tol.seed)
     oracle = as_counting(oracle)
 
     def probe(x, g):

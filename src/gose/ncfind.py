@@ -22,8 +22,8 @@ import numpy as np
 from scipy.linalg.lapack import dstebz, dstein
 
 from .core import (AsymmetricOperator, BudgetZero, ConfigError, LapackFailure,
-                   NonFiniteMeasurement, NonPositiveConstant, NotFiniteSum,
-                   NotStochastic, as_counting, checked_size)
+                   NonFiniteMeasurement, NonPositiveConstant, as_counting,
+                   check_mode, checked_size)
 
 BOTTOM = "bottom"
 DIRECTION = "direction"
@@ -146,15 +146,13 @@ def finder_sizes(mode: str, oracle, eps_h: float, delta: float, L: float,
     """The sizes the finder of `mode` (and, stochastic, of cfg.engine) draws.
 
     The finders take their budgets from here, and check_run calls it at entry,
-    so an oracle that cannot serve `mode` (NotStochastic, NotFiniteSum), or a
-    setting whose size is not finite or passes MAX_DRAWS (SizeOutOfRange),
-    raises before any oracle work.
+    so an unknown mode (ConfigError), an oracle that cannot serve `mode`
+    (NotStochastic, NotFiniteSum, by core.check_mode), or a setting whose size
+    is not finite or passes MAX_DRAWS (SizeOutOfRange), raises before any
+    oracle work.
     """
+    check_mode(mode, oracle)
     d, mult = oracle.dimension, cfg.budget_mult
-    if mode == "stochastic" and not oracle.capabilities.stochastic:
-        raise NotStochastic("stochastic mode needs an oracle with sample_gradient")
-    if mode == "finite_sum" and not oracle.capabilities.finite_sum:
-        raise NotFiniteSum("finite_sum mode needs an oracle with n_components >= 1")
     if mode == "stochastic" and cfg.engine == "oja":
         return FinderSizes(oja_samples=oja_total_samples(d, eps_h, delta, L, mult),
                            validation=validation_batch(eps_h, L, mult))

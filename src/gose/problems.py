@@ -16,7 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ConfigError, DimensionTooLarge, ObjectiveOracle
+from .core import (ConfigError, DimensionTooLarge, NonPositiveConstant,
+                   ObjectiveOracle)
 
 
 @dataclass
@@ -107,8 +108,10 @@ def make_bowl_saddle(d: int = 2, spectrum=None, q: float = 0.5, seed: int = 0,
     stationary point; the ||x||^4 bowl creates minima at ||x*|| =
     sqrt(-lambda_min(A)/q) along the most-negative eigenvector, with value
     -lambda_min(A)**2/(4q).  The origin stays a strict saddle.  The default
-    spectrum is d-1 ones and one -1.
+    spectrum is d-1 ones and one -1.  q must lie in (0, inf).
     """
+    if not 0.0 < q < math.inf:
+        raise NonPositiveConstant(f"q must be positive and finite, got {q}")
     spectrum = _spectrum_or_default(spectrum, d)
     if orth and d > 1:
         A, Q = _planted_spectrum(spectrum, np.random.default_rng(seed))
@@ -153,7 +156,7 @@ def make_bowl_saddle(d: int = 2, spectrum=None, q: float = 0.5, seed: int = 0,
 # Chained saddles (coordinate-wise double-well quartics)
 
 
-def make_chained_saddles(d: int, weights=None, seed: int = 0) -> ProblemSpec:
+def make_chained_saddles(d: int, weights=None) -> ProblemSpec:
     """f(x) = sum_i a_i (x_i**2 - 1)**2: d strict saddles met in sequence.
 
     Each coordinate is a double well with a hilltop at 0.  Descent from the
@@ -410,8 +413,10 @@ def with_gradient_noise(spec: ProblemSpec, sigma: float) -> ProblemSpec:
     sigma * (z (z.v) - v), z ~ N(0, I).  All randomness flows through the
     generator argument, so equal generator states reproduce the same draw.
     The batch callables return, bit for bit, what m single draws summed in
-    order give.
+    order give.  sigma must lie in [0, inf).
     """
+    if not 0.0 <= sigma < math.inf:
+        raise NonPositiveConstant(f"sigma must be nonnegative and finite, got {sigma}")
     base = spec.oracle
     d = base.dimension
     coord = sigma / math.sqrt(d)

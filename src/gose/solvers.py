@@ -10,13 +10,13 @@ geometrically distributed number of control-variate steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import (ConfigError, InvalidP, MissingVarianceBound,
-                   NonPositiveConstant, as_counting, checked_size)
+                   NonPositiveConstant, as_counting, check_mode, checked_size)
 
 DEFAULT_SOLVER = "gd"
 DEFAULT_MAX_ITERS = 200_000
@@ -41,28 +41,24 @@ class SolveResult:
 class ScsgConfig:
     """Batch/minibatch sizes and step size for one variance-reduced epoch.
 
-    Needs 1 <= b <= B, eta in (0, inf) and mode "stochastic" or "finite_sum".
-    p = B/(B+b) parameterizes the geometric epoch length, whose mean is B/b.
-    degenerate_sgd marks b == B, where the epoch behaves like plain SGD.  Both
-    are derived from B and b, never passed.
+    Needs 1 <= b <= B and eta in (0, inf).  The mode is not stored here: the
+    driver passes its own to scsg_epoch.
     """
 
     B: int
     b: int
     eta: float
-    p: float = field(init=False)
-    mode: str  # "stochastic" | "finite_sum"
-    degenerate_sgd: bool = field(init=False)
 
     def __post_init__(self):
         if not (1 <= self.b <= self.B):
             raise ConfigError(f"need 1 <= b <= B, got b={self.b}, B={self.B}")
         if not 0.0 < self.eta < math.inf:
             raise NonPositiveConstant(f"eta must be positive and finite, got {self.eta}")
-        if self.mode not in ("stochastic", "finite_sum"):
-            raise ConfigError(f"mode must be 'stochastic' or 'finite_sum', got {self.mode!r}")
-        object.__setattr__(self, "p", self.B / (self.B + self.b))
-        object.__setattr__(self, "degenerate_sgd", self.b == self.B)
+
+    @property
+    def p(self) -> float:
+        """B/(B+b), the parameter of the geometric epoch length (mean B/b)."""
+        return self.B / (self.B + self.b)
 
 
 def sample_geometric(p: float, rng: np.random.Generator) -> int:
@@ -103,7 +99,7 @@ def derive_scsg_params(tol, smooth, mode: str, n: int = 0,
         B = n if B_override is None else int(B_override)
         b = 1 if b_override is None else int(b_override)
         eta = 1.0 / (smooth.L * n ** (2.0 / 3.0))
-        return ScsgConfig(B=B, b=min(b, B), eta=eta, mode=mode)
+        return ScsgConfig(B=B, b=min(b, B), eta=eta)
     if mode != "stochastic":
         raise ConfigError(f"mode must be 'stochastic' or 'finite_sum', got {mode!r}")
     h_star = smooth.h_star
@@ -127,7 +123,7 @@ def derive_scsg_params(tol, smooth, mode: str, n: int = 0,
             clamped=True, rho=rho, h_star=h_star, eps=tol.eps, L=smooth.L, eps_h=tol.eps_h), 1)
     b = min(b, B)
     eta = b ** (2.0 / 3.0) / (6.0 * smooth.L * B ** (2.0 / 3.0))
-    return ScsgConfig(B=B, b=b, eta=eta, mode=mode)
+    return ScsgConfig(B=B, b=b, eta=eta)
 
 
 def estimate_variance_bound(oracle, x, rng: np.random.Generator,
@@ -146,10 +142,12 @@ def estimate_variance_bound(oracle, x, rng: np.random.Generator,
 
 
 def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
-               rng: np.random.Generator) -> np.ndarray:
+               rng: np.random.Generator, mode: str) -> np.ndarray:
     """One variance-reduced epoch anchored at g_anchor (the batch gradient at x0).
 
-    Draws T ~ Geom(B/(B+b)) and iterates
+    mode is the driver's, "stochastic" or "finite_sum"; a mode outside these,
+    or an oracle that cannot serve it, raises (core.check_mode) before any
+    draw.  Draws T ~ Geom(B/(B+b)) and iterates
         y <- y - eta * (g_I(y) - g_I(x0) + g_anchor)
     where g_I is the minibatch-mean gradient over b fresh indices (finite-sum)
     or b fresh draws evaluated at both points in one stacked call (stochastic,
@@ -165,11 +163,12 @@ def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
     makes one call at y.
     """
     oracle = as_counting(oracle)
+    check_mode(mode, oracle, ("stochastic", "finite_sum"))
     x0 = np.asarray(x0, float)
     T = sample_geometric(cfg.p, rng)
     if T == 0:
         return x0
-    if cfg.mode == "finite_sum":
+    if mode == "finite_sum":
         indices = rng.integers(0, oracle.n_components, size=(T, cfg.b))
         rows = max(ANCHOR_BLOCK_FLOATS // (cfg.b * oracle.dimension), 1)
         y = x0.copy()

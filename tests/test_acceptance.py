@@ -83,7 +83,7 @@ def chained_runs():
         reports = []
         for seed in range(20):
             tol = ToleranceConfig(eps=EPS, eps_h=EPS_H, delta=DELTA,
-                                  max_outer=200, seed=seed)
+                                  max_outer=200)
             reports.append((prob, gose_deterministic(
                 prob.oracle, prob.x0, tol, smooth,
                 rng=np.random.default_rng(seed))))
@@ -100,7 +100,7 @@ def stoch_problem():
 
 def run_stoch(noisy, seed):
     tol = ToleranceConfig(eps=EPS, eps_h=EPS_H, delta=0.1, c1=1.0,
-                          max_outer=80, seed=seed)
+                          max_outer=80)
     smooth = SmoothnessSpec(L=7.0, rho=1.0, h_star=2 * 0.05 ** 2, sigma=0.05)
     scsg = derive_scsg_params(tol, smooth, "stochastic", b_override=32)
     return gose_stochastic(noisy.oracle, np.zeros(10), tol, smooth,
@@ -124,7 +124,7 @@ def pca_problem():
 
 def run_pca(pca, seed):
     tol = ToleranceConfig(eps=EPS, eps_h=EPS_H, delta=0.1, c1=1.0,
-                          max_outer=1500, seed=seed)
+                          max_outer=1500)
     smooth = SmoothnessSpec(L=8.0, rho=1.0)
     return gose_finite_sum(pca.oracle, pca.x0, tol, smooth,
                            rng=np.random.default_rng(seed))
@@ -146,7 +146,7 @@ def path_runs():
     pairs = []
     for seed in range(10):
         tol = ToleranceConfig(eps=EPS, eps_h=EPS_H, delta=DELTA,
-                              max_outer=50, seed=seed)
+                              max_outer=50)
         g = gose_deterministic(prob.oracle, prob.x0, tol, smooth,
                                rng=np.random.default_rng(seed))
         b = always_probe_baseline(prob.oracle, prob.x0, tol, smooth,
@@ -331,11 +331,11 @@ def test_criterion_7_scsg_mechanics():
 
         sphere = get_problem("sphere", d=4)
         fs = as_finite_sum(sphere, 1)
-        cfg = ScsgConfig(B=1, b=1, eta=0.2, mode="finite_sum")
+        cfg = ScsgConfig(B=1, b=1, eta=0.2)
         x0 = np.array([1.0, -0.5, 2.0, 0.25])
         for seed in range(50):
             y = scsg_epoch(fs.oracle, x0, cfg, fs.oracle.gradient(x0),
-                           np.random.default_rng(seed))
+                           np.random.default_rng(seed), "finite_sum")
             T = sample_geometric(0.5, np.random.default_rng(seed))
             z = x0.copy()
             for _ in range(T):

@@ -34,11 +34,13 @@ BY_ANNOTATION = {
     "Optional[str]": st.none() | st.text(),
 }
 
-# mode is checked on construction, so only the valid modes build a config
+# mode and noise_sigma are checked on construction, so only their valid
+# values build a config
 experiment_configs = st.builds(
     ExperimentConfig,
     **{**{f.name: BY_ANNOTATION[f.type] for f in dataclasses.fields(ExperimentConfig)},
-       "mode": st.sampled_from(MODES)},
+       "mode": st.sampled_from(MODES),
+       "noise_sigma": st.none() | st.floats(min_value=0.0, allow_infinity=False)},
 )
 
 

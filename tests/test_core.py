@@ -363,7 +363,7 @@ def test_as_counting_is_idempotent():
 def test_counters_nondecreasing_along_a_run():
     from gose import EscapeConfig, gose_deterministic
     spec = get_problem("chained_saddles", d=3)
-    tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=50, seed=0)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=50)
     smooth = SmoothnessSpec(L=spec.known_L, rho=1.0)
     report = gose_deterministic(spec.oracle, spec.x0, tol, smooth, EscapeConfig(),
                                 rng=np.random.default_rng(0))

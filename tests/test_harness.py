@@ -79,6 +79,17 @@ def test_run_one_minimal_smoke():
     assert "tolerance" in row["config"] and "escape" in row["config"]
 
 
+def test_config_echo_states_each_value_once():
+    # the seed is the caller's generator, not a tolerance; the SCSG echo holds
+    # the epoch's sizes and step, not the run's mode again
+    rows = [run_one(ExperimentConfig.from_dict(PCA_CFG), seed)[1] for seed in (0, 7)]
+    assert rows[0]["config"] == rows[1]["config"]
+    assert rows[0]["config"]["mode"] == "finite_sum"
+    assert "seed" not in rows[0]["config"]["tolerance"]
+    assert set(rows[0]["config"]["scsg"]) == {"B", "b", "eta"}
+    assert rows[0]["counters"] != rows[1]["counters"]
+
+
 def test_summary_golden_fixed_seed():
     cfg = ExperimentConfig.from_dict(CONVEX_CFG)
     _, row1 = run_one(cfg, seed=0)
@@ -111,7 +122,7 @@ def test_run_experiment_writes_files(tmp_path):
 
 def test_trace_table_shape():
     spec = get_problem("saddle_path", d=2)
-    tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=50, seed=0)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=50)
     smooth = SmoothnessSpec(L=spec.known_L, rho=1.0)
     report = gose_deterministic(spec.oracle, spec.x0, tol, smooth,
                                 rng=np.random.default_rng(0))
@@ -220,7 +231,7 @@ def test_verify_nc_unknown_engine():
 
 def test_baseline_probes_every_iteration():
     spec = get_problem("saddle_path", d=2)
-    tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=50, seed=0)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=50)
     smooth = SmoothnessSpec(L=spec.known_L, rho=1.0)
     report = always_probe_baseline(spec.oracle, spec.x0, tol, smooth,
                                    rng=np.random.default_rng(0))
@@ -347,6 +358,28 @@ OUT_OF_RANGE_CASES = [
                  id="sigma_inf"),
 ]
 
+BOWL_PARAMS = NOISY_BOWL_CFG["problem_params"]
+
+# problem inputs out of range: a config error naming the field the user set,
+# raised while the problem is built (noise_sigma, q, seed) or before h_star is
+# derived from sigma
+PROBLEM_INPUT_CASES = [
+    pytest.param({**NOISY_BOWL_CFG, "sigma": math.inf}, "sigma must", id="sigma_inf_no_h_star"),
+    pytest.param({**NOISY_BOWL_CFG, "noise_sigma": math.nan}, "noise_sigma must",
+                 id="noise_sigma_nan"),
+    pytest.param({**NOISY_BOWL_CFG, "noise_sigma": -0.05}, "noise_sigma must",
+                 id="noise_sigma_negative"),
+    pytest.param({**NOISY_BOWL_CFG, "noise_sigma": None, "sigma": -0.05}, "sigma must",
+                 id="sigma_as_noise_negative"),
+    pytest.param({**NOISY_BOWL_CFG, "sigma": 1e200}, "sigma=1e+200", id="sigma_h_star_overflow"),
+    pytest.param({**NOISY_BOWL_CFG, "problem_params": {**BOWL_PARAMS, "q": 0}}, "q must",
+                 id="q_zero"),
+    pytest.param({**NOISY_BOWL_CFG, "problem_params": {**BOWL_PARAMS, "q": -1}}, "q must",
+                 id="q_negative"),
+    pytest.param({**CHAINED_ORIGIN_CFG, "problem_params": {"d": 2, "seed": 1}}, "'seed'",
+                 id="chained_seed"),
+]
+
 # settings inside their ranges whose sizes divide by zero, overflow or pass
 # MAX_DRAWS on the noisy bowl: a config error naming the setting and its value
 SIZE_OUT_OF_RANGE_CASES = [
@@ -359,7 +392,7 @@ SIZE_OUT_OF_RANGE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("cfg, named", OUT_OF_RANGE_CASES)
+@pytest.mark.parametrize("cfg, named", OUT_OF_RANGE_CASES + PROBLEM_INPUT_CASES)
 def test_cli_run_rejects_out_of_range_setting(tmp_path, capsys, cfg, named):
     path = write_cfg(tmp_path, cfg)
     code = main(["run", "--config", path, "--out", str(tmp_path / "out")])
@@ -376,15 +409,16 @@ def test_out_of_range_setting_raises_before_any_oracle_work(cfg, named):
     cfg = ExperimentConfig.from_dict(cfg)
     spec = build_problem(cfg)
     oracle = as_counting(spec.oracle)
+    rng = np.random.default_rng(0)
     with pytest.raises(ConfigError, match=re.escape(named)):
-        tol, smooth, esc, ncfg = build_configs(cfg, spec, 0)
+        tol, smooth, esc, ncfg = build_configs(cfg, spec)
         if cfg.mode == "deterministic":
-            gose_deterministic(oracle, spec.x0, tol, smooth, esc, ncfg=ncfg)
+            gose_deterministic(oracle, spec.x0, tol, smooth, esc, rng=rng, ncfg=ncfg)
         else:
             scsg = derive_scsg_params(tol, smooth, cfg.mode, n=oracle.n_components,
                                       B_override=cfg.scsg_B, b_override=cfg.scsg_b)
             driver = gose_stochastic if cfg.mode == "stochastic" else gose_finite_sum
-            driver(oracle, spec.x0, tol, smooth, esc, scsg_cfg=scsg, ncfg=ncfg)
+            driver(oracle, spec.x0, tol, smooth, esc, scsg_cfg=scsg, rng=rng, ncfg=ncfg)
     assert oracle.counters == EvalCounters()
 
 
@@ -401,7 +435,7 @@ def test_cli_run_rejects_size_out_of_range(tmp_path, capsys, cfg, named):
 def test_run_defaults_are_the_library_defaults():
     # gose run builds the configs a library caller gets by default
     cfg = ExperimentConfig()
-    tol, smooth, esc, ncfg = build_configs(cfg, build_problem(cfg), 0)
+    tol, smooth, esc, ncfg = build_configs(cfg, build_problem(cfg))
     assert esc == EscapeConfig() and ncfg == NcConfig()
     default_tol = ToleranceConfig(eps=cfg.eps, eps_h=cfg.eps_h)
     assert (tol.delta, tol.c1) == (default_tol.delta, default_tol.c1)
@@ -495,6 +529,13 @@ def test_cli_verify_nc_asymmetric_injection(capsys):
     code = main(["verify-nc", "--inject-asymmetric"])
     assert code == 3
     assert "AsymmetricOperator" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [1, 0])
+def test_cli_verify_nc_asymmetric_injection_needs_two_dimensions(capsys, d):
+    assert main(["verify-nc", "--inject-asymmetric", "--d", str(d)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: d must be >= 2 for an asymmetric operator, got {d}" in err
 
 
 def test_cli_sweep(tmp_path, capsys):

@@ -153,7 +153,7 @@ def ritz_operator(kind, d, seed):
     rng = np.random.default_rng(1000 + seed)
     if kind == "chained":
         # Hessian of chained saddles at a point where the wells differ
-        prob = get_problem("chained_saddles", d=d, seed=seed)
+        prob = get_problem("chained_saddles", d=d)
         x = rng.uniform(-1.2, 1.2, d)
         return lambda v: prob.oracle.hvp(x, v)
     if kind == "uniform":

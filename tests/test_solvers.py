@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -9,8 +10,9 @@ from gose import (ObjectiveOracle, ScsgConfig, SmoothnessSpec, ToleranceConfig,
                   as_counting, derive_scsg_params, estimate_variance_bound,
                   gd_to_stationarity, get_problem, guarded_agd,
                   sample_geometric, scsg_epoch, with_gradient_noise)
-from gose.core import (ConfigError, CountingOracle, InvalidP, MissingVarianceBound,
-                       NonPositiveConstant, SizeOutOfRange)
+from gose.core import (ConfigError, CountingOracle, EvalCounters, InvalidP,
+                       MissingVarianceBound, NonPositiveConstant, NotFiniteSum,
+                       NotStochastic, SizeOutOfRange)
 from gose.problems import as_finite_sum
 from gose.solvers import ANCHOR_BLOCK_FLOATS, run_solver
 from conftest import planted_symmetric
@@ -71,7 +73,13 @@ def test_derive_finite_sum_clamped_minibatch_derives_p():
                              n=200, b_override=500)
     assert (cfg.B, cfg.b, cfg.p) == (200, 200, 0.5)
     with pytest.raises(TypeError):  # p is derived, never passed
-        ScsgConfig(B=2, b=1, eta=0.1, p=0.5, mode="finite_sum")
+        ScsgConfig(B=2, b=1, eta=0.1, p=0.5)
+
+
+def test_scsg_config_holds_sizes_and_step_only():
+    # the mode is the driver's, passed to scsg_epoch; p is computed from B and b
+    assert [f.name for f in dataclasses.fields(ScsgConfig)] == ["B", "b", "eta"]
+    assert ScsgConfig(B=3, b=1, eta=0.1).p == 3 / (3 + 1)
 
 
 def test_derive_stochastic_B_example():
@@ -89,7 +97,6 @@ def test_derive_stochastic_degenerate_clamp():
     tol = ToleranceConfig(eps=0.2, eps_h=0.05, delta=0.1)
     smooth = SmoothnessSpec(L=0.1, rho=2.0, h_star=1.0)
     cfg = derive_scsg_params(tol, smooth, "stochastic")
-    assert cfg.degenerate_sgd
     assert cfg.b == cfg.B
 
 
@@ -101,18 +108,6 @@ def test_derive_rejects_override_below_one(mode, override):
     smooth = SmoothnessSpec(L=1.0, rho=1.0, h_star=0.005)
     with pytest.raises(ConfigError, match=f"{override} \\(scsg_{override[0]}\\) must be >= 1"):
         derive_scsg_params(tol, smooth, mode, n=50, **{override: 0})
-
-
-def test_degenerate_flag_derived_from_b_and_B():
-    assert ScsgConfig(B=4, b=4, eta=0.1, mode="stochastic").degenerate_sgd
-    assert not ScsgConfig(B=4, b=1, eta=0.1, mode="stochastic").degenerate_sgd
-    with pytest.raises(TypeError):  # derived, never passed
-        ScsgConfig(B=2, b=1, eta=0.1, mode="finite_sum", degenerate_sgd=True)
-    # a finite-sum minibatch clamped to n is plain SGD too
-    tol = ToleranceConfig(eps=0.01, eps_h=0.5)
-    cfg = derive_scsg_params(tol, SmoothnessSpec(L=4.0, rho=1.0), "finite_sum",
-                             n=200, b_override=500)
-    assert cfg.degenerate_sgd
 
 
 @pytest.mark.parametrize("smooth_kw, tol_kw, named", [
@@ -158,9 +153,9 @@ def test_derive_invariants_hold(rng):
 
 def test_scsg_config_validation():
     with pytest.raises(ConfigError):
-        ScsgConfig(B=1, b=2, eta=0.1, mode="stochastic")
+        ScsgConfig(B=1, b=2, eta=0.1)
     with pytest.raises(Exception):
-        ScsgConfig(B=2, b=1, eta=-0.1, mode="stochastic")
+        ScsgConfig(B=2, b=1, eta=-0.1)
 
 
 @pytest.mark.parametrize("change, error, named", [
@@ -171,10 +166,33 @@ def test_scsg_config_validation():
     ({"mode": "deterministic"}, ConfigError, "mode"),
 ], ids=["eta_nan", "eta_inf", "eta_zero", "mode_bogus", "mode_deterministic"])
 def test_scsg_config_rejects_bad_eta_and_mode(change, error, named):
+    # eta is checked by ScsgConfig; the mode, which the driver passes, by
+    # scsg_epoch before any draw
+    settings = {"eta": 0.1, "mode": "stochastic", **change}
+    sphere = get_problem("sphere", d=2)
+    oracles = {"stochastic": with_gradient_noise(sphere, sigma=0.1).oracle,
+               "finite_sum": as_finite_sum(sphere, 3).oracle}
+    co = as_counting(oracles["stochastic"])
+    x0 = np.ones(2)
     with pytest.raises(error, match=f"^{named} must"):
-        ScsgConfig(**{"B": 4, "b": 2, "eta": 0.1, "mode": "stochastic", **change})
-    for mode in ("stochastic", "finite_sum"):
-        assert ScsgConfig(B=4, b=2, eta=0.1, mode=mode).mode == mode
+        scsg_epoch(co, x0, ScsgConfig(B=4, b=2, eta=settings["eta"]), x0,
+                   np.random.default_rng(0), settings["mode"])
+    assert co.counters == EvalCounters()
+    for mode, oracle in oracles.items():
+        scsg_epoch(oracle, x0, ScsgConfig(B=4, b=2, eta=0.1), x0, np.random.default_rng(0), mode)
+
+
+@pytest.mark.parametrize("mode, error", [("finite_sum", NotFiniteSum),
+                                         ("stochastic", NotStochastic)])
+def test_scsg_epoch_rejects_an_oracle_that_cannot_serve_its_mode(mode, error):
+    # the exact bowl has neither components nor draws: raise before any draw
+    oracle = as_counting(get_problem("bowl_saddle", d=3).oracle)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(error, match=f"^{mode} mode needs"):
+        scsg_epoch(oracle, np.ones(3), ScsgConfig(B=4, b=2, eta=0.1), np.ones(3), rng, mode)
+    assert oracle.counters == EvalCounters()
+    assert rng.bit_generator.state == state
 
 
 def test_estimate_variance_bound_near_two_sigma_squared(rng):
@@ -206,11 +224,11 @@ def _seed_with_T(p, want):
 def test_epoch_T_zero_returns_x0_exactly():
     sphere = get_problem("sphere", d=3)
     fs = as_finite_sum(sphere, 1)
-    cfg = ScsgConfig(B=1, b=1, eta=0.1, mode="finite_sum")
+    cfg = ScsgConfig(B=1, b=1, eta=0.1)
     seed = _seed_with_T(0.5, 0)
     x0 = np.array([1.0, -2.0, 0.5])
     y = scsg_epoch(fs.oracle, x0, cfg, fs.oracle.gradient(x0),
-                   np.random.default_rng(seed))
+                   np.random.default_rng(seed), "finite_sum")
     np.testing.assert_array_equal(y, x0)
 
 
@@ -218,11 +236,11 @@ def test_epoch_collapses_to_gd_when_b_B_n_one():
     # the control variate cancels: g_I(y) - g_I(x0) + g_anchor = grad f(y)
     sphere = get_problem("sphere", d=3)
     fs = as_finite_sum(sphere, 1)
-    cfg = ScsgConfig(B=1, b=1, eta=0.1, mode="finite_sum")
+    cfg = ScsgConfig(B=1, b=1, eta=0.1)
     seed = _seed_with_T(0.5, 4)
     x0 = np.array([1.0, -2.0, 0.5])
     y = scsg_epoch(fs.oracle, x0, cfg, fs.oracle.gradient(x0),
-                   np.random.default_rng(seed))
+                   np.random.default_rng(seed), "finite_sum")
     T = sample_geometric(0.5, np.random.default_rng(seed))
     z = x0.copy()
     for _ in range(T):
@@ -233,11 +251,11 @@ def test_epoch_collapses_to_gd_when_b_B_n_one():
 def test_epoch_counts_two_b_T_evals():
     sphere = get_problem("sphere", d=3)
     fs = as_finite_sum(sphere, 4)
-    cfg = ScsgConfig(B=4, b=2, eta=0.05, mode="finite_sum")
+    cfg = ScsgConfig(B=4, b=2, eta=0.05)
     seed = _seed_with_T(4.0 / 6.0, 3)
     co = as_counting(fs.oracle)
     scsg_epoch(co, np.ones(3), cfg, fs.oracle.gradient(np.ones(3)),
-               np.random.default_rng(seed))
+               np.random.default_rng(seed), "finite_sum")
     assert co.counters.component_grad_evals == 2 * 2 * 3  # 2 * b * T
 
 
@@ -254,13 +272,13 @@ def test_epoch_mean_descent_on_finite_sum_quadratic():
         hvp=lambda x, v: A @ v, n_components=n,
         component_gradient=lambda i, x: comps[i] @ x,
     )
-    cfg = ScsgConfig(B=n, b=1, eta=1.0 / (1.0 * n ** (2 / 3)), mode="finite_sum")
+    cfg = ScsgConfig(B=n, b=1, eta=1.0 / (1.0 * n ** (2 / 3)))
     x0 = np.full(d, 2.0)
     f0 = oracle.value(x0)
     vals = []
     for seed in range(100):
         y = scsg_epoch(oracle, x0, cfg, oracle.gradient(x0),
-                       np.random.default_rng(seed))
+                       np.random.default_rng(seed), "finite_sum")
         vals.append(oracle.value(y))
     assert np.mean(vals) < f0
 
@@ -270,11 +288,11 @@ def test_epoch_stochastic_common_random_numbers():
     # zero-variance check: epoch equals anchored full-gradient recursion
     sphere = get_problem("sphere", d=4)
     noisy = with_gradient_noise(sphere, sigma=0.3)
-    cfg = ScsgConfig(B=8, b=2, eta=0.05, mode="stochastic")
+    cfg = ScsgConfig(B=8, b=2, eta=0.05)
     seed = _seed_with_T(8.0 / 10.0, 5)
     x0 = np.ones(4)
     g_anchor = sphere.oracle.gradient(x0)  # exact anchor isolates the noise path
-    y = scsg_epoch(noisy.oracle, x0, cfg, g_anchor, np.random.default_rng(seed))
+    y = scsg_epoch(noisy.oracle, x0, cfg, g_anchor, np.random.default_rng(seed), "stochastic")
     z = x0.copy()
     for _ in range(5):
         z = z - 0.05 * (sphere.oracle.gradient(z) - sphere.oracle.gradient(x0) + g_anchor)
@@ -305,12 +323,12 @@ def _noisy_bowl_oracles():
 @pytest.mark.parametrize("kind", ["batch_callable", "row_replay"])
 def test_epoch_stochastic_stream_matches_two_generator_replay(kind):
     oracle = _noisy_bowl_oracles()[kind]
-    cfg = ScsgConfig(B=40, b=3, eta=0.05, mode="stochastic")
+    cfg = ScsgConfig(B=40, b=3, eta=0.05)
     x0 = np.linspace(-1.0, 1.0, 6)
     g_anchor = oracle.gradient(x0)
     for seed in range(20):
         co = as_counting(oracle)
-        y = scsg_epoch(co, x0, cfg, g_anchor, np.random.default_rng(seed))
+        y = scsg_epoch(co, x0, cfg, g_anchor, np.random.default_rng(seed), "stochastic")
         ref, T = _replay_epoch(oracle, x0, cfg, g_anchor, np.random.default_rng(seed))
         assert y.tobytes() == ref.tobytes(), seed
         assert co.counters.stoch_grad_evals == 2 * cfg.b * T
@@ -350,14 +368,14 @@ ANCHOR_ROWS_B32 = ANCHOR_BLOCK_FLOATS // (32 * 20)  # rows per anchor call, b=32
 ])
 def test_epoch_finite_sum_stream_matches_per_step_draws(kind, b, B, seeds, min_crossing):
     oracle = _pca_oracles()[kind]
-    cfg = ScsgConfig(B=B, b=b, eta=0.05, mode="finite_sum")
+    cfg = ScsgConfig(B=B, b=b, eta=0.05)
     x0 = np.linspace(-0.5, 0.5, 20)
     g_anchor = oracle.gradient(x0)
     crossing = 0
     for seed in range(seeds):
         co = as_counting(oracle)
         rng = np.random.default_rng(seed)
-        y = scsg_epoch(co, x0, cfg, g_anchor, rng)
+        y = scsg_epoch(co, x0, cfg, g_anchor, rng, "finite_sum")
         ref_rng = np.random.default_rng(seed)
         ref, T = _per_step_draw_epoch(oracle, x0, cfg, g_anchor, ref_rng)
         assert y.tobytes() == ref.tobytes(), seed
@@ -409,10 +427,10 @@ class BatchCallCounter(CountingOracle):
 
 def test_epoch_stochastic_makes_one_batch_call_per_step():
     noisy = with_gradient_noise(get_problem("sphere", d=4), sigma=0.3)
-    cfg = ScsgConfig(B=8, b=2, eta=0.05, mode="stochastic")
+    cfg = ScsgConfig(B=8, b=2, eta=0.05)
     seed = _seed_with_T(8.0 / 10.0, 5)
     co = BatchCallCounter(noisy.oracle)
-    scsg_epoch(co, np.ones(4), cfg, np.ones(4), np.random.default_rng(seed))
+    scsg_epoch(co, np.ones(4), cfg, np.ones(4), np.random.default_rng(seed), "stochastic")
     assert co.calls == 5
     assert co.counters.stoch_grad_evals == 2 * 2 * 5
 
