@@ -182,10 +182,13 @@ class ObjectiveOracle:
     A sample_gradient_batch(x, m, rng) callable returns the mean of m draws.
     It receives either one point of shape (d,) or a (k, d) stack of points;
     for a stack it must evaluate the same m draws at every row and return a
-    (k, d) array.  The SCSG epoch relies on this to evaluate its minibatch at
-    the current point and at the anchor in one call.  A sample_hvp_batch(x,
-    v, m, rng) callable likewise returns the mean of m HVP draws at x along v;
-    it needs sample_hvp, which serves single draws.
+    (k, d) array.  Any other shape raises MalformedOracleOutput.  This stacked
+    call, or the row replay that stands in for a missing callable, is the one
+    way two points see one draw: the SCSG epoch evaluates its minibatch at
+    the current point and at the anchor in one call, and a synthesized
+    sample_hvp its two probe points, all from the run's generator.  A
+    sample_hvp_batch(x, v, m, rng) callable likewise returns the mean of m
+    HVP draws at x along v; it needs sample_hvp, which serves single draws.
 
     A component_gradient_batch(indices, x) callable returns the mean component
     gradient over `indices`.  It receives either one index array of shape (b,),
@@ -271,12 +274,8 @@ class ObjectiveOracle:
                     acc += self.component_gradient(i, x)
             means /= max(indices.shape[-1], 1)
             return means.reshape(shape)
-        out = np.asarray(self._component_gradient_batch(indices, x), float)
-        if out.shape != shape:
-            raise MalformedOracleOutput(
-                f"component_gradient_batch returned shape {out.shape} for indices of"
-                f" shape {indices.shape}; expected {shape}")
-        return out
+        return _shaped("component_gradient_batch", self._component_gradient_batch(indices, x),
+                       shape, "indices", indices.shape)
 
     def component_hvp(self, i: int, x, v) -> np.ndarray:
         if self._component_hvp is not None:
@@ -300,7 +299,8 @@ class ObjectiveOracle:
         """
         x = np.asarray(x, float)
         if self._sample_gradient_batch is not None:
-            return np.asarray(self._sample_gradient_batch(x, int(m), rng), float)
+            return _shaped("sample_gradient_batch", self._sample_gradient_batch(x, int(m), rng),
+                           x.shape, "points", x.shape)
         points = np.atleast_2d(x)
         means = np.zeros_like(points)
         state = rng.bit_generator.state
@@ -315,28 +315,33 @@ class ObjectiveOracle:
         """Mean of m stochastic HVP draws at x along v (one draw for m == 1).
 
         For m > 1 the batch callable, if given, returns the mean; otherwise the
-        draws are summed in order and divided by m.
+        draws are summed in order and divided by m.  Without sample_hvp the
+        mean is one central difference of a stacked sample_gradient_batch call.
         """
         x, v = np.asarray(x, float), np.asarray(v, float)
         if m > 1 and self._sample_hvp_batch is not None:
             return np.asarray(self._sample_hvp_batch(x, v, int(m), rng), float)
         if self._sample_hvp is None:
-            return _mean_of_draws(lambda: _finite_diff_sample_hvp(self, x, v, rng), self.dimension, m)
-        return _mean_of_draws(lambda: np.asarray(self._sample_hvp(x, v, rng), float),
-                              self.dimension, m)
+            return _finite_diff_sample_hvp(self, x, v, rng, m)
+        if m == 1:
+            return np.asarray(self._sample_hvp(x, v, rng), float)
+        acc = np.zeros(self.dimension)
+        for _ in range(int(m)):
+            acc += np.asarray(self._sample_hvp(x, v, rng), float)
+        return acc / m
 
 
-def _mean_of_draws(draw: Callable, d: int, m: int) -> np.ndarray:
-    """draw() for m == 1; else m draws summed in order into zeros(d), over m."""
-    if m == 1:
-        return draw()
-    acc = np.zeros(d)
-    for _ in range(int(m)):
-        acc += draw()
-    return acc / m
+def _shaped(method: str, out, shape: tuple, given: str, given_shape: tuple) -> np.ndarray:
+    """out as a float array, or MalformedOracleOutput naming method if not of `shape`."""
+    out = np.asarray(out, float)
+    if out.shape != shape:
+        raise MalformedOracleOutput(f"{method} returned shape {out.shape} for {given} of"
+                                    f" shape {given_shape}; expected {shape}")
+    return out
 
 
-def _central_diff(grad: Callable, x, v) -> np.ndarray:
+def _central_diff(grad_pair: Callable, x, v) -> np.ndarray:
+    """Difference the gradients grad_pair returns for the (2, d) stack of x +- r*u."""
     x = np.asarray(x, float)
     v = np.asarray(v, float)
     nv = float(np.linalg.norm(v))
@@ -344,7 +349,8 @@ def _central_diff(grad: Callable, x, v) -> np.ndarray:
         raise ZeroDirection("cannot differentiate along the zero vector")
     u = v / nv
     r = math.sqrt(np.finfo(float).eps) * (1.0 + float(np.linalg.norm(x)))
-    return (grad(x + r * u) - grad(x - r * u)) / (2.0 * r) * nv
+    g_plus, g_minus = grad_pair(np.stack([x + r * u, x - r * u]))
+    return (g_plus - g_minus) / (2.0 * r) * nv
 
 
 def finite_diff_hvp(oracle, x, v) -> np.ndarray:
@@ -355,24 +361,23 @@ def finite_diff_hvp(oracle, x, v) -> np.ndarray:
     with ||x|| to keep the relative perturbation stable far from the origin.
     Costs exactly two gradient evaluations.
     """
-    return _central_diff(oracle.gradient, x, v)
+    return _central_diff(lambda probes: [oracle.gradient(y) for y in probes], x, v)
 
 
 def _finite_diff_component_hvp(oracle, i: int, x, v) -> np.ndarray:
     """Component-i HVP from two component gradients, as finite_diff_hvp."""
-    return _central_diff(lambda y: oracle.component_gradient(i, y), x, v)
+    return _central_diff(lambda probes: [oracle.component_gradient(i, y) for y in probes], x, v)
 
 
-def _finite_diff_sample_hvp(oracle, x, v, rng: np.random.Generator) -> np.ndarray:
-    """Stochastic HVP from two stochastic gradients that share one draw.
+def _finite_diff_sample_hvp(oracle, x, v, rng: np.random.Generator, m: int) -> np.ndarray:
+    """Mean of m stochastic HVPs, as finite_diff_hvp from one stacked batch call.
 
-    One child seed is taken from rng and replayed at both probe points, so
-    both gradients see the same xi.
+    sample_gradient_batch evaluates the same m draws at both probe points
+    (common random numbers), at a cost of 2*m stochastic gradients.
     """
     if not oracle.capabilities.stochastic:
         raise NotStochastic("oracle has no stochastic gradients")
-    seed = int(rng.integers(0, 2**63 - 1))
-    return _central_diff(lambda y: oracle.sample_gradient(y, np.random.default_rng(seed)), x, v)
+    return _central_diff(lambda probes: oracle.sample_gradient_batch(probes, m, rng), x, v)
 
 
 class CountingOracle:
@@ -440,7 +445,7 @@ class CountingOracle:
 
     def sample_hvp(self, x, v, rng, m=1):
         if self.base._sample_hvp is None:
-            return _mean_of_draws(lambda: _finite_diff_sample_hvp(self, x, v, rng), self.dimension, m)
+            return _finite_diff_sample_hvp(self, x, v, rng, m)
         self.counters.hvp_evals += int(m)
         return self.base.sample_hvp(x, v, rng, m)
 

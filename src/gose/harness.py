@@ -422,6 +422,9 @@ def verify_nc_suite(d: int = 50, trials: int = 200, eps_h: float = 0.5,
     for name, value in (("d", d), ("trials", trials)):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
+    for name, value, high in (("eps_h", eps_h, math.inf), ("delta", delta, 1.0)):
+        if not 0.0 < value < high:
+            raise ConfigError(f"{name} must lie in (0, {high:g}), got {value}")
     rng = np.random.default_rng(seed)
     L = 2.0 * eps_h
     x = np.zeros(d)

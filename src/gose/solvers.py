@@ -150,9 +150,10 @@ def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
     draw.  Draws T ~ Geom(B/(B+b)) and iterates
         y <- y - eta * (g_I(y) - g_I(x0) + g_anchor)
     where g_I is the minibatch-mean gradient over b fresh indices (finite-sum)
-    or b fresh draws evaluated at both points in one stacked call (stochastic,
-    common random numbers).  Returns x0 unchanged when T = 0.  Costs 2*b*T
-    gradient evals.
+    or b fresh draws evaluated at both points in one stacked
+    sample_gradient_batch call on rng (stochastic, common random numbers; rng
+    is the only generator the epoch draws from).  Returns x0 unchanged when
+    T = 0.  Costs 2*b*T gradient evals.
 
     Finite-sum indices come from one (T, b) draw per epoch, held in memory as
     T*b ints: numpy fills bounded integers one element at a time, so the draw
@@ -180,12 +181,10 @@ def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
                 step *= cfg.eta
                 y -= step
         return y
-    # one child generator per step; its seeds are the stream T single draws give
     points = np.stack([x0, x0])
     y = points[0]  # stepped in place, so every call sees the current iterate
-    for seed in rng.integers(0, 2**63 - 1, size=T):
-        g = oracle.sample_gradient_batch(
-            points, cfg.b, np.random.Generator(np.random.PCG64(seed)))
+    for _ in range(T):
+        g = oracle.sample_gradient_batch(points, cfg.b, rng)
         step = g[0] - g[1]
         step += g_anchor
         step *= cfg.eta

@@ -321,6 +321,37 @@ def test_sample_gradient_batch_evaluates_one_draw_at_every_row(kind):
     assert rng.bit_generator.state == one_rng.bit_generator.state
 
 
+class StackRecorder(CountingOracle):
+    """Records the points shape and draw count of every sample_gradient_batch call."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.batch_calls = []
+
+    def sample_gradient_batch(self, x, m, rng):
+        self.batch_calls.append((np.shape(x), m))
+        return super().sample_gradient_batch(x, m, rng)
+
+
+@pytest.mark.parametrize("kind", ["batch_callable", "row_replay"])
+@pytest.mark.parametrize("m", [1, 3])
+def test_synthesized_sample_hvp_is_one_stacked_batch_call(kind, m):
+    # an oracle with stochastic gradients but no sample_hvp: both probe points
+    # see the same m draws of additive noise, which cancels in the difference
+    quad = get_problem("quadratic_saddle", d=5, spectrum=[-1.0, 0.5, 1.0, 2.0, 3.0], seed=4)
+    noisy = with_gradient_noise(quad, sigma=0.3).oracle
+    batch = {"batch_callable": noisy.sample_gradient_batch, "row_replay": None}[kind]
+    oracle = ObjectiveOracle(5, noisy.value, noisy.gradient,
+                             sample_gradient=noisy.sample_gradient,
+                             sample_gradient_batch=batch)
+    co = StackRecorder(oracle)
+    x, v = np.random.default_rng(m).standard_normal((2, 5))
+    got = co.sample_hvp(x, v, np.random.default_rng(0), m)
+    assert co.batch_calls == [((2, 5), m)]
+    assert (co.counters.stoch_grad_evals, co.counters.hvp_evals) == (2 * m, 0)
+    np.testing.assert_allclose(got, quad.oracle.hvp(x, v), rtol=0, atol=1e-6)
+
+
 def _per_draw_mean(oracle, x, v, rng, m):
     acc = np.zeros(oracle.dimension)
     for _ in range(m):

@@ -682,13 +682,13 @@ GOLDEN = {
     "pca_finite_sum": (golden_pca, STATUS_SECOND_ORDER,
                        counts(48, 0, 6416, 95, 48, 1, 0, 1, 48, 47)),
     "noisy_bowl": (golden_noisy_bowl, STATUS_BUDGET,
-                   counts(0, 276692, 0, 3512, 0, 1, 1, 1, 10, 9)),
+                   counts(0, 281812, 0, 3512, 0, 1, 1, 1, 10, 9)),
     "det_chained_d200": (golden_det_chained_d200, STATUS_SECOND_ORDER,
                          counts(460, 0, 0, 822, 15, 8, 7, 8, 15, 0)),
     "fs_pca_n200": (golden_fs_pca_n200, STATUS_SECOND_ORDER,
                     counts(28, 0, 16238, 431, 28, 1, 0, 1, 28, 27)),
     "stoch_bowl_b32": (golden_stoch_bowl_b32, STATUS_SECOND_ORDER,
-                       counts(0, 1013196, 0, 7024, 0, 2, 1, 2, 35, 33)),
+                       counts(0, 961304, 0, 7024, 0, 2, 1, 2, 31, 29)),
 }
 
 # sha256 of certificate.point.tobytes()
@@ -696,8 +696,8 @@ GOLDEN_POINTS = {
     "det_chained_d200": "a533633108ac276f522488171c781596f909218052a5b385a9edd0cd0eb760e3",
     "pca_finite_sum": "399aff15784f241795dd2073aa47e41aa020777c617815e93e43cb52d828cc71",
     "fs_pca_n200": "60a1c55fd251e66b8c75c697dde7d4d2dd4f2791aa2252fa7332b83f14d116d3",
-    "noisy_bowl": "e197fecd5c20ddf91db3603207756715e6684c928c0f6510c56c3203f052290d",
-    "stoch_bowl_b32": "4b04d884ff0d78e1e0ef66a198003a712f36138013392d149989c27ed3e85dd8",
+    "noisy_bowl": "db83bb6d927d6c3ea45a86f0a6849780f377a46e8c72995203132481701f19a4",
+    "stoch_bowl_b32": "5de7c636ace12ea96dc4cd0b314918fadf50a57b7286fae726b86273d5c7ece1",
 }
 
 

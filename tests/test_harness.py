@@ -525,6 +525,21 @@ def test_cli_verify_nc_rejects_empty_suite(capsys, option, named):
         verify_nc_suite(**{named: -1})
 
 
+@pytest.mark.parametrize("named, values, interval", [
+    ("eps_h", ["nan", "0", "-1", "inf"], "(0, inf)"),
+    ("delta", ["nan", "0", "1", "1.5"], "(0, 1)"),
+])
+def test_cli_verify_nc_rejects_out_of_range_tolerance(capsys, named, values, interval):
+    # each exits 2 naming the field, before any trial runs
+    for value in values:
+        option = "--" + named.replace("_", "-")
+        assert main(["verify-nc", option, value, "--d", "5", "--trials", "2"]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {named} must lie in {interval}, got {float(value)}" in err
+        with pytest.raises(ConfigError, match=f"^{named} must lie in"):
+            verify_nc_suite(**{named: float(value)})
+
+
 def test_cli_verify_nc_asymmetric_injection(capsys):
     code = main(["verify-nc", "--inject-asymmetric"])
     assert code == 3

@@ -11,8 +11,8 @@ from gose import (ObjectiveOracle, ScsgConfig, SmoothnessSpec, ToleranceConfig,
                   gd_to_stationarity, get_problem, guarded_agd,
                   sample_geometric, scsg_epoch, with_gradient_noise)
 from gose.core import (ConfigError, CountingOracle, EvalCounters, InvalidP,
-                       MissingVarianceBound, NonPositiveConstant, NotFiniteSum,
-                       NotStochastic, SizeOutOfRange)
+                       MalformedOracleOutput, MissingVarianceBound, NonPositiveConstant,
+                       NotFiniteSum, NotStochastic, SizeOutOfRange)
 from gose.problems import as_finite_sum
 from gose.solvers import ANCHOR_BLOCK_FLOATS, run_solver
 from conftest import planted_symmetric
@@ -299,14 +299,16 @@ def test_epoch_stochastic_common_random_numbers():
     assert np.max(np.abs(y - z)) <= 1e-9
 
 
-def _replay_epoch(oracle, x0, cfg, g_anchor, rng):
-    # reference: one child seed per step, replayed by two fresh generators
+def _one_generator_epoch(oracle, x0, cfg, g_anchor, rng):
+    # reference: each step draws from the run's generator once, evaluating
+    # that draw at y and, from the same generator state, at x0
     T = sample_geometric(cfg.p, rng)
     y = x0.copy()
     for _ in range(T):
-        seed = int(rng.integers(0, 2**63 - 1))
-        g_y = oracle.sample_gradient_batch(y, cfg.b, np.random.default_rng(seed))
-        g_0 = oracle.sample_gradient_batch(x0, cfg.b, np.random.default_rng(seed))
+        state = rng.bit_generator.state
+        g_y = oracle.sample_gradient_batch(y, cfg.b, rng)
+        rng.bit_generator.state = state
+        g_0 = oracle.sample_gradient_batch(x0, cfg.b, rng)
         y = y - cfg.eta * (g_y - g_0 + g_anchor)
     return y, T
 
@@ -321,17 +323,42 @@ def _noisy_bowl_oracles():
 
 
 @pytest.mark.parametrize("kind", ["batch_callable", "row_replay"])
-def test_epoch_stochastic_stream_matches_two_generator_replay(kind):
+def test_epoch_stochastic_stream_matches_one_generator_reference(kind):
     oracle = _noisy_bowl_oracles()[kind]
     cfg = ScsgConfig(B=40, b=3, eta=0.05)
     x0 = np.linspace(-1.0, 1.0, 6)
     g_anchor = oracle.gradient(x0)
     for seed in range(20):
         co = as_counting(oracle)
-        y = scsg_epoch(co, x0, cfg, g_anchor, np.random.default_rng(seed), "stochastic")
-        ref, T = _replay_epoch(oracle, x0, cfg, g_anchor, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        y = scsg_epoch(co, x0, cfg, g_anchor, rng, "stochastic")
+        ref_rng = np.random.default_rng(seed)
+        ref, T = _one_generator_epoch(oracle, x0, cfg, g_anchor, ref_rng)
         assert y.tobytes() == ref.tobytes(), seed
         assert co.counters.stoch_grad_evals == 2 * cfg.b * T
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, seed
+
+
+def test_epoch_stochastic_batch_callable_of_wrong_shape_raises_typed_error():
+    # a batch callable that knows only one point answers the (2, d) stack of
+    # (y, x0) with one pooled (d,) mean; g[0] - g[1] would be a scalar step
+    noisy = with_gradient_noise(get_problem("bowl_saddle", d=4, seed=2), sigma=0.3).oracle
+
+    def pooled(x, m, rng):
+        return np.mean([noisy.sample_gradient(p, rng)
+                        for p in np.atleast_2d(x) for _ in range(m)], axis=0)
+
+    oracle = ObjectiveOracle(4, noisy.value, noisy.gradient, hvp=noisy.hvp,
+                             sample_gradient=noisy.sample_gradient,
+                             sample_gradient_batch=pooled)
+    x0 = np.linspace(-1.0, 1.0, 4)
+    assert oracle.sample_gradient_batch(x0, 3, np.random.default_rng(0)).shape == (4,)
+    with pytest.raises(MalformedOracleOutput, match="sample_gradient_batch returned shape"):
+        oracle.sample_gradient_batch(np.stack([x0, x0]), 3, np.random.default_rng(0))
+    seed = _seed_with_T(40.0 / 43.0, 3)
+    with pytest.raises(MalformedOracleOutput, match="sample_gradient_batch"):
+        scsg_epoch(oracle, x0, ScsgConfig(B=40, b=3, eta=0.05), oracle.gradient(x0),
+                   np.random.default_rng(seed), "stochastic")
 
 
 def _per_step_draw_epoch(oracle, x0, cfg, g_anchor, rng):
