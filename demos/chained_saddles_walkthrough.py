@@ -1,11 +1,12 @@
 """Walk a chain of d strict saddles with at most d+1 curvature computations.
 
 The chained problem is a sum of weighted double wells: descent from the
-origin settles one coordinate at a time, and every intermediate rest point is
-another strict saddle.  The driver only probes for negative curvature when
-the gradient is small, so the whole run needs one probe per saddle plus a
-final probe that certifies the minimum: d + 1 in total, no matter how many
-gradient steps happen in between.
+origin can settle one coordinate at a time, and every intermediate rest point
+is another strict saddle.  The driver only probes for negative curvature when
+the gradient is small, so the whole run needs at most one probe per saddle
+plus a final probe that certifies the minimum: d + 1 in total, no matter how
+many gradient steps happen in between.  An escape direction that spreads over
+several coordinates leaves several saddles at once, so runs often need fewer.
 """
 
 import numpy as np

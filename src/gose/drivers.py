@@ -86,24 +86,27 @@ def _drive(oracle, x0, K, measure, value, threshold, large_step, escape, echo):
     budget_exhausted at once, before any further oracle work.  If
     ||g|| <= threshold, enter the small-gradient region and take one
     escape(x, g); bottom certifies x with the finder's min_eig_estimate.
-    Otherwise large_step(x, g) returns the new point and the gradient norm the
-    run ends at, or None to go on.  A run that ends any other way has measured
-    no curvature at its final point and reports min_eig_estimate NaN.
+    Otherwise large_step(x, g) returns the new point, the gradient measured
+    there (None if not, so the next iteration measures it) and the gradient
+    norm the run ends at, or None to go on.  A run that ends any other way has
+    measured no curvature at its final point and reports min_eig_estimate NaN.
     value(x) fills each trace row's f_value; with value=None it is never read.
     """
     x = np.asarray(x0, float)
+    g = None
     trace: list[TraceRecord] = []
 
     for k in range(1, K + 1):
         oracle.counters.outer_iters += 1
         escapes = oracle.counters.escape_steps
-        g = measure(x)
+        if g is None:
+            g = measure(x)
         gn = float(np.linalg.norm(g))
         if not math.isfinite(gn):
             return _finish(oracle, x, gn, STATUS_BUDGET, trace, echo)
         fx = None if value is None else value(x)
         if not gn <= threshold:
-            x, stop = large_step(x, g)
+            x, g, stop = large_step(x, g)
             trace.append(TraceRecord(k, LARGE, gn, fx, oracle.counters.escape_steps > escapes,
                                      oracle.counters.snapshot()))
             if stop is not None:
@@ -116,9 +119,9 @@ def _drive(oracle, x0, K, measure, value, threshold, large_step, escape, echo):
             if not res.escaped:
                 return _finish(oracle, x, gn, STATUS_SECOND_ORDER, trace, echo,
                                res.nc.lambda_hat)
-            x = res.point
+            x, g = res.point, None
 
-    gn = float(np.linalg.norm(measure(x)))
+    gn = float(np.linalg.norm(measure(x) if g is None else g))
     return _finish(oracle, x, gn, _budget_status(gn, threshold), trace, echo)
 
 
@@ -127,7 +130,7 @@ def _epoch_step(oracle, scsg_cfg, rng, mode):
     def step(x, g):
         x = scsg_epoch(oracle, x, scsg_cfg, g, rng, mode)
         oracle.counters.epochs_run += 1
-        return x, None
+        return x, None, None
     return step
 
 
@@ -150,8 +153,8 @@ def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     echo = _config_echo("deterministic", tol, smooth, esc, ncfg, solver_choice=solver_choice)
 
     def solve(x, g):
-        res = run_solver(solver_choice, oracle, x, smooth.L, tol.eps, solver_max_iters)
-        return res.point, None if res.converged else res.grad_norm
+        res = run_solver(solver_choice, oracle, x, smooth.L, tol.eps, solver_max_iters, g)
+        return res.point, res.gradient, None if res.converged else res.grad_norm
 
     return _drive(oracle, x0, tol.max_outer, oracle.gradient, oracle.value, tol.eps, solve,
                   lambda x, g: one_step_deterministic(oracle, x, tol, smooth, esc, rng, ncfg, g=g),

@@ -26,7 +26,7 @@ from .core import (MODES, ConfigError, DimensionTooLarge, EvalCounters,
 from .drivers import (RunReport, _drive, gose_deterministic, gose_finite_sum,
                       gose_stochastic)
 from .escape import EscapeConfig, check_run, one_step_deterministic
-from .ncfind import (NcBudget, NcConfig, approx_nc_deterministic,
+from .ncfind import (_EPS, NcBudget, NcConfig, approx_nc_deterministic,
                      approx_nc_finite_sum, approx_nc_stochastic,
                      lanczos_min_eig)
 from .problems import (PROBLEM_FACTORIES, ProblemSpec, _planted_spectrum,
@@ -407,6 +407,13 @@ NC_THRESHOLDS = {
 }
 
 
+def _suite_rng(seed) -> np.random.Generator:
+    """The generator of a contract check; seed must be a non-negative integer."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def verify_nc_suite(d: int = 50, trials: int = 200, eps_h: float = 0.5,
                     delta: float = 0.01, engine: str = "deterministic",
                     seed: int = 0) -> dict:
@@ -416,6 +423,11 @@ def verify_nc_suite(d: int = 50, trials: int = 200, eps_h: float = 0.5,
     plants PSD spectra (expect bottom).  Returns rates and a pass flag against
     the engine's thresholds.  Every returned direction is re-checked against
     the dense operator: Rayleigh <= -eps_h/2 must hold exactly.
+
+    The operators have norm at most L = 2*eps_h, so a Lanczos tridiagonal has
+    1-norm at most 3L, and LAPACK's inverse iteration for its Ritz vector
+    (dstein) grows a vector to about d * (3L)**2 / eps, the largest number
+    the suite forms; an eps_h for which that overflows raises ConfigError.
     """
     if engine not in NC_THRESHOLDS:
         raise ConfigError(f"unknown engine {engine!r}; options: {sorted(NC_THRESHOLDS)}")
@@ -425,8 +437,11 @@ def verify_nc_suite(d: int = 50, trials: int = 200, eps_h: float = 0.5,
     for name, value, high in (("eps_h", eps_h, math.inf), ("delta", delta, 1.0)):
         if not 0.0 < value < high:
             raise ConfigError(f"{name} must lie in (0, {high:g}), got {value}")
-    rng = np.random.default_rng(seed)
     L = 2.0 * eps_h
+    if not math.isfinite(d * (3.0 * L) * (3.0 * L) / _EPS):
+        raise ConfigError(f"eps_h must keep d*(6*eps_h)**2/eps finite, the growth of the"
+                          f" suite's Ritz-vector iteration, got eps_h={eps_h:g} at d={d}")
+    rng = _suite_rng(seed)
     x = np.zeros(d)
 
     def call(A):
@@ -474,7 +489,7 @@ def inject_asymmetric_probe(d: int = 10, seed: int = 0):
     """Drive the Lanczos symmetry probe with a deliberately asymmetric operator (d >= 2)."""
     if d < 2:
         raise ConfigError(f"d must be >= 2 for an asymmetric operator, got {d}")
-    rng = np.random.default_rng(seed)
+    rng = _suite_rng(seed)
     A = rng.standard_normal((d, d))
     A[0, 1] += 5.0  # guarantee asymmetry
     lanczos_min_eig(lambda v: A @ v, d, NcBudget(10), rng)  # raises
@@ -506,7 +521,7 @@ def always_probe_baseline(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSp
     def probe_or_gradient_step(x, g):
         oracle.counters.small_region_entries += 1  # probes on the large branch too
         res = probe(x, g)
-        return (res.point if res.escaped else x - g / smooth.L), None
+        return (res.point if res.escaped else x - g / smooth.L), None, None
 
     return _drive(oracle, x0, tol.max_outer, oracle.gradient, oracle.value, tol.eps,
                   probe_or_gradient_step, probe, {})

@@ -10,6 +10,14 @@ or a streaming power update on stochastic draws).
 Every engine re-measures the Rayleigh quotient before returning a direction
 and demotes to bottom on failure, which makes "direction implies Rayleigh
 <= -eps_h/2" hold deterministically rather than with probability 1-delta.
+
+The deterministic engine asks no more of Lanczos than the contract does: it
+stops at the first step whose Ritz value is clearly below -eps_h/2 and
+validates that Ritz vector (the early stop of lanczos_min_eig).  A stop whose
+exit Rayleigh quotient misses the threshold is dropped and Lanczos runs on as
+if it never stopped, so a stop never turns a direction into bottom, and bottom
+always comes from a full run.  The sampling engines resample on every matvec
+and do not stop early.
 """
 
 from __future__ import annotations
@@ -39,8 +47,10 @@ class NcOutcome:
 
     rayleigh is the exit-validation measurement and is only set for
     directions; lambda_hat is the engine's best minimum-eigenvalue estimate
-    and is informative for both kinds.  hvp_or_grad_cost is the oracle work
-    (gradients + HVPs, one unit each) consumed by the call.
+    and is informative for both kinds.  For a direction the deterministic
+    engine stopped early, lambda_hat is the Rayleigh quotient at the stop: an
+    upper bound on lambda_min, not a converged estimate.  hvp_or_grad_cost is
+    the oracle work (gradients + HVPs, one unit each) consumed by the call.
     """
 
     kind: str
@@ -211,7 +221,8 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray,
 
 def lanczos_min_eig(hvp: Callable, d: int, budget: NcBudget,
                     rng: np.random.Generator,
-                    probe_tol: Optional[float] = 1e-6) -> tuple[float, np.ndarray]:
+                    probe_tol: Optional[float] = 1e-6,
+                    stop_below: Optional[float] = None) -> tuple[float, np.ndarray]:
     """Bottom Ritz pair of a symmetric operator given only v -> H v.
 
     Random unit start, full reorthogonalization, at most budget.max_matvecs
@@ -237,6 +248,17 @@ def lanczos_min_eig(hvp: Callable, d: int, budget: NcBudget,
     takes the same branch, and every result is bit-identical, to solving the
     full Ritz pair each step.
 
+    stop_below, when given, also ends the run early, from step 2 on, at the
+    first step that is not an exit step and whose Ritz value is at most
+    stop_below less the rounding margin: y is then computed and the exit
+    matvec taken at once.  If that Rayleigh quotient is at most stop_below it
+    is returned.  Otherwise the stop has missed; it is switched off for the
+    rest of the call, which goes on with the same steps and returns the same
+    (lam, v) as without stop_below, one matvec later.  A call therefore makes
+    at most budget.max_matvecs + 4 matvecs (probe 2, missed stop 1, exit 1).
+    Where no Ritz value falls below that level, as on every call whose result
+    is above stop_below, the run is the one without stop_below, bit for bit.
+
     Raises NonFiniteMeasurement if a Lanczos coefficient or a symmetry probe
     value is NaN or infinite.  probe_tol of None skips the symmetry probe,
     which is meaningless for operators that resample noise on every call.
@@ -251,6 +273,7 @@ def lanczos_min_eig(hvp: Callable, d: int, budget: NcBudget,
     q = _random_unit(d, rng)
     theta, y, steps = 0.0, None, 0
     a_max = b_max = b_prev = 0.0
+    stop = -math.inf if stop_below is None else stop_below
 
     for j in range(m):
         Q[:, j] = q
@@ -269,43 +292,59 @@ def lanczos_min_eig(hvp: Callable, d: int, budget: NcBudget,
             raise NonFiniteMeasurement(f"Lanczos step {j + 1}: b={b}")
         steps = j + 1
         a_max = max(a_max, abs(a))
+        stop_theta = -math.inf                  # no early stop on step 1 or an exit step
         if j == 0:
             theta, y = a, np.array([1.0])
         else:
             b_max = max(b_max, b_prev)
             exit_step = b < _BREAKDOWN or steps == m
             margin = 8.0 * steps * _EPS * (a_max + 2.0 * b_max)
-            need = None if exit_step else _residual_can_pass(theta, b_prev, b, margin)
+            need = None
+            if not exit_step:
+                stop_theta = stop - margin
+                need = _vector_needed(theta, b_prev, b, margin, stop_theta)
             theta, y = eigh_tridiagonal(alphas[:j + 1], betas[:j], need)
         if b < _BREAKDOWN:                      # invariant subspace found
             break
         if y is not None and abs(b * y[-1]) <= _RESID_TOL * max(1.0, abs(theta)):
             break
+        if theta <= stop_theta:
+            lam, v = _ritz_rayleigh(hvp, Q[:, :steps], y)
+            if lam <= stop_below:
+                return lam, v
+            stop = -math.inf                    # missed: finish as if never stopped
         if j + 1 < m:
             betas[j] = b_prev = b
             q = r / b
 
-    v = Q[:, :steps] @ y
+    return _ritz_rayleigh(hvp, Q[:, :steps], y)
+
+
+def _ritz_rayleigh(hvp: Callable, Q: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """The exit matvec: the unit Ritz vector v = Q y / ||Q y|| and v' H v."""
+    v = Q @ y
     v = v / np.linalg.norm(v)
-    lam = float(v @ hvp(v))
-    return lam, v
+    return float(v @ hvp(v)), v
 
 
-def _residual_can_pass(theta_prev: float, b_prev: float, b: float,
-                       margin: float) -> Callable[[float], bool]:
-    """Whether the residual test at Ritz value theta is not ruled out.
+def _vector_needed(theta_prev: float, b_prev: float, b: float, margin: float,
+                   stop_theta: float) -> Callable[[float], bool]:
+    """Whether the Ritz vector at Ritz value theta is used.
 
+    True when theta stops the run early (theta <= stop_theta).  Otherwise
     False only when the interlacing floor on |y[-1]| (see lanczos_min_eig),
     taken with the rounding margin, puts |b * y[-1]| above twice the
-    tolerance.
+    residual tolerance.
     """
-    def can_pass(theta: float) -> bool:
+    def needed(theta: float) -> bool:
+        if theta <= stop_theta:
+            return True
         gap = theta_prev - theta - margin
         if gap <= 0.0:
             return True
         floor = gap / math.hypot(gap, b_prev + margin)
         return b * floor <= 2.0 * _RESID_TOL * max(1.0, abs(theta))
-    return can_pass
+    return needed
 
 
 # ---------------------------------------------------------------------------
@@ -336,17 +375,22 @@ def approx_nc_deterministic(oracle, x, eps_h: float, delta: float, L: float,
     """Exact-Hessian negative-curvature search via Lanczos.
 
     Matvecs are the oracle's HVPs: analytic when it has them, otherwise
-    central differences of gradients (two gradient evals per matvec).  Cost
-    is at most max_matvecs + 3 matvec-equivalents (probe 2, exit 1), times two
-    when differencing gradients.
+    central differences of gradients (two gradient evals per matvec).
+    Lanczos stops at the first Ritz value below the threshold -eps_h/2 (see
+    lanczos_min_eig's stop_below), so a direction costs only the steps that
+    found it, and its lambda_hat is the quotient at the stop.  Cost is at
+    most max_matvecs + 4 matvec-equivalents (probe 2, a missed stop 1, exit
+    1), times two when differencing gradients.
     """
     oracle = as_counting(oracle)
     x = np.asarray(x, float)
     d = oracle.dimension
     mm = finder_sizes("deterministic", oracle, eps_h, delta, L, cfg).max_matvecs
+    threshold = -eps_h / 2.0
     return _search(oracle,
-                   lambda: lanczos_min_eig(lambda v: oracle.hvp(x, v), d, NcBudget(mm), rng),
-                   -eps_h / 2.0)
+                   lambda: lanczos_min_eig(lambda v: oracle.hvp(x, v), d, NcBudget(mm), rng,
+                                           stop_below=threshold),
+                   threshold)
 
 
 def approx_nc_stochastic(oracle, x, eps_h: float, delta: float, L: float,

@@ -29,12 +29,16 @@ ANCHOR_BLOCK_FLOATS = 2 ** 16
 
 @dataclass
 class SolveResult:
-    """Output of a first-order solver; converged=False flags budget exhaustion."""
+    """Output of a first-order solver; converged=False flags budget exhaustion.
+
+    gradient is the gradient measured at point, whose norm is grad_norm.
+    """
 
     point: np.ndarray
     grad_norm: float
     converged: bool
     iters: int
+    gradient: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -193,38 +197,47 @@ def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
 
 
 def gd_to_stationarity(oracle, x0, L: float, eps: float,
-                       max_iters: int = DEFAULT_MAX_ITERS) -> SolveResult:
+                       max_iters: int = DEFAULT_MAX_ITERS,
+                       g0: Optional[np.ndarray] = None) -> SolveResult:
     """Plain gradient descent with step 1/L until ||grad f|| <= eps.
 
     Returns the first iterate meeting the condition; on budget exhaustion the
-    last iterate is returned with converged=False (its gradient norm is
-    re-measured, costing one extra eval).
+    last iterate is returned with converged=False (its gradient is measured,
+    costing one extra eval).  g0, when given, is the gradient at x0 and is
+    used in place of measuring it.
     """
     if L <= 0.0:
         raise NonPositiveConstant(f"L must be positive, got {L}")
     oracle = as_counting(oracle)
     x = np.asarray(x0, float)
+    g = g0
     for i in range(max_iters):
-        g = oracle.gradient(x)
+        if g is None:
+            g = oracle.gradient(x)
         gn = float(np.linalg.norm(g))
         if gn <= eps:
-            return SolveResult(x, gn, True, i)
+            return SolveResult(x, gn, True, i, g)
         if not math.isfinite(gn):  # unbounded descent, stop honestly
-            return SolveResult(x, gn, False, i)
+            return SolveResult(x, gn, False, i, g)
         x = x - g / L
-    gn = float(np.linalg.norm(oracle.gradient(x)))
-    return SolveResult(x, gn, gn <= eps, max_iters)
+        g = None
+    g = oracle.gradient(x)
+    gn = float(np.linalg.norm(g))
+    return SolveResult(x, gn, gn <= eps, max_iters, g)
 
 
 def guarded_agd(oracle, x0, L: float, eps: float,
-                max_iters: int = DEFAULT_MAX_ITERS) -> SolveResult:
+                max_iters: int = DEFAULT_MAX_ITERS,
+                g0: Optional[np.ndarray] = None) -> SolveResult:
     """Accelerated gradient descent with a nonconvexity guard.
 
     Nesterov extrapolation with the usual momentum schedule; whenever the
     accelerated step fails to decrease f, momentum is reset and a plain
     1/L step is taken from the current iterate instead (which always
     decreases f under a valid L).  Never returns a point with larger f than
-    x0.
+    x0.  g0, when given, is the gradient at x0: the first extrapolated point
+    is x0 + 0 * 0, and g0 serves for it where that is x0 bit for bit (adding
+    zero turns a -0.0 entry into +0.0, which is then measured).
     """
     if L <= 0.0:
         raise NonPositiveConstant(f"L must be positive, got {L}")
@@ -238,26 +251,30 @@ def guarded_agd(oracle, x0, L: float, eps: float,
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
         beta = (theta - 1.0) / theta_next
         y = x + beta * (x - x_prev)
-        g = oracle.gradient(y)
+        if i == 0 and g0 is not None and y.tobytes() == x.tobytes():
+            g = g0
+        else:
+            g = oracle.gradient(y)
         gn = float(np.linalg.norm(g))
         if gn <= eps and oracle.value(y) <= f0:
-            return SolveResult(y, gn, True, i)
+            return SolveResult(y, gn, True, i, g)
         if not math.isfinite(gn) or not math.isfinite(fx):
-            return SolveResult(x, float(np.linalg.norm(oracle.gradient(x))), False, i)
+            g = oracle.gradient(x)
+            return SolveResult(x, float(np.linalg.norm(g)), False, i, g)
         x_new = y - g / L
         f_new = oracle.value(x_new)
         if f_new > fx:  # guard: extrapolation hurt, restart momentum at x
             g = oracle.gradient(x)
             gn = float(np.linalg.norm(g))
             if gn <= eps:
-                return SolveResult(x, gn, True, i)
+                return SolveResult(x, gn, True, i, g)
             x_new = x - g / L
             f_new = oracle.value(x_new)
             theta_next = 1.0
         x_prev, x, fx, theta = x, x_new, f_new, theta_next
     g = oracle.gradient(x)
     gn = float(np.linalg.norm(g))
-    return SolveResult(x, gn, gn <= eps, max_iters)
+    return SolveResult(x, gn, gn <= eps, max_iters, g)
 
 
 SOLVERS = ("agd", "gd")
@@ -270,9 +287,9 @@ def check_solver(choice: str) -> None:
 
 
 def run_solver(choice: str, oracle, x0, L: float, eps: float,
-               max_iters: int = DEFAULT_MAX_ITERS) -> SolveResult:
+               max_iters: int = DEFAULT_MAX_ITERS,
+               g0: Optional[np.ndarray] = None) -> SolveResult:
     """Dispatch on the solver name; any solver obeys the same output contract."""
     check_solver(choice)
-    if choice == "agd":
-        return guarded_agd(oracle, x0, L, eps, max_iters)
-    return gd_to_stationarity(oracle, x0, L, eps, max_iters)
+    solver = guarded_agd if choice == "agd" else gd_to_stationarity
+    return solver(oracle, x0, L, eps, max_iters, g0)

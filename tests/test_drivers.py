@@ -593,6 +593,43 @@ def test_oracle_that_cannot_serve_the_mode_raises_before_any_oracle_work(case):
     assert oracle.counters == EvalCounters()
 
 
+@pytest.mark.parametrize("solver", ["gd", "agd"])
+def test_deterministic_driver_measures_no_gradient_twice_in_a_row(solver):
+    # the solver takes the gradient the driver measured and hands back the one
+    # it stopped on, so no gradient eval repeats the point of the one before
+    prob = get_problem("chained_saddles", d=10)
+    points = []
+
+    def gradient(x):
+        points.append(np.asarray(x).tobytes())
+        return prob.oracle.gradient(x)
+    oracle = ObjectiveOracle(10, prob.oracle.value, gradient, hvp=prob.oracle.hvp)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=200)
+    report = run_det(dataclasses.replace(prob, oracle=oracle), tol,
+                     SmoothnessSpec(L=prob.known_L, rho=1.0), solver_choice=solver)
+    assert report.certificate.status == STATUS_SECOND_ORDER
+    assert len(points) == report.certificate.counters.grad_evals
+    assert all(a != b for a, b in zip(points, points[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the paper's curvature bound on chained saddles
+
+
+@pytest.mark.parametrize("solver", ["gd", "agd"])
+@pytest.mark.parametrize("d", [2, 5, 10, 50, 200])
+def test_chained_saddles_certify_within_d_plus_one_nc_calls(d, solver):
+    prob = get_problem("chained_saddles", d=d)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.01, max_outer=200)
+    smooth = SmoothnessSpec(L=prob.known_L, rho=1.0)
+    for seed in range(3):
+        c = run_det(prob, tol, smooth, seed=seed, solver_choice=solver).certificate
+        assert c.status == STATUS_SECOND_ORDER
+        assert c.counters.nc_calls <= d + 1
+        assert c.counters.nc_calls == c.counters.small_region_entries
+        assert certify_second_order(prob.oracle, c.point, tol.eps, tol.eps_h)[0]
+
+
 # ---------------------------------------------------------------------------
 # golden counters: fixed seeds must reproduce these exact tallies
 
@@ -633,8 +670,9 @@ def golden_noisy_bowl():
 
 
 def golden_det_chained_d200():
-    # the config of the benchmark's det_chained workload: Lanczos runs long
-    # enough here for the Ritz solves to skip eigenvectors
+    # the config of the benchmark's det_chained workload: the escape's finder
+    # call stops Lanczos early, and the certifying bottom call runs it long
+    # enough for the Ritz solves to skip eigenvectors
     cfg = ExperimentConfig(problem="chained_saddles", problem_params={"d": 200},
                            mode="deterministic", eps=0.01, eps_h=0.5, delta=0.01,
                            rho=1.0, max_outer=200)
@@ -671,11 +709,11 @@ def counts(grad, stoch, comp, hvp, fn, nc, esc, small, outer, epochs):
 
 GOLDEN = {
     "chained_gd": (lambda: golden_chained("gd"), STATUS_SECOND_ORDER,
-                   counts(153, 0, 0, 48, 11, 6, 5, 6, 11, 0)),
+                   counts(64, 0, 0, 13, 3, 2, 1, 2, 3, 0)),
     "chained_agd": (lambda: golden_chained("agd"), STATUS_SECOND_ORDER,
-                    counts(86, 0, 0, 48, 91, 6, 5, 6, 11, 0)),
+                    counts(32, 0, 0, 13, 34, 2, 1, 2, 3, 0)),
     "saddle_path_driver": (lambda: golden_saddle_path(gose_deterministic),
-                           STATUS_SECOND_ORDER, counts(58, 0, 0, 10, 4, 2, 1, 2, 4, 0)),
+                           STATUS_SECOND_ORDER, counts(54, 0, 0, 10, 4, 2, 1, 2, 4, 0)),
     "saddle_path_baseline": (lambda: golden_saddle_path(always_probe_baseline),
                              STATUS_SECOND_ORDER,
                              counts(36, 0, 0, 180, 36, 36, 3, 36, 36, 0)),
@@ -684,7 +722,7 @@ GOLDEN = {
     "noisy_bowl": (golden_noisy_bowl, STATUS_BUDGET,
                    counts(0, 281812, 0, 3512, 0, 1, 1, 1, 10, 9)),
     "det_chained_d200": (golden_det_chained_d200, STATUS_SECOND_ORDER,
-                         counts(460, 0, 0, 822, 15, 8, 7, 8, 15, 0)),
+                         counts(123, 0, 0, 106, 3, 2, 1, 2, 3, 0)),
     "fs_pca_n200": (golden_fs_pca_n200, STATUS_SECOND_ORDER,
                     counts(28, 0, 16238, 431, 28, 1, 0, 1, 28, 27)),
     "stoch_bowl_b32": (golden_stoch_bowl_b32, STATUS_SECOND_ORDER,
@@ -693,7 +731,7 @@ GOLDEN = {
 
 # sha256 of certificate.point.tobytes()
 GOLDEN_POINTS = {
-    "det_chained_d200": "a533633108ac276f522488171c781596f909218052a5b385a9edd0cd0eb760e3",
+    "det_chained_d200": "9ed5321600a38d41ff342313d3d677ec26ac8b8d1bc7e5a773fe40183bbe559d",
     "pca_finite_sum": "399aff15784f241795dd2073aa47e41aa020777c617815e93e43cb52d828cc71",
     "fs_pca_n200": "60a1c55fd251e66b8c75c697dde7d4d2dd4f2791aa2252fa7332b83f14d116d3",
     "noisy_bowl": "db83bb6d927d6c3ea45a86f0a6849780f377a46e8c72995203132481701f19a4",

@@ -540,6 +540,42 @@ def test_cli_verify_nc_rejects_out_of_range_tolerance(capsys, named, values, int
             verify_nc_suite(**{named: float(value)})
 
 
+@pytest.mark.parametrize("extra", [[], ["--inject-asymmetric"]])
+def test_cli_verify_nc_rejects_negative_seed(capsys, extra):
+    assert main(["verify-nc", "--d", "5", "--trials", "2", "--seed=-1", *extra]) == 2
+    err = capsys.readouterr().err
+    assert "config error: seed must be a non-negative integer, got -1" in err
+    for seed in (-1, 1.5, None):
+        with pytest.raises(ConfigError, match="^seed must be a non-negative integer"):
+            verify_nc_suite(d=5, trials=2, seed=seed)
+
+
+def suite_eps_h_limit(d):
+    """The largest eps_h with d * (3L)**2 / eps finite, L = 2 * eps_h."""
+    return math.sqrt(np.finfo(float).max * np.finfo(float).eps / d) / 6.0
+
+
+@pytest.mark.parametrize("value", ["1e300", "1e154"])
+def test_cli_verify_nc_rejects_eps_h_whose_suite_overflows(capsys, value):
+    # exit 2 naming eps_h, where the suite's arithmetic would overflow
+    assert main(["verify-nc", "--eps-h", value, "--d", "5", "--trials", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: eps_h must keep d*(6*eps_h)**2/eps finite" in err
+    assert f"got eps_h={float(value):g} at d=5" in err
+    with pytest.raises(ConfigError, match=r"^eps_h must keep"):
+        verify_nc_suite(d=50, trials=2, eps_h=1.0001 * suite_eps_h_limit(50))
+
+
+@pytest.mark.parametrize("engine", sorted(NC_THRESHOLDS))
+@pytest.mark.parametrize("d", [1, 5, 50])
+def test_verify_nc_runs_finite_up_to_the_eps_h_limit(engine, d):
+    # just inside the limit every engine's arithmetic stays finite, with no warning
+    with np.errstate(all="raise"):
+        res = verify_nc_suite(d=d, trials=3, eps_h=0.9999 * suite_eps_h_limit(d),
+                              engine=engine)
+    assert res["passed"] and res["unsound_directions"] == 0
+
+
 def test_cli_verify_nc_asymmetric_injection(capsys):
     code = main(["verify-nc", "--inject-asymmetric"])
     assert code == 3

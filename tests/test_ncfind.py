@@ -3,6 +3,8 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gose.ncfind
 
@@ -187,6 +189,92 @@ def test_lanczos_matches_full_ritz_reference(kind, d):
                 lam, v = run(hvp, d, budget, np.random.default_rng(seed))
                 runs.append((np.float64(lam).tobytes(), v.tobytes(), len(calls)))
             assert runs[0] == runs[1], (kind, d, seed, budget)
+
+
+# ---------------------------------------------------------------------------
+# early stop at the NC threshold: lanczos_min_eig(..., stop_below=-eps_h/2)
+
+STOP = -0.25  # -eps_h/2 at eps_h = 0.5
+deterministic = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+
+@st.composite
+def planted_runs(draw):
+    """A planted symmetric operator (d <= 60), a Lanczos budget and a start seed."""
+    d = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "deep", "near_threshold", "psd"]))
+    if kind == "psd":
+        spec = rng.uniform(0.05, 1.0, d)
+    elif kind == "uniform":
+        spec = rng.uniform(-1.0, 1.0, d)
+    else:
+        spec = rng.uniform(STOP, 1.0, d)
+        # lambda_min far below the threshold, or within 1e-9 of it on either side
+        spec[0] = -2.0 if kind == "deep" else STOP + draw(st.floats(-1e-9, 1e-9))
+    A = planted_symmetric(d, spec, rng)
+    return A, NcBudget(draw(st.integers(1, d + 1))), draw(st.integers(0, 2 ** 32 - 1))
+
+
+def counted_lanczos(A, budget, seed, stop_below=None, bias_call=None):
+    """(lam, v bytes, matvecs); matvec number bias_call raises v'Av by 4.
+
+    The planted spectra lie in [-2, 1], so the biased quotient is above STOP.
+    """
+    calls = []
+
+    def hvp(v):
+        calls.append(1)
+        u = A @ v
+        return u + 4.0 * v if len(calls) == bias_call else u
+    lam, v = lanczos_min_eig(hvp, A.shape[0], budget, np.random.default_rng(seed),
+                             stop_below=stop_below)
+    return lam, v.tobytes(), len(calls)
+
+
+@deterministic
+@given(planted_runs())
+def test_early_stop_keeps_the_decision_and_never_costs_more(run):
+    A, budget, seed = run
+    lam, v, cost = counted_lanczos(A, budget, seed, stop_below=STOP)
+    full_lam, full_v, full_cost = counted_lanczos(A, budget, seed)
+    assert (lam <= STOP) == (full_lam <= STOP)
+    if full_lam > STOP:
+        # bottom: every step as without the stop, bit for bit
+        assert (np.float64(lam).tobytes(), v, cost) == (
+            np.float64(full_lam).tobytes(), full_v, full_cost)
+    else:
+        a = np.frombuffer(v)
+        assert float(a @ (A @ a)) <= STOP + 1e-12 and lam <= STOP
+        # a stop that missed finishes as without one, one matvec later
+        assert cost <= full_cost or (
+            (lam, v, cost) == (full_lam, full_v, full_cost + 1))
+
+
+@deterministic
+@given(planted_runs())
+def test_missed_stop_finishes_as_without_it_one_matvec_later(run):
+    A, budget, seed = run
+    lam, v, cost = counted_lanczos(A, budget, seed, stop_below=STOP)
+    full = counted_lanczos(A, budget, seed)
+    if cost >= full[2]:
+        return  # no early stop to miss
+    # bias only the early stop's exit product, so its Rayleigh quotient misses
+    missed = counted_lanczos(A, budget, seed, stop_below=STOP, bias_call=cost)
+    assert missed == (full[0], full[1], full[2] + 1)
+    assert missed[2] <= min(budget.max_matvecs, A.shape[0]) + 4
+
+
+def test_early_stop_fires_on_deep_negative_curvature():
+    # lambda_min = -2 eight times below the threshold: the stop saves most steps
+    rng = np.random.default_rng(3)
+    spec = rng.uniform(0.0, 1.0, 60)
+    spec[0] = -2.0
+    A = planted_symmetric(60, spec, rng)
+    lam, _, cost = counted_lanczos(A, NcBudget(60), 0, stop_below=STOP)
+    full_lam, _, full_cost = counted_lanczos(A, NcBudget(60), 0)
+    assert lam <= STOP and full_lam <= STOP
+    assert 2 * cost < full_cost
 
 
 # ---------------------------------------------------------------------------

@@ -556,3 +556,29 @@ def test_run_solver_unknown_name():
     sphere = get_problem("sphere", d=2)
     with pytest.raises(ConfigError):
         run_solver("newton", sphere.oracle, np.ones(2), 1.0, 0.01)
+
+
+def sign_of_zero_oracle():
+    # f = |x|**2/2 + sum|x|/1000, whose (sub)gradient tells -0.0 from +0.0
+    return ObjectiveOracle(2, lambda x: 0.5 * float(x @ x) + 1e-3 * float(np.abs(x).sum()),
+                           lambda x: x + 1e-3 * np.copysign(1.0, x))
+
+
+@pytest.mark.parametrize("solver, x0, saved", [
+    ("gd", [0.5, 1.0], 1), ("agd", [0.5, 1.0], 1), ("gd", [-0.0, 1.0], 1),
+    # agd's first point x0 + 0 * 0 turns -0.0 into +0.0, so it measures there
+    ("agd", [-0.0, 1.0], 0),
+])
+def test_solver_reuses_the_entry_gradient_and_returns_the_exit_one(solver, x0, saved):
+    x0 = np.array(x0)
+    runs = []
+    for g0 in (None, sign_of_zero_oracle().gradient(x0)):
+        oracle = as_counting(sign_of_zero_oracle())
+        res = run_solver(solver, oracle, x0, 2.0, 1e-2, max_iters=1000, g0=g0)
+        assert res.gradient.tobytes() == oracle.gradient(res.point).tobytes()
+        runs.append((res.point.tobytes(), res.grad_norm, res.converged, res.iters,
+                     res.gradient.tobytes(), oracle.counters.grad_evals - 1))
+    (*plain, plain_evals), (*reused, reused_evals) = runs
+    assert reused == plain
+    assert plain_evals - reused_evals == saved
+
