@@ -130,6 +130,21 @@ def test_chained_minimum_is_critical():
     assert spec.oracle.value(spec.planted_minimum) == pytest.approx(0.0)
 
 
+def test_certify_diagonal_hessian_matches_the_eigensolve(rng):
+    spec = make_chained_saddles(60)
+    for _ in range(20):
+        x = rng.uniform(-1.5, 1.5, size=60)
+        _, _, lam = certify_second_order(spec.oracle, x, 0.01, 0.5)
+        assert lam == float(np.linalg.eigvalsh(dense_hessian(spec.oracle, x))[0])
+    # one off-diagonal pair: the smallest diagonal entry (1) is not lambda_min
+    M = np.diag([1.0, 1.0, 3.0])
+    M[0, 1] = M[1, 0] = 2.0
+    quad = ObjectiveOracle(3, lambda x: 0.5 * float(x @ M @ x), lambda x: M @ x,
+                           hvp=lambda x, v: M @ v)
+    ok, _, lam = certify_second_order(quad, np.zeros(3), 0.01, 0.5)
+    assert not ok and lam == pytest.approx(-1.0, abs=1e-12)
+
+
 def test_chained_rejects_d1():
     with pytest.raises(ConfigError):
         make_chained_saddles(1)
