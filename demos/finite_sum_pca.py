@@ -3,8 +3,11 @@
 f(x) = -(1/2n) sum (a_i'x)^2 + ||x||^4/4 over n data vectors: the origin is a
 strict saddle and every local minimum is global, sitting along the top
 eigenvector of the empirical covariance at value -lambda_1^2/4.  The driver
-measures the full gradient each outer iteration, runs variance-reduced epochs
-with batch n and minibatch 1, and escapes the origin saddle with one
+measures the full gradient each outer iteration as the mean of the n
+component gradients, n work units, and keeps them: the variance-reduced epoch
+that follows (batch n, minibatch 1) takes its anchor side from them and pays
+only for the component gradient at its current point, one unit per step.  So
+the counters show no grad_evals.  The origin saddle is escaped with one
 curvature step built from per-component Hessian-vector products.
 """
 

@@ -23,7 +23,7 @@ from .problems import (ProblemSpec, as_finite_sum, as_streaming,
                        make_nonconvex_pca, make_quadratic_saddle,
                        make_saddle_path, verify_lipschitz_constants,
                        with_gradient_noise)
-from .solvers import (ScsgConfig, SolveResult, derive_scsg_params,
+from .solvers import (ScsgConfig, SolveResult, anchor_table, derive_scsg_params,
                       estimate_variance_bound, gd_to_stationarity, guarded_agd,
                       sample_geometric, scsg_epoch)
 
@@ -44,7 +44,7 @@ __all__ = [
     "make_chained_saddles", "make_nonconvex_pca", "make_quadratic_saddle",
     "make_saddle_path", "verify_lipschitz_constants",
     "with_gradient_noise",
-    "ScsgConfig", "SolveResult", "derive_scsg_params",
+    "ScsgConfig", "SolveResult", "anchor_table", "derive_scsg_params",
     "estimate_variance_bound", "gd_to_stationarity", "guarded_agd",
     "sample_geometric", "scsg_epoch",
 ]

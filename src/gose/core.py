@@ -125,11 +125,15 @@ def checked_size(name: str, formula: Callable[[], float], clamped: bool = False,
 class EvalCounters:
     """Tallies of oracle work and driver events.
 
-    All fields are nondecreasing over a run.  A full-batch gradient of a
-    finite-sum oracle counts one grad_eval plus n_components
-    component_grad_evals (that is what it costs).  A synthesized
-    Hessian-vector product counts the two gradient evals of its kind (full,
-    component or stochastic) instead of an hvp_eval.
+    All fields are nondecreasing over a run.  The finite-sum driver's full
+    gradient is the mean of n_components component gradients
+    (solvers.anchor_table) and counts n_components component_grad_evals, as
+    the incremental first-order complexity of the paper and of SCSG counts
+    it.  The gradient method of a finite-sum oracle still counts one
+    grad_eval plus n_components component_grad_evals; only callers outside
+    that driver reach it, such as one_step_finite_sum without g.  A
+    synthesized Hessian-vector product counts the two gradient evals of its
+    kind (full, component or stochastic) instead of an hvp_eval.
     """
 
     grad_evals: int = 0
@@ -193,9 +197,10 @@ class ObjectiveOracle:
     A component_gradient_batch(indices, x) callable returns the mean component
     gradient over `indices`.  It receives either one index array of shape (b,),
     and returns shape (d,), or a (T, b) array of index rows, and returns a
-    (T, d) array of means, one row per index row.  The SCSG epoch relies on
-    this to evaluate the anchor side of many steps in one call.  Any other
-    shape raises MalformedOracleOutput.
+    (T, d) array of means, one row per index row.  The finite-sum driver
+    relies on this to measure all n component gradients in a few calls (a
+    (k, 1) row per component, solvers.anchor_table).  Any other shape raises
+    MalformedOracleOutput.
     """
 
     def __init__(self, dimension: int,

@@ -25,8 +25,8 @@ from .core import (Certificate, ConfigError, EvalCounters, SmoothnessSpec,
 from .escape import (EscapeConfig, check_run, one_step_deterministic,
                      one_step_finite_sum, one_step_stochastic)
 from .ncfind import NcConfig
-from .solvers import (DEFAULT_MAX_ITERS, DEFAULT_SOLVER, ScsgConfig, check_solver,
-                      derive_scsg_params, run_solver, scsg_epoch)
+from .solvers import (DEFAULT_MAX_ITERS, DEFAULT_SOLVER, ScsgConfig, anchor_table,
+                      check_solver, derive_scsg_params, run_solver, scsg_epoch)
 
 LARGE = "large_gradient"
 SMALL = "small_gradient"
@@ -86,11 +86,12 @@ def _drive(oracle, x0, K, measure, value, threshold, large_step, escape, echo):
     budget_exhausted at once, before any further oracle work.  If
     ||g|| <= threshold, enter the small-gradient region and take one
     escape(x, g); bottom certifies x with the finder's min_eig_estimate.
-    Otherwise large_step(x, g) returns the new point, the gradient measured
-    there (None if not, so the next iteration measures it) and the gradient
-    norm the run ends at, or None to go on.  A run that ends any other way has
-    measured no curvature at its final point and reports min_eig_estimate NaN.
-    value(x) fills each trace row's f_value; with value=None it is never read.
+    Otherwise large_step(x, g, fx), fx being the row's f_value, returns the
+    new point, the gradient measured there (None if not, so the next
+    iteration measures it) and the gradient norm the run ends at, or None to
+    go on.  A run that ends any other way has measured no curvature at its
+    final point and reports min_eig_estimate NaN.  value(x) fills each trace
+    row's f_value; with value=None it is never read.
     """
     x = np.asarray(x0, float)
     g = None
@@ -106,7 +107,7 @@ def _drive(oracle, x0, K, measure, value, threshold, large_step, escape, echo):
             return _finish(oracle, x, gn, STATUS_BUDGET, trace, echo)
         fx = None if value is None else value(x)
         if not gn <= threshold:
-            x, g, stop = large_step(x, g)
+            x, g, stop = large_step(x, g, fx)
             trace.append(TraceRecord(k, LARGE, gn, fx, oracle.counters.escape_steps > escapes,
                                      oracle.counters.snapshot()))
             if stop is not None:
@@ -125,10 +126,13 @@ def _drive(oracle, x0, K, measure, value, threshold, large_step, escape, echo):
     return _finish(oracle, x, gn, _budget_status(gn, threshold), trace, echo)
 
 
-def _epoch_step(oracle, scsg_cfg, rng, mode):
-    """Large-gradient step of the sampling drivers: one SCSG epoch anchored at g."""
-    def step(x, g):
-        x = scsg_epoch(oracle, x, scsg_cfg, g, rng, mode)
+def _epoch_step(oracle, scsg_cfg, rng, mode, table=lambda: None):
+    """Large-gradient step of the sampling drivers: one SCSG epoch anchored at g.
+
+    table() gives the finite-sum epoch the anchor table whose mean is g.
+    """
+    def step(x, g, fx):
+        x = scsg_epoch(oracle, x, scsg_cfg, g, rng, mode, table=table())
         oracle.counters.epochs_run += 1
         return x, None, None
     return step
@@ -152,8 +156,8 @@ def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     oracle = as_counting(oracle)
     echo = _config_echo("deterministic", tol, smooth, esc, ncfg, solver_choice=solver_choice)
 
-    def solve(x, g):
-        res = run_solver(solver_choice, oracle, x, smooth.L, tol.eps, solver_max_iters, g)
+    def solve(x, g, fx):
+        res = run_solver(solver_choice, oracle, x, smooth.L, tol.eps, solver_max_iters, g, fx)
         return res.point, res.gradient, None if res.converged else res.grad_norm
 
     return _drive(oracle, x0, tol.max_outer, oracle.gradient, oracle.value, tol.eps, solve,
@@ -196,7 +200,11 @@ def gose_finite_sum(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
 
     Unlike the sampling driver this one measures the full gradient each outer
     iteration and branches at eps (not eps/2); the epoch uses batch size n and
-    minibatch size 1.
+    minibatch size 1.  The full gradient is the mean of anchor_table's n
+    component gradients, which the epoch then reuses as its anchor side, so
+    a measurement costs n component gradients and an epoch b*T more; the
+    escape flips its direction against the same mean.  The oracle's own
+    gradient is never called.
     """
     check_run(oracle, tol, smooth, esc, ncfg, "finite_sum")
     oracle = as_counting(oracle)
@@ -204,8 +212,15 @@ def gose_finite_sum(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
         scsg_cfg = derive_scsg_params(tol, smooth, "finite_sum", n=oracle.n_components)
     echo = _config_echo("finite_sum", tol, smooth, esc, ncfg, scsg=dataclasses.asdict(scsg_cfg))
 
-    return _drive(oracle, x0, tol.max_outer, oracle.gradient, oracle.value,
-                  tol.eps, _epoch_step(oracle, scsg_cfg, rng, "finite_sum"),
+    table = None  # of the point measure() saw last, which the epoch starts from
+
+    def measure(x):
+        nonlocal table
+        table, g = anchor_table(oracle, x)
+        return g
+
+    return _drive(oracle, x0, tol.max_outer, measure, oracle.value, tol.eps,
+                  _epoch_step(oracle, scsg_cfg, rng, "finite_sum", lambda: table),
                   lambda x, g: one_step_finite_sum(oracle, x, tol, smooth, esc, rng, ncfg, g=g),
                   echo)
 

@@ -87,7 +87,8 @@ def check_run(oracle, tol: ToleranceConfig, smooth: SmoothnessSpec, esc: EscapeC
     eps < eps_h**2/(16*c1*rho_eff), and eps <= eps_h**1.5 in stochastic mode;
     the c_h windows; then every size the run's finder and escapes will draw,
     computed by the functions that draw them: finder_sizes of `mode` and
-    ncfg.engine, and in stochastic mode the escape subsample.
+    ncfg.engine, in stochastic mode the escape subsample, and in finite-sum
+    mode n, the rows of the driver's anchor table (solvers.anchor_table).
     """
     check_mode(mode, oracle)
     bound = tol.eps_h ** 2 / (16.0 * tol.c1 * smooth.rho_eff)
@@ -120,6 +121,9 @@ def check_run(oracle, tol: ToleranceConfig, smooth: SmoothnessSpec, esc: EscapeC
     finder_sizes(mode, oracle, tol.eps_h, tol.delta, smooth.L, ncfg)
     if mode == "stochastic":
         esc.subsample_size(tol, smooth)
+    if mode == "finite_sum":
+        n = oracle.n_components
+        checked_size("finite-sum anchor table rows", lambda: n, n=n)
 
 
 @dataclass

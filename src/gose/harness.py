@@ -518,7 +518,7 @@ def always_probe_baseline(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSp
     def probe(x, g):
         return one_step_deterministic(oracle, x, tol, smooth, esc, rng, ncfg, g=g)
 
-    def probe_or_gradient_step(x, g):
+    def probe_or_gradient_step(x, g, fx):
         oracle.counters.small_region_entries += 1  # probes on the large branch too
         res = probe(x, g)
         return (res.point if res.escaped else x - g / smooth.L), None, None

@@ -4,7 +4,9 @@ First-order solvers that drive the iterate to ||grad f|| <= eps (plain
 gradient descent as the certified reference, a guard-restarted accelerated
 variant as the faster option), plus the variance-reduced epoch used in the
 stochastic and finite-sum drivers: anchor a batch gradient, then take a
-geometrically distributed number of control-variate steps.
+geometrically distributed number of control-variate steps.  For finite sums
+the anchor is anchor_table's n component gradients, whose mean is the full
+gradient and whose rows are the anchor side of every step.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from .core import (ConfigError, InvalidP, MissingVarianceBound,
 DEFAULT_SOLVER = "gd"
 DEFAULT_MAX_ITERS = 200_000
 
-# Floats (rows * b * d) one finite-sum anchor call may gather: bounds the
-# epoch's memory whatever T is.  fs_pca (b = 1, d = 20) fits 3,276 rows, 16
-# times its mean T.  Not a setting.
+# Floats (rows * d) one component_gradient_batch call of anchor_table may
+# gather: bounds the memory of a batch callable's intermediates whatever n is.
+# fs_pca (n = 200, d = 20) fits 3,276 rows, so its table is one call.  Not a
+# setting.
 ANCHOR_BLOCK_FLOATS = 2 ** 16
 
 
@@ -145,8 +148,30 @@ def estimate_variance_bound(oracle, x, rng: np.random.Generator,
     return 2.0 * float(np.mean(np.sum((draws - mean) ** 2, axis=1)))
 
 
+def anchor_table(oracle, x) -> tuple[np.ndarray, np.ndarray]:
+    """The n component gradients at x, one row each, and their mean.
+
+    Row i is component_gradient_batch's mean over the one index i; the rows
+    come from calls on (k, 1) index rows of at most ANCHOR_BLOCK_FLOATS
+    floats (k * d) each, so the table costs exactly n component_grad_evals.
+    The mean adds the rows in index order (an accumulation, never pairwise)
+    and divides by n.  The finite-sum driver branches on the mean, and the
+    epoch that follows takes the table as its anchor side (scsg_epoch).
+    """
+    oracle = as_counting(oracle)
+    x = np.asarray(x, float)
+    n, d = oracle.n_components, oracle.dimension
+    rows = max(ANCHOR_BLOCK_FLOATS // d, 1)
+    table = np.empty((n, d))
+    for start in range(0, n, rows):
+        block = np.arange(start, min(start + rows, n))[:, None]
+        table[start:start + len(block)] = oracle.component_gradient_batch(block, x)
+    return table, np.add.accumulate(table, axis=0)[-1] / n
+
+
 def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
-               rng: np.random.Generator, mode: str) -> np.ndarray:
+               rng: np.random.Generator, mode: str, *,
+               table: Optional[np.ndarray] = None) -> np.ndarray:
     """One variance-reduced epoch anchored at g_anchor (the batch gradient at x0).
 
     mode is the driver's, "stochastic" or "finite_sum"; a mode outside these,
@@ -157,33 +182,43 @@ def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
     or b fresh draws evaluated at both points in one stacked
     sample_gradient_batch call on rng (stochastic, common random numbers; rng
     is the only generator the epoch draws from).  Returns x0 unchanged when
-    T = 0.  Costs 2*b*T gradient evals.
+    T = 0.  Costs 2*b*T stochastic gradient evals, or b*T component gradient
+    evals.
 
-    Finite-sum indices come from one (T, b) draw per epoch, held in memory as
-    T*b ints: numpy fills bounded integers one element at a time, so the draw
-    yields the same values, and leaves rng in the same state, as T draws of b.
-    The anchor means g_I(x0) depend only on x0 and the indices, so they are
-    evaluated one block of index rows per component_gradient_batch call, each
-    block at most ANCHOR_BLOCK_FLOATS floats (rows * b * d); every step then
-    makes one call at y.
+    Finite-sum mode needs table, the (n, d) component gradients at x0 that
+    anchor_table returns (a missing or misshapen table is a ConfigError before
+    any draw): g_I(x0) is the table row when b = 1, else the b rows added to
+    zeros in index order and divided by b, so only the y side costs oracle
+    work, one component_gradient_batch call per step.  Its indices come from
+    one (T, b) draw per epoch: numpy fills bounded integers one element at a
+    time, so the draw yields the same values, and leaves rng in the same
+    state, as T draws of b.
     """
     oracle = as_counting(oracle)
     check_mode(mode, oracle, ("stochastic", "finite_sum"))
     x0 = np.asarray(x0, float)
+    if mode == "finite_sum":
+        shape = (oracle.n_components, oracle.dimension)
+        if table is None or np.shape(table) != shape:
+            raise ConfigError(f"finite_sum epoch needs the anchor table of shape {shape},"
+                              f" got {None if table is None else np.shape(table)}")
     T = sample_geometric(cfg.p, rng)
     if T == 0:
         return x0
     if mode == "finite_sum":
-        indices = rng.integers(0, oracle.n_components, size=(T, cfg.b))
-        rows = max(ANCHOR_BLOCK_FLOATS // (cfg.b * oracle.dimension), 1)
         y = x0.copy()
-        for start in range(0, T, rows):
-            block = indices[start:start + rows]
-            for idx, g_0 in zip(block, oracle.component_gradient_batch(block, x0)):
-                step = oracle.component_gradient_batch(idx, y) - g_0
-                step += g_anchor
-                step *= cfg.eta
-                y -= step
+        for idx in rng.integers(0, oracle.n_components, size=(T, cfg.b)):
+            if cfg.b == 1:
+                g_0 = table[idx[0]]
+            else:
+                g_0 = np.zeros(oracle.dimension)
+                for i in idx:
+                    g_0 += table[i]
+                g_0 /= cfg.b
+            step = oracle.component_gradient_batch(idx, y) - g_0
+            step += g_anchor
+            step *= cfg.eta
+            y -= step
         return y
     points = np.stack([x0, x0])
     y = points[0]  # stepped in place, so every call sees the current iterate
@@ -198,13 +233,15 @@ def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
 
 def gd_to_stationarity(oracle, x0, L: float, eps: float,
                        max_iters: int = DEFAULT_MAX_ITERS,
-                       g0: Optional[np.ndarray] = None) -> SolveResult:
+                       g0: Optional[np.ndarray] = None,
+                       f0: Optional[float] = None) -> SolveResult:
     """Plain gradient descent with step 1/L until ||grad f|| <= eps.
 
     Returns the first iterate meeting the condition; on budget exhaustion the
     last iterate is returned with converged=False (its gradient is measured,
     costing one extra eval).  g0, when given, is the gradient at x0 and is
-    used in place of measuring it.
+    used in place of measuring it.  f0, the value at x0, is ignored: gradient
+    descent reads no values.
     """
     if L <= 0.0:
         raise NonPositiveConstant(f"L must be positive, got {L}")
@@ -228,7 +265,8 @@ def gd_to_stationarity(oracle, x0, L: float, eps: float,
 
 def guarded_agd(oracle, x0, L: float, eps: float,
                 max_iters: int = DEFAULT_MAX_ITERS,
-                g0: Optional[np.ndarray] = None) -> SolveResult:
+                g0: Optional[np.ndarray] = None,
+                f0: Optional[float] = None) -> SolveResult:
     """Accelerated gradient descent with a nonconvexity guard.
 
     Nesterov extrapolation with the usual momentum schedule; whenever the
@@ -237,15 +275,17 @@ def guarded_agd(oracle, x0, L: float, eps: float,
     decreases f under a valid L).  Never returns a point with larger f than
     x0.  g0, when given, is the gradient at x0: the first extrapolated point
     is x0 + 0 * 0, and g0 serves for it where that is x0 bit for bit (adding
-    zero turns a -0.0 entry into +0.0, which is then measured).
+    zero turns a -0.0 entry into +0.0, which is then measured).  f0, when
+    given, is f(x0) and is used in place of evaluating it.
     """
     if L <= 0.0:
         raise NonPositiveConstant(f"L must be positive, got {L}")
     oracle = as_counting(oracle)
     x = np.asarray(x0, float)
     x_prev = x.copy()
-    fx = oracle.value(x)
-    f0 = fx
+    if f0 is None:
+        f0 = oracle.value(x)
+    fx = f0
     theta = 1.0
     for i in range(max_iters):
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
@@ -288,8 +328,12 @@ def check_solver(choice: str) -> None:
 
 def run_solver(choice: str, oracle, x0, L: float, eps: float,
                max_iters: int = DEFAULT_MAX_ITERS,
-               g0: Optional[np.ndarray] = None) -> SolveResult:
-    """Dispatch on the solver name; any solver obeys the same output contract."""
+               g0: Optional[np.ndarray] = None,
+               f0: Optional[float] = None) -> SolveResult:
+    """Dispatch on the solver name; any solver obeys the same output contract.
+
+    g0 and f0, when given, are the gradient and value at x0.
+    """
     check_solver(choice)
     solver = guarded_agd if choice == "agd" else gd_to_stationarity
-    return solver(oracle, x0, L, eps, max_iters, g0)
+    return solver(oracle, x0, L, eps, max_iters, g0, f0)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gose import (EscapeConfig, ObjectiveOracle, SmoothnessSpec,
-                  ToleranceConfig, amplify, certify_second_order,
+                  ToleranceConfig, amplify, anchor_table, certify_second_order,
                   derive_scsg_params, finite_diff_hvp, get_problem,
                   gose_deterministic, gose_finite_sum, gose_stochastic,
                   make_chained_saddles, one_step_deterministic,
@@ -333,9 +333,10 @@ def test_criterion_7_scsg_mechanics():
         fs = as_finite_sum(sphere, 1)
         cfg = ScsgConfig(B=1, b=1, eta=0.2)
         x0 = np.array([1.0, -0.5, 2.0, 0.25])
+        table, g = anchor_table(fs.oracle, x0)
         for seed in range(50):
-            y = scsg_epoch(fs.oracle, x0, cfg, fs.oracle.gradient(x0),
-                           np.random.default_rng(seed), "finite_sum")
+            y = scsg_epoch(fs.oracle, x0, cfg, g, np.random.default_rng(seed), "finite_sum",
+                           table=table)
             T = sample_geometric(0.5, np.random.default_rng(seed))
             z = x0.copy()
             for _ in range(T):

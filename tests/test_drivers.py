@@ -612,6 +612,33 @@ def test_deterministic_driver_measures_no_gradient_twice_in_a_row(solver):
     assert all(a != b for a, b in zip(points, points[1:]))
 
 
+@pytest.mark.parametrize("d", [5, 10, 200])
+def test_agd_large_step_values_no_point_twice(d):
+    # the trace row's f(x) is the value the agd solve starts from: among the
+    # values of a large-gradient iteration, the row's and its solve's, no
+    # point repeats
+    prob = get_problem("chained_saddles", d=d)
+    points = []
+
+    def value(x):
+        points.append(np.asarray(x).tobytes())
+        return prob.oracle.value(x)
+    oracle = ObjectiveOracle(d, value, prob.oracle.gradient, hvp=prob.oracle.hvp)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=200)
+    report = run_det(dataclasses.replace(prob, oracle=oracle), tol,
+                     SmoothnessSpec(L=prob.known_L, rho=1.0), solver_choice="agd")
+    assert report.certificate.status == STATUS_SECOND_ORDER
+    assert len(points) == report.certificate.counters.fn_evals
+    before, large = 0, 0
+    for row in report.trace:
+        step = points[before:row.counters.fn_evals]
+        before = row.counters.fn_evals
+        if row.branch == LARGE:
+            large += 1
+            assert len(step) > 1 and len(set(step)) == len(step), row.k
+    assert large >= 1
+
+
 # ---------------------------------------------------------------------------
 # the paper's curvature bound on chained saddles
 
@@ -711,20 +738,20 @@ GOLDEN = {
     "chained_gd": (lambda: golden_chained("gd"), STATUS_SECOND_ORDER,
                    counts(64, 0, 0, 13, 3, 2, 1, 2, 3, 0)),
     "chained_agd": (lambda: golden_chained("agd"), STATUS_SECOND_ORDER,
-                    counts(32, 0, 0, 13, 34, 2, 1, 2, 3, 0)),
+                    counts(32, 0, 0, 13, 33, 2, 1, 2, 3, 0)),
     "saddle_path_driver": (lambda: golden_saddle_path(gose_deterministic),
                            STATUS_SECOND_ORDER, counts(54, 0, 0, 10, 4, 2, 1, 2, 4, 0)),
     "saddle_path_baseline": (lambda: golden_saddle_path(always_probe_baseline),
                              STATUS_SECOND_ORDER,
                              counts(36, 0, 0, 180, 36, 36, 3, 36, 36, 0)),
     "pca_finite_sum": (golden_pca, STATUS_SECOND_ORDER,
-                       counts(48, 0, 6416, 95, 48, 1, 0, 1, 48, 47)),
+                       counts(0, 0, 4408, 95, 48, 1, 0, 1, 48, 47)),
     "noisy_bowl": (golden_noisy_bowl, STATUS_BUDGET,
                    counts(0, 281812, 0, 3512, 0, 1, 1, 1, 10, 9)),
     "det_chained_d200": (golden_det_chained_d200, STATUS_SECOND_ORDER,
                          counts(123, 0, 0, 106, 3, 2, 1, 2, 3, 0)),
     "fs_pca_n200": (golden_fs_pca_n200, STATUS_SECOND_ORDER,
-                    counts(28, 0, 16238, 431, 28, 1, 0, 1, 28, 27)),
+                    counts(0, 0, 10919, 431, 28, 1, 0, 1, 28, 27)),
     "stoch_bowl_b32": (golden_stoch_bowl_b32, STATUS_SECOND_ORDER,
                        counts(0, 961304, 0, 7024, 0, 2, 1, 2, 31, 29)),
 }
@@ -732,8 +759,8 @@ GOLDEN = {
 # sha256 of certificate.point.tobytes()
 GOLDEN_POINTS = {
     "det_chained_d200": "9ed5321600a38d41ff342313d3d677ec26ac8b8d1bc7e5a773fe40183bbe559d",
-    "pca_finite_sum": "399aff15784f241795dd2073aa47e41aa020777c617815e93e43cb52d828cc71",
-    "fs_pca_n200": "60a1c55fd251e66b8c75c697dde7d4d2dd4f2791aa2252fa7332b83f14d116d3",
+    "pca_finite_sum": "9ebf8ddde2c1476c753251c20f7a8880cf4ab1129e203177ef77f0584e0c501f",
+    "fs_pca_n200": "662f9df68170baece31e294a7d5c1e71d2b9b9feaaae894caf9d52cf525575ae",
     "noisy_bowl": "db83bb6d927d6c3ea45a86f0a6849780f377a46e8c72995203132481701f19a4",
     "stoch_bowl_b32": "5de7c636ace12ea96dc4cd0b314918fadf50a57b7286fae726b86273d5c7ece1",
 }
@@ -746,3 +773,33 @@ def test_golden_counters_per_seed(name):
     assert (c.status, c.counters.as_dict()) == (status, expected)
     if name in GOLDEN_POINTS:
         assert hashlib.sha256(c.point.tobytes()).hexdigest() == GOLDEN_POINTS[name]
+
+
+def golden_chained_finite_sum():
+    # four identical components, each the whole chained-saddles objective
+    prob = as_finite_sum(get_problem("chained_saddles", d=5), 4)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=500)
+    smooth = SmoothnessSpec(L=prob.known_L, rho=1.0)
+    return gose_finite_sum(prob.oracle, prob.x0, tol, smooth, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("run, n", [pytest.param(golden_pca, 50, id="pca_finite_sum"),
+                                    pytest.param(golden_chained_finite_sum, 4,
+                                                 id="chained_finite_sum")])
+def test_fs_full_gradient_is_n_component_gradients_shared_with_the_epoch(run, n):
+    # each measurement is the n rows of one anchor table, and the epoch after
+    # it pays only for its y side, b per step; the oracle's gradient, which
+    # charges n + 1, is never called
+    report = run()
+    b = report.config["scsg"]["b"]
+    assert report.certificate.status == STATUS_SECOND_ORDER
+    assert report.certificate.counters.grad_evals == 0
+    assert {row.branch for row in report.trace} == {LARGE, SMALL}
+    before = 0
+    for row in report.trace:
+        spent = row.counters.component_grad_evals - before
+        before = row.counters.component_grad_evals
+        if row.branch == SMALL:
+            assert spent == n, row.k
+        else:
+            assert spent >= n and (spent - n) % b == 0, row.k

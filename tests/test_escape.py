@@ -253,6 +253,23 @@ def test_one_step_stochastic_checks_subsample_size_before_the_finder():
     assert co.counters.work_units() == 0 and co.counters.nc_calls == 0
 
 
+def test_check_run_bounds_the_anchor_table_rows():
+    # the finite-sum driver's anchor table holds n rows: n past MAX_DRAWS is a
+    # size error naming n, before any oracle work
+    sphere = get_problem("sphere", d=2).oracle
+    for n, ok in [(10 ** 8, True), (10 ** 8 + 1, False)]:
+        co = as_counting(ObjectiveOracle(2, sphere.value, sphere.gradient, hvp=sphere.hvp,
+                                         n_components=n,
+                                         component_gradient=lambda i, x: sphere.gradient(x)))
+        if ok:
+            check_run(co, TOL, UNIT_RHO, EscapeConfig(), NcConfig(), "finite_sum")
+        else:
+            with pytest.raises(SizeOutOfRange, match=r"anchor table rows = 1e\+08 exceeds"
+                                                      r".*n=100000001"):
+                check_run(co, TOL, UNIT_RHO, EscapeConfig(), NcConfig(), "finite_sum")
+        assert co.counters == EvalCounters()
+
+
 # ---------------------------------------------------------------------------
 # finite-sum escape
 

@@ -14,7 +14,7 @@ from gose.core import (ConfigError, CountingOracle, EvalCounters, InvalidP,
                        MalformedOracleOutput, MissingVarianceBound, NonPositiveConstant,
                        NotFiniteSum, NotStochastic, SizeOutOfRange)
 from gose.problems import as_finite_sum
-from gose.solvers import ANCHOR_BLOCK_FLOATS, run_solver
+from gose.solvers import ANCHOR_BLOCK_FLOATS, anchor_table, run_solver
 from conftest import planted_symmetric
 
 
@@ -179,7 +179,9 @@ def test_scsg_config_rejects_bad_eta_and_mode(change, error, named):
                    np.random.default_rng(0), settings["mode"])
     assert co.counters == EvalCounters()
     for mode, oracle in oracles.items():
-        scsg_epoch(oracle, x0, ScsgConfig(B=4, b=2, eta=0.1), x0, np.random.default_rng(0), mode)
+        table = anchor_table(oracle, x0)[0] if mode == "finite_sum" else None
+        scsg_epoch(oracle, x0, ScsgConfig(B=4, b=2, eta=0.1), x0, np.random.default_rng(0), mode,
+                   table=table)
 
 
 @pytest.mark.parametrize("mode, error", [("finite_sum", NotFiniteSum),
@@ -227,8 +229,8 @@ def test_epoch_T_zero_returns_x0_exactly():
     cfg = ScsgConfig(B=1, b=1, eta=0.1)
     seed = _seed_with_T(0.5, 0)
     x0 = np.array([1.0, -2.0, 0.5])
-    y = scsg_epoch(fs.oracle, x0, cfg, fs.oracle.gradient(x0),
-                   np.random.default_rng(seed), "finite_sum")
+    table, g = anchor_table(fs.oracle, x0)
+    y = scsg_epoch(fs.oracle, x0, cfg, g, np.random.default_rng(seed), "finite_sum", table=table)
     np.testing.assert_array_equal(y, x0)
 
 
@@ -239,8 +241,8 @@ def test_epoch_collapses_to_gd_when_b_B_n_one():
     cfg = ScsgConfig(B=1, b=1, eta=0.1)
     seed = _seed_with_T(0.5, 4)
     x0 = np.array([1.0, -2.0, 0.5])
-    y = scsg_epoch(fs.oracle, x0, cfg, fs.oracle.gradient(x0),
-                   np.random.default_rng(seed), "finite_sum")
+    table, g = anchor_table(fs.oracle, x0)
+    y = scsg_epoch(fs.oracle, x0, cfg, g, np.random.default_rng(seed), "finite_sum", table=table)
     T = sample_geometric(0.5, np.random.default_rng(seed))
     z = x0.copy()
     for _ in range(T):
@@ -248,15 +250,16 @@ def test_epoch_collapses_to_gd_when_b_B_n_one():
     assert np.max(np.abs(y - z)) <= 1e-12 * max(1, T)
 
 
-def test_epoch_counts_two_b_T_evals():
+def test_epoch_counts_b_T_component_evals():
+    # the anchor side comes from the table, so only the y side costs work
     sphere = get_problem("sphere", d=3)
     fs = as_finite_sum(sphere, 4)
     cfg = ScsgConfig(B=4, b=2, eta=0.05)
     seed = _seed_with_T(4.0 / 6.0, 3)
+    table, g = anchor_table(fs.oracle, np.ones(3))
     co = as_counting(fs.oracle)
-    scsg_epoch(co, np.ones(3), cfg, fs.oracle.gradient(np.ones(3)),
-               np.random.default_rng(seed), "finite_sum")
-    assert co.counters.component_grad_evals == 2 * 2 * 3  # 2 * b * T
+    scsg_epoch(co, np.ones(3), cfg, g, np.random.default_rng(seed), "finite_sum", table=table)
+    assert co.counters == EvalCounters(component_grad_evals=2 * 3)  # b * T
 
 
 def test_epoch_mean_descent_on_finite_sum_quadratic():
@@ -276,9 +279,9 @@ def test_epoch_mean_descent_on_finite_sum_quadratic():
     x0 = np.full(d, 2.0)
     f0 = oracle.value(x0)
     vals = []
+    table, g = anchor_table(oracle, x0)
     for seed in range(100):
-        y = scsg_epoch(oracle, x0, cfg, oracle.gradient(x0),
-                       np.random.default_rng(seed), "finite_sum")
+        y = scsg_epoch(oracle, x0, cfg, g, np.random.default_rng(seed), "finite_sum", table=table)
         vals.append(oracle.value(y))
     assert np.mean(vals) < f0
 
@@ -361,20 +364,22 @@ def test_epoch_stochastic_batch_callable_of_wrong_shape_raises_typed_error():
                    np.random.default_rng(seed), "stochastic")
 
 
-def _per_step_draw_epoch(oracle, x0, cfg, g_anchor, rng):
-    # reference: fresh indices drawn on every inner step
+def _per_step_draw_epoch(oracle, x0, cfg, g_anchor, rng, anchor):
+    # reference: fresh indices drawn on every inner step; anchor(idx) is g_I(x0)
     T = sample_geometric(cfg.p, rng)
     y = x0.copy()
     for _ in range(T):
         idx = rng.integers(0, oracle.n_components, size=cfg.b)
         g_y = oracle.component_gradient_batch(idx, y)
-        g_0 = oracle.component_gradient_batch(idx, x0)
-        y = y - cfg.eta * (g_y - g_0 + g_anchor)
+        y = y - cfg.eta * (g_y - anchor(idx) + g_anchor)
     return y, T
 
 
-def _pca_oracles():
-    base = get_problem("nonconvex_pca", n=200, d=20, seed=13).oracle
+TABLE_ROWS = ANCHOR_BLOCK_FLOATS // 20  # rows per anchor_table call, d=20
+
+
+def _pca_oracles(n=200):
+    base = get_problem("nonconvex_pca", n=n, d=20, seed=13).oracle
     # component gradients only: component_gradient_batch takes the loop fallback
     loop_only = ObjectiveOracle(20, base.value, base.gradient,
                                 n_components=base.n_components,
@@ -382,34 +387,91 @@ def _pca_oracles():
     return {"batch_callable": base, "loop_fallback": loop_only}
 
 
-ANCHOR_ROWS_B32 = ANCHOR_BLOCK_FLOATS // (32 * 20)  # rows per anchor call, b=32, d=20
+def _row_by_row_table(oracle, x):
+    # reference table: one 1-D component_gradient_batch call per component
+    return np.stack([oracle.component_gradient_batch(np.array([i]), x)
+                     for i in range(oracle.n_components)])
 
 
 @pytest.mark.parametrize("kind", ["batch_callable", "loop_fallback"])
-@pytest.mark.parametrize("b, B, seeds, min_crossing", [
-    pytest.param(1, 40, 20, 0, id="1"),
-    pytest.param(3, 40, 20, 0, id="3"),
-    # mean T = B/b is 4 anchor blocks, so most epochs make several anchor
-    # calls; fewer seeds, as each epoch costs about 50k component gradients
-    pytest.param(32, 32 * 4 * ANCHOR_ROWS_B32, 8, 5, id="32-anchor_blocks"),
+@pytest.mark.parametrize("n", [200, TABLE_ROWS + 724], ids=["one_block", "two_blocks"])
+def test_anchor_table_rows_match_one_dimensional_calls(kind, n):
+    # row i is component i's gradient bit for bit, n units in all, and the
+    # mean adds the rows in index order
+    oracle = _pca_oracles(n)[kind]
+    x = np.random.default_rng(n).standard_normal(20)
+    co = as_counting(oracle)
+    table, mean = anchor_table(co, x)
+    assert co.counters == EvalCounters(component_grad_evals=n)
+    assert table.tobytes() == _row_by_row_table(oracle, x).tobytes()
+    acc = table[0].copy()
+    for row in table[1:]:
+        acc += row
+    assert mean.tobytes() == (acc / n).tobytes()
+    np.testing.assert_allclose(mean, oracle.gradient(x), rtol=0, atol=1e-12 * n)
+
+
+@pytest.mark.parametrize("kind", ["batch_callable", "loop_fallback"])
+@pytest.mark.parametrize("b, B, n, seeds", [
+    pytest.param(1, 40, 200, 20, id="1"),
+    pytest.param(3, 40, 200, 20, id="3"),
+    # n passes one anchor_table call, so the table is built from two blocks
+    pytest.param(32, 320, TABLE_ROWS + 724, 4, id="32-anchor_blocks"),
 ])
-def test_epoch_finite_sum_stream_matches_per_step_draws(kind, b, B, seeds, min_crossing):
-    oracle = _pca_oracles()[kind]
+def test_epoch_finite_sum_stream_matches_per_step_draws(kind, b, B, n, seeds):
+    # anchors are the reference table's rows added to zeros in index order,
+    # over b; each step's y side is one call, b units
+    oracle = _pca_oracles(n)[kind]
     cfg = ScsgConfig(B=B, b=b, eta=0.05)
     x0 = np.linspace(-0.5, 0.5, 20)
-    g_anchor = oracle.gradient(x0)
-    crossing = 0
+    table, g_anchor = anchor_table(oracle, x0)
+    rows = _row_by_row_table(oracle, x0)
+    assert (n > TABLE_ROWS) == (B == 320)
     for seed in range(seeds):
         co = as_counting(oracle)
         rng = np.random.default_rng(seed)
-        y = scsg_epoch(co, x0, cfg, g_anchor, rng, "finite_sum")
+        y = scsg_epoch(co, x0, cfg, g_anchor, rng, "finite_sum", table=table)
         ref_rng = np.random.default_rng(seed)
-        ref, T = _per_step_draw_epoch(oracle, x0, cfg, g_anchor, ref_rng)
+        ref, T = _per_step_draw_epoch(oracle, x0, cfg, g_anchor, ref_rng,
+                                      lambda idx: sum((rows[i] for i in idx), np.zeros(20)) / b)
         assert y.tobytes() == ref.tobytes(), seed
-        assert co.counters.component_grad_evals == 2 * b * T
+        assert co.counters == EvalCounters(component_grad_evals=b * T)
         assert rng.random() == ref_rng.random(), seed
-        crossing += T > ANCHOR_BLOCK_FLOATS // (b * 20)
-    assert crossing >= min_crossing
+
+
+@pytest.mark.parametrize("b", [1, 3])
+def test_epoch_on_the_loop_fallback_matches_measured_anchors(b):
+    # the loop fallback sums a row's component gradients to zeros in order,
+    # as the table epoch sums its rows, so given the same g_anchor the epoch
+    # equals one that measures g_I(x0) at every step
+    oracle = _pca_oracles()["loop_fallback"]
+    cfg = ScsgConfig(B=40, b=b, eta=0.05)
+    x0 = np.linspace(-0.5, 0.5, 20)
+    table, g_anchor = anchor_table(oracle, x0)
+    for seed in range(20):
+        y = scsg_epoch(oracle, x0, cfg, g_anchor, np.random.default_rng(seed), "finite_sum",
+                       table=table)
+        ref, _ = _per_step_draw_epoch(oracle, x0, cfg, g_anchor, np.random.default_rng(seed),
+                                      lambda idx: oracle.component_gradient_batch(idx, x0))
+        assert y.tobytes() == ref.tobytes(), seed
+
+
+@pytest.mark.parametrize("change", [
+    lambda t: None, lambda t: t[:-1], lambda t: t.T, lambda t: t[None], lambda t: t[:, 0],
+], ids=["missing", "short", "transposed", "stacked", "one_column"])
+def test_epoch_finite_sum_rejects_a_missing_or_misshapen_table(change):
+    # checked before any draw or oracle work
+    oracle = as_counting(_pca_oracles()["batch_callable"])
+    x0 = np.linspace(-0.5, 0.5, 20)
+    table, g_anchor = anchor_table(_pca_oracles()["batch_callable"], x0)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigError, match=r"finite_sum epoch needs the anchor table of shape"
+                                          r" \(200, 20\)"):
+        scsg_epoch(oracle, x0, ScsgConfig(B=200, b=1, eta=0.05), g_anchor, rng, "finite_sum",
+                   table=change(table))
+    assert oracle.counters == EvalCounters()
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("kind", ["batch_callable", "loop_fallback"])
