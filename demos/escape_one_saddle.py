@@ -28,7 +28,7 @@ print(f"at the origin: ||grad|| = {grad_norm:.3g}, lambda_min = {lam_min:.3f},"
 res = one_step_deterministic(prob.oracle, x, tol, smooth, EscapeConfig(),
                              np.random.default_rng(0))
 y = res.point
-print(f"negative-curvature direction found, Rayleigh = {res.nc.rayleigh:.6f}")
+print(f"negative-curvature direction found, Rayleigh = {res.nc.lambda_hat:.6f}")
 print(f"one step of length {np.linalg.norm(y - x):.4g} lands at {np.round(y, 4)}")
 print(f"f(y) - f(x) = {prob.oracle.value(y) - prob.oracle.value(x):.6f}"
       f"  (needs <= {-(1 / 24) * tol.eps_h ** 3:.6f})")

@@ -9,7 +9,7 @@ direction always certifies itself.
 
 import numpy as np
 
-from gose import (NcBudget, NcConfig, ObjectiveOracle, approx_nc_deterministic,
+from gose import (NcConfig, ObjectiveOracle, approx_nc_deterministic,
                   approx_nc_finite_sum, approx_nc_stochastic, lanczos_min_eig,
                   make_nonconvex_pca)
 
@@ -23,19 +23,19 @@ spectrum[0] = -1.0
 A = (q * spectrum) @ q.T
 A = 0.5 * (A + A.T)
 
-lam, v = lanczos_min_eig(lambda w: A @ w, d, NcBudget(60), rng)
+lam, v = lanczos_min_eig(lambda w: A @ w, d, 60, rng)
 dense = float(np.linalg.eigvalsh(A)[0])
 print(f"lanczos lambda_min = {lam:.8f}   dense eigensolver = {dense:.8f}")
 
 oracle = ObjectiveOracle(d, lambda x: 0.5 * float(x @ (A @ x)),
                          lambda x: A @ x, hvp=lambda x, v: A @ v)
 out = approx_nc_deterministic(oracle, np.zeros(d), eps_h, delta, 1.0, rng)
-print(f"analytic HVPs:      {out.kind}, Rayleigh {out.rayleigh:.4f},"
+print(f"analytic HVPs:      {out.kind}, Rayleigh {out.lambda_hat:.4f},"
       f" cost {out.hvp_or_grad_cost} products")
 
 gradient_only = ObjectiveOracle(d, oracle.value, oracle.gradient)
 out = approx_nc_deterministic(gradient_only, np.zeros(d), eps_h, delta, 1.0, rng)
-print(f"gradients only:     {out.kind}, Rayleigh {out.rayleigh:.4f},"
+print(f"gradients only:     {out.kind}, Rayleigh {out.lambda_hat:.4f},"
       f" cost {out.hvp_or_grad_cost} gradient evals")
 
 
@@ -51,13 +51,13 @@ stochastic = ObjectiveOracle(
 for engine in ("minibatch_lanczos", "oja"):
     out = approx_nc_stochastic(stochastic, np.zeros(d), eps_h, delta, 1.0, rng,
                                NcConfig(engine=engine))
-    print(f"{engine:<19} {out.kind}, Rayleigh {out.rayleigh:.4f},"
+    print(f"{engine:<19} {out.kind}, Rayleigh {out.lambda_hat:.4f},"
           f" cost {out.hvp_or_grad_cost} sampled products")
 
 pca = make_nonconvex_pca(n=64, d=10, seed=0, top_eig=1.0)
 out = approx_nc_finite_sum(pca.oracle, np.zeros(10), eps_h, delta,
                            pca.known_L, rng)
-print(f"finite-sum (PCA origin): {out.kind}, Rayleigh {out.rayleigh:.4f},"
+print(f"finite-sum (PCA origin): {out.kind}, Rayleigh {out.lambda_hat:.4f},"
       f" cost {out.hvp_or_grad_cost} component products")
 
 # positive-semidefinite operator: bottom, always

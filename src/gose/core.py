@@ -125,15 +125,13 @@ def checked_size(name: str, formula: Callable[[], float], clamped: bool = False,
 class EvalCounters:
     """Tallies of oracle work and driver events.
 
-    All fields are nondecreasing over a run.  The finite-sum driver's full
-    gradient is the mean of n_components component gradients
-    (solvers.anchor_table) and counts n_components component_grad_evals, as
-    the incremental first-order complexity of the paper and of SCSG counts
-    it.  The gradient method of a finite-sum oracle still counts one
-    grad_eval plus n_components component_grad_evals; only callers outside
-    that driver reach it, such as one_step_finite_sum without g.  A
-    synthesized Hessian-vector product counts the two gradient evals of its
-    kind (full, component or stochastic) instead of an hvp_eval.
+    All fields are nondecreasing over a run.  A full gradient of an oracle
+    with n >= 1 components counts n component_grad_evals and no grad_eval,
+    as the incremental first-order complexity of the paper and of SCSG
+    counts it, whether it is the gradient method or anchor_table's mean; any
+    other oracle's counts one grad_eval.  A synthesized Hessian-vector
+    product counts the two gradient evals of its kind (full, component or
+    stochastic) instead of an hvp_eval.
     """
 
     grad_evals: int = 0
@@ -414,9 +412,10 @@ class CountingOracle:
         return self.base.value(x)
 
     def gradient(self, x):
-        self.counters.grad_evals += 1
         if self.base.n_components > 0:
             self.counters.component_grad_evals += self.base.n_components
+        else:
+            self.counters.grad_evals += 1
         return self.base.gradient(x)
 
     def hvp(self, x, v):

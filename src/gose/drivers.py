@@ -1,11 +1,12 @@
 """Outer drivers: split the domain by gradient norm and dispatch.
 
-All drivers share one outer loop, _drive.  Large measured gradient: run the
-region-appropriate first-order machinery (a full solve to stationarity in the
-deterministic driver, one variance-reduced epoch otherwise).  Small measured
-gradient: enter the small-gradient region, call the negative-curvature escape
-exactly once, and either leave in that single step or terminate because the
-finder declared bottom.  Termination by bottom is the only path to a
+All drivers, and the always-probe baseline they are compared against, share
+one outer loop, _drive.  Large measured gradient: run the region-appropriate
+first-order machinery (a full solve to stationarity in the deterministic
+driver, one variance-reduced epoch otherwise).  Small measured gradient:
+enter the small-gradient region, call the negative-curvature escape exactly
+once, and either leave in that single step or terminate because the finder
+declared bottom.  Termination by bottom is the only path to a
 second_order_stationary certificate.  Every driver takes the caller's
 generator as the required keyword rng, the run's only source of randomness.
 """
@@ -223,6 +224,34 @@ def gose_finite_sum(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
                   _epoch_step(oracle, scsg_cfg, rng, "finite_sum", lambda: table),
                   lambda x, g: one_step_finite_sum(oracle, x, tol, smooth, esc, rng, ncfg, g=g),
                   echo)
+
+
+def always_probe_baseline(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
+                          esc: EscapeConfig = EscapeConfig(), *,
+                          rng: np.random.Generator,
+                          ncfg: NcConfig = NcConfig()) -> RunReport:
+    """Reference scheme that probes for negative curvature every iteration.
+
+    Runs the drivers' outer loop for tol.max_outer iterations, but each iteration
+    spends one finder call no matter where the iterate is: take a curvature
+    step if a direction comes back, otherwise a single gradient step 1/L when
+    ||grad f|| > eps, or stop on bottom when the gradient is already small.
+    Exists purely to quantify how many probes the region-splitting drivers
+    save.
+    """
+    check_run(oracle, tol, smooth, esc, ncfg, "deterministic")
+    oracle = as_counting(oracle)
+
+    def probe(x, g):
+        return one_step_deterministic(oracle, x, tol, smooth, esc, rng, ncfg, g=g)
+
+    def probe_or_gradient_step(x, g, fx):
+        oracle.counters.small_region_entries += 1  # probes on the large branch too
+        res = probe(x, g)
+        return (res.point if res.escaped else x - g / smooth.L), None, None
+
+    return _drive(oracle, x0, tol.max_outer, oracle.gradient, oracle.value, tol.eps,
+                  probe_or_gradient_step, probe, {})
 
 
 def amplify(run_once: Callable[[int], RunReport], reps: int,

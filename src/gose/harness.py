@@ -22,13 +22,12 @@ import numpy as np
 
 from .core import (MODES, ConfigError, DimensionTooLarge, EvalCounters,
                    GoseError, NonPositiveConstant, ObjectiveOracle,
-                   SmoothnessSpec, ToleranceConfig, as_counting)
-from .drivers import (RunReport, _drive, gose_deterministic, gose_finite_sum,
-                      gose_stochastic)
-from .escape import EscapeConfig, check_run, one_step_deterministic
-from .ncfind import (_EPS, NcBudget, NcConfig, approx_nc_deterministic,
-                     approx_nc_finite_sum, approx_nc_stochastic,
-                     lanczos_min_eig)
+                   SmoothnessSpec, ToleranceConfig)
+from .drivers import RunReport, gose_deterministic, gose_finite_sum, gose_stochastic
+from .drivers import always_probe_baseline  # noqa: F401  (re-exported)
+from .escape import EscapeConfig
+from .ncfind import (_EPS, NcConfig, approx_nc_deterministic, approx_nc_finite_sum,
+                     approx_nc_stochastic, lanczos_min_eig)
 from .problems import (PROBLEM_FACTORIES, ProblemSpec, _planted_spectrum,
                        _quadratic_oracle, certify_second_order, get_problem,
                        with_gradient_noise)
@@ -492,36 +491,4 @@ def inject_asymmetric_probe(d: int = 10, seed: int = 0):
     rng = _suite_rng(seed)
     A = rng.standard_normal((d, d))
     A[0, 1] += 5.0  # guarantee asymmetry
-    lanczos_min_eig(lambda v: A @ v, d, NcBudget(10), rng)  # raises
-
-
-# ---------------------------------------------------------------------------
-# Always-probe baseline (comparison only)
-
-
-def always_probe_baseline(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
-                          esc: EscapeConfig = EscapeConfig(), *,
-                          rng: np.random.Generator,
-                          ncfg: NcConfig = NcConfig()) -> RunReport:
-    """Reference scheme that probes for negative curvature every iteration.
-
-    Runs the drivers' outer loop for tol.max_outer iterations, but each iteration
-    spends one finder call no matter where the iterate is: take a curvature
-    step if a direction comes back, otherwise a single gradient step 1/L when
-    ||grad f|| > eps, or stop on bottom when the gradient is already small.
-    Exists purely to quantify how many probes the region-splitting drivers
-    save.
-    """
-    check_run(oracle, tol, smooth, esc, ncfg, "deterministic")
-    oracle = as_counting(oracle)
-
-    def probe(x, g):
-        return one_step_deterministic(oracle, x, tol, smooth, esc, rng, ncfg, g=g)
-
-    def probe_or_gradient_step(x, g, fx):
-        oracle.counters.small_region_entries += 1  # probes on the large branch too
-        res = probe(x, g)
-        return (res.point if res.escaped else x - g / smooth.L), None, None
-
-    return _drive(oracle, x0, tol.max_outer, oracle.gradient, oracle.value, tol.eps,
-                  probe_or_gradient_step, probe, {})
+    lanczos_min_eig(lambda v: A @ v, d, 10, rng)  # raises

@@ -45,17 +45,16 @@ _EPS = float(np.finfo(float).eps)
 class NcOutcome:
     """Result of one finder call.
 
-    rayleigh is the exit-validation measurement and is only set for
-    directions; lambda_hat is the engine's best minimum-eigenvalue estimate
-    and is informative for both kinds.  For a direction the deterministic
-    engine stopped early, lambda_hat is the Rayleigh quotient at the stop: an
+    lambda_hat is the candidate's validated Rayleigh quotient, the engine's
+    minimum-eigenvalue estimate for both kinds; a direction comes back only
+    when it is at most the engine's threshold.  For a direction the
+    deterministic engine stopped early, it is the quotient at the stop: an
     upper bound on lambda_min, not a converged estimate.  hvp_or_grad_cost is
     the oracle work (gradients + HVPs, one unit each) consumed by the call.
     """
 
     kind: str
     direction: Optional[np.ndarray]
-    rayleigh: Optional[float]
     hvp_or_grad_cost: int
     lambda_hat: float
 
@@ -66,17 +65,6 @@ class NcOutcome:
     @property
     def is_bottom(self) -> bool:
         return self.kind == BOTTOM
-
-
-@dataclass
-class NcBudget:
-    """Iteration cap for one Lanczos run."""
-
-    max_matvecs: int
-
-    def __post_init__(self):
-        if self.max_matvecs < 1:
-            raise BudgetZero(f"max_matvecs must be >= 1, got {self.max_matvecs}")
 
 
 ENGINES = ("minibatch_lanczos", "oja")
@@ -219,16 +207,17 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray,
     return theta, z[:, 0]
 
 
-def lanczos_min_eig(hvp: Callable, d: int, budget: NcBudget,
+def lanczos_min_eig(hvp: Callable, d: int, max_matvecs: int,
                     rng: np.random.Generator,
                     probe_tol: Optional[float] = 1e-6,
                     stop_below: Optional[float] = None) -> tuple[float, np.ndarray]:
     """Bottom Ritz pair of a symmetric operator given only v -> H v.
 
-    Random unit start, full reorthogonalization, at most budget.max_matvecs
-    matvecs in the loop (capped at d, where the Krylov space is exact).
-    Stops early on an invariant subspace or once the bottom Ritz residual
-    |b * y[-1]| is at most 1e-12 * max(1, |theta|).  The returned eigenvalue
+    Random unit start, full reorthogonalization, at most max_matvecs matvecs
+    in the loop (capped at d, where the Krylov space is exact); max_matvecs
+    below 1 raises BudgetZero before any matvec.  Stops early on an invariant
+    subspace or once the bottom Ritz residual |b * y[-1]| is at most
+    1e-12 * max(1, |theta|).  The returned eigenvalue
     is recomputed as v' H v with one extra matvec at exit, so it is a true
     Rayleigh quotient of the returned unit vector.
 
@@ -255,7 +244,7 @@ def lanczos_min_eig(hvp: Callable, d: int, budget: NcBudget,
     is returned.  Otherwise the stop has missed; it is switched off for the
     rest of the call, which goes on with the same steps and returns the same
     (lam, v) as without stop_below, one matvec later.  A call therefore makes
-    at most budget.max_matvecs + 4 matvecs (probe 2, missed stop 1, exit 1).
+    at most max_matvecs + 4 matvecs (probe 2, missed stop 1, exit 1).
     Where no Ritz value falls below that level, as on every call whose result
     is above stop_below, the run is the one without stop_below, bit for bit.
 
@@ -263,10 +252,12 @@ def lanczos_min_eig(hvp: Callable, d: int, budget: NcBudget,
     value is NaN or infinite.  probe_tol of None skips the symmetry probe,
     which is meaningless for operators that resample noise on every call.
     """
+    if max_matvecs < 1:
+        raise BudgetZero(f"max_matvecs must be >= 1, got {max_matvecs}")
     if probe_tol is not None:
         _symmetry_probe(hvp, d, rng, probe_tol)
 
-    m = min(budget.max_matvecs, d)
+    m = min(max_matvecs, d)
     Q = np.zeros((d, m))
     alphas = np.zeros(m)
     betas = np.zeros(max(m - 1, 0))
@@ -356,7 +347,7 @@ def _search(oracle, candidate: Callable, threshold: float) -> NcOutcome:
 
     candidate() returns (validated Rayleigh quotient, unit vector).  Counts the
     call and its oracle work and returns a direction if the quotient is at or
-    below threshold, bottom otherwise.
+    below threshold, bottom otherwise, with the quotient as lambda_hat.
     """
     oracle.counters.nc_calls += 1
     start = oracle.counters.work_units()
@@ -365,8 +356,8 @@ def _search(oracle, candidate: Callable, threshold: float) -> NcOutcome:
         raise NonFiniteMeasurement(f"candidate Rayleigh quotient is {ray}")
     cost = oracle.counters.work_units() - start
     if ray <= threshold:
-        return NcOutcome(DIRECTION, v, ray, cost, ray)
-    return NcOutcome(BOTTOM, None, None, cost, ray)
+        return NcOutcome(DIRECTION, v, cost, ray)
+    return NcOutcome(BOTTOM, None, cost, ray)
 
 
 def approx_nc_deterministic(oracle, x, eps_h: float, delta: float, L: float,
@@ -388,7 +379,7 @@ def approx_nc_deterministic(oracle, x, eps_h: float, delta: float, L: float,
     mm = finder_sizes("deterministic", oracle, eps_h, delta, L, cfg).max_matvecs
     threshold = -eps_h / 2.0
     return _search(oracle,
-                   lambda: lanczos_min_eig(lambda v: oracle.hvp(x, v), d, NcBudget(mm), rng,
+                   lambda: lanczos_min_eig(lambda v: oracle.hvp(x, v), d, mm, rng,
                                            stop_below=threshold),
                    threshold)
 
@@ -403,9 +394,9 @@ def approx_nc_stochastic(oracle, x, eps_h: float, delta: float, L: float,
     v <- normalize(v - eta * sample_hvp(x, v, rng)) over fresh single draws
     with eta = eps_h/(8 L**2).  Either way the candidate is accepted only if
     its Rayleigh quotient on a fresh validation minibatch (one more m-draw
-    call) is at most -(eps_h/2 + eps_h/8); the extra eps_h/8 absorbs
-    validation noise.  Cost: one hvp_eval per draw, or two stochastic
-    gradients per draw when the oracle synthesizes its HVPs.
+    call), the outcome's lambda_hat, is at most -(eps_h/2 + eps_h/8); the
+    extra eps_h/8 absorbs validation noise.  Cost: one hvp_eval per draw, or
+    two stochastic gradients per draw when the oracle synthesizes its HVPs.
     """
     oracle = as_counting(oracle)
     x = np.asarray(x, float)
@@ -424,7 +415,7 @@ def approx_nc_stochastic(oracle, x, eps_h: float, delta: float, L: float,
     else:
         def draw():
             _, v = lanczos_min_eig(lambda w: oracle.sample_hvp(x, w, rng, sizes.minibatch), d,
-                                   NcBudget(sizes.max_matvecs), rng, probe_tol=None)
+                                   sizes.max_matvecs, rng, probe_tol=None)
             return v
 
     def candidate():
@@ -450,8 +441,8 @@ def approx_nc_finite_sum(oracle, x, eps_h: float, delta: float, L: float,
     Lanczos where each matvec averages per-component HVPs over a fresh index
     minibatch sized so the loop costs about n**0.75 * sqrt(L/eps_h) component
     HVPs in total, followed by one full-batch Rayleigh validation (n component
-    HVPs).  The full-batch measurement is exact, so acceptance uses the plain
-    -eps_h/2 threshold.
+    HVPs), the outcome's lambda_hat.  The full-batch measurement is exact, so
+    acceptance uses the plain -eps_h/2 threshold.
     """
     oracle = as_counting(oracle)
     x = np.asarray(x, float)
@@ -463,7 +454,7 @@ def approx_nc_finite_sum(oracle, x, eps_h: float, delta: float, L: float,
         return _index_mean_hvp(oracle, x, v, rng.integers(0, n, size=m))
 
     def candidate():
-        _, v = lanczos_min_eig(minibatch_hvp, d, NcBudget(mm), rng, probe_tol=None)
+        _, v = lanczos_min_eig(minibatch_hvp, d, mm, rng, probe_tol=None)
         return float(v @ _index_mean_hvp(oracle, x, v, range(n))), v
 
     return _search(oracle, candidate, -eps_h / 2.0)

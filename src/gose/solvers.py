@@ -317,11 +317,12 @@ def guarded_agd(oracle, x0, L: float, eps: float,
     return SolveResult(x, gn, gn <= eps, max_iters, g)
 
 
-SOLVERS = ("agd", "gd")
+# solver name -> solver; every solver obeys the same output contract
+SOLVERS = {"agd": guarded_agd, "gd": gd_to_stationarity}
 
 
 def check_solver(choice: str) -> None:
-    """Reject a solver name run_solver does not know."""
+    """Reject a solver name SOLVERS does not list."""
     if choice not in SOLVERS:
         raise ConfigError(f"unknown solver {choice!r}; options: {list(SOLVERS)}")
 
@@ -330,10 +331,6 @@ def run_solver(choice: str, oracle, x0, L: float, eps: float,
                max_iters: int = DEFAULT_MAX_ITERS,
                g0: Optional[np.ndarray] = None,
                f0: Optional[float] = None) -> SolveResult:
-    """Dispatch on the solver name; any solver obeys the same output contract.
-
-    g0 and f0, when given, are the gradient and value at x0.
-    """
+    """Run the solver SOLVERS names; g0 and f0, when given, are the gradient and value at x0."""
     check_solver(choice)
-    solver = guarded_agd if choice == "agd" else gd_to_stationarity
-    return solver(oracle, x0, L, eps, max_iters, g0, f0)
+    return SOLVERS[choice](oracle, x0, L, eps, max_iters, g0, f0)

@@ -279,10 +279,16 @@ def test_counting_finite_sum_full_gradient():
     pca = get_problem("nonconvex_pca", n=7, d=3, seed=0)
     co = as_counting(pca.oracle)
     co.gradient(np.ones(3))
-    assert co.counters.grad_evals == 1
+    assert co.counters.grad_evals == 0
     assert co.counters.component_grad_evals == 7
     co.component_gradient_batch([0, 1, 2], np.ones(3))
     assert co.counters.component_grad_evals == 10
+    # a synthesized hvp differences two full gradients: 2n component gradients
+    bare = as_counting(ObjectiveOracle(3, pca.oracle.value, pca.oracle.gradient, n_components=7,
+                                       component_gradient=pca.oracle.component_gradient))
+    bare.hvp(np.ones(3), np.array([1.0, 0.0, -1.0]))
+    assert (bare.counters.grad_evals, bare.counters.component_grad_evals) == (0, 14)
+    assert bare.counters.hvp_evals == 0
 
 
 def test_counting_stochastic_batches(rng):

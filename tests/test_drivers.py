@@ -1,10 +1,13 @@
 import dataclasses
 import hashlib
 import inspect
+import re
 
 import numpy as np
 import pytest
 
+import gose.drivers
+import gose.harness
 from gose import (EscapeConfig, NcConfig, ObjectiveOracle, SmoothnessSpec,
                   ToleranceConfig, amplify, as_counting, certify_second_order,
                   derive_scsg_params, get_problem, gose_deterministic,
@@ -540,11 +543,15 @@ def test_runs_ending_without_bottom_report_no_curvature_estimate():
         assert np.isnan(c.min_eig_estimate)
 
 
+def test_baseline_lives_beside_the_drivers_loop():
+    assert gose.harness.always_probe_baseline is gose.drivers.always_probe_baseline
+
+
 def test_unknown_solver_rejected_before_any_oracle_work():
     prob = get_problem("chained_saddles", d=3)
     tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=10)
     oracle = as_counting(prob.oracle)
-    with pytest.raises(ConfigError, match="unknown solver 'bogus'"):
+    with pytest.raises(ConfigError, match=re.escape("unknown solver 'bogus'; options: ['agd', 'gd']")):
         gose_deterministic(oracle, prob.x0, tol, SmoothnessSpec(L=prob.known_L, rho=1.0),
                            solver_choice="bogus", rng=np.random.default_rng(0))
     assert oracle.counters == EvalCounters()
@@ -655,6 +662,39 @@ def test_chained_saddles_certify_within_d_plus_one_nc_calls(d, solver):
         assert c.counters.nc_calls <= d + 1
         assert c.counters.nc_calls == c.counters.small_region_entries
         assert certify_second_order(prob.oracle, c.point, tol.eps, tol.eps_h)[0]
+
+
+def chained_finite_sum_run(d, seed):
+    prob = get_problem("chained_saddles", d=d)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=500)
+    smooth = SmoothnessSpec(L=prob.known_L, rho=1.0)
+    fs = as_finite_sum(prob, 4)
+    report = gose_finite_sum(fs.oracle, fs.x0, tol, smooth, rng=np.random.default_rng(seed))
+    return prob, tol, report
+
+
+def chained_stochastic_run(d, seed):
+    prob = get_problem("chained_saddles", d=d)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.1, max_outer=300)
+    smooth = SmoothnessSpec(L=prob.known_L, rho=1.0, h_star=2 * 0.05 ** 2, sigma=0.05)
+    noisy = with_gradient_noise(prob, 0.05)
+    report = gose_stochastic(noisy.oracle, noisy.x0, tol, smooth,
+                             scsg_cfg=derive_scsg_params(tol, smooth, "stochastic", b_override=32),
+                             rng=np.random.default_rng(seed))
+    return prob, tol, report
+
+
+@pytest.mark.parametrize("run, d, seed", [
+    *((chained_finite_sum_run, d, seed) for d in (2, 5, 10) for seed in range(3)),
+    *((chained_stochastic_run, d, seed) for d in (2, 5) for seed in range(2)),
+])
+def test_sampling_modes_certify_within_d_plus_one_nc_calls(run, d, seed):
+    prob, tol, report = run(d, seed)
+    c = report.certificate
+    assert c.status == STATUS_SECOND_ORDER
+    assert c.counters.nc_calls <= d + 1
+    assert c.counters.nc_calls == c.counters.small_region_entries
+    assert certify_second_order(prob.oracle, c.point, tol.eps, tol.eps_h)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +829,7 @@ def golden_chained_finite_sum():
 def test_fs_full_gradient_is_n_component_gradients_shared_with_the_epoch(run, n):
     # each measurement is the n rows of one anchor table, and the epoch after
     # it pays only for its y side, b per step; the oracle's gradient, which
-    # charges n + 1, is never called
+    # also charges n, is never called (a row would then show 2n)
     report = run()
     b = report.config["scsg"]["b"]
     assert report.certificate.status == STATUS_SECOND_ORDER

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import math
@@ -7,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+import gose.harness
 from gose.cli import _build_parser, main
 from gose.core import ConfigError, EvalCounters
 from gose.harness import (NC_THRESHOLDS, ExperimentConfig, OUT_ENV_VAR,
@@ -211,6 +213,45 @@ def test_verify_nc_deterministic_small():
 def test_verify_nc_every_engine_small(engine):
     res = verify_nc_suite(d=10, trials=20, engine=engine, seed=0)
     assert res["passed"] and res["unsound_directions"] == 0
+
+
+# sha256 per engine over every verify_nc_suite(d=10, trials=20, seed=0) finder
+# outcome, in call order: is_direction, the bytes of lambda_hat, the direction's
+# bytes and hvp_or_grad_cost.  Never edited: a mismatch is a change of some
+# finder's result.
+FINDER_OUTCOME_GOLDEN = {
+    "deterministic":
+        "16126652b67d6211dfbc9f8a6a675a4bc3bb7e0dc6ff140ba0df6f0d748f117e",
+    "fd":
+        "74fb9b6fc114e988ac8ef9a247e5af6e296f69d1685a485b3242d9bbecfe44cd",
+    "minibatch_lanczos":
+        "ccad7647b0b8e4e43d5120d1880c8b627720e16433f52f59a5ae5e37f1869562",
+    "oja":
+        "355ae29b04fdd3ef3cc9e5655901bd2f3dc5ceb3307a5b9b6817036e0f82677c",
+    "finite_sum":
+        "b0bc2cb372f64eaa47e5183729ce9a1e4d9ea39b672309976e47891a1754507e",
+}
+
+
+@pytest.mark.parametrize("engine", sorted(FINDER_OUTCOME_GOLDEN))
+def test_verify_nc_finder_outcomes_golden(engine, monkeypatch):
+    digest = hashlib.sha256()
+
+    def recording(finder):
+        def call(*args, **kwargs):
+            out = finder(*args, **kwargs)
+            digest.update(b"D" if out.is_direction else b"B")
+            digest.update(np.float64(out.lambda_hat).tobytes())
+            if out.direction is not None:
+                digest.update(np.asarray(out.direction, np.float64).tobytes())
+            digest.update(str(out.hvp_or_grad_cost).encode())
+            return out
+        return call
+
+    for name in ("approx_nc_deterministic", "approx_nc_stochastic", "approx_nc_finite_sum"):
+        monkeypatch.setattr(gose.harness, name, recording(getattr(gose.harness, name)))
+    verify_nc_suite(d=10, trials=20, engine=engine, seed=0)
+    assert digest.hexdigest() == FINDER_OUTCOME_GOLDEN[engine]
 
 
 def test_verify_nc_cli_defaults_are_the_suite_defaults():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import gose.ncfind
 
-from gose import (NcBudget, NcConfig, ObjectiveOracle, approx_nc_deterministic,
+from gose import (NcConfig, ObjectiveOracle, approx_nc_deterministic,
                   approx_nc_finite_sum, approx_nc_stochastic, as_counting,
                   get_problem, lanczos_min_eig, make_nonconvex_pca,
                   with_gradient_noise)
@@ -34,7 +34,7 @@ def matrix_oracle(A):
 
 def test_lanczos_2x2_diagonal_exact(rng):
     A = np.diag([1.0, -1.0])
-    lam, v = lanczos_min_eig(lambda w: A @ w, 2, NcBudget(10), rng)
+    lam, v = lanczos_min_eig(lambda w: A @ w, 2, 10, rng)
     assert lam == pytest.approx(-1.0, abs=1e-8)
     assert abs(v[1]) == pytest.approx(1.0, abs=1e-8)  # v = +-e2
 
@@ -44,13 +44,13 @@ def test_lanczos_planted_spectrum_d50(rng):
     spec[0] = -0.7
     A = planted_symmetric(50, spec, rng)
     true_min = float(np.linalg.eigvalsh(A)[0])
-    lam, v = lanczos_min_eig(lambda w: A @ w, 50, NcBudget(200), rng)
+    lam, v = lanczos_min_eig(lambda w: A @ w, 50, 200, rng)
     assert abs(lam - true_min) <= 1e-6
     assert abs(float(v @ (A @ v)) - lam) <= 1e-10  # lam is a true Rayleigh quotient
 
 
 def test_lanczos_identity_breaks_down_cleanly(rng):
-    lam, v = lanczos_min_eig(lambda w: w.copy(), 5, NcBudget(50), rng)
+    lam, v = lanczos_min_eig(lambda w: w.copy(), 5, 50, rng)
     assert lam == pytest.approx(1.0, abs=1e-8)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
 
@@ -59,27 +59,33 @@ def test_lanczos_rejects_asymmetric_operator(rng):
     A = rng.standard_normal((8, 8))
     A[0, 1] += 3.0
     with pytest.raises(AsymmetricOperator):
-        lanczos_min_eig(lambda w: A @ w, 8, NcBudget(10), rng)
+        lanczos_min_eig(lambda w: A @ w, 8, 10, rng)
 
 
 def test_lanczos_budget_validation(rng):
+    calls = []
+
+    def hvp(v):
+        calls.append(1)
+        return v.copy()
     with pytest.raises(BudgetZero):
-        NcBudget(0)
+        lanczos_min_eig(hvp, 4, 0, rng)
+    assert calls == []
 
 
 def test_lanczos_non_finite_operator_raises_typed(rng):
     nan = np.full(4, np.nan)
     with pytest.raises(NonFiniteMeasurement, match="symmetry probe"):
-        lanczos_min_eig(lambda w: nan, 4, NcBudget(4), rng)
+        lanczos_min_eig(lambda w: nan, 4, 4, rng)
     with pytest.raises(NonFiniteMeasurement, match="Lanczos step 1"):
-        lanczos_min_eig(lambda w: nan, 4, NcBudget(4), rng, probe_tol=None)
+        lanczos_min_eig(lambda w: nan, 4, 4, rng, probe_tol=None)
     calls = []
 
     def inf_on_third(w):
         calls.append(1)
         return w * (np.inf if len(calls) == 3 else 1.0 + np.arange(4))
     with pytest.raises(NonFiniteMeasurement, match="Lanczos step 3"):
-        lanczos_min_eig(inf_on_third, 4, NcBudget(4), rng, probe_tol=None)
+        lanczos_min_eig(inf_on_third, 4, 4, rng, probe_tol=None)
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +124,10 @@ def test_eigh_tridiagonal_lapack_failure_is_typed():
         eigh_tridiagonal(np.array([np.nan, 1.0, 2.0]), np.array([1.0, 0.5]))
 
 
-def reference_lanczos(hvp, d, budget, rng):
+def reference_lanczos(hvp, d, max_matvecs, rng):
     """lanczos_min_eig as it reads with scipy's full Ritz pair on every step."""
     _symmetry_probe(hvp, d, rng, 1e-6)
-    m = min(budget.max_matvecs, d)
+    m = min(max_matvecs, d)
     Q, alphas, betas = np.zeros((d, m)), np.zeros(m), np.zeros(max(m - 1, 0))
     q = _random_unit(d, rng)
     for j in range(m):
@@ -178,7 +184,7 @@ def test_lanczos_matches_full_ritz_reference(kind, d):
     """Skipping dstein where the residual test provably fails changes nothing."""
     for seed in range(20):
         op = ritz_operator(kind, d, seed)
-        for budget in (NcBudget(d), NcBudget(max(2, d // 4))):
+        for budget in (d, max(2, d // 4)):
             runs = []
             for run in (lanczos_min_eig, reference_lanczos):
                 calls = []
@@ -213,7 +219,7 @@ def planted_runs(draw):
         # lambda_min far below the threshold, or within 1e-9 of it on either side
         spec[0] = -2.0 if kind == "deep" else STOP + draw(st.floats(-1e-9, 1e-9))
     A = planted_symmetric(d, spec, rng)
-    return A, NcBudget(draw(st.integers(1, d + 1))), draw(st.integers(0, 2 ** 32 - 1))
+    return A, draw(st.integers(1, d + 1)), draw(st.integers(0, 2 ** 32 - 1))
 
 
 def counted_lanczos(A, budget, seed, stop_below=None, bias_call=None):
@@ -262,7 +268,7 @@ def test_missed_stop_finishes_as_without_it_one_matvec_later(run):
     # bias only the early stop's exit product, so its Rayleigh quotient misses
     missed = counted_lanczos(A, budget, seed, stop_below=STOP, bias_call=cost)
     assert missed == (full[0], full[1], full[2] + 1)
-    assert missed[2] <= min(budget.max_matvecs, A.shape[0]) + 4
+    assert missed[2] <= min(budget, A.shape[0]) + 4
 
 
 def test_early_stop_fires_on_deep_negative_curvature():
@@ -271,8 +277,8 @@ def test_early_stop_fires_on_deep_negative_curvature():
     spec = rng.uniform(0.0, 1.0, 60)
     spec[0] = -2.0
     A = planted_symmetric(60, spec, rng)
-    lam, _, cost = counted_lanczos(A, NcBudget(60), 0, stop_below=STOP)
-    full_lam, _, full_cost = counted_lanczos(A, NcBudget(60), 0)
+    lam, _, cost = counted_lanczos(A, 60, 0, stop_below=STOP)
+    full_lam, _, full_cost = counted_lanczos(A, 60, 0)
     assert lam <= STOP and full_lam <= STOP
     assert 2 * cost < full_cost
 
@@ -285,7 +291,7 @@ def test_nc_det_simple_saddle(rng):
     prob = get_problem("quadratic_saddle", d=2, spectrum=[1.0, -1.0], orth=False)
     out = approx_nc_deterministic(prob.oracle, np.zeros(2), 0.5, 0.01, 1.0, rng)
     assert out.is_direction
-    assert out.rayleigh == pytest.approx(-1.0, abs=1e-8)
+    assert out.lambda_hat == pytest.approx(-1.0, abs=1e-8)
     assert np.linalg.norm(out.direction) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -308,7 +314,7 @@ def test_nc_det_statistical_near_threshold():
         A = planted_symmetric(50, spec, rng)
         out = approx_nc_deterministic(matrix_oracle(A), np.zeros(50), 0.5, 0.01, 1.0, rng)
         if out.is_direction:
-            assert out.rayleigh <= -0.25
+            assert out.lambda_hat <= -0.25
             hits += 1
     assert hits >= 190
 
@@ -318,7 +324,7 @@ def test_nc_det_fd_source_matches_contract(rng):
     bare = ObjectiveOracle(4, prob.oracle.value, prob.oracle.gradient)
     out = approx_nc_deterministic(bare, np.zeros(4), 0.5, 0.01, 1.0, rng)
     assert out.is_direction
-    assert out.rayleigh <= -0.25
+    assert out.lambda_hat <= -0.25
     assert np.linalg.norm(out.direction) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -355,7 +361,7 @@ def test_nc_stochastic_zero_variance_degenerates(engine, rng):
     out = approx_nc_stochastic(oracle, np.zeros(2), 0.5, 0.01, 1.0, rng, cfg)
     assert out.is_direction
     assert abs(out.direction[1]) == pytest.approx(1.0, abs=1e-6)
-    assert out.rayleigh <= -0.3125  # -(eps_h/2 + eps_h/8)
+    assert out.lambda_hat <= -0.3125  # -(eps_h/2 + eps_h/8)
 
 
 def noisy_stochastic(A, noise):
@@ -456,7 +462,7 @@ def test_nc_finite_sum_identical_components(rng):
     fs = as_finite_sum(prob, 8)
     out = approx_nc_finite_sum(fs.oracle, np.zeros(2), 0.5, 0.01, 1.0, rng)
     assert out.is_direction
-    assert out.rayleigh == pytest.approx(-1.0, abs=1e-8)
+    assert out.lambda_hat == pytest.approx(-1.0, abs=1e-8)
 
 
 def test_nc_finite_sum_pca_origin(rng):
@@ -466,7 +472,7 @@ def test_nc_finite_sum_pca_origin(rng):
     out = approx_nc_finite_sum(pca.oracle, np.zeros(10), 0.5, 0.01,
                                pca.known_L, rng)
     assert out.is_direction
-    assert out.rayleigh <= -0.25
+    assert out.lambda_hat <= -0.25
     # dense covariance eigendecomposition as the oracle
     from gose import dense_hessian
     H0 = dense_hessian(pca.oracle, np.zeros(10))
@@ -567,5 +573,5 @@ def test_direction_never_returned_above_threshold():
         out = approx_nc_deterministic(matrix_oracle(A), np.zeros(12), 0.5, 0.01,
                                       1.5, rng)
         if out.is_direction:
-            assert out.rayleigh <= -0.25
+            assert out.lambda_hat <= -0.25
             assert np.linalg.norm(out.direction) == pytest.approx(1.0, abs=1e-10)

@@ -14,7 +14,7 @@ from gose.core import (ConfigError, CountingOracle, EvalCounters, InvalidP,
                        MalformedOracleOutput, MissingVarianceBound, NonPositiveConstant,
                        NotFiniteSum, NotStochastic, SizeOutOfRange)
 from gose.problems import as_finite_sum
-from gose.solvers import ANCHOR_BLOCK_FLOATS, anchor_table, run_solver
+from gose.solvers import ANCHOR_BLOCK_FLOATS, SOLVERS, anchor_table, run_solver
 from conftest import planted_symmetric
 
 
@@ -618,6 +618,12 @@ def test_run_solver_unknown_name():
     sphere = get_problem("sphere", d=2)
     with pytest.raises(ConfigError):
         run_solver("newton", sphere.oracle, np.ones(2), 1.0, 0.01)
+    # SOLVERS is the one name -> solver table; a name outside it costs no work
+    assert SOLVERS == {"agd": guarded_agd, "gd": gd_to_stationarity}
+    oracle = as_counting(sphere.oracle)
+    with pytest.raises(ConfigError, match=re.escape("unknown solver 'bogus'; options: ['agd', 'gd']")):
+        run_solver("bogus", oracle, np.ones(2), 1.0, 0.01)
+    assert oracle.counters == EvalCounters()
 
 
 def sign_of_zero_oracle():
