@@ -88,14 +88,14 @@ def _drive(oracle, x0, K, measure, value, threshold, large_step, escape, echo):
     ||g|| <= threshold, enter the small-gradient region and take one
     escape(x, g); bottom certifies x with the finder's min_eig_estimate.
     Otherwise large_step(x, g, fx), fx being the row's f_value, returns the
-    new point, the gradient measured there (None if not, so the next
-    iteration measures it) and the gradient norm the run ends at, or None to
-    go on.  A run that ends any other way has measured no curvature at its
-    final point and reports min_eig_estimate NaN.  value(x) fills each trace
-    row's f_value; with value=None it is never read.
+    new point, the gradient and the value measured there (each None if not,
+    so the next iteration measures it) and the gradient norm the run ends at,
+    or None to go on.  A run that ends any other way has measured no
+    curvature at its final point and reports min_eig_estimate NaN.  value(x)
+    fills each trace row's f_value; with value=None it is never read.
     """
     x = np.asarray(x0, float)
-    g = None
+    g = f = None  # gradient and value at x, where the last step measured them
     trace: list[TraceRecord] = []
 
     for k in range(1, K + 1):
@@ -106,9 +106,9 @@ def _drive(oracle, x0, K, measure, value, threshold, large_step, escape, echo):
         gn = float(np.linalg.norm(g))
         if not math.isfinite(gn):
             return _finish(oracle, x, gn, STATUS_BUDGET, trace, echo)
-        fx = None if value is None else value(x)
+        fx = value(x) if f is None and value is not None else f
         if not gn <= threshold:
-            x, g, stop = large_step(x, g, fx)
+            x, g, f, stop = large_step(x, g, fx)
             trace.append(TraceRecord(k, LARGE, gn, fx, oracle.counters.escape_steps > escapes,
                                      oracle.counters.snapshot()))
             if stop is not None:
@@ -121,7 +121,7 @@ def _drive(oracle, x0, K, measure, value, threshold, large_step, escape, echo):
             if not res.escaped:
                 return _finish(oracle, x, gn, STATUS_SECOND_ORDER, trace, echo,
                                res.nc.lambda_hat)
-            x, g = res.point, None
+            x, g, f = res.point, None, None
 
     gn = float(np.linalg.norm(measure(x) if g is None else g))
     return _finish(oracle, x, gn, _budget_status(gn, threshold), trace, echo)
@@ -135,7 +135,7 @@ def _epoch_step(oracle, scsg_cfg, rng, mode, table=lambda: None):
     def step(x, g, fx):
         x = scsg_epoch(oracle, x, scsg_cfg, g, rng, mode, table=table())
         oracle.counters.epochs_run += 1
-        return x, None, None
+        return x, None, None, None
     return step
 
 
@@ -159,7 +159,7 @@ def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
 
     def solve(x, g, fx):
         res = run_solver(solver_choice, oracle, x, smooth.L, tol.eps, solver_max_iters, g, fx)
-        return res.point, res.gradient, None if res.converged else res.grad_norm
+        return res.point, res.gradient, res.value, None if res.converged else res.grad_norm
 
     return _drive(oracle, x0, tol.max_outer, oracle.gradient, oracle.value, tol.eps, solve,
                   lambda x, g: one_step_deterministic(oracle, x, tol, smooth, esc, rng, ncfg, g=g),
@@ -248,7 +248,7 @@ def always_probe_baseline(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSp
     def probe_or_gradient_step(x, g, fx):
         oracle.counters.small_region_entries += 1  # probes on the large branch too
         res = probe(x, g)
-        return (res.point if res.escaped else x - g / smooth.L), None, None
+        return (res.point if res.escaped else x - g / smooth.L), None, None, None
 
     return _drive(oracle, x0, tol.max_outer, oracle.gradient, oracle.value, tol.eps,
                   probe_or_gradient_step, probe, {})

@@ -11,13 +11,17 @@ Every engine re-measures the Rayleigh quotient before returning a direction
 and demotes to bottom on failure, which makes "direction implies Rayleigh
 <= -eps_h/2" hold deterministically rather than with probability 1-delta.
 
-The deterministic engine asks no more of Lanczos than the contract does: it
-stops at the first step whose Ritz value is clearly below -eps_h/2 and
-validates that Ritz vector (the early stop of lanczos_min_eig).  A stop whose
-exit Rayleigh quotient misses the threshold is dropped and Lanczos runs on as
-if it never stopped, so a stop never turns a direction into bottom, and bottom
-always comes from a full run.  The sampling engines resample on every matvec
-and do not stop early.
+The deterministic engine asks no more of Lanczos than the contract does, on
+either side.  It stops at the first step whose Ritz value is clearly below
+-eps_h/2 and validates that Ritz vector (the early stop of lanczos_min_eig).
+A stop whose exit Rayleigh quotient misses the threshold is dropped and
+Lanczos runs on as if it never stopped, so a stop never turns a direction
+into bottom.  It declares bottom at the first step where the random-start
+bound of Kuczynski and Wozniakowski (SIAM J. Matrix Anal. Appl. 13(4), 1992,
+Thm 4.2, constant 1.648), which det_max_matvecs also rests on, puts
+lambda_min above -eps_h/2 with probability 1 - delta given ||H|| <= L (the
+settled exit of lanczos_min_eig).  The sampling engines resample on every
+matvec, so the bound does not hold for them; they stop early on neither side.
 """
 
 from __future__ import annotations
@@ -47,10 +51,11 @@ class NcOutcome:
 
     lambda_hat is the candidate's validated Rayleigh quotient, the engine's
     minimum-eigenvalue estimate for both kinds; a direction comes back only
-    when it is at most the engine's threshold.  For a direction the
-    deterministic engine stopped early, it is the quotient at the stop: an
-    upper bound on lambda_min, not a converged estimate.  hvp_or_grad_cost is
-    the oracle work (gradients + HVPs, one unit each) consumed by the call.
+    when it is at most the engine's threshold.  Where the deterministic
+    engine stopped early, at a direction or a settled bottom, it is the
+    quotient at that step: an upper bound on lambda_min, not a converged
+    estimate.  hvp_or_grad_cost is the oracle work (gradients + HVPs, one
+    unit each) consumed by the call.
     """
 
     kind: str
@@ -210,7 +215,9 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray,
 def lanczos_min_eig(hvp: Callable, d: int, max_matvecs: int,
                     rng: np.random.Generator,
                     probe_tol: Optional[float] = 1e-6,
-                    stop_below: Optional[float] = None) -> tuple[float, np.ndarray]:
+                    stop_below: Optional[float] = None,
+                    L: Optional[float] = None,
+                    delta: Optional[float] = None) -> tuple[float, np.ndarray]:
     """Bottom Ritz pair of a symmetric operator given only v -> H v.
 
     Random unit start, full reorthogonalization, at most max_matvecs matvecs
@@ -245,8 +252,22 @@ def lanczos_min_eig(hvp: Callable, d: int, max_matvecs: int,
     rest of the call, which goes on with the same steps and returns the same
     (lam, v) as without stop_below, one matvec later.  A call therefore makes
     at most max_matvecs + 4 matvecs (probe 2, missed stop 1, exit 1).
-    Where no Ritz value falls below that level, as on every call whose result
-    is above stop_below, the run is the one without stop_below, bit for bit.
+    Where no Ritz value falls below that level, the run is the one without
+    stop_below, bit for bit.
+
+    L and delta, given with stop_below, also settle bottom early.  By the
+    random-start bound of Kuczynski and Wozniakowski (SIAM J. Matrix Anal.
+    Appl. 13(4), 1992, Thm 4.2), for an operator whose spectrum spans at most
+    2L (||H|| <= L), theta_k - lambda_min <= 2L * (c / (2k - 1))**2 fails
+    with probability at most delta/m at step k, where
+    c = ln(1.648 * sqrt(d) * m / delta) and m = min(max_matvecs, d); dividing
+    delta by m is a union bound over the steps, since the step that exits is
+    a stopping time.  So from step 2 on, at a step that is not an exit step,
+    once theta - margin - 2L * (c / (2k - 1))**2 >= stop_below (margin the
+    rounding margin above), y is computed and the exit matvec taken at once;
+    that quotient is an upper bound on lambda_min, not a converged estimate.
+    Without L and delta nothing settles, and every call whose result is
+    above stop_below is the run without stop_below, bit for bit.
 
     Raises NonFiniteMeasurement if a Lanczos coefficient or a symmetry probe
     value is NaN or infinite.  probe_tol of None skips the symmetry probe,
@@ -265,6 +286,9 @@ def lanczos_min_eig(hvp: Callable, d: int, max_matvecs: int,
     theta, y, steps = 0.0, None, 0
     a_max = b_max = b_prev = 0.0
     stop = -math.inf if stop_below is None else stop_below
+    kw_log = None                               # c of the settled exit
+    if None not in (stop_below, L, delta):
+        kw_log = math.log(1.648 * math.sqrt(d) * m / delta)
 
     for j in range(m):
         Q[:, j] = q
@@ -283,7 +307,8 @@ def lanczos_min_eig(hvp: Callable, d: int, max_matvecs: int,
             raise NonFiniteMeasurement(f"Lanczos step {j + 1}: b={b}")
         steps = j + 1
         a_max = max(a_max, abs(a))
-        stop_theta = -math.inf                  # no early stop on step 1 or an exit step
+        # no early stop or settled exit on step 1 or an exit step
+        stop_theta, settle_theta = -math.inf, math.inf
         if j == 0:
             theta, y = a, np.array([1.0])
         else:
@@ -293,11 +318,15 @@ def lanczos_min_eig(hvp: Callable, d: int, max_matvecs: int,
             need = None
             if not exit_step:
                 stop_theta = stop - margin
-                need = _vector_needed(theta, b_prev, b, margin, stop_theta)
+                if kw_log is not None:
+                    settle_theta = stop_below + margin + 2.0 * L * (kw_log / (2 * steps - 1)) ** 2
+                need = _vector_needed(theta, b_prev, b, margin, stop_theta, settle_theta)
             theta, y = eigh_tridiagonal(alphas[:j + 1], betas[:j], need)
         if b < _BREAKDOWN:                      # invariant subspace found
             break
         if y is not None and abs(b * y[-1]) <= _RESID_TOL * max(1.0, abs(theta)):
+            break
+        if theta >= settle_theta:               # bottom is settled at stop_below
             break
         if theta <= stop_theta:
             lam, v = _ritz_rayleigh(hvp, Q[:, :steps], y)
@@ -319,16 +348,16 @@ def _ritz_rayleigh(hvp: Callable, Q: np.ndarray, y: np.ndarray) -> tuple[float, 
 
 
 def _vector_needed(theta_prev: float, b_prev: float, b: float, margin: float,
-                   stop_theta: float) -> Callable[[float], bool]:
+                   stop_theta: float, settle_theta: float) -> Callable[[float], bool]:
     """Whether the Ritz vector at Ritz value theta is used.
 
-    True when theta stops the run early (theta <= stop_theta).  Otherwise
-    False only when the interlacing floor on |y[-1]| (see lanczos_min_eig),
-    taken with the rounding margin, puts |b * y[-1]| above twice the
-    residual tolerance.
+    True when theta ends the run early, by the stop (theta <= stop_theta) or
+    as a settled bottom (theta >= settle_theta).  Otherwise False only when
+    the interlacing floor on |y[-1]| (see lanczos_min_eig), taken with the
+    rounding margin, puts |b * y[-1]| above twice the residual tolerance.
     """
     def needed(theta: float) -> bool:
-        if theta <= stop_theta:
+        if theta <= stop_theta or theta >= settle_theta:
             return True
         gap = theta_prev - theta - margin
         if gap <= 0.0:
@@ -369,7 +398,10 @@ def approx_nc_deterministic(oracle, x, eps_h: float, delta: float, L: float,
     central differences of gradients (two gradient evals per matvec).
     Lanczos stops at the first Ritz value below the threshold -eps_h/2 (see
     lanczos_min_eig's stop_below), so a direction costs only the steps that
-    found it, and its lambda_hat is the quotient at the stop.  Cost is at
+    found it, and its lambda_hat is the quotient at the stop.  L and delta
+    end it too at the first step that settles bottom (see lanczos_min_eig),
+    so bottom costs only the steps that settle it, and its lambda_hat is the
+    quotient there, an upper bound on lambda_min.  Cost is at
     most max_matvecs + 4 matvec-equivalents (probe 2, a missed stop 1, exit
     1), times two when differencing gradients.
     """
@@ -380,7 +412,7 @@ def approx_nc_deterministic(oracle, x, eps_h: float, delta: float, L: float,
     threshold = -eps_h / 2.0
     return _search(oracle,
                    lambda: lanczos_min_eig(lambda v: oracle.hvp(x, v), d, mm, rng,
-                                           stop_below=threshold),
+                                           stop_below=threshold, L=L, delta=delta),
                    threshold)
 
 

@@ -35,6 +35,7 @@ class SolveResult:
     """Output of a first-order solver; converged=False flags budget exhaustion.
 
     gradient is the gradient measured at point, whose norm is grad_norm.
+    value is f(point) where the solver evaluated it, else None.
     """
 
     point: np.ndarray
@@ -42,6 +43,7 @@ class SolveResult:
     converged: bool
     iters: int
     gradient: np.ndarray
+    value: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -276,7 +278,8 @@ def guarded_agd(oracle, x0, L: float, eps: float,
     x0.  g0, when given, is the gradient at x0: the first extrapolated point
     is x0 + 0 * 0, and g0 serves for it where that is x0 bit for bit (adding
     zero turns a -0.0 entry into +0.0, which is then measured).  f0, when
-    given, is f(x0) and is used in place of evaluating it.
+    given, is f(x0) and is used in place of evaluating it.  Every point it
+    returns has been valued, and the result carries that value.
     """
     if L <= 0.0:
         raise NonPositiveConstant(f"L must be positive, got {L}")
@@ -296,25 +299,27 @@ def guarded_agd(oracle, x0, L: float, eps: float,
         else:
             g = oracle.gradient(y)
         gn = float(np.linalg.norm(g))
-        if gn <= eps and oracle.value(y) <= f0:
-            return SolveResult(y, gn, True, i, g)
+        if gn <= eps:
+            fy = oracle.value(y)
+            if fy <= f0:
+                return SolveResult(y, gn, True, i, g, fy)
         if not math.isfinite(gn) or not math.isfinite(fx):
             g = oracle.gradient(x)
-            return SolveResult(x, float(np.linalg.norm(g)), False, i, g)
+            return SolveResult(x, float(np.linalg.norm(g)), False, i, g, fx)
         x_new = y - g / L
         f_new = oracle.value(x_new)
         if f_new > fx:  # guard: extrapolation hurt, restart momentum at x
             g = oracle.gradient(x)
             gn = float(np.linalg.norm(g))
             if gn <= eps:
-                return SolveResult(x, gn, True, i, g)
+                return SolveResult(x, gn, True, i, g, fx)
             x_new = x - g / L
             f_new = oracle.value(x_new)
             theta_next = 1.0
         x_prev, x, fx, theta = x, x_new, f_new, theta_next
     g = oracle.gradient(x)
     gn = float(np.linalg.norm(g))
-    return SolveResult(x, gn, gn <= eps, max_iters, g)
+    return SolveResult(x, gn, gn <= eps, max_iters, g, fx)
 
 
 # solver name -> solver; every solver obeys the same output contract

@@ -124,8 +124,12 @@ def test_eigh_tridiagonal_lapack_failure_is_typed():
         eigh_tridiagonal(np.array([np.nan, 1.0, 2.0]), np.array([1.0, 0.5]))
 
 
-def reference_lanczos(hvp, d, max_matvecs, rng):
-    """lanczos_min_eig as it reads with scipy's full Ritz pair on every step."""
+def reference_lanczos(hvp, d, max_matvecs, rng, steps_out=None):
+    """lanczos_min_eig as it reads with scipy's full Ritz pair on every step.
+
+    steps_out, when given, receives each step's (alphas, betas, b): T_k and
+    the norm of the residual vector that would start step k + 1.
+    """
     _symmetry_probe(hvp, d, rng, 1e-6)
     m = min(max_matvecs, d)
     Q, alphas, betas = np.zeros((d, m)), np.zeros(m), np.zeros(max(m - 1, 0))
@@ -141,6 +145,8 @@ def reference_lanczos(hvp, d, max_matvecs, rng):
         r -= Q[:, :j + 1] @ (Q[:, :j + 1].T @ r)
         b = float(np.linalg.norm(r))
         steps = j + 1
+        if steps_out is not None:
+            steps_out.append((alphas[:steps].copy(), betas[:j].copy(), b))
         if j == 0:
             theta, y = a, np.array([1.0])
         else:
@@ -281,6 +287,107 @@ def test_early_stop_fires_on_deep_negative_curvature():
     full_lam, _, full_cost = counted_lanczos(A, 60, 0)
     assert lam <= STOP and full_lam <= STOP
     assert 2 * cost < full_cost
+
+
+# ---------------------------------------------------------------------------
+# settled bottom: lanczos_min_eig(..., stop_below, L, delta)
+
+SETTLE_EPS_H, SETTLE_L, SETTLE_DELTA = 0.5, 1.0, 0.01
+
+
+def settle_operator(lam_min, d, seed):
+    """Planted spectrum in [lam_min, L]; even seeds put an eigenvalue at L."""
+    rng = np.random.default_rng(seed)
+    spec = rng.uniform(lam_min, SETTLE_L, d)
+    spec[0] = lam_min
+    if seed % 2 == 0:
+        spec[-1] = SETTLE_L
+    return planted_symmetric(d, spec, rng)
+
+
+def without_settling(monkeypatch):
+    """Make the finder call lanczos_min_eig as it did before the settled exit."""
+    lanczos = gose.ncfind.lanczos_min_eig
+
+    def unsettled(*args, L=None, delta=None, **kwargs):
+        return lanczos(*args, **kwargs)
+    monkeypatch.setattr(gose.ncfind, "lanczos_min_eig", unsettled)
+
+
+@pytest.mark.parametrize("source", ["analytic", "fd"])
+@pytest.mark.parametrize("d", [10, 50, 200])
+@pytest.mark.parametrize("lam_scale", [-2.0, -1.0, -0.6, 0.0, 1.0])
+def test_settled_exit_keeps_the_outcome_and_never_costs_more(lam_scale, d, source,
+                                                             monkeypatch):
+    outcomes = {}
+    for settled in (True, False):
+        if not settled:
+            without_settling(monkeypatch)
+        runs = []
+        for seed in range(10):
+            A = settle_operator(lam_scale * SETTLE_EPS_H, d, seed)
+            oracle = matrix_oracle(A)
+            if source == "fd":
+                oracle = ObjectiveOracle(d, oracle.value, oracle.gradient)
+            out = approx_nc_deterministic(oracle, np.zeros(d), SETTLE_EPS_H, SETTLE_DELTA,
+                                          SETTLE_L, np.random.default_rng(seed))
+            runs.append((out.kind, out.hvp_or_grad_cost))
+        outcomes[settled] = runs
+    for (kind, cost), (full_kind, full_cost) in zip(outcomes[True], outcomes[False]):
+        assert kind == full_kind and cost <= full_cost
+    if lam_scale >= 0.0 and d >= 50:
+        # far from the threshold the bound settles bottom before the budget
+        assert sum(c for _, c in outcomes[True]) < sum(c for _, c in outcomes[False])
+
+
+def first_settled_step(A, budget, seed):
+    """The step the settled exit must take, recomputed from reference T_k.
+
+    None where the stop fires first or the reference run exits before any
+    step meets the rule.
+    """
+    d = A.shape[0]
+    m = min(budget, d)
+    steps = []
+    reference_lanczos(lambda v: A @ v, d, budget, np.random.default_rng(seed), steps)
+    c = np.log(1.648 * np.sqrt(d) * m / SETTLE_DELTA)
+    for k, (alphas, betas, b) in enumerate(steps[:-1], start=1):
+        if k == 1 or b < 1e-13:
+            continue
+        theta = float(scipy.linalg.eigh_tridiagonal(alphas, betas, select="i",
+                                                    select_range=(0, 0))[0][0])
+        margin = 8.0 * k * np.finfo(float).eps * (np.abs(alphas).max() + 2.0 * betas.max())
+        if theta <= STOP - margin:
+            return None, None
+        if theta >= STOP + margin + 2.0 * SETTLE_L * (c / (2 * k - 1)) ** 2:
+            return k, theta
+    return None, None
+
+
+@pytest.mark.parametrize("lam_min", [-0.2, 0.0, 0.5])
+@pytest.mark.parametrize("d", [10, 50, 200])
+def test_settled_bottom_exits_at_the_first_step_meeting_the_rule(lam_min, d):
+    budget = det_max_matvecs(d, SETTLE_EPS_H, SETTLE_DELTA, SETTLE_L, 4.0)
+    settled_any = False
+    for seed in range(10):
+        A = settle_operator(lam_min, d, seed)
+        k, theta = first_settled_step(A, budget, seed)
+        calls = []
+
+        def hvp(v):
+            calls.append(1)
+            return A @ v
+        lam, _ = lanczos_min_eig(hvp, d, budget, np.random.default_rng(seed), stop_below=STOP,
+                                 L=SETTLE_L, delta=SETTLE_DELTA)
+        full_lam, _, full_cost = counted_lanczos(A, budget, seed)
+        if k is None:
+            assert len(calls) == full_cost and lam == full_lam
+        else:
+            settled_any = True
+            assert len(calls) == 2 + k + 1            # probe, k steps, exit matvec
+            assert len(calls) <= full_cost and lam > STOP
+            assert lam == pytest.approx(theta, abs=1e-9)  # the Ritz value at step k
+    assert settled_any or d == 10
 
 
 # ---------------------------------------------------------------------------

@@ -601,6 +601,18 @@ def test_agd_output_contract_on_nonconvex_starts():
             assert res.grad_norm <= 1e-4
 
 
+@pytest.mark.parametrize("max_iters", [3, 50_000])
+def test_solve_result_carries_the_value_agd_measured(max_iters):
+    # agd values every point it returns and hands that value back; gd values none
+    chain = get_problem("chained_saddles", d=4)
+    for seed in range(10):
+        x0 = np.random.default_rng(seed).uniform(-1.2, 1.2, 4)
+        res = guarded_agd(chain.oracle, x0, chain.known_L, 1e-4, max_iters=max_iters)
+        assert res.value == chain.oracle.value(res.point)
+        assert gd_to_stationarity(chain.oracle, x0, chain.known_L, 1e-4,
+                                  max_iters=max_iters).value is None
+
+
 def test_solver_convergence_budget_rule():
     # both solvers converge on the convex suite within 10*L*Delta_f/eps**2
     for name in ("gd", "agd"):
