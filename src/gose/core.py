@@ -190,7 +190,8 @@ class ObjectiveOracle:
     the current point and at the anchor in one call, and a synthesized
     sample_hvp its two probe points, all from the run's generator.  A
     sample_hvp_batch(x, v, m, rng) callable likewise returns the mean of m
-    HVP draws at x along v; it needs sample_hvp, which serves single draws.
+    HVP draws at x along v, of x's shape; any other shape raises
+    MalformedOracleOutput.  It needs sample_hvp, which serves single draws.
 
     A component_gradient_batch(indices, x) callable returns the mean component
     gradient over `indices`.  It receives either one index array of shape (b,),
@@ -323,7 +324,8 @@ class ObjectiveOracle:
         """
         x, v = np.asarray(x, float), np.asarray(v, float)
         if m > 1 and self._sample_hvp_batch is not None:
-            return np.asarray(self._sample_hvp_batch(x, v, int(m), rng), float)
+            return _shaped("sample_hvp_batch", self._sample_hvp_batch(x, v, int(m), rng),
+                           x.shape, "x", x.shape)
         if self._sample_hvp is None:
             return _finite_diff_sample_hvp(self, x, v, rng, m)
         if m == 1:

@@ -189,27 +189,22 @@ def _random_unit(d: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def eigh_tridiagonal(d: np.ndarray, e: np.ndarray,
-                     vector_needed: Optional[Callable[[float], bool]] = None):
+def eigh_tridiagonal(d: np.ndarray, e: np.ndarray):
     """Bottom eigenpair (theta, y) of the symmetric tridiagonal matrix (d, e).
 
     LAPACK dstebz (bisection, block order) gives the smallest eigenvalue and
     dstein (inverse iteration) its eigenvector: the routines and arguments of
     scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0)),
     bit for bit, without that wrapper's argument checks (d and e must be
-    finite float64 vectors).  vector_needed(theta), when given, is asked
-    between the two calls; y is None when it answers False.
+    finite float64 vectors).
     """
     _, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
     if info != 0:
         raise LapackFailure(f"dstebz returned info={info} (tridiagonal of size {len(d)})")
-    theta = float(w[0])
-    if vector_needed is not None and not vector_needed(theta):
-        return theta, None
     z, info = dstein(d, e, w[:1], iblock, isplit)
     if info != 0:
         raise LapackFailure(f"dstein returned info={info} (tridiagonal of size {len(d)})")
-    return theta, z[:, 0]
+    return float(w[0]), z[:, 0]
 
 
 def lanczos_min_eig(hvp: Callable, d: int, max_matvecs: int,
@@ -228,26 +223,17 @@ def lanczos_min_eig(hvp: Callable, d: int, max_matvecs: int,
     is recomputed as v' H v with one extra matvec at exit, so it is a true
     Rayleigh quotient of the returned unit vector.
 
-    Each step solves the k x k tridiagonal Ritz problem T_k with one call to
-    this module's eigh_tridiagonal, looked up at call time (the benchmark
-    tracer patches that name to time the Ritz solves): LAPACK dstebz for the
-    Ritz value theta, then dstein for its vector y only where y is used.
-    Between exits y only feeds the residual test, and interlacing bounds its
-    last entry from below: with gap = theta_prev - theta (theta_prev the
-    bottom Ritz value of T_{k-1}) and b_prev the off-diagonal joining T_{k-1}
-    to the last row, |y[-1]| >= gap / hypot(gap, b_prev).  The gap is first
-    shrunk and b_prev grown by a rounding margin of 8 k eps ||T_k||, which
-    covers the errors of both computed Ritz values and the backward error of
-    dstein's vector, and the floor must clear the tolerance by a factor of 2.
-    Where it does, the test provably fails and dstein is skipped; on an exit
-    step (breakdown, last step) y is always computed.  Every step therefore
-    takes the same branch, and every result is bit-identical, to solving the
-    full Ritz pair each step.
+    Each step solves the k x k tridiagonal Ritz problem T_k for its bottom
+    pair (theta, y) with one call to this module's eigh_tridiagonal, looked
+    up at call time (the benchmark tracer patches that name to time the Ritz
+    solves).
 
     stop_below, when given, also ends the run early, from step 2 on, at the
-    first step that is not an exit step and whose Ritz value is at most
-    stop_below less the rounding margin: y is then computed and the exit
-    matvec taken at once.  If that Rayleigh quotient is at most stop_below it
+    first step that is not an exit step (breakdown, last step) and whose Ritz
+    value is at most stop_below less the rounding margin 8 k eps ||T_k||,
+    with ||T_k|| bounded by max|a| + 2 max|b| over T_k's entries; the margin
+    covers the rounding error of the computed Ritz value.  The exit matvec is
+    then taken at once.  If that Rayleigh quotient is at most stop_below it
     is returned.  Otherwise the stop has missed; it is switched off for the
     rest of the call, which goes on with the same steps and returns the same
     (lam, v) as without stop_below, one matvec later.  A call therefore makes
@@ -264,7 +250,7 @@ def lanczos_min_eig(hvp: Callable, d: int, max_matvecs: int,
     delta by m is a union bound over the steps, since the step that exits is
     a stopping time.  So from step 2 on, at a step that is not an exit step,
     once theta - margin - 2L * (c / (2k - 1))**2 >= stop_below (margin the
-    rounding margin above), y is computed and the exit matvec taken at once;
+    rounding margin above), the exit matvec is taken at once;
     that quotient is an upper bound on lambda_min, not a converged estimate.
     Without L and delta nothing settles, and every call whose result is
     above stop_below is the run without stop_below, bit for bit.
@@ -283,9 +269,8 @@ def lanczos_min_eig(hvp: Callable, d: int, max_matvecs: int,
     alphas = np.zeros(m)
     betas = np.zeros(max(m - 1, 0))
     q = _random_unit(d, rng)
-    theta, y, steps = 0.0, None, 0
-    a_max = b_max = b_prev = 0.0
-    stop = -math.inf if stop_below is None else stop_below
+    a_max = b_max = 0.0
+    stop = stop_below                           # None once a stop has missed
     kw_log = None                               # c of the settled exit
     if None not in (stop_below, L, delta):
         kw_log = math.log(1.648 * math.sqrt(d) * m / delta)
@@ -307,34 +292,28 @@ def lanczos_min_eig(hvp: Callable, d: int, max_matvecs: int,
             raise NonFiniteMeasurement(f"Lanczos step {j + 1}: b={b}")
         steps = j + 1
         a_max = max(a_max, abs(a))
-        # no early stop or settled exit on step 1 or an exit step
-        stop_theta, settle_theta = -math.inf, math.inf
         if j == 0:
             theta, y = a, np.array([1.0])
         else:
-            b_max = max(b_max, b_prev)
-            exit_step = b < _BREAKDOWN or steps == m
-            margin = 8.0 * steps * _EPS * (a_max + 2.0 * b_max)
-            need = None
-            if not exit_step:
-                stop_theta = stop - margin
-                if kw_log is not None:
-                    settle_theta = stop_below + margin + 2.0 * L * (kw_log / (2 * steps - 1)) ** 2
-                need = _vector_needed(theta, b_prev, b, margin, stop_theta, settle_theta)
-            theta, y = eigh_tridiagonal(alphas[:j + 1], betas[:j], need)
+            theta, y = eigh_tridiagonal(alphas[:steps], betas[:j])
         if b < _BREAKDOWN:                      # invariant subspace found
             break
-        if y is not None and abs(b * y[-1]) <= _RESID_TOL * max(1.0, abs(theta)):
+        if abs(b * y[-1]) <= _RESID_TOL * max(1.0, abs(theta)):
             break
-        if theta >= settle_theta:               # bottom is settled at stop_below
-            break
-        if theta <= stop_theta:
-            lam, v = _ritz_rayleigh(hvp, Q[:, :steps], y)
-            if lam <= stop_below:
-                return lam, v
-            stop = -math.inf                    # missed: finish as if never stopped
+        # no early stop or settled exit on step 1 or the last step
+        if 0 < j < m - 1 and (stop is not None or kw_log is not None):
+            margin = 8.0 * steps * _EPS * (a_max + 2.0 * b_max)
+            if kw_log is not None and theta >= (
+                    stop_below + margin + 2.0 * L * (kw_log / (2 * steps - 1)) ** 2):
+                break                           # bottom is settled at stop_below
+            if stop is not None and theta <= stop - margin:
+                lam, v = _ritz_rayleigh(hvp, Q[:, :steps], y)
+                if lam <= stop_below:
+                    return lam, v
+                stop = None                     # missed: finish as if never stopped
         if j + 1 < m:
-            betas[j] = b_prev = b
+            betas[j] = b
+            b_max = max(b_max, b)
             q = r / b
 
     return _ritz_rayleigh(hvp, Q[:, :steps], y)
@@ -345,26 +324,6 @@ def _ritz_rayleigh(hvp: Callable, Q: np.ndarray, y: np.ndarray) -> tuple[float, 
     v = Q @ y
     v = v / np.linalg.norm(v)
     return float(v @ hvp(v)), v
-
-
-def _vector_needed(theta_prev: float, b_prev: float, b: float, margin: float,
-                   stop_theta: float, settle_theta: float) -> Callable[[float], bool]:
-    """Whether the Ritz vector at Ritz value theta is used.
-
-    True when theta ends the run early, by the stop (theta <= stop_theta) or
-    as a settled bottom (theta >= settle_theta).  Otherwise False only when
-    the interlacing floor on |y[-1]| (see lanczos_min_eig), taken with the
-    rounding margin, puts |b * y[-1]| above twice the residual tolerance.
-    """
-    def needed(theta: float) -> bool:
-        if theta <= stop_theta or theta >= settle_theta:
-            return True
-        gap = theta_prev - theta - margin
-        if gap <= 0.0:
-            return True
-        floor = gap / math.hypot(gap, b_prev + margin)
-        return b * floor <= 2.0 * _RESID_TOL * max(1.0, abs(theta))
-    return needed
 
 
 # ---------------------------------------------------------------------------

@@ -414,7 +414,10 @@ def with_gradient_noise(spec: ProblemSpec, sigma: float) -> ProblemSpec:
     sigma * (z (z.v) - v), z ~ N(0, I).  All randomness flows through the
     generator argument, so equal generator states reproduce the same draw.
     The batch callables return, bit for bit, what m single draws summed in
-    order give.  sigma must lie in [0, inf).
+    order give.  zeta does not depend on x, and a stacked (k, d) call shares
+    one draw across its rows, so an SCSG step's g_I(y) - g_I(x0) carries none
+    of it: only the branch batch, the escape subsample and the finder see
+    noise.  sigma must lie in [0, inf).
     """
     if not 0.0 <= sigma < math.inf:
         raise NonPositiveConstant(f"sigma must be nonnegative and finite, got {sigma}")

@@ -13,9 +13,9 @@ from gose import (NcConfig, ObjectiveOracle, approx_nc_deterministic,
                   get_problem, lanczos_min_eig, make_nonconvex_pca,
                   with_gradient_noise)
 from gose.core import (MAX_DRAWS, AsymmetricOperator, BudgetZero, EvalCounters,
-                       LapackFailure, NonFiniteMeasurement, NotFiniteSum, NotStochastic,
-                       SizeOutOfRange)
-from gose.harness import verify_nc_suite
+                       LapackFailure, MalformedOracleOutput, NonFiniteMeasurement,
+                       NotFiniteSum, NotStochastic, SizeOutOfRange)
+from gose.harness import _finite_sum_quadratic, verify_nc_suite
 from gose.ncfind import (ENGINES, _random_unit, _symmetry_probe, det_max_matvecs,
                          eigh_tridiagonal, finder_sizes, finite_sum_minibatch,
                          oja_total_samples, stoch_minibatch, validation_batch)
@@ -115,8 +115,6 @@ def test_eigh_tridiagonal_matches_scipy_bit_for_bit():
         theta, y = eigh_tridiagonal(d, e)
         assert np.float64(theta).tobytes() == vals[:1].tobytes()
         assert y.tobytes() == vecs[:, 0].tobytes()
-        # asking only for the eigenvalue gives the same eigenvalue
-        assert eigh_tridiagonal(d, e, lambda t: False) == (theta, None)
 
 
 def test_eigh_tridiagonal_lapack_failure_is_typed():
@@ -187,7 +185,7 @@ def ritz_operator(kind, d, seed):
 @pytest.mark.parametrize("kind", ["chained", "uniform", "clustered_bottom", "clusters"])
 @pytest.mark.parametrize("d", [5, 50, 200])
 def test_lanczos_matches_full_ritz_reference(kind, d):
-    """Skipping dstein where the residual test provably fails changes nothing."""
+    """The LAPACK route equals scipy's full Ritz pair at every step, bit for bit."""
     for seed in range(20):
         op = ritz_operator(kind, d, seed)
         for budget in (d, max(2, d // 4)):
@@ -411,13 +409,15 @@ def test_nc_det_psd_always_bottom():
         assert out.is_bottom
 
 
-def test_nc_det_statistical_near_threshold():
-    # lambda_min = -0.6 just below -eps_h = -0.5: direction in >= 95% of 200 trials
+@pytest.mark.parametrize("lam_min", [-0.6, -0.5])
+def test_nc_det_statistical_near_threshold(lam_min):
+    # lambda_min just below, or at, -eps_h = -0.5 (the contract's edge):
+    # direction in >= 95% of 200 trials
     hits = 0
     for seed in range(200):
         rng = np.random.default_rng(seed)
         spec = rng.uniform(-0.2, 1.0, 50)
-        spec[0] = -0.6
+        spec[0] = lam_min
         A = planted_symmetric(50, spec, rng)
         out = approx_nc_deterministic(matrix_oracle(A), np.zeros(50), 0.5, 0.01, 1.0, rng)
         if out.is_direction:
@@ -485,20 +485,37 @@ def noisy_stochastic(A, noise):
     )
 
 
-def test_nc_stochastic_planted_statistical():
+@pytest.mark.parametrize("engine", ["minibatch_lanczos", "oja"])
+@pytest.mark.parametrize("lam_min", [-1.0, -0.5])  # -2 eps_h, and the contract's edge -eps_h
+def test_nc_stochastic_planted_statistical(lam_min, engine):
     hits = 0
     trials = 200
     for seed in range(trials):
         rng = np.random.default_rng(seed)
         spec = rng.uniform(-0.2, 1.0, 20)
-        spec[0] = -1.0  # -2 eps_h
+        spec[0] = lam_min
         A = planted_symmetric(20, spec, rng)
         out = approx_nc_stochastic(noisy_stochastic(A, 0.02), np.zeros(20),
-                                   0.5, 0.01, 1.0, rng)
+                                   0.5, 0.01, 1.0, rng, NcConfig(engine=engine))
         if out.is_direction:
             hits += 1
             assert float(out.direction @ (A @ out.direction)) <= -0.25 + 0.05
     assert hits >= 0.9 * trials
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (5,), (4, 1)])
+def test_malformed_sample_hvp_batch_raises_typed(shape, rng):
+    A = np.diag([1.0, -1.0, 0.3, 0.7])
+    oracle = ObjectiveOracle(
+        4, lambda x: 0.5 * float(x @ (A @ x)), lambda x: A @ x, hvp=lambda x, v: A @ v,
+        sample_gradient=lambda x, rng: A @ x,
+        sample_hvp=lambda x, v, rng: A @ v,
+        sample_hvp_batch=lambda x, v, m, rng: np.zeros(shape),
+    )
+    with pytest.raises(MalformedOracleOutput, match="sample_hvp_batch returned shape"):
+        oracle.sample_hvp(np.zeros(4), np.ones(4), rng, m=3)
+    with pytest.raises(MalformedOracleOutput, match="sample_hvp_batch"):
+        approx_nc_stochastic(oracle, np.zeros(4), 0.5, 0.01, 1.0, rng)
 
 
 def test_nc_stochastic_psd_mean_mostly_bottom():
@@ -592,6 +609,23 @@ def test_nc_finite_sum_psd_bottom(rng):
     fs = as_finite_sum(prob, 6)
     out = approx_nc_finite_sum(fs.oracle, np.zeros(3), 0.5, 0.01, 2.0, rng)
     assert out.is_bottom
+
+
+@pytest.mark.parametrize("lam_min", [-1.0, -0.5])  # -2 eps_h, and the contract's edge -eps_h
+def test_nc_finite_sum_planted_statistical(lam_min):
+    hits = 0
+    trials = 200
+    for seed in range(trials):
+        rng = np.random.default_rng(seed)
+        spec = rng.uniform(-0.2, 1.0, 20)
+        spec[0] = lam_min
+        A = planted_symmetric(20, spec, rng)
+        out = approx_nc_finite_sum(_finite_sum_quadratic(A, 32, rng), np.zeros(20),
+                                   0.5, 0.01, 1.0, rng)
+        if out.is_direction:
+            hits += 1
+            assert float(out.direction @ (A @ out.direction)) <= -0.25 + 1e-9
+    assert hits >= 0.9 * trials
 
 
 def test_nc_finite_sum_requires_capability(rng):
