@@ -31,7 +31,7 @@ class NonPositiveConstant(ConfigError):
 
 
 class EpsilonTooLarge(ConfigError):
-    """eps violates eps < eps_h**2 / (16 * c1 * rho_eff)."""
+    """eps violates eps < eps_h**2 / (16 * rho_eff)."""
 
 
 class StochasticEpsilonTooLarge(ConfigError):
@@ -181,6 +181,12 @@ class ObjectiveOracle:
     draw of the underlying random index xi.  This is what lets variance-reduced
     updates evaluate the same xi at two points.
 
+    The single-point callables (gradient, hvp, component_gradient,
+    component_hvp, sample_gradient, sample_hvp) must return x's shape; any
+    other shape raises MalformedOracleOutput naming the method.  A draw count
+    m below 1, or an index row with no index, raises ConfigError before any
+    counter moves.
+
     A sample_gradient_batch(x, m, rng) callable returns the mean of m draws.
     It receives either one point of shape (d,) or a (k, d) stack of points;
     for a stack it must evaluate the same m draws at every row and return a
@@ -246,11 +252,13 @@ class ObjectiveOracle:
         return float(self._value(np.asarray(x, dtype=float)))
 
     def gradient(self, x) -> np.ndarray:
-        return np.asarray(self._gradient(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        return _shaped("gradient", self._gradient(x), x.shape)
 
     def hvp(self, x, v) -> np.ndarray:
         if self._hvp is not None:
-            return np.asarray(self._hvp(np.asarray(x, float), np.asarray(v, float)), float)
+            x = np.asarray(x, float)
+            return _shaped("hvp", self._hvp(x, np.asarray(v, float)), x.shape)
         return finite_diff_hvp(self, x, v)
 
     # -- finite-sum surface
@@ -258,17 +266,15 @@ class ObjectiveOracle:
     def component_gradient(self, i: int, x) -> np.ndarray:
         if self._component_gradient is None:
             raise NotFiniteSum("oracle has no component gradients")
-        return np.asarray(self._component_gradient(int(i), np.asarray(x, float)), float)
+        x = np.asarray(x, float)
+        return _shaped("component_gradient", self._component_gradient(int(i), x), x.shape)
 
     def component_gradient_batch(self, indices, x) -> np.ndarray:
         """Mean of component gradients over `indices`; (T, b) rows give (T, d) means.
 
         Without a batch callable each row sums its gradients in order, over b.
         """
-        indices = np.asarray(indices)
-        if indices.ndim not in (1, 2):
-            raise ConfigError(f"component_gradient_batch needs 1-D or 2-D indices,"
-                              f" got shape {indices.shape}")
+        indices = _index_rows(indices)
         x = np.asarray(x, float)
         shape = indices.shape[:-1] + (self.dimension,)
         if self._component_gradient_batch is None:
@@ -276,14 +282,16 @@ class ObjectiveOracle:
             for acc, row in zip(means, np.atleast_2d(indices)):
                 for i in row:
                     acc += self.component_gradient(i, x)
-            means /= max(indices.shape[-1], 1)
+            means /= indices.shape[-1]
             return means.reshape(shape)
         return _shaped("component_gradient_batch", self._component_gradient_batch(indices, x),
-                       shape, "indices", indices.shape)
+                       shape)
 
     def component_hvp(self, i: int, x, v) -> np.ndarray:
         if self._component_hvp is not None:
-            return np.asarray(self._component_hvp(int(i), np.asarray(x, float), np.asarray(v, float)), float)
+            x = np.asarray(x, float)
+            return _shaped("component_hvp",
+                           self._component_hvp(int(i), x, np.asarray(v, float)), x.shape)
         return _finite_diff_component_hvp(self, i, x, v)
 
     # -- stochastic surface
@@ -291,7 +299,8 @@ class ObjectiveOracle:
     def sample_gradient(self, x, rng: np.random.Generator) -> np.ndarray:
         if self._sample_gradient is None:
             raise NotStochastic("oracle has no stochastic gradients")
-        return np.asarray(self._sample_gradient(np.asarray(x, float), rng), float)
+        x = np.asarray(x, float)
+        return _shaped("sample_gradient", self._sample_gradient(x, rng), x.shape)
 
     def sample_gradient_batch(self, x, m: int, rng: np.random.Generator) -> np.ndarray:
         """Mean of m independent stochastic gradient draws.
@@ -301,18 +310,19 @@ class ObjectiveOracle:
         means comes back.  Without a batch callable each row replays the
         generator from its starting state.
         """
+        m = _draw_count(m)
         x = np.asarray(x, float)
         if self._sample_gradient_batch is not None:
-            return _shaped("sample_gradient_batch", self._sample_gradient_batch(x, int(m), rng),
-                           x.shape, "points", x.shape)
+            return _shaped("sample_gradient_batch", self._sample_gradient_batch(x, m, rng),
+                           x.shape)
         points = np.atleast_2d(x)
         means = np.zeros_like(points)
         state = rng.bit_generator.state
         for acc, row in zip(means, points):
             rng.bit_generator.state = state
-            for _ in range(int(m)):
+            for _ in range(m):
                 acc += self.sample_gradient(row, rng)
-        means /= max(int(m), 1)
+        means /= m
         return means.reshape(x.shape)
 
     def sample_hvp(self, x, v, rng: np.random.Generator, m: int = 1) -> np.ndarray:
@@ -322,27 +332,42 @@ class ObjectiveOracle:
         draws are summed in order and divided by m.  Without sample_hvp the
         mean is one central difference of a stacked sample_gradient_batch call.
         """
+        m = _draw_count(m)
         x, v = np.asarray(x, float), np.asarray(v, float)
         if m > 1 and self._sample_hvp_batch is not None:
-            return _shaped("sample_hvp_batch", self._sample_hvp_batch(x, v, int(m), rng),
-                           x.shape, "x", x.shape)
+            return _shaped("sample_hvp_batch", self._sample_hvp_batch(x, v, m, rng), x.shape)
         if self._sample_hvp is None:
             return _finite_diff_sample_hvp(self, x, v, rng, m)
         if m == 1:
-            return np.asarray(self._sample_hvp(x, v, rng), float)
+            return _shaped("sample_hvp", self._sample_hvp(x, v, rng), x.shape)
         acc = np.zeros(self.dimension)
-        for _ in range(int(m)):
-            acc += np.asarray(self._sample_hvp(x, v, rng), float)
+        for _ in range(m):
+            acc += _shaped("sample_hvp", self._sample_hvp(x, v, rng), x.shape)
         return acc / m
 
 
-def _shaped(method: str, out, shape: tuple, given: str, given_shape: tuple) -> np.ndarray:
+def _shaped(method: str, out, shape: tuple) -> np.ndarray:
     """out as a float array, or MalformedOracleOutput naming method if not of `shape`."""
     out = np.asarray(out, float)
     if out.shape != shape:
-        raise MalformedOracleOutput(f"{method} returned shape {out.shape} for {given} of"
-                                    f" shape {given_shape}; expected {shape}")
+        raise MalformedOracleOutput(f"{method} returned shape {out.shape}, expected {shape}")
     return out
+
+
+def _draw_count(m) -> int:
+    """m as an int, or ConfigError if it is below 1: a mean of no draws is undefined."""
+    if not m >= 1:
+        raise ConfigError(f"draw count m must be >= 1, got {m!r}")
+    return int(m)
+
+
+def _index_rows(indices) -> np.ndarray:
+    """indices as a (b,) array or (T, b) rows, b >= 1, or ConfigError."""
+    indices = np.asarray(indices)
+    if indices.ndim not in (1, 2) or indices.shape[-1] == 0:
+        raise ConfigError(f"component_gradient_batch needs 1-D or 2-D indices with at least"
+                          f" one per row, got shape {indices.shape}")
+    return indices
 
 
 def _central_diff(grad_pair: Callable, x, v) -> np.ndarray:
@@ -431,7 +456,8 @@ class CountingOracle:
         return self.base.component_gradient(i, x)
 
     def component_gradient_batch(self, indices, x):
-        self.counters.component_grad_evals += np.size(indices)
+        indices = _index_rows(indices)
+        self.counters.component_grad_evals += indices.size
         return self.base.component_gradient_batch(indices, x)
 
     def component_hvp(self, i, x, v):
@@ -446,13 +472,13 @@ class CountingOracle:
 
     def sample_gradient_batch(self, x, m, rng):
         rows = len(x) if np.ndim(x) == 2 else 1
-        self.counters.stoch_grad_evals += int(m) * rows
+        self.counters.stoch_grad_evals += _draw_count(m) * rows
         return self.base.sample_gradient_batch(x, m, rng)
 
     def sample_hvp(self, x, v, rng, m=1):
         if self.base._sample_hvp is None:
             return _finite_diff_sample_hvp(self, x, v, rng, m)
-        self.counters.hvp_evals += int(m)
+        self.counters.hvp_evals += _draw_count(m)
         return self.base.sample_hvp(x, v, rng, m)
 
 
@@ -480,20 +506,32 @@ def check_mode(mode: str, oracle, modes: tuple = MODES) -> None:
         raise NotFiniteSum("finite_sum mode needs an oracle with n_components >= 1")
 
 
+def check_point(x, d: int, name: str = "x") -> np.ndarray:
+    """x as a float array; ConfigError unless it has shape (d,) and finite entries."""
+    try:
+        x = np.asarray(x, float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be an array of floats: {exc}") from None
+    if x.shape != (d,):
+        raise ConfigError(f"{name} must have shape ({d},), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ConfigError(f"{name} must be finite, got {np.sum(~np.isfinite(x))}"
+                          f" non-finite entries")
+    return x
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
     """First/second-order tolerances and the outer-loop cap, checked when constructed.
 
     eps: gradient-norm tolerance.  eps_h: Hessian min-eigenvalue tolerance.
-    delta: per-subroutine failure probability.  c1: step-size overshoot
-    factor (>= 1) applied to the Hessian-Lipschitz constant.  Randomness is
-    not configured here: every run draws from the generator its caller passes.
+    delta: per-subroutine failure probability.  Randomness is not configured
+    here: every run draws from the generator its caller passes.
     """
 
     eps: float
     eps_h: float
     delta: float = 0.01
-    c1: float = 1.0
     max_outer: int = 1000
 
     def __post_init__(self):
@@ -501,30 +539,30 @@ class ToleranceConfig:
             val = getattr(self, name)
             if not (0.0 < val < 1.0):
                 raise NonPositiveConstant(f"{name} must lie in (0, 1), got {val}")
-        if not 1.0 <= self.c1 < math.inf:
-            raise NonPositiveConstant(f"c1 must lie in [1, inf), got {self.c1}")
         if self.max_outer < 1:
             raise NonPositiveConstant(f"max_outer must be >= 1, got {self.max_outer}")
+
+
+RHO_FLOOR = 1e-3  # the floor of rho_eff; not a setting, a larger one is a larger rho
 
 
 @dataclass(frozen=True)
 class SmoothnessSpec:
     """Smoothness constants of the objective, checked when constructed.
 
-    rho_min floors rho: quadratics have rho = 0, which would make the escape
-    step eps_h/(2*c1*rho) infinite; any constant above the true rho is still a
-    valid Hessian-Lipschitz bound, so the floor only shortens the step.
+    rho_eff = max(rho, RHO_FLOOR) is the one Hessian-Lipschitz constant every
+    curvature formula reads: with rho = 0 (quadratics) the escape step
+    eps_h/(2*rho) would be infinite, and any larger constant is still a bound.
     """
 
     L: float
     rho: float = 0.0
-    rho_min: float = 1e-3
     h_star: Optional[float] = None
     sigma: Optional[float] = None
 
     def __post_init__(self):
-        # L and rho_min in (0, inf); rho, and h_star and sigma when given, in [0, inf)
-        for name, kind in (("L", "positive"), ("rho", "nonnegative"), ("rho_min", "positive"),
+        # L in (0, inf); rho, and h_star and sigma when given, in [0, inf)
+        for name, kind in (("L", "positive"), ("rho", "nonnegative"),
                            ("h_star", "nonnegative"), ("sigma", "nonnegative")):
             val = getattr(self, name)
             if val is None and name in ("h_star", "sigma"):
@@ -535,7 +573,7 @@ class SmoothnessSpec:
 
     @property
     def rho_eff(self) -> float:
-        return max(self.rho, self.rho_min)
+        return max(self.rho, RHO_FLOOR)
 
 
 # ---------------------------------------------------------------------------

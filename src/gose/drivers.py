@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import (Certificate, ConfigError, EvalCounters, SmoothnessSpec,
                    STATUS_BUDGET, STATUS_FIRST_ORDER, STATUS_SECOND_ORDER,
-                   ToleranceConfig, as_counting)
+                   ToleranceConfig, as_counting, check_point)
 from .escape import (EscapeConfig, check_run, one_step_deterministic,
                      one_step_finite_sum, one_step_stochastic)
 from .ncfind import NcConfig
@@ -92,9 +92,10 @@ def _drive(oracle, x0, K, measure, value, threshold, large_step, escape, echo):
     so the next iteration measures it) and the gradient norm the run ends at,
     or None to go on.  A run that ends any other way has measured no
     curvature at its final point and reports min_eig_estimate NaN.  value(x)
-    fills each trace row's f_value; with value=None it is never read.
+    fills each trace row's f_value; with value=None it is never read.  An x0
+    that is not a finite (d,) array raises ConfigError before any oracle work.
     """
-    x = np.asarray(x0, float)
+    x = check_point(x0, oracle.dimension, "x0")
     g = f = None  # gradient and value at x, where the last step measured them
     trace: list[TraceRecord] = []
 

@@ -2,7 +2,7 @@
 
 At a point with small gradient, ask a negative-curvature finder for a unit
 direction, flip its sign against the (estimated) gradient, and take a single
-step of length c_h * eps_h / (c1 * rho_eff).  When the Hessian really has an
+step of length c_h * eps_h / rho_eff.  When the Hessian really has an
 eigenvalue below -eps_h this one step both decreases the function by order
 eps_h**3 and pushes the gradient norm back above eps, so the caller never has
 to escape the same region twice.  No retry loop exists by design: a failed
@@ -28,7 +28,7 @@ from .ncfind import (NcConfig, NcOutcome, approx_nc_deterministic,
 class EscapeConfig:
     """Escape step-size coefficient and subsample constants, checked when constructed.
 
-    c_h is the step coefficient: step length c_h * eps_h / (c1 * rho_eff).
+    c_h is the step coefficient: step length c_h * eps_h / rho_eff.
     The decrease constants it implies are c_h**2/4 - c_h**3/6 (exact-gradient
     adjustment) and c_h**2/4 - c_h**3/3 (subsampled adjustment).  c_h must lie
     in (0, 3/2), and s_mult and c_conc in (0, inf); the c_h windows depend on
@@ -84,17 +84,17 @@ def check_run(oracle, tol: ToleranceConfig, smooth: SmoothnessSpec, esc: EscapeC
     The one home of the rules that tie the configs, the oracle and the mode
     together (each config checks its own ranges when constructed), in order:
     the mode and whether the oracle serves it (check_mode);
-    eps < eps_h**2/(16*c1*rho_eff), and eps <= eps_h**1.5 in stochastic mode;
+    eps < eps_h**2/(16*rho_eff), and eps <= eps_h**1.5 in stochastic mode;
     the c_h windows; then every size the run's finder and escapes will draw,
     computed by the functions that draw them: finder_sizes of `mode` and
     ncfg.engine, in stochastic mode the escape subsample, and in finite-sum
     mode n, the rows of the driver's anchor table (solvers.anchor_table).
     """
     check_mode(mode, oracle)
-    bound = tol.eps_h ** 2 / (16.0 * tol.c1 * smooth.rho_eff)
+    bound = tol.eps_h ** 2 / (16.0 * smooth.rho_eff)
     if not tol.eps < bound:
         raise EpsilonTooLarge(
-            f"eps={tol.eps:.6g} must satisfy eps < eps_h**2/(16*c1*rho_eff)"
+            f"eps={tol.eps:.6g} must satisfy eps < eps_h**2/(16*rho_eff)"
             f" = {bound:.6g}"
         )
     if mode == "stochastic":
@@ -103,7 +103,7 @@ def check_run(oracle, tol: ToleranceConfig, smooth: SmoothnessSpec, esc: EscapeC
             raise StochasticEpsilonTooLarge(
                 f"stochastic mode needs eps <= eps_h**1.5 = {sbound:.6g}, got eps={tol.eps:.6g}"
             )
-    ratio = 16.0 * tol.c1 * smooth.rho_eff * tol.eps / tol.eps_h ** 2
+    ratio = 16.0 * smooth.rho_eff * tol.eps / tol.eps_h ** 2
     # eps < bound holds, but the rounded ratio may still reach 1
     half_width = 0.5 * math.sqrt(max(1.0 - ratio, 0.0))
     lo, hi = 0.5 - half_width, 0.5 + half_width
@@ -112,10 +112,10 @@ def check_run(oracle, tol: ToleranceConfig, smooth: SmoothnessSpec, esc: EscapeC
             f"c_h={esc.c_h} outside the gradient-growth window ({lo:.6g}, {hi:.6g})"
         )
     if mode == "stochastic":
-        lo_s = math.sqrt(6.0 * esc.c_conc * tol.c1 * smooth.rho_eff * tol.eps / tol.eps_h ** 2)
+        lo_s = math.sqrt(6.0 * esc.c_conc * smooth.rho_eff * tol.eps / tol.eps_h ** 2)
         if not (lo_s <= esc.c_h < 0.75):
             raise ConfigError(
-                f"stochastic mode needs sqrt(6*c*rho*eps/eps_h**2) <= c_h < 3/4,"
+                f"stochastic mode needs sqrt(6*c_conc*rho_eff*eps/eps_h**2) <= c_h < 3/4,"
                 f" i.e. {lo_s:.6g} <= c_h < 0.75, got {esc.c_h}"
             )
     finder_sizes(mode, oracle, tol.eps_h, tol.delta, smooth.L, ncfg)
@@ -145,8 +145,8 @@ def adjust_direction(g: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
 
 def escape_step_length(tol: ToleranceConfig, smooth: SmoothnessSpec,
                        esc: EscapeConfig) -> float:
-    """c_h * eps_h / (c1 * rho_eff); at the default c_h = 1/2 this is eps_h/(2*c1*rho_eff)."""
-    return esc.c_h * tol.eps_h / (tol.c1 * smooth.rho_eff)
+    """c_h * eps_h / rho_eff; at the default c_h = 1/2 this is eps_h/(2*rho_eff)."""
+    return esc.c_h * tol.eps_h / smooth.rho_eff
 
 
 def _one_step(oracle, x, tol, smooth, esc, rng, ncfg, mode, finder, sign_gradient):

@@ -51,13 +51,11 @@ class ExperimentConfig:
     eps: float = 0.01
     eps_h: float = 0.5
     delta: float = ToleranceConfig.delta
-    c1: float = ToleranceConfig.c1
     max_outer: int = 100
     seeds: list[int] = field(default_factory=lambda: [0])
     # smoothness; None means take the problem's declared constant
     L: Optional[float] = None
     rho: Optional[float] = None
-    rho_min: float = SmoothnessSpec.rho_min
     h_star: Optional[float] = None
     sigma: Optional[float] = None
     noise_sigma: Optional[float] = None  # gradient noise added in stochastic mode
@@ -172,12 +170,11 @@ def _make_problem(name: str, params: dict) -> ProblemSpec:
 def build_configs(cfg: ExperimentConfig, spec: ProblemSpec):
     """The run's configs; h_star defaults to 2*sigma**2 once SmoothnessSpec has checked sigma."""
     tol = ToleranceConfig(eps=cfg.eps, eps_h=cfg.eps_h, delta=cfg.delta,
-                          c1=cfg.c1, max_outer=cfg.max_outer)
+                          max_outer=cfg.max_outer)
     sigma = cfg.sigma if cfg.sigma is not None else cfg.noise_sigma
     smooth = SmoothnessSpec(
         L=cfg.L if cfg.L is not None else spec.known_L,
         rho=cfg.rho if cfg.rho is not None else spec.known_rho,
-        rho_min=cfg.rho_min,
         h_star=cfg.h_star, sigma=sigma,
     )
     if smooth.h_star is None and sigma is not None:

@@ -35,7 +35,7 @@ from scipy.linalg.lapack import dstebz, dstein
 
 from .core import (AsymmetricOperator, BudgetZero, ConfigError, LapackFailure,
                    NonFiniteMeasurement, NonPositiveConstant, as_counting,
-                   check_mode, checked_size)
+                   check_mode, check_point, checked_size)
 
 BOTTOM = "bottom"
 DIRECTION = "direction"
@@ -365,8 +365,8 @@ def approx_nc_deterministic(oracle, x, eps_h: float, delta: float, L: float,
     1), times two when differencing gradients.
     """
     oracle = as_counting(oracle)
-    x = np.asarray(x, float)
     d = oracle.dimension
+    x = check_point(x, d)
     mm = finder_sizes("deterministic", oracle, eps_h, delta, L, cfg).max_matvecs
     threshold = -eps_h / 2.0
     return _search(oracle,
@@ -390,8 +390,8 @@ def approx_nc_stochastic(oracle, x, eps_h: float, delta: float, L: float,
     two stochastic gradients per draw when the oracle synthesizes its HVPs.
     """
     oracle = as_counting(oracle)
-    x = np.asarray(x, float)
     d = oracle.dimension
+    x = check_point(x, d)
     sizes = finder_sizes("stochastic", oracle, eps_h, delta, L, cfg)
 
     if cfg.engine == "oja":
@@ -436,8 +436,8 @@ def approx_nc_finite_sum(oracle, x, eps_h: float, delta: float, L: float,
     acceptance uses the plain -eps_h/2 threshold.
     """
     oracle = as_counting(oracle)
-    x = np.asarray(x, float)
     d = oracle.dimension
+    x = check_point(x, d)
     n = oracle.n_components
     mm, m, _, _ = finder_sizes("finite_sum", oracle, eps_h, delta, L, cfg)
 

@@ -31,13 +31,7 @@ class ProblemSpec:
     known_minimum_value: Optional[float] = None
     planted_saddles: list = field(default_factory=list)
     planted_minimum: Optional[np.ndarray] = None
-    x0_list: list = field(default_factory=list)
-
-    @property
-    def x0(self) -> np.ndarray:
-        if self.x0_list:
-            return np.asarray(self.x0_list[0], float)
-        return np.zeros(self.oracle.dimension)
+    x0: Optional[np.ndarray] = None  # the start point; every factory sets one
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +73,7 @@ def make_quadratic_saddle(d: int = 2, spectrum=None, seed: int = 0,
 
     The origin is a critical point; it is a strict saddle iff the spectrum has
     a negative entry.  L = max |spectrum|; the Hessian is constant so rho = 0
-    (the config floor applies).  The default spectrum is d-1 ones and one -1.
+    (rho_eff floors it at RHO_FLOOR).  The default spectrum is d-1 ones and one -1.
     """
     spectrum = _spectrum_or_default(spectrum, d)
     if orth and d > 1:
@@ -97,7 +91,7 @@ def make_quadratic_saddle(d: int = 2, spectrum=None, seed: int = 0,
         known_minimum_value=0.0 if minimum is not None else None,
         planted_saddles=saddles,
         planted_minimum=minimum,
-        x0_list=[np.full(d, 1.0) / math.sqrt(d)],
+        x0=np.full(d, 1.0) / math.sqrt(d),
     )
 
 
@@ -140,7 +134,7 @@ def make_bowl_saddle(d: int = 2, spectrum=None, q: float = 0.5, seed: int = 0,
         known_L=float(np.max(np.abs(spectrum))) + 3.0 * q * r2 ** 2,
         known_rho=6.0 * q * r2,
         box=box,
-        x0_list=[np.zeros(d)],
+        x0=np.zeros(d),
     )
     if lam_min < 0.0:
         radius = math.sqrt(-lam_min / q)
@@ -198,7 +192,7 @@ def make_chained_saddles(d: int, weights=None) -> ProblemSpec:
         known_minimum_value=0.0,
         planted_saddles=saddles,
         planted_minimum=np.ones(d),
-        x0_list=[np.zeros(d)],
+        x0=np.zeros(d),
     )
 
 
@@ -241,7 +235,7 @@ def make_saddle_path(d: int = 2, a: float = 0.25, mu: float = 1.0,
         known_minimum_value=0.0,
         planted_saddles=[np.zeros(d)],
         planted_minimum=minimum,
-        x0_list=[x0],
+        x0=x0,
     )
 
 
@@ -317,7 +311,7 @@ def make_nonconvex_pca(n: int, d: int, seed: int = 0,
         known_minimum_value=-lam_top ** 2 / 4.0,
         planted_saddles=[np.zeros(d)],
         planted_minimum=math.sqrt(lam_top) * v_top,
-        x0_list=[x0],
+        x0=x0,
     )
 
 
@@ -355,7 +349,7 @@ def make_rosenbrock(d: int = 2) -> ProblemSpec:
         box=(-2.0, 2.0),
         known_minimum_value=0.0,
         planted_minimum=np.ones(d),
-        x0_list=[np.array([-1.2, 1.0] + [1.0] * (d - 2))],
+        x0=np.array([-1.2, 1.0] + [1.0] * (d - 2)),
     )
 
 
@@ -379,7 +373,7 @@ def make_rastrigin(d: int = 2) -> ProblemSpec:
         box=(-5.12, 5.12),
         known_minimum_value=0.0,
         planted_minimum=np.zeros(d),
-        x0_list=[np.full(d, 2.0)],
+        x0=np.full(d, 2.0),
     )
 
 
@@ -397,7 +391,7 @@ def make_sphere(d: int = 2) -> ProblemSpec:
         box=(-5.0, 5.0),
         known_minimum_value=0.0,
         planted_minimum=np.zeros(d),
-        x0_list=[np.ones(d)],
+        x0=np.ones(d),
     )
 
 

@@ -99,7 +99,7 @@ def stoch_problem():
 
 
 def run_stoch(noisy, seed):
-    tol = ToleranceConfig(eps=EPS, eps_h=EPS_H, delta=0.1, c1=1.0,
+    tol = ToleranceConfig(eps=EPS, eps_h=EPS_H, delta=0.1,
                           max_outer=80)
     smooth = SmoothnessSpec(L=7.0, rho=1.0, h_star=2 * 0.05 ** 2, sigma=0.05)
     scsg = derive_scsg_params(tol, smooth, "stochastic", b_override=32)
@@ -123,7 +123,7 @@ def pca_problem():
 
 
 def run_pca(pca, seed):
-    tol = ToleranceConfig(eps=EPS, eps_h=EPS_H, delta=0.1, c1=1.0,
+    tol = ToleranceConfig(eps=EPS, eps_h=EPS_H, delta=0.1,
                           max_outer=1500)
     smooth = SmoothnessSpec(L=8.0, rho=1.0)
     return gose_finite_sum(pca.oracle, pca.x0, tol, smooth,
@@ -178,11 +178,11 @@ def test_criterion_1_nc_finder_contract():
 def test_criterion_2_deterministic_escape():
     with criterion(2, "one-step escape: drop <= -0.5*(1/24)*eps_h^3 and grad growth, >=95/100"):
         t0 = time.perf_counter()
-        tol = ToleranceConfig(eps=EPS, eps_h=EPS_H, delta=DELTA, c1=1.0)
+        tol = ToleranceConfig(eps=EPS, eps_h=EPS_H, delta=DELTA)
         threshold = -0.5 * (1.0 / 24.0) * EPS_H ** 3  # C' = C_H^2/4 - C_H^3/6 at 1/2
         passes = total = 0
         for spec, x, seed in escape_sites():
-            smooth = SmoothnessSpec(L=spec.known_L, rho=0.0, rho_min=1.0)
+            smooth = SmoothnessSpec(L=spec.known_L, rho=1.0)
             ok, _, lam = certify_second_order(spec.oracle, x, EPS, EPS_H)
             assert lam < -EPS_H  # site really is a strict saddle
             total += 1
@@ -206,12 +206,12 @@ def test_criterion_2_deterministic_escape():
 def test_criterion_3_stochastic_escape():
     with criterion(3, "stochastic escape: drop <= -0.5*(1/48)*eps_h^3, sigma=0.05, >=95/100"):
         t0 = time.perf_counter()
-        tol = ToleranceConfig(eps=EPS, eps_h=EPS_H, delta=DELTA, c1=1.0)
+        tol = ToleranceConfig(eps=EPS, eps_h=EPS_H, delta=DELTA)
         threshold = -0.5 * (1.0 / 48.0) * EPS_H ** 3  # C_H^2/4 - C_H^3/3 at 1/2
         passes = total = 0
         for spec, x, seed in escape_sites():
             noisy = with_gradient_noise(spec, sigma=0.05)
-            smooth = SmoothnessSpec(L=spec.known_L, rho=0.0, rho_min=1.0,
+            smooth = SmoothnessSpec(L=spec.known_L, rho=1.0,
                                     sigma=0.05, h_star=2 * 0.05 ** 2)
             total += 1
             res = one_step_stochastic(noisy.oracle, x, tol, smooth,

@@ -118,29 +118,27 @@ nan = math.nan
 
 
 @deterministic
-@given(eps=any_float, eps_h=any_float, delta=any_float, c1=any_float,
-       max_outer=st.integers(-2, 3), L=any_float, rho=any_float, rho_min=any_float,
+@given(eps=any_float, eps_h=any_float, delta=any_float,
+       max_outer=st.integers(-2, 3), L=any_float, rho=any_float,
        h_star=st.none() | any_float, sigma=st.none() | any_float)
-@example(eps=0.01, eps_h=0.5, delta=0.1, c1=nan, max_outer=1, L=1.0, rho=0.0, rho_min=nan,
+@example(eps=0.01, eps_h=0.5, delta=0.1, max_outer=0, L=1.0, rho=nan,
          h_star=None, sigma=None)
-@example(eps=0.01, eps_h=0.5, delta=0.1, c1=math.inf, max_outer=1, L=math.inf, rho=nan,
-         rho_min=1.0, h_star=math.inf, sigma=nan)
-@example(eps=nan, eps_h=0.5, delta=0.1, c1=1.0, max_outer=1, L=nan, rho=math.inf,
-         rho_min=math.inf, h_star=nan, sigma=math.inf)
+@example(eps=0.01, eps_h=0.5, delta=1.0, max_outer=1, L=math.inf, rho=nan,
+         h_star=math.inf, sigma=nan)
+@example(eps=nan, eps_h=0.5, delta=0.1, max_outer=1, L=nan, rho=math.inf,
+         h_star=nan, sigma=math.inf)
 def test_tolerance_and_smoothness_reject_exactly_out_of_range(
-        eps, eps_h, delta, c1, max_outer, L, rho, rho_min, h_star, sigma):
+        eps, eps_h, delta, max_outer, L, rho, h_star, sigma):
     inf = math.inf
     tol_bad = first_bad([("eps", in_range(eps, 0.0, 1.0)), ("eps_h", in_range(eps_h, 0.0, 1.0)),
                          ("delta", in_range(delta, 0.0, 1.0)),
-                         ("c1", in_range(c1, 1.0, inf, closed_lo=True)),
                          ("max_outer", max_outer >= 1)])
     smooth_bad = first_bad([("L", in_range(L, 0.0, inf)),
                             ("rho", in_range(rho, 0.0, inf, closed_lo=True)),
-                            ("rho_min", in_range(rho_min, 0.0, inf)),
                             ("h_star", in_range(h_star, 0.0, inf, closed_lo=True)),
                             ("sigma", in_range(sigma, 0.0, inf, closed_lo=True))])
-    for build, bad in ((lambda: ToleranceConfig(eps, eps_h, delta, c1, max_outer), tol_bad),
-                       (lambda: SmoothnessSpec(L, rho, rho_min, h_star, sigma), smooth_bad)):
+    for build, bad in ((lambda: ToleranceConfig(eps, eps_h, delta, max_outer), tol_bad),
+                       (lambda: SmoothnessSpec(L, rho, h_star, sigma), smooth_bad)):
         try:
             build()
         except NonPositiveConstant as exc:

@@ -1,13 +1,16 @@
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
 
 from gose import (Capabilities, CountingOracle, EscapeConfig, EvalCounters, NcConfig,
-                  ObjectiveOracle, SmoothnessSpec, ToleranceConfig, as_counting,
-                  escape_step_length, finite_diff_hvp, get_problem,
-                  with_gradient_noise)
-from gose.core import (ConfigError, EpsilonTooLarge, NonPositiveConstant,
+                  ObjectiveOracle, SmoothnessSpec, ToleranceConfig,
+                  approx_nc_deterministic, as_counting, escape_step_length,
+                  finite_diff_hvp, get_problem, gose_deterministic, with_gradient_noise)
+from gose.core import (RHO_FLOOR, ConfigError, EpsilonTooLarge, MalformedOracleOutput,
+                       NonPositiveConstant, NotFiniteSum, NotStochastic,
                        StochasticEpsilonTooLarge, ZeroDirection)
 from gose.escape import check_run
 
@@ -49,7 +52,7 @@ def check_tolerances(tol, smooth, mode):
 
 def test_validate_accepts_instantiated_inequality():
     # 0.01 < 0.5**2 / (16*1*1) = 0.015625
-    tol = ToleranceConfig(eps=0.01, eps_h=0.5, c1=1.0)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5)
     smooth = SmoothnessSpec(L=1.0, rho=1.0)
     assert check_tolerances(tol, smooth, "deterministic") is None
     assert smooth.rho_eff == 1.0
@@ -64,7 +67,7 @@ def test_check_run_rejects_unknown_mode():
 def test_validate_rejects_eps_at_boundary_and_above():
     smooth = SmoothnessSpec(L=1.0, rho=1.0)
     with pytest.raises(EpsilonTooLarge, match=r"eps=0.02 must satisfy eps <"
-                                              r" eps_h\*\*2/\(16\*c1\*rho_eff\) = 0.015625"):
+                                              r" eps_h\*\*2/\(16\*rho_eff\) = 0.015625"):
         check_tolerances(ToleranceConfig(eps=0.02, eps_h=0.5), smooth, "deterministic")
     with pytest.raises(EpsilonTooLarge):
         check_tolerances(ToleranceConfig(eps=0.015625, eps_h=0.5), smooth, "deterministic")
@@ -76,18 +79,18 @@ def test_validate_stochastic_three_halves_rule():
     assert 0.4 ** 1.5 == pytest.approx(0.2529822128134703)
     with pytest.raises(StochasticEpsilonTooLarge,
                        match=r"stochastic mode needs eps <= eps_h\*\*1.5 = 0.252982, got eps=0.3"):
-        check_tolerances(ToleranceConfig(eps=0.3, eps_h=0.4, c1=1.0), smooth, "stochastic")
+        check_tolerances(ToleranceConfig(eps=0.3, eps_h=0.4), smooth, "stochastic")
     # but it passes in deterministic mode with the same constants
-    check_tolerances(ToleranceConfig(eps=0.3, eps_h=0.4, c1=1.0), smooth, "deterministic")
+    check_tolerances(ToleranceConfig(eps=0.3, eps_h=0.4), smooth, "deterministic")
     # and a compliant stochastic eps is accepted
-    check_tolerances(ToleranceConfig(eps=0.2, eps_h=0.4, c1=1.0), smooth, "stochastic")
+    check_tolerances(ToleranceConfig(eps=0.2, eps_h=0.4), smooth, "stochastic")
 
 
 @pytest.mark.parametrize("kwargs", [
     {"eps": 0.0, "eps_h": 0.5},
     {"eps": 0.01, "eps_h": 1.0},
     {"eps": 0.01, "eps_h": 0.5, "delta": 0.0},
-    {"eps": 0.01, "eps_h": 0.5, "c1": 0.5},
+    {"eps": 0.01, "eps_h": 0.5, "delta": 1.0},
     {"eps": 0.01, "eps_h": 0.5, "max_outer": 0},
 ])
 def test_validate_rejects_nonpositive_or_out_of_range(kwargs):
@@ -96,7 +99,7 @@ def test_validate_rejects_nonpositive_or_out_of_range(kwargs):
 
 
 def test_validate_rejects_bad_smoothness():
-    for kwargs in ({"L": 0.0}, {"L": 1.0, "rho": -1.0}, {"L": 1.0, "rho_min": 0.0},
+    for kwargs in ({"L": 0.0}, {"L": 1.0, "rho": -1.0}, {"L": 1.0, "rho": math.inf},
                    {"L": 1.0, "h_star": -1.0}):
         with pytest.raises(NonPositiveConstant):
             SmoothnessSpec(**kwargs)
@@ -130,9 +133,9 @@ def test_objective_oracle_checks_itself_on_construction():
 
 def test_rho_floor_applies_to_quadratics():
     tol = ToleranceConfig(eps=1e-5, eps_h=0.5)
-    smooth = SmoothnessSpec(L=1.0, rho=0.0, rho_min=1e-3)
+    smooth = SmoothnessSpec(L=1.0, rho=0.0)
     check_tolerances(tol, smooth, "deterministic")
-    assert smooth.rho_eff == 1e-3
+    assert smooth.rho_eff == RHO_FLOOR == 1e-3
     assert escape_step_length(tol, smooth, EscapeConfig()) == pytest.approx(0.5 / (2 * 1e-3))
 
 
@@ -411,3 +414,121 @@ def test_counters_nondecreasing_along_a_run():
         for k in fields:
             assert cur[k] >= prev[k], f"counter {k} decreased"
         prev = cur
+
+
+# ---------------------------------------------------------------------------
+# malformed user output, draw counts and index rows
+
+
+def malformed_oracle(method, shape):
+    """A d=4 oracle whose `method` callable returns zeros of `shape`, every other one x."""
+    bad = np.zeros(shape)
+    callables = {
+        "gradient": lambda x: x,
+        "hvp": lambda x, v: v,
+        "component_gradient": lambda i, x: x,
+        "component_hvp": lambda i, x, v: v,
+        "sample_gradient": lambda x, rng: x,
+        "sample_hvp": lambda x, v, rng: v,
+    }
+    callables[method] = lambda *args: bad
+    return ObjectiveOracle(4, lambda x: 0.5 * float(x @ x), callables["gradient"],
+                           hvp=callables["hvp"],
+                           n_components=3, component_gradient=callables["component_gradient"],
+                           component_hvp=callables["component_hvp"],
+                           sample_gradient=callables["sample_gradient"],
+                           sample_hvp=callables["sample_hvp"])
+
+
+SINGLE_POINT_CALLS = {
+    "gradient": lambda o, x, v, rng: o.gradient(x),
+    "hvp": lambda o, x, v, rng: o.hvp(x, v),
+    "component_gradient": lambda o, x, v, rng: o.component_gradient(1, x),
+    "component_hvp": lambda o, x, v, rng: o.component_hvp(1, x, v),
+    "sample_gradient": lambda o, x, v, rng: o.sample_gradient(x, rng),
+    "sample_hvp": lambda o, x, v, rng: o.sample_hvp(x, v, rng),
+    "sample_hvp_summed": lambda o, x, v, rng: o.sample_hvp(x, v, rng, 3),
+}
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (4, 1), (5,)])
+@pytest.mark.parametrize("call", list(SINGLE_POINT_CALLS))
+def test_malformed_single_point_output_raises_typed(call, shape):
+    method = call.removesuffix("_summed")
+    oracle = malformed_oracle(method, shape)
+    x, v, rng = np.arange(4.0), np.ones(4), np.random.default_rng(0)
+    with pytest.raises(MalformedOracleOutput,
+                       match=re.escape(f"{method} returned shape {shape}, expected (4,)")):
+        SINGLE_POINT_CALLS[call](oracle, x, v, rng)
+    # the well-formed methods of the same oracle return x's shape
+    for other, run in SINGLE_POINT_CALLS.items():
+        if other.removesuffix("_summed") != method:
+            assert run(oracle, x, v, rng).shape == (4,)
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (4, 1), (5,)])
+def test_malformed_gradient_or_hvp_stops_a_run_typed(shape):
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=5)
+    smooth = SmoothnessSpec(L=1.0, rho=1.0)
+    with pytest.raises(MalformedOracleOutput, match="gradient returned"):
+        gose_deterministic(malformed_oracle("gradient", shape), np.ones(4), tol, smooth,
+                           rng=np.random.default_rng(0))
+    with pytest.raises(MalformedOracleOutput, match="hvp returned"):
+        approx_nc_deterministic(malformed_oracle("hvp", shape), np.zeros(4), 0.5, 0.01, 1.0,
+                                np.random.default_rng(0))
+
+
+def _sampling_oracles():
+    noisy = with_gradient_noise(get_problem("bowl_saddle", d=3, seed=2), sigma=0.1).oracle
+    return {
+        "batch_callables": noisy,
+        "loops": ObjectiveOracle(3, noisy.value, noisy.gradient,
+                                 sample_gradient=noisy.sample_gradient,
+                                 sample_hvp=noisy.sample_hvp),
+        "synthesized_hvp": ObjectiveOracle(3, noisy.value, noisy.gradient,
+                                           sample_gradient=noisy.sample_gradient),
+    }
+
+
+@pytest.mark.parametrize("m", [0, -2, 0.5, math.nan])
+@pytest.mark.parametrize("kind", ["batch_callables", "loops", "synthesized_hvp"])
+def test_draw_count_below_one_raises_before_any_counter_moves(kind, m):
+    oracle = _sampling_oracles()[kind]
+    co = as_counting(oracle)
+    x, v = np.ones(3), np.array([1.0, 0.0, -1.0])
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for call in (lambda o: o.sample_gradient_batch(x, m, rng),
+                 lambda o: o.sample_gradient_batch(np.stack([x, v]), m, rng),
+                 lambda o: o.sample_hvp(x, v, rng, m)):
+        for target in (co, oracle):
+            with pytest.raises(ConfigError, match="draw count m must be >= 1"):
+                call(target)
+    assert co.counters == EvalCounters()
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("indices", [np.zeros(0, int), np.zeros((3, 0), int),
+                                     np.zeros((2, 2, 1), int), np.int64(1)],
+                         ids=["empty", "empty_rows", "3d", "scalar"])
+@pytest.mark.parametrize("batch", [True, False], ids=["batch_callable", "row_loop"])
+def test_bad_index_rows_raise_before_any_counter_moves(indices, batch):
+    pca = get_problem("nonconvex_pca", n=5, d=3, seed=0).oracle
+    oracle = pca if batch else ObjectiveOracle(
+        3, pca.value, pca.gradient, n_components=5,
+        component_gradient=pca.component_gradient)
+    co = as_counting(oracle)
+    for target in (co, oracle):
+        with pytest.raises(ConfigError, match="component_gradient_batch needs 1-D or 2-D"):
+            target.component_gradient_batch(indices, np.ones(3))
+    assert co.counters == EvalCounters()
+
+
+def test_single_draws_need_their_capability():
+    plain = quad_oracle([1.0, 2.0])
+    co = as_counting(plain)
+    for target in (plain, co):
+        with pytest.raises(NotFiniteSum, match="no component gradients"):
+            target.component_gradient(0, np.ones(2))
+        with pytest.raises(NotStochastic, match="no stochastic gradients"):
+            target.sample_gradient(np.ones(2), np.random.default_rng(0))

@@ -9,9 +9,11 @@ import pytest
 import gose.drivers
 import gose.harness
 from gose import (EscapeConfig, NcConfig, ObjectiveOracle, SmoothnessSpec,
-                  ToleranceConfig, amplify, as_counting, certify_second_order,
+                  ToleranceConfig, amplify, approx_nc_deterministic, approx_nc_finite_sum,
+                  approx_nc_stochastic, as_counting, certify_second_order,
                   derive_scsg_params, get_problem, gose_deterministic,
-                  gose_finite_sum, gose_stochastic, with_gradient_noise)
+                  gose_finite_sum, gose_stochastic, one_step_deterministic,
+                  one_step_finite_sum, one_step_stochastic, with_gradient_noise)
 from gose.core import (STATUS_BUDGET, STATUS_FIRST_ORDER, STATUS_SECOND_ORDER,
                        ConfigError, EvalCounters, MalformedOracleOutput,
                        NonFiniteMeasurement, NotFiniteSum, NotStochastic)
@@ -595,7 +597,7 @@ def test_oracle_that_cannot_serve_the_mode_raises_before_any_oracle_work(case):
             "sampling": with_gradient_noise(bowl, sigma=0.05)}[kind]
     oracle = as_counting(spec.oracle)
     with pytest.raises(error, match=f"{driver.__name__[len('gose_'):]} mode needs"):
-        driver(oracle, bowl.x0_list[0], tol, smooth, rng=np.random.default_rng(0),
+        driver(oracle, bowl.x0, tol, smooth, rng=np.random.default_rng(0),
                scsg_cfg=None if scsg is None else scsg(tol, smooth))
     assert oracle.counters == EvalCounters()
 
@@ -844,3 +846,55 @@ def test_fs_full_gradient_is_n_component_gradients_shared_with_the_epoch(run, n)
             assert spent == n, row.k
         else:
             assert spent >= n and (spent - n) % b == 0, row.k
+
+
+# ---------------------------------------------------------------------------
+# start points and escape points of the wrong shape
+
+
+# (point, what the error says the point must be, as a regex)
+BAD_POINTS = [pytest.param(np.zeros(4), r"have shape \(5,\), got \(4,\)", id="short"),
+              pytest.param(np.zeros((5, 1)), r"have shape \(5,\), got \(5, 1\)",
+                           id="column"),
+              pytest.param(np.array([0.0, np.nan, 0.0, 0.0, 0.0]), "be finite", id="nan"),
+              pytest.param(np.array([0.0, 0.0, np.inf, 0.0, 0.0]), "be finite", id="inf"),
+              pytest.param([[0.0] * 5, [0.0]], "be an array of floats", id="ragged"),
+              pytest.param("abcde", "be an array of floats", id="text")]
+
+
+def _chained_modes():
+    chain = get_problem("chained_saddles", d=5)
+    return {"deterministic": chain.oracle,
+            "stochastic": with_gradient_noise(chain, sigma=0.05).oracle,
+            "finite_sum": as_finite_sum(chain, 4).oracle}
+
+
+@pytest.mark.parametrize("x0, named", BAD_POINTS)
+@pytest.mark.parametrize("entry", ["deterministic", "stochastic", "finite_sum", "baseline"])
+def test_bad_start_point_raises_before_any_oracle_work(entry, x0, named):
+    oracles = _chained_modes()
+    oracle = as_counting(oracles["deterministic" if entry == "baseline" else entry])
+    runner = {"deterministic": gose_deterministic, "stochastic": gose_stochastic,
+              "finite_sum": gose_finite_sum, "baseline": always_probe_baseline}[entry]
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.1, max_outer=5)
+    smooth = SmoothnessSpec(L=12.0, rho=1.0, h_star=0.005, sigma=0.05)
+    with pytest.raises(ConfigError, match="x0 must " + named):
+        runner(oracle, x0, tol, smooth, rng=np.random.default_rng(0))
+    assert oracle.counters == EvalCounters()
+
+
+@pytest.mark.parametrize("x, named", BAD_POINTS[:2])
+@pytest.mark.parametrize("mode", ["deterministic", "stochastic", "finite_sum"])
+def test_escape_and_finder_reject_a_misshapen_point(mode, x, named):
+    escape = {"deterministic": one_step_deterministic, "stochastic": one_step_stochastic,
+              "finite_sum": one_step_finite_sum}[mode]
+    finder = {"deterministic": approx_nc_deterministic, "stochastic": approx_nc_stochastic,
+              "finite_sum": approx_nc_finite_sum}[mode]
+    oracle = as_counting(_chained_modes()[mode])
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.1)
+    smooth = SmoothnessSpec(L=12.0, rho=1.0, h_star=0.005, sigma=0.05)
+    with pytest.raises(ConfigError, match="x must " + named):
+        escape(oracle, x, tol, smooth, EscapeConfig(), np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="x must " + named):
+        finder(oracle, x, tol.eps_h, tol.delta, smooth.L, np.random.default_rng(0))
+    assert oracle.counters == EvalCounters()

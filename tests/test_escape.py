@@ -15,8 +15,8 @@ from gose.escape import check_run
 from gose.problems import as_finite_sum
 from conftest import planted_symmetric
 
-TOL = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.01, c1=1.0)
-UNIT_RHO = SmoothnessSpec(L=1.0, rho=0.0, rho_min=1.0)  # rho_eff = 1
+TOL = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.01)
+UNIT_RHO = SmoothnessSpec(L=1.0, rho=1.0)  # rho_eff = 1
 
 
 def saddle_problem():
@@ -82,7 +82,7 @@ def test_window_validation_rejects_out_of_window_coefficients():
 def test_stochastic_window_rejects_coefficients_the_gradient_window_allows(c_h):
     # eps = 0.001: gradient-growth window (0.0163, 0.9837); the stochastic one
     # is [sqrt(6 * 0.25 * 0.001 / 0.25), 3/4) = [0.0775, 0.75)
-    tol = ToleranceConfig(eps=0.001, eps_h=0.5, delta=0.01, c1=1.0)
+    tol = ToleranceConfig(eps=0.001, eps_h=0.5, delta=0.01)
     esc = EscapeConfig(c_h=c_h)
     check_windows(esc, tol, UNIT_RHO, "deterministic")
     with pytest.raises(ConfigError, match="stochastic mode needs"):
@@ -90,7 +90,7 @@ def test_stochastic_window_rejects_coefficients_the_gradient_window_allows(c_h):
 
 
 def test_stochastic_window_keeps_decrease_constant_positive():
-    tol = ToleranceConfig(eps=0.001, eps_h=0.5, delta=0.01, c1=1.0)
+    tol = ToleranceConfig(eps=0.001, eps_h=0.5, delta=0.01)
     c_h = math.nextafter(0.75, 0.0)  # the largest coefficient the window admits
     check_windows(EscapeConfig(c_h=c_h), tol, UNIT_RHO, "stochastic")
     assert EscapeConfig(c_h=c_h).c_prime_stoch > 0.0
@@ -100,11 +100,11 @@ def test_subsample_size_rules():
     esc = EscapeConfig(s_mult=4.0, c_conc=0.25)
     size_h = esc.subsample_size(TOL, UNIT_RHO)  # no sigma: the eps_h size
     assert size_h == math.ceil(4.0 * math.log(1 / 0.01) / 0.25)
-    smooth = SmoothnessSpec(L=1.0, rho=0.0, rho_min=1.0, sigma=0.1)
+    smooth = SmoothnessSpec(L=1.0, rho=1.0, sigma=0.1)
     size_e = math.ceil(4.0 * 0.01 * math.log(100) / (0.25 * 0.01) ** 2)
     assert size_e > size_h
     assert esc.subsample_size(TOL, smooth) == max(size_h, size_e)
-    tiny_sigma = SmoothnessSpec(L=1.0, rho=0.0, rho_min=1.0, sigma=1e-6)
+    tiny_sigma = SmoothnessSpec(L=1.0, rho=1.0, sigma=1e-6)
     assert esc.subsample_size(TOL, tiny_sigma) == size_h  # never below the eps_h size
 
 
@@ -124,14 +124,14 @@ def test_one_step_deterministic_hand_example(rng):
     assert abs(abs(y[1]) - 0.25) <= 1e-9
     drop = prob.oracle.value(y) - prob.oracle.value(np.zeros(2))
     assert drop == pytest.approx(-0.03125, abs=1e-9)
-    assert drop <= -(1.0 / 24.0) * 0.5 ** 3 / 1.0  # -C' eps_h^3 / (c1 rho_eff)^2
+    assert drop <= -(1.0 / 24.0) * 0.5 ** 3 / 1.0  # -C' eps_h^3 / rho_eff^2
     assert np.linalg.norm(prob.oracle.gradient(y)) > TOL.eps
 
 
 def test_one_step_deterministic_convex_returns_bottom(rng):
     prob = get_problem("quadratic_saddle", d=3, spectrum=[0.5, 1.0, 2.0], orth=True)
     res = one_step_deterministic(prob.oracle, np.zeros(3), TOL,
-                                 SmoothnessSpec(L=2.0, rho=0.0, rho_min=1.0),
+                                 SmoothnessSpec(L=2.0, rho=1.0),
                                  EscapeConfig(), rng)
     assert not res.escaped
     assert res.point is None
@@ -139,7 +139,7 @@ def test_one_step_deterministic_convex_returns_bottom(rng):
 
 def test_one_step_deterministic_chained_saddle(rng):
     chain = get_problem("chained_saddles", d=4)
-    smooth = SmoothnessSpec(L=chain.known_L, rho=0.0, rho_min=1.0)
+    smooth = SmoothnessSpec(L=chain.known_L, rho=1.0)
     for s in chain.planted_saddles:
         res = one_step_deterministic(chain.oracle, s, TOL, smooth, EscapeConfig(), rng)
         assert res.escaped
@@ -159,7 +159,7 @@ def test_step_length_is_exact(rng):
 def test_escape_descent_alignment_per_call(rng):
     # the taken direction (y - x)/eta never ascends against the exact gradient
     chain = get_problem("chained_saddles", d=5)
-    smooth = SmoothnessSpec(L=chain.known_L, rho=0.0, rho_min=1.0)
+    smooth = SmoothnessSpec(L=chain.known_L, rho=1.0)
     eta = escape_step_length(TOL, smooth, EscapeConfig())
     for s in chain.planted_saddles:
         x = np.asarray(s, float) + 1e-3  # slightly off the saddle: nonzero gradient
@@ -183,7 +183,7 @@ def test_escape_counts_one_step(rng):
     conv = get_problem("quadratic_saddle", d=2, spectrum=[1.0, 2.0], orth=False)
     co2 = as_counting(conv.oracle)
     one_step_deterministic(co2, np.zeros(2), TOL,
-                           SmoothnessSpec(L=2.0, rho=0.0, rho_min=1.0),
+                           SmoothnessSpec(L=2.0, rho=1.0),
                            EscapeConfig(), rng)
     assert co2.counters.nc_calls == 1
     assert co2.counters.escape_steps == 0
@@ -196,7 +196,7 @@ def test_escape_counts_one_step(rng):
 def test_one_step_stochastic_zero_variance_matches_deterministic(rng):
     prob = saddle_problem()
     noisy = with_gradient_noise(prob, sigma=0.0)
-    smooth = SmoothnessSpec(L=1.0, rho=0.0, rho_min=1.0, sigma=0.0, h_star=0.0)
+    smooth = SmoothnessSpec(L=1.0, rho=1.0, sigma=0.0, h_star=0.0)
     res = one_step_stochastic(noisy.oracle, np.zeros(2), TOL, smooth,
                               EscapeConfig(), rng)
     assert res.escaped
@@ -227,7 +227,7 @@ def test_one_step_stochastic_noisy_monte_carlo():
         spec_obj = ProblemSpec(name="t", oracle=prob_oracle, known_L=1.0,
                                known_rho=0.0, box=(-2, 2))
         noisy = with_gradient_noise(spec_obj, sigma=0.1)
-        smooth = SmoothnessSpec(L=1.0, rho=0.0, rho_min=1.0, sigma=0.1, h_star=0.02)
+        smooth = SmoothnessSpec(L=1.0, rho=1.0, sigma=0.1, h_star=0.02)
         res = one_step_stochastic(noisy.oracle, np.zeros(6), TOL, smooth,
                                   EscapeConfig(), rng)
         if not res.escaped:
@@ -247,7 +247,7 @@ def test_one_step_stochastic_checks_subsample_size_before_the_finder():
     tol = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.1)
     smooth = SmoothnessSpec(L=7.0, rho=1.0, sigma=0.05)
     with pytest.raises(SizeOutOfRange, match=r"s_mult=1e\+300"):
-        one_step_stochastic(co, bowl.x0_list[0], tol, smooth, EscapeConfig(s_mult=1e300),
+        one_step_stochastic(co, bowl.x0, tol, smooth, EscapeConfig(s_mult=1e300),
                             np.random.default_rng(0))
     assert co.counters == EvalCounters()
     assert co.counters.work_units() == 0 and co.counters.nc_calls == 0
@@ -285,7 +285,7 @@ def test_one_step_finite_sum_identical_components(rng):
 
 def test_one_step_finite_sum_pca_saddle(rng):
     pca = make_nonconvex_pca(n=32, d=8, seed=0, top_eig=1.5)
-    smooth = SmoothnessSpec(L=pca.known_L, rho=0.0, rho_min=1.0)
+    smooth = SmoothnessSpec(L=pca.known_L, rho=1.0)
     res = one_step_finite_sum(pca.oracle, np.zeros(8), TOL, smooth,
                               EscapeConfig(), rng)
     assert res.escaped
@@ -298,7 +298,7 @@ def test_one_step_finite_sum_psd_bottom(rng):
     conv = get_problem("quadratic_saddle", d=3, spectrum=[0.3, 1.0, 2.0], orth=True)
     fs = as_finite_sum(conv, 4)
     res = one_step_finite_sum(fs.oracle, np.zeros(3), TOL,
-                              SmoothnessSpec(L=2.0, rho=0.0, rho_min=1.0),
+                              SmoothnessSpec(L=2.0, rho=1.0),
                               EscapeConfig(), rng)
     assert not res.escaped
 

@@ -189,7 +189,7 @@ def test_sweep_empty_axis_rejected(tmp_path):
 def test_sweep_invalid_cell_reported_others_run(tmp_path):
     sweep = {
         "base": CONVEX_CFG,
-        # eps = 0.02 violates eps < eps_h**2/(16 c1 rho) = 0.015625
+        # eps = 0.02 violates eps < eps_h**2/(16 rho) = 0.015625
         "grid": {"eps": [0.01, 0.02]},
     }
     rows = run_sweep(sweep, out_dir=str(tmp_path))
@@ -325,7 +325,7 @@ def test_cli_run_validation_error_names_inequality(tmp_path, capsys):
     code = main(["run", "--config", path, "--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
-    assert "eps_h**2/(16*c1*rho_eff)" in err
+    assert "eps_h**2/(16*rho_eff)" in err
 
 
 CHAINED_ORIGIN_CFG = {
@@ -391,9 +391,8 @@ OUT_OF_RANGE_CASES = [
     pytest.param({**NOISY_BOWL_CFG, "scsg_b": 0}, "scsg_b", id="scsg_b_zero"),
     pytest.param({**NOISY_BOWL_CFG, "scsg_B": 0}, "scsg_B", id="scsg_B_zero"),
     # NaN and inf, which JSON configs can carry, are out of every range
-    pytest.param({**CHAINED_ORIGIN_CFG, "rho": 0.0, "rho_min": math.nan}, "rho_min must",
-                 id="rho_min_nan"),
-    pytest.param({**NOISY_BOWL_CFG, "c1": math.nan}, "c1 must", id="c1_nan"),
+    pytest.param({**CHAINED_ORIGIN_CFG, "rho": math.nan}, "rho must", id="rho_nan"),
+    pytest.param({**NOISY_BOWL_CFG, "delta": math.nan}, "delta must", id="delta_nan"),
     pytest.param({**PCA_CFG, "L": math.inf}, "L must", id="L_inf"),
     pytest.param({**NOISY_BOWL_CFG, "h_star": 0.005, "sigma": math.inf}, "sigma must",
                  id="sigma_inf"),
@@ -479,17 +478,18 @@ def test_run_defaults_are_the_library_defaults():
     tol, smooth, esc, ncfg = build_configs(cfg, build_problem(cfg))
     assert esc == EscapeConfig() and ncfg == NcConfig()
     default_tol = ToleranceConfig(eps=cfg.eps, eps_h=cfg.eps_h)
-    assert (tol.delta, tol.c1) == (default_tol.delta, default_tol.c1)
-    assert smooth.rho_min == SmoothnessSpec(L=1.0).rho_min
+    assert tol.delta == default_tol.delta
     solver = inspect.signature(gose_deterministic).parameters
     assert cfg.solver_choice == solver["solver_choice"].default
     assert cfg.solver_max_iters == solver["solver_max_iters"].default
 
 
-def test_cli_run_rejects_removed_subsample_rule(tmp_path, capsys):
-    path = write_cfg(tmp_path, {**CONVEX_CFG, "s_rule": "auto"})
+@pytest.mark.parametrize("name, value", [("s_rule", "auto"), ("c1", 1.0), ("rho_min", 1e-3)])
+def test_cli_run_rejects_removed_field(tmp_path, capsys, name, value):
+    # the escape subsample has one rule; c1 and rho_min only rescaled rho
+    path = write_cfg(tmp_path, {**CONVEX_CFG, name: value})
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
-    assert "unknown config fields: ['s_rule']" in capsys.readouterr().err
+    assert f"unknown config fields: ['{name}']" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -659,3 +659,15 @@ def test_cli_sweep_empty_axis(tmp_path, capsys):
     sweep_path = write_cfg(tmp_path, {"base": CONVEX_CFG, "grid": {"eps": []}},
                            name="sweep.json")
     assert main(["sweep", "--config", sweep_path, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_run_one_above_the_certification_cap_writes_certified_none(tmp_path):
+    # d > 500 is beyond dense certification: the row says so instead of guessing
+    cfg = ExperimentConfig(problem="sphere", problem_params={"d": 501}, eps=0.01, eps_h=0.5,
+                           rho=1.0, max_outer=10)
+    report, row = run_one(cfg, 0)
+    assert row["status"] == "second_order_stationary"
+    assert (row["certified"], row["lambda_min"], row["true_grad_norm"]) == (None, None, None)
+    path = gose.harness.write_summaries([row], str(tmp_path))
+    with open(path) as fh:
+        assert json.loads(fh.read())["certified"] is None

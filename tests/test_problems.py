@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gose import (approx_nc_deterministic, certify_second_order, dense_hessian,
+from gose import (approx_nc_deterministic, as_streaming, certify_second_order, dense_hessian,
                   finite_diff_hvp, get_problem, list_problems,
                   make_chained_saddles, make_nonconvex_pca,
                   make_quadratic_saddle, verify_lipschitz_constants)
@@ -240,3 +240,33 @@ def test_certify_dimension_cap():
     big = ObjectiveOracle(501, lambda x: 0.0, lambda x: np.zeros(501))
     with pytest.raises(DimensionTooLarge):
         certify_second_order(big, np.zeros(501), 0.01, 0.5)
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("quadratic_saddle", {"d": 3, "spectrum": [1.0, -1.0]}, "spectrum must have length d=3"),
+    ("bowl_saddle", {"d": 2, "spectrum": [1.0, 0.5, -1.0]}, "spectrum must have length d=2"),
+    ("chained_saddles", {"d": 3, "weights": [0.5, 0.4]}, "weights must be d positive reals"),
+    ("chained_saddles", {"d": 3, "weights": [0.5, 0.0, 0.4]},
+     "weights must be d positive reals"),
+    ("saddle_path", {"d": 1}, "saddle path needs d >= 2"),
+    ("rosenbrock", {"d": 1}, "rosenbrock needs d >= 2"),
+    ("nonconvex_pca", {"n": 0, "d": 3}, "nonconvex PCA needs n >= 1 and d >= 2"),
+    ("nonconvex_pca", {"n": 3, "d": 1}, "nonconvex PCA needs n >= 1 and d >= 2"),
+])
+def test_factories_reject_bad_arguments(name, params, message):
+    with pytest.raises(ConfigError, match=message):
+        get_problem(name, **params)
+
+
+def test_as_streaming_draws_one_component_per_call():
+    pca = get_problem("nonconvex_pca", n=6, d=3, seed=1)
+    stream = as_streaming(pca).oracle
+    x, v = np.array([0.3, -0.2, 0.5]), np.array([1.0, 0.0, -1.0])
+    for seed in range(5):
+        i = int(np.random.default_rng(seed).integers(0, 6))
+        np.testing.assert_array_equal(stream.sample_gradient(x, np.random.default_rng(seed)),
+                                      pca.oracle.component_gradient(i, x))
+        np.testing.assert_array_equal(stream.sample_hvp(x, v, np.random.default_rng(seed)),
+                                      pca.oracle.component_hvp(i, x, v))
+    with pytest.raises(ConfigError, match="as_streaming needs a finite-sum problem"):
+        as_streaming(get_problem("sphere", d=2))

@@ -662,3 +662,19 @@ def test_solver_reuses_the_entry_gradient_and_returns_the_exit_one(solver, x0, s
     assert reused == plain
     assert plain_evals - reused_evals == saved
 
+
+
+@pytest.mark.parametrize("broken", ["value", "gradient"])
+def test_agd_stops_unconverged_at_a_non_finite_measurement(broken):
+    # a NaN value or gradient at x0 ends the solve at x0 before any step
+    sphere = get_problem("sphere", d=3).oracle
+    value = (lambda x: math.nan) if broken == "value" else sphere.value
+    gradient = (lambda x: np.full(3, np.nan)) if broken == "gradient" else sphere.gradient
+    oracle = as_counting(ObjectiveOracle(3, value, gradient))
+    x0 = np.ones(3)
+    res = guarded_agd(oracle, x0, 1.0, 1e-6)
+    assert not res.converged and res.iters == 0
+    np.testing.assert_array_equal(res.point, x0)
+    assert math.isnan(res.grad_norm) == (broken == "gradient")
+    assert math.isnan(res.value) == (broken == "value")
+    assert (oracle.counters.fn_evals, oracle.counters.grad_evals) == (1, 2)
