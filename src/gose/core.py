@@ -415,7 +415,9 @@ class CountingOracle:
 
     The wrapped oracle stays untouched; all mutation lives here.  Synthesized
     HVPs route through this wrapper's gradient methods, so their two gradient
-    calls are counted instead of an hvp_eval.
+    calls are counted instead of an hvp_eval.  A call is charged once the
+    base returns, so a call the base refuses (NotFiniteSum, NotStochastic, a
+    malformed result) leaves the counters where they were.
     """
 
     def __init__(self, base: ObjectiveOracle):
@@ -435,51 +437,59 @@ class CountingOracle:
         return self.base.capabilities
 
     def value(self, x):
+        out = self.base.value(x)
         self.counters.fn_evals += 1
-        return self.base.value(x)
+        return out
 
     def gradient(self, x):
+        out = self.base.gradient(x)
         if self.base.n_components > 0:
             self.counters.component_grad_evals += self.base.n_components
         else:
             self.counters.grad_evals += 1
-        return self.base.gradient(x)
+        return out
 
     def hvp(self, x, v):
         if self.base.capabilities.analytic_hvp:
+            out = self.base.hvp(x, v)
             self.counters.hvp_evals += 1
-            return self.base.hvp(x, v)
+            return out
         return finite_diff_hvp(self, x, v)
 
     def component_gradient(self, i, x):
+        out = self.base.component_gradient(i, x)
         self.counters.component_grad_evals += 1
-        return self.base.component_gradient(i, x)
+        return out
 
     def component_gradient_batch(self, indices, x):
         indices = _index_rows(indices)
+        out = self.base.component_gradient_batch(indices, x)
         self.counters.component_grad_evals += indices.size
-        return self.base.component_gradient_batch(indices, x)
+        return out
 
     def component_hvp(self, i, x, v):
         if self.base._component_hvp is None:
             return _finite_diff_component_hvp(self, i, x, v)
+        out = self.base.component_hvp(i, x, v)
         self.counters.hvp_evals += 1
-        return self.base.component_hvp(i, x, v)
+        return out
 
     def sample_gradient(self, x, rng):
+        out = self.base.sample_gradient(x, rng)
         self.counters.stoch_grad_evals += 1
-        return self.base.sample_gradient(x, rng)
+        return out
 
     def sample_gradient_batch(self, x, m, rng):
-        rows = len(x) if np.ndim(x) == 2 else 1
-        self.counters.stoch_grad_evals += _draw_count(m) * rows
-        return self.base.sample_gradient_batch(x, m, rng)
+        out = self.base.sample_gradient_batch(x, m, rng)
+        self.counters.stoch_grad_evals += int(m) * (len(out) if out.ndim == 2 else 1)
+        return out
 
     def sample_hvp(self, x, v, rng, m=1):
         if self.base._sample_hvp is None:
             return _finite_diff_sample_hvp(self, x, v, rng, m)
-        self.counters.hvp_evals += _draw_count(m)
-        return self.base.sample_hvp(x, v, rng, m)
+        out = self.base.sample_hvp(x, v, rng, m)
+        self.counters.hvp_evals += int(m)
+        return out
 
 
 def as_counting(oracle) -> CountingOracle:

@@ -286,10 +286,14 @@ def make_nonconvex_pca(n: int, d: int, seed: int = 0,
         return -A[i] * float(A[i] @ v) + float(x @ x) * v + 2.0 * x * float(x @ v)
 
     def component_gradient_batch(idx, x):
-        Ai = A[idx]
         if idx.ndim == 2:  # stacked products, so each row rounds as a 1-D call
+            Ai = A[idx]
             b = idx.shape[1]
             return -(Ai.transpose(0, 2, 1) @ (Ai @ x)[:, :, None])[:, :, 0] / b + float(x @ x) * x
+        if len(idx) == 1:  # the finite-sum default b = 1: the bits of the line below
+            a = A[int(idx[0])]
+            return a * -float(a @ x) + float(x @ x) * x
+        Ai = A[idx]
         return -Ai.T @ (Ai @ x) / len(idx) + float(x @ x) * x
 
     oracle = ObjectiveOracle(
@@ -412,6 +416,13 @@ def with_gradient_noise(spec: ProblemSpec, sigma: float) -> ProblemSpec:
     one draw across its rows, so an SCSG step's g_I(y) - g_I(x0) carries none
     of it: only the branch batch, the escape subsample and the finder see
     noise.  sigma must lie in [0, inf).
+
+    A stacked call keeps, per stack row, the exact bytes of the row's last
+    point and a copy of the base gradient there, and reuses that copy when a
+    row repeats its point.  An SCSG epoch passes (y, x0) with x0 fixed, so
+    its T steps measure grad f(x0) once: T + 1 base gradients, not 2T.  The
+    draws are those of the memo-free view, bit for bit, provided the base
+    gradient is a pure function of x.
     """
     if not 0.0 <= sigma < math.inf:
         raise NonPositiveConstant(f"sigma must be nonnegative and finite, got {sigma}")
@@ -422,14 +433,24 @@ def with_gradient_noise(spec: ProblemSpec, sigma: float) -> ProblemSpec:
     def sample_gradient(x, rng):
         return base.gradient(x) + coord * rng.standard_normal(d)
 
+    # stack row -> (bytes of its last point, copy of the base gradient there); one
+    # immutable pair per row, so a read that another caller races can only miss
+    last = {}
+
     def sample_gradient_batch(x, m, rng):
         # one noise draw, shared by every row of a (k, d) stack
-        noise = coord * (rng.standard_normal((m, d)).sum(axis=0) / m)
+        noise = rng.standard_normal((m, d)).sum(axis=0)
+        noise /= m
+        noise *= coord
         if x.ndim == 1:
             return base.gradient(x) + noise
         out = np.empty(x.shape)
-        for row, point in zip(out, x):
-            row[:] = base.gradient(point)
+        for k, point in enumerate(x):
+            key = point.tobytes()
+            seen = last.get(k)
+            if seen is None or seen[0] != key:
+                seen = last[k] = (key, base.gradient(point).copy())
+            out[k] = seen[1]
         out += noise
         return out
 
@@ -439,11 +460,11 @@ def with_gradient_noise(spec: ProblemSpec, sigma: float) -> ProblemSpec:
 
     def sample_hvp_batch(x, v, m, rng):
         # sample_hvp's arithmetic on all m draws at once: one (m, d) draw is the
-        # stream of m draws of d, a per-row z @ v rounds as a single draw's does
-        # (Z @ v may not), and accumulate sums in draw order (add.reduce pairs
-        # the rows when d == 1)
+        # stream of m draws of d, the stacked (1, d) @ (d, 1) products round
+        # each z @ v as a single draw's does (Z @ v may not), and accumulate
+        # sums in draw order (add.reduce pairs the rows when d == 1)
         Z = rng.standard_normal((m, d))
-        c = np.array([float(z @ v) for z in Z])
+        c = (Z[:, None, :] @ v[:, None])[:, 0, 0]
         terms = base.hvp(x, v) + sigma * (Z * c[:, None] - v)
         return np.add.accumulate(terms, axis=0)[-1] / m
 

@@ -524,6 +524,29 @@ def test_bad_index_rows_raise_before_any_counter_moves(indices, batch):
     assert co.counters == EvalCounters()
 
 
+def test_refused_calls_charge_nothing():
+    # a call the base refuses, or whose result is malformed, costs no unit
+    x, rng = np.ones(2), np.random.default_rng(0)
+    co = as_counting(quad_oracle([1.0, 2.0]))
+    refused = [(NotFiniteSum, lambda: co.component_gradient(0, x)),
+               (NotFiniteSum, lambda: co.component_gradient_batch([0, 1], x)),
+               (NotFiniteSum, lambda: co.component_gradient_batch([[0], [1]], x)),
+               (NotFiniteSum, lambda: co.component_hvp(0, x, x)),
+               (NotStochastic, lambda: co.sample_gradient(x, rng)),
+               (NotStochastic, lambda: co.sample_gradient_batch(x, 3, rng)),
+               (NotStochastic, lambda: co.sample_gradient_batch(np.stack([x, x]), 3, rng)),
+               (NotStochastic, lambda: co.sample_hvp(x, x, rng, 3))]
+    bad = as_counting(ObjectiveOracle(2, lambda x: 0.0, lambda x: np.ones(3),
+                                      hvp=lambda x, v: np.ones(3)))
+    refused += [(MalformedOracleOutput, lambda: bad.gradient(x)),
+                (MalformedOracleOutput, lambda: bad.hvp(x, x))]
+    for error, call in refused:
+        with pytest.raises(error):
+            call()
+    assert co.counters == EvalCounters()
+    assert bad.counters == EvalCounters()
+
+
 def test_single_draws_need_their_capability():
     plain = quad_oracle([1.0, 2.0])
     co = as_counting(plain)

@@ -262,6 +262,25 @@ def test_stoch_escapes_noisy_saddle_and_certifies():
     assert successes >= 4  # well above the 1/3 guarantee
 
 
+def test_stoch_same_seed_on_one_shared_oracle_reports_identical():
+    # the noisy view keeps each stack row's last point and gradient across
+    # runs; a run must report the same after another run on that oracle
+    prob = get_problem("bowl_saddle", d=6,
+                       spectrum=[-1.0, 0.3, 0.5, 0.6, 0.8, 1.0], q=0.5, seed=3)
+    noisy = with_gradient_noise(prob, sigma=0.05)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.1, max_outer=60)
+    smooth = SmoothnessSpec(L=7.0, rho=1.0, h_star=0.005, sigma=0.05)
+    scsg = derive_scsg_params(tol, smooth, "stochastic", b_override=32)
+    r1, r2 = (gose_stochastic(noisy.oracle, np.zeros(6), tol, smooth, scsg_cfg=scsg,
+                              rng=np.random.default_rng(4)) for _ in range(2))
+    c1, c2 = r1.certificate, r2.certificate
+    assert c1.point.tobytes() == c2.point.tobytes()
+    assert (c1.status, c1.grad_norm, c1.min_eig_estimate, c1.counters) == \
+        (c2.status, c2.grad_norm, c2.min_eig_estimate, c2.counters)
+    assert c1.counters.epochs_run > 1
+    assert repr(r1.trace) == repr(r2.trace)
+
+
 # ---------------------------------------------------------------------------
 # finite-sum driver
 

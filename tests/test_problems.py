@@ -190,6 +190,34 @@ def test_pca_component_average_is_full_gradient(rng):
     assert np.linalg.norm(avg - full) <= 1e-12 * max(1.0, np.linalg.norm(full))
 
 
+def test_pca_single_index_batch_is_the_general_formula(rng):
+    # the b = 1 shortcut returns the bits of the (b,) formula with b = 1
+    for d in (2, 5, 20, 63):
+        A = rng.standard_normal((7, d))
+        oracle = make_nonconvex_pca(n=7, d=d, data=A).oracle
+        for i in range(7):
+            x = rng.standard_normal(d)
+            Ai = A[[i]]
+            general = -Ai.T @ (Ai @ x) / 1 + float(x @ x) * x
+            got = oracle.component_gradient_batch(np.array([i]), x)
+            assert got.tobytes() == general.tobytes(), (d, i)
+
+
+# ---------------------------------------------------------------------------
+# noisy view
+
+
+@pytest.mark.parametrize("d", [1, 2, 10, 29, 200])
+def test_stacked_row_products_round_as_single_dots(d):
+    # the noisy view's sample_hvp_batch forms every draw's z @ v in one
+    # stacked matmul; each must round as the single draw's 1-D dot does
+    rng = np.random.default_rng(d)
+    for m in (1, 2, 290):
+        Z, v = rng.standard_normal((m, d)), rng.standard_normal(d)
+        loop = np.array([float(z @ v) for z in Z])
+        assert (Z[:, None, :] @ v[:, None])[:, 0, 0].tobytes() == loop.tobytes(), m
+
+
 # ---------------------------------------------------------------------------
 # standard problems
 

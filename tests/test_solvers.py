@@ -524,6 +524,89 @@ def test_epoch_stochastic_makes_one_batch_call_per_step():
     assert co.counters.stoch_grad_evals == 2 * 2 * 5
 
 
+def _bowl_over(gradient, d=6, seed=1):
+    """The bowl_saddle problem with its gradient callable replaced by `gradient(bowl, x)`."""
+    bowl = get_problem("bowl_saddle", d=d, seed=seed)
+    base = ObjectiveOracle(d, bowl.oracle.value, lambda x: gradient(bowl, x),
+                           hvp=bowl.oracle.hvp)
+    return bowl, dataclasses.replace(bowl, oracle=base)
+
+
+def test_epoch_on_the_noisy_view_measures_its_anchor_once():
+    calls = []
+
+    def gradient(bowl, x):
+        calls.append(x.copy())
+        return bowl.oracle.gradient(x)
+
+    _, counted = _bowl_over(gradient)
+    cfg = ScsgConfig(B=8, b=2, eta=0.05)
+    T = 5
+    co = as_counting(with_gradient_noise(counted, sigma=0.2).oracle)
+    x0 = np.linspace(-1.0, 1.0, 6)
+    scsg_epoch(co, x0, cfg, np.ones(6), np.random.default_rng(_seed_with_T(8.0 / 10.0, T)),
+               "stochastic")
+    assert len(calls) == T + 1  # one per step at y, and x0 once (2T without the memo)
+    assert sum(c.tobytes() == x0.tobytes() for c in calls) == 2  # y starts at x0
+    assert co.counters.stoch_grad_evals == 2 * cfg.b * T  # the counting model is unchanged
+
+
+def _memo_free_batch(base, sigma):
+    """The noisy view's stacked draw, measuring every row's base gradient afresh."""
+    d = base.dimension
+    coord = sigma / math.sqrt(d)
+
+    def batch(x, m, rng):
+        noise = coord * (rng.standard_normal((m, d)).sum(axis=0) / m)
+        return np.array([base.gradient(p) for p in np.atleast_2d(x)]).reshape(x.shape) + noise
+
+    return batch
+
+
+def test_noisy_view_stack_matches_a_memo_free_reference_across_epochs():
+    # two epochs per seed, the second anchored where the first ended, and all
+    # seeds on one oracle, so the kept rows go stale between epochs and runs
+    bowl = get_problem("bowl_saddle", d=6, seed=1)
+    noisy = with_gradient_noise(bowl, sigma=0.2).oracle
+    reference = ObjectiveOracle(6, noisy.value, noisy.gradient, hvp=noisy.hvp,
+                                sample_gradient=noisy.sample_gradient,
+                                sample_gradient_batch=_memo_free_batch(bowl.oracle, 0.2))
+    cfg = ScsgConfig(B=40, b=3, eta=0.05)
+    moved = 0
+    for seed in range(10):
+        ends = []
+        for oracle in (noisy, reference):
+            rng = np.random.default_rng(seed)
+            anchors = [np.linspace(-1.0, 1.0, 6)]
+            for _ in range(2):
+                x = anchors[-1]
+                anchors.append(scsg_epoch(oracle, x, cfg, oracle.gradient(x), rng, "stochastic"))
+            ends.append((b"".join(a.tobytes() for a in anchors), rng.bit_generator.state))
+        assert ends[0] == ends[1], seed
+        moved += len({a.tobytes() for a in anchors}) == 3
+    assert moved >= 5  # most seeds changed the anchor between the epochs
+
+
+def test_noisy_view_keeps_a_copy_of_the_base_gradient():
+    # a gradient callable that answers in one reused buffer: the kept x0 row
+    # must survive the y row overwriting that buffer
+    buf = np.empty(6)
+
+    def gradient(bowl, x):
+        buf[:] = bowl.oracle.gradient(x)
+        return buf
+
+    bowl, shared = _bowl_over(gradient)
+    reused = with_gradient_noise(shared, sigma=0.2).oracle
+    fresh = with_gradient_noise(bowl, sigma=0.2).oracle
+    points = np.stack([np.linspace(-1.0, 1.0, 6)] * 2)
+    for step in range(4):
+        got = reused.sample_gradient_batch(points, 3, np.random.default_rng(step))
+        want = fresh.sample_gradient_batch(points, 3, np.random.default_rng(step))
+        assert got.tobytes() == want.tobytes(), step
+        points[0] -= 0.1 * got[0]
+
+
 # ---------------------------------------------------------------------------
 # first-order solvers
 
