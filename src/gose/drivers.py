@@ -1,14 +1,15 @@
 """Outer drivers: split the domain by gradient norm and dispatch.
 
 All drivers, and the always-probe baseline they are compared against, share
-one outer loop, _drive.  Large measured gradient: run the region-appropriate
-first-order machinery (a full solve to stationarity in the deterministic
-driver, one variance-reduced epoch otherwise).  Small measured gradient:
-enter the small-gradient region, call the negative-curvature escape exactly
-once, and either leave in that single step or terminate because the finder
-declared bottom.  Termination by bottom is the only path to a
-second_order_stationary certificate.  Every driver takes the caller's
-generator as the required keyword rng, the run's only source of randomness.
+one entry, _enter, and one outer loop, _drive.  Large measured gradient: run
+the region-appropriate first-order machinery (a full solve to stationarity
+in the deterministic driver, one variance-reduced epoch otherwise).  Small
+measured gradient: enter the small-gradient region, call the
+negative-curvature escape exactly once, and either leave in that single step
+or terminate because the finder declared bottom.  Termination by bottom is
+the only path to a second_order_stationary certificate.  Every driver takes
+the caller's generator as the required keyword rng, the run's only source of
+randomness.
 """
 
 from __future__ import annotations
@@ -53,16 +54,24 @@ class RunReport:
     all_runs_failed: bool = False
 
 
-def _config_echo(mode, tol, smooth, esc, ncfg, **extra) -> dict:
-    echo = {
-        "mode": mode,
-        "tolerance": dataclasses.asdict(tol),
-        "smoothness": dataclasses.asdict(smooth),
-        "escape": dataclasses.asdict(esc),
-        "nc": dataclasses.asdict(ncfg),
-    }
-    echo.update(extra)
-    return echo
+def _enter(oracle, tol, smooth, esc, ncfg, mode, scsg_cfg=None, **extra):
+    """The entry work of every driver and the baseline, before any oracle work.
+
+    check_run for `mode`, then the counting wrap; in the sampling modes the
+    epoch's ScsgConfig, derive_scsg_params when scsg_cfg is None.  Returns
+    the counting oracle, the ScsgConfig (None in deterministic mode) and the
+    run's config echo: the mode, each config as a dict, and `extra`.
+    """
+    check_run(oracle, tol, smooth, esc, ncfg, mode)
+    oracle = as_counting(oracle)
+    echo = {"mode": mode, "tolerance": dataclasses.asdict(tol),
+            "smoothness": dataclasses.asdict(smooth), "escape": dataclasses.asdict(esc),
+            "nc": dataclasses.asdict(ncfg)}
+    if mode != "deterministic":
+        if scsg_cfg is None:
+            scsg_cfg = derive_scsg_params(tol, smooth, mode, n=oracle.n_components)
+        echo["scsg"] = dataclasses.asdict(scsg_cfg)
+    return oracle, scsg_cfg, {**echo, **extra}
 
 
 def _finish(oracle, point, grad_norm, status, trace, echo, min_eig=math.nan):
@@ -153,10 +162,9 @@ def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     step.  A bottom outcome certifies the current point (subject to the
     finder's delta).
     """
-    check_run(oracle, tol, smooth, esc, ncfg, "deterministic")
+    oracle, _, echo = _enter(oracle, tol, smooth, esc, ncfg, "deterministic",
+                             solver_choice=solver_choice)
     check_solver(solver_choice)
-    oracle = as_counting(oracle)
-    echo = _config_echo("deterministic", tol, smooth, esc, ncfg, solver_choice=solver_choice)
 
     def solve(x, g, fx):
         res = run_solver(solver_choice, oracle, x, smooth.L, tol.eps, solver_max_iters, g, fx)
@@ -180,12 +188,7 @@ def gose_stochastic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     at that same batch gradient or take one stochastic escape step.  Only the
     sampling oracles are called, so trace rows carry f_value None.
     """
-    check_run(oracle, tol, smooth, esc, ncfg, "stochastic")
-    oracle = as_counting(oracle)
-    if scsg_cfg is None:
-        scsg_cfg = derive_scsg_params(tol, smooth, "stochastic")
-    echo = _config_echo("stochastic", tol, smooth, esc, ncfg, scsg=dataclasses.asdict(scsg_cfg))
-
+    oracle, scsg_cfg, echo = _enter(oracle, tol, smooth, esc, ncfg, "stochastic", scsg_cfg)
     return _drive(oracle, x0, tol.max_outer,
                   lambda x: oracle.sample_gradient_batch(x, scsg_cfg.B, rng), None, tol.eps / 2.0,
                   _epoch_step(oracle, scsg_cfg, rng, "stochastic"),
@@ -208,11 +211,7 @@ def gose_finite_sum(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     escape flips its direction against the same mean.  The oracle's own
     gradient is never called.
     """
-    check_run(oracle, tol, smooth, esc, ncfg, "finite_sum")
-    oracle = as_counting(oracle)
-    if scsg_cfg is None:
-        scsg_cfg = derive_scsg_params(tol, smooth, "finite_sum", n=oracle.n_components)
-    echo = _config_echo("finite_sum", tol, smooth, esc, ncfg, scsg=dataclasses.asdict(scsg_cfg))
+    oracle, scsg_cfg, echo = _enter(oracle, tol, smooth, esc, ncfg, "finite_sum", scsg_cfg)
 
     table = None  # of the point measure() saw last, which the epoch starts from
 
@@ -240,8 +239,7 @@ def always_probe_baseline(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSp
     Exists purely to quantify how many probes the region-splitting drivers
     save.
     """
-    check_run(oracle, tol, smooth, esc, ncfg, "deterministic")
-    oracle = as_counting(oracle)
+    oracle, _, echo = _enter(oracle, tol, smooth, esc, ncfg, "deterministic")
 
     def probe(x, g):
         return one_step_deterministic(oracle, x, tol, smooth, esc, rng, ncfg, g=g)
@@ -252,7 +250,7 @@ def always_probe_baseline(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSp
         return (res.point if res.escaped else x - g / smooth.L), None, None, None
 
     return _drive(oracle, x0, tol.max_outer, oracle.gradient, oracle.value, tol.eps,
-                  probe_or_gradient_step, probe, {})
+                  probe_or_gradient_step, probe, echo)
 
 
 def amplify(run_once: Callable[[int], RunReport], reps: int,

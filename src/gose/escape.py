@@ -152,15 +152,17 @@ def escape_step_length(tol: ToleranceConfig, smooth: SmoothnessSpec,
 def _one_step(oracle, x, tol, smooth, esc, rng, ncfg, mode, finder, sign_gradient):
     """The one escape body: one finder call, then one step unless bottom.
 
-    sign_gradient() supplies the gradient estimate the direction is flipped
-    against; it is only evaluated when a direction came back.  check_run runs
-    first, so a size out of range raises before the finder spends anything.
+    Wraps oracle for counting; sign_gradient(oracle) supplies the gradient
+    estimate the direction is flipped against, and is only evaluated when a
+    direction came back.  check_run runs first, so a size out of range raises
+    before the finder spends anything.
     """
+    oracle = as_counting(oracle)
     check_run(oracle, tol, smooth, esc, ncfg, mode)
     out = finder(oracle, x, tol.eps_h, tol.delta, smooth.L, rng, ncfg)
     if out.is_bottom:
         return EscapeResult(False, None, out)
-    v_tilde = adjust_direction(sign_gradient(), out.direction)
+    v_tilde = adjust_direction(sign_gradient(oracle), out.direction)
     oracle.counters.escape_steps += 1
     return EscapeResult(True, np.asarray(x, float) + escape_step_length(tol, smooth, esc) * v_tilde, out)
 
@@ -175,10 +177,9 @@ def one_step_deterministic(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSp
     g to reuse an already-computed gradient; otherwise one gradient eval is
     spent.  Cost: one finder call plus at most one gradient.
     """
-    oracle = as_counting(oracle)
     return _one_step(oracle, x, tol, smooth, esc, rng, ncfg, "deterministic",
                      approx_nc_deterministic,
-                     lambda: oracle.gradient(x) if g is None else g)
+                     lambda oracle: oracle.gradient(x) if g is None else g)
 
 
 def one_step_stochastic(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,
@@ -189,10 +190,10 @@ def one_step_stochastic(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,
     Draws a fresh minibatch (size per EscapeConfig.subsample_size) to estimate
     the gradient; the step direction satisfies g_hat . v <= 0.
     """
-    oracle = as_counting(oracle)
     return _one_step(oracle, x, tol, smooth, esc, rng, ncfg, "stochastic",
                      approx_nc_stochastic,
-                     lambda: oracle.sample_gradient_batch(x, esc.subsample_size(tol, smooth), rng))
+                     lambda oracle: oracle.sample_gradient_batch(
+                         x, esc.subsample_size(tol, smooth), rng))
 
 
 def one_step_finite_sum(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,
@@ -200,7 +201,6 @@ def one_step_finite_sum(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,
                         ncfg: NcConfig = NcConfig(),
                         g: Optional[np.ndarray] = None) -> EscapeResult:
     """Single escape step for finite sums; the sign uses the full gradient."""
-    oracle = as_counting(oracle)
     return _one_step(oracle, x, tol, smooth, esc, rng, ncfg, "finite_sum",
                      approx_nc_finite_sum,
-                     lambda: oracle.gradient(x) if g is None else g)
+                     lambda oracle: oracle.gradient(x) if g is None else g)

@@ -330,16 +330,23 @@ def _ritz_rayleigh(hvp: Callable, Q: np.ndarray, y: np.ndarray) -> tuple[float, 
 # Finder front ends
 
 
-def _search(oracle, candidate: Callable, threshold: float) -> NcOutcome:
+def _search(mode: str, oracle, x, eps_h: float, delta: float, L: float, cfg: NcConfig,
+            threshold: float, candidate: Callable) -> NcOutcome:
     """The one finder skeleton: one candidate, validated against threshold.
 
-    candidate() returns (validated Rayleigh quotient, unit vector).  Counts the
-    call and its oracle work and returns a direction if the quotient is at or
-    below threshold, bottom otherwise, with the quotient as lambda_hat.
+    Before any oracle work it wraps oracle for counting, checks x
+    (check_point) and reads the sizes of `mode` (finder_sizes).  Then
+    candidate(oracle, x, sizes) returns (validated Rayleigh quotient, unit
+    vector).  Counts the call and its oracle work and returns a direction if
+    the quotient is at or below threshold, bottom otherwise, with the
+    quotient as lambda_hat.
     """
+    oracle = as_counting(oracle)
+    x = check_point(x, oracle.dimension)
+    sizes = finder_sizes(mode, oracle, eps_h, delta, L, cfg)
     oracle.counters.nc_calls += 1
     start = oracle.counters.work_units()
-    ray, v = candidate()
+    ray, v = candidate(oracle, x, sizes)
     if not math.isfinite(ray):
         raise NonFiniteMeasurement(f"candidate Rayleigh quotient is {ray}")
     cost = oracle.counters.work_units() - start
@@ -364,15 +371,11 @@ def approx_nc_deterministic(oracle, x, eps_h: float, delta: float, L: float,
     most max_matvecs + 4 matvec-equivalents (probe 2, a missed stop 1, exit
     1), times two when differencing gradients.
     """
-    oracle = as_counting(oracle)
-    d = oracle.dimension
-    x = check_point(x, d)
-    mm = finder_sizes("deterministic", oracle, eps_h, delta, L, cfg).max_matvecs
     threshold = -eps_h / 2.0
-    return _search(oracle,
-                   lambda: lanczos_min_eig(lambda v: oracle.hvp(x, v), d, mm, rng,
-                                           stop_below=threshold, L=L, delta=delta),
-                   threshold)
+    return _search("deterministic", oracle, x, eps_h, delta, L, cfg, threshold,
+                   lambda oracle, x, sizes: lanczos_min_eig(
+                       lambda v: oracle.hvp(x, v), oracle.dimension, sizes.max_matvecs, rng,
+                       stop_below=threshold, L=L, delta=delta))
 
 
 def approx_nc_stochastic(oracle, x, eps_h: float, delta: float, L: float,
@@ -389,31 +392,20 @@ def approx_nc_stochastic(oracle, x, eps_h: float, delta: float, L: float,
     extra eps_h/8 absorbs validation noise.  Cost: one hvp_eval per draw, or
     two stochastic gradients per draw when the oracle synthesizes its HVPs.
     """
-    oracle = as_counting(oracle)
-    d = oracle.dimension
-    x = check_point(x, d)
-    sizes = finder_sizes("stochastic", oracle, eps_h, delta, L, cfg)
-
-    if cfg.engine == "oja":
-        eta = eps_h / (8.0 * L ** 2)
-
-        def draw():
-            v = _random_unit(d, rng)
+    def candidate(oracle, x, sizes):
+        if cfg.engine == "oja":
+            eta = eps_h / (8.0 * L ** 2)
+            v = _random_unit(oracle.dimension, rng)
             for _ in range(sizes.oja_samples):
                 v = v - eta * oracle.sample_hvp(x, v, rng)
                 v = v / np.linalg.norm(v)
-            return v
-    else:
-        def draw():
-            _, v = lanczos_min_eig(lambda w: oracle.sample_hvp(x, w, rng, sizes.minibatch), d,
-                                   sizes.max_matvecs, rng, probe_tol=None)
-            return v
-
-    def candidate():
-        v = draw()
+        else:
+            _, v = lanczos_min_eig(lambda w: oracle.sample_hvp(x, w, rng, sizes.minibatch),
+                                   oracle.dimension, sizes.max_matvecs, rng, probe_tol=None)
         return float(v @ oracle.sample_hvp(x, v, rng, sizes.validation)), v
 
-    return _search(oracle, candidate, -(eps_h / 2.0 + eps_h / 8.0))
+    return _search("stochastic", oracle, x, eps_h, delta, L, cfg,
+                   -(eps_h / 2.0 + eps_h / 8.0), candidate)
 
 
 def _index_mean_hvp(oracle, x, v, indices) -> np.ndarray:
@@ -435,17 +427,11 @@ def approx_nc_finite_sum(oracle, x, eps_h: float, delta: float, L: float,
     HVPs), the outcome's lambda_hat.  The full-batch measurement is exact, so
     acceptance uses the plain -eps_h/2 threshold.
     """
-    oracle = as_counting(oracle)
-    d = oracle.dimension
-    x = check_point(x, d)
-    n = oracle.n_components
-    mm, m, _, _ = finder_sizes("finite_sum", oracle, eps_h, delta, L, cfg)
-
-    def minibatch_hvp(v):
-        return _index_mean_hvp(oracle, x, v, rng.integers(0, n, size=m))
-
-    def candidate():
-        _, v = lanczos_min_eig(minibatch_hvp, d, mm, rng, probe_tol=None)
+    def candidate(oracle, x, sizes):
+        n = oracle.n_components
+        _, v = lanczos_min_eig(
+            lambda w: _index_mean_hvp(oracle, x, w, rng.integers(0, n, size=sizes.minibatch)),
+            oracle.dimension, sizes.max_matvecs, rng, probe_tol=None)
         return float(v @ _index_mean_hvp(oracle, x, v, range(n))), v
 
-    return _search(oracle, candidate, -eps_h / 2.0)
+    return _search("finite_sum", oracle, x, eps_h, delta, L, cfg, -eps_h / 2.0, candidate)

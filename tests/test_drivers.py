@@ -568,6 +568,19 @@ def test_baseline_lives_beside_the_drivers_loop():
     assert gose.harness.always_probe_baseline is gose.drivers.always_probe_baseline
 
 
+def test_baseline_echoes_the_deterministic_config():
+    # the baseline enters like the deterministic driver, whose echo adds only the solver
+    prob = get_problem("saddle_path", d=2)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=50)
+    smooth = SmoothnessSpec(L=prob.known_L, rho=1.0)
+    baseline = always_probe_baseline(prob.oracle, prob.x0, tol, smooth,
+                                     rng=np.random.default_rng(0))
+    driver = run_det(prob, tol, smooth)
+    assert driver.config.pop("solver_choice") == "gd"
+    assert baseline.config == driver.config
+    assert baseline.config["mode"] == "deterministic"
+
+
 def test_unknown_solver_rejected_before_any_oracle_work():
     prob = get_problem("chained_saddles", d=3)
     tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=10)
