@@ -63,7 +63,7 @@ class LapackFailure(GoseError, ArithmeticError):
 
 
 class MalformedOracleOutput(GoseError, ValueError):
-    """A user oracle callable returned an array of the wrong shape."""
+    """A user oracle callable returned an array of the wrong shape, or not numbers."""
 
 
 class BudgetZero(ConfigError):
@@ -183,9 +183,10 @@ class ObjectiveOracle:
 
     The single-point callables (gradient, hvp, component_gradient,
     component_hvp, sample_gradient, sample_hvp) must return x's shape; any
-    other shape raises MalformedOracleOutput naming the method.  A draw count
-    m below 1, or an index row with no index, raises ConfigError before any
-    counter moves.
+    other shape raises MalformedOracleOutput naming the method, as does any
+    result numpy cannot read as floats, or a value that is not a real number.
+    A draw count m below 1, or an index row with no index, raises ConfigError
+    before any counter moves.
 
     A sample_gradient_batch(x, m, rng) callable returns the mean of m draws.
     It receives either one point of shape (d,) or a (k, d) stack of points;
@@ -249,7 +250,12 @@ class ObjectiveOracle:
     # -- deterministic surface
 
     def value(self, x) -> float:
-        return float(self._value(np.asarray(x, dtype=float)))
+        out = self._value(np.asarray(x, dtype=float))
+        try:
+            return float(out)
+        except (TypeError, ValueError) as exc:
+            raise MalformedOracleOutput(f"value returned {type(out).__name__}, not a real number:"
+                                        f" {exc}") from None
 
     def gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -348,7 +354,11 @@ class ObjectiveOracle:
 
 def _shaped(method: str, out, shape: tuple) -> np.ndarray:
     """out as a float array, or MalformedOracleOutput naming method if not of `shape`."""
-    out = np.asarray(out, float)
+    try:
+        out = np.asarray(out, float)
+    except (TypeError, ValueError) as exc:
+        raise MalformedOracleOutput(f"{method} returned {type(out).__name__}, not an array of"
+                                    f" floats: {exc}") from None
     if out.shape != shape:
         raise MalformedOracleOutput(f"{method} returned shape {out.shape}, expected {shape}")
     return out
@@ -462,9 +472,8 @@ class CountingOracle:
         return out
 
     def component_gradient_batch(self, indices, x):
-        indices = _index_rows(indices)
         out = self.base.component_gradient_batch(indices, x)
-        self.counters.component_grad_evals += indices.size
+        self.counters.component_grad_evals += np.size(indices)
         return out
 
     def component_hvp(self, i, x, v):
@@ -516,6 +525,11 @@ def check_mode(mode: str, oracle, modes: tuple = MODES) -> None:
         raise NotFiniteSum("finite_sum mode needs an oracle with n_components >= 1")
 
 
+def is_integer(value) -> bool:
+    """Whether value is an int or a numpy integer; a bool, a float or NaN is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_point(x, d: int, name: str = "x") -> np.ndarray:
     """x as a float array; ConfigError unless it has shape (d,) and finite entries."""
     try:
@@ -549,8 +563,8 @@ class ToleranceConfig:
             val = getattr(self, name)
             if not (0.0 < val < 1.0):
                 raise NonPositiveConstant(f"{name} must lie in (0, 1), got {val}")
-        if self.max_outer < 1:
-            raise NonPositiveConstant(f"max_outer must be >= 1, got {self.max_outer}")
+        if not (is_integer(self.max_outer) and self.max_outer >= 1):
+            raise NonPositiveConstant(f"max_outer must be an integer >= 1, got {self.max_outer}")
 
 
 RHO_FLOOR = 1e-3  # the floor of rho_eff; not a setting, a larger one is a larger rho

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import (MODES, ConfigError, DimensionTooLarge, EvalCounters,
                    GoseError, NonPositiveConstant, ObjectiveOracle,
-                   SmoothnessSpec, ToleranceConfig)
+                   SmoothnessSpec, ToleranceConfig, is_integer)
 from .drivers import RunReport, gose_deterministic, gose_finite_sum, gose_stochastic
 from .drivers import always_probe_baseline  # noqa: F401  (re-exported)
 from .escape import EscapeConfig
@@ -78,7 +78,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not self.seeds or any(seed < 0 for seed in self.seeds):  # numpy seeds are ints >= 0
+        if not self.seeds or any(not (is_integer(seed) and seed >= 0) for seed in self.seeds):
             raise ConfigError(f"config field 'seeds' must hold one or more non-negative ints,"
                               f" got {self.seeds!r}")
         if self.noise_sigma is not None and not 0.0 <= self.noise_sigma < math.inf:
@@ -405,7 +405,7 @@ NC_THRESHOLDS = {
 
 def _suite_rng(seed) -> np.random.Generator:
     """The generator of a contract check; seed must be a non-negative integer."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not (is_integer(seed) and seed >= 0):
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.default_rng(seed)
 

@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (ConfigError, InvalidP, MissingVarianceBound,
-                   NonPositiveConstant, as_counting, check_mode, checked_size)
+                   NonPositiveConstant, as_counting, check_mode, checked_size,
+                   is_integer)
 
 DEFAULT_SOLVER = "gd"
 DEFAULT_MAX_ITERS = 200_000
@@ -50,8 +51,8 @@ class SolveResult:
 class ScsgConfig:
     """Batch/minibatch sizes and step size for one variance-reduced epoch.
 
-    Needs 1 <= b <= B and eta in (0, inf).  The mode is not stored here: the
-    driver passes its own to scsg_epoch.
+    Needs integers 1 <= b <= B and eta in (0, inf).  The mode is not stored
+    here: the driver passes its own to scsg_epoch.
     """
 
     B: int
@@ -59,8 +60,8 @@ class ScsgConfig:
     eta: float
 
     def __post_init__(self):
-        if not (1 <= self.b <= self.B):
-            raise ConfigError(f"need 1 <= b <= B, got b={self.b}, B={self.B}")
+        if not (is_integer(self.B) and is_integer(self.b) and 1 <= self.b <= self.B):
+            raise ConfigError(f"need integers 1 <= b <= B, got b={self.b!r}, B={self.B!r}")
         if not 0.0 < self.eta < math.inf:
             raise NonPositiveConstant(f"eta must be positive and finite, got {self.eta}")
 
@@ -96,12 +97,12 @@ def derive_scsg_params(tol, smooth, mode: str, n: int = 0,
 
     Finite-sum: B = n, b = 1, eta = 1/(L * n**(2/3)).
 
-    Explicit overrides (each >= 1) bypass the corresponding rule; b is still
-    clamped to B.
+    Explicit overrides (each an integer >= 1) bypass the corresponding rule;
+    b is still clamped to B.
     """
     for name, value in (("B_override (scsg_B)", B_override), ("b_override (scsg_b)", b_override)):
-        if value is not None and value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
+        if value is not None and not (is_integer(value) and value >= 1):
+            raise ConfigError(f"{name} must be >= 1 and an integer, got {value!r}")
     if mode == "finite_sum":
         if n < 1:
             raise ConfigError("finite_sum mode needs n >= 1")

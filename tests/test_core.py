@@ -98,6 +98,13 @@ def test_validate_rejects_nonpositive_or_out_of_range(kwargs):
         ToleranceConfig(**kwargs)
 
 
+@pytest.mark.parametrize("max_outer", [math.nan, 2.5, math.inf, 10.0, True])
+def test_max_outer_must_be_an_integer(max_outer):
+    with pytest.raises(NonPositiveConstant, match="max_outer must be an integer >= 1"):
+        ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=max_outer)
+    assert ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=np.int64(3)).max_outer == 3
+
+
 def test_validate_rejects_bad_smoothness():
     for kwargs in ({"L": 0.0}, {"L": 1.0, "rho": -1.0}, {"L": 1.0, "rho": math.inf},
                    {"L": 1.0, "h_star": -1.0}):
@@ -464,6 +471,20 @@ def test_malformed_single_point_output_raises_typed(call, shape):
     for other, run in SINGLE_POINT_CALLS.items():
         if other.removesuffix("_summed") != method:
             assert run(oracle, x, v, rng).shape == (4,)
+
+
+@pytest.mark.parametrize("method, out", [("value", np.ones(2)), ("value", "abc"),
+                                         ("value", None), ("gradient", "ab"),
+                                         ("gradient", [1.0, "x"]), ("gradient", {"a": 1.0})])
+def test_non_numeric_oracle_output_stops_a_run_typed(method, out):
+    # what numpy cannot read as floats is malformed output, named by its method
+    callables = {"value": lambda x: 0.5 * float(x @ x), "gradient": lambda x: x}
+    callables[method] = lambda x: out
+    oracle = ObjectiveOracle(2, callables["value"], callables["gradient"])
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=5)
+    with pytest.raises(MalformedOracleOutput, match=f"^{method} returned {type(out).__name__}"):
+        gose_deterministic(oracle, np.ones(2), tol, SmoothnessSpec(L=1.0, rho=1.0),
+                           rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("shape", [(1, 4), (4, 1), (5,)])

@@ -506,6 +506,13 @@ def test_summary_line_is_strict_json_for_diverging_run():
     assert parsed["grad_norm"] is None and parsed["final_f"] is None
 
 
+@pytest.mark.parametrize("seeds", [[1.5], [0, 2.0], [math.nan], [True]])
+def test_experiment_seeds_must_be_integers(seeds):
+    with pytest.raises(ConfigError, match="config field 'seeds' must hold"):
+        ExperimentConfig(seeds=seeds)
+    assert ExperimentConfig(seeds=[np.int64(3)]).seeds == [3]
+
+
 @pytest.mark.parametrize("name, value", [("eps", "0.01"), ("max_outer", "5"),
                                          ("seeds", ["x"]), ("seeds", [-1]),
                                          ("seeds", [0, 3, -2]), ("seeds", [])])

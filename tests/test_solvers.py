@@ -158,6 +158,30 @@ def test_scsg_config_validation():
         ScsgConfig(B=2, b=1, eta=-0.1)
 
 
+@pytest.mark.parametrize("sizes, named", [({"B": 10.5, "b": 2}, "B=10.5"),
+                                          ({"B": 10, "b": 2.5}, "b=2.5"),
+                                          ({"B": math.nan, "b": 1}, "B=nan"),
+                                          ({"B": 10, "b": True}, "b=True")])
+def test_scsg_sizes_must_be_integers(sizes, named):
+    with pytest.raises(ConfigError, match=f"^need integers 1 <= b <= B, got .*{named}"):
+        ScsgConfig(eta=0.1, **sizes)
+    assert ScsgConfig(B=np.int64(10), b=np.int32(2), eta=0.1).p == 10 / 12
+
+
+@pytest.mark.parametrize("mode", ["stochastic", "finite_sum"])
+@pytest.mark.parametrize("override", ["B_override", "b_override"])
+@pytest.mark.parametrize("value", [1.5, 40.0, math.nan, math.inf])
+def test_derive_rejects_a_non_integer_override(mode, override, value):
+    # an override is a size: never truncated to an int
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5)
+    smooth = SmoothnessSpec(L=1.0, rho=1.0, h_star=0.005)
+    with pytest.raises(ConfigError, match=f"{override} \\(scsg_{override[0]}\\) must be >= 1"
+                                          " and an integer"):
+        derive_scsg_params(tol, smooth, mode, n=50, **{override: value})
+    cfg = derive_scsg_params(tol, smooth, mode, n=50, **{override: np.int64(40)})
+    assert getattr(cfg, override[0]) == 40
+
+
 @pytest.mark.parametrize("change, error, named", [
     ({"eta": math.nan}, NonPositiveConstant, "eta"),
     ({"eta": math.inf}, NonPositiveConstant, "eta"),
