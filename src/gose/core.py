@@ -221,10 +221,9 @@ class ObjectiveOracle:
                  sample_hvp: Optional[Callable] = None,
                  sample_gradient_batch: Optional[Callable] = None,
                  sample_hvp_batch: Optional[Callable] = None):
-        if dimension < 1:
-            raise NonPositiveConstant("dimension must be a positive integer")
-        if n_components < 0:
-            raise NonPositiveConstant("n_components must be nonnegative")
+        for name, size, low in (("dimension", dimension, 1), ("n_components", n_components, 0)):
+            if not (is_integer(size) and size >= low):
+                raise NonPositiveConstant(f"{name} must be >= {low} and an integer, got {size!r}")
         if n_components > 0 and component_gradient is None:
             raise ConfigError("finite-sum oracle needs component_gradient")
         if sample_hvp_batch is not None and sample_hvp is None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import (Certificate, ConfigError, EvalCounters, SmoothnessSpec,
                    STATUS_BUDGET, STATUS_FIRST_ORDER, STATUS_SECOND_ORDER,
-                   ToleranceConfig, as_counting, check_point)
+                   ToleranceConfig, as_counting, check_point, is_integer)
 from .escape import (EscapeConfig, check_run, one_step_deterministic,
                      one_step_finite_sum, one_step_stochastic)
 from .ncfind import NcConfig
@@ -164,7 +164,7 @@ def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     """
     oracle, _, echo = _enter(oracle, tol, smooth, esc, ncfg, "deterministic",
                              solver_choice=solver_choice)
-    check_solver(solver_choice)
+    check_solver(solver_choice, solver_max_iters)
 
     def solve(x, g, fx):
         res = run_solver(solver_choice, oracle, x, smooth.L, tol.eps, solver_max_iters, g, fx)
@@ -264,8 +264,8 @@ def amplify(run_once: Callable[[int], RunReport], reps: int,
     per-run success probability p the failure probability decays like
     (1-p)**reps.
     """
-    if reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {reps}")
+    if not (is_integer(reps) and reps >= 1):
+        raise ConfigError(f"reps must be >= 1, got {reps!r} (integers only)")
     reports = []
     for i in range(reps):
         report = run_once(base_seed + i)

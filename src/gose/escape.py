@@ -17,43 +17,35 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ConfigError, EpsilonTooLarge, NonPositiveConstant,
-                   SmoothnessSpec, StochasticEpsilonTooLarge, ToleranceConfig,
-                   as_counting, check_mode, checked_size)
+from .core import (ConfigError, EpsilonTooLarge, SmoothnessSpec,
+                   StochasticEpsilonTooLarge, ToleranceConfig, as_counting,
+                   check_mode, checked_size)
 from .ncfind import (NcConfig, NcOutcome, approx_nc_deterministic,
                      approx_nc_finite_sum, approx_nc_stochastic, finder_sizes)
 
 
+# The analysis constants of the escape subsample (subsample_size); not settings.
+S_MULT = 4.0
+C_CONC = 0.25
+
+
 @dataclass(frozen=True)
 class EscapeConfig:
-    """Escape step-size coefficient and subsample constants, checked when constructed.
+    """Escape step-size coefficient, checked when constructed.
 
     c_h is the step coefficient: step length c_h * eps_h / rho_eff.
     The decrease constants it implies are c_h**2/4 - c_h**3/6 (exact-gradient
     adjustment) and c_h**2/4 - c_h**3/3 (subsampled adjustment).  c_h must lie
-    in (0, 3/2), and s_mult and c_conc in (0, inf); the c_h windows depend on
-    the tolerances and the mode and are checked by check_run.  Inside them
-    c_h < 1 (and c_h < 3/4 in stochastic mode), so both decrease constants are
-    positive.
-
-    The subsample for the gradient estimate has ceil(s_mult * log(1/delta) /
-    eps_h**2) draws, raised to the concentration size
-    ceil(s_mult * sigma**2 * log(1/delta) / (c_conc * eps)**2), which is what
-    the decrease argument actually consumes, when sigma is known.  A size
-    above MAX_DRAWS, or one that is not finite, raises SizeOutOfRange.
+    in (0, 3/2); the c_h windows depend on the tolerances and the mode and are
+    checked by check_run.  Inside them c_h < 1 (and c_h < 3/4 in stochastic
+    mode), so both decrease constants are positive.
     """
 
     c_h: float = 0.5
-    s_mult: float = 4.0
-    c_conc: float = 0.25
 
     def __post_init__(self):
         if not (0.0 < self.c_h < 1.5):
             raise ConfigError(f"c_h must lie in (0, 3/2), got {self.c_h}")
-        for name in ("s_mult", "c_conc"):
-            val = getattr(self, name)
-            if not (0.0 < val < math.inf):
-                raise NonPositiveConstant(f"{name} must be positive and finite, got {val}")
 
     @property
     def c_prime_det(self) -> float:
@@ -63,18 +55,25 @@ class EscapeConfig:
     def c_prime_stoch(self) -> float:
         return self.c_h ** 2 / 4.0 - self.c_h ** 3 / 3.0
 
-    def subsample_size(self, tol: ToleranceConfig, smooth: SmoothnessSpec) -> int:
-        log_term = math.log(1.0 / tol.delta)
-        size = checked_size("escape subsample size",
-                            lambda: self.s_mult * log_term / tol.eps_h ** 2,
-                            s_mult=self.s_mult, delta=tol.delta, eps_h=tol.eps_h)
-        if smooth.sigma is None:
-            return size
-        return max(size, checked_size(
-            "escape concentration size",
-            lambda: self.s_mult * smooth.sigma ** 2 * log_term / (self.c_conc * tol.eps) ** 2,
-            s_mult=self.s_mult, sigma=smooth.sigma, delta=tol.delta, c_conc=self.c_conc,
-            eps=tol.eps))
+
+def subsample_size(tol: ToleranceConfig, smooth: SmoothnessSpec) -> int:
+    """Draws of the stochastic escape's gradient-sign subsample.
+
+    ceil(S_MULT * log(1/delta) / eps_h**2), raised to the concentration size
+    ceil(S_MULT * sigma**2 * log(1/delta) / (C_CONC * eps)**2), which is what
+    the decrease argument actually consumes, when sigma is known.  A size above
+    MAX_DRAWS, or one that is not finite, raises SizeOutOfRange.
+    """
+    log_term = math.log(1.0 / tol.delta)
+    size = checked_size("escape subsample size",
+                        lambda: S_MULT * log_term / tol.eps_h ** 2,
+                        delta=tol.delta, eps_h=tol.eps_h)
+    if smooth.sigma is None:
+        return size
+    return max(size, checked_size(
+        "escape concentration size",
+        lambda: S_MULT * smooth.sigma ** 2 * log_term / (C_CONC * tol.eps) ** 2,
+        sigma=smooth.sigma, delta=tol.delta, eps=tol.eps))
 
 
 def check_run(oracle, tol: ToleranceConfig, smooth: SmoothnessSpec, esc: EscapeConfig,
@@ -112,15 +111,15 @@ def check_run(oracle, tol: ToleranceConfig, smooth: SmoothnessSpec, esc: EscapeC
             f"c_h={esc.c_h} outside the gradient-growth window ({lo:.6g}, {hi:.6g})"
         )
     if mode == "stochastic":
-        lo_s = math.sqrt(6.0 * esc.c_conc * smooth.rho_eff * tol.eps / tol.eps_h ** 2)
+        lo_s = math.sqrt(6.0 * C_CONC * smooth.rho_eff * tol.eps / tol.eps_h ** 2)
         if not (lo_s <= esc.c_h < 0.75):
             raise ConfigError(
-                f"stochastic mode needs sqrt(6*c_conc*rho_eff*eps/eps_h**2) <= c_h < 3/4,"
+                f"stochastic mode needs sqrt(6*C_CONC*rho_eff*eps/eps_h**2) <= c_h < 3/4,"
                 f" i.e. {lo_s:.6g} <= c_h < 0.75, got {esc.c_h}"
             )
     finder_sizes(mode, oracle, tol.eps_h, tol.delta, smooth.L, ncfg)
     if mode == "stochastic":
-        esc.subsample_size(tol, smooth)
+        subsample_size(tol, smooth)
     if mode == "finite_sum":
         n = oracle.n_components
         checked_size("finite-sum anchor table rows", lambda: n, n=n)
@@ -187,13 +186,13 @@ def one_step_stochastic(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,
                         ncfg: NcConfig = NcConfig()) -> EscapeResult:
     """Single escape step with a subsampled gradient for the sign adjustment.
 
-    Draws a fresh minibatch (size per EscapeConfig.subsample_size) to estimate
+    Draws a fresh minibatch (size per subsample_size) to estimate
     the gradient; the step direction satisfies g_hat . v <= 0.
     """
     return _one_step(oracle, x, tol, smooth, esc, rng, ncfg, "stochastic",
                      approx_nc_stochastic,
                      lambda oracle: oracle.sample_gradient_batch(
-                         x, esc.subsample_size(tol, smooth), rng))
+                         x, subsample_size(tol, smooth), rng))
 
 
 def one_step_finite_sum(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,

@@ -61,8 +61,6 @@ class ExperimentConfig:
     noise_sigma: Optional[float] = None  # gradient noise added in stochastic mode
     # escape
     c_h: float = EscapeConfig.c_h
-    s_mult: float = EscapeConfig.s_mult
-    c_conc: float = EscapeConfig.c_conc
     # negative-curvature finder
     nc_engine: str = NcConfig.engine
     nc_budget_mult: float = NcConfig.budget_mult
@@ -184,7 +182,7 @@ def build_configs(cfg: ExperimentConfig, spec: ProblemSpec):
             raise ConfigError(f"h_star = 2*sigma**2 overflows for sigma={sigma};"
                               " set h_star") from None
         smooth = dataclasses.replace(smooth, h_star=h_star)
-    esc = EscapeConfig(c_h=cfg.c_h, s_mult=cfg.s_mult, c_conc=cfg.c_conc)
+    esc = EscapeConfig(c_h=cfg.c_h)
     ncfg = NcConfig(budget_mult=cfg.nc_budget_mult, engine=cfg.nc_engine)
     return tol, smooth, esc, ncfg
 
@@ -428,8 +426,8 @@ def verify_nc_suite(d: int = 50, trials: int = 200, eps_h: float = 0.5,
     if engine not in NC_THRESHOLDS:
         raise ConfigError(f"unknown engine {engine!r}; options: {sorted(NC_THRESHOLDS)}")
     for name, value in (("d", d), ("trials", trials)):
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
+        if not (is_integer(value) and value >= 1):
+            raise ConfigError(f"{name} must be >= 1, got {value!r} (integers only)")
     for name, value, high in (("eps_h", eps_h, math.inf), ("delta", delta, 1.0)):
         if not 0.0 < value < high:
             raise ConfigError(f"{name} must lie in (0, {high:g}), got {value}")
@@ -482,9 +480,9 @@ def verify_nc_suite(d: int = 50, trials: int = 200, eps_h: float = 0.5,
 
 
 def inject_asymmetric_probe(d: int = 10, seed: int = 0):
-    """Drive the Lanczos symmetry probe with a deliberately asymmetric operator (d >= 2)."""
-    if d < 2:
-        raise ConfigError(f"d must be >= 2 for an asymmetric operator, got {d}")
+    """Drive the Lanczos symmetry probe with a deliberately asymmetric operator (int d >= 2)."""
+    if not (is_integer(d) and d >= 2):
+        raise ConfigError(f"d must be >= 2 for an asymmetric operator, got {d!r} (integers only)")
     rng = _suite_rng(seed)
     A = rng.standard_normal((d, d))
     A[0, 1] += 5.0  # guarantee asymmetry

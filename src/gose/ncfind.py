@@ -35,7 +35,7 @@ from scipy.linalg.lapack import dstebz, dstein
 
 from .core import (AsymmetricOperator, BudgetZero, ConfigError, LapackFailure,
                    NonFiniteMeasurement, NonPositiveConstant, as_counting,
-                   check_mode, check_point, checked_size)
+                   check_mode, check_point, checked_size, is_integer)
 
 BOTTOM = "bottom"
 DIRECTION = "direction"
@@ -216,10 +216,10 @@ def lanczos_min_eig(hvp: Callable, d: int, max_matvecs: int,
     """Bottom Ritz pair of a symmetric operator given only v -> H v.
 
     Random unit start, full reorthogonalization, at most max_matvecs matvecs
-    in the loop (capped at d, where the Krylov space is exact); max_matvecs
-    below 1 raises BudgetZero before any matvec.  Stops early on an invariant
-    subspace or once the bottom Ritz residual |b * y[-1]| is at most
-    1e-12 * max(1, |theta|).  The returned eigenvalue
+    in the loop (capped at d, where the Krylov space is exact); a max_matvecs
+    that is not an integer >= 1 raises BudgetZero before any matvec.  Stops
+    early on an invariant subspace or once the bottom Ritz residual
+    |b * y[-1]| is at most 1e-12 * max(1, |theta|).  The returned eigenvalue
     is recomputed as v' H v with one extra matvec at exit, so it is a true
     Rayleigh quotient of the returned unit vector.
 
@@ -259,8 +259,8 @@ def lanczos_min_eig(hvp: Callable, d: int, max_matvecs: int,
     value is NaN or infinite.  probe_tol of None skips the symmetry probe,
     which is meaningless for operators that resample noise on every call.
     """
-    if max_matvecs < 1:
-        raise BudgetZero(f"max_matvecs must be >= 1, got {max_matvecs}")
+    if not (is_integer(max_matvecs) and max_matvecs >= 1):
+        raise BudgetZero(f"max_matvecs must be >= 1 and an integer, got {max_matvecs!r}")
     if probe_tol is not None:
         _symmetry_probe(hvp, d, rng, probe_tol)
 

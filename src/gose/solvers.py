@@ -143,8 +143,9 @@ def estimate_variance_bound(oracle, x, rng: np.random.Generator,
     Twice the empirical mean squared deviation of `samples` (>= 2) stochastic
     gradients drawn at x; the factor two is slack for the pilot being local.
     """
-    if samples < 2:
-        raise ConfigError(f"samples must be >= 2 (one draw has no variance), got {samples}")
+    if not (is_integer(samples) and samples >= 2):
+        raise ConfigError(f"samples must be >= 2 and an integer (one draw has no variance),"
+                          f" got {samples!r}")
     oracle = as_counting(oracle)
     draws = np.stack([oracle.sample_gradient(x, rng) for _ in range(samples)])
     mean = draws.mean(axis=0)
@@ -327,10 +328,13 @@ def guarded_agd(oracle, x0, L: float, eps: float,
 SOLVERS = {"agd": guarded_agd, "gd": gd_to_stationarity}
 
 
-def check_solver(choice: str) -> None:
-    """Reject a solver name SOLVERS does not list."""
+def check_solver(choice: str, max_iters: int) -> None:
+    """Reject a solver name SOLVERS does not list, and a max_iters not an integer >= 1."""
     if choice not in SOLVERS:
         raise ConfigError(f"unknown solver {choice!r}; options: {list(SOLVERS)}")
+    if not (is_integer(max_iters) and max_iters >= 1):
+        raise NonPositiveConstant(f"solver_max_iters must be >= 1 and an integer,"
+                                  f" got {max_iters!r}")
 
 
 def run_solver(choice: str, oracle, x0, L: float, eps: float,
@@ -338,5 +342,5 @@ def run_solver(choice: str, oracle, x0, L: float, eps: float,
                g0: Optional[np.ndarray] = None,
                f0: Optional[float] = None) -> SolveResult:
     """Run the solver SOLVERS names; g0 and f0, when given, are the gradient and value at x0."""
-    check_solver(choice)
+    check_solver(choice, max_iters)
     return SOLVERS[choice](oracle, x0, L, eps, max_iters, g0, f0)

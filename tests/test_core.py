@@ -105,6 +105,24 @@ def test_max_outer_must_be_an_integer(max_outer):
     assert ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=np.int64(3)).max_outer == 3
 
 
+@pytest.mark.parametrize("sizes, named", [
+    ({"dimension": 2.5}, "dimension must be >= 1 and an integer, got 2.5"),
+    ({"dimension": True}, "dimension must be >= 1 and an integer, got True"),
+    ({"dimension": 0}, "dimension must be >= 1 and an integer, got 0"),
+    ({"dimension": 3, "n_components": 3.7}, "n_components must be >= 0 and an integer, got 3.7"),
+    ({"dimension": 3, "n_components": -1}, "n_components must be >= 0 and an integer, got -1"),
+], ids=["dimension_fraction", "dimension_bool", "dimension_zero", "n_components_fraction",
+        "n_components_negative"])
+def test_oracle_sizes_must_be_integers(sizes, named):
+    # never truncated: dimension=2.5 gave a 2-dimensional oracle
+    with pytest.raises(NonPositiveConstant, match=re.escape(named)):
+        ObjectiveOracle(value=lambda x: 0.0, gradient=lambda x: x,
+                        component_gradient=lambda i, x: x, **sizes)
+    oracle = ObjectiveOracle(np.int64(3), lambda x: 0.0, lambda x: x,
+                             n_components=np.int32(4), component_gradient=lambda i, x: x)
+    assert (oracle.dimension, oracle.n_components) == (3, 4)
+
+
 def test_validate_rejects_bad_smoothness():
     for kwargs in ({"L": 0.0}, {"L": 1.0, "rho": -1.0}, {"L": 1.0, "rho": math.inf},
                    {"L": 1.0, "h_star": -1.0}):

@@ -8,6 +8,7 @@ import pytest
 
 import gose.drivers
 import gose.harness
+import gose.solvers
 from gose import (EscapeConfig, NcConfig, ObjectiveOracle, SmoothnessSpec,
                   ToleranceConfig, amplify, approx_nc_deterministic, approx_nc_finite_sum,
                   approx_nc_stochastic, as_counting, certify_second_order,
@@ -16,7 +17,8 @@ from gose import (EscapeConfig, NcConfig, ObjectiveOracle, SmoothnessSpec,
                   one_step_finite_sum, one_step_stochastic, with_gradient_noise)
 from gose.core import (STATUS_BUDGET, STATUS_FIRST_ORDER, STATUS_SECOND_ORDER,
                        ConfigError, EvalCounters, MalformedOracleOutput,
-                       NonFiniteMeasurement, NotFiniteSum, NotStochastic)
+                       NonFiniteMeasurement, NonPositiveConstant, NotFiniteSum,
+                       NotStochastic)
 from gose.drivers import LARGE, SMALL
 from gose.harness import ExperimentConfig, always_probe_baseline, run_one
 from gose.problems import as_finite_sum, make_nonconvex_pca
@@ -166,6 +168,25 @@ def test_threshold_deterministic_branches_at_eps():
     report = gose_deterministic(oracle, np.zeros(3), tol, smooth,
                                 rng=np.random.default_rng(0), solver_max_iters=5)
     assert report.trace[0].branch == LARGE
+
+
+@pytest.mark.parametrize("max_iters", [2.5, 0, -3, True])
+def test_solver_max_iters_must_be_an_integer(max_iters):
+    # checked at entry: 2.5 reached range() as a bare TypeError, 0 and -3
+    # ended the run budget_exhausted
+    chain = get_problem("chained_saddles", d=5)
+    oracle = as_counting(chain.oracle)
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5)
+    smooth = SmoothnessSpec(L=chain.known_L, rho=1.0)
+    match = f"solver_max_iters must be >= 1 and an integer, got {max_iters!r}"
+    with pytest.raises(NonPositiveConstant, match=re.escape(match)):
+        gose_deterministic(oracle, chain.x0 + 0.3, tol, smooth, rng=np.random.default_rng(0),
+                           solver_max_iters=max_iters)
+    for solver in sorted(gose.solvers.SOLVERS):
+        with pytest.raises(NonPositiveConstant, match=re.escape(match)):
+            gose.solvers.run_solver(solver, oracle, chain.x0 + 0.3, chain.known_L, 0.01,
+                                    max_iters)
+    assert oracle.counters == EvalCounters()
 
 
 def test_threshold_stochastic_branches_at_half_eps():

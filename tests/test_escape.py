@@ -11,7 +11,7 @@ from gose import (EscapeConfig, NcConfig, ObjectiveOracle, SmoothnessSpec,
                   with_gradient_noise)
 from gose.core import (ConfigError, EvalCounters, NotFiniteSum, NotStochastic,
                        SizeOutOfRange)
-from gose.escape import check_run
+from gose.escape import check_run, subsample_size
 from gose.problems import as_finite_sum
 from conftest import planted_symmetric
 
@@ -97,15 +97,14 @@ def test_stochastic_window_keeps_decrease_constant_positive():
 
 
 def test_subsample_size_rules():
-    esc = EscapeConfig(s_mult=4.0, c_conc=0.25)
-    size_h = esc.subsample_size(TOL, UNIT_RHO)  # no sigma: the eps_h size
+    size_h = subsample_size(TOL, UNIT_RHO)  # no sigma: the eps_h size
     assert size_h == math.ceil(4.0 * math.log(1 / 0.01) / 0.25)
     smooth = SmoothnessSpec(L=1.0, rho=1.0, sigma=0.1)
     size_e = math.ceil(4.0 * 0.01 * math.log(100) / (0.25 * 0.01) ** 2)
     assert size_e > size_h
-    assert esc.subsample_size(TOL, smooth) == max(size_h, size_e)
+    assert subsample_size(TOL, smooth) == max(size_h, size_e)
     tiny_sigma = SmoothnessSpec(L=1.0, rho=1.0, sigma=1e-6)
-    assert esc.subsample_size(TOL, tiny_sigma) == size_h  # never below the eps_h size
+    assert subsample_size(TOL, tiny_sigma) == size_h  # never below the eps_h size
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +244,9 @@ def test_one_step_stochastic_checks_subsample_size_before_the_finder():
                        spectrum=[-1.0, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.0])
     co = as_counting(with_gradient_noise(bowl, sigma=0.05).oracle)
     tol = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.1)
-    smooth = SmoothnessSpec(L=7.0, rho=1.0, sigma=0.05)
-    with pytest.raises(SizeOutOfRange, match=r"s_mult=1e\+300"):
-        one_step_stochastic(co, bowl.x0, tol, smooth, EscapeConfig(s_mult=1e300),
+    smooth = SmoothnessSpec(L=7.0, rho=1.0, sigma=100.0)  # concentration size past MAX_DRAWS
+    with pytest.raises(SizeOutOfRange, match=r"sigma=100\.0"):
+        one_step_stochastic(co, bowl.x0, tol, smooth, EscapeConfig(),
                             np.random.default_rng(0))
     assert co.counters == EvalCounters()
     assert co.counters.work_units() == 0 and co.counters.nc_calls == 0

@@ -8,13 +8,15 @@ import re
 import numpy as np
 import pytest
 
+import gose
 import gose.harness
 from gose.cli import _build_parser, main
-from gose.core import ConfigError, EvalCounters
+from gose.core import BudgetZero, ConfigError, EvalCounters
 from gose.harness import (NC_THRESHOLDS, ExperimentConfig, OUT_ENV_VAR,
                           always_probe_baseline, build_configs, build_problem,
                           resolve_out_dir, run_experiment, run_one, run_sweep,
-                          summary_line, trace_table, verify_nc_suite)
+                          inject_asymmetric_probe, summary_line, trace_table,
+                          verify_nc_suite)
 from gose import (EscapeConfig, NcConfig, SmoothnessSpec, ToleranceConfig, as_counting,
                   derive_scsg_params, get_problem, gose_deterministic,
                   gose_finite_sum, gose_stochastic)
@@ -380,15 +382,14 @@ PCA_CFG = {
 
 # settings outside their config's range: a config error before any oracle work
 OUT_OF_RANGE_CASES = [
-    pytest.param({**NOISY_BOWL_CFG, "c_conc": 0}, "c_conc", id="c_conc_zero"),
     pytest.param({**PCA_CFG, "nc_budget_mult": 0}, "budget_mult", id="budget_finite_sum"),
     pytest.param({**NOISY_BOWL_CFG, "nc_engine": "oja", "nc_budget_mult": 0}, "budget_mult",
                  id="budget_oja"),
     pytest.param({**CHAINED_ORIGIN_CFG, "problem_params": {"d": 5}, "nc_budget_mult": 0},
                  "budget_mult", id="budget_deterministic"),
-    pytest.param({**NOISY_BOWL_CFG, "s_mult": -1}, "s_mult", id="s_mult_negative"),
-    pytest.param({**NOISY_BOWL_CFG, "s_mult": 0}, "s_mult", id="s_mult_zero"),
     pytest.param({**NOISY_BOWL_CFG, "scsg_b": 0}, "scsg_b", id="scsg_b_zero"),
+    pytest.param({**CHAINED_ORIGIN_CFG, "solver_max_iters": 0}, "solver_max_iters",
+                 id="solver_max_iters_zero"),
     pytest.param({**NOISY_BOWL_CFG, "scsg_B": 0}, "scsg_B", id="scsg_B_zero"),
     # NaN and inf, which JSON configs can carry, are out of every range
     pytest.param({**CHAINED_ORIGIN_CFG, "rho": math.nan}, "rho must", id="rho_nan"),
@@ -423,8 +424,12 @@ PROBLEM_INPUT_CASES = [
 # settings inside their ranges whose sizes divide by zero, overflow or pass
 # MAX_DRAWS on the noisy bowl: a config error naming the setting and its value
 SIZE_OUT_OF_RANGE_CASES = [
-    pytest.param({**NOISY_BOWL_CFG, "c_conc": 1e-200}, "c_conc=1e-200", id="c_conc_tiny"),
-    pytest.param({**NOISY_BOWL_CFG, "s_mult": 1e300}, "s_mult=1e+300", id="s_mult_huge"),
+    # the escape's concentration size, not finite and past MAX_DRAWS: sigma
+    # reaches it, with h_star set so that SCSG's B stays finite
+    pytest.param({**NOISY_BOWL_CFG, "h_star": 0.005, "sigma": 1e200}, "sigma=1e+200",
+                 id="c_conc_tiny"),
+    pytest.param({**NOISY_BOWL_CFG, "h_star": 0.005, "sigma": 100.0}, "sigma=100.0",
+                 id="s_mult_huge"),
     pytest.param({**NOISY_BOWL_CFG, "nc_budget_mult": 1e308}, "budget_mult=1e+308",
                  id="budget_mult_huge"),
     pytest.param({**NOISY_BOWL_CFG, "eps": 1e-200}, "eps=1e-200", id="eps_tiny"),
@@ -453,7 +458,8 @@ def test_out_of_range_setting_raises_before_any_oracle_work(cfg, named):
     with pytest.raises(ConfigError, match=re.escape(named)):
         tol, smooth, esc, ncfg = build_configs(cfg, spec)
         if cfg.mode == "deterministic":
-            gose_deterministic(oracle, spec.x0, tol, smooth, esc, rng=rng, ncfg=ncfg)
+            gose_deterministic(oracle, spec.x0, tol, smooth, esc, rng=rng, ncfg=ncfg,
+                               solver_max_iters=cfg.solver_max_iters)
         else:
             scsg = derive_scsg_params(tol, smooth, cfg.mode, n=oracle.n_components,
                                       B_override=cfg.scsg_B, b_override=cfg.scsg_b)
@@ -484,9 +490,11 @@ def test_run_defaults_are_the_library_defaults():
     assert cfg.solver_max_iters == solver["solver_max_iters"].default
 
 
-@pytest.mark.parametrize("name, value", [("s_rule", "auto"), ("c1", 1.0), ("rho_min", 1e-3)])
+@pytest.mark.parametrize("name, value", [("s_rule", "auto"), ("c1", 1.0), ("rho_min", 1e-3),
+                                         ("s_mult", 4.0), ("c_conc", 0.25)])
 def test_cli_run_rejects_removed_field(tmp_path, capsys, name, value):
-    # the escape subsample has one rule; c1 and rho_min only rescaled rho
+    # the escape subsample has one rule and fixed constants; c1 and rho_min
+    # only rescaled rho
     path = write_cfg(tmp_path, {**CONVEX_CFG, name: value})
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert f"unknown config fields: ['{name}']" in capsys.readouterr().err
@@ -635,6 +643,29 @@ def test_cli_verify_nc_asymmetric_injection_needs_two_dimensions(capsys, d):
     assert main(["verify-nc", "--inject-asymmetric", "--d", str(d)]) == 2
     err = capsys.readouterr().err
     assert f"config error: d must be >= 2 for an asymmetric operator, got {d}" in err
+
+
+def _never(*args):
+    raise AssertionError("called before the argument check")
+
+
+@pytest.mark.parametrize("call, error, named", [
+    (lambda: gose.amplify(_never, 2.5, _never), ConfigError, "reps must be >= 1, got 2.5"),
+    (lambda: gose.estimate_variance_bound(_never, np.zeros(2), np.random.default_rng(0),
+                                          samples=2.5),
+     ConfigError, "samples must be >= 2 and an integer"),
+    (lambda: gose.lanczos_min_eig(_never, 2, 2.5, np.random.default_rng(0)), BudgetZero,
+     "max_matvecs must be >= 1 and an integer, got 2.5"),
+    (lambda: verify_nc_suite(d=2.5), ConfigError, "d must be >= 1, got 2.5"),
+    (lambda: verify_nc_suite(trials=2.5), ConfigError, "trials must be >= 1, got 2.5"),
+    (lambda: inject_asymmetric_probe(d=2.5), ConfigError,
+     "d must be >= 2 for an asymmetric operator, got 2.5"),
+], ids=["amplify", "estimate_variance_bound", "lanczos_min_eig", "verify_nc_suite_d",
+        "verify_nc_suite_trials", "inject_asymmetric_probe"])
+def test_integer_arguments_reject_a_fraction(call, error, named):
+    # each was a bare TypeError from range() or numpy
+    with pytest.raises(error, match=re.escape(named)):
+        call()
 
 
 def test_cli_sweep(tmp_path, capsys):
