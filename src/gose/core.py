@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it lazily; every run draws from it
 
 
 # ---------------------------------------------------------------------------

@@ -22,16 +22,24 @@ Thm 4.2, constant 1.648), which det_max_matvecs also rests on, puts
 lambda_min above -eps_h/2 with probability 1 - delta given ||H|| <= L (the
 settled exit of lanczos_min_eig).  The sampling engines resample on every
 matvec, so the bound does not hold for them; they stop early on neither side.
+
+The Ritz solves need two LAPACK routines, dstebz and dstein, and nothing else
+of scipy.  _load_lapack takes them from scipy's compiled scipy/linalg/_flapack
+module, loaded by its path: importing them through scipy.linalg would run that
+package's whole init (array-API shims, numpy.testing, numpy.f2py), about two
+thirds of gose's import time and 18 MB, before any oracle call.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dstebz, dstein
 
 from .core import (AsymmetricOperator, BudgetZero, ConfigError, LapackFailure,
                    NonFiniteMeasurement, NonPositiveConstant, as_counting,
@@ -43,6 +51,35 @@ DIRECTION = "direction"
 _BREAKDOWN = 1e-13
 _RESID_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
+
+
+def _load_lapack():
+    """(dstebz, dstein) from scipy's compiled scipy/linalg/_flapack, loaded by path.
+
+    find_spec("scipy") locates scipy without running its __init__.  The module
+    is loaded under its own name, scipy.linalg._flapack, and an extension
+    module is initialised once per process, so a later import of scipy.linalg
+    hands out the same routines.  Where the file is not found, or will not
+    load outside its package, they come through scipy.linalg.lapack.
+    """
+    spec = importlib.util.find_spec("scipy")
+    for folder in spec.submodule_search_locations if spec else []:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "linalg", "_flapack" + suffix)
+            if not os.path.isfile(path):
+                continue
+            flapack = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            try:
+                module = importlib.util.module_from_spec(flapack)
+                flapack.loader.exec_module(module)
+            except ImportError:
+                break
+            return module.dstebz, module.dstein
+    from scipy.linalg.lapack import dstebz, dstein
+    return dstebz, dstein
+
+
+dstebz, dstein = _load_lapack()
 
 
 @dataclass
@@ -196,7 +233,9 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray):
     dstein (inverse iteration) its eigenvector: the routines and arguments of
     scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0)),
     bit for bit, without that wrapper's argument checks (d and e must be
-    finite float64 vectors).
+    finite float64 vectors).  The two routines are scipy's own, loaded from
+    its compiled _flapack module by path (_load_lapack), so a run never
+    imports scipy.linalg.
     """
     _, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
     if info != 0:

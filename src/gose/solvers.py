@@ -235,6 +235,18 @@ def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
     return y.copy()
 
 
+def _check_max_iters(max_iters: int, name: str) -> None:
+    if not (is_integer(max_iters) and max_iters >= 1):
+        raise NonPositiveConstant(f"{name} must be >= 1 and an integer, got {max_iters!r}")
+
+
+def _check_solve_args(L: float, max_iters: int) -> None:
+    """A solver's checks before any oracle call: L in (0, inf), max_iters an integer >= 1."""
+    if not 0.0 < L < math.inf:
+        raise NonPositiveConstant(f"L must be positive and finite, got {L}")
+    _check_max_iters(max_iters, "max_iters")
+
+
 def gd_to_stationarity(oracle, x0, L: float, eps: float,
                        max_iters: int = DEFAULT_MAX_ITERS,
                        g0: Optional[np.ndarray] = None,
@@ -245,10 +257,10 @@ def gd_to_stationarity(oracle, x0, L: float, eps: float,
     last iterate is returned with converged=False (its gradient is measured,
     costing one extra eval).  g0, when given, is the gradient at x0 and is
     used in place of measuring it.  f0, the value at x0, is ignored: gradient
-    descent reads no values.
+    descent reads no values.  An L outside (0, inf) or a max_iters that is
+    not an integer >= 1 raises NonPositiveConstant before any oracle call.
     """
-    if L <= 0.0:
-        raise NonPositiveConstant(f"L must be positive, got {L}")
+    _check_solve_args(L, max_iters)
     oracle = as_counting(oracle)
     x = np.asarray(x0, float)
     g = g0
@@ -281,10 +293,10 @@ def guarded_agd(oracle, x0, L: float, eps: float,
     is x0 + 0 * 0, and g0 serves for it where that is x0 bit for bit (adding
     zero turns a -0.0 entry into +0.0, which is then measured).  f0, when
     given, is f(x0) and is used in place of evaluating it.  Every point it
-    returns has been valued, and the result carries that value.
+    returns has been valued, and the result carries that value.  L and
+    max_iters are checked as in gd_to_stationarity.
     """
-    if L <= 0.0:
-        raise NonPositiveConstant(f"L must be positive, got {L}")
+    _check_solve_args(L, max_iters)
     oracle = as_counting(oracle)
     x = np.asarray(x0, float)
     x_prev = x.copy()
@@ -332,9 +344,7 @@ def check_solver(choice: str, max_iters: int) -> None:
     """Reject a solver name SOLVERS does not list, and a max_iters not an integer >= 1."""
     if choice not in SOLVERS:
         raise ConfigError(f"unknown solver {choice!r}; options: {list(SOLVERS)}")
-    if not (is_integer(max_iters) and max_iters >= 1):
-        raise NonPositiveConstant(f"solver_max_iters must be >= 1 and an integer,"
-                                  f" got {max_iters!r}")
+    _check_max_iters(max_iters, "solver_max_iters")
 
 
 def run_solver(choice: str, oracle, x0, L: float, eps: float,

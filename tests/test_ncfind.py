@@ -1,4 +1,10 @@
+import ast
+import importlib.machinery
+import importlib.util
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -120,6 +126,61 @@ def test_eigh_tridiagonal_matches_scipy_bit_for_bit():
 def test_eigh_tridiagonal_lapack_failure_is_typed():
     with pytest.raises(LapackFailure, match="dstebz returned info="):
         eigh_tridiagonal(np.array([np.nan, 1.0, 2.0]), np.array([1.0, 0.5]))
+
+
+# one small run per mode, in a fresh interpreter: scipy.linalg is never imported
+NO_SCIPY_LINALG = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import gose, gose.cli
+from gose import harness
+base = {"eps": 0.01, "eps_h": 0.5, "rho": 1.0, "delta": 0.1}
+configs = [
+    {"problem": "quadratic_saddle", "mode": "deterministic", "L": 2.0,
+     "problem_params": {"d": 3, "spectrum": [0.5, 1.0, 2.0], "seed": 1}},
+    {"problem": "bowl_saddle", "mode": "stochastic", "L": 7.0, "noise_sigma": 0.05,
+     "sigma": 0.05, "scsg_b": 32, "max_outer": 3,
+     "problem_params": {"d": 4, "spectrum": [-1.0, 0.5, 0.8, 1.0], "q": 0.5, "seed": 3}},
+    {"problem": "nonconvex_pca", "mode": "finite_sum", "L": 8.0,
+     "problem_params": {"n": 20, "d": 4, "seed": 13}},
+]
+for cfg in configs:
+    report, _ = harness.run_one(harness.ExperimentConfig.from_dict({**base, **cfg}), 0)
+    assert report.certificate.counters.nc_calls >= 1, cfg
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_runs_in_every_mode_never_import_scipy_linalg():
+    src = os.path.dirname(os.path.dirname(gose.ncfind.__file__))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_LINALG, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+    assert "scipy.linalg" not in loaded
+
+
+def test_lapack_routines_are_scipys():
+    import scipy.linalg.lapack
+    assert gose.ncfind.dstebz is scipy.linalg.lapack.dstebz
+    assert gose.ncfind.dstein is scipy.linalg.lapack.dstein
+
+
+@pytest.mark.parametrize("flapack", [None, b"not a shared object"],
+                         ids=["not_found", "will_not_load"])
+def test_lapack_loader_falls_back_to_scipy_linalg(monkeypatch, tmp_path, flapack):
+    import scipy.linalg.lapack
+    (tmp_path / "linalg").mkdir()
+    if flapack is not None:
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        (tmp_path / "linalg" / f"_flapack{suffix}").write_bytes(flapack)
+    # the finder points scipy at a folder without a loadable _flapack
+    fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    fake.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake)
+    dstebz, dstein = gose.ncfind._load_lapack()
+    assert dstebz is scipy.linalg.lapack.dstebz
+    assert dstein is scipy.linalg.lapack.dstein
 
 
 def reference_lanczos(hvp, d, max_matvecs, rng, steps_out=None):

@@ -10,7 +10,7 @@ from gose import (ObjectiveOracle, ScsgConfig, SmoothnessSpec, ToleranceConfig,
                   as_counting, derive_scsg_params, estimate_variance_bound,
                   gd_to_stationarity, get_problem, guarded_agd,
                   sample_geometric, scsg_epoch, with_gradient_noise)
-from gose.core import (ConfigError, CountingOracle, EvalCounters, InvalidP,
+from gose.core import (ConfigError, CountingOracle, EvalCounters, GoseError, InvalidP,
                        MalformedOracleOutput, MissingVarianceBound, NonPositiveConstant,
                        NotFiniteSum, NotStochastic, SizeOutOfRange)
 from gose.problems import as_finite_sum
@@ -743,6 +743,20 @@ def test_run_solver_unknown_name():
     with pytest.raises(ConfigError, match=re.escape("unknown solver 'bogus'; options: ['agd', 'gd']")):
         run_solver("bogus", oracle, np.ones(2), 1.0, 0.01)
     assert oracle.counters == EvalCounters()
+
+
+@pytest.mark.parametrize("solver", [gd_to_stationarity, guarded_agd])
+@pytest.mark.parametrize("field, value", [
+    ("max_iters", 2.5), ("max_iters", 0), ("max_iters", -1),
+    ("L", math.nan), ("L", math.inf), ("L", 0.0), ("L", -1.0),
+])
+def test_solver_rejects_bad_budget_or_L_before_any_oracle_call(solver, field, value):
+    chain = get_problem("chained_saddles", d=5)
+    oracle = CountingOracle(chain.oracle)
+    kwargs = {"L": chain.known_L, "max_iters": 10, field: value}
+    with pytest.raises(GoseError, match=f"^{field} must be"):
+        solver(oracle, chain.x0 + 0.3, eps=1e-4, **kwargs)
+    assert oracle.counters.work_units() == 0
 
 
 def sign_of_zero_oracle():
