@@ -31,7 +31,7 @@ from .ncfind import (_EPS, NcConfig, approx_nc_deterministic, approx_nc_finite_s
 from .problems import (PROBLEM_FACTORIES, ProblemSpec, _planted_spectrum,
                        _quadratic_oracle, certify_second_order, get_problem,
                        with_gradient_noise)
-from .solvers import DEFAULT_MAX_ITERS, DEFAULT_SOLVER, derive_scsg_params
+from .solvers import DEFAULT_MAX_ITERS, DEFAULT_SOLVER, check_solver, derive_scsg_params
 
 OUT_ENV_VAR = "GOSE_OUT"
 DEFAULT_OUT = "gose_out"
@@ -82,6 +82,8 @@ class ExperimentConfig:
         if self.noise_sigma is not None and not 0.0 <= self.noise_sigma < math.inf:
             raise NonPositiveConstant(f"noise_sigma must be nonnegative and finite,"
                                       f" got {self.noise_sigma}")
+        # checked in every mode, though only the deterministic driver runs a solver
+        check_solver(self.solver_choice, self.solver_max_iters)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -4,14 +4,19 @@ Every factory returns a ProblemSpec whose oracle has analytic gradients and
 Hessian-vector products, so finite-difference synthesis can be cross-checked
 against it.  Declared L and rho are valid on the stated sampling box (they
 are global bounds there, not tight values).  certify_second_order is the
-brute-force ground truth used by the acceptance tests: dense Hessian from d
-HVP calls plus a symmetric eigendecomposition (the smallest diagonal entry
-when that Hessian is diagonal).
+brute-force ground truth used by the acceptance tests: dense Hessian
+assembled row by row from d HVP calls, symmetrized, plus a symmetric
+eigendecomposition (the smallest diagonal entry when that Hessian is
+diagonal).  Chained saddles build their d planted saddles on read, so the
+problem is O(d) to construct and hold, and their HVP keeps the curvature
+diagonal of the last point it saw.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -29,7 +34,7 @@ class ProblemSpec:
     known_rho: float
     box: tuple  # (lo, hi), sampled per coordinate by the spot checks
     known_minimum_value: Optional[float] = None
-    planted_saddles: list = field(default_factory=list)
+    planted_saddles: Sequence = field(default_factory=list)
     planted_minimum: Optional[np.ndarray] = None
     x0: Optional[np.ndarray] = None  # the start point; every factory sets one
 
@@ -151,6 +156,29 @@ def make_bowl_saddle(d: int = 2, spectrum=None, q: float = 0.5, seed: int = 0,
 # Chained saddles (coordinate-wise double-well quartics)
 
 
+class _ChainedSaddles(Sequence):
+    """The d planted saddles of chained saddles, read-only and built on read.
+
+    Saddle j (0 <= j < d) has ones in its first j coordinates and zeros after;
+    each read builds a fresh array, so holding the sequence costs O(1) memory
+    rather than the O(d^2) of d stored points.
+    """
+
+    def __init__(self, d: int):
+        self._d = d
+
+    def __len__(self) -> int:
+        return self._d
+
+    def __getitem__(self, j):
+        j = operator.index(j)
+        if not -self._d <= j < self._d:
+            raise IndexError(f"saddle index {j} out of range for d={self._d}")
+        s = np.zeros(self._d)
+        s[:j] = 1.0  # a negative j leaves d + j ones: saddle d + j
+        return s
+
+
 def make_chained_saddles(d: int, weights=None) -> ProblemSpec:
     """f(x) = sum_i a_i (x_i**2 - 1)**2: d strict saddles met in sequence.
 
@@ -169,20 +197,25 @@ def make_chained_saddles(d: int, weights=None) -> ProblemSpec:
     if a.shape != (d,) or a.min() <= 0.0:
         raise ConfigError("weights must be d positive reals")
 
+    four_a = 4.0 * a
+
     def value(x):
         return float(np.sum(a * (x ** 2 - 1.0) ** 2))
 
     def gradient(x):
-        return 4.0 * a * x * (x ** 2 - 1.0)
+        return four_a * x * (x ** 2 - 1.0)
+
+    # (bytes of the last point, the curvature diagonal there); one immutable
+    # pair, so a read that another caller races can only miss
+    last = [(None, None)]
 
     def hvp(x, v):
-        return a * (12.0 * x ** 2 - 4.0) * v
+        key = x.tobytes()
+        seen = last[0]
+        if seen[0] != key:
+            seen = last[0] = (key, a * (12.0 * x ** 2 - 4.0))
+        return seen[1] * v
 
-    saddles = [np.zeros(d)]
-    for j in range(1, d):
-        s = np.zeros(d)
-        s[:j] = 1.0
-        saddles.append(s)
     return ProblemSpec(
         name="chained_saddles",
         oracle=ObjectiveOracle(d, value, gradient, hvp=hvp),
@@ -190,7 +223,7 @@ def make_chained_saddles(d: int, weights=None) -> ProblemSpec:
         known_rho=36.0 * float(a.max()),
         box=(-1.5, 1.5),
         known_minimum_value=0.0,
-        planted_saddles=saddles,
+        planted_saddles=_ChainedSaddles(d),
         planted_minimum=np.ones(d),
         x0=np.zeros(d),
     )
@@ -519,16 +552,22 @@ def as_streaming(spec: ProblemSpec) -> ProblemSpec:
 
 
 def dense_hessian(oracle, x) -> np.ndarray:
-    """Assemble the Hessian column by column from d HVP calls, symmetrized."""
+    """Assemble the Hessian from d HVP calls, symmetrized: 0.5 (H' + H).
+
+    Row i of H is oracle.hvp(x, e_i), each call with its own fresh unit
+    vector, so an hvp that writes into its v argument cannot spoil a later
+    row.  d is capped at 500 (DimensionTooLarge).
+    """
     d = oracle.dimension
     if d > 500:
         raise DimensionTooLarge(f"dense certification capped at d=500, got {d}")
     x = np.asarray(x, float)
-    H = np.zeros((d, d))
-    eye = np.eye(d)
+    H = np.empty((d, d))
     for i in range(d):
-        H[:, i] = oracle.hvp(x, eye[i])
-    return 0.5 * (H + H.T)
+        e = np.zeros(d)
+        e[i] = 1.0
+        H[i] = oracle.hvp(x, e)
+    return 0.5 * (H.T + H)
 
 
 def certify_second_order(oracle, x, eps: float, eps_h: float):
@@ -536,10 +575,11 @@ def certify_second_order(oracle, x, eps: float, eps_h: float):
 
     Returns (ok, grad_norm, lambda_min) where ok means grad_norm <= eps and
     lambda_min >= -eps_h, with lambda_min from a dense symmetric
-    eigendecomposition.  A diagonal Hessian (a separable f, such as chained
-    saddles) has its eigenvalues on the diagonal, so there lambda_min is the
-    smallest diagonal entry, exactly, without the O(d^3) eigensolve and the
-    BLAS threads it starts.
+    eigendecomposition of the Hessian dense_hessian assembles (d HVP calls,
+    one row each; d <= 500, else DimensionTooLarge).  A diagonal Hessian (a
+    separable f, such as chained saddles) has its eigenvalues on the
+    diagonal, so there lambda_min is the smallest diagonal entry, exactly,
+    without the O(d^3) eigensolve and the BLAS threads it starts.
     """
     x = np.asarray(x, float)
     grad_norm = float(np.linalg.norm(oracle.gradient(x)))

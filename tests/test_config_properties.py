@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from gose import EscapeConfig, NcConfig, SmoothnessSpec, ToleranceConfig
 from gose.core import MODES, ConfigError, NonPositiveConstant
 from gose.harness import ExperimentConfig
+from gose.solvers import SOLVERS
 
 deterministic = settings(derandomize=True, database=None, deadline=None)
 
@@ -34,13 +35,15 @@ BY_ANNOTATION = {
     "Optional[str]": st.none() | st.text(),
 }
 
-# mode and noise_sigma are checked on construction, so only their valid
-# values build a config
+# mode, noise_sigma and the solver settings are checked on construction, so
+# only their valid values build a config
 experiment_configs = st.builds(
     ExperimentConfig,
     **{**{f.name: BY_ANNOTATION[f.type] for f in dataclasses.fields(ExperimentConfig)},
        "mode": st.sampled_from(MODES),
-       "noise_sigma": st.none() | st.floats(min_value=0.0, allow_infinity=False)},
+       "noise_sigma": st.none() | st.floats(min_value=0.0, allow_infinity=False),
+       "solver_choice": st.sampled_from(sorted(SOLVERS)),
+       "solver_max_iters": st.integers(min_value=1)},
 )
 
 
@@ -95,6 +98,22 @@ def test_experiment_config_rejects_exactly_unknown_mode(mode):
         assert mode not in MODES
     else:
         assert mode in MODES
+
+
+@deterministic
+@given(mode=st.sampled_from(MODES),
+       choice=st.sampled_from(sorted(SOLVERS)) | st.text(),
+       max_iters=st.integers(-2, 3) | st.floats(0.5, 3.0) | st.booleans())
+def test_experiment_config_rejects_exactly_bad_solver_settings(mode, choice, max_iters):
+    # every mode checks both solver settings, though only one mode runs a solver
+    bad = first_bad([("unknown solver", choice in SOLVERS),
+                     ("solver_max_iters", type(max_iters) is int and max_iters >= 1)])
+    try:
+        ExperimentConfig(mode=mode, solver_choice=choice, solver_max_iters=max_iters)
+    except ConfigError as exc:
+        assert bad is not None and bad in str(exc)
+    else:
+        assert bad is None
 
 
 def first_bad(checks):

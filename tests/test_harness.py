@@ -390,6 +390,13 @@ OUT_OF_RANGE_CASES = [
     pytest.param({**NOISY_BOWL_CFG, "scsg_b": 0}, "scsg_b", id="scsg_b_zero"),
     pytest.param({**CHAINED_ORIGIN_CFG, "solver_max_iters": 0}, "solver_max_iters",
                  id="solver_max_iters_zero"),
+    # the sampling modes run no solver, and still check both solver settings
+    pytest.param({**NOISY_BOWL_CFG, "solver_max_iters": 0}, "solver_max_iters",
+                 id="solver_max_iters_zero_stochastic"),
+    pytest.param({**PCA_CFG, "solver_max_iters": -1}, "solver_max_iters",
+                 id="solver_max_iters_negative_finite_sum"),
+    pytest.param({**PCA_CFG, "solver_choice": "bogus"}, "unknown solver 'bogus'",
+                 id="solver_choice_finite_sum"),
     pytest.param({**NOISY_BOWL_CFG, "scsg_B": 0}, "scsg_B", id="scsg_B_zero"),
     # NaN and inf, which JSON configs can carry, are out of every range
     pytest.param({**CHAINED_ORIGIN_CFG, "rho": math.nan}, "rho must", id="rho_nan"),
@@ -450,12 +457,14 @@ def test_cli_run_rejects_out_of_range_setting(tmp_path, capsys, cfg, named):
 @pytest.mark.parametrize("cfg, named", OUT_OF_RANGE_CASES + SIZE_OUT_OF_RANGE_CASES)
 def test_out_of_range_setting_raises_before_any_oracle_work(cfg, named):
     # the drivers compute every size the run draws at entry, so a size out of
-    # range fails as early as a setting out of range
-    cfg = ExperimentConfig.from_dict(cfg)
-    spec = build_problem(cfg)
-    oracle = as_counting(spec.oracle)
+    # range fails as early as a setting out of range; the solver settings fail
+    # earlier still, when the config is made, before any problem is built
+    oracle = None
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigError, match=re.escape(named)):
+        cfg = ExperimentConfig.from_dict(cfg)
+        spec = build_problem(cfg)
+        oracle = as_counting(spec.oracle)
         tol, smooth, esc, ncfg = build_configs(cfg, spec)
         if cfg.mode == "deterministic":
             gose_deterministic(oracle, spec.x0, tol, smooth, esc, rng=rng, ncfg=ncfg,
@@ -465,7 +474,20 @@ def test_out_of_range_setting_raises_before_any_oracle_work(cfg, named):
                                       B_override=cfg.scsg_B, b_override=cfg.scsg_b)
             driver = gose_stochastic if cfg.mode == "stochastic" else gose_finite_sum
             driver(oracle, spec.x0, tol, smooth, esc, scsg_cfg=scsg, rng=rng, ncfg=ncfg)
-    assert oracle.counters == EvalCounters()
+    assert oracle is None or oracle.counters == EvalCounters()
+
+
+@pytest.mark.parametrize("cfg", [
+    {**NOISY_BOWL_CFG, "solver_choice": "bogus"},
+    {**PCA_CFG, "solver_choice": "bogus", "solver_max_iters": 0},
+], ids=["stochastic", "finite_sum"])
+def test_cli_run_rejects_unknown_solver_in_sampling_modes(tmp_path, capsys, cfg):
+    # the sampling drivers run no solver, so the config itself checks the name
+    path = write_cfg(tmp_path, cfg)
+    code = main(["run", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "unknown solver 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("cfg, named", SIZE_OUT_OF_RANGE_CASES)

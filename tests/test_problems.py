@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from gose import (approx_nc_deterministic, as_streaming, certify_second_order, d
                   make_chained_saddles, make_nonconvex_pca,
                   make_quadratic_saddle, verify_lipschitz_constants)
 from gose.core import ConfigError, DimensionTooLarge, ObjectiveOracle
+from gose.problems import PROBLEM_FACTORIES
 
 
 def test_registry_contents():
@@ -150,6 +153,79 @@ def test_chained_rejects_d1():
         make_chained_saddles(1)
 
 
+def _uncached_chained_hvp(a, x, v):
+    return a * (12.0 * x ** 2 - 4.0) * v
+
+
+def test_chained_hvp_equals_the_uncached_expression_bit_for_bit(rng):
+    d = 7
+    spec = make_chained_saddles(d)
+    a = np.linspace(0.5, 0.3, d)
+    hvp = spec.oracle.hvp
+
+    def check(x):
+        v = rng.standard_normal(d)
+        assert hvp(x, v).tobytes() == _uncached_chained_hvp(a, x, v).tobytes()
+
+    # interleaved points: each return belongs to the point of its own call
+    x1, x2 = rng.uniform(-1.5, 1.5, d), rng.uniform(-1.5, 1.5, d)
+    for x in (x1, x2, x1, x1, x2):
+        check(x)
+    # a point changed in place between two calls
+    x = rng.uniform(-1.5, 1.5, d)
+    check(x)
+    x[3] = 0.25
+    check(x)
+    x *= -1.0
+    check(x)
+    # signed zeros, infinities and NaN, interleaved
+    neg = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1.0, -0.0])
+    pos = np.abs(neg)
+    with np.errstate(invalid="ignore"):
+        for x in (neg, pos, neg):
+            check(x)
+            v = np.zeros(d)  # inf * 0: NaN in both
+            assert hvp(x, v).tobytes() == _uncached_chained_hvp(a, x, v).tobytes()
+
+
+def _chained_saddles_as_a_list(d):
+    # saddle j: ones in its first j coordinates, zeros after
+    saddles = [np.zeros(d)]
+    for j in range(1, d):
+        s = np.zeros(d)
+        s[:j] = 1.0
+        saddles.append(s)
+    return saddles
+
+
+@pytest.mark.parametrize("d", [2, 5, 200])
+def test_chained_planted_saddles_read_as_the_stored_list(d):
+    saddles = make_chained_saddles(d).planted_saddles
+    expected = _chained_saddles_as_a_list(d)
+    assert len(saddles) == d
+    assert all(np.array_equal(s, e) for s, e in zip(saddles, expected, strict=True))
+    for j in range(-d, d):  # [-1] included
+        assert saddles[j].tobytes() == expected[j].tobytes()
+    for j in (d, d + 1, -d - 1):
+        with pytest.raises(IndexError):
+            saddles[j]
+    # every read builds a fresh point, so writing into one leaves the next read as it was
+    saddles[0][:] = 7.0
+    assert not saddles[0].any()
+
+
+def test_chained_saddles_build_in_memory_linear_in_d():
+    # d stored saddles of d = 20,000 floats each would take 3.2 GB
+    tracemalloc.start()
+    try:
+        spec = make_chained_saddles(20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
+    assert len(spec.planted_saddles) == 20_000
+
+
 # ---------------------------------------------------------------------------
 # saddle path
 
@@ -262,6 +338,54 @@ def test_certify_saddle_fails():
     spec = make_quadratic_saddle(2, [1.0, -1.0], orth=False)
     ok, gn, lam = certify_second_order(spec.oracle, np.zeros(2), 0.01, 0.5)
     assert not ok and gn == 0.0 and lam == pytest.approx(-1.0)
+
+
+def _hessian_by_columns(oracle, x):
+    # column i of H is hvp(x, e_i), then H is symmetrized
+    d = oracle.dimension
+    H = np.zeros((d, d))
+    eye = np.eye(d)
+    for i in range(d):
+        H[:, i] = oracle.hvp(x, eye[i])
+    return 0.5 * (H + H.T)
+
+
+HESSIAN_CASES = {
+    "quadratic_saddle": {"d": 6, "spectrum": [1.0, 0.5, 0.25, -0.3, -0.7, -1.0]},
+    "bowl_saddle": {"d": 6, "spectrum": [1.0, 0.5, 0.25, 0.3, 0.7, -1.0]},
+    "chained_saddles": {"d": 9},
+    "saddle_path": {"d": 5},
+    "nonconvex_pca": {"n": 30, "d": 7},
+    "rosenbrock": {"d": 8},
+    "rastrigin": {"d": 5},
+    "sphere": {"d": 4},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEM_FACTORIES))
+def test_dense_hessian_matches_the_column_reference_bit_for_bit(name):
+    spec = get_problem(name, **HESSIAN_CASES[name])
+    lo, hi = spec.box
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        x = rng.uniform(lo, hi, spec.oracle.dimension)
+        H = dense_hessian(spec.oracle, x)
+        assert H.tobytes() == _hessian_by_columns(spec.oracle, x).tobytes()
+        assert np.array_equal(H, H.T)
+
+
+def test_dense_hessian_survives_an_hvp_that_writes_into_v(rng):
+    # the callable overwrites v with its result and returns v itself
+    d = 5
+    A = rng.standard_normal((d, d))
+    A = A + A.T
+
+    def hvp(x, v):
+        v[:] = A @ v
+        return v
+
+    oracle = ObjectiveOracle(d, lambda x: 0.5 * float(x @ A @ x), lambda x: A @ x, hvp=hvp)
+    assert np.array_equal(dense_hessian(oracle, np.zeros(d)), 0.5 * (A.T + A))
 
 
 def test_certify_dimension_cap():
