@@ -11,9 +11,9 @@ from .core import (Capabilities, Certificate, ConfigError, CountingOracle,
                    ToleranceConfig, as_counting, finite_diff_hvp)
 from .drivers import (RunReport, TraceRecord, amplify, gose_deterministic,
                       gose_finite_sum, gose_stochastic)
-from .escape import (EscapeConfig, EscapeResult, adjust_direction,
-                     escape_step_length, one_step_deterministic,
-                     one_step_finite_sum, one_step_stochastic)
+from .escape import (EscapeResult, adjust_direction, escape_step_length,
+                     one_step_deterministic, one_step_finite_sum,
+                     one_step_stochastic)
 from .ncfind import (NcConfig, NcOutcome, approx_nc_deterministic,
                      approx_nc_finite_sum, approx_nc_stochastic,
                      lanczos_min_eig)
@@ -35,7 +35,7 @@ __all__ = [
     "ToleranceConfig", "as_counting", "finite_diff_hvp",
     "RunReport", "TraceRecord", "amplify", "gose_deterministic",
     "gose_finite_sum", "gose_stochastic",
-    "EscapeConfig", "EscapeResult", "adjust_direction", "escape_step_length",
+    "EscapeResult", "adjust_direction", "escape_step_length",
     "one_step_deterministic", "one_step_finite_sum", "one_step_stochastic",
     "NcConfig", "NcOutcome", "approx_nc_deterministic",
     "approx_nc_finite_sum", "approx_nc_stochastic", "lanczos_min_eig",

@@ -24,8 +24,8 @@ import numpy as np
 from .core import (Certificate, ConfigError, EvalCounters, SmoothnessSpec,
                    STATUS_BUDGET, STATUS_FIRST_ORDER, STATUS_SECOND_ORDER,
                    ToleranceConfig, as_counting, check_point, is_integer)
-from .escape import (EscapeConfig, check_run, one_step_deterministic,
-                     one_step_finite_sum, one_step_stochastic)
+from .escape import (check_run, one_step_deterministic, one_step_finite_sum,
+                     one_step_stochastic)
 from .ncfind import NcConfig
 from .solvers import (DEFAULT_MAX_ITERS, DEFAULT_SOLVER, ScsgConfig, anchor_table,
                       check_solver, derive_scsg_params, run_solver, scsg_epoch)
@@ -54,7 +54,7 @@ class RunReport:
     all_runs_failed: bool = False
 
 
-def _enter(oracle, tol, smooth, esc, ncfg, mode, scsg_cfg=None, **extra):
+def _enter(oracle, tol, smooth, ncfg, mode, scsg_cfg=None, **extra):
     """The entry work of every driver and the baseline, before any oracle work.
 
     check_run for `mode`, then the counting wrap; in the sampling modes the
@@ -62,11 +62,10 @@ def _enter(oracle, tol, smooth, esc, ncfg, mode, scsg_cfg=None, **extra):
     the counting oracle, the ScsgConfig (None in deterministic mode) and the
     run's config echo: the mode, each config as a dict, and `extra`.
     """
-    check_run(oracle, tol, smooth, esc, ncfg, mode)
+    check_run(oracle, tol, smooth, ncfg, mode)
     oracle = as_counting(oracle)
     echo = {"mode": mode, "tolerance": dataclasses.asdict(tol),
-            "smoothness": dataclasses.asdict(smooth), "escape": dataclasses.asdict(esc),
-            "nc": dataclasses.asdict(ncfg)}
+            "smoothness": dataclasses.asdict(smooth), "nc": dataclasses.asdict(ncfg)}
     if mode != "deterministic":
         if scsg_cfg is None:
             scsg_cfg = derive_scsg_params(tol, smooth, mode, n=oracle.n_components)
@@ -150,7 +149,6 @@ def _epoch_step(oracle, scsg_cfg, rng, mode, table=lambda: None):
 
 
 def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
-                       esc: EscapeConfig = EscapeConfig(),
                        solver_choice: str = DEFAULT_SOLVER, *,
                        rng: np.random.Generator,
                        ncfg: NcConfig = NcConfig(),
@@ -162,8 +160,8 @@ def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     step.  A bottom outcome certifies the current point (subject to the
     finder's delta).
     """
-    oracle, _, echo = _enter(oracle, tol, smooth, esc, ncfg, "deterministic",
-                             solver_choice=solver_choice)
+    oracle, _, echo = _enter(oracle, tol, smooth, ncfg, "deterministic",
+                             solver_choice=solver_choice, solver_max_iters=solver_max_iters)
     check_solver(solver_choice, solver_max_iters)
 
     def solve(x, g, fx):
@@ -171,12 +169,11 @@ def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
         return res.point, res.gradient, res.value, None if res.converged else res.grad_norm
 
     return _drive(oracle, x0, tol.max_outer, oracle.gradient, oracle.value, tol.eps, solve,
-                  lambda x, g: one_step_deterministic(oracle, x, tol, smooth, esc, rng, ncfg, g=g),
+                  lambda x, g: one_step_deterministic(oracle, x, tol, smooth, rng, ncfg, g=g),
                   echo)
 
 
 def gose_stochastic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
-                    esc: EscapeConfig = EscapeConfig(),
                     scsg_cfg: Optional[ScsgConfig] = None, *,
                     rng: np.random.Generator,
                     ncfg: NcConfig = NcConfig()) -> RunReport:
@@ -188,16 +185,15 @@ def gose_stochastic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     at that same batch gradient or take one stochastic escape step.  Only the
     sampling oracles are called, so trace rows carry f_value None.
     """
-    oracle, scsg_cfg, echo = _enter(oracle, tol, smooth, esc, ncfg, "stochastic", scsg_cfg)
+    oracle, scsg_cfg, echo = _enter(oracle, tol, smooth, ncfg, "stochastic", scsg_cfg)
     return _drive(oracle, x0, tol.max_outer,
                   lambda x: oracle.sample_gradient_batch(x, scsg_cfg.B, rng), None, tol.eps / 2.0,
                   _epoch_step(oracle, scsg_cfg, rng, "stochastic"),
-                  lambda x, g: one_step_stochastic(oracle, x, tol, smooth, esc, rng, ncfg),
+                  lambda x, g: one_step_stochastic(oracle, x, tol, smooth, rng, ncfg),
                   echo)
 
 
-def gose_finite_sum(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
-                    esc: EscapeConfig = EscapeConfig(), *,
+def gose_finite_sum(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec, *,
                     rng: np.random.Generator,
                     ncfg: NcConfig = NcConfig(),
                     scsg_cfg: Optional[ScsgConfig] = None) -> RunReport:
@@ -211,7 +207,7 @@ def gose_finite_sum(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     escape flips its direction against the same mean.  The oracle's own
     gradient is never called.
     """
-    oracle, scsg_cfg, echo = _enter(oracle, tol, smooth, esc, ncfg, "finite_sum", scsg_cfg)
+    oracle, scsg_cfg, echo = _enter(oracle, tol, smooth, ncfg, "finite_sum", scsg_cfg)
 
     table = None  # of the point measure() saw last, which the epoch starts from
 
@@ -222,12 +218,11 @@ def gose_finite_sum(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
 
     return _drive(oracle, x0, tol.max_outer, measure, oracle.value, tol.eps,
                   _epoch_step(oracle, scsg_cfg, rng, "finite_sum", lambda: table),
-                  lambda x, g: one_step_finite_sum(oracle, x, tol, smooth, esc, rng, ncfg, g=g),
+                  lambda x, g: one_step_finite_sum(oracle, x, tol, smooth, rng, ncfg, g=g),
                   echo)
 
 
-def always_probe_baseline(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
-                          esc: EscapeConfig = EscapeConfig(), *,
+def always_probe_baseline(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec, *,
                           rng: np.random.Generator,
                           ncfg: NcConfig = NcConfig()) -> RunReport:
     """Reference scheme that probes for negative curvature every iteration.
@@ -239,10 +234,10 @@ def always_probe_baseline(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSp
     Exists purely to quantify how many probes the region-splitting drivers
     save.
     """
-    oracle, _, echo = _enter(oracle, tol, smooth, esc, ncfg, "deterministic")
+    oracle, _, echo = _enter(oracle, tol, smooth, ncfg, "deterministic")
 
     def probe(x, g):
-        return one_step_deterministic(oracle, x, tol, smooth, esc, rng, ncfg, g=g)
+        return one_step_deterministic(oracle, x, tol, smooth, rng, ncfg, g=g)
 
     def probe_or_gradient_step(x, g, fx):
         oracle.counters.small_region_entries += 1  # probes on the large branch too

@@ -2,11 +2,19 @@
 
 At a point with small gradient, ask a negative-curvature finder for a unit
 direction, flip its sign against the (estimated) gradient, and take a single
-step of length c_h * eps_h / rho_eff.  When the Hessian really has an
+step of length C_H * eps_h / rho_eff.  When the Hessian really has an
 eigenvalue below -eps_h this one step both decreases the function by order
 eps_h**3 and pushes the gradient norm back above eps, so the caller never has
 to escape the same region twice.  No retry loop exists by design: a failed
 escape is a test failure, not a runtime fallback.
+
+The step coefficient C_H = 1/2 is an analysis constant, not a setting.  The
+decrease constants it implies are C_H**2/4 - C_H**3/6 = 1/24 (exact-gradient
+adjustment) and C_H**2/4 - C_H**3/3 = 1/48 (subsampled adjustment).  The step
+leaves the small-gradient region when C_H*(1 - C_H) > 4*rho_eff*eps/eps_h**2,
+which at C_H = 1/2 is exactly the entry bound eps < eps_h**2/(16*rho_eff) of
+check_run; in stochastic mode the subsampled decrease needs
+C_H**2 >= 6*C_CONC*rho_eff*eps/eps_h**2, which the same bound implies.
 """
 
 from __future__ import annotations
@@ -17,43 +25,17 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ConfigError, EpsilonTooLarge, SmoothnessSpec,
-                   StochasticEpsilonTooLarge, ToleranceConfig, as_counting,
-                   check_mode, checked_size)
+from .core import (EpsilonTooLarge, SmoothnessSpec, StochasticEpsilonTooLarge,
+                   ToleranceConfig, as_counting, check_mode, checked_size)
 from .ncfind import (NcConfig, NcOutcome, approx_nc_deterministic,
                      approx_nc_finite_sum, approx_nc_stochastic, finder_sizes)
 
 
-# The analysis constants of the escape subsample (subsample_size); not settings.
+# The escape step coefficient and the analysis constants of the escape
+# subsample (subsample_size); not settings.
+C_H = 0.5
 S_MULT = 4.0
 C_CONC = 0.25
-
-
-@dataclass(frozen=True)
-class EscapeConfig:
-    """Escape step-size coefficient, checked when constructed.
-
-    c_h is the step coefficient: step length c_h * eps_h / rho_eff.
-    The decrease constants it implies are c_h**2/4 - c_h**3/6 (exact-gradient
-    adjustment) and c_h**2/4 - c_h**3/3 (subsampled adjustment).  c_h must lie
-    in (0, 3/2); the c_h windows depend on the tolerances and the mode and are
-    checked by check_run.  Inside them c_h < 1 (and c_h < 3/4 in stochastic
-    mode), so both decrease constants are positive.
-    """
-
-    c_h: float = 0.5
-
-    def __post_init__(self):
-        if not (0.0 < self.c_h < 1.5):
-            raise ConfigError(f"c_h must lie in (0, 3/2), got {self.c_h}")
-
-    @property
-    def c_prime_det(self) -> float:
-        return self.c_h ** 2 / 4.0 - self.c_h ** 3 / 6.0
-
-    @property
-    def c_prime_stoch(self) -> float:
-        return self.c_h ** 2 / 4.0 - self.c_h ** 3 / 3.0
 
 
 def subsample_size(tol: ToleranceConfig, smooth: SmoothnessSpec) -> int:
@@ -76,18 +58,19 @@ def subsample_size(tol: ToleranceConfig, smooth: SmoothnessSpec) -> int:
         sigma=smooth.sigma, delta=tol.delta, eps=tol.eps))
 
 
-def check_run(oracle, tol: ToleranceConfig, smooth: SmoothnessSpec, esc: EscapeConfig,
-              ncfg: NcConfig, mode: str) -> None:
+def check_run(oracle, tol: ToleranceConfig, smooth: SmoothnessSpec, ncfg: NcConfig,
+              mode: str) -> None:
     """The entry check of a run or escape in `mode`, before any oracle work.
 
     The one home of the rules that tie the configs, the oracle and the mode
     together (each config checks its own ranges when constructed), in order:
     the mode and whether the oracle serves it (check_mode);
-    eps < eps_h**2/(16*rho_eff), and eps <= eps_h**1.5 in stochastic mode;
-    the c_h windows; then every size the run's finder and escapes will draw,
-    computed by the functions that draw them: finder_sizes of `mode` and
-    ncfg.engine, in stochastic mode the escape subsample, and in finite-sum
-    mode n, the rows of the driver's anchor table (solvers.anchor_table).
+    eps < eps_h**2/(16*rho_eff), the bound under which the C_H step leaves
+    the small-gradient region, and eps <= eps_h**1.5 in stochastic mode; then
+    every size the run's finder and escapes will draw, computed by the
+    functions that draw them: finder_sizes of `mode` and ncfg.engine, in
+    stochastic mode the escape subsample, and in finite-sum mode n, the rows
+    of the driver's anchor table (solvers.anchor_table).
     """
     check_mode(mode, oracle)
     bound = tol.eps_h ** 2 / (16.0 * smooth.rho_eff)
@@ -101,21 +84,6 @@ def check_run(oracle, tol: ToleranceConfig, smooth: SmoothnessSpec, esc: EscapeC
         if tol.eps > sbound:
             raise StochasticEpsilonTooLarge(
                 f"stochastic mode needs eps <= eps_h**1.5 = {sbound:.6g}, got eps={tol.eps:.6g}"
-            )
-    ratio = 16.0 * smooth.rho_eff * tol.eps / tol.eps_h ** 2
-    # eps < bound holds, but the rounded ratio may still reach 1
-    half_width = 0.5 * math.sqrt(max(1.0 - ratio, 0.0))
-    lo, hi = 0.5 - half_width, 0.5 + half_width
-    if not (lo < esc.c_h < hi):
-        raise ConfigError(
-            f"c_h={esc.c_h} outside the gradient-growth window ({lo:.6g}, {hi:.6g})"
-        )
-    if mode == "stochastic":
-        lo_s = math.sqrt(6.0 * C_CONC * smooth.rho_eff * tol.eps / tol.eps_h ** 2)
-        if not (lo_s <= esc.c_h < 0.75):
-            raise ConfigError(
-                f"stochastic mode needs sqrt(6*C_CONC*rho_eff*eps/eps_h**2) <= c_h < 3/4,"
-                f" i.e. {lo_s:.6g} <= c_h < 0.75, got {esc.c_h}"
             )
     finder_sizes(mode, oracle, tol.eps_h, tol.delta, smooth.L, ncfg)
     if mode == "stochastic":
@@ -142,13 +110,12 @@ def adjust_direction(g: np.ndarray, v_hat: np.ndarray) -> np.ndarray:
     return v_hat if float(np.asarray(g) @ np.asarray(v_hat)) <= 0.0 else -np.asarray(v_hat)
 
 
-def escape_step_length(tol: ToleranceConfig, smooth: SmoothnessSpec,
-                       esc: EscapeConfig) -> float:
-    """c_h * eps_h / rho_eff; at the default c_h = 1/2 this is eps_h/(2*rho_eff)."""
-    return esc.c_h * tol.eps_h / smooth.rho_eff
+def escape_step_length(tol: ToleranceConfig, smooth: SmoothnessSpec) -> float:
+    """C_H * eps_h / rho_eff = eps_h/(2*rho_eff)."""
+    return C_H * tol.eps_h / smooth.rho_eff
 
 
-def _one_step(oracle, x, tol, smooth, esc, rng, ncfg, mode, finder, sign_gradient):
+def _one_step(oracle, x, tol, smooth, rng, ncfg, mode, finder, sign_gradient):
     """The one escape body: one finder call, then one step unless bottom.
 
     Wraps oracle for counting; sign_gradient(oracle) supplies the gradient
@@ -157,17 +124,17 @@ def _one_step(oracle, x, tol, smooth, esc, rng, ncfg, mode, finder, sign_gradien
     before the finder spends anything.
     """
     oracle = as_counting(oracle)
-    check_run(oracle, tol, smooth, esc, ncfg, mode)
+    check_run(oracle, tol, smooth, ncfg, mode)
     out = finder(oracle, x, tol.eps_h, tol.delta, smooth.L, rng, ncfg)
     if out.is_bottom:
         return EscapeResult(False, None, out)
     v_tilde = adjust_direction(sign_gradient(oracle), out.direction)
     oracle.counters.escape_steps += 1
-    return EscapeResult(True, np.asarray(x, float) + escape_step_length(tol, smooth, esc) * v_tilde, out)
+    return EscapeResult(True, np.asarray(x, float) + escape_step_length(tol, smooth) * v_tilde, out)
 
 
 def one_step_deterministic(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,
-                           esc: EscapeConfig, rng: np.random.Generator,
+                           rng: np.random.Generator,
                            ncfg: NcConfig = NcConfig(),
                            g: Optional[np.ndarray] = None) -> EscapeResult:
     """Single escape step using the exact gradient for the sign adjustment.
@@ -176,30 +143,30 @@ def one_step_deterministic(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSp
     g to reuse an already-computed gradient; otherwise one gradient eval is
     spent.  Cost: one finder call plus at most one gradient.
     """
-    return _one_step(oracle, x, tol, smooth, esc, rng, ncfg, "deterministic",
+    return _one_step(oracle, x, tol, smooth, rng, ncfg, "deterministic",
                      approx_nc_deterministic,
                      lambda oracle: oracle.gradient(x) if g is None else g)
 
 
 def one_step_stochastic(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,
-                        esc: EscapeConfig, rng: np.random.Generator,
+                        rng: np.random.Generator,
                         ncfg: NcConfig = NcConfig()) -> EscapeResult:
     """Single escape step with a subsampled gradient for the sign adjustment.
 
     Draws a fresh minibatch (size per subsample_size) to estimate
     the gradient; the step direction satisfies g_hat . v <= 0.
     """
-    return _one_step(oracle, x, tol, smooth, esc, rng, ncfg, "stochastic",
+    return _one_step(oracle, x, tol, smooth, rng, ncfg, "stochastic",
                      approx_nc_stochastic,
                      lambda oracle: oracle.sample_gradient_batch(
                          x, subsample_size(tol, smooth), rng))
 
 
 def one_step_finite_sum(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,
-                        esc: EscapeConfig, rng: np.random.Generator,
+                        rng: np.random.Generator,
                         ncfg: NcConfig = NcConfig(),
                         g: Optional[np.ndarray] = None) -> EscapeResult:
     """Single escape step for finite sums; the sign uses the full gradient."""
-    return _one_step(oracle, x, tol, smooth, esc, rng, ncfg, "finite_sum",
+    return _one_step(oracle, x, tol, smooth, rng, ncfg, "finite_sum",
                      approx_nc_finite_sum,
                      lambda oracle: oracle.gradient(x) if g is None else g)

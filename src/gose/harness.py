@@ -25,7 +25,6 @@ from .core import (MODES, ConfigError, DimensionTooLarge, EvalCounters,
                    SmoothnessSpec, ToleranceConfig, is_integer)
 from .drivers import RunReport, gose_deterministic, gose_finite_sum, gose_stochastic
 from .drivers import always_probe_baseline  # noqa: F401  (re-exported)
-from .escape import EscapeConfig
 from .ncfind import (_EPS, NcConfig, approx_nc_deterministic, approx_nc_finite_sum,
                      approx_nc_stochastic, lanczos_min_eig)
 from .problems import (PROBLEM_FACTORIES, ProblemSpec, _planted_spectrum,
@@ -51,7 +50,7 @@ class ExperimentConfig:
     eps: float = 0.01
     eps_h: float = 0.5
     delta: float = ToleranceConfig.delta
-    max_outer: int = 100
+    max_outer: int = ToleranceConfig.max_outer
     seeds: list[int] = field(default_factory=lambda: [0])
     # smoothness; None means take the problem's declared constant
     L: Optional[float] = None
@@ -59,11 +58,8 @@ class ExperimentConfig:
     h_star: Optional[float] = None
     sigma: Optional[float] = None
     noise_sigma: Optional[float] = None  # gradient noise added in stochastic mode
-    # escape
-    c_h: float = EscapeConfig.c_h
     # negative-curvature finder
     nc_engine: str = NcConfig.engine
-    nc_budget_mult: float = NcConfig.budget_mult
     # first-order machinery
     solver_choice: str = DEFAULT_SOLVER
     solver_max_iters: int = DEFAULT_MAX_ITERS
@@ -184,27 +180,25 @@ def build_configs(cfg: ExperimentConfig, spec: ProblemSpec):
             raise ConfigError(f"h_star = 2*sigma**2 overflows for sigma={sigma};"
                               " set h_star") from None
         smooth = dataclasses.replace(smooth, h_star=h_star)
-    esc = EscapeConfig(c_h=cfg.c_h)
-    ncfg = NcConfig(budget_mult=cfg.nc_budget_mult, engine=cfg.nc_engine)
-    return tol, smooth, esc, ncfg
+    return tol, smooth, NcConfig(engine=cfg.nc_engine)
 
 
 def run_one(cfg: ExperimentConfig, seed: int) -> tuple[RunReport, dict]:
     """Run one seed of the configured experiment; returns (report, summary row)."""
     spec = build_problem(cfg)
-    tol, smooth, esc, ncfg = build_configs(cfg, spec)
+    tol, smooth, ncfg = build_configs(cfg, spec)
     rng = np.random.default_rng(seed)
     x0 = spec.x0
     t0 = time.perf_counter()
     if cfg.mode == "deterministic":
-        report = gose_deterministic(spec.oracle, x0, tol, smooth, esc,
+        report = gose_deterministic(spec.oracle, x0, tol, smooth,
                                     solver_choice=cfg.solver_choice, rng=rng,
                                     ncfg=ncfg, solver_max_iters=cfg.solver_max_iters)
     else:
         scsg = derive_scsg_params(tol, smooth, cfg.mode, n=spec.oracle.n_components,
                                   B_override=cfg.scsg_B, b_override=cfg.scsg_b)
         driver = gose_stochastic if cfg.mode == "stochastic" else gose_finite_sum
-        report = driver(spec.oracle, x0, tol, smooth, esc, scsg_cfg=scsg, rng=rng, ncfg=ncfg)
+        report = driver(spec.oracle, x0, tol, smooth, scsg_cfg=scsg, rng=rng, ncfg=ncfg)
     wall = time.perf_counter() - t0
 
     cert = report.certificate

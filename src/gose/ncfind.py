@@ -23,6 +23,10 @@ lambda_min above -eps_h/2 with probability 1 - delta given ||H|| <= L (the
 settled exit of lanczos_min_eig).  The sampling engines resample on every
 matvec, so the bound does not hold for them; they stop early on neither side.
 
+Each finder's sizes come from the five budget formulas below, read through
+finder_sizes.  They are the asymptotic formulas times one constant factor,
+BUDGET_MULT = 4, an analysis constant and not a setting.
+
 The Ritz solves need two LAPACK routines, dstebz and dstein, and nothing else
 of scipy.  _load_lapack takes them from scipy's compiled scipy/linalg/_flapack
 module, loaded by its path: importing them through scipy.linalg would run that
@@ -42,8 +46,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .core import (AsymmetricOperator, BudgetZero, ConfigError, LapackFailure,
-                   NonFiniteMeasurement, NonPositiveConstant, as_counting,
-                   check_mode, check_point, checked_size, is_integer)
+                   NonFiniteMeasurement, as_counting, check_mode, check_point,
+                   checked_size, is_integer)
 
 BOTTOM = "bottom"
 DIRECTION = "direction"
@@ -114,22 +118,15 @@ ENGINES = ("minibatch_lanczos", "oja")
 
 @dataclass(frozen=True)
 class NcConfig:
-    """Knobs shared by the finder front ends, checked when constructed.
+    """The finder's stochastic core, checked when constructed.
 
-    budget_mult (in (0, inf)) scales the iteration/sample budgets (the
-    asymptotic formulas carry unspecified constants, exposed here), so every
-    budget formula below yields at least 1.  engine selects the stochastic
-    core: a minibatch-averaged Lanczos or the streaming power update on fresh
-    draws ("oja").
+    engine selects a minibatch-averaged Lanczos or the streaming power update
+    on fresh draws ("oja").
     """
 
-    budget_mult: float = 4.0
     engine: str = "minibatch_lanczos"
 
     def __post_init__(self):
-        if not (0.0 < self.budget_mult < math.inf):
-            raise NonPositiveConstant(
-                f"budget_mult must be positive and finite, got {self.budget_mult}")
         if self.engine not in ENGINES:
             raise ConfigError(f"unknown stochastic engine {self.engine!r}; options: {ENGINES}")
 
@@ -137,38 +134,41 @@ class NcConfig:
 # ---------------------------------------------------------------------------
 # Budget formulas (documented cost contracts, also used by tests)
 
+BUDGET_MULT = 4.0  # the constant factor of every budget formula below; not a setting
 
-def det_max_matvecs(d: int, eps_h: float, delta: float, L: float, mult: float) -> int:
-    """ceil(mult * log(d/delta) * sqrt(L/eps_h)); lanczos_min_eig clamps it to d"""
+
+def det_max_matvecs(d: int, eps_h: float, delta: float, L: float) -> int:
+    """ceil(BUDGET_MULT * log(d/delta) * sqrt(L/eps_h)); lanczos_min_eig clamps it to d"""
     return checked_size("det_max_matvecs",
-                        lambda: mult * math.log(d / delta) * math.sqrt(L / eps_h), clamped=True,
-                        budget_mult=mult, delta=delta, L=L, eps_h=eps_h)
+                        lambda: BUDGET_MULT * math.log(d / delta) * math.sqrt(L / eps_h),
+                        clamped=True, delta=delta, L=L, eps_h=eps_h)
 
 
-def oja_total_samples(d: int, eps_h: float, delta: float, L: float, mult: float) -> int:
-    """ceil(mult * log(d/delta)**2 * L**2 / eps_h**2)"""
+def oja_total_samples(d: int, eps_h: float, delta: float, L: float) -> int:
+    """ceil(BUDGET_MULT * log(d/delta)**2 * L**2 / eps_h**2)"""
     return checked_size("oja_total_samples",
-                        lambda: mult * math.log(d / delta) ** 2 * L ** 2 / eps_h ** 2,
-                        budget_mult=mult, delta=delta, L=L, eps_h=eps_h)
+                        lambda: BUDGET_MULT * math.log(d / delta) ** 2 * L ** 2 / eps_h ** 2,
+                        delta=delta, L=L, eps_h=eps_h)
 
 
-def stoch_minibatch(d: int, eps_h: float, L: float, mult: float) -> int:
-    """ceil(mult * L**2 / eps_h**2 / sqrt(d)), per matvec"""
-    return checked_size("stoch_minibatch", lambda: mult * L ** 2 / eps_h ** 2 / math.sqrt(d),
-                        budget_mult=mult, L=L, eps_h=eps_h)
+def stoch_minibatch(d: int, eps_h: float, L: float) -> int:
+    """ceil(BUDGET_MULT * L**2 / eps_h**2 / sqrt(d)), per matvec"""
+    return checked_size("stoch_minibatch",
+                        lambda: BUDGET_MULT * L ** 2 / eps_h ** 2 / math.sqrt(d),
+                        L=L, eps_h=eps_h)
 
 
-def validation_batch(eps_h: float, L: float, mult: float) -> int:
-    """ceil(mult * L**2 / eps_h**2), one fresh batch at exit"""
-    return checked_size("validation_batch", lambda: mult * L ** 2 / eps_h ** 2,
-                        budget_mult=mult, L=L, eps_h=eps_h)
+def validation_batch(eps_h: float, L: float) -> int:
+    """ceil(BUDGET_MULT * L**2 / eps_h**2), one fresh batch at exit"""
+    return checked_size("validation_batch", lambda: BUDGET_MULT * L ** 2 / eps_h ** 2,
+                        L=L, eps_h=eps_h)
 
 
-def finite_sum_minibatch(n: int, eps_h: float, L: float, mult: float, max_matvecs: int) -> int:
-    """min(n, ceil(mult * n**0.75 * sqrt(L/eps_h) / max_matvecs)), per matvec"""
+def finite_sum_minibatch(n: int, eps_h: float, L: float, max_matvecs: int) -> int:
+    """min(n, ceil(BUDGET_MULT * n**0.75 * sqrt(L/eps_h) / max_matvecs)), per matvec"""
     m = checked_size("finite_sum_minibatch",
-                     lambda: mult * n ** 0.75 * math.sqrt(L / eps_h) / max_matvecs, clamped=True,
-                     budget_mult=mult, L=L, eps_h=eps_h)
+                     lambda: BUDGET_MULT * n ** 0.75 * math.sqrt(L / eps_h) / max_matvecs,
+                     clamped=True, L=L, eps_h=eps_h)
     return min(n, max(m, 1))
 
 
@@ -192,15 +192,15 @@ def finder_sizes(mode: str, oracle, eps_h: float, delta: float, L: float,
     oracle work.
     """
     check_mode(mode, oracle)
-    d, mult = oracle.dimension, cfg.budget_mult
+    d = oracle.dimension
     if mode == "stochastic" and cfg.engine == "oja":
-        return FinderSizes(oja_samples=oja_total_samples(d, eps_h, delta, L, mult),
-                           validation=validation_batch(eps_h, L, mult))
-    mm = det_max_matvecs(d, eps_h, delta, L, mult)
+        return FinderSizes(oja_samples=oja_total_samples(d, eps_h, delta, L),
+                           validation=validation_batch(eps_h, L))
+    mm = det_max_matvecs(d, eps_h, delta, L)
     if mode == "stochastic":
-        return FinderSizes(mm, stoch_minibatch(d, eps_h, L, mult), validation_batch(eps_h, L, mult))
+        return FinderSizes(mm, stoch_minibatch(d, eps_h, L), validation_batch(eps_h, L))
     if mode == "finite_sum":
-        return FinderSizes(mm, finite_sum_minibatch(oracle.n_components, eps_h, L, mult, mm))
+        return FinderSizes(mm, finite_sum_minibatch(oracle.n_components, eps_h, L, mm))
     return FinderSizes(mm)
 
 

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from gose import (EscapeConfig, ObjectiveOracle, SmoothnessSpec,
+from gose import (ObjectiveOracle, SmoothnessSpec,
                   ToleranceConfig, amplify, anchor_table, certify_second_order,
                   derive_scsg_params, finite_diff_hvp, get_problem,
                   gose_deterministic, gose_finite_sum, gose_stochastic,
@@ -187,7 +187,7 @@ def test_criterion_2_deterministic_escape():
             assert lam < -EPS_H  # site really is a strict saddle
             total += 1
             res = one_step_deterministic(spec.oracle, x, tol, smooth,
-                                         EscapeConfig(), np.random.default_rng(seed))
+                                         np.random.default_rng(seed))
             if not res.escaped:
                 continue
             drop = spec.oracle.value(res.point) - spec.oracle.value(x)
@@ -215,7 +215,7 @@ def test_criterion_3_stochastic_escape():
                                     sigma=0.05, h_star=2 * 0.05 ** 2)
             total += 1
             res = one_step_stochastic(noisy.oracle, x, tol, smooth,
-                                      EscapeConfig(), np.random.default_rng(seed))
+                                      np.random.default_rng(seed))
             if not res.escaped:
                 continue
             drop = spec.oracle.value(res.point) - spec.oracle.value(x)

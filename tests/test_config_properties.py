@@ -11,9 +11,10 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gose import EscapeConfig, NcConfig, SmoothnessSpec, ToleranceConfig
+from gose import NcConfig, SmoothnessSpec, ToleranceConfig
 from gose.core import MODES, ConfigError, NonPositiveConstant
 from gose.harness import ExperimentConfig
+from gose.ncfind import ENGINES
 from gose.solvers import SOLVERS
 
 deterministic = settings(derandomize=True, database=None, deadline=None)
@@ -53,40 +54,15 @@ def test_experiment_config_survives_json_round_trip(cfg):
     assert ExperimentConfig.from_dict(json.loads(cfg.dump())) == cfg
 
 
-def in_open_range(val, lo, hi):
-    return lo < val < hi  # False for NaN
-
-
 @deterministic
-@given(budget_mult=st.floats(),
-       engine=st.sampled_from(["minibatch_lanczos", "oja"]) | st.text())
-def test_nc_config_rejects_exactly_bad_budget_or_engine(budget_mult, engine):
-    if not in_open_range(budget_mult, 0.0, math.inf):
-        expected = NonPositiveConstant
-    elif engine not in ("minibatch_lanczos", "oja"):
-        expected = ConfigError
-    else:
-        expected = None
+@given(engine=st.sampled_from(ENGINES) | st.text())
+def test_nc_config_rejects_exactly_unknown_engine(engine):
     try:
-        NcConfig(budget_mult=budget_mult, engine=engine)
+        NcConfig(engine=engine)
     except ConfigError as exc:
-        assert expected is not None and isinstance(exc, expected)
-        if expected is NonPositiveConstant:
-            assert "budget_mult" in str(exc)
+        assert engine not in ENGINES and "unknown stochastic engine" in str(exc)
     else:
-        assert expected is None
-
-
-@deterministic
-@given(c_h=st.floats() | st.floats(0.0, 1.5))
-def test_escape_config_rejects_exactly_out_of_range(c_h):
-    bad_c_h = not in_open_range(c_h, 0.0, 1.5)
-    try:
-        EscapeConfig(c_h=c_h)
-    except ConfigError as exc:
-        assert bad_c_h and "c_h must lie in (0, 3/2)" in str(exc)
-    else:
-        assert not bad_c_h
+        assert engine in ENGINES
 
 
 @deterministic

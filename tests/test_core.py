@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from gose import (Capabilities, CountingOracle, EscapeConfig, EvalCounters, NcConfig,
+from gose import (Capabilities, CountingOracle, EvalCounters, NcConfig,
                   ObjectiveOracle, SmoothnessSpec, ToleranceConfig,
                   approx_nc_deterministic, as_counting, escape_step_length,
                   finite_diff_hvp, get_problem, gose_deterministic, with_gradient_noise)
@@ -39,15 +39,14 @@ def quad_oracle_analytic(diag):
 
 
 def check_tolerances(tol, smooth, mode):
-    """check_run with the default escape and finder configs.
+    """check_run with the default finder config.
 
-    The zero-noise saddle serves the deterministic and stochastic modes, and
-    at these tolerances c_h = 1/2 lies inside every window, so only the
-    inequality under test can fail.
+    The zero-noise saddle serves the deterministic and stochastic modes, so
+    only the inequality under test can fail.
     """
     prob = get_problem("quadratic_saddle", d=2, spectrum=[1.0, -1.0], orth=False)
     oracle = with_gradient_noise(prob, sigma=0.0).oracle
-    return check_run(oracle, tol, smooth, EscapeConfig(), NcConfig(), mode)
+    return check_run(oracle, tol, smooth, NcConfig(), mode)
 
 
 def test_validate_accepts_instantiated_inequality():
@@ -56,7 +55,7 @@ def test_validate_accepts_instantiated_inequality():
     smooth = SmoothnessSpec(L=1.0, rho=1.0)
     assert check_tolerances(tol, smooth, "deterministic") is None
     assert smooth.rho_eff == 1.0
-    assert escape_step_length(tol, smooth, EscapeConfig()) == pytest.approx(0.25)
+    assert escape_step_length(tol, smooth) == pytest.approx(0.25)
 
 
 def test_check_run_rejects_unknown_mode():
@@ -161,7 +160,7 @@ def test_rho_floor_applies_to_quadratics():
     smooth = SmoothnessSpec(L=1.0, rho=0.0)
     check_tolerances(tol, smooth, "deterministic")
     assert smooth.rho_eff == RHO_FLOOR == 1e-3
-    assert escape_step_length(tol, smooth, EscapeConfig()) == pytest.approx(0.5 / (2 * 1e-3))
+    assert escape_step_length(tol, smooth) == pytest.approx(0.5 / (2 * 1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +425,10 @@ def test_as_counting_is_idempotent():
 
 
 def test_counters_nondecreasing_along_a_run():
-    from gose import EscapeConfig, gose_deterministic
     spec = get_problem("chained_saddles", d=3)
     tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=50)
     smooth = SmoothnessSpec(L=spec.known_L, rho=1.0)
-    report = gose_deterministic(spec.oracle, spec.x0, tol, smooth, EscapeConfig(),
+    report = gose_deterministic(spec.oracle, spec.x0, tol, smooth,
                                 rng=np.random.default_rng(0))
     fields = EvalCounters().as_dict().keys()
     prev = {k: 0 for k in fields}

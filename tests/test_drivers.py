@@ -9,16 +9,16 @@ import pytest
 import gose.drivers
 import gose.harness
 import gose.solvers
-from gose import (EscapeConfig, NcConfig, ObjectiveOracle, SmoothnessSpec,
+from gose import (NcConfig, ObjectiveOracle, SmoothnessSpec,
                   ToleranceConfig, amplify, approx_nc_deterministic, approx_nc_finite_sum,
                   approx_nc_stochastic, as_counting, certify_second_order,
                   derive_scsg_params, get_problem, gose_deterministic,
                   gose_finite_sum, gose_stochastic, one_step_deterministic,
                   one_step_finite_sum, one_step_stochastic, with_gradient_noise)
 from gose.core import (STATUS_BUDGET, STATUS_FIRST_ORDER, STATUS_SECOND_ORDER,
-                       ConfigError, EvalCounters, MalformedOracleOutput,
-                       NonFiniteMeasurement, NonPositiveConstant, NotFiniteSum,
-                       NotStochastic)
+                       ConfigError, EpsilonTooLarge, EvalCounters,
+                       MalformedOracleOutput, NonFiniteMeasurement,
+                       NonPositiveConstant, NotFiniteSum, NotStochastic)
 from gose.drivers import LARGE, SMALL
 from gose.harness import ExperimentConfig, always_probe_baseline, run_one
 from gose.problems import as_finite_sum, make_nonconvex_pca
@@ -26,7 +26,7 @@ from gose.problems import as_finite_sum, make_nonconvex_pca
 
 def run_det(problem, tol, smooth, seed=0, **kw):
     return gose_deterministic(problem.oracle, problem.x0, tol, smooth,
-                              EscapeConfig(), rng=np.random.default_rng(seed), **kw)
+                              rng=np.random.default_rng(seed), **kw)
 
 
 @pytest.mark.parametrize("runner", [gose_deterministic, gose_stochastic, gose_finite_sum,
@@ -511,14 +511,15 @@ def test_nan_curvature_raises_typed_and_never_certifies(entry):
 
 
 def test_escape_window_checked_before_any_oracle_work():
+    # eps < eps_h**2/(16*rho_eff) = 0.015625 is the window in which one escape
+    # step leaves the small-gradient region
     prob = get_problem("saddle_path", d=2)
-    tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=50)
+    tol = ToleranceConfig(eps=0.02, eps_h=0.5, max_outer=50)
     smooth = SmoothnessSpec(L=prob.known_L, rho=1.0)
     for runner in (gose_deterministic, always_probe_baseline):
         oracle = as_counting(prob.oracle)
-        with pytest.raises(ConfigError, match="gradient-growth window"):
-            runner(oracle, prob.x0, tol, smooth, EscapeConfig(c_h=0.8),
-                   rng=np.random.default_rng(0))
+        with pytest.raises(EpsilonTooLarge, match=re.escape("eps < eps_h**2/(16*rho_eff)")):
+            runner(oracle, prob.x0, tol, smooth, rng=np.random.default_rng(0))
         assert oracle.counters == EvalCounters()
 
 
@@ -590,7 +591,8 @@ def test_baseline_lives_beside_the_drivers_loop():
 
 
 def test_baseline_echoes_the_deterministic_config():
-    # the baseline enters like the deterministic driver, whose echo adds only the solver
+    # the baseline enters like the deterministic driver, whose echo adds only
+    # the solver settings
     prob = get_problem("saddle_path", d=2)
     tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=50)
     smooth = SmoothnessSpec(L=prob.known_L, rho=1.0)
@@ -598,6 +600,7 @@ def test_baseline_echoes_the_deterministic_config():
                                      rng=np.random.default_rng(0))
     driver = run_det(prob, tol, smooth)
     assert driver.config.pop("solver_choice") == "gd"
+    assert driver.config.pop("solver_max_iters") == gose.solvers.DEFAULT_MAX_ITERS
     assert baseline.config == driver.config
     assert baseline.config["mode"] == "deterministic"
 
@@ -947,7 +950,7 @@ def test_escape_and_finder_reject_a_misshapen_point(mode, x, named):
     tol = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.1)
     smooth = SmoothnessSpec(L=12.0, rho=1.0, h_star=0.005, sigma=0.05)
     with pytest.raises(ConfigError, match="x must " + named):
-        escape(oracle, x, tol, smooth, EscapeConfig(), np.random.default_rng(0))
+        escape(oracle, x, tol, smooth, np.random.default_rng(0))
     with pytest.raises(ConfigError, match="x must " + named):
         finder(oracle, x, tol.eps_h, tol.delta, smooth.L, np.random.default_rng(0))
     assert oracle.counters == EvalCounters()

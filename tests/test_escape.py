@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from gose import (EscapeConfig, NcConfig, ObjectiveOracle, SmoothnessSpec,
-                  ToleranceConfig, adjust_direction, as_counting,
-                  certify_second_order, escape_step_length, get_problem,
-                  make_nonconvex_pca, one_step_deterministic,
-                  one_step_finite_sum, one_step_stochastic,
-                  with_gradient_noise)
-from gose.core import (ConfigError, EvalCounters, NotFiniteSum, NotStochastic,
+from gose import (NcConfig, ObjectiveOracle, SmoothnessSpec,
+                  ToleranceConfig, adjust_direction, as_counting, escape,
+                  escape_step_length, get_problem, make_nonconvex_pca,
+                  one_step_deterministic, one_step_finite_sum,
+                  one_step_stochastic, with_gradient_noise)
+from gose.core import (EpsilonTooLarge, EvalCounters, NotFiniteSum, NotStochastic,
                        SizeOutOfRange)
 from gose.escape import check_run, subsample_size
 from gose.problems import as_finite_sum
@@ -23,10 +24,9 @@ def saddle_problem():
     return get_problem("quadratic_saddle", d=2, spectrum=[1.0, -1.0], orth=False)
 
 
-def check_windows(esc, tol, smooth, mode):
-    """check_run on the zero-noise saddle, an oracle that serves both modes used here."""
-    oracle = with_gradient_noise(saddle_problem(), sigma=0.0).oracle
-    check_run(oracle, tol, smooth, esc, NcConfig(), mode)
+def entry_oracle():
+    """The saddle as a finite sum of two copies: it serves both modes checked here."""
+    return as_finite_sum(saddle_problem(), 2).oracle
 
 
 # ---------------------------------------------------------------------------
@@ -59,41 +59,33 @@ def test_adjust_output_never_ascends(rng):
 
 
 # ---------------------------------------------------------------------------
-# constants from the step coefficient
+# the step coefficient and the entry bound
 
 
 def test_decrease_constants_at_default_coefficient():
-    esc = EscapeConfig(c_h=0.5)
-    assert esc.c_prime_det == pytest.approx(1.0 / 24.0)    # 1/16 - 1/48
-    assert esc.c_prime_stoch == pytest.approx(1.0 / 48.0)  # 1/16 - 1/24
+    assert escape.C_H == 0.5
+    assert escape.C_H ** 2 / 4.0 - escape.C_H ** 3 / 6.0 == pytest.approx(1.0 / 24.0)
+    assert escape.C_H ** 2 / 4.0 - escape.C_H ** 3 / 3.0 == pytest.approx(1.0 / 48.0)
 
 
-def test_window_validation_rejects_out_of_window_coefficients():
-    # centered, always fine
-    check_windows(EscapeConfig(c_h=0.5), TOL, UNIT_RHO, "deterministic")
-    with pytest.raises(ConfigError, match=r"c_h=1.4 outside the gradient-growth window"
-                                          r" \(0.2, 0.8\)"):
-        check_windows(EscapeConfig(c_h=1.4), TOL, UNIT_RHO, "deterministic")
-    with pytest.raises(ConfigError):  # above the stochastic cap 3/4
-        check_windows(EscapeConfig(c_h=0.8), TOL, UNIT_RHO, "stochastic")
-
-
-@pytest.mark.parametrize("c_h", [0.05, 0.75, 0.8])
-def test_stochastic_window_rejects_coefficients_the_gradient_window_allows(c_h):
-    # eps = 0.001: gradient-growth window (0.0163, 0.9837); the stochastic one
-    # is [sqrt(6 * 0.25 * 0.001 / 0.25), 3/4) = [0.0775, 0.75)
-    tol = ToleranceConfig(eps=0.001, eps_h=0.5, delta=0.01)
-    esc = EscapeConfig(c_h=c_h)
-    check_windows(esc, tol, UNIT_RHO, "deterministic")
-    with pytest.raises(ConfigError, match="stochastic mode needs"):
-        check_windows(esc, tol, UNIT_RHO, "stochastic")
-
-
-def test_stochastic_window_keeps_decrease_constant_positive():
-    tol = ToleranceConfig(eps=0.001, eps_h=0.5, delta=0.01)
-    c_h = math.nextafter(0.75, 0.0)  # the largest coefficient the window admits
-    check_windows(EscapeConfig(c_h=c_h), tol, UNIT_RHO, "stochastic")
-    assert EscapeConfig(c_h=c_h).c_prime_stoch > 0.0
+@given(eps_h=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       rho=st.floats(0.0, 1e6))
+# the eps below the bound here rounds 16*rho_eff*eps/eps_h**2 to exactly 1
+@example(eps_h=0.7958429671439418, rho=49.44480166074264)
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+def test_entry_bound_is_the_only_eps_check_at_its_edge(eps_h, rho):
+    # check_run admits the largest eps below eps_h**2/(16*rho_eff) in both
+    # modes, and refuses the bound itself
+    smooth = SmoothnessSpec(L=1.0, rho=rho)
+    bound = eps_h ** 2 / (16.0 * smooth.rho_eff)
+    below = math.nextafter(bound, 0.0)
+    assume(0.0 < below and bound < 1.0)
+    for mode in ("deterministic", "finite_sum"):
+        check_run(entry_oracle(), ToleranceConfig(eps=below, eps_h=eps_h, delta=0.01),
+                  smooth, NcConfig(), mode)
+        with pytest.raises(EpsilonTooLarge, match=r"eps < eps_h\*\*2/\(16\*rho_eff\)"):
+            check_run(entry_oracle(), ToleranceConfig(eps=bound, eps_h=eps_h, delta=0.01),
+                      smooth, NcConfig(), mode)
 
 
 def test_subsample_size_rules():
@@ -115,8 +107,7 @@ def test_one_step_deterministic_hand_example(rng):
     # eta = 0.5/(2*1*1) = 0.25; y = (0, +-0.25); f(y) - f(0) = -0.03125;
     # grad f(y) = (0, -+0.25) so its norm 0.25 > eps
     prob = saddle_problem()
-    res = one_step_deterministic(prob.oracle, np.zeros(2), TOL, UNIT_RHO,
-                                 EscapeConfig(), rng)
+    res = one_step_deterministic(prob.oracle, np.zeros(2), TOL, UNIT_RHO, rng)
     assert res.escaped
     y = res.point
     assert abs(y[0]) <= 1e-9
@@ -130,8 +121,7 @@ def test_one_step_deterministic_hand_example(rng):
 def test_one_step_deterministic_convex_returns_bottom(rng):
     prob = get_problem("quadratic_saddle", d=3, spectrum=[0.5, 1.0, 2.0], orth=True)
     res = one_step_deterministic(prob.oracle, np.zeros(3), TOL,
-                                 SmoothnessSpec(L=2.0, rho=1.0),
-                                 EscapeConfig(), rng)
+                                 SmoothnessSpec(L=2.0, rho=1.0), rng)
     assert not res.escaped
     assert res.point is None
 
@@ -140,7 +130,7 @@ def test_one_step_deterministic_chained_saddle(rng):
     chain = get_problem("chained_saddles", d=4)
     smooth = SmoothnessSpec(L=chain.known_L, rho=1.0)
     for s in chain.planted_saddles:
-        res = one_step_deterministic(chain.oracle, s, TOL, smooth, EscapeConfig(), rng)
+        res = one_step_deterministic(chain.oracle, s, TOL, smooth, rng)
         assert res.escaped
         assert chain.oracle.value(res.point) < chain.oracle.value(s)
         assert np.linalg.norm(chain.oracle.gradient(res.point)) > TOL.eps
@@ -148,10 +138,9 @@ def test_one_step_deterministic_chained_saddle(rng):
 
 def test_step_length_is_exact(rng):
     prob = saddle_problem()
-    eta = escape_step_length(TOL, UNIT_RHO, EscapeConfig())
+    eta = escape_step_length(TOL, UNIT_RHO)
     assert eta == pytest.approx(0.25)
-    res = one_step_deterministic(prob.oracle, np.zeros(2), TOL, UNIT_RHO,
-                                 EscapeConfig(), rng)
+    res = one_step_deterministic(prob.oracle, np.zeros(2), TOL, UNIT_RHO, rng)
     assert np.linalg.norm(res.point - np.zeros(2)) == pytest.approx(eta, abs=1e-9)
 
 
@@ -159,11 +148,10 @@ def test_escape_descent_alignment_per_call(rng):
     # the taken direction (y - x)/eta never ascends against the exact gradient
     chain = get_problem("chained_saddles", d=5)
     smooth = SmoothnessSpec(L=chain.known_L, rho=1.0)
-    eta = escape_step_length(TOL, smooth, EscapeConfig())
+    eta = escape_step_length(TOL, smooth)
     for s in chain.planted_saddles:
         x = np.asarray(s, float) + 1e-3  # slightly off the saddle: nonzero gradient
-        res = one_step_deterministic(chain.oracle, x, TOL, smooth,
-                                     EscapeConfig(), rng)
+        res = one_step_deterministic(chain.oracle, x, TOL, smooth, rng)
         assert res.escaped
         v_tilde = (res.point - x) / eta
         assert float(chain.oracle.gradient(x) @ v_tilde) <= 1e-12
@@ -172,18 +160,17 @@ def test_escape_descent_alignment_per_call(rng):
 def test_escape_counts_one_step(rng):
     prob = saddle_problem()
     co = as_counting(prob.oracle)
-    one_step_deterministic(co, np.zeros(2), TOL, UNIT_RHO, EscapeConfig(), rng)
+    one_step_deterministic(co, np.zeros(2), TOL, UNIT_RHO, rng)
     assert co.counters.nc_calls == 1
     assert co.counters.escape_steps == 1
-    one_step_deterministic(co, np.zeros(2), TOL, UNIT_RHO, EscapeConfig(), rng,
+    one_step_deterministic(co, np.zeros(2), TOL, UNIT_RHO, rng,
                            g=np.zeros(2))
     assert co.counters.escape_steps == 2
     # bottom consumes an NC call but no step
     conv = get_problem("quadratic_saddle", d=2, spectrum=[1.0, 2.0], orth=False)
     co2 = as_counting(conv.oracle)
     one_step_deterministic(co2, np.zeros(2), TOL,
-                           SmoothnessSpec(L=2.0, rho=1.0),
-                           EscapeConfig(), rng)
+                           SmoothnessSpec(L=2.0, rho=1.0), rng)
     assert co2.counters.nc_calls == 1
     assert co2.counters.escape_steps == 0
 
@@ -196,8 +183,7 @@ def test_one_step_stochastic_zero_variance_matches_deterministic(rng):
     prob = saddle_problem()
     noisy = with_gradient_noise(prob, sigma=0.0)
     smooth = SmoothnessSpec(L=1.0, rho=1.0, sigma=0.0, h_star=0.0)
-    res = one_step_stochastic(noisy.oracle, np.zeros(2), TOL, smooth,
-                              EscapeConfig(), rng)
+    res = one_step_stochastic(noisy.oracle, np.zeros(2), TOL, smooth, rng)
     assert res.escaped
     assert abs(abs(res.point[1]) - 0.25) <= 1e-9
     assert abs(res.point[0]) <= 1e-9
@@ -206,14 +192,14 @@ def test_one_step_stochastic_zero_variance_matches_deterministic(rng):
 def test_one_step_stochastic_requires_capability(rng):
     co = as_counting(saddle_problem().oracle)
     with pytest.raises(NotStochastic, match="stochastic mode needs"):
-        one_step_stochastic(co, np.zeros(2), TOL, UNIT_RHO, EscapeConfig(), rng)
+        one_step_stochastic(co, np.zeros(2), TOL, UNIT_RHO, rng)
     assert co.counters == EvalCounters()
 
 
 def test_one_step_stochastic_noisy_monte_carlo():
     # sigma = 0.1 gradient noise at planted quadratic saddles; both escape
     # inequalities, checked against the full-information oracle, must hold in
-    # >= 95% of 100 seeded escapes (threshold constant 1/48 at c_h = 1/2)
+    # >= 95% of 100 seeded escapes (threshold constant 1/48 at C_H = 1/2)
     passes = 0
     for seed in range(100):
         rng = np.random.default_rng(seed)
@@ -227,8 +213,7 @@ def test_one_step_stochastic_noisy_monte_carlo():
                                known_rho=0.0, box=(-2, 2))
         noisy = with_gradient_noise(spec_obj, sigma=0.1)
         smooth = SmoothnessSpec(L=1.0, rho=1.0, sigma=0.1, h_star=0.02)
-        res = one_step_stochastic(noisy.oracle, np.zeros(6), TOL, smooth,
-                                  EscapeConfig(), rng)
+        res = one_step_stochastic(noisy.oracle, np.zeros(6), TOL, smooth, rng)
         if not res.escaped:
             continue
         drop = prob_oracle.value(res.point) - prob_oracle.value(np.zeros(6))
@@ -246,7 +231,7 @@ def test_one_step_stochastic_checks_subsample_size_before_the_finder():
     tol = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.1)
     smooth = SmoothnessSpec(L=7.0, rho=1.0, sigma=100.0)  # concentration size past MAX_DRAWS
     with pytest.raises(SizeOutOfRange, match=r"sigma=100\.0"):
-        one_step_stochastic(co, bowl.x0, tol, smooth, EscapeConfig(),
+        one_step_stochastic(co, bowl.x0, tol, smooth,
                             np.random.default_rng(0))
     assert co.counters == EvalCounters()
     assert co.counters.work_units() == 0 and co.counters.nc_calls == 0
@@ -261,11 +246,11 @@ def test_check_run_bounds_the_anchor_table_rows():
                                          n_components=n,
                                          component_gradient=lambda i, x: sphere.gradient(x)))
         if ok:
-            check_run(co, TOL, UNIT_RHO, EscapeConfig(), NcConfig(), "finite_sum")
+            check_run(co, TOL, UNIT_RHO, NcConfig(), "finite_sum")
         else:
             with pytest.raises(SizeOutOfRange, match=r"anchor table rows = 1e\+08 exceeds"
                                                       r".*n=100000001"):
-                check_run(co, TOL, UNIT_RHO, EscapeConfig(), NcConfig(), "finite_sum")
+                check_run(co, TOL, UNIT_RHO, NcConfig(), "finite_sum")
         assert co.counters == EvalCounters()
 
 
@@ -276,8 +261,7 @@ def test_check_run_bounds_the_anchor_table_rows():
 def test_one_step_finite_sum_identical_components(rng):
     prob = saddle_problem()
     fs = as_finite_sum(prob, 5)
-    res = one_step_finite_sum(fs.oracle, np.zeros(2), TOL, UNIT_RHO,
-                              EscapeConfig(), rng)
+    res = one_step_finite_sum(fs.oracle, np.zeros(2), TOL, UNIT_RHO, rng)
     assert res.escaped
     assert abs(abs(res.point[1]) - 0.25) <= 1e-9
 
@@ -285,8 +269,7 @@ def test_one_step_finite_sum_identical_components(rng):
 def test_one_step_finite_sum_pca_saddle(rng):
     pca = make_nonconvex_pca(n=32, d=8, seed=0, top_eig=1.5)
     smooth = SmoothnessSpec(L=pca.known_L, rho=1.0)
-    res = one_step_finite_sum(pca.oracle, np.zeros(8), TOL, smooth,
-                              EscapeConfig(), rng)
+    res = one_step_finite_sum(pca.oracle, np.zeros(8), TOL, smooth, rng)
     assert res.escaped
     drop = pca.oracle.value(res.point) - pca.oracle.value(np.zeros(8))
     assert drop <= -0.5 * (1.0 / 24.0) * 0.5 ** 3
@@ -297,15 +280,14 @@ def test_one_step_finite_sum_psd_bottom(rng):
     conv = get_problem("quadratic_saddle", d=3, spectrum=[0.3, 1.0, 2.0], orth=True)
     fs = as_finite_sum(conv, 4)
     res = one_step_finite_sum(fs.oracle, np.zeros(3), TOL,
-                              SmoothnessSpec(L=2.0, rho=1.0),
-                              EscapeConfig(), rng)
+                              SmoothnessSpec(L=2.0, rho=1.0), rng)
     assert not res.escaped
 
 
 def test_one_step_finite_sum_requires_capability(rng):
     co = as_counting(saddle_problem().oracle)
     with pytest.raises(NotFiniteSum, match="finite_sum mode needs"):
-        one_step_finite_sum(co, np.zeros(2), TOL, UNIT_RHO, EscapeConfig(), rng)
+        one_step_finite_sum(co, np.zeros(2), TOL, UNIT_RHO, rng)
     assert co.counters == EvalCounters()
 
 

@@ -17,7 +17,7 @@ from gose.harness import (NC_THRESHOLDS, ExperimentConfig, OUT_ENV_VAR,
                           resolve_out_dir, run_experiment, run_one, run_sweep,
                           inject_asymmetric_probe, summary_line, trace_table,
                           verify_nc_suite)
-from gose import (EscapeConfig, NcConfig, SmoothnessSpec, ToleranceConfig, as_counting,
+from gose import (NcConfig, SmoothnessSpec, ToleranceConfig, as_counting,
                   derive_scsg_params, get_problem, gose_deterministic,
                   gose_finite_sum, gose_stochastic)
 
@@ -80,7 +80,7 @@ def test_run_one_minimal_smoke():
                 "small_region_entries", "outer_iters", "epochs_run",
                 "stoch_grad_evals", "component_grad_evals", "fn_evals"]:
         assert key in row["counters"]
-    assert "tolerance" in row["config"] and "escape" in row["config"]
+    assert "tolerance" in row["config"] and "nc" in row["config"]
 
 
 def test_config_echo_states_each_value_once():
@@ -92,6 +92,17 @@ def test_config_echo_states_each_value_once():
     assert "seed" not in rows[0]["config"]["tolerance"]
     assert set(rows[0]["config"]["scsg"]) == {"B", "b", "eta"}
     assert rows[0]["counters"] != rows[1]["counters"]
+
+
+def test_deterministic_echo_records_the_solver_budget():
+    # a run with a non-default solver cap can be rebuilt from its echo
+    prob = get_problem("chained_saddles", d=3)
+    report = gose_deterministic(prob.oracle, prob.x0, ToleranceConfig(eps=0.01, eps_h=0.5),
+                                SmoothnessSpec(L=prob.known_L, rho=1.0),
+                                rng=np.random.default_rng(0), solver_max_iters=7)
+    assert report.config["solver_max_iters"] == 7
+    cfg = ExperimentConfig.from_dict({**CONVEX_CFG, "solver_max_iters": 7})
+    assert run_one(cfg, 0)[1]["config"]["solver_max_iters"] == cfg.solver_max_iters
 
 
 def test_summary_golden_fixed_seed():
@@ -382,11 +393,6 @@ PCA_CFG = {
 
 # settings outside their config's range: a config error before any oracle work
 OUT_OF_RANGE_CASES = [
-    pytest.param({**PCA_CFG, "nc_budget_mult": 0}, "budget_mult", id="budget_finite_sum"),
-    pytest.param({**NOISY_BOWL_CFG, "nc_engine": "oja", "nc_budget_mult": 0}, "budget_mult",
-                 id="budget_oja"),
-    pytest.param({**CHAINED_ORIGIN_CFG, "problem_params": {"d": 5}, "nc_budget_mult": 0},
-                 "budget_mult", id="budget_deterministic"),
     pytest.param({**NOISY_BOWL_CFG, "scsg_b": 0}, "scsg_b", id="scsg_b_zero"),
     pytest.param({**CHAINED_ORIGIN_CFG, "solver_max_iters": 0}, "solver_max_iters",
                  id="solver_max_iters_zero"),
@@ -437,8 +443,8 @@ SIZE_OUT_OF_RANGE_CASES = [
                  id="c_conc_tiny"),
     pytest.param({**NOISY_BOWL_CFG, "h_star": 0.005, "sigma": 100.0}, "sigma=100.0",
                  id="s_mult_huge"),
-    pytest.param({**NOISY_BOWL_CFG, "nc_budget_mult": 1e308}, "budget_mult=1e+308",
-                 id="budget_mult_huge"),
+    # the finder's minibatch, 4*L**2/eps_h**2/sqrt(d), overflows: L reaches it
+    pytest.param({**NOISY_BOWL_CFG, "L": 1e200}, "L=1e+200", id="L_huge"),
     pytest.param({**NOISY_BOWL_CFG, "eps": 1e-200}, "eps=1e-200", id="eps_tiny"),
     pytest.param({**NOISY_BOWL_CFG, "h_star": 1e300}, "h_star=1e+300", id="h_star_huge"),
 ]
@@ -465,15 +471,15 @@ def test_out_of_range_setting_raises_before_any_oracle_work(cfg, named):
         cfg = ExperimentConfig.from_dict(cfg)
         spec = build_problem(cfg)
         oracle = as_counting(spec.oracle)
-        tol, smooth, esc, ncfg = build_configs(cfg, spec)
+        tol, smooth, ncfg = build_configs(cfg, spec)
         if cfg.mode == "deterministic":
-            gose_deterministic(oracle, spec.x0, tol, smooth, esc, rng=rng, ncfg=ncfg,
+            gose_deterministic(oracle, spec.x0, tol, smooth, rng=rng, ncfg=ncfg,
                                solver_max_iters=cfg.solver_max_iters)
         else:
             scsg = derive_scsg_params(tol, smooth, cfg.mode, n=oracle.n_components,
                                       B_override=cfg.scsg_B, b_override=cfg.scsg_b)
             driver = gose_stochastic if cfg.mode == "stochastic" else gose_finite_sum
-            driver(oracle, spec.x0, tol, smooth, esc, scsg_cfg=scsg, rng=rng, ncfg=ncfg)
+            driver(oracle, spec.x0, tol, smooth, scsg_cfg=scsg, rng=rng, ncfg=ncfg)
     assert oracle is None or oracle.counters == EvalCounters()
 
 
@@ -503,20 +509,21 @@ def test_cli_run_rejects_size_out_of_range(tmp_path, capsys, cfg, named):
 def test_run_defaults_are_the_library_defaults():
     # gose run builds the configs a library caller gets by default
     cfg = ExperimentConfig()
-    tol, smooth, esc, ncfg = build_configs(cfg, build_problem(cfg))
-    assert esc == EscapeConfig() and ncfg == NcConfig()
-    default_tol = ToleranceConfig(eps=cfg.eps, eps_h=cfg.eps_h)
-    assert tol.delta == default_tol.delta
+    tol, smooth, ncfg = build_configs(cfg, build_problem(cfg))
+    assert ncfg == NcConfig()
+    # delta and max_outer are read from ToleranceConfig
+    assert tol == ToleranceConfig(eps=cfg.eps, eps_h=cfg.eps_h)
     solver = inspect.signature(gose_deterministic).parameters
     assert cfg.solver_choice == solver["solver_choice"].default
     assert cfg.solver_max_iters == solver["solver_max_iters"].default
 
 
 @pytest.mark.parametrize("name, value", [("s_rule", "auto"), ("c1", 1.0), ("rho_min", 1e-3),
-                                         ("s_mult", 4.0), ("c_conc", 0.25)])
+                                         ("s_mult", 4.0), ("c_conc", 0.25), ("c_h", 0.5),
+                                         ("nc_budget_mult", 4.0)])
 def test_cli_run_rejects_removed_field(tmp_path, capsys, name, value):
-    # the escape subsample has one rule and fixed constants; c1 and rho_min
-    # only rescaled rho
+    # the escape subsample has one rule and fixed constants, as do the escape
+    # step and the finder budgets; c1 and rho_min only rescaled rho
     path = write_cfg(tmp_path, {**CONVEX_CFG, name: value})
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert f"unknown config fields: ['{name}']" in capsys.readouterr().err
@@ -701,16 +708,16 @@ def test_cli_sweep(tmp_path, capsys):
     assert (tmp_path / "out" / "sweep_summary.jsonl").exists()
 
 
-@pytest.mark.parametrize("c_h, code, failed", [((0.9, 1.4), 2, 2), ((0.5, 0.9), 0, 1)])
-def test_cli_sweep_exits_2_only_when_no_cell_ran(tmp_path, capsys, c_h, code, failed):
-    # c_h outside the gradient-growth window (0.2, 0.8) fails a cell
+@pytest.mark.parametrize("eps, code, failed", [((0.02, 0.05), 2, 2), ((0.01, 0.02), 0, 1)])
+def test_cli_sweep_exits_2_only_when_no_cell_ran(tmp_path, capsys, eps, code, failed):
+    # eps at or above eps_h**2/(16*rho_eff) = 0.015625 fails a cell
     sweep_path = write_cfg(tmp_path, {"base": {**CONVEX_CFG, "seeds": [0, 1]},
-                                      "grid": {"c_h": list(c_h)}}, name="sweep.json")
+                                      "grid": {"eps": list(eps)}}, name="sweep.json")
     assert main(["sweep", "--config", sweep_path, "--out", str(tmp_path / "out")]) == code
     captured = capsys.readouterr()
     rows = captured.out.splitlines()[1:]
     assert len(rows) == 2
-    assert sum("VALIDATION-FAILED: c_h=" in row for row in rows) == failed
+    assert sum("VALIDATION-FAILED: eps=" in row for row in rows) == failed
     assert ("no sweep cell passed validation" in captured.err) == (code == 2)
     assert (tmp_path / "out" / "sweep_summary.jsonl").exists()
 

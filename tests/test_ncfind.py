@@ -1,6 +1,7 @@
 import ast
 import importlib.machinery
 import importlib.util
+import math
 import os
 import re
 import subprocess
@@ -426,7 +427,7 @@ def first_settled_step(A, budget, seed):
 @pytest.mark.parametrize("lam_min", [-0.2, 0.0, 0.5])
 @pytest.mark.parametrize("d", [10, 50, 200])
 def test_settled_bottom_exits_at_the_first_step_meeting_the_rule(lam_min, d):
-    budget = det_max_matvecs(d, SETTLE_EPS_H, SETTLE_DELTA, SETTLE_L, 4.0)
+    budget = det_max_matvecs(d, SETTLE_EPS_H, SETTLE_DELTA, SETTLE_L)
     settled_any = False
     for seed in range(10):
         A = settle_operator(lam_min, d, seed)
@@ -497,8 +498,8 @@ def test_nc_det_fd_source_matches_contract(rng):
 
 
 def test_nc_det_budget_compliance(rng):
-    cfg = NcConfig(budget_mult=4.0)
-    mm = det_max_matvecs(12, 0.5, 0.01, 1.0, 4.0)
+    cfg = NcConfig()
+    mm = det_max_matvecs(12, 0.5, 0.01, 1.0)
     spec = np.linspace(-1.0, 1.0, 12)
     A = planted_symmetric(12, spec, rng)
     out = approx_nc_deterministic(matrix_oracle(A), np.zeros(12), 0.5, 0.01, 1.0, rng, cfg)
@@ -612,29 +613,29 @@ def test_finder_sizes_rejects_an_oracle_that_cannot_serve_the_mode(mode, error):
 def test_nc_stochastic_budget_compliance(rng):
     A = np.diag([1.0, -1.0, 0.3, 0.7])
     oracle = as_counting(zero_variance_stochastic(A))
-    cfg = NcConfig(budget_mult=2.0, engine="minibatch_lanczos")
+    cfg = NcConfig(engine="minibatch_lanczos")
     out = approx_nc_stochastic(oracle, np.zeros(4), 0.5, 0.01, 1.0, rng, cfg)
-    mm = det_max_matvecs(4, 0.5, 0.01, 1.0, 2.0)
-    m = stoch_minibatch(4, 0.5, 1.0, 2.0)
-    m_val = validation_batch(0.5, 1.0, 2.0)
+    mm = det_max_matvecs(4, 0.5, 0.01, 1.0)
+    m = stoch_minibatch(4, 0.5, 1.0)
+    m_val = validation_batch(0.5, 1.0)
     assert out.hvp_or_grad_cost <= (mm + 1) * m + m_val
 
     oracle2 = as_counting(zero_variance_stochastic(A))
-    cfg2 = NcConfig(budget_mult=1.0, engine="oja")
+    cfg2 = NcConfig(engine="oja")
     out2 = approx_nc_stochastic(oracle2, np.zeros(4), 0.5, 0.01, 1.0, rng, cfg2)
-    total = oja_total_samples(4, 0.5, 0.01, 1.0, 1.0)
-    assert out2.hvp_or_grad_cost <= total + validation_batch(0.5, 1.0, 1.0)
+    total = oja_total_samples(4, 0.5, 0.01, 1.0)
+    assert out2.hvp_or_grad_cost <= total + validation_batch(0.5, 1.0)
 
 
 @pytest.mark.parametrize("spectrum", [[1.0, -1.0, 0.3, 0.7], [1.0, 0.2, 0.3, 0.7]])
 def test_oja_call_costs_its_budget_exactly(spectrum, rng):
     # one stream of oja_total_samples draws, then one validation batch
     oracle = as_counting(zero_variance_stochastic(np.diag(spectrum)))
-    cfg = NcConfig(budget_mult=1.0, engine="oja")
+    cfg = NcConfig(engine="oja")
     out = approx_nc_stochastic(oracle, np.zeros(4), 0.5, 0.01, 1.0, rng, cfg)
     assert out.is_direction == (min(spectrum) < 0.0)
-    assert out.hvp_or_grad_cost == (oja_total_samples(4, 0.5, 0.01, 1.0, 1.0)
-                                    + validation_batch(0.5, 1.0, 1.0))
+    assert out.hvp_or_grad_cost == (oja_total_samples(4, 0.5, 0.01, 1.0)
+                                    + validation_batch(0.5, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -698,10 +699,9 @@ def test_nc_finite_sum_requires_capability(rng):
 def test_nc_finite_sum_budget_compliance(rng):
     pca = make_nonconvex_pca(n=50, d=8, seed=1, top_eig=1.0)
     oracle = as_counting(pca.oracle)
-    cfg = NcConfig(budget_mult=2.0)
-    out = approx_nc_finite_sum(oracle, np.zeros(8), 0.5, 0.01, pca.known_L, rng, cfg)
-    mm = det_max_matvecs(8, 0.5, 0.01, pca.known_L, 2.0)
-    m = finite_sum_minibatch(50, 0.5, pca.known_L, 2.0, mm)
+    out = approx_nc_finite_sum(oracle, np.zeros(8), 0.5, 0.01, pca.known_L, rng)
+    mm = det_max_matvecs(8, 0.5, 0.01, pca.known_L)
+    m = finite_sum_minibatch(50, 0.5, pca.known_L, mm)
     assert out.hvp_or_grad_cost <= (mm + 1) * m + 50
 
 
@@ -725,37 +725,38 @@ def test_finder_call_runs_lanczos_once(engine, monkeypatch):
     assert len(runs) == 2 * result["trials"]
 
 
-# budgets that nothing clamps afterwards, as functions of budget_mult
+# budgets that nothing clamps afterwards, as functions of L
 UNCLAMPED_BUDGETS = {
-    "oja_total_samples": lambda mult: oja_total_samples(10, 0.5, 0.01, 1.0, mult),
-    "stoch_minibatch": lambda mult: stoch_minibatch(10, 0.5, 1.0, mult),
-    "validation_batch": lambda mult: validation_batch(0.5, 1.0, mult),
+    "oja_total_samples": lambda L: oja_total_samples(10, 0.5, 0.01, L),
+    "stoch_minibatch": lambda L: stoch_minibatch(10, 0.5, L),
+    "validation_batch": lambda L: validation_batch(0.5, L),
 }
 
 
 @pytest.mark.parametrize("name", list(UNCLAMPED_BUDGETS))
-@pytest.mark.parametrize("mult, problem", [(1e300, "exceeds"), (1e308, "is not finite")])
-def test_unclamped_budget_out_of_range_names_budget_mult(name, mult, problem):
+@pytest.mark.parametrize("L, problem", [(1e10, "exceeds"), (1e200, "is not finite")])
+def test_unclamped_budget_out_of_range_names_L(name, L, problem):
     with pytest.raises(SizeOutOfRange, match=re.escape(name) + f".*{problem}.*"
-                       + re.escape(f"budget_mult={mult!r}")):
-        UNCLAMPED_BUDGETS[name](mult)
+                       + re.escape(f"L={L!r}")):
+        UNCLAMPED_BUDGETS[name](L)
 
 
 def test_budget_cap_is_inclusive():
-    # validation_batch = ceil(4 * mult) at eps_h = 0.5, L = 1; both products are exact
-    assert validation_batch(0.5, 1.0, MAX_DRAWS / 4) == MAX_DRAWS
+    # validation_batch = ceil(4 * L**2 / 0.25) at eps_h = 0.5; at L = 2500 every
+    # product is exact and the count is MAX_DRAWS
+    assert validation_batch(0.5, 2500.0) == MAX_DRAWS
     with pytest.raises(SizeOutOfRange, match="validation_batch = 1e\\+08 exceeds"):
-        validation_batch(0.5, 1.0, (MAX_DRAWS + 1) / 4)
+        validation_batch(0.5, math.nextafter(2500.0, math.inf))
 
 
 def test_clamped_budgets_need_only_be_finite():
     # Lanczos clamps max_matvecs to d, and the finite-sum minibatch is clamped to n
-    assert det_max_matvecs(10, 0.5, 0.01, 1.0, 1e300) > MAX_DRAWS
-    assert finite_sum_minibatch(50, 0.5, 1.0, 1e300, 5) == 50
+    assert det_max_matvecs(10, 0.5, 0.01, 1e300) > MAX_DRAWS
+    assert finite_sum_minibatch(50, 0.5, 1e300, 5) == 50
     with pytest.raises(SizeOutOfRange, match="det_max_matvecs is not finite"):
-        det_max_matvecs(10, 0.5, 0.01, 1.0, 1e308)
+        det_max_matvecs(10, 0.5, 0.01, 1e308)
     with pytest.raises(SizeOutOfRange, match="finite_sum_minibatch is not finite"):
-        finite_sum_minibatch(50, 0.5, 1.0, 1e308, 5)
+        finite_sum_minibatch(50, 0.5, 1e308, 5)
 
 
 def test_nc_call_counter_increments(rng):
