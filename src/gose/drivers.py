@@ -158,7 +158,8 @@ def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     Per outer iteration: if ||grad f(x)|| > eps, run the first-order solver to
     eps-stationarity; else enter the small-gradient region and take one escape
     step.  A bottom outcome certifies the current point (subject to the
-    finder's delta).
+    finder's delta).  The solver is guarded_agd by default; solver_choice="gd"
+    selects plain gradient descent, which reads no values.
     """
     oracle, _, echo = _enter(oracle, tol, smooth, ncfg, "deterministic",
                              solver_choice=solver_choice, solver_max_iters=solver_max_iters)

@@ -200,7 +200,7 @@ def make_chained_saddles(d: int, weights=None) -> ProblemSpec:
     four_a = 4.0 * a
 
     def value(x):
-        return float(np.sum(a * (x ** 2 - 1.0) ** 2))
+        return float((a * (x ** 2 - 1.0) ** 2).sum())
 
     def gradient(x):
         return four_a * x * (x ** 2 - 1.0)

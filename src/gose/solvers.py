@@ -1,9 +1,9 @@
 """Large-gradient-region machinery.
 
-First-order solvers that drive the iterate to ||grad f|| <= eps (plain
-gradient descent as the certified reference, a guard-restarted accelerated
-variant as the faster option), plus the variance-reduced epoch used in the
-stochastic and finite-sum drivers: anchor a batch gradient, then take a
+First-order solvers that drive the iterate to ||grad f|| <= eps (the
+guard-restarted accelerated method, DEFAULT_SOLVER "agd", and plain gradient
+descent, "gd", kept as the reference), plus the variance-reduced epoch used
+in the stochastic and finite-sum drivers: anchor a batch gradient, then take a
 geometrically distributed number of control-variate steps.  For finite sums
 the anchor is anchor_table's n component gradients, whose mean is the full
 gradient and whose rows are the anchor side of every step.
@@ -21,7 +21,7 @@ from .core import (ConfigError, InvalidP, MissingVarianceBound,
                    NonPositiveConstant, as_counting, check_mode, checked_size,
                    is_integer)
 
-DEFAULT_SOLVER = "gd"
+DEFAULT_SOLVER = "agd"
 DEFAULT_MAX_ITERS = 200_000
 
 # Floats (rows * d) one component_gradient_batch call of anchor_table may

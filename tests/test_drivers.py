@@ -136,6 +136,43 @@ def test_det_agd_solver_choice():
 
 
 # ---------------------------------------------------------------------------
+# the default large step is guarded_agd, and gd stays the reference
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_default_solver_certifies_rosenbrock_where_gd_runs_out(seed):
+    # at eps 2e-6 gd spends its 200,000 iterations in the curved valley and
+    # ends budget_exhausted; the accelerated default certifies in ~900 units
+    prob = get_problem("rosenbrock", d=2)
+    tol = ToleranceConfig(eps=2e-6, eps_h=0.5)
+    smooth = SmoothnessSpec(L=prob.known_L, rho=prob.known_rho)
+    c = run_det(prob, tol, smooth, seed=seed).certificate
+    assert c.status == STATUS_SECOND_ORDER
+    assert certify_second_order(prob.oracle, c.point, tol.eps, tol.eps_h)[0]
+
+
+DET_CHAINED_CFG = dict(problem="chained_saddles", problem_params={"d": 200},
+                       mode="deterministic", eps=0.01, eps_h=0.5, delta=0.01,
+                       rho=1.0, max_outer=200)
+SADDLE_PATH_CFG = dict(problem="saddle_path", problem_params={"d": 2},
+                       mode="deterministic", eps=0.01, eps_h=0.5, rho=1.0, max_outer=50)
+
+
+@pytest.mark.parametrize("base", [pytest.param(DET_CHAINED_CFG, id="det_chained"),
+                                  pytest.param(SADDLE_PATH_CFG, id="saddle_path")])
+def test_default_solver_spends_less_than_gd_at_equal_nc_calls(base):
+    assert gose.solvers.DEFAULT_SOLVER != "gd"
+    cfgs = {solver: ExperimentConfig.from_dict({**base, "solver_choice": solver})
+            for solver in (gose.solvers.DEFAULT_SOLVER, "gd")}
+    for seed in range(20):
+        rows = {solver: run_one(cfg, seed)[1] for solver, cfg in cfgs.items()}
+        assert all(row["certified"] for row in rows.values()), seed
+        default, gd = (EvalCounters(**rows[s]["counters"]) for s in cfgs)
+        assert default.nc_calls == gd.nc_calls, seed
+        assert default.work_units() < gd.work_units(), seed
+
+
+# ---------------------------------------------------------------------------
 # threshold fidelity (injected probe oracles)
 
 
@@ -599,7 +636,7 @@ def test_baseline_echoes_the_deterministic_config():
     baseline = always_probe_baseline(prob.oracle, prob.x0, tol, smooth,
                                      rng=np.random.default_rng(0))
     driver = run_det(prob, tol, smooth)
-    assert driver.config.pop("solver_choice") == "gd"
+    assert driver.config.pop("solver_choice") == gose.solvers.DEFAULT_SOLVER
     assert driver.config.pop("solver_max_iters") == gose.solvers.DEFAULT_MAX_ITERS
     assert baseline.config == driver.config
     assert baseline.config["mode"] == "deterministic"
@@ -839,7 +876,7 @@ GOLDEN = {
     "chained_agd": (lambda: golden_chained("agd"), STATUS_SECOND_ORDER,
                     counts(32, 0, 0, 13, 32, 2, 1, 2, 3, 0)),
     "saddle_path_driver": (lambda: golden_saddle_path(gose_deterministic),
-                           STATUS_SECOND_ORDER, counts(54, 0, 0, 10, 4, 2, 1, 2, 4, 0)),
+                           STATUS_SECOND_ORDER, counts(24, 0, 0, 10, 26, 2, 1, 2, 4, 0)),
     "saddle_path_baseline": (lambda: golden_saddle_path(always_probe_baseline),
                              STATUS_SECOND_ORDER,
                              counts(36, 0, 0, 180, 36, 36, 3, 36, 36, 0)),
@@ -848,7 +885,7 @@ GOLDEN = {
     "noisy_bowl": (golden_noisy_bowl, STATUS_BUDGET,
                    counts(0, 281812, 0, 3512, 0, 1, 1, 1, 10, 9)),
     "det_chained_d200": (golden_det_chained_d200, STATUS_SECOND_ORDER,
-                         counts(123, 0, 0, 28, 3, 2, 1, 2, 3, 0)),
+                         counts(51, 0, 0, 28, 51, 2, 1, 2, 3, 0)),
     "fs_pca_n200": (golden_fs_pca_n200, STATUS_SECOND_ORDER,
                     counts(0, 0, 10919, 431, 28, 1, 0, 1, 28, 27)),
     "stoch_bowl_b32": (golden_stoch_bowl_b32, STATUS_SECOND_ORDER,
@@ -857,7 +894,7 @@ GOLDEN = {
 
 # sha256 of certificate.point.tobytes()
 GOLDEN_POINTS = {
-    "det_chained_d200": "9ed5321600a38d41ff342313d3d677ec26ac8b8d1bc7e5a773fe40183bbe559d",
+    "det_chained_d200": "5f69b5fa269f1551e6f202fec93a74ff5379a5367b1d4b7fd18ee6f50c218e4b",
     "pca_finite_sum": "9ebf8ddde2c1476c753251c20f7a8880cf4ab1129e203177ef77f0584e0c501f",
     "fs_pca_n200": "662f9df68170baece31e294a7d5c1e71d2b9b9feaaae894caf9d52cf525575ae",
     "noisy_bowl": "db83bb6d927d6c3ea45a86f0a6849780f377a46e8c72995203132481701f19a4",

@@ -188,6 +188,29 @@ def test_chained_hvp_equals_the_uncached_expression_bit_for_bit(rng):
             assert hvp(x, v).tobytes() == _uncached_chained_hvp(a, x, v).tobytes()
 
 
+@pytest.mark.parametrize("d", [2, 7, 200])
+def test_chained_value_equals_the_np_sum_expression_bit_for_bit(rng, d):
+    # ndarray.sum and np.sum run the same add.reduce; the method skips np.sum's
+    # dispatch, so the value is the same float
+    value = make_chained_saddles(d).oracle.value
+    a = np.linspace(0.5, 0.3, d)
+
+    def check(x):
+        expected = float(np.sum(a * (x ** 2 - 1.0) ** 2))
+        assert np.float64(value(x)).tobytes() == np.float64(expected).tobytes()
+
+    for _ in range(20):
+        check(rng.uniform(-1.5, 1.5, d))
+    # signed zeros, then infinities, then NaN among them
+    special = np.resize([-0.0, 0.0, 1.0, -1.0], d)
+    check(special)
+    special[:2] = [np.inf, -np.inf]
+    check(special)
+    special[-1] = np.nan
+    with np.errstate(invalid="ignore"):
+        check(special)
+
+
 def _chained_saddles_as_a_list(d):
     # saddle j: ones in its first j coordinates, zeros after
     saddles = [np.zeros(d)]
