@@ -54,18 +54,21 @@ class RunReport:
     all_runs_failed: bool = False
 
 
-def _enter(oracle, tol, smooth, ncfg, mode, scsg_cfg=None, **extra):
+def _enter(oracle, tol, smooth, mode, scsg_cfg=None, ncfg=None, **extra):
     """The entry work of every driver and the baseline, before any oracle work.
 
     check_run for `mode`, then the counting wrap; in the sampling modes the
     epoch's ScsgConfig, derive_scsg_params when scsg_cfg is None.  Returns
     the counting oracle, the ScsgConfig (None in deterministic mode) and the
-    run's config echo: the mode, each config as a dict, and `extra`.
+    run's config echo: the mode, each config as a dict, and `extra`.  ncfg,
+    the stochastic finder's, is given and echoed in stochastic mode only.
     """
     check_run(oracle, tol, smooth, ncfg, mode)
     oracle = as_counting(oracle)
     echo = {"mode": mode, "tolerance": dataclasses.asdict(tol),
-            "smoothness": dataclasses.asdict(smooth), "nc": dataclasses.asdict(ncfg)}
+            "smoothness": dataclasses.asdict(smooth)}
+    if mode == "stochastic":
+        echo["nc"] = dataclasses.asdict(ncfg)
     if mode != "deterministic":
         if scsg_cfg is None:
             scsg_cfg = derive_scsg_params(tol, smooth, mode, n=oracle.n_components)
@@ -151,7 +154,6 @@ def _epoch_step(oracle, scsg_cfg, rng, mode, table=lambda: None):
 def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
                        solver_choice: str = DEFAULT_SOLVER, *,
                        rng: np.random.Generator,
-                       ncfg: NcConfig = NcConfig(),
                        solver_max_iters: int = DEFAULT_MAX_ITERS) -> RunReport:
     """Full-information driver.
 
@@ -161,7 +163,7 @@ def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     finder's delta).  The solver is guarded_agd by default; solver_choice="gd"
     selects plain gradient descent, which reads no values.
     """
-    oracle, _, echo = _enter(oracle, tol, smooth, ncfg, "deterministic",
+    oracle, _, echo = _enter(oracle, tol, smooth, "deterministic",
                              solver_choice=solver_choice, solver_max_iters=solver_max_iters)
     check_solver(solver_choice, solver_max_iters)
 
@@ -170,7 +172,7 @@ def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
         return res.point, res.gradient, res.value, None if res.converged else res.grad_norm
 
     return _drive(oracle, x0, tol.max_outer, oracle.gradient, oracle.value, tol.eps, solve,
-                  lambda x, g: one_step_deterministic(oracle, x, tol, smooth, rng, ncfg, g=g),
+                  lambda x, g: one_step_deterministic(oracle, x, tol, smooth, rng, g=g),
                   echo)
 
 
@@ -184,9 +186,10 @@ def gose_stochastic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     gradient norm against eps/2 (the halved threshold keeps the true gradient
     small when escaping), and either run one variance-reduced epoch anchored
     at that same batch gradient or take one stochastic escape step.  Only the
-    sampling oracles are called, so trace rows carry f_value None.
+    sampling oracles are called, so trace rows carry f_value None.  ncfg
+    sets the finder's engine, the one finder setting of any driver.
     """
-    oracle, scsg_cfg, echo = _enter(oracle, tol, smooth, ncfg, "stochastic", scsg_cfg)
+    oracle, scsg_cfg, echo = _enter(oracle, tol, smooth, "stochastic", scsg_cfg, ncfg=ncfg)
     return _drive(oracle, x0, tol.max_outer,
                   lambda x: oracle.sample_gradient_batch(x, scsg_cfg.B, rng), None, tol.eps / 2.0,
                   _epoch_step(oracle, scsg_cfg, rng, "stochastic"),
@@ -196,7 +199,6 @@ def gose_stochastic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
 
 def gose_finite_sum(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec, *,
                     rng: np.random.Generator,
-                    ncfg: NcConfig = NcConfig(),
                     scsg_cfg: Optional[ScsgConfig] = None) -> RunReport:
     """Finite-sum driver.
 
@@ -208,7 +210,7 @@ def gose_finite_sum(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec, *,
     escape flips its direction against the same mean.  The oracle's own
     gradient is never called.
     """
-    oracle, scsg_cfg, echo = _enter(oracle, tol, smooth, ncfg, "finite_sum", scsg_cfg)
+    oracle, scsg_cfg, echo = _enter(oracle, tol, smooth, "finite_sum", scsg_cfg)
 
     table = None  # of the point measure() saw last, which the epoch starts from
 
@@ -219,13 +221,12 @@ def gose_finite_sum(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec, *,
 
     return _drive(oracle, x0, tol.max_outer, measure, oracle.value, tol.eps,
                   _epoch_step(oracle, scsg_cfg, rng, "finite_sum", lambda: table),
-                  lambda x, g: one_step_finite_sum(oracle, x, tol, smooth, rng, ncfg, g=g),
+                  lambda x, g: one_step_finite_sum(oracle, x, tol, smooth, rng, g=g),
                   echo)
 
 
 def always_probe_baseline(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec, *,
-                          rng: np.random.Generator,
-                          ncfg: NcConfig = NcConfig()) -> RunReport:
+                          rng: np.random.Generator) -> RunReport:
     """Reference scheme that probes for negative curvature every iteration.
 
     Runs the drivers' outer loop for tol.max_outer iterations, but each iteration
@@ -235,10 +236,10 @@ def always_probe_baseline(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSp
     Exists purely to quantify how many probes the region-splitting drivers
     save.
     """
-    oracle, _, echo = _enter(oracle, tol, smooth, ncfg, "deterministic")
+    oracle, _, echo = _enter(oracle, tol, smooth, "deterministic")
 
     def probe(x, g):
-        return one_step_deterministic(oracle, x, tol, smooth, rng, ncfg, g=g)
+        return one_step_deterministic(oracle, x, tol, smooth, rng, g=g)
 
     def probe_or_gradient_step(x, g, fx):
         oracle.counters.small_region_entries += 1  # probes on the large branch too

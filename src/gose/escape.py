@@ -58,8 +58,8 @@ def subsample_size(tol: ToleranceConfig, smooth: SmoothnessSpec) -> int:
         sigma=smooth.sigma, delta=tol.delta, eps=tol.eps))
 
 
-def check_run(oracle, tol: ToleranceConfig, smooth: SmoothnessSpec, ncfg: NcConfig,
-              mode: str) -> None:
+def check_run(oracle, tol: ToleranceConfig, smooth: SmoothnessSpec,
+              ncfg: Optional[NcConfig], mode: str) -> None:
     """The entry check of a run or escape in `mode`, before any oracle work.
 
     The one home of the rules that tie the configs, the oracle and the mode
@@ -68,9 +68,10 @@ def check_run(oracle, tol: ToleranceConfig, smooth: SmoothnessSpec, ncfg: NcConf
     eps < eps_h**2/(16*rho_eff), the bound under which the C_H step leaves
     the small-gradient region, and eps <= eps_h**1.5 in stochastic mode; then
     every size the run's finder and escapes will draw, computed by the
-    functions that draw them: finder_sizes of `mode` and ncfg.engine, in
-    stochastic mode the escape subsample, and in finite-sum mode n, the rows
-    of the driver's anchor table (solvers.anchor_table).
+    functions that draw them: finder_sizes of `mode` (and, stochastic, of
+    ncfg.engine; the other modes pass None), in stochastic mode the escape
+    subsample, and in finite-sum mode n, the rows of the driver's anchor
+    table (solvers.anchor_table).
     """
     check_mode(mode, oracle)
     bound = tol.eps_h ** 2 / (16.0 * smooth.rho_eff)
@@ -115,17 +116,18 @@ def escape_step_length(tol: ToleranceConfig, smooth: SmoothnessSpec) -> float:
     return C_H * tol.eps_h / smooth.rho_eff
 
 
-def _one_step(oracle, x, tol, smooth, rng, ncfg, mode, finder, sign_gradient):
+def _one_step(oracle, x, tol, smooth, rng, mode, finder, sign_gradient, ncfg=None):
     """The one escape body: one finder call, then one step unless bottom.
 
-    Wraps oracle for counting; sign_gradient(oracle) supplies the gradient
-    estimate the direction is flipped against, and is only evaluated when a
-    direction came back.  check_run runs first, so a size out of range raises
-    before the finder spends anything.
+    Wraps oracle for counting; finder(oracle, x, eps_h, delta, L, rng) is the
+    mode's finder; sign_gradient(oracle) supplies the gradient estimate the
+    direction is flipped against, and is only evaluated when a direction came
+    back.  check_run runs first, so a size out of range raises before the
+    finder spends anything.
     """
     oracle = as_counting(oracle)
     check_run(oracle, tol, smooth, ncfg, mode)
-    out = finder(oracle, x, tol.eps_h, tol.delta, smooth.L, rng, ncfg)
+    out = finder(oracle, x, tol.eps_h, tol.delta, smooth.L, rng)
     if out.is_bottom:
         return EscapeResult(False, None, out)
     v_tilde = adjust_direction(sign_gradient(oracle), out.direction)
@@ -135,7 +137,6 @@ def _one_step(oracle, x, tol, smooth, rng, ncfg, mode, finder, sign_gradient):
 
 def one_step_deterministic(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,
                            rng: np.random.Generator,
-                           ncfg: NcConfig = NcConfig(),
                            g: Optional[np.ndarray] = None) -> EscapeResult:
     """Single escape step using the exact gradient for the sign adjustment.
 
@@ -143,7 +144,7 @@ def one_step_deterministic(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSp
     g to reuse an already-computed gradient; otherwise one gradient eval is
     spent.  Cost: one finder call plus at most one gradient.
     """
-    return _one_step(oracle, x, tol, smooth, rng, ncfg, "deterministic",
+    return _one_step(oracle, x, tol, smooth, rng, "deterministic",
                      approx_nc_deterministic,
                      lambda oracle: oracle.gradient(x) if g is None else g)
 
@@ -154,19 +155,20 @@ def one_step_stochastic(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,
     """Single escape step with a subsampled gradient for the sign adjustment.
 
     Draws a fresh minibatch (size per subsample_size) to estimate
-    the gradient; the step direction satisfies g_hat . v <= 0.
+    the gradient; the step direction satisfies g_hat . v <= 0.  ncfg sets
+    the finder's engine.
     """
-    return _one_step(oracle, x, tol, smooth, rng, ncfg, "stochastic",
-                     approx_nc_stochastic,
+    return _one_step(oracle, x, tol, smooth, rng, "stochastic",
+                     lambda *args: approx_nc_stochastic(*args, ncfg),
                      lambda oracle: oracle.sample_gradient_batch(
-                         x, subsample_size(tol, smooth), rng))
+                         x, subsample_size(tol, smooth), rng),
+                     ncfg=ncfg)
 
 
 def one_step_finite_sum(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,
                         rng: np.random.Generator,
-                        ncfg: NcConfig = NcConfig(),
                         g: Optional[np.ndarray] = None) -> EscapeResult:
     """Single escape step for finite sums; the sign uses the full gradient."""
-    return _one_step(oracle, x, tol, smooth, rng, ncfg, "finite_sum",
+    return _one_step(oracle, x, tol, smooth, rng, "finite_sum",
                      approx_nc_finite_sum,
                      lambda oracle: oracle.gradient(x) if g is None else g)

@@ -193,12 +193,15 @@ def run_one(cfg: ExperimentConfig, seed: int) -> tuple[RunReport, dict]:
     if cfg.mode == "deterministic":
         report = gose_deterministic(spec.oracle, x0, tol, smooth,
                                     solver_choice=cfg.solver_choice, rng=rng,
-                                    ncfg=ncfg, solver_max_iters=cfg.solver_max_iters)
+                                    solver_max_iters=cfg.solver_max_iters)
     else:
         scsg = derive_scsg_params(tol, smooth, cfg.mode, n=spec.oracle.n_components,
                                   B_override=cfg.scsg_B, b_override=cfg.scsg_b)
-        driver = gose_stochastic if cfg.mode == "stochastic" else gose_finite_sum
-        report = driver(spec.oracle, x0, tol, smooth, scsg_cfg=scsg, rng=rng, ncfg=ncfg)
+        if cfg.mode == "stochastic":
+            report = gose_stochastic(spec.oracle, x0, tol, smooth, scsg_cfg=scsg, rng=rng,
+                                     ncfg=ncfg)
+        else:
+            report = gose_finite_sum(spec.oracle, x0, tol, smooth, scsg_cfg=scsg, rng=rng)
     wall = time.perf_counter() - t0
 
     cert = report.certificate

@@ -121,7 +121,8 @@ class NcConfig:
     """The finder's stochastic core, checked when constructed.
 
     engine selects a minibatch-averaged Lanczos or the streaming power update
-    on fresh draws ("oja").
+    on fresh draws ("oja").  Only approx_nc_stochastic reads it; the other
+    finders have no setting.
     """
 
     engine: str = "minibatch_lanczos"
@@ -182,7 +183,7 @@ class FinderSizes(NamedTuple):
 
 
 def finder_sizes(mode: str, oracle, eps_h: float, delta: float, L: float,
-                 cfg: NcConfig) -> FinderSizes:
+                 cfg: Optional[NcConfig]) -> FinderSizes:
     """The sizes the finder of `mode` (and, stochastic, of cfg.engine) draws.
 
     The finders take their budgets from here, and check_run calls it at entry,
@@ -369,8 +370,8 @@ def _ritz_rayleigh(hvp: Callable, Q: np.ndarray, y: np.ndarray) -> tuple[float, 
 # Finder front ends
 
 
-def _search(mode: str, oracle, x, eps_h: float, delta: float, L: float, cfg: NcConfig,
-            threshold: float, candidate: Callable) -> NcOutcome:
+def _search(mode: str, oracle, x, eps_h: float, delta: float, L: float, threshold: float,
+            candidate: Callable, cfg: Optional[NcConfig] = None) -> NcOutcome:
     """The one finder skeleton: one candidate, validated against threshold.
 
     Before any oracle work it wraps oracle for counting, checks x
@@ -395,8 +396,7 @@ def _search(mode: str, oracle, x, eps_h: float, delta: float, L: float, cfg: NcC
 
 
 def approx_nc_deterministic(oracle, x, eps_h: float, delta: float, L: float,
-                            rng: np.random.Generator,
-                            cfg: NcConfig = NcConfig()) -> NcOutcome:
+                            rng: np.random.Generator) -> NcOutcome:
     """Exact-Hessian negative-curvature search via Lanczos.
 
     Matvecs are the oracle's HVPs: analytic when it has them, otherwise
@@ -411,7 +411,7 @@ def approx_nc_deterministic(oracle, x, eps_h: float, delta: float, L: float,
     1), times two when differencing gradients.
     """
     threshold = -eps_h / 2.0
-    return _search("deterministic", oracle, x, eps_h, delta, L, cfg, threshold,
+    return _search("deterministic", oracle, x, eps_h, delta, L, threshold,
                    lambda oracle, x, sizes: lanczos_min_eig(
                        lambda v: oracle.hvp(x, v), oracle.dimension, sizes.max_matvecs, rng,
                        stop_below=threshold, L=L, delta=delta))
@@ -443,8 +443,8 @@ def approx_nc_stochastic(oracle, x, eps_h: float, delta: float, L: float,
                                    oracle.dimension, sizes.max_matvecs, rng, probe_tol=None)
         return float(v @ oracle.sample_hvp(x, v, rng, sizes.validation)), v
 
-    return _search("stochastic", oracle, x, eps_h, delta, L, cfg,
-                   -(eps_h / 2.0 + eps_h / 8.0), candidate)
+    return _search("stochastic", oracle, x, eps_h, delta, L,
+                   -(eps_h / 2.0 + eps_h / 8.0), candidate, cfg)
 
 
 def _index_mean_hvp(oracle, x, v, indices) -> np.ndarray:
@@ -456,8 +456,7 @@ def _index_mean_hvp(oracle, x, v, indices) -> np.ndarray:
 
 
 def approx_nc_finite_sum(oracle, x, eps_h: float, delta: float, L: float,
-                         rng: np.random.Generator,
-                         cfg: NcConfig = NcConfig()) -> NcOutcome:
+                         rng: np.random.Generator) -> NcOutcome:
     """Negative-curvature search over a finite sum of components.
 
     Lanczos where each matvec averages per-component HVPs over a fresh index
@@ -473,4 +472,4 @@ def approx_nc_finite_sum(oracle, x, eps_h: float, delta: float, L: float,
             oracle.dimension, sizes.max_matvecs, rng, probe_tol=None)
         return float(v @ _index_mean_hvp(oracle, x, v, range(n))), v
 
-    return _search("finite_sum", oracle, x, eps_h, delta, L, cfg, -eps_h / 2.0, candidate)
+    return _search("finite_sum", oracle, x, eps_h, delta, L, -eps_h / 2.0, candidate)

@@ -1,7 +1,11 @@
 import dataclasses
 import hashlib
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -757,7 +761,39 @@ def test_chained_saddles_certify_within_d_plus_one_nc_calls(d, solver):
         assert c.status == STATUS_SECOND_ORDER
         assert c.counters.nc_calls <= d + 1
         assert c.counters.nc_calls == c.counters.small_region_entries
+        # the certifying bottom settles long before Lanczos converges
+        assert c.counters.hvp_evals <= 60
         assert certify_second_order(prob.oracle, c.point, tol.eps, tol.eps_h)[0]
+
+
+# one run at d = 20,000 in a fresh interpreter, so that ru_maxrss is its own
+CHAINED_AT_20000 = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from gose import harness
+cfg = harness.ExperimentConfig.from_dict({
+    "problem": "chained_saddles", "problem_params": {"d": 20000},
+    "mode": "deterministic", "eps": 0.01, "eps_h": 0.5, "delta": 0.01,
+    "rho": 1.0, "max_outer": 200,
+})
+_, row = harness.run_one(cfg, 0)
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+print(harness.summary_line({**row, "peak_mb": peak_mb}))
+"""
+
+
+def test_chained_saddles_at_d_20000_solve_in_little_memory():
+    # the planted saddles are built on read: d stored points would take 3.2 GB
+    src = os.path.dirname(os.path.dirname(gose.drivers.__file__))
+    proc = subprocess.run([sys.executable, "-c", CHAINED_AT_20000, src],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    row = json.loads(proc.stdout.splitlines()[-1])
+    counters = row["counters"]
+    assert row["status"] == STATUS_SECOND_ORDER
+    assert row["certified"] is None  # the dense certifier stops at d=500
+    assert counters["nc_calls"] == counters["small_region_entries"] <= 20_000 + 1
+    assert row["peak_mb"] < 400
 
 
 def chained_finite_sum_run(d, seed):

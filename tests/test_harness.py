@@ -80,7 +80,8 @@ def test_run_one_minimal_smoke():
                 "small_region_entries", "outer_iters", "epochs_run",
                 "stoch_grad_evals", "component_grad_evals", "fn_evals"]:
         assert key in row["counters"]
-    assert "tolerance" in row["config"] and "nc" in row["config"]
+    # the finder config is echoed only where the stochastic finder reads it
+    assert "tolerance" in row["config"] and "nc" not in row["config"]
 
 
 def test_config_echo_states_each_value_once():
@@ -177,19 +178,36 @@ def test_build_problem_rejects_mode_the_problem_cannot_serve():
 # sweep
 
 
+# (sweep, seed rows): agd against gd on a convex quadratic with a spread
+# spectrum, and on chained saddles d=10 at two tolerances
+SOLVER_SWEEPS = [
+    ({"base": {**CONVEX_CFG,
+               "problem_params": {"d": 6, "spectrum": [0.02, 0.1, 0.3, 0.5, 0.8, 1.0],
+                                  "seed": 1},
+               "L": 1.0, "eps": 0.001},
+      "grid": {"solver_choice": ["agd", "gd"]}}, 2),
+    ({"base": {"problem": "chained_saddles", "problem_params": {"d": 10},
+               "mode": "deterministic", "eps_h": 0.5, "rho": 1.0, "seeds": [0, 1, 2]},
+      "grid": {"solver_choice": ["gd", "agd"], "eps": [0.01, 0.001]}}, 12),
+]
+
+
 def test_sweep_gd_vs_agd_counter_comparison(tmp_path):
-    sweep = {
-        "base": {**CONVEX_CFG,
-                 "problem_params": {"d": 6,
-                                    "spectrum": [0.02, 0.1, 0.3, 0.5, 0.8, 1.0],
-                                    "seed": 1},
-                 "L": 1.0, "eps": 0.001},
-        "grid": {"solver_choice": ["agd", "gd"]},
-    }
-    rows = run_sweep(sweep, out_dir=str(tmp_path))
-    totals = {r["cell"]["solver_choice"]: r["totals"]
-              for r in rows if r.get("aggregate")}
-    assert totals["agd"]["grad_evals"] <= totals["gd"]["grad_evals"]
+    # every seed certifies, and in every cell the default agd large step
+    # spends fewer work units, and no more gradients, than gd
+    for sweep, seed_rows in SOLVER_SWEEPS:
+        rows = run_sweep(sweep, out_dir=str(tmp_path))
+        seeds = [r for r in rows if not r.get("aggregate")]
+        assert len(seeds) == seed_rows
+        assert all(r.get("certified") is True for r in seeds), seeds
+        totals = {tuple(sorted(r["cell"].items())): EvalCounters(**r["totals"])
+                  for r in rows if r.get("aggregate")}
+        for cell, agd in totals.items():
+            if ("solver_choice", "agd") not in cell:
+                continue
+            gd = totals[tuple(sorted({**dict(cell), "solver_choice": "gd"}.items()))]
+            assert agd.work_units() < gd.work_units(), (cell, agd, gd)
+            assert agd.grad_evals <= gd.grad_evals, (cell, agd, gd)
 
 
 def test_sweep_empty_axis_rejected(tmp_path):
@@ -226,6 +244,12 @@ def test_verify_nc_deterministic_small():
 def test_verify_nc_every_engine_small(engine):
     res = verify_nc_suite(d=10, trials=20, engine=engine, seed=0)
     assert res["passed"] and res["unsound_directions"] == 0
+
+
+@pytest.mark.parametrize("engine", sorted(NC_THRESHOLDS))
+def test_cli_verify_nc_every_engine_at_d_50(engine):
+    # the deterministic engines settle bottom early here; a rate miss exits 1
+    assert main(["verify-nc", "--d", "50", "--trials", "100", "--engine", engine]) == 0
 
 
 # sha256 per engine over every verify_nc_suite(d=10, trials=20, seed=0) finder
@@ -394,18 +418,19 @@ PCA_CFG = {
 # settings outside their config's range: a config error before any oracle work
 OUT_OF_RANGE_CASES = [
     pytest.param({**NOISY_BOWL_CFG, "scsg_b": 0}, "scsg_b", id="scsg_b_zero"),
-    pytest.param({**CHAINED_ORIGIN_CFG, "solver_max_iters": 0}, "solver_max_iters",
+    pytest.param({**CHAINED_ORIGIN_CFG, "solver_max_iters": 0}, "solver_max_iters must be >= 1",
                  id="solver_max_iters_zero"),
     # the sampling modes run no solver, and still check both solver settings
-    pytest.param({**NOISY_BOWL_CFG, "solver_max_iters": 0}, "solver_max_iters",
+    pytest.param({**NOISY_BOWL_CFG, "solver_max_iters": 0}, "solver_max_iters must be >= 1",
                  id="solver_max_iters_zero_stochastic"),
-    pytest.param({**PCA_CFG, "solver_max_iters": -1}, "solver_max_iters",
+    pytest.param({**PCA_CFG, "solver_max_iters": -1}, "solver_max_iters must be >= 1",
                  id="solver_max_iters_negative_finite_sum"),
     pytest.param({**PCA_CFG, "solver_choice": "bogus"}, "unknown solver 'bogus'",
                  id="solver_choice_finite_sum"),
     pytest.param({**NOISY_BOWL_CFG, "scsg_B": 0}, "scsg_B", id="scsg_B_zero"),
     # NaN and inf, which JSON configs can carry, are out of every range
-    pytest.param({**CHAINED_ORIGIN_CFG, "rho": math.nan}, "rho must", id="rho_nan"),
+    pytest.param({**CHAINED_ORIGIN_CFG, "rho": math.nan},
+                 "rho must be nonnegative and finite, got nan", id="rho_nan"),
     pytest.param({**NOISY_BOWL_CFG, "delta": math.nan}, "delta must", id="delta_nan"),
     pytest.param({**PCA_CFG, "L": math.inf}, "L must", id="L_inf"),
     pytest.param({**NOISY_BOWL_CFG, "h_star": 0.005, "sigma": math.inf}, "sigma must",
@@ -457,6 +482,9 @@ def test_cli_run_rejects_out_of_range_setting(tmp_path, capsys, cfg, named):
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and named in err
+    if re.match(r"\w+ must", named):
+        # a message about one field opens with that field
+        assert err.startswith(f"config error: {named}")
     assert not (tmp_path / "out").exists()
 
 
@@ -473,13 +501,15 @@ def test_out_of_range_setting_raises_before_any_oracle_work(cfg, named):
         oracle = as_counting(spec.oracle)
         tol, smooth, ncfg = build_configs(cfg, spec)
         if cfg.mode == "deterministic":
-            gose_deterministic(oracle, spec.x0, tol, smooth, rng=rng, ncfg=ncfg,
+            gose_deterministic(oracle, spec.x0, tol, smooth, rng=rng,
                                solver_max_iters=cfg.solver_max_iters)
         else:
             scsg = derive_scsg_params(tol, smooth, cfg.mode, n=oracle.n_components,
                                       B_override=cfg.scsg_B, b_override=cfg.scsg_b)
-            driver = gose_stochastic if cfg.mode == "stochastic" else gose_finite_sum
-            driver(oracle, spec.x0, tol, smooth, scsg_cfg=scsg, rng=rng, ncfg=ncfg)
+            if cfg.mode == "stochastic":
+                gose_stochastic(oracle, spec.x0, tol, smooth, scsg_cfg=scsg, rng=rng, ncfg=ncfg)
+            else:
+                gose_finite_sum(oracle, spec.x0, tol, smooth, scsg_cfg=scsg, rng=rng)
     assert oracle is None or oracle.counters == EvalCounters()
 
 
@@ -506,6 +536,39 @@ def test_cli_run_rejects_size_out_of_range(tmp_path, capsys, cfg, named):
     assert not (tmp_path / "out").exists()
 
 
+# one config per mode over seeds [0, 1], each with what every summary row shows
+CLI_RUN_CASES = [
+    # the minimal config of the README: a convex quadratic, where one NC call
+    # settles bottom and ground truth certifies it
+    pytest.param({key: value for key, value in CONVEX_CFG.items() if key != "max_outer"},
+                 lambda row: (row["certified"] is True and row["counters"]["nc_calls"] == 1
+                              and row["config"]["mode"] == "deterministic"),
+                 id="minimal"),
+    # each full gradient is one anchor table of n component gradients, which
+    # the epoch reuses: the oracle's own gradient is never called
+    pytest.param({**PCA_CFG, "problem_params": {"n": 50, "d": 5, "seed": 13},
+                  "max_outer": 1500},
+                 lambda row: (row["certified"] is True and row["counters"]["grad_evals"] == 0
+                              and row["counters"]["epochs_run"] >= 1),
+                 id="finite_sum_pca"),
+    # SCSG epochs on the noisy bowl, every seed certified
+    pytest.param({**NOISY_BOWL_CFG, "max_outer": 80}, lambda row: row["certified"] is True,
+                 id="stochastic_bowl"),
+]
+
+
+@pytest.mark.parametrize("cfg, shows", CLI_RUN_CASES)
+def test_cli_run_reaches_second_order_stationarity_on_every_seed(tmp_path, cfg, shows):
+    path = write_cfg(tmp_path, {**cfg, "seeds": [0, 1]})
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "summary.jsonl").read_text().splitlines()
+    rows = [json.loads(line) for line in lines]
+    assert len(rows) == 2
+    for row in rows:
+        assert row["status"] == "second_order_stationary", row
+        assert shows(row), row
+
+
 def test_run_defaults_are_the_library_defaults():
     # gose run builds the configs a library caller gets by default
     cfg = ExperimentConfig()
@@ -516,6 +579,18 @@ def test_run_defaults_are_the_library_defaults():
     solver = inspect.signature(gose_deterministic).parameters
     assert cfg.solver_choice == solver["solver_choice"].default
     assert cfg.solver_max_iters == solver["solver_max_iters"].default
+
+
+@pytest.mark.parametrize("cfg, nc", [
+    (CONVEX_CFG, None),
+    ({**CONVEX_CFG, "mode": "stochastic", "noise_sigma": 0.05, "scsg_b": 32, "max_outer": 1,
+      "nc_engine": "oja"}, {"engine": "oja"}),
+    (PCA_CFG, None),
+], ids=["deterministic", "stochastic", "finite_sum"])
+def test_config_echo_carries_the_finder_config_in_stochastic_runs_only(cfg, nc):
+    # as scsg appears only in the sampling modes
+    _, row = run_one(ExperimentConfig.from_dict(cfg), 0)
+    assert row["config"].get("nc") == nc
 
 
 @pytest.mark.parametrize("name, value", [("s_rule", "auto"), ("c1", 1.0), ("rho_min", 1e-3),
@@ -708,7 +783,8 @@ def test_cli_sweep(tmp_path, capsys):
     assert (tmp_path / "out" / "sweep_summary.jsonl").exists()
 
 
-@pytest.mark.parametrize("eps, code, failed", [((0.02, 0.05), 2, 2), ((0.01, 0.02), 0, 1)])
+@pytest.mark.parametrize("eps, code, failed", [((0.02, 0.05), 2, 2), ((0.01, 0.02), 0, 1),
+                                               ((0.005, 0.01), 0, 0)])
 def test_cli_sweep_exits_2_only_when_no_cell_ran(tmp_path, capsys, eps, code, failed):
     # eps at or above eps_h**2/(16*rho_eff) = 0.015625 fails a cell
     sweep_path = write_cfg(tmp_path, {"base": {**CONVEX_CFG, "seeds": [0, 1]},

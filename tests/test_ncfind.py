@@ -498,15 +498,14 @@ def test_nc_det_fd_source_matches_contract(rng):
 
 
 def test_nc_det_budget_compliance(rng):
-    cfg = NcConfig()
     mm = det_max_matvecs(12, 0.5, 0.01, 1.0)
     spec = np.linspace(-1.0, 1.0, 12)
     A = planted_symmetric(12, spec, rng)
-    out = approx_nc_deterministic(matrix_oracle(A), np.zeros(12), 0.5, 0.01, 1.0, rng, cfg)
+    out = approx_nc_deterministic(matrix_oracle(A), np.zeros(12), 0.5, 0.01, 1.0, rng)
     assert out.hvp_or_grad_cost <= mm + 3
 
     bare = ObjectiveOracle(12, lambda x: 0.5 * float(x @ (A @ x)), lambda x: A @ x)
-    out_fd = approx_nc_deterministic(bare, np.zeros(12), 0.5, 0.01, 1.0, rng, cfg)
+    out_fd = approx_nc_deterministic(bare, np.zeros(12), 0.5, 0.01, 1.0, rng)
     assert out_fd.hvp_or_grad_cost <= 2 * (mm + 3)
 
 
