@@ -10,7 +10,7 @@ two probes total: one to escape the saddle, one to certify the minimum.
 import numpy as np
 
 from gose import SmoothnessSpec, ToleranceConfig, get_problem, gose_deterministic
-from gose.harness import always_probe_baseline
+from gose.drivers import always_probe_baseline
 
 prob = get_problem("saddle_path", d=2)
 tol = ToleranceConfig(eps=0.01, eps_h=0.5, delta=0.01, max_outer=50)

@@ -14,7 +14,7 @@ import inspect
 import json
 import sys
 
-from .core import MODES, ConfigError, GoseError
+from .core import ConfigError, GoseError
 from .harness import (ExperimentConfig, inject_asymmetric_probe, run_experiment,
                       run_sweep, summary_line, sweep_table, verify_nc_suite)
 from .problems import list_problems
@@ -32,11 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a configured experiment per seed")
     p_run.add_argument("--config", required=True, help="JSON experiment config")
-    p_run.add_argument("--seed", type=int, default=None, help="override: run this seed only")
+    p_run.add_argument("--seed", type=int, default=None, help="run this seed only")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--mode", default=None, choices=MODES)
-    p_run.add_argument("--engine", default=None,
-                       help="negative-curvature engine override")
     p_run.add_argument("--trace", action="store_true", help="also write trace tables")
 
     p_sweep = sub.add_parser("sweep", help="cross-product over a parameter grid")
@@ -56,12 +53,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_run(args) -> int:
-    overrides = {"seeds": None if args.seed is None else [args.seed], "mode": args.mode,
-                 "nc_engine": args.engine, "write_trace": args.trace or None}
-    # replace() re-runs the checks a value from the file gets
-    cfg = dataclasses.replace(ExperimentConfig.load(args.config),
-                              **{k: v for k, v in overrides.items() if v is not None})
-    rows = run_experiment(cfg, out_dir=args.out)
+    cfg = ExperimentConfig.load(args.config)
+    if args.seed is not None:
+        # replace() re-runs the checks a seed from the file gets
+        cfg = dataclasses.replace(cfg, seeds=[args.seed])
+    rows = run_experiment(cfg, out_dir=args.out, trace=args.trace)
     for row in rows:
         print(summary_line(row))
     return 0

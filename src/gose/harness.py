@@ -24,13 +24,13 @@ from .core import (MODES, ConfigError, DimensionTooLarge, EvalCounters,
                    GoseError, NonPositiveConstant, ObjectiveOracle,
                    SmoothnessSpec, ToleranceConfig, is_integer)
 from .drivers import RunReport, gose_deterministic, gose_finite_sum, gose_stochastic
-from .drivers import always_probe_baseline  # noqa: F401  (re-exported)
 from .ncfind import (_EPS, NcConfig, approx_nc_deterministic, approx_nc_finite_sum,
                      approx_nc_stochastic, lanczos_min_eig)
 from .problems import (PROBLEM_FACTORIES, ProblemSpec, _planted_spectrum,
                        _quadratic_oracle, certify_second_order, get_problem,
                        with_gradient_noise)
-from .solvers import DEFAULT_MAX_ITERS, DEFAULT_SOLVER, check_solver, derive_scsg_params
+from .solvers import (DEFAULT_MAX_ITERS, DEFAULT_SOLVER, check_b_override, check_solver,
+                      derive_scsg_params)
 
 OUT_ENV_VAR = "GOSE_OUT"
 DEFAULT_OUT = "gose_out"
@@ -42,7 +42,10 @@ DEFAULT_OUT = "gose_out"
 
 @dataclass
 class ExperimentConfig:
-    """Everything one `run` invocation needs, JSON round-trip stable."""
+    """What one `run` invocation computes, JSON round-trip stable.
+
+    Where files go and whether traces are written are run_experiment's arguments.
+    """
 
     problem: str = "quadratic_saddle"
     problem_params: dict = field(default_factory=dict)
@@ -63,11 +66,7 @@ class ExperimentConfig:
     # first-order machinery
     solver_choice: str = DEFAULT_SOLVER
     solver_max_iters: int = DEFAULT_MAX_ITERS
-    scsg_B: Optional[int] = None
     scsg_b: Optional[int] = None
-    # orchestration
-    write_trace: bool = False
-    out_dir: Optional[str] = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -78,8 +77,10 @@ class ExperimentConfig:
         if self.noise_sigma is not None and not 0.0 <= self.noise_sigma < math.inf:
             raise NonPositiveConstant(f"noise_sigma must be nonnegative and finite,"
                                       f" got {self.noise_sigma}")
-        # checked in every mode, though only the deterministic driver runs a solver
+        # checked in every mode, though only the deterministic driver runs a
+        # solver and only the sampling drivers read scsg_b
         check_solver(self.solver_choice, self.solver_max_iters)
+        check_b_override(self.scsg_b)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -196,7 +197,7 @@ def run_one(cfg: ExperimentConfig, seed: int) -> tuple[RunReport, dict]:
                                     solver_max_iters=cfg.solver_max_iters)
     else:
         scsg = derive_scsg_params(tol, smooth, cfg.mode, n=spec.oracle.n_components,
-                                  B_override=cfg.scsg_B, b_override=cfg.scsg_b)
+                                  b_override=cfg.scsg_b)
         if cfg.mode == "stochastic":
             report = gose_stochastic(spec.oracle, x0, tol, smooth, scsg_cfg=scsg, rng=rng,
                                      ncfg=ncfg)
@@ -295,14 +296,15 @@ def resolve_out_dir(explicit: Optional[str]) -> str:
     return os.environ.get(OUT_ENV_VAR, DEFAULT_OUT)
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> list:
-    """Run all configured seeds, write summary.jsonl (+traces), return rows."""
-    out = resolve_out_dir(out_dir if out_dir is not None else cfg.out_dir)
+def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
+                   trace: bool = False) -> list:
+    """Run all configured seeds, write summary.jsonl (+ a trace CSV per seed if trace)."""
+    out = resolve_out_dir(out_dir)
     rows = []
     for seed in cfg.seeds:
         report, row = run_one(cfg, seed)
         rows.append(row)
-        if cfg.write_trace:
+        if trace:
             write_trace(report, out, f"trace_{cfg.problem}_{cfg.mode}_seed{seed}.csv")
     write_summaries(rows, out)
     return rows

@@ -179,24 +179,20 @@ class _ChainedSaddles(Sequence):
         return s
 
 
-def make_chained_saddles(d: int, weights=None) -> ProblemSpec:
+def make_chained_saddles(d: int) -> ProblemSpec:
     """f(x) = sum_i a_i (x_i**2 - 1)**2: d strict saddles met in sequence.
 
     Each coordinate is a double well with a hilltop at 0.  Descent from the
     origin leaves coordinates untouched until a negative-curvature step moves
     them, so the canonical path visits d strict saddles (0, then points with
     one more coordinate settled into its well each time) before the minimum at
-    the all-ones corner.  On the box [-1.5, 1.5]: |w''| <= 23 a and
+    the all-ones corner.  The weights are a = linspace(0.5, 0.3, d), all
+    positive.  On the box [-1.5, 1.5]: |w''| <= 23 a and
     |w''(s)-w''(t)| <= 36 a |s-t|.
     """
     if d < 2:
         raise ConfigError("chained saddles need d >= 2")
-    if weights is None:
-        weights = np.linspace(0.5, 0.3, d)
-    a = np.asarray(weights, float)
-    if a.shape != (d,) or a.min() <= 0.0:
-        raise ConfigError("weights must be d positive reals")
-
+    a = np.linspace(0.5, 0.3, d)
     four_a = 4.0 * a
 
     def value(x):
@@ -229,31 +225,31 @@ def make_chained_saddles(d: int, weights=None) -> ProblemSpec:
     )
 
 
-def make_saddle_path(d: int = 2, a: float = 0.25, mu: float = 1.0,
-                     z0: float = 4.0) -> ProblemSpec:
+def make_saddle_path(d: int = 2) -> ProblemSpec:
     """One strict saddle between the start and the minimum.
 
-    f(x) = a (x_1**2 - 1)**2 + (mu/2) sum_{i>=2} x_i**2.  From
-    x0 = (0, z0, ..., z0) plain descent keeps x_1 = 0 exactly and slides into
+    f(x) = a (x_1**2 - 1)**2 + (1/2) sum_{i>=2} x_i**2 with a = 1/4.  From
+    x0 = (0, 4, ..., 4) plain descent keeps x_1 = 0 exactly and slides into
     the saddle at the origin; one curvature step then opens the x_1 well.
     """
     if d < 2:
         raise ConfigError("saddle path needs d >= 2")
+    a = 0.25
 
     def value(x):
-        return a * (x[0] ** 2 - 1.0) ** 2 + 0.5 * mu * float(x[1:] @ x[1:])
+        return a * (x[0] ** 2 - 1.0) ** 2 + 0.5 * float(x[1:] @ x[1:])
 
     def gradient(x):
-        g = mu * x.copy()
+        g = x.copy()
         g[0] = 4.0 * a * x[0] * (x[0] ** 2 - 1.0)
         return g
 
     def hvp(x, v):
-        h = mu * v.copy()
+        h = v.copy()
         h[0] = a * (12.0 * x[0] ** 2 - 4.0) * v[0]
         return h
 
-    x0 = np.full(d, z0)
+    x0 = np.full(d, 4.0)
     x0[0] = 0.0
     minimum = np.zeros(d)
     minimum[0] = 1.0
@@ -262,7 +258,7 @@ def make_saddle_path(d: int = 2, a: float = 0.25, mu: float = 1.0,
     return ProblemSpec(
         name="saddle_path",
         oracle=ObjectiveOracle(d, value, gradient, hvp=hvp),
-        known_L=max(23.0 * a, mu),
+        known_L=23.0 * a,
         known_rho=36.0 * a,
         box=(-1.5, 1.5),
         known_minimum_value=0.0,

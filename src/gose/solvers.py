@@ -83,8 +83,13 @@ def sample_geometric(p: float, rng: np.random.Generator) -> int:
     return int(math.floor(math.log(u) / math.log(p)))
 
 
+def check_b_override(b_override) -> None:
+    """A minibatch override (scsg_b in a run config) is None or an integer >= 1."""
+    if b_override is not None and not (is_integer(b_override) and b_override >= 1):
+        raise ConfigError(f"b_override (scsg_b) must be >= 1 and an integer, got {b_override!r}")
+
+
 def derive_scsg_params(tol, smooth, mode: str, n: int = 0,
-                       B_override: Optional[int] = None,
                        b_override: Optional[int] = None) -> ScsgConfig:
     """Derive epoch parameters for the chosen mode.
 
@@ -97,19 +102,15 @@ def derive_scsg_params(tol, smooth, mode: str, n: int = 0,
 
     Finite-sum: B = n, b = 1, eta = 1/(L * n**(2/3)).
 
-    Explicit overrides (each an integer >= 1) bypass the corresponding rule;
-    b is still clamped to B.
+    b_override (an integer >= 1) bypasses the rule for b, which is still
+    clamped to B.  A caller that must fix B builds its own ScsgConfig.
     """
-    for name, value in (("B_override (scsg_B)", B_override), ("b_override (scsg_b)", b_override)):
-        if value is not None and not (is_integer(value) and value >= 1):
-            raise ConfigError(f"{name} must be >= 1 and an integer, got {value!r}")
+    check_b_override(b_override)
     if mode == "finite_sum":
         if n < 1:
             raise ConfigError("finite_sum mode needs n >= 1")
-        B = n if B_override is None else int(B_override)
         b = 1 if b_override is None else int(b_override)
-        eta = 1.0 / (smooth.L * n ** (2.0 / 3.0))
-        return ScsgConfig(B=B, b=min(b, B), eta=eta)
+        return ScsgConfig(B=n, b=min(b, n), eta=1.0 / (smooth.L * n ** (2.0 / 3.0)))
     if mode != "stochastic":
         raise ConfigError(f"mode must be 'stochastic' or 'finite_sum', got {mode!r}")
     h_star = smooth.h_star
@@ -118,12 +119,10 @@ def derive_scsg_params(tol, smooth, mode: str, n: int = 0,
             "stochastic mode needs h_star; supply it or run estimate_variance_bound"
         )
     rho = smooth.rho_eff
-    if B_override is not None:
-        B = int(B_override)
-    else:  # h_star = 0 gives B = 0
-        B = max(checked_size("SCSG batch size B",
-                             lambda: 96.0 * h_star * math.log(1.0 / tol.delta) / tol.eps ** 2,
-                             h_star=h_star, delta=tol.delta, eps=tol.eps), 1)
+    # h_star = 0 gives B = 0
+    B = max(checked_size("SCSG batch size B",
+                         lambda: 96.0 * h_star * math.log(1.0 / tol.delta) / tol.eps ** 2,
+                         h_star=h_star, delta=tol.delta, eps=tol.eps), 1)
     if b_override is not None:
         b = int(b_override)
     else:

@@ -20,8 +20,8 @@ from gose import (ObjectiveOracle, SmoothnessSpec,
                   one_step_stochastic, sample_geometric, scsg_epoch,
                   with_gradient_noise)
 from gose.core import STATUS_SECOND_ORDER
-from gose.drivers import LARGE, SMALL
-from gose.harness import always_probe_baseline, verify_nc_suite
+from gose.drivers import LARGE, SMALL, always_probe_baseline
+from gose.harness import verify_nc_suite
 from gose.ncfind import approx_nc_deterministic
 from gose.problems import ProblemSpec, as_finite_sum
 from gose.solvers import ScsgConfig

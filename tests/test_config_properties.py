@@ -28,23 +28,22 @@ BY_ANNOTATION = {
     "float": finite,
     "int": st.integers(),
     "str": st.text(),
-    "bool": st.booleans(),
     "dict": st.dictionaries(st.text(), json_scalar, max_size=3),
     "list[int]": st.lists(st.integers(min_value=0), min_size=1, max_size=4),
     "Optional[float]": st.none() | finite,
     "Optional[int]": st.none() | st.integers(),
-    "Optional[str]": st.none() | st.text(),
 }
 
-# mode, noise_sigma and the solver settings are checked on construction, so
-# only their valid values build a config
+# mode, noise_sigma, the solver settings and scsg_b are checked on
+# construction, so only their valid values build a config
 experiment_configs = st.builds(
     ExperimentConfig,
     **{**{f.name: BY_ANNOTATION[f.type] for f in dataclasses.fields(ExperimentConfig)},
        "mode": st.sampled_from(MODES),
        "noise_sigma": st.none() | st.floats(min_value=0.0, allow_infinity=False),
        "solver_choice": st.sampled_from(sorted(SOLVERS)),
-       "solver_max_iters": st.integers(min_value=1)},
+       "solver_max_iters": st.integers(min_value=1),
+       "scsg_b": st.none() | st.integers(min_value=1)},
 )
 
 

@@ -12,9 +12,10 @@ import gose
 import gose.harness
 from gose.cli import _build_parser, main
 from gose.core import BudgetZero, ConfigError, EvalCounters
+from gose.drivers import always_probe_baseline
 from gose.harness import (NC_THRESHOLDS, ExperimentConfig, OUT_ENV_VAR,
-                          always_probe_baseline, build_configs, build_problem,
-                          resolve_out_dir, run_experiment, run_one, run_sweep,
+                          build_configs, build_problem, resolve_out_dir,
+                          run_experiment, run_one, run_sweep,
                           inject_asymmetric_probe, summary_line, trace_table,
                           verify_nc_suite)
 from gose import (NcConfig, SmoothnessSpec, ToleranceConfig, as_counting,
@@ -53,7 +54,7 @@ def test_config_rejects_unknown_fields():
 
 @pytest.mark.parametrize("name, value", [
     ("eps", "0.01"), ("max_outer", "5"), ("eps", True), ("max_outer", 5.0),
-    ("scsg_b", True), ("L", "7"), ("write_trace", 1), ("seeds", 0),
+    ("scsg_b", True), ("L", "7"), ("seeds", 0),
 ])
 def test_config_rejects_wrong_json_type_naming_field(name, value):
     with pytest.raises(ConfigError, match=repr(name)):
@@ -123,9 +124,8 @@ def test_trace_summary_counter_consistency():
 
 
 def test_run_experiment_writes_files(tmp_path):
-    cfg = ExperimentConfig.from_dict({**CONVEX_CFG, "seeds": [0, 1],
-                                      "write_trace": True})
-    rows = run_experiment(cfg, out_dir=str(tmp_path))
+    cfg = ExperimentConfig.from_dict({**CONVEX_CFG, "seeds": [0, 1]})
+    rows = run_experiment(cfg, out_dir=str(tmp_path), trace=True)
     assert len(rows) == 2
     summary = (tmp_path / "summary.jsonl").read_text().strip().splitlines()
     assert len(summary) == 2
@@ -377,8 +377,8 @@ CHAINED_ORIGIN_CFG = {
 
 @pytest.mark.parametrize("cfg, extra", [
     ({**CHAINED_ORIGIN_CFG, "nc_restarts": 0}, []),
-    (CONVEX_CFG, ["--engine", "bogus"]),
-    ({**CONVEX_CFG, "mode": "stochastic", "noise_sigma": 0.05}, ["--engine", "bogus"]),
+    ({**CONVEX_CFG, "nc_engine": "bogus"}, []),
+    ({**CONVEX_CFG, "mode": "stochastic", "noise_sigma": 0.05, "nc_engine": "bogus"}, []),
 ], ids=["nc_restarts_unknown", "engine_deterministic", "engine_stochastic"])
 def test_cli_run_rejects_bad_finder_setting(tmp_path, capsys, cfg, extra):
     # every finder call runs one candidate, so the removed nc_restarts key is
@@ -418,6 +418,8 @@ PCA_CFG = {
 # settings outside their config's range: a config error before any oracle work
 OUT_OF_RANGE_CASES = [
     pytest.param({**NOISY_BOWL_CFG, "scsg_b": 0}, "scsg_b", id="scsg_b_zero"),
+    # only the sampling drivers read scsg_b, and every mode checks it
+    pytest.param({**CHAINED_ORIGIN_CFG, "scsg_b": 0}, "scsg_b", id="scsg_b_zero_deterministic"),
     pytest.param({**CHAINED_ORIGIN_CFG, "solver_max_iters": 0}, "solver_max_iters must be >= 1",
                  id="solver_max_iters_zero"),
     # the sampling modes run no solver, and still check both solver settings
@@ -427,7 +429,6 @@ OUT_OF_RANGE_CASES = [
                  id="solver_max_iters_negative_finite_sum"),
     pytest.param({**PCA_CFG, "solver_choice": "bogus"}, "unknown solver 'bogus'",
                  id="solver_choice_finite_sum"),
-    pytest.param({**NOISY_BOWL_CFG, "scsg_B": 0}, "scsg_B", id="scsg_B_zero"),
     # NaN and inf, which JSON configs can carry, are out of every range
     pytest.param({**CHAINED_ORIGIN_CFG, "rho": math.nan},
                  "rho must be nonnegative and finite, got nan", id="rho_nan"),
@@ -488,12 +489,25 @@ def test_cli_run_rejects_out_of_range_setting(tmp_path, capsys, cfg, named):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("cfg, named", OUT_OF_RANGE_CASES + SIZE_OUT_OF_RANGE_CASES)
-def test_out_of_range_setting_raises_before_any_oracle_work(cfg, named):
+# settings in range whose tolerances break eps < eps_h**2/(16*rho_eff): only the
+# driver's entry check (check_run) can catch them
+DRIVER_ENTRY_CASES = [
+    pytest.param({**CHAINED_ORIGIN_CFG, "problem_params": {"d": 3}, "eps": 0.1},
+                 "eps=0.1 must satisfy eps < eps_h**2/(16*rho_eff)",
+                 id="eps_too_large_deterministic"),
+    pytest.param({**PCA_CFG, "problem_params": {"n": 20, "d": 4}, "eps": 0.1},
+                 "eps=0.1 must satisfy eps < eps_h**2/(16*rho_eff)",
+                 id="eps_too_large_finite_sum"),
+]
+
+
+@pytest.mark.parametrize("cfg, named",
+                         OUT_OF_RANGE_CASES + SIZE_OUT_OF_RANGE_CASES + DRIVER_ENTRY_CASES)
+def test_out_of_range_setting_raises_before_any_oracle_work(request, cfg, named):
     # the drivers compute every size the run draws at entry, so a size out of
     # range fails as early as a setting out of range; the solver settings fail
     # earlier still, when the config is made, before any problem is built
-    oracle = None
+    oracle = driver = None
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigError, match=re.escape(named)):
         cfg = ExperimentConfig.from_dict(cfg)
@@ -501,16 +515,22 @@ def test_out_of_range_setting_raises_before_any_oracle_work(cfg, named):
         oracle = as_counting(spec.oracle)
         tol, smooth, ncfg = build_configs(cfg, spec)
         if cfg.mode == "deterministic":
+            driver = gose_deterministic
             gose_deterministic(oracle, spec.x0, tol, smooth, rng=rng,
                                solver_max_iters=cfg.solver_max_iters)
         else:
             scsg = derive_scsg_params(tol, smooth, cfg.mode, n=oracle.n_components,
-                                      B_override=cfg.scsg_B, b_override=cfg.scsg_b)
+                                      b_override=cfg.scsg_b)
             if cfg.mode == "stochastic":
+                driver = gose_stochastic
                 gose_stochastic(oracle, spec.x0, tol, smooth, scsg_cfg=scsg, rng=rng, ncfg=ncfg)
             else:
+                driver = gose_finite_sum
                 gose_finite_sum(oracle, spec.x0, tol, smooth, scsg_cfg=scsg, rng=rng)
     assert oracle is None or oracle.counters == EvalCounters()
+    if request.node.callspec.id in {case.id for case in DRIVER_ENTRY_CASES}:
+        assert driver is {"deterministic": gose_deterministic,
+                          "finite_sum": gose_finite_sum}[cfg.mode]
 
 
 @pytest.mark.parametrize("cfg", [
@@ -595,13 +615,43 @@ def test_config_echo_carries_the_finder_config_in_stochastic_runs_only(cfg, nc):
 
 @pytest.mark.parametrize("name, value", [("s_rule", "auto"), ("c1", 1.0), ("rho_min", 1e-3),
                                          ("s_mult", 4.0), ("c_conc", 0.25), ("c_h", 0.5),
-                                         ("nc_budget_mult", 4.0)])
+                                         ("nc_budget_mult", 4.0), ("scsg_B", 400),
+                                         ("out_dir", "elsewhere"), ("write_trace", True)])
 def test_cli_run_rejects_removed_field(tmp_path, capsys, name, value):
     # the escape subsample has one rule and fixed constants, as do the escape
-    # step and the finder budgets; c1 and rho_min only rescaled rho
+    # step and the finder budgets; c1 and rho_min only rescaled rho; B is
+    # derived (a library caller fixes it with its own ScsgConfig); --out,
+    # GOSE_OUT and --trace say where files go and whether traces are written
     path = write_cfg(tmp_path, {**CONVEX_CFG, name: value})
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert f"unknown config fields: ['{name}']" in capsys.readouterr().err
+    # a sweep whose every cell carries the key has no cell that passes validation
+    sweep_path = write_cfg(tmp_path, {"base": {**CONVEX_CFG, name: value},
+                                      "grid": {"eps": [0.01, 0.005]}}, name="sweep.json")
+    assert main(["sweep", "--config", sweep_path, "--out", str(tmp_path / "sweep")]) == 2
+    assert capsys.readouterr().out.count(f"unknown config fields: ['{name}']") == 2
+
+
+@pytest.mark.parametrize("option", [["--mode", "stochastic"], ["--engine", "oja"]],
+                         ids=["mode", "engine"])
+def test_cli_run_rejects_removed_override(tmp_path, capsys, option):
+    # mode and nc_engine are config keys, with one setter each
+    path = write_cfg(tmp_path, CONVEX_CFG)
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--config", path, "--out", str(tmp_path / "out"), *option])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_cli_run_trace_flag_alone_writes_traces(tmp_path, trace):
+    path = write_cfg(tmp_path, {**CONVEX_CFG, "seeds": [0, 1]})
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out), *(["--trace"] * trace)]) == 0
+    traces = sorted(p.name for p in out.glob("trace_*.csv"))
+    assert traces == (["trace_quadratic_saddle_deterministic_seed0.csv",
+                       "trace_quadratic_saddle_deterministic_seed1.csv"] if trace else [])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from gose import (approx_nc_deterministic, as_streaming, certify_second_order, dense_hessian,
                   finite_diff_hvp, get_problem, list_problems,
                   make_chained_saddles, make_nonconvex_pca,
-                  make_quadratic_saddle, verify_lipschitz_constants)
+                  make_quadratic_saddle, make_saddle_path, verify_lipschitz_constants)
 from gose.core import ConfigError, DimensionTooLarge, ObjectiveOracle
 from gose.problems import PROBLEM_FACTORIES
 
@@ -151,6 +152,20 @@ def test_certify_diagonal_hessian_matches_the_eigensolve(rng):
 def test_chained_rejects_d1():
     with pytest.raises(ConfigError):
         make_chained_saddles(1)
+
+
+@pytest.mark.parametrize("factory", [make_chained_saddles, make_saddle_path])
+def test_fixture_takes_only_its_dimension(factory):
+    # the weights, the valley curvature and the start height are constants
+    assert list(inspect.signature(factory).parameters) == ["d"]
+    spec = factory(3)
+    if factory is make_chained_saddles:  # a = linspace(0.5, 0.3, d)
+        assert spec.oracle.value(spec.x0) == float(np.linspace(0.5, 0.3, 3).sum())
+        assert (spec.known_L, spec.known_rho) == (23.0 * 0.5, 36.0 * 0.5)
+    else:  # a = 1/4, unit curvature in the valley, x0 = (0, 4, 4)
+        np.testing.assert_array_equal(spec.x0, [0.0, 4.0, 4.0])
+        assert spec.oracle.value(spec.x0) == 0.25 + 16.0
+        assert (spec.known_L, spec.known_rho) == (23.0 * 0.25, 36.0 * 0.25)
 
 
 def _uncached_chained_hvp(a, x, v):
@@ -420,9 +435,8 @@ def test_certify_dimension_cap():
 @pytest.mark.parametrize("name, params, message", [
     ("quadratic_saddle", {"d": 3, "spectrum": [1.0, -1.0]}, "spectrum must have length d=3"),
     ("bowl_saddle", {"d": 2, "spectrum": [1.0, 0.5, -1.0]}, "spectrum must have length d=2"),
-    ("chained_saddles", {"d": 3, "weights": [0.5, 0.4]}, "weights must be d positive reals"),
-    ("chained_saddles", {"d": 3, "weights": [0.5, 0.0, 0.4]},
-     "weights must be d positive reals"),
+    ("chained_saddles", {"d": 1}, "chained saddles need d >= 2"),
+    ("chained_saddles", {"d": 0}, "chained saddles need d >= 2"),
     ("saddle_path", {"d": 1}, "saddle path needs d >= 2"),
     ("rosenbrock", {"d": 1}, "rosenbrock needs d >= 2"),
     ("nonconvex_pca", {"n": 0, "d": 3}, "nonconvex PCA needs n >= 1 and d >= 2"),
