@@ -2,14 +2,14 @@
 
 One Lanczos core serves every data access mode; only the Hessian-vector
 product source changes: analytic, finite differences of gradients, minibatch
-averages of per-component products, or a streaming update on single draws.
+averages of per-component products, or minibatch averages of sampled products.
 Each finder re-measures the Rayleigh quotient before returning, so a returned
 direction always certifies itself.
 """
 
 import numpy as np
 
-from gose import (NcConfig, ObjectiveOracle, approx_nc_deterministic,
+from gose import (ObjectiveOracle, approx_nc_deterministic,
                   approx_nc_finite_sum, approx_nc_stochastic, lanczos_min_eig,
                   make_nonconvex_pca)
 
@@ -48,11 +48,9 @@ stochastic = ObjectiveOracle(
     d, oracle.value, oracle.gradient, hvp=oracle.hvp,
     sample_gradient=lambda x, rng: A @ x + 0.05 * rng.standard_normal(d),
     sample_hvp=sample_hvp)
-for engine in ("minibatch_lanczos", "oja"):
-    out = approx_nc_stochastic(stochastic, np.zeros(d), eps_h, delta, 1.0, rng,
-                               NcConfig(engine=engine))
-    print(f"{engine:<19} {out.kind}, Rayleigh {out.lambda_hat:.4f},"
-          f" cost {out.hvp_or_grad_cost} sampled products")
+out = approx_nc_stochastic(stochastic, np.zeros(d), eps_h, delta, 1.0, rng)
+print(f"sampled HVPs:       {out.kind}, Rayleigh {out.lambda_hat:.4f},"
+      f" cost {out.hvp_or_grad_cost} sampled products")
 
 pca = make_nonconvex_pca(n=64, d=10, seed=0, top_eig=1.0)
 out = approx_nc_finite_sum(pca.oracle, np.zeros(10), eps_h, delta,

@@ -14,9 +14,8 @@ from .drivers import (RunReport, TraceRecord, amplify, gose_deterministic,
 from .escape import (EscapeResult, adjust_direction, escape_step_length,
                      one_step_deterministic, one_step_finite_sum,
                      one_step_stochastic)
-from .ncfind import (NcConfig, NcOutcome, approx_nc_deterministic,
-                     approx_nc_finite_sum, approx_nc_stochastic,
-                     lanczos_min_eig)
+from .ncfind import (NcOutcome, approx_nc_deterministic, approx_nc_finite_sum,
+                     approx_nc_stochastic, lanczos_min_eig)
 from .problems import (ProblemSpec, as_finite_sum, as_streaming,
                        certify_second_order, dense_hessian, get_problem,
                        list_problems, make_bowl_saddle, make_chained_saddles,
@@ -37,7 +36,7 @@ __all__ = [
     "gose_finite_sum", "gose_stochastic",
     "EscapeResult", "adjust_direction", "escape_step_length",
     "one_step_deterministic", "one_step_finite_sum", "one_step_stochastic",
-    "NcConfig", "NcOutcome", "approx_nc_deterministic",
+    "NcOutcome", "approx_nc_deterministic",
     "approx_nc_finite_sum", "approx_nc_stochastic", "lanczos_min_eig",
     "ProblemSpec", "as_finite_sum", "as_streaming", "certify_second_order",
     "dense_hessian", "get_problem", "list_problems", "make_bowl_saddle",

@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
-import json
 import sys
 
 from .core import ConfigError, GoseError
-from .harness import (ExperimentConfig, inject_asymmetric_probe, run_experiment,
-                      run_sweep, summary_line, sweep_table, verify_nc_suite)
+from .harness import (ExperimentConfig, inject_asymmetric_probe, load_json_object,
+                      run_experiment, run_sweep, summary_line, sweep_table,
+                      verify_nc_suite)
 from .problems import list_problems
 
 
@@ -64,9 +64,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    with open(args.config) as fh:
-        sweep = json.load(fh)
-    rows = run_sweep(sweep, out_dir=args.out)
+    rows = run_sweep(load_json_object(args.config), out_dir=args.out)
     print(sweep_table(rows))
     if not any(row.get("aggregate") for row in rows):
         raise ConfigError("no sweep cell passed validation")

@@ -186,8 +186,9 @@ class ObjectiveOracle:
     component_hvp, sample_gradient, sample_hvp) must return x's shape; any
     other shape raises MalformedOracleOutput naming the method, as does any
     result numpy cannot read as floats, or a value that is not a real number.
-    A draw count m below 1, or an index row with no index, raises ConfigError
-    before any counter moves.
+    A draw count m that is not an integer >= 1, a component index i that is
+    not an integer in [0, n), or an index row with no index, raises
+    ConfigError before any callable runs or any counter moves.
 
     A sample_gradient_batch(x, m, rng) callable returns the mean of m draws.
     It receives either one point of shape (d,) or a (k, d) stack of points;
@@ -272,13 +273,16 @@ class ObjectiveOracle:
     def component_gradient(self, i: int, x) -> np.ndarray:
         if self._component_gradient is None:
             raise NotFiniteSum("oracle has no component gradients")
+        i = _component_index(i, self.n_components)
         x = np.asarray(x, float)
-        return _shaped("component_gradient", self._component_gradient(int(i), x), x.shape)
+        return _shaped("component_gradient", self._component_gradient(i, x), x.shape)
 
     def component_gradient_batch(self, indices, x) -> np.ndarray:
         """Mean of component gradients over `indices`; (T, b) rows give (T, d) means.
 
         Without a batch callable each row sums its gradients in order, over b.
+        The index values are not range-checked here: this is the epoch's hot
+        path, and the library draws its indices in [0, n) itself.
         """
         indices = _index_rows(indices)
         x = np.asarray(x, float)
@@ -295,9 +299,10 @@ class ObjectiveOracle:
 
     def component_hvp(self, i: int, x, v) -> np.ndarray:
         if self._component_hvp is not None:
+            i = _component_index(i, self.n_components)
             x = np.asarray(x, float)
             return _shaped("component_hvp",
-                           self._component_hvp(int(i), x, np.asarray(v, float)), x.shape)
+                           self._component_hvp(i, x, np.asarray(v, float)), x.shape)
         return _finite_diff_component_hvp(self, i, x, v)
 
     # -- stochastic surface
@@ -365,10 +370,17 @@ def _shaped(method: str, out, shape: tuple) -> np.ndarray:
 
 
 def _draw_count(m) -> int:
-    """m as an int, or ConfigError if it is below 1: a mean of no draws is undefined."""
-    if not m >= 1:
-        raise ConfigError(f"draw count m must be >= 1, got {m!r}")
+    """m as an int, or ConfigError unless it is an integer >= 1; a fraction is never truncated."""
+    if not ((type(m) is int or is_integer(m)) and m >= 1):  # a plain int skips is_integer
+        raise ConfigError(f"draw count m must be >= 1 and an integer, got {m!r}")
     return int(m)
+
+
+def _component_index(i, n: int) -> int:
+    """i as an int, or ConfigError unless it is an integer in [0, n)."""
+    if not ((type(i) is int or is_integer(i)) and 0 <= i < n):
+        raise ConfigError(f"component index i must be an integer in [0, {n}), got {i!r}")
+    return int(i)
 
 
 def _index_rows(indices) -> np.ndarray:

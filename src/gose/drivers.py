@@ -26,7 +26,6 @@ from .core import (Certificate, ConfigError, EvalCounters, SmoothnessSpec,
                    ToleranceConfig, as_counting, check_point, is_integer)
 from .escape import (check_run, one_step_deterministic, one_step_finite_sum,
                      one_step_stochastic)
-from .ncfind import NcConfig
 from .solvers import (DEFAULT_MAX_ITERS, DEFAULT_SOLVER, ScsgConfig, anchor_table,
                       check_solver, derive_scsg_params, run_solver, scsg_epoch)
 
@@ -54,21 +53,18 @@ class RunReport:
     all_runs_failed: bool = False
 
 
-def _enter(oracle, tol, smooth, mode, scsg_cfg=None, ncfg=None, **extra):
+def _enter(oracle, tol, smooth, mode, scsg_cfg=None, **extra):
     """The entry work of every driver and the baseline, before any oracle work.
 
     check_run for `mode`, then the counting wrap; in the sampling modes the
     epoch's ScsgConfig, derive_scsg_params when scsg_cfg is None.  Returns
     the counting oracle, the ScsgConfig (None in deterministic mode) and the
-    run's config echo: the mode, each config as a dict, and `extra`.  ncfg,
-    the stochastic finder's, is given and echoed in stochastic mode only.
+    run's config echo: the mode, each config as a dict, and `extra`.
     """
-    check_run(oracle, tol, smooth, ncfg, mode)
+    check_run(oracle, tol, smooth, mode)
     oracle = as_counting(oracle)
     echo = {"mode": mode, "tolerance": dataclasses.asdict(tol),
             "smoothness": dataclasses.asdict(smooth)}
-    if mode == "stochastic":
-        echo["nc"] = dataclasses.asdict(ncfg)
     if mode != "deterministic":
         if scsg_cfg is None:
             scsg_cfg = derive_scsg_params(tol, smooth, mode, n=oracle.n_components)
@@ -178,22 +174,20 @@ def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
 
 def gose_stochastic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
                     scsg_cfg: Optional[ScsgConfig] = None, *,
-                    rng: np.random.Generator,
-                    ncfg: NcConfig = NcConfig()) -> RunReport:
+                    rng: np.random.Generator) -> RunReport:
     """Sampling-only driver.
 
     Per outer iteration: draw a batch of size B, branch on the batch-mean
     gradient norm against eps/2 (the halved threshold keeps the true gradient
     small when escaping), and either run one variance-reduced epoch anchored
     at that same batch gradient or take one stochastic escape step.  Only the
-    sampling oracles are called, so trace rows carry f_value None.  ncfg
-    sets the finder's engine, the one finder setting of any driver.
+    sampling oracles are called, so trace rows carry f_value None.
     """
-    oracle, scsg_cfg, echo = _enter(oracle, tol, smooth, "stochastic", scsg_cfg, ncfg=ncfg)
+    oracle, scsg_cfg, echo = _enter(oracle, tol, smooth, "stochastic", scsg_cfg)
     return _drive(oracle, x0, tol.max_outer,
                   lambda x: oracle.sample_gradient_batch(x, scsg_cfg.B, rng), None, tol.eps / 2.0,
                   _epoch_step(oracle, scsg_cfg, rng, "stochastic"),
-                  lambda x, g: one_step_stochastic(oracle, x, tol, smooth, rng, ncfg),
+                  lambda x, g: one_step_stochastic(oracle, x, tol, smooth, rng),
                   echo)
 
 

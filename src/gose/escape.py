@@ -27,8 +27,8 @@ import numpy as np
 
 from .core import (EpsilonTooLarge, SmoothnessSpec, StochasticEpsilonTooLarge,
                    ToleranceConfig, as_counting, check_mode, checked_size)
-from .ncfind import (NcConfig, NcOutcome, approx_nc_deterministic,
-                     approx_nc_finite_sum, approx_nc_stochastic, finder_sizes)
+from .ncfind import (NcOutcome, approx_nc_deterministic, approx_nc_finite_sum,
+                     approx_nc_stochastic, finder_sizes)
 
 
 # The escape step coefficient and the analysis constants of the escape
@@ -58,8 +58,7 @@ def subsample_size(tol: ToleranceConfig, smooth: SmoothnessSpec) -> int:
         sigma=smooth.sigma, delta=tol.delta, eps=tol.eps))
 
 
-def check_run(oracle, tol: ToleranceConfig, smooth: SmoothnessSpec,
-              ncfg: Optional[NcConfig], mode: str) -> None:
+def check_run(oracle, tol: ToleranceConfig, smooth: SmoothnessSpec, mode: str) -> None:
     """The entry check of a run or escape in `mode`, before any oracle work.
 
     The one home of the rules that tie the configs, the oracle and the mode
@@ -68,10 +67,9 @@ def check_run(oracle, tol: ToleranceConfig, smooth: SmoothnessSpec,
     eps < eps_h**2/(16*rho_eff), the bound under which the C_H step leaves
     the small-gradient region, and eps <= eps_h**1.5 in stochastic mode; then
     every size the run's finder and escapes will draw, computed by the
-    functions that draw them: finder_sizes of `mode` (and, stochastic, of
-    ncfg.engine; the other modes pass None), in stochastic mode the escape
-    subsample, and in finite-sum mode n, the rows of the driver's anchor
-    table (solvers.anchor_table).
+    functions that draw them: finder_sizes of `mode`, in stochastic mode the
+    escape subsample, and in finite-sum mode n, the rows of the driver's
+    anchor table (solvers.anchor_table).
     """
     check_mode(mode, oracle)
     bound = tol.eps_h ** 2 / (16.0 * smooth.rho_eff)
@@ -86,7 +84,7 @@ def check_run(oracle, tol: ToleranceConfig, smooth: SmoothnessSpec,
             raise StochasticEpsilonTooLarge(
                 f"stochastic mode needs eps <= eps_h**1.5 = {sbound:.6g}, got eps={tol.eps:.6g}"
             )
-    finder_sizes(mode, oracle, tol.eps_h, tol.delta, smooth.L, ncfg)
+    finder_sizes(mode, oracle, tol.eps_h, tol.delta, smooth.L)
     if mode == "stochastic":
         subsample_size(tol, smooth)
     if mode == "finite_sum":
@@ -116,7 +114,7 @@ def escape_step_length(tol: ToleranceConfig, smooth: SmoothnessSpec) -> float:
     return C_H * tol.eps_h / smooth.rho_eff
 
 
-def _one_step(oracle, x, tol, smooth, rng, mode, finder, sign_gradient, ncfg=None):
+def _one_step(oracle, x, tol, smooth, rng, mode, finder, sign_gradient):
     """The one escape body: one finder call, then one step unless bottom.
 
     Wraps oracle for counting; finder(oracle, x, eps_h, delta, L, rng) is the
@@ -126,7 +124,7 @@ def _one_step(oracle, x, tol, smooth, rng, mode, finder, sign_gradient, ncfg=Non
     finder spends anything.
     """
     oracle = as_counting(oracle)
-    check_run(oracle, tol, smooth, ncfg, mode)
+    check_run(oracle, tol, smooth, mode)
     out = finder(oracle, x, tol.eps_h, tol.delta, smooth.L, rng)
     if out.is_bottom:
         return EscapeResult(False, None, out)
@@ -150,19 +148,16 @@ def one_step_deterministic(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSp
 
 
 def one_step_stochastic(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,
-                        rng: np.random.Generator,
-                        ncfg: NcConfig = NcConfig()) -> EscapeResult:
+                        rng: np.random.Generator) -> EscapeResult:
     """Single escape step with a subsampled gradient for the sign adjustment.
 
     Draws a fresh minibatch (size per subsample_size) to estimate
-    the gradient; the step direction satisfies g_hat . v <= 0.  ncfg sets
-    the finder's engine.
+    the gradient; the step direction satisfies g_hat . v <= 0.
     """
     return _one_step(oracle, x, tol, smooth, rng, "stochastic",
-                     lambda *args: approx_nc_stochastic(*args, ncfg),
+                     approx_nc_stochastic,
                      lambda oracle: oracle.sample_gradient_batch(
-                         x, subsample_size(tol, smooth), rng),
-                     ncfg=ncfg)
+                         x, subsample_size(tol, smooth), rng))
 
 
 def one_step_finite_sum(oracle, x, tol: ToleranceConfig, smooth: SmoothnessSpec,

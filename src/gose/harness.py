@@ -24,7 +24,7 @@ from .core import (MODES, ConfigError, DimensionTooLarge, EvalCounters,
                    GoseError, NonPositiveConstant, ObjectiveOracle,
                    SmoothnessSpec, ToleranceConfig, is_integer)
 from .drivers import RunReport, gose_deterministic, gose_finite_sum, gose_stochastic
-from .ncfind import (_EPS, NcConfig, approx_nc_deterministic, approx_nc_finite_sum,
+from .ncfind import (_EPS, approx_nc_deterministic, approx_nc_finite_sum,
                      approx_nc_stochastic, lanczos_min_eig)
 from .problems import (PROBLEM_FACTORIES, ProblemSpec, _planted_spectrum,
                        _quadratic_oracle, certify_second_order, get_problem,
@@ -61,8 +61,6 @@ class ExperimentConfig:
     h_star: Optional[float] = None
     sigma: Optional[float] = None
     noise_sigma: Optional[float] = None  # gradient noise added in stochastic mode
-    # negative-curvature finder
-    nc_engine: str = NcConfig.engine
     # first-order machinery
     solver_choice: str = DEFAULT_SOLVER
     solver_max_iters: int = DEFAULT_MAX_ITERS
@@ -99,11 +97,22 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path: str) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(load_json_object(path))
 
     def dump(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+
+
+def load_json_object(path: str) -> dict:
+    """The JSON object in the file at path; ConfigError naming the file otherwise."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not text
+            raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path!r} holds a {type(data).__name__}, not a JSON object")
+    return data
 
 
 # the JSON values each ExperimentConfig annotation accepts; an int is a valid
@@ -181,13 +190,13 @@ def build_configs(cfg: ExperimentConfig, spec: ProblemSpec):
             raise ConfigError(f"h_star = 2*sigma**2 overflows for sigma={sigma};"
                               " set h_star") from None
         smooth = dataclasses.replace(smooth, h_star=h_star)
-    return tol, smooth, NcConfig(engine=cfg.nc_engine)
+    return tol, smooth
 
 
 def run_one(cfg: ExperimentConfig, seed: int) -> tuple[RunReport, dict]:
     """Run one seed of the configured experiment; returns (report, summary row)."""
     spec = build_problem(cfg)
-    tol, smooth, ncfg = build_configs(cfg, spec)
+    tol, smooth = build_configs(cfg, spec)
     rng = np.random.default_rng(seed)
     x0 = spec.x0
     t0 = time.perf_counter()
@@ -199,8 +208,7 @@ def run_one(cfg: ExperimentConfig, seed: int) -> tuple[RunReport, dict]:
         scsg = derive_scsg_params(tol, smooth, cfg.mode, n=spec.oracle.n_components,
                                   b_override=cfg.scsg_b)
         if cfg.mode == "stochastic":
-            report = gose_stochastic(spec.oracle, x0, tol, smooth, scsg_cfg=scsg, rng=rng,
-                                     ncfg=ncfg)
+            report = gose_stochastic(spec.oracle, x0, tol, smooth, scsg_cfg=scsg, rng=rng)
         else:
             report = gose_finite_sum(spec.oracle, x0, tol, smooth, scsg_cfg=scsg, rng=rng)
     wall = time.perf_counter() - t0
@@ -321,8 +329,10 @@ def run_sweep(sweep: dict, out_dir: Optional[str] = None) -> list:
     Cells whose config fails validation are reported as failed rows; the rest
     run.  Raises ConfigError on an empty grid axis.
     """
-    base = sweep.get("base", {})
-    grid = sweep.get("grid", {})
+    base, grid = sweep.get("base", {}), sweep.get("grid", {})
+    for key, value in (("base", base), ("grid", grid)):
+        if not isinstance(value, dict):
+            raise ConfigError(f"sweep {key!r} must be a JSON object, got {type(value).__name__}")
     if not grid:
         raise ConfigError("sweep needs a non-empty 'grid'")
     axes = sorted(grid)
@@ -397,7 +407,6 @@ NC_THRESHOLDS = {
     "deterministic": (0.95, 1.0),
     "fd": (0.95, 1.0),
     "minibatch_lanczos": (0.90, 0.90),
-    "oja": (0.90, 0.90),
     "finite_sum": (0.90, 1.0),
 }
 
@@ -451,7 +460,7 @@ def verify_nc_suite(d: int = 50, trials: int = 200, eps_h: float = 0.5,
         planted = ProblemSpec(name="planted", oracle=_quadratic_oracle(A),
                               known_L=L, known_rho=0.0, box=(-1.0, 1.0))
         oracle = with_gradient_noise(planted, SUITE_NOISE).oracle
-        return approx_nc_stochastic(oracle, x, eps_h, delta, L, rng, NcConfig(engine=engine))
+        return approx_nc_stochastic(oracle, x, eps_h, delta, L, rng)
 
     directions = unsound = 0
     for _ in range(trials):

@@ -5,7 +5,7 @@ Rayleigh quotient is at most -eps_h/2, or bottom meaning that with probability
 at least 1-delta no eigenvalue of the Hessian lies below -eps_h.  One Lanczos
 core serves every setting; what varies is the Hessian-vector product source
 (analytic, finite differences of gradients, per-component minibatch averages,
-or a streaming power update on stochastic draws).
+or minibatch averages of stochastic draws).
 
 Every engine re-measures the Rayleigh quotient before returning a direction
 and demotes to bottom on failure, which makes "direction implies Rayleigh
@@ -23,7 +23,7 @@ lambda_min above -eps_h/2 with probability 1 - delta given ||H|| <= L (the
 settled exit of lanczos_min_eig).  The sampling engines resample on every
 matvec, so the bound does not hold for them; they stop early on neither side.
 
-Each finder's sizes come from the five budget formulas below, read through
+Each finder's sizes come from the four budget formulas below, read through
 finder_sizes.  They are the asymptotic formulas times one constant factor,
 BUDGET_MULT = 4, an analysis constant and not a setting.
 
@@ -45,9 +45,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import (AsymmetricOperator, BudgetZero, ConfigError, LapackFailure,
-                   NonFiniteMeasurement, as_counting, check_mode, check_point,
-                   checked_size, is_integer)
+from .core import (AsymmetricOperator, BudgetZero, LapackFailure, NonFiniteMeasurement,
+                   as_counting, check_mode, check_point, checked_size, is_integer)
 
 BOTTOM = "bottom"
 DIRECTION = "direction"
@@ -113,25 +112,6 @@ class NcOutcome:
         return self.kind == BOTTOM
 
 
-ENGINES = ("minibatch_lanczos", "oja")
-
-
-@dataclass(frozen=True)
-class NcConfig:
-    """The finder's stochastic core, checked when constructed.
-
-    engine selects a minibatch-averaged Lanczos or the streaming power update
-    on fresh draws ("oja").  Only approx_nc_stochastic reads it; the other
-    finders have no setting.
-    """
-
-    engine: str = "minibatch_lanczos"
-
-    def __post_init__(self):
-        if self.engine not in ENGINES:
-            raise ConfigError(f"unknown stochastic engine {self.engine!r}; options: {ENGINES}")
-
-
 # ---------------------------------------------------------------------------
 # Budget formulas (documented cost contracts, also used by tests)
 
@@ -143,13 +123,6 @@ def det_max_matvecs(d: int, eps_h: float, delta: float, L: float) -> int:
     return checked_size("det_max_matvecs",
                         lambda: BUDGET_MULT * math.log(d / delta) * math.sqrt(L / eps_h),
                         clamped=True, delta=delta, L=L, eps_h=eps_h)
-
-
-def oja_total_samples(d: int, eps_h: float, delta: float, L: float) -> int:
-    """ceil(BUDGET_MULT * log(d/delta)**2 * L**2 / eps_h**2)"""
-    return checked_size("oja_total_samples",
-                        lambda: BUDGET_MULT * math.log(d / delta) ** 2 * L ** 2 / eps_h ** 2,
-                        delta=delta, L=L, eps_h=eps_h)
 
 
 def stoch_minibatch(d: int, eps_h: float, L: float) -> int:
@@ -174,17 +147,15 @@ def finite_sum_minibatch(n: int, eps_h: float, L: float, max_matvecs: int) -> in
 
 
 class FinderSizes(NamedTuple):
-    """The counts one finder call draws; None where its engine draws none."""
+    """The counts one finder call draws; None where its mode draws none."""
 
-    max_matvecs: Optional[int] = None   # Lanczos iteration cap, before clamping to d
+    max_matvecs: int                    # Lanczos iteration cap, before clamping to d
     minibatch: Optional[int] = None     # draws or component indices per matvec
     validation: Optional[int] = None    # draws of the stochastic exit measurement
-    oja_samples: Optional[int] = None   # single draws of the oja stream
 
 
-def finder_sizes(mode: str, oracle, eps_h: float, delta: float, L: float,
-                 cfg: Optional[NcConfig]) -> FinderSizes:
-    """The sizes the finder of `mode` (and, stochastic, of cfg.engine) draws.
+def finder_sizes(mode: str, oracle, eps_h: float, delta: float, L: float) -> FinderSizes:
+    """The sizes the finder of `mode` draws.
 
     The finders take their budgets from here, and check_run calls it at entry,
     so an unknown mode (ConfigError), an oracle that cannot serve `mode`
@@ -194,9 +165,6 @@ def finder_sizes(mode: str, oracle, eps_h: float, delta: float, L: float,
     """
     check_mode(mode, oracle)
     d = oracle.dimension
-    if mode == "stochastic" and cfg.engine == "oja":
-        return FinderSizes(oja_samples=oja_total_samples(d, eps_h, delta, L),
-                           validation=validation_batch(eps_h, L))
     mm = det_max_matvecs(d, eps_h, delta, L)
     if mode == "stochastic":
         return FinderSizes(mm, stoch_minibatch(d, eps_h, L), validation_batch(eps_h, L))
@@ -371,7 +339,7 @@ def _ritz_rayleigh(hvp: Callable, Q: np.ndarray, y: np.ndarray) -> tuple[float, 
 
 
 def _search(mode: str, oracle, x, eps_h: float, delta: float, L: float, threshold: float,
-            candidate: Callable, cfg: Optional[NcConfig] = None) -> NcOutcome:
+            candidate: Callable) -> NcOutcome:
     """The one finder skeleton: one candidate, validated against threshold.
 
     Before any oracle work it wraps oracle for counting, checks x
@@ -383,7 +351,7 @@ def _search(mode: str, oracle, x, eps_h: float, delta: float, L: float, threshol
     """
     oracle = as_counting(oracle)
     x = check_point(x, oracle.dimension)
-    sizes = finder_sizes(mode, oracle, eps_h, delta, L, cfg)
+    sizes = finder_sizes(mode, oracle, eps_h, delta, L)
     oracle.counters.nc_calls += 1
     start = oracle.counters.work_units()
     ray, v = candidate(oracle, x, sizes)
@@ -418,33 +386,23 @@ def approx_nc_deterministic(oracle, x, eps_h: float, delta: float, L: float,
 
 
 def approx_nc_stochastic(oracle, x, eps_h: float, delta: float, L: float,
-                         rng: np.random.Generator,
-                         cfg: NcConfig = NcConfig()) -> NcOutcome:
+                         rng: np.random.Generator) -> NcOutcome:
     """Negative-curvature search from stochastic Hessian-vector draws.
 
-    Engine "minibatch_lanczos" takes each matvec as one sample_hvp(x, v, rng,
-    m) call, the mean of a fresh minibatch of m draws; engine "oja" streams
-    v <- normalize(v - eta * sample_hvp(x, v, rng)) over fresh single draws
-    with eta = eps_h/(8 L**2).  Either way the candidate is accepted only if
+    Minibatch Lanczos: each matvec is one sample_hvp(x, v, rng, m) call, the
+    mean of a fresh minibatch of m draws.  The candidate is accepted only if
     its Rayleigh quotient on a fresh validation minibatch (one more m-draw
     call), the outcome's lambda_hat, is at most -(eps_h/2 + eps_h/8); the
     extra eps_h/8 absorbs validation noise.  Cost: one hvp_eval per draw, or
     two stochastic gradients per draw when the oracle synthesizes its HVPs.
     """
     def candidate(oracle, x, sizes):
-        if cfg.engine == "oja":
-            eta = eps_h / (8.0 * L ** 2)
-            v = _random_unit(oracle.dimension, rng)
-            for _ in range(sizes.oja_samples):
-                v = v - eta * oracle.sample_hvp(x, v, rng)
-                v = v / np.linalg.norm(v)
-        else:
-            _, v = lanczos_min_eig(lambda w: oracle.sample_hvp(x, w, rng, sizes.minibatch),
-                                   oracle.dimension, sizes.max_matvecs, rng, probe_tol=None)
+        _, v = lanczos_min_eig(lambda w: oracle.sample_hvp(x, w, rng, sizes.minibatch),
+                               oracle.dimension, sizes.max_matvecs, rng, probe_tol=None)
         return float(v @ oracle.sample_hvp(x, v, rng, sizes.validation)), v
 
     return _search("stochastic", oracle, x, eps_h, delta, L,
-                   -(eps_h / 2.0 + eps_h / 8.0), candidate, cfg)
+                   -(eps_h / 2.0 + eps_h / 8.0), candidate)
 
 
 def _index_mean_hvp(oracle, x, v, indices) -> np.ndarray:

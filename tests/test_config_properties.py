@@ -11,10 +11,9 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gose import NcConfig, SmoothnessSpec, ToleranceConfig
+from gose import SmoothnessSpec, ToleranceConfig
 from gose.core import MODES, ConfigError, NonPositiveConstant
 from gose.harness import ExperimentConfig
-from gose.ncfind import ENGINES
 from gose.solvers import SOLVERS
 
 deterministic = settings(derandomize=True, database=None, deadline=None)
@@ -51,17 +50,6 @@ experiment_configs = st.builds(
 @given(experiment_configs)
 def test_experiment_config_survives_json_round_trip(cfg):
     assert ExperimentConfig.from_dict(json.loads(cfg.dump())) == cfg
-
-
-@deterministic
-@given(engine=st.sampled_from(ENGINES) | st.text())
-def test_nc_config_rejects_exactly_unknown_engine(engine):
-    try:
-        NcConfig(engine=engine)
-    except ConfigError as exc:
-        assert engine not in ENGINES and "unknown stochastic engine" in str(exc)
-    else:
-        assert engine in ENGINES
 
 
 @deterministic

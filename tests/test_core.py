@@ -5,8 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from gose import (Capabilities, CountingOracle, EvalCounters, NcConfig,
-                  ObjectiveOracle, SmoothnessSpec, ToleranceConfig,
+from gose import (Capabilities, CountingOracle, EvalCounters, ObjectiveOracle,
+                  SmoothnessSpec, ToleranceConfig,
                   approx_nc_deterministic, as_counting, escape_step_length,
                   finite_diff_hvp, get_problem, gose_deterministic, with_gradient_noise)
 from gose.core import (RHO_FLOOR, ConfigError, EpsilonTooLarge, MalformedOracleOutput,
@@ -39,14 +39,14 @@ def quad_oracle_analytic(diag):
 
 
 def check_tolerances(tol, smooth, mode):
-    """check_run with the default finder config.
+    """check_run on an oracle that serves every mode but finite sums.
 
     The zero-noise saddle serves the deterministic and stochastic modes, so
     only the inequality under test can fail.
     """
     prob = get_problem("quadratic_saddle", d=2, spectrum=[1.0, -1.0], orth=False)
     oracle = with_gradient_noise(prob, sigma=0.0).oracle
-    return check_run(oracle, tol, smooth, NcConfig(), mode)
+    return check_run(oracle, tol, smooth, mode)
 
 
 def test_validate_accepts_instantiated_inequality():
@@ -527,9 +527,7 @@ def _sampling_oracles():
     }
 
 
-@pytest.mark.parametrize("m", [0, -2, 0.5, math.nan])
-@pytest.mark.parametrize("kind", ["batch_callables", "loops", "synthesized_hvp"])
-def test_draw_count_below_one_raises_before_any_counter_moves(kind, m):
+def _assert_draw_count_refused(kind, m):
     oracle = _sampling_oracles()[kind]
     co = as_counting(oracle)
     x, v = np.ones(3), np.array([1.0, 0.0, -1.0])
@@ -539,10 +537,62 @@ def test_draw_count_below_one_raises_before_any_counter_moves(kind, m):
                  lambda o: o.sample_gradient_batch(np.stack([x, v]), m, rng),
                  lambda o: o.sample_hvp(x, v, rng, m)):
         for target in (co, oracle):
-            with pytest.raises(ConfigError, match="draw count m must be >= 1"):
+            with pytest.raises(ConfigError, match="draw count m must be >= 1 and an integer"):
                 call(target)
     assert co.counters == EvalCounters()
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("m", [0, -2, 0.5, math.nan])
+@pytest.mark.parametrize("kind", ["batch_callables", "loops", "synthesized_hvp"])
+def test_draw_count_below_one_raises_before_any_counter_moves(kind, m):
+    _assert_draw_count_refused(kind, m)
+
+
+@pytest.mark.parametrize("m", [2.5, True, math.inf, math.nan])
+@pytest.mark.parametrize("kind", ["batch_callables", "loops", "synthesized_hvp"])
+def test_draw_count_that_is_not_an_integer_raises_before_any_counter_moves(kind, m):
+    # a fraction is never truncated into fewer draws than it names
+    _assert_draw_count_refused(kind, m)
+
+
+def test_draw_count_may_be_a_numpy_integer():
+    co = as_counting(_sampling_oracles()["loops"])
+    co.sample_hvp(np.ones(3), np.ones(3), np.random.default_rng(0), np.int64(3))
+    assert co.counters.hvp_evals == 3
+
+
+def _index_oracle(analytic_hvp, calls):
+    """n=3 components at d=2; calls records every component callable run."""
+    def grad(i, x):
+        calls.append(i)
+        return (i + 1.0) * x
+
+    def hvp(i, x, v):
+        calls.append(i)
+        return (i + 1.0) * v
+
+    return ObjectiveOracle(2, lambda x: float(x @ x), lambda x: 2.0 * x, n_components=3,
+                           component_gradient=grad,
+                           component_hvp=hvp if analytic_hvp else None)
+
+
+@pytest.mark.parametrize("i", [-1, 3, 0.7, 1.0, True, math.nan, "1"])
+@pytest.mark.parametrize("analytic_hvp", [True, False], ids=["analytic_hvp", "synthesized_hvp"])
+def test_component_index_out_of_range_raises_before_any_counter_moves(analytic_hvp, i):
+    calls = []
+    oracle = _index_oracle(analytic_hvp, calls)
+    co = as_counting(oracle)
+    x, v = np.ones(2), np.array([1.0, -1.0])
+    for target in (co, oracle):
+        for call in (lambda o: o.component_gradient(i, x), lambda o: o.component_hvp(i, x, v)):
+            with pytest.raises(ConfigError, match=r"component index i must be an integer in"
+                                                  r" \[0, 3\), got"):
+                call(target)
+    assert calls == [] and co.counters == EvalCounters()
+    # numpy integers in range are components
+    assert co.component_gradient(np.int64(2), x) == pytest.approx(3.0 * x)
+    assert co.component_hvp(np.int32(0), x, v) == pytest.approx(v)
 
 
 @pytest.mark.parametrize("indices", [np.zeros(0, int), np.zeros((3, 0), int),

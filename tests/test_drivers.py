@@ -13,9 +13,9 @@ import pytest
 import gose.drivers
 import gose.harness
 import gose.solvers
-from gose import (NcConfig, ObjectiveOracle, SmoothnessSpec,
-                  ToleranceConfig, amplify, approx_nc_deterministic, approx_nc_finite_sum,
-                  approx_nc_stochastic, as_counting, certify_second_order,
+from gose import (ObjectiveOracle, SmoothnessSpec, ToleranceConfig, amplify,
+                  approx_nc_deterministic, approx_nc_finite_sum, approx_nc_stochastic,
+                  as_counting, certify_second_order,
                   derive_scsg_params, get_problem, gose_deterministic,
                   gose_finite_sum, gose_stochastic, one_step_deterministic,
                   one_step_finite_sum, one_step_stochastic, with_gradient_noise)
@@ -537,8 +537,6 @@ NAN_CURVATURE_RUNNERS = {
     "deterministic": NAN_RUNNERS["deterministic"],
     "baseline": NAN_RUNNERS["baseline"],
     "stochastic_lanczos": NAN_RUNNERS["stochastic"],
-    "stochastic_oja": lambda o, tol, sm, rng: gose_stochastic(
-        o, np.zeros(3), tol, sm, rng=rng, ncfg=NcConfig(engine="oja")),
     "finite_sum": NAN_RUNNERS["finite_sum"],
 }
 

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gose import (NcConfig, ObjectiveOracle, SmoothnessSpec,
-                  ToleranceConfig, adjust_direction, as_counting, escape,
-                  escape_step_length, get_problem, make_nonconvex_pca,
+from gose import (ObjectiveOracle, SmoothnessSpec, ToleranceConfig, adjust_direction,
+                  as_counting, escape, escape_step_length, get_problem, make_nonconvex_pca,
                   one_step_deterministic, one_step_finite_sum,
                   one_step_stochastic, with_gradient_noise)
 from gose.core import (EpsilonTooLarge, EvalCounters, NotFiniteSum, NotStochastic,
@@ -82,10 +81,10 @@ def test_entry_bound_is_the_only_eps_check_at_its_edge(eps_h, rho):
     assume(0.0 < below and bound < 1.0)
     for mode in ("deterministic", "finite_sum"):
         check_run(entry_oracle(), ToleranceConfig(eps=below, eps_h=eps_h, delta=0.01),
-                  smooth, NcConfig(), mode)
+                  smooth, mode)
         with pytest.raises(EpsilonTooLarge, match=r"eps < eps_h\*\*2/\(16\*rho_eff\)"):
             check_run(entry_oracle(), ToleranceConfig(eps=bound, eps_h=eps_h, delta=0.01),
-                      smooth, NcConfig(), mode)
+                      smooth, mode)
 
 
 def test_subsample_size_rules():
@@ -246,11 +245,11 @@ def test_check_run_bounds_the_anchor_table_rows():
                                          n_components=n,
                                          component_gradient=lambda i, x: sphere.gradient(x)))
         if ok:
-            check_run(co, TOL, UNIT_RHO, NcConfig(), "finite_sum")
+            check_run(co, TOL, UNIT_RHO, "finite_sum")
         else:
             with pytest.raises(SizeOutOfRange, match=r"anchor table rows = 1e\+08 exceeds"
                                                       r".*n=100000001"):
-                check_run(co, TOL, UNIT_RHO, NcConfig(), "finite_sum")
+                check_run(co, TOL, UNIT_RHO, "finite_sum")
         assert co.counters == EvalCounters()
 
 

@@ -18,7 +18,7 @@ from gose.harness import (NC_THRESHOLDS, ExperimentConfig, OUT_ENV_VAR,
                           run_experiment, run_one, run_sweep,
                           inject_asymmetric_probe, summary_line, trace_table,
                           verify_nc_suite)
-from gose import (NcConfig, SmoothnessSpec, ToleranceConfig, as_counting,
+from gose import (SmoothnessSpec, ToleranceConfig, as_counting,
                   derive_scsg_params, get_problem, gose_deterministic,
                   gose_finite_sum, gose_stochastic)
 
@@ -263,8 +263,6 @@ FINDER_OUTCOME_GOLDEN = {
         "0c66ed87f4d2c0f92f1b441ee4df39d80a44f941b6cd9621fb7626c5f1c4a008",
     "minibatch_lanczos":
         "ccad7647b0b8e4e43d5120d1880c8b627720e16433f52f59a5ae5e37f1869562",
-    "oja":
-        "355ae29b04fdd3ef3cc9e5655901bd2f3dc5ceb3307a5b9b6817036e0f82677c",
     "finite_sum":
         "b0bc2cb372f64eaa47e5183729ce9a1e4d9ea39b672309976e47891a1754507e",
 }
@@ -301,6 +299,12 @@ def test_verify_nc_cli_defaults_are_the_suite_defaults():
 def test_verify_nc_unknown_engine():
     with pytest.raises(ConfigError):
         verify_nc_suite(engine="power_iteration")
+
+
+def test_cli_verify_nc_rejects_removed_engine(capsys):
+    # minibatch Lanczos is the one stochastic engine; the oja stream is gone
+    assert main(["verify-nc", "--d", "5", "--trials", "1", "--engine", "oja"]) == 2
+    assert "config error: unknown engine 'oja'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +385,9 @@ CHAINED_ORIGIN_CFG = {
     ({**CONVEX_CFG, "mode": "stochastic", "noise_sigma": 0.05, "nc_engine": "bogus"}, []),
 ], ids=["nc_restarts_unknown", "engine_deterministic", "engine_stochastic"])
 def test_cli_run_rejects_bad_finder_setting(tmp_path, capsys, cfg, extra):
-    # every finder call runs one candidate, so the removed nc_restarts key is
-    # an unknown field; an unknown engine is rejected even where the mode never
-    # runs the stochastic finder
+    # every finder call runs one candidate and the stochastic finder has one
+    # engine, so the removed nc_restarts and nc_engine keys are unknown fields
+    # in every mode
     path = write_cfg(tmp_path, cfg)
     code = main(["run", "--config", path, "--out", str(tmp_path / "out"), *extra])
     assert code == 2
@@ -513,7 +517,7 @@ def test_out_of_range_setting_raises_before_any_oracle_work(request, cfg, named)
         cfg = ExperimentConfig.from_dict(cfg)
         spec = build_problem(cfg)
         oracle = as_counting(spec.oracle)
-        tol, smooth, ncfg = build_configs(cfg, spec)
+        tol, smooth = build_configs(cfg, spec)
         if cfg.mode == "deterministic":
             driver = gose_deterministic
             gose_deterministic(oracle, spec.x0, tol, smooth, rng=rng,
@@ -523,7 +527,7 @@ def test_out_of_range_setting_raises_before_any_oracle_work(request, cfg, named)
                                       b_override=cfg.scsg_b)
             if cfg.mode == "stochastic":
                 driver = gose_stochastic
-                gose_stochastic(oracle, spec.x0, tol, smooth, scsg_cfg=scsg, rng=rng, ncfg=ncfg)
+                gose_stochastic(oracle, spec.x0, tol, smooth, scsg_cfg=scsg, rng=rng)
             else:
                 driver = gose_finite_sum
                 gose_finite_sum(oracle, spec.x0, tol, smooth, scsg_cfg=scsg, rng=rng)
@@ -592,8 +596,7 @@ def test_cli_run_reaches_second_order_stationarity_on_every_seed(tmp_path, cfg, 
 def test_run_defaults_are_the_library_defaults():
     # gose run builds the configs a library caller gets by default
     cfg = ExperimentConfig()
-    tol, smooth, ncfg = build_configs(cfg, build_problem(cfg))
-    assert ncfg == NcConfig()
+    tol, smooth = build_configs(cfg, build_problem(cfg))
     # delta and max_outer are read from ToleranceConfig
     assert tol == ToleranceConfig(eps=cfg.eps, eps_h=cfg.eps_h)
     solver = inspect.signature(gose_deterministic).parameters
@@ -601,27 +604,29 @@ def test_run_defaults_are_the_library_defaults():
     assert cfg.solver_max_iters == solver["solver_max_iters"].default
 
 
-@pytest.mark.parametrize("cfg, nc", [
-    (CONVEX_CFG, None),
-    ({**CONVEX_CFG, "mode": "stochastic", "noise_sigma": 0.05, "scsg_b": 32, "max_outer": 1,
-      "nc_engine": "oja"}, {"engine": "oja"}),
-    (PCA_CFG, None),
+@pytest.mark.parametrize("cfg, sections", [
+    (CONVEX_CFG, {"mode", "tolerance", "smoothness", "solver_choice", "solver_max_iters"}),
+    ({**CONVEX_CFG, "mode": "stochastic", "noise_sigma": 0.05, "scsg_b": 32, "max_outer": 1},
+     {"mode", "tolerance", "smoothness", "scsg"}),
+    (PCA_CFG, {"mode", "tolerance", "smoothness", "scsg"}),
 ], ids=["deterministic", "stochastic", "finite_sum"])
-def test_config_echo_carries_the_finder_config_in_stochastic_runs_only(cfg, nc):
-    # as scsg appears only in the sampling modes
+def test_config_echo_carries_scsg_in_sampling_runs_only(cfg, sections):
+    # the finders have no setting, so no run echoes one
     _, row = run_one(ExperimentConfig.from_dict(cfg), 0)
-    assert row["config"].get("nc") == nc
+    assert set(row["config"]) == sections
 
 
 @pytest.mark.parametrize("name, value", [("s_rule", "auto"), ("c1", 1.0), ("rho_min", 1e-3),
                                          ("s_mult", 4.0), ("c_conc", 0.25), ("c_h", 0.5),
                                          ("nc_budget_mult", 4.0), ("scsg_B", 400),
-                                         ("out_dir", "elsewhere"), ("write_trace", True)])
+                                         ("out_dir", "elsewhere"), ("write_trace", True),
+                                         ("nc_engine", "oja")])
 def test_cli_run_rejects_removed_field(tmp_path, capsys, name, value):
     # the escape subsample has one rule and fixed constants, as do the escape
     # step and the finder budgets; c1 and rho_min only rescaled rho; B is
     # derived (a library caller fixes it with its own ScsgConfig); --out,
-    # GOSE_OUT and --trace say where files go and whether traces are written
+    # GOSE_OUT and --trace say where files go and whether traces are written;
+    # minibatch Lanczos is the one stochastic finder engine
     path = write_cfg(tmp_path, {**CONVEX_CFG, name: value})
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert f"unknown config fields: ['{name}']" in capsys.readouterr().err
@@ -635,7 +640,7 @@ def test_cli_run_rejects_removed_field(tmp_path, capsys, name, value):
 @pytest.mark.parametrize("option", [["--mode", "stochastic"], ["--engine", "oja"]],
                          ids=["mode", "engine"])
 def test_cli_run_rejects_removed_override(tmp_path, capsys, option):
-    # mode and nc_engine are config keys, with one setter each
+    # mode is a config key, with one setter; the stochastic finder has one engine
     path = write_cfg(tmp_path, CONVEX_CFG)
     with pytest.raises(SystemExit) as exit_:
         main(["run", "--config", path, "--out", str(tmp_path / "out"), *option])
@@ -700,6 +705,37 @@ def test_cli_run_rejects_problem_parameter_it_cannot_take(tmp_path, capsys, para
 
 def test_cli_run_missing_config():
     assert main(["run", "--config", "/nonexistent/cfg.json"]) == 2
+
+
+# a config file gose cannot read as its config: the message names the file
+# (path stands for it) or the sweep key at fault
+MALFORMED_CONFIG_FILES = [
+    pytest.param("run", '{"eps": 0.01', "config file {path} is not valid JSON", id="run-not_json"),
+    pytest.param("run", "[]", "config file {path} holds a list, not a JSON object",
+                 id="run-list"),
+    pytest.param("run", '"cfg"', "config file {path} holds a str, not a JSON object",
+                 id="run-string"),
+    pytest.param("sweep", '{"grid": ', "config file {path} is not valid JSON",
+                 id="sweep-not_json"),
+    pytest.param("sweep", "[]", "config file {path} holds a list, not a JSON object",
+                 id="sweep-list"),
+    pytest.param("sweep", "[1]", "config file {path} holds a list, not a JSON object",
+                 id="sweep-list_of_one"),
+    pytest.param("sweep", json.dumps({"base": CONVEX_CFG, "grid": [1]}),
+                 "sweep 'grid' must be a JSON object, got list", id="sweep-grid_list"),
+    pytest.param("sweep", json.dumps({"base": [], "grid": {"eps": [0.01]}}),
+                 "sweep 'base' must be a JSON object, got list", id="sweep-base_list"),
+]
+
+
+@pytest.mark.parametrize("command, text, named", MALFORMED_CONFIG_FILES)
+def test_cli_rejects_malformed_config_file(tmp_path, capsys, command, text, named):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: " + named.format(path=repr(str(path))))
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_byte_identical_given_seed(tmp_path):

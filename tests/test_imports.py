@@ -1,0 +1,44 @@
+"""No gose module keeps a top-level import it never uses (the package __init__ re-exports)."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "gose"
+MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by top-level imports that the module never reads.
+
+    An import statement with "# noqa" on any of its lines is exempt, as is
+    `from __future__ import ...`.  `import a.b` binds, and is used through, a.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    bound = set()
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_checker_finds_unused_imports_and_honours_noqa():
+    source = ("from __future__ import annotations\n"
+              "import os\nimport numpy.random  # noqa: F401\nimport importlib.util\n"
+              "from .core import (ConfigError,\n    is_integer)\n"
+              "from .ncfind import BOTTOM as B\n"
+              "x = importlib.util.find_spec('x') if is_integer(1) else B\n")
+    assert unused_imports(source) == ["ConfigError", "os"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_every_import(module):
+    assert unused_imports((SRC / module).read_text()) == []

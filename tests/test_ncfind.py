@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import gose.ncfind
 
-from gose import (NcConfig, ObjectiveOracle, approx_nc_deterministic,
+from gose import (ObjectiveOracle, approx_nc_deterministic,
                   approx_nc_finite_sum, approx_nc_stochastic, as_counting,
                   get_problem, lanczos_min_eig, make_nonconvex_pca,
                   with_gradient_noise)
@@ -23,9 +23,9 @@ from gose.core import (MAX_DRAWS, AsymmetricOperator, BudgetZero, EvalCounters,
                        LapackFailure, MalformedOracleOutput, NonFiniteMeasurement,
                        NotFiniteSum, NotStochastic, SizeOutOfRange)
 from gose.harness import _finite_sum_quadratic, verify_nc_suite
-from gose.ncfind import (ENGINES, _random_unit, _symmetry_probe, det_max_matvecs,
-                         eigh_tridiagonal, finder_sizes, finite_sum_minibatch,
-                         oja_total_samples, stoch_minibatch, validation_batch)
+from gose.ncfind import (_random_unit, _symmetry_probe, det_max_matvecs, eigh_tridiagonal,
+                         finder_sizes, finite_sum_minibatch, stoch_minibatch,
+                         validation_batch)
 from conftest import planted_symmetric
 
 
@@ -522,11 +522,10 @@ def zero_variance_stochastic(A):
     )
 
 
-@pytest.mark.parametrize("engine", ["minibatch_lanczos", "oja"])
+@pytest.mark.parametrize("engine", ["minibatch_lanczos"])  # the one stochastic engine
 def test_nc_stochastic_zero_variance_degenerates(engine, rng):
     oracle = zero_variance_stochastic(np.diag([1.0, -1.0]))
-    cfg = NcConfig(engine=engine)
-    out = approx_nc_stochastic(oracle, np.zeros(2), 0.5, 0.01, 1.0, rng, cfg)
+    out = approx_nc_stochastic(oracle, np.zeros(2), 0.5, 0.01, 1.0, rng)
     assert out.is_direction
     assert abs(out.direction[1]) == pytest.approx(1.0, abs=1e-6)
     assert out.lambda_hat <= -0.3125  # -(eps_h/2 + eps_h/8)
@@ -546,7 +545,7 @@ def noisy_stochastic(A, noise):
     )
 
 
-@pytest.mark.parametrize("engine", ["minibatch_lanczos", "oja"])
+@pytest.mark.parametrize("engine", ["minibatch_lanczos"])  # the one stochastic engine
 @pytest.mark.parametrize("lam_min", [-1.0, -0.5])  # -2 eps_h, and the contract's edge -eps_h
 def test_nc_stochastic_planted_statistical(lam_min, engine):
     hits = 0
@@ -557,7 +556,7 @@ def test_nc_stochastic_planted_statistical(lam_min, engine):
         spec[0] = lam_min
         A = planted_symmetric(20, spec, rng)
         out = approx_nc_stochastic(noisy_stochastic(A, 0.02), np.zeros(20),
-                                   0.5, 0.01, 1.0, rng, NcConfig(engine=engine))
+                                   0.5, 0.01, 1.0, rng)
         if out.is_direction:
             hits += 1
             assert float(out.direction @ (A @ out.direction)) <= -0.25 + 0.05
@@ -602,39 +601,20 @@ def test_nc_stochastic_requires_capability(rng):
 def test_finder_sizes_rejects_an_oracle_that_cannot_serve_the_mode(mode, error):
     # the finders and check_run read their sizes here before any oracle work
     co = as_counting(get_problem("sphere", d=2).oracle)
-    for engine in ENGINES:
-        with pytest.raises(error, match=f"{mode} mode needs an oracle with"):
-            finder_sizes(mode, co, 0.5, 0.01, 1.0, NcConfig(engine=engine))
-    finder_sizes("deterministic", co, 0.5, 0.01, 1.0, NcConfig())  # every oracle serves it
+    with pytest.raises(error, match=f"{mode} mode needs an oracle with"):
+        finder_sizes(mode, co, 0.5, 0.01, 1.0)
+    finder_sizes("deterministic", co, 0.5, 0.01, 1.0)  # every oracle serves it
     assert co.counters == EvalCounters()
 
 
 def test_nc_stochastic_budget_compliance(rng):
     A = np.diag([1.0, -1.0, 0.3, 0.7])
     oracle = as_counting(zero_variance_stochastic(A))
-    cfg = NcConfig(engine="minibatch_lanczos")
-    out = approx_nc_stochastic(oracle, np.zeros(4), 0.5, 0.01, 1.0, rng, cfg)
+    out = approx_nc_stochastic(oracle, np.zeros(4), 0.5, 0.01, 1.0, rng)
     mm = det_max_matvecs(4, 0.5, 0.01, 1.0)
     m = stoch_minibatch(4, 0.5, 1.0)
     m_val = validation_batch(0.5, 1.0)
     assert out.hvp_or_grad_cost <= (mm + 1) * m + m_val
-
-    oracle2 = as_counting(zero_variance_stochastic(A))
-    cfg2 = NcConfig(engine="oja")
-    out2 = approx_nc_stochastic(oracle2, np.zeros(4), 0.5, 0.01, 1.0, rng, cfg2)
-    total = oja_total_samples(4, 0.5, 0.01, 1.0)
-    assert out2.hvp_or_grad_cost <= total + validation_batch(0.5, 1.0)
-
-
-@pytest.mark.parametrize("spectrum", [[1.0, -1.0, 0.3, 0.7], [1.0, 0.2, 0.3, 0.7]])
-def test_oja_call_costs_its_budget_exactly(spectrum, rng):
-    # one stream of oja_total_samples draws, then one validation batch
-    oracle = as_counting(zero_variance_stochastic(np.diag(spectrum)))
-    cfg = NcConfig(engine="oja")
-    out = approx_nc_stochastic(oracle, np.zeros(4), 0.5, 0.01, 1.0, rng, cfg)
-    assert out.is_direction == (min(spectrum) < 0.0)
-    assert out.hvp_or_grad_cost == (oja_total_samples(4, 0.5, 0.01, 1.0)
-                                    + validation_batch(0.5, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +706,6 @@ def test_finder_call_runs_lanczos_once(engine, monkeypatch):
 
 # budgets that nothing clamps afterwards, as functions of L
 UNCLAMPED_BUDGETS = {
-    "oja_total_samples": lambda L: oja_total_samples(10, 0.5, 0.01, L),
     "stoch_minibatch": lambda L: stoch_minibatch(10, 0.5, L),
     "validation_batch": lambda L: validation_batch(0.5, L),
 }

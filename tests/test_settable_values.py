@@ -5,13 +5,13 @@ import inspect
 
 import gose
 import gose.harness
-from gose import NcConfig, ScsgConfig, SmoothnessSpec, ToleranceConfig
+from gose import ScsgConfig, SmoothnessSpec, ToleranceConfig
 from gose.harness import ExperimentConfig
 
-CONFIGS = [ToleranceConfig, SmoothnessSpec, NcConfig, ScsgConfig, ExperimentConfig]
+CONFIGS = [ToleranceConfig, SmoothnessSpec, ScsgConfig, ExperimentConfig]
 
 # config fields plus defaulted parameters of the public and harness functions
-MAX_SETTABLE_VALUES = 78
+MAX_SETTABLE_VALUES = 73
 
 
 def settable_values() -> int:
