@@ -8,6 +8,7 @@ is never part of any contract.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
@@ -542,6 +543,13 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_real(name: str, value) -> None:
+    """NonPositiveConstant naming the field unless value is a real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise NonPositiveConstant(f"{name} must be a real number,"
+                                  f" got {type(value).__name__} {value!r}")
+
+
 def check_point(x, d: int, name: str = "x") -> np.ndarray:
     """x as a float array; ConfigError unless it has shape (d,) and finite entries."""
     try:
@@ -573,6 +581,7 @@ class ToleranceConfig:
     def __post_init__(self):
         for name in ("eps", "eps_h", "delta"):
             val = getattr(self, name)
+            check_real(name, val)
             if not (0.0 < val < 1.0):
                 raise NonPositiveConstant(f"{name} must lie in (0, 1), got {val}")
         if not (is_integer(self.max_outer) and self.max_outer >= 1):
@@ -603,6 +612,7 @@ class SmoothnessSpec:
             val = getattr(self, name)
             if val is None and name in ("h_star", "sigma"):
                 continue
+            check_real(name, val)
             above = 0.0 < val if kind == "positive" else 0.0 <= val
             if not (above and val < math.inf):
                 raise NonPositiveConstant(f"{name} must be {kind} and finite, got {val}")

@@ -26,8 +26,8 @@ from .core import (Certificate, ConfigError, EvalCounters, SmoothnessSpec,
                    ToleranceConfig, as_counting, check_point, is_integer)
 from .escape import (check_run, one_step_deterministic, one_step_finite_sum,
                      one_step_stochastic)
-from .solvers import (DEFAULT_MAX_ITERS, DEFAULT_SOLVER, ScsgConfig, anchor_table,
-                      check_solver, derive_scsg_params, run_solver, scsg_epoch)
+from .solvers import (DEFAULT_SOLVER, ScsgConfig, anchor_table, check_solver,
+                      derive_scsg_params, run_solver, scsg_epoch)
 
 LARGE = "large_gradient"
 SMALL = "small_gradient"
@@ -149,8 +149,7 @@ def _epoch_step(oracle, scsg_cfg, rng, mode, table=lambda: None):
 
 def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
                        solver_choice: str = DEFAULT_SOLVER, *,
-                       rng: np.random.Generator,
-                       solver_max_iters: int = DEFAULT_MAX_ITERS) -> RunReport:
+                       rng: np.random.Generator) -> RunReport:
     """Full-information driver.
 
     Per outer iteration: if ||grad f(x)|| > eps, run the first-order solver to
@@ -159,12 +158,11 @@ def gose_deterministic(oracle, x0, tol: ToleranceConfig, smooth: SmoothnessSpec,
     finder's delta).  The solver is guarded_agd by default; solver_choice="gd"
     selects plain gradient descent, which reads no values.
     """
-    oracle, _, echo = _enter(oracle, tol, smooth, "deterministic",
-                             solver_choice=solver_choice, solver_max_iters=solver_max_iters)
-    check_solver(solver_choice, solver_max_iters)
+    oracle, _, echo = _enter(oracle, tol, smooth, "deterministic", solver_choice=solver_choice)
+    check_solver(solver_choice)
 
     def solve(x, g, fx):
-        res = run_solver(solver_choice, oracle, x, smooth.L, tol.eps, solver_max_iters, g, fx)
+        res = run_solver(solver_choice, oracle, x, smooth.L, tol.eps, g, fx)
         return res.point, res.gradient, res.value, None if res.converged else res.grad_norm
 
     return _drive(oracle, x0, tol.max_outer, oracle.gradient, oracle.value, tol.eps, solve,

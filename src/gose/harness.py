@@ -22,15 +22,14 @@ import numpy as np
 
 from .core import (MODES, ConfigError, DimensionTooLarge, EvalCounters,
                    GoseError, NonPositiveConstant, ObjectiveOracle,
-                   SmoothnessSpec, ToleranceConfig, is_integer)
+                   SmoothnessSpec, ToleranceConfig, check_real, is_integer)
 from .drivers import RunReport, gose_deterministic, gose_finite_sum, gose_stochastic
 from .ncfind import (_EPS, approx_nc_deterministic, approx_nc_finite_sum,
                      approx_nc_stochastic, lanczos_min_eig)
 from .problems import (PROBLEM_FACTORIES, ProblemSpec, _planted_spectrum,
                        _quadratic_oracle, certify_second_order, get_problem,
                        with_gradient_noise)
-from .solvers import (DEFAULT_MAX_ITERS, DEFAULT_SOLVER, check_b_override, check_solver,
-                      derive_scsg_params)
+from .solvers import DEFAULT_SOLVER, check_b_override, check_solver, derive_scsg_params
 
 OUT_ENV_VAR = "GOSE_OUT"
 DEFAULT_OUT = "gose_out"
@@ -63,7 +62,6 @@ class ExperimentConfig:
     noise_sigma: Optional[float] = None  # gradient noise added in stochastic mode
     # first-order machinery
     solver_choice: str = DEFAULT_SOLVER
-    solver_max_iters: int = DEFAULT_MAX_ITERS
     scsg_b: Optional[int] = None
 
     def __post_init__(self):
@@ -72,12 +70,14 @@ class ExperimentConfig:
         if not self.seeds or any(not (is_integer(seed) and seed >= 0) for seed in self.seeds):
             raise ConfigError(f"config field 'seeds' must hold one or more non-negative ints,"
                               f" got {self.seeds!r}")
-        if self.noise_sigma is not None and not 0.0 <= self.noise_sigma < math.inf:
-            raise NonPositiveConstant(f"noise_sigma must be nonnegative and finite,"
-                                      f" got {self.noise_sigma}")
+        if self.noise_sigma is not None:
+            check_real("noise_sigma", self.noise_sigma)
+            if not 0.0 <= self.noise_sigma < math.inf:
+                raise NonPositiveConstant(f"noise_sigma must be nonnegative and finite,"
+                                          f" got {self.noise_sigma}")
         # checked in every mode, though only the deterministic driver runs a
         # solver and only the sampling drivers read scsg_b
-        check_solver(self.solver_choice, self.solver_max_iters)
+        check_solver(self.solver_choice)
         check_b_override(self.scsg_b)
 
     def to_dict(self) -> dict:
@@ -85,6 +85,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        _check_object("config", data)
         types = {f.name: f.type for f in dataclasses.fields(cls)}
         unknown = set(data) - set(types)
         if unknown:
@@ -101,6 +102,12 @@ class ExperimentConfig:
 
     def dump(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+
+
+def _check_object(what: str, data) -> None:
+    """ConfigError naming the type unless data is a dict (a JSON object)."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(data).__name__}")
 
 
 def load_json_object(path: str) -> dict:
@@ -202,8 +209,7 @@ def run_one(cfg: ExperimentConfig, seed: int) -> tuple[RunReport, dict]:
     t0 = time.perf_counter()
     if cfg.mode == "deterministic":
         report = gose_deterministic(spec.oracle, x0, tol, smooth,
-                                    solver_choice=cfg.solver_choice, rng=rng,
-                                    solver_max_iters=cfg.solver_max_iters)
+                                    solver_choice=cfg.solver_choice, rng=rng)
     else:
         scsg = derive_scsg_params(tol, smooth, cfg.mode, n=spec.oracle.n_components,
                                   b_override=cfg.scsg_b)
@@ -329,10 +335,10 @@ def run_sweep(sweep: dict, out_dir: Optional[str] = None) -> list:
     Cells whose config fails validation are reported as failed rows; the rest
     run.  Raises ConfigError on an empty grid axis.
     """
+    _check_object("sweep", sweep)
     base, grid = sweep.get("base", {}), sweep.get("grid", {})
     for key, value in (("base", base), ("grid", grid)):
-        if not isinstance(value, dict):
-            raise ConfigError(f"sweep {key!r} must be a JSON object, got {type(value).__name__}")
+        _check_object(f"sweep {key!r}", value)
     if not grid:
         raise ConfigError("sweep needs a non-empty 'grid'")
     axes = sorted(grid)
@@ -489,7 +495,7 @@ def verify_nc_suite(d: int = 50, trials: int = 200, eps_h: float = 0.5,
     }
 
 
-def inject_asymmetric_probe(d: int = 10, seed: int = 0):
+def inject_asymmetric_probe(d: int, seed: int):
     """Drive the Lanczos symmetry probe with a deliberately asymmetric operator (int d >= 2)."""
     if not (is_integer(d) and d >= 2):
         raise ConfigError(f"d must be >= 2 for an asymmetric operator, got {d!r} (integers only)")

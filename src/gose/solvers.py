@@ -18,11 +18,15 @@ from typing import Optional
 import numpy as np
 
 from .core import (ConfigError, InvalidP, MissingVarianceBound,
-                   NonPositiveConstant, as_counting, check_mode, checked_size,
-                   is_integer)
+                   NonPositiveConstant, as_counting, check_mode, check_real,
+                   checked_size, is_integer)
 
 DEFAULT_SOLVER = "agd"
-DEFAULT_MAX_ITERS = 200_000
+
+# Steps after which either solver stops unconverged (read at call time).  The
+# analysis bounds the steps to ||grad f|| <= eps, O(L * Delta_f / eps**2) for
+# gd, so this only makes the loop end.  Not a setting.
+MAX_ITERS = 200_000
 
 # Floats (rows * d) one component_gradient_batch call of anchor_table may
 # gather: bounds the memory of a batch callable's intermediates whatever n is.
@@ -62,6 +66,7 @@ class ScsgConfig:
     def __post_init__(self):
         if not (is_integer(self.B) and is_integer(self.b) and 1 <= self.b <= self.B):
             raise ConfigError(f"need integers 1 <= b <= B, got b={self.b!r}, B={self.B!r}")
+        check_real("eta", self.eta)
         if not 0.0 < self.eta < math.inf:
             raise NonPositiveConstant(f"eta must be positive and finite, got {self.eta}")
 
@@ -234,36 +239,30 @@ def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
     return y.copy()
 
 
-def _check_max_iters(max_iters: int, name: str) -> None:
-    if not (is_integer(max_iters) and max_iters >= 1):
-        raise NonPositiveConstant(f"{name} must be >= 1 and an integer, got {max_iters!r}")
-
-
-def _check_solve_args(L: float, max_iters: int) -> None:
-    """A solver's checks before any oracle call: L in (0, inf), max_iters an integer >= 1."""
+def _check_L(L: float) -> None:
+    """A solver's check before any oracle call: L a real number in (0, inf)."""
+    check_real("L", L)
     if not 0.0 < L < math.inf:
         raise NonPositiveConstant(f"L must be positive and finite, got {L}")
-    _check_max_iters(max_iters, "max_iters")
 
 
 def gd_to_stationarity(oracle, x0, L: float, eps: float,
-                       max_iters: int = DEFAULT_MAX_ITERS,
                        g0: Optional[np.ndarray] = None,
                        f0: Optional[float] = None) -> SolveResult:
     """Plain gradient descent with step 1/L until ||grad f|| <= eps.
 
-    Returns the first iterate meeting the condition; on budget exhaustion the
+    Returns the first iterate meeting the condition; after MAX_ITERS steps the
     last iterate is returned with converged=False (its gradient is measured,
     costing one extra eval).  g0, when given, is the gradient at x0 and is
     used in place of measuring it.  f0, the value at x0, is ignored: gradient
-    descent reads no values.  An L outside (0, inf) or a max_iters that is
-    not an integer >= 1 raises NonPositiveConstant before any oracle call.
+    descent reads no values.  An L that is not a real number in (0, inf)
+    raises NonPositiveConstant before any oracle call.
     """
-    _check_solve_args(L, max_iters)
+    _check_L(L)
     oracle = as_counting(oracle)
     x = np.asarray(x0, float)
     g = g0
-    for i in range(max_iters):
+    for i in range(MAX_ITERS):
         if g is None:
             g = oracle.gradient(x)
         gn = float(np.linalg.norm(g))
@@ -275,11 +274,10 @@ def gd_to_stationarity(oracle, x0, L: float, eps: float,
         g = None
     g = oracle.gradient(x)
     gn = float(np.linalg.norm(g))
-    return SolveResult(x, gn, gn <= eps, max_iters, g)
+    return SolveResult(x, gn, gn <= eps, MAX_ITERS, g)
 
 
 def guarded_agd(oracle, x0, L: float, eps: float,
-                max_iters: int = DEFAULT_MAX_ITERS,
                 g0: Optional[np.ndarray] = None,
                 f0: Optional[float] = None) -> SolveResult:
     """Accelerated gradient descent with a nonconvexity guard.
@@ -292,10 +290,10 @@ def guarded_agd(oracle, x0, L: float, eps: float,
     is x0 + 0 * 0, and g0 serves for it where that is x0 bit for bit (adding
     zero turns a -0.0 entry into +0.0, which is then measured).  f0, when
     given, is f(x0) and is used in place of evaluating it.  Every point it
-    returns has been valued, and the result carries that value.  L and
-    max_iters are checked as in gd_to_stationarity.
+    returns has been valued, and the result carries that value.  L is checked,
+    and MAX_ITERS caps the steps, as in gd_to_stationarity.
     """
-    _check_solve_args(L, max_iters)
+    _check_L(L)
     oracle = as_counting(oracle)
     x = np.asarray(x0, float)
     x_prev = x.copy()
@@ -303,7 +301,7 @@ def guarded_agd(oracle, x0, L: float, eps: float,
         f0 = oracle.value(x)
     fx = f0
     theta = 1.0
-    for i in range(max_iters):
+    for i in range(MAX_ITERS):
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
         beta = (theta - 1.0) / theta_next
         y = x + beta * (x - x_prev)
@@ -332,24 +330,22 @@ def guarded_agd(oracle, x0, L: float, eps: float,
         x_prev, x, fx, theta = x, x_new, f_new, theta_next
     g = oracle.gradient(x)
     gn = float(np.linalg.norm(g))
-    return SolveResult(x, gn, gn <= eps, max_iters, g, fx)
+    return SolveResult(x, gn, gn <= eps, MAX_ITERS, g, fx)
 
 
 # solver name -> solver; every solver obeys the same output contract
 SOLVERS = {"agd": guarded_agd, "gd": gd_to_stationarity}
 
 
-def check_solver(choice: str, max_iters: int) -> None:
-    """Reject a solver name SOLVERS does not list, and a max_iters not an integer >= 1."""
+def check_solver(choice: str) -> None:
+    """Reject a solver name SOLVERS does not list."""
     if choice not in SOLVERS:
         raise ConfigError(f"unknown solver {choice!r}; options: {list(SOLVERS)}")
-    _check_max_iters(max_iters, "solver_max_iters")
 
 
 def run_solver(choice: str, oracle, x0, L: float, eps: float,
-               max_iters: int = DEFAULT_MAX_ITERS,
                g0: Optional[np.ndarray] = None,
                f0: Optional[float] = None) -> SolveResult:
     """Run the solver SOLVERS names; g0 and f0, when given, are the gradient and value at x0."""
-    check_solver(choice, max_iters)
-    return SOLVERS[choice](oracle, x0, L, eps, max_iters, g0, f0)
+    check_solver(choice)
+    return SOLVERS[choice](oracle, x0, L, eps, g0, f0)

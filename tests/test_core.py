@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from gose import (Capabilities, CountingOracle, EvalCounters, ObjectiveOracle,
-                  SmoothnessSpec, ToleranceConfig,
+                  ScsgConfig, SmoothnessSpec, ToleranceConfig,
                   approx_nc_deterministic, as_counting, escape_step_length,
                   finite_diff_hvp, get_problem, gose_deterministic, with_gradient_noise)
 from gose.core import (RHO_FLOOR, ConfigError, EpsilonTooLarge, MalformedOracleOutput,
                        NonPositiveConstant, NotFiniteSum, NotStochastic,
                        StochasticEpsilonTooLarge, ZeroDirection)
 from gose.escape import check_run
+from gose.harness import ExperimentConfig
 
 
 def quad_oracle(diag):
@@ -127,6 +128,25 @@ def test_validate_rejects_bad_smoothness():
                    {"L": 1.0, "h_star": -1.0}):
         with pytest.raises(NonPositiveConstant):
             SmoothnessSpec(**kwargs)
+
+
+@pytest.mark.parametrize("config, field, value", [
+    (ToleranceConfig, "eps", "0.1"), (ToleranceConfig, "eps", 1j),
+    (ToleranceConfig, "eps_h", True), (ToleranceConfig, "delta", None),
+    (SmoothnessSpec, "L", "1"), (SmoothnessSpec, "L", True),
+    (SmoothnessSpec, "rho", [1.0]), (SmoothnessSpec, "h_star", False),
+    (SmoothnessSpec, "sigma", "0.05"), (ScsgConfig, "eta", "x"), (ScsgConfig, "eta", True),
+    (ExperimentConfig, "noise_sigma", "0.05"), (ExperimentConfig, "noise_sigma", True),
+])
+def test_config_number_must_be_a_real_number(config, field, value):
+    # a string, complex or None was a bare TypeError; a bool, never a number
+    # in a JSON config, built
+    valid = {ToleranceConfig: {"eps": 0.1, "eps_h": 0.5}, SmoothnessSpec: {"L": 1.0},
+             ScsgConfig: {"B": 2, "b": 1, "eta": 0.1}, ExperimentConfig: {}}[config]
+    named = f"{field} must be a real number, got {type(value).__name__} {value!r}"
+    with pytest.raises(NonPositiveConstant, match=re.escape(named)):
+        config(**{**valid, field: value})
+    assert config(**{**valid, field: np.float32(0.25)}) is not None
 
 
 def test_configs_check_themselves_on_construction():

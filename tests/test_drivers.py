@@ -21,8 +21,8 @@ from gose import (ObjectiveOracle, SmoothnessSpec, ToleranceConfig, amplify,
                   one_step_finite_sum, one_step_stochastic, with_gradient_noise)
 from gose.core import (STATUS_BUDGET, STATUS_FIRST_ORDER, STATUS_SECOND_ORDER,
                        ConfigError, EpsilonTooLarge, EvalCounters,
-                       MalformedOracleOutput, NonFiniteMeasurement,
-                       NonPositiveConstant, NotFiniteSum, NotStochastic)
+                       MalformedOracleOutput, NonFiniteMeasurement, NotFiniteSum,
+                       NotStochastic)
 from gose.drivers import LARGE, SMALL, always_probe_baseline
 from gose.harness import ExperimentConfig, run_one
 from gose.problems import as_finite_sum, make_nonconvex_pca
@@ -147,6 +147,7 @@ def test_det_agd_solver_choice():
 def test_default_solver_certifies_rosenbrock_where_gd_runs_out(seed):
     # at eps 2e-6 gd spends its 200,000 iterations in the curved valley and
     # ends budget_exhausted; the accelerated default certifies in ~900 units
+    assert gose.solvers.MAX_ITERS == 200_000
     prob = get_problem("rosenbrock", d=2)
     tol = ToleranceConfig(eps=2e-6, eps_h=0.5)
     smooth = SmoothnessSpec(L=prob.known_L, rho=prob.known_rho)
@@ -195,7 +196,7 @@ def probe_oracle(norm):
     )
 
 
-def test_threshold_deterministic_branches_at_eps():
+def test_threshold_deterministic_branches_at_eps(monkeypatch):
     eps = 0.01
     tol = ToleranceConfig(eps=eps, eps_h=0.5, max_outer=1)
     smooth = SmoothnessSpec(L=1.0, rho=1.0)
@@ -204,30 +205,12 @@ def test_threshold_deterministic_branches_at_eps():
     report = gose_deterministic(oracle, np.zeros(3), tol, smooth,
                                 rng=np.random.default_rng(0))
     assert report.trace[0].branch == SMALL
-    # just above eps: large branch
+    # just above eps: large branch, where the solver never converges
+    monkeypatch.setattr(gose.solvers, "MAX_ITERS", 5)
     oracle = probe_oracle(1.5 * eps)
     report = gose_deterministic(oracle, np.zeros(3), tol, smooth,
-                                rng=np.random.default_rng(0), solver_max_iters=5)
+                                rng=np.random.default_rng(0))
     assert report.trace[0].branch == LARGE
-
-
-@pytest.mark.parametrize("max_iters", [2.5, 0, -3, True])
-def test_solver_max_iters_must_be_an_integer(max_iters):
-    # checked at entry: 2.5 reached range() as a bare TypeError, 0 and -3
-    # ended the run budget_exhausted
-    chain = get_problem("chained_saddles", d=5)
-    oracle = as_counting(chain.oracle)
-    tol = ToleranceConfig(eps=0.01, eps_h=0.5)
-    smooth = SmoothnessSpec(L=chain.known_L, rho=1.0)
-    match = f"solver_max_iters must be >= 1 and an integer, got {max_iters!r}"
-    with pytest.raises(NonPositiveConstant, match=re.escape(match)):
-        gose_deterministic(oracle, chain.x0 + 0.3, tol, smooth, rng=np.random.default_rng(0),
-                           solver_max_iters=max_iters)
-    for solver in sorted(gose.solvers.SOLVERS):
-        with pytest.raises(NonPositiveConstant, match=re.escape(match)):
-            gose.solvers.run_solver(solver, oracle, chain.x0 + 0.3, chain.known_L, 0.01,
-                                    max_iters)
-    assert oracle.counters == EvalCounters()
 
 
 def test_threshold_stochastic_branches_at_half_eps():
@@ -634,7 +617,7 @@ def test_baseline_lives_beside_the_drivers_loop():
 
 def test_baseline_echoes_the_deterministic_config():
     # the baseline enters like the deterministic driver, whose echo adds only
-    # the solver settings
+    # the solver choice
     prob = get_problem("saddle_path", d=2)
     tol = ToleranceConfig(eps=0.01, eps_h=0.5, max_outer=50)
     smooth = SmoothnessSpec(L=prob.known_L, rho=1.0)
@@ -642,7 +625,6 @@ def test_baseline_echoes_the_deterministic_config():
                                      rng=np.random.default_rng(0))
     driver = run_det(prob, tol, smooth)
     assert driver.config.pop("solver_choice") == gose.solvers.DEFAULT_SOLVER
-    assert driver.config.pop("solver_max_iters") == gose.solvers.DEFAULT_MAX_ITERS
     assert baseline.config == driver.config
     assert baseline.config["mode"] == "deterministic"
 

@@ -2,7 +2,6 @@ import hashlib
 import inspect
 import json
 import math
-import os
 import re
 
 import numpy as np
@@ -94,17 +93,6 @@ def test_config_echo_states_each_value_once():
     assert "seed" not in rows[0]["config"]["tolerance"]
     assert set(rows[0]["config"]["scsg"]) == {"B", "b", "eta"}
     assert rows[0]["counters"] != rows[1]["counters"]
-
-
-def test_deterministic_echo_records_the_solver_budget():
-    # a run with a non-default solver cap can be rebuilt from its echo
-    prob = get_problem("chained_saddles", d=3)
-    report = gose_deterministic(prob.oracle, prob.x0, ToleranceConfig(eps=0.01, eps_h=0.5),
-                                SmoothnessSpec(L=prob.known_L, rho=1.0),
-                                rng=np.random.default_rng(0), solver_max_iters=7)
-    assert report.config["solver_max_iters"] == 7
-    cfg = ExperimentConfig.from_dict({**CONVEX_CFG, "solver_max_iters": 7})
-    assert run_one(cfg, 0)[1]["config"]["solver_max_iters"] == cfg.solver_max_iters
 
 
 def test_summary_golden_fixed_seed():
@@ -424,13 +412,7 @@ OUT_OF_RANGE_CASES = [
     pytest.param({**NOISY_BOWL_CFG, "scsg_b": 0}, "scsg_b", id="scsg_b_zero"),
     # only the sampling drivers read scsg_b, and every mode checks it
     pytest.param({**CHAINED_ORIGIN_CFG, "scsg_b": 0}, "scsg_b", id="scsg_b_zero_deterministic"),
-    pytest.param({**CHAINED_ORIGIN_CFG, "solver_max_iters": 0}, "solver_max_iters must be >= 1",
-                 id="solver_max_iters_zero"),
-    # the sampling modes run no solver, and still check both solver settings
-    pytest.param({**NOISY_BOWL_CFG, "solver_max_iters": 0}, "solver_max_iters must be >= 1",
-                 id="solver_max_iters_zero_stochastic"),
-    pytest.param({**PCA_CFG, "solver_max_iters": -1}, "solver_max_iters must be >= 1",
-                 id="solver_max_iters_negative_finite_sum"),
+    # the sampling modes run no solver, and still check its name
     pytest.param({**PCA_CFG, "solver_choice": "bogus"}, "unknown solver 'bogus'",
                  id="solver_choice_finite_sum"),
     # NaN and inf, which JSON configs can carry, are out of every range
@@ -520,8 +502,7 @@ def test_out_of_range_setting_raises_before_any_oracle_work(request, cfg, named)
         tol, smooth = build_configs(cfg, spec)
         if cfg.mode == "deterministic":
             driver = gose_deterministic
-            gose_deterministic(oracle, spec.x0, tol, smooth, rng=rng,
-                               solver_max_iters=cfg.solver_max_iters)
+            gose_deterministic(oracle, spec.x0, tol, smooth, rng=rng)
         else:
             scsg = derive_scsg_params(tol, smooth, cfg.mode, n=oracle.n_components,
                                       b_override=cfg.scsg_b)
@@ -539,7 +520,7 @@ def test_out_of_range_setting_raises_before_any_oracle_work(request, cfg, named)
 
 @pytest.mark.parametrize("cfg", [
     {**NOISY_BOWL_CFG, "solver_choice": "bogus"},
-    {**PCA_CFG, "solver_choice": "bogus", "solver_max_iters": 0},
+    {**PCA_CFG, "solver_choice": "bogus"},
 ], ids=["stochastic", "finite_sum"])
 def test_cli_run_rejects_unknown_solver_in_sampling_modes(tmp_path, capsys, cfg):
     # the sampling drivers run no solver, so the config itself checks the name
@@ -601,11 +582,10 @@ def test_run_defaults_are_the_library_defaults():
     assert tol == ToleranceConfig(eps=cfg.eps, eps_h=cfg.eps_h)
     solver = inspect.signature(gose_deterministic).parameters
     assert cfg.solver_choice == solver["solver_choice"].default
-    assert cfg.solver_max_iters == solver["solver_max_iters"].default
 
 
 @pytest.mark.parametrize("cfg, sections", [
-    (CONVEX_CFG, {"mode", "tolerance", "smoothness", "solver_choice", "solver_max_iters"}),
+    (CONVEX_CFG, {"mode", "tolerance", "smoothness", "solver_choice"}),
     ({**CONVEX_CFG, "mode": "stochastic", "noise_sigma": 0.05, "scsg_b": 32, "max_outer": 1},
      {"mode", "tolerance", "smoothness", "scsg"}),
     (PCA_CFG, {"mode", "tolerance", "smoothness", "scsg"}),
@@ -620,13 +600,15 @@ def test_config_echo_carries_scsg_in_sampling_runs_only(cfg, sections):
                                          ("s_mult", 4.0), ("c_conc", 0.25), ("c_h", 0.5),
                                          ("nc_budget_mult", 4.0), ("scsg_B", 400),
                                          ("out_dir", "elsewhere"), ("write_trace", True),
-                                         ("nc_engine", "oja")])
+                                         ("nc_engine", "oja"),
+                                         ("solver_max_iters", 200_000)])
 def test_cli_run_rejects_removed_field(tmp_path, capsys, name, value):
     # the escape subsample has one rule and fixed constants, as do the escape
     # step and the finder budgets; c1 and rho_min only rescaled rho; B is
     # derived (a library caller fixes it with its own ScsgConfig); --out,
     # GOSE_OUT and --trace say where files go and whether traces are written;
-    # minibatch Lanczos is the one stochastic finder engine
+    # minibatch Lanczos is the one stochastic finder engine; the solvers'
+    # iteration cap is the constant gose.solvers.MAX_ITERS
     path = write_cfg(tmp_path, {**CONVEX_CFG, name: value})
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert f"unknown config fields: ['{name}']" in capsys.readouterr().err
@@ -736,6 +718,17 @@ def test_cli_rejects_malformed_config_file(tmp_path, capsys, command, text, name
     assert capsys.readouterr().err.startswith(
         "config error: " + named.format(path=repr(str(path))))
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: ExperimentConfig.from_dict([]), "config must be a JSON object, got list"),
+    (lambda: ExperimentConfig.from_dict(None), "config must be a JSON object, got NoneType"),
+    (lambda: run_sweep([1]), "sweep must be a JSON object, got list"),
+], ids=["from_dict_list", "from_dict_none", "run_sweep_list"])
+def test_library_rejects_a_config_that_is_not_an_object(call, named):
+    # an AttributeError or a TypeError before; a file gose reads is checked earlier
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        call()
 
 
 def test_cli_run_byte_identical_given_seed(tmp_path):
@@ -848,7 +841,7 @@ def _never(*args):
      "max_matvecs must be >= 1 and an integer, got 2.5"),
     (lambda: verify_nc_suite(d=2.5), ConfigError, "d must be >= 1, got 2.5"),
     (lambda: verify_nc_suite(trials=2.5), ConfigError, "trials must be >= 1, got 2.5"),
-    (lambda: inject_asymmetric_probe(d=2.5), ConfigError,
+    (lambda: inject_asymmetric_probe(d=2.5, seed=0), ConfigError,
      "d must be >= 2 for an asymmetric operator, got 2.5"),
 ], ids=["amplify", "estimate_variance_bound", "lanczos_min_eig", "verify_nc_suite_d",
         "verify_nc_suite_trials", "inject_asymmetric_probe"])

@@ -1,12 +1,18 @@
-"""No gose module keeps a top-level import it never uses (the package __init__ re-exports)."""
+"""No gose module, test or demo keeps a top-level import it never uses.
+
+The package __init__ re-exports, so it is left out; so is benchmarks/.
+"""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "gose"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "gose"
 MODULES = sorted(path.name for path in SRC.glob("*.py") if path.name != "__init__.py")
+SCRIPTS = sorted(str(path.relative_to(ROOT)) for folder in ("tests", "demos")
+                 for path in (ROOT / folder).glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,3 +48,8 @@ def test_checker_finds_unused_imports_and_honours_noqa():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_test_or_demo_uses_every_import(script):
+    assert unused_imports((ROOT / script).read_text()) == []

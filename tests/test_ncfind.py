@@ -17,8 +17,7 @@ import gose.ncfind
 
 from gose import (ObjectiveOracle, approx_nc_deterministic,
                   approx_nc_finite_sum, approx_nc_stochastic, as_counting,
-                  get_problem, lanczos_min_eig, make_nonconvex_pca,
-                  with_gradient_noise)
+                  get_problem, lanczos_min_eig, make_nonconvex_pca)
 from gose.core import (MAX_DRAWS, AsymmetricOperator, BudgetZero, EvalCounters,
                        LapackFailure, MalformedOracleOutput, NonFiniteMeasurement,
                        NotFiniteSum, NotStochastic, SizeOutOfRange)
