@@ -178,6 +178,13 @@ class ObjectiveOracle:
     single-draw stochastic gradients/HVPs (stochastic mode).  Missing HVPs are
     synthesized by central differences of the corresponding gradient.
 
+    hvp also takes a (k, d) stack of directions and returns the (k, d) stack
+    of products, row j that of v[j].  An hvp_batch(x, V) callable serves a
+    stack in one call and must return V's shape; any other shape raises
+    MalformedOracleOutput naming hvp_batch.  It needs hvp, which serves single
+    directions.  Without it the stack is served one row at a time, each call
+    on its own copy of the row, by the analytic hvp or central differences.
+
     Stochastic callables must realize their randomness exclusively through the
     generator they receive, so that equal generator states reproduce the same
     draw of the underlying random index xi.  This is what lets variance-reduced
@@ -216,6 +223,7 @@ class ObjectiveOracle:
                  value: Callable,
                  gradient: Callable,
                  hvp: Optional[Callable] = None,
+                 hvp_batch: Optional[Callable] = None,
                  n_components: int = 0,
                  component_gradient: Optional[Callable] = None,
                  component_hvp: Optional[Callable] = None,
@@ -229,6 +237,8 @@ class ObjectiveOracle:
                 raise NonPositiveConstant(f"{name} must be >= {low} and an integer, got {size!r}")
         if n_components > 0 and component_gradient is None:
             raise ConfigError("finite-sum oracle needs component_gradient")
+        if hvp_batch is not None and hvp is None:
+            raise ConfigError("hvp_batch needs hvp")
         if sample_hvp_batch is not None and sample_hvp is None:
             raise ConfigError("sample_hvp_batch needs sample_hvp")
         self.dimension = int(dimension)
@@ -236,6 +246,7 @@ class ObjectiveOracle:
         self._value = value
         self._gradient = gradient
         self._hvp = hvp
+        self._hvp_batch = hvp_batch
         self._component_gradient = component_gradient
         self._component_hvp = component_hvp
         self._component_gradient_batch = component_gradient_batch
@@ -264,9 +275,14 @@ class ObjectiveOracle:
         return _shaped("gradient", self._gradient(x), x.shape)
 
     def hvp(self, x, v) -> np.ndarray:
+        x, v = np.asarray(x, float), np.asarray(v, float)
+        if v.ndim == 2:
+            _check_stack(x, v)
+            if self._hvp_batch is not None:
+                return _shaped("hvp_batch", self._hvp_batch(x, v), v.shape)
+            return _hvp_rows(self.hvp, x, v)
         if self._hvp is not None:
-            x = np.asarray(x, float)
-            return _shaped("hvp", self._hvp(x, np.asarray(v, float)), x.shape)
+            return _shaped("hvp", self._hvp(x, v), x.shape)
         return finite_diff_hvp(self, x, v)
 
     # -- finite-sum surface
@@ -370,6 +386,21 @@ def _shaped(method: str, out, shape: tuple) -> np.ndarray:
     return out
 
 
+def _check_stack(x: np.ndarray, V: np.ndarray) -> None:
+    """ConfigError unless V is a (k, d) stack of directions for the point x of shape (d,)."""
+    if V.shape[1:] != x.shape:
+        raise ConfigError(f"hvp needs directions of shape {x.shape} or a (k, {x.size}) stack,"
+                          f" got shape {V.shape}")
+
+
+def _hvp_rows(hvp: Callable, x: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The (k, d) stack of hvp(x, V[j]), one call per row, each on its own copy of the row."""
+    out = np.empty(V.shape)
+    for j, row in enumerate(V):
+        out[j] = hvp(x, row.copy())
+    return out
+
+
 def _draw_count(m) -> int:
     """m as an int, or ConfigError unless it is an integer >= 1; a fraction is never truncated."""
     if not ((type(m) is int or is_integer(m)) and m >= 1):  # a plain int skips is_integer
@@ -438,9 +469,11 @@ class CountingOracle:
 
     The wrapped oracle stays untouched; all mutation lives here.  Synthesized
     HVPs route through this wrapper's gradient methods, so their two gradient
-    calls are counted instead of an hvp_eval.  A call is charged once the
-    base returns, so a call the base refuses (NotFiniteSum, NotStochastic, a
-    malformed result) leaves the counters where they were.
+    calls are counted instead of an hvp_eval.  A (k, d) stack of HVP
+    directions is charged per row: k hvp_evals, or 2k gradients when
+    synthesized.  A call is charged once the base returns, so a call the base
+    refuses (NotFiniteSum, NotStochastic, a malformed result) leaves the
+    counters where they were.
     """
 
     def __init__(self, base: ObjectiveOracle):
@@ -475,8 +508,12 @@ class CountingOracle:
     def hvp(self, x, v):
         if self.base.capabilities.analytic_hvp:
             out = self.base.hvp(x, v)
-            self.counters.hvp_evals += 1
+            self.counters.hvp_evals += len(out) if out.ndim == 2 else 1
             return out
+        if np.ndim(v) == 2:  # each row's central difference charges its two gradients
+            x, v = np.asarray(x, float), np.asarray(v, float)
+            _check_stack(x, v)
+            return _hvp_rows(self.hvp, x, v)
         return finite_diff_hvp(self, x, v)
 
     def component_gradient(self, i, x):

@@ -445,6 +445,7 @@ def verify_nc_suite(d: int = 50, trials: int = 200, eps_h: float = 0.5,
         if not (is_integer(value) and value >= 1):
             raise ConfigError(f"{name} must be >= 1, got {value!r} (integers only)")
     for name, value, high in (("eps_h", eps_h, math.inf), ("delta", delta, 1.0)):
+        check_real(name, value)
         if not 0.0 < value < high:
             raise ConfigError(f"{name} must lie in (0, {high:g}), got {value}")
     L = 2.0 * eps_h

@@ -5,11 +5,13 @@ Hessian-vector products, so finite-difference synthesis can be cross-checked
 against it.  Declared L and rho are valid on the stated sampling box (they
 are global bounds there, not tight values).  certify_second_order is the
 brute-force ground truth used by the acceptance tests: dense Hessian
-assembled row by row from d HVP calls, symmetrized, plus a symmetric
-eigendecomposition (the smallest diagonal entry when that Hessian is
-diagonal).  Chained saddles build their d planted saddles on read, so the
+assembled from one HVP call on the d unit directions, symmetrized, plus a
+symmetric eigendecomposition (the smallest diagonal entry when that Hessian
+is diagonal).  Chained saddles build their d planted saddles on read, so the
 problem is O(d) to construct and hold, and their HVP keeps the curvature
-diagonal of the last point it saw.
+diagonal of the last point it saw and serves a stack of directions in one
+broadcast product (the oracle's hvp_batch); the other fixtures serve a
+stack one direction per call.
 """
 
 from __future__ import annotations
@@ -206,6 +208,7 @@ def make_chained_saddles(d: int) -> ProblemSpec:
     last = [(None, None)]
 
     def hvp(x, v):
+        # a (k, d) stack v broadcasts: row j is diag * v[j], the bits of a single call
         key = x.tobytes()
         seen = last[0]
         if seen[0] != key:
@@ -214,7 +217,7 @@ def make_chained_saddles(d: int) -> ProblemSpec:
 
     return ProblemSpec(
         name="chained_saddles",
-        oracle=ObjectiveOracle(d, value, gradient, hvp=hvp),
+        oracle=ObjectiveOracle(d, value, gradient, hvp=hvp, hvp_batch=hvp),
         known_L=23.0 * float(a.max()),
         known_rho=36.0 * float(a.max()),
         box=(-1.5, 1.5),
@@ -548,21 +551,18 @@ def as_streaming(spec: ProblemSpec) -> ProblemSpec:
 
 
 def dense_hessian(oracle, x) -> np.ndarray:
-    """Assemble the Hessian from d HVP calls, symmetrized: 0.5 (H' + H).
+    """Assemble the Hessian from one stacked HVP call, symmetrized: 0.5 (H' + H).
 
-    Row i of H is oracle.hvp(x, e_i), each call with its own fresh unit
-    vector, so an hvp that writes into its v argument cannot spoil a later
-    row.  d is capped at 500 (DimensionTooLarge).
+    H = oracle.hvp(x, I), the stack of the d unit directions, so row i of H
+    is the product with e_i: one hvp_batch call where the oracle has one,
+    else d hvp calls, each with its own fresh unit vector, so an hvp that
+    writes into its v argument cannot spoil a later row.  d is capped at 500
+    (DimensionTooLarge), checked before anything is allocated.
     """
     d = oracle.dimension
     if d > 500:
         raise DimensionTooLarge(f"dense certification capped at d=500, got {d}")
-    x = np.asarray(x, float)
-    H = np.empty((d, d))
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        H[i] = oracle.hvp(x, e)
+    H = oracle.hvp(np.asarray(x, float), np.eye(d))
     return 0.5 * (H.T + H)
 
 
@@ -571,11 +571,12 @@ def certify_second_order(oracle, x, eps: float, eps_h: float):
 
     Returns (ok, grad_norm, lambda_min) where ok means grad_norm <= eps and
     lambda_min >= -eps_h, with lambda_min from a dense symmetric
-    eigendecomposition of the Hessian dense_hessian assembles (d HVP calls,
-    one row each; d <= 500, else DimensionTooLarge).  A diagonal Hessian (a
-    separable f, such as chained saddles) has its eigenvalues on the
-    diagonal, so there lambda_min is the smallest diagonal entry, exactly,
-    without the O(d^3) eigensolve and the BLAS threads it starts.
+    eigendecomposition of the Hessian dense_hessian assembles (one stacked
+    HVP call on the d unit directions; d <= 500, else DimensionTooLarge).
+    A diagonal Hessian (a separable f, such as chained saddles) has its
+    eigenvalues on the diagonal, so there lambda_min is the smallest diagonal
+    entry, exactly, without the O(d^3) eigensolve and the BLAS threads it
+    starts.
     """
     x = np.asarray(x, float)
     grad_norm = float(np.linalg.norm(oracle.gradient(x)))

@@ -439,6 +439,60 @@ def test_sample_hvp_batch_needs_single_draws():
                         sample_hvp_batch=lambda x, v, m, rng: v)
 
 
+def rosenbrock_oracle(analytic: bool) -> ObjectiveOracle:
+    # a nonlinear objective without hvp_batch: its stacks take the row path
+    base = get_problem("rosenbrock", d=5).oracle
+    return ObjectiveOracle(5, base.value, base.gradient, hvp=base.hvp if analytic else None)
+
+
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic_hvp", "synthesized_hvp"])
+def test_hvp_stack_without_batch_is_one_call_per_row_bit_for_bit(analytic, rng):
+    oracle = rosenbrock_oracle(analytic)
+    x = rng.uniform(-2.0, 2.0, 5)
+    V = rng.standard_normal((3, 5))
+    singles = np.stack([oracle.hvp(x, V[j]) for j in range(3)])
+    assert oracle.hvp(x, V).tobytes() == singles.tobytes()
+    assert oracle.hvp(x, np.empty((0, 5))).shape == (0, 5)
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (4,), (2, 4), (3, 4, 1)])
+def test_malformed_hvp_batch_output_raises_typed(shape):
+    oracle = ObjectiveOracle(4, lambda x: 0.0, lambda x: x, hvp=lambda x, v: v,
+                             hvp_batch=lambda x, V: np.ones(shape))
+    x, V = np.arange(4.0), np.ones((3, 4))
+    with pytest.raises(MalformedOracleOutput,
+                       match=re.escape(f"hvp_batch returned shape {shape}, expected (3, 4)")):
+        oracle.hvp(x, V)
+    assert oracle.hvp(x, V[0]).shape == (4,)  # single directions go to hvp
+
+
+def test_hvp_batch_needs_single_directions():
+    with pytest.raises(ConfigError, match="hvp_batch needs hvp"):
+        ObjectiveOracle(1, lambda x: 0.0, lambda x: x, hvp_batch=lambda x, V: V)
+
+
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic_hvp", "synthesized_hvp"])
+def test_hvp_stack_of_the_wrong_width_raises_before_any_counter_moves(analytic):
+    oracle = as_counting(rosenbrock_oracle(analytic))
+    with pytest.raises(ConfigError, match=re.escape("(k, 5) stack, got shape (3, 4)")):
+        oracle.hvp(np.zeros(5), np.ones((3, 4)))
+    assert oracle.counters == EvalCounters()
+
+
+@pytest.mark.parametrize("kind", ["hvp_batch", "analytic_rows", "synthesized_rows"])
+def test_counting_charges_each_row_of_a_hvp_stack(kind, rng):
+    A = np.diag([1.0, 2.0, 3.0])
+    oracle = ObjectiveOracle(3, lambda x: 0.5 * float(x @ A @ x), lambda x: A @ x,
+                             hvp=None if kind == "synthesized_rows" else lambda x, v: A @ v,
+                             hvp_batch=(lambda x, V: V @ A) if kind == "hvp_batch" else None)
+    co = as_counting(oracle)
+    co.hvp(rng.standard_normal(3), rng.standard_normal((4, 3)))
+    if kind == "synthesized_rows":  # two gradients per row's central difference
+        assert co.counters == EvalCounters(grad_evals=8)
+    else:
+        assert co.counters == EvalCounters(hvp_evals=4)
+
+
 def test_as_counting_is_idempotent():
     co = as_counting(quad_oracle([1.0]))
     assert as_counting(co) is co

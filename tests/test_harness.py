@@ -289,6 +289,15 @@ def test_verify_nc_unknown_engine():
         verify_nc_suite(engine="power_iteration")
 
 
+@pytest.mark.parametrize("value", ["0.5", True], ids=["str", "bool"])
+@pytest.mark.parametrize("name", ["eps_h", "delta"])
+def test_verify_nc_suite_setting_must_be_a_real_number(name, value):
+    # a string was a bare TypeError from the range test; a bool ran the suite
+    named = f"{name} must be a real number, got {type(value).__name__} {value!r}"
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        verify_nc_suite(d=5, trials=1, **{name: value})
+
+
 def test_cli_verify_nc_rejects_removed_engine(capsys):
     # minibatch Lanczos is the one stochastic engine; the oja stream is gone
     assert main(["verify-nc", "--d", "5", "--trials", "1", "--engine", "oja"]) == 2

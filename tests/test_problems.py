@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gose.problems
 from gose import (approx_nc_deterministic, as_streaming, certify_second_order, dense_hessian,
                   finite_diff_hvp, get_problem, list_problems,
                   make_chained_saddles, make_nonconvex_pca,
@@ -424,6 +425,44 @@ def test_dense_hessian_survives_an_hvp_that_writes_into_v(rng):
 
     oracle = ObjectiveOracle(d, lambda x: 0.5 * float(x @ A @ x), lambda x: A @ x, hvp=hvp)
     assert np.array_equal(dense_hessian(oracle, np.zeros(d)), 0.5 * (A.T + A))
+
+
+def test_certify_chained_saddles_calls_its_hvp_once(monkeypatch, rng):
+    # every call of the fixture's callables is recorded with its direction shape
+    calls = []
+
+    def recorded(name, fn):
+        def call(x, v):
+            calls.append((name, v.shape))
+            return fn(x, v)
+        return call
+
+    def build(*args, **kwargs):
+        for name in ("hvp", "hvp_batch"):
+            kwargs[name] = recorded(name, kwargs[name])
+        return ObjectiveOracle(*args, **kwargs)
+
+    monkeypatch.setattr(gose.problems, "ObjectiveOracle", build)
+    spec = make_chained_saddles(200)
+    x = rng.uniform(-1.5, 1.5, 200)
+    _, _, lam = certify_second_order(spec.oracle, x, 0.01, 0.5)
+    assert calls == [("hvp_batch", (200, 200))]
+    assert lam == float(np.diagonal(_hessian_by_columns(spec.oracle, x)).min())
+
+
+def test_dense_hessian_without_hvp_batch_calls_hvp_once_per_fresh_unit_row():
+    d = 6
+    seen = []
+
+    def hvp(x, v):
+        seen.append(v)
+        return 2.0 * v
+
+    oracle = ObjectiveOracle(d, lambda x: float(x @ x), lambda x: 2.0 * x, hvp=hvp)
+    assert np.array_equal(dense_hessian(oracle, np.ones(d)), 2.0 * np.eye(d))
+    assert len(seen) == d
+    for i, v in enumerate(seen):  # each its own array, none a view of another
+        assert v.base is None and np.array_equal(v, np.eye(d)[i])
 
 
 def test_certify_dimension_cap():
