@@ -20,8 +20,7 @@ from .problems import (ProblemSpec, as_finite_sum, as_streaming,
                        certify_second_order, dense_hessian, get_problem,
                        list_problems, make_bowl_saddle, make_chained_saddles,
                        make_nonconvex_pca, make_quadratic_saddle,
-                       make_saddle_path, verify_lipschitz_constants,
-                       with_gradient_noise)
+                       make_saddle_path, with_gradient_noise)
 from .solvers import (ScsgConfig, SolveResult, anchor_table, derive_scsg_params,
                       estimate_variance_bound, gd_to_stationarity, guarded_agd,
                       sample_geometric, scsg_epoch)
@@ -41,8 +40,7 @@ __all__ = [
     "ProblemSpec", "as_finite_sum", "as_streaming", "certify_second_order",
     "dense_hessian", "get_problem", "list_problems", "make_bowl_saddle",
     "make_chained_saddles", "make_nonconvex_pca", "make_quadratic_saddle",
-    "make_saddle_path", "verify_lipschitz_constants",
-    "with_gradient_noise",
+    "make_saddle_path", "with_gradient_noise",
     "ScsgConfig", "SolveResult", "anchor_table", "derive_scsg_params",
     "estimate_variance_bound", "gd_to_stationarity", "guarded_agd",
     "sample_geometric", "scsg_epoch",

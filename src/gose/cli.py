@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: run, sweep, verify-nc, list-problems.  Exit codes: 0 success,
+Subcommands: run, sweep, list-problems.  Exit codes: 0 success,
 2 configuration error (the message names the violated inequality; a sweep in
 which no cell passed validation is one), 3 internal error.  GOSE_OUT sets the
 default output directory.
@@ -10,17 +10,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import sys
 
 from .core import ConfigError, GoseError
-from .harness import (ExperimentConfig, inject_asymmetric_probe, load_json_object,
-                      run_experiment, run_sweep, summary_line, sweep_table,
-                      verify_nc_suite)
+from .harness import (ExperimentConfig, load_json_object, run_experiment, run_sweep,
+                      summary_line, sweep_table)
 from .problems import list_problems
-
-
-_SUITE_PARAMS = inspect.signature(verify_nc_suite).parameters
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,14 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="cross-product over a parameter grid")
     p_sweep.add_argument("--config", required=True, help="JSON sweep config (base + grid)")
     p_sweep.add_argument("--out", default=None)
-
-    p_nc = sub.add_parser("verify-nc", help="statistical contract suite for the NC finders")
-    # one option per verify_nc_suite parameter, with its default and type
-    for name, param in _SUITE_PARAMS.items():
-        p_nc.add_argument("--" + name.replace("_", "-"), type=type(param.default),
-                          default=param.default)
-    p_nc.add_argument("--inject-asymmetric", action="store_true",
-                      help="feed an asymmetric operator to demonstrate the probe")
 
     sub.add_parser("list-problems", help="names accepted by run configs")
     return parser
@@ -71,18 +58,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_verify_nc(args) -> int:
-    if args.inject_asymmetric:
-        inject_asymmetric_probe(d=min(args.d, 20), seed=args.seed)
-        return 0  # unreachable; the probe raises
-    result = verify_nc_suite(**{name: getattr(args, name) for name in _SUITE_PARAMS})
-    print(f"{'engine':<20} {'direction_rate':>15} {'bottom_rate_psd':>16} {'unsound':>8} {'pass':>6}")
-    print(f"{result['engine']:<20} {result['direction_rate']:>15.3f} "
-          f"{result['bottom_rate_psd']:>16.3f} {result['unsound_directions']:>8} "
-          f"{str(result['passed']):>6}")
-    return 0 if result["passed"] else 1
-
-
 def cmd_list_problems(_args) -> int:
     for name in list_problems():
         print(name)
@@ -95,7 +70,6 @@ def main(argv=None) -> int:
     handlers = {
         "run": cmd_run,
         "sweep": cmd_sweep,
-        "verify-nc": cmd_verify_nc,
         "list-problems": cmd_list_problems,
     }
     try:

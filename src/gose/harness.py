@@ -1,4 +1,4 @@
-"""Experiment harness: configs, runners, report files, verification suites.
+"""Experiment harness: configs, runners, report files, sweeps.
 
 Summaries are one JSON object per line (machine-parsable, diff-able); traces
 are CSV tables with a header row.  Wall time is reported but never part of
@@ -21,14 +21,11 @@ from typing import Optional
 import numpy as np
 
 from .core import (MODES, ConfigError, DimensionTooLarge, EvalCounters,
-                   GoseError, NonPositiveConstant, ObjectiveOracle,
-                   SmoothnessSpec, ToleranceConfig, check_real, is_integer)
+                   GoseError, NonPositiveConstant, SmoothnessSpec,
+                   ToleranceConfig, check_real, is_integer)
 from .drivers import RunReport, gose_deterministic, gose_finite_sum, gose_stochastic
-from .ncfind import (_EPS, approx_nc_deterministic, approx_nc_finite_sum,
-                     approx_nc_stochastic, lanczos_min_eig)
-from .problems import (PROBLEM_FACTORIES, ProblemSpec, _planted_spectrum,
-                       _quadratic_oracle, certify_second_order, get_problem,
-                       with_gradient_noise)
+from .problems import (PROBLEM_FACTORIES, ProblemSpec, certify_second_order,
+                       get_problem, with_gradient_noise)
 from .solvers import DEFAULT_SOLVER, check_b_override, check_solver, derive_scsg_params
 
 OUT_ENV_VAR = "GOSE_OUT"
@@ -375,132 +372,3 @@ def sweep_table(rows: list) -> str:
         elif "error" in row:
             lines.append(f"{json.dumps(row['cell']):<60} VALIDATION-FAILED: {row['error']}")
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Negative-curvature contract suite (verify-nc)
-
-SUITE_NOISE = 0.02  # scale of the perturbations around the planted operators
-
-
-def _negative_spectrum(d: int, eps_h: float, rng) -> np.ndarray:
-    spec = rng.uniform(-eps_h / 4.0, 1.0, size=d)
-    spec[0] = -2.0 * eps_h
-    return spec
-
-
-def _psd_spectrum(d: int, rng) -> np.ndarray:
-    return rng.uniform(0.05, 1.0, size=d)
-
-
-def _finite_sum_quadratic(A: np.ndarray, n: int, rng: np.random.Generator) -> ObjectiveOracle:
-    """n components (A + E_i) with sum_i E_i = 0 exactly."""
-    d = A.shape[0]
-    E = rng.standard_normal((n, d, d)) * SUITE_NOISE
-    E = 0.5 * (E + E.transpose(0, 2, 1))
-    E -= E.mean(axis=0, keepdims=True)
-    comps = A[None, :, :] + E
-    return ObjectiveOracle(
-        d, lambda x: 0.5 * float(x @ (A @ x)), lambda x: A @ x, hvp=lambda x, v: A @ v,
-        n_components=n,
-        component_gradient=lambda i, x: comps[i] @ x,
-        component_hvp=lambda i, x, v: comps[i] @ v,
-    )
-
-
-NC_THRESHOLDS = {
-    # engine: (min direction rate on lambda_min = -2 eps_h, min bottom rate on PSD)
-    "deterministic": (0.95, 1.0),
-    "fd": (0.95, 1.0),
-    "minibatch_lanczos": (0.90, 0.90),
-    "finite_sum": (0.90, 1.0),
-}
-
-
-def _suite_rng(seed) -> np.random.Generator:
-    """The generator of a contract check; seed must be a non-negative integer."""
-    if not (is_integer(seed) and seed >= 0):
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-    return np.random.default_rng(seed)
-
-
-def verify_nc_suite(d: int = 50, trials: int = 200, eps_h: float = 0.5,
-                    delta: float = 0.01, engine: str = "deterministic",
-                    seed: int = 0) -> dict:
-    """Statistical contract check on planted spectra.
-
-    Half the battery plants lambda_min = -2*eps_h (expect a direction), half
-    plants PSD spectra (expect bottom).  Returns rates and a pass flag against
-    the engine's thresholds.  Every returned direction is re-checked against
-    the dense operator: Rayleigh <= -eps_h/2 must hold exactly.
-
-    The operators have norm at most L = 2*eps_h, so a Lanczos tridiagonal has
-    1-norm at most 3L, and LAPACK's inverse iteration for its Ritz vector
-    (dstein) grows a vector to about d * (3L)**2 / eps, the largest number
-    the suite forms; an eps_h for which that overflows raises ConfigError.
-    """
-    if engine not in NC_THRESHOLDS:
-        raise ConfigError(f"unknown engine {engine!r}; options: {sorted(NC_THRESHOLDS)}")
-    for name, value in (("d", d), ("trials", trials)):
-        if not (is_integer(value) and value >= 1):
-            raise ConfigError(f"{name} must be >= 1, got {value!r} (integers only)")
-    for name, value, high in (("eps_h", eps_h, math.inf), ("delta", delta, 1.0)):
-        check_real(name, value)
-        if not 0.0 < value < high:
-            raise ConfigError(f"{name} must lie in (0, {high:g}), got {value}")
-    L = 2.0 * eps_h
-    if not math.isfinite(d * (3.0 * L) * (3.0 * L) / _EPS):
-        raise ConfigError(f"eps_h must keep d*(6*eps_h)**2/eps finite, the growth of the"
-                          f" suite's Ritz-vector iteration, got eps_h={eps_h:g} at d={d}")
-    rng = _suite_rng(seed)
-    x = np.zeros(d)
-
-    def call(A):
-        if engine in ("deterministic", "fd"):
-            oracle = _quadratic_oracle(A)
-            if engine == "fd":  # no analytic HVP: matvecs difference gradients
-                oracle = ObjectiveOracle(d, oracle.value, oracle.gradient)
-            return approx_nc_deterministic(oracle, x, eps_h, delta, L, rng)
-        if engine == "finite_sum":
-            oracle = _finite_sum_quadratic(A, 32, rng)
-            return approx_nc_finite_sum(oracle, x, eps_h, delta, L, rng)
-        planted = ProblemSpec(name="planted", oracle=_quadratic_oracle(A),
-                              known_L=L, known_rho=0.0, box=(-1.0, 1.0))
-        oracle = with_gradient_noise(planted, SUITE_NOISE).oracle
-        return approx_nc_stochastic(oracle, x, eps_h, delta, L, rng)
-
-    directions = unsound = 0
-    for _ in range(trials):
-        A, _ = _planted_spectrum(_negative_spectrum(d, eps_h, rng), rng)
-        out = call(A)
-        if out.is_direction:
-            directions += 1
-            if float(out.direction @ (A @ out.direction)) > -eps_h / 2.0 + 1e-9:
-                unsound += 1
-    bottoms = 0
-    for _ in range(trials):
-        A, _ = _planted_spectrum(_psd_spectrum(d, rng), rng)
-        out = call(A)
-        if out.is_bottom:
-            bottoms += 1
-
-    dir_rate = directions / trials
-    bot_rate = bottoms / trials
-    need_dir, need_bot = NC_THRESHOLDS[engine]
-    return {
-        "engine": engine, "d": d, "trials": trials, "eps_h": eps_h, "delta": delta,
-        "direction_rate": dir_rate, "bottom_rate_psd": bot_rate,
-        "unsound_directions": unsound,
-        "passed": dir_rate >= need_dir and bot_rate >= need_bot and unsound == 0,
-        "thresholds": {"direction": need_dir, "bottom": need_bot},
-    }
-
-
-def inject_asymmetric_probe(d: int, seed: int):
-    """Drive the Lanczos symmetry probe with a deliberately asymmetric operator (int d >= 2)."""
-    if not (is_integer(d) and d >= 2):
-        raise ConfigError(f"d must be >= 2 for an asymmetric operator, got {d!r} (integers only)")
-    rng = _suite_rng(seed)
-    A = rng.standard_normal((d, d))
-    A[0, 1] += 5.0  # guarantee asymmetry
-    lanczos_min_eig(lambda v: A @ v, d, 10, rng)  # raises

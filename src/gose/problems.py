@@ -34,7 +34,7 @@ class ProblemSpec:
     oracle: ObjectiveOracle
     known_L: float
     known_rho: float
-    box: tuple  # (lo, hi), sampled per coordinate by the spot checks
+    box: tuple  # (lo, hi), sampled per coordinate by the tests' Lipschitz spot checks
     known_minimum_value: Optional[float] = None
     planted_saddles: Sequence = field(default_factory=list)
     planted_minimum: Optional[np.ndarray] = None
@@ -587,31 +587,6 @@ def certify_second_order(oracle, x, eps: float, eps_h: float):
     else:
         lam_min = float(np.linalg.eigvalsh(H)[0])
     return (grad_norm <= eps and lam_min >= -eps_h), grad_norm, lam_min
-
-
-def verify_lipschitz_constants(spec: ProblemSpec, rng: np.random.Generator) -> bool:
-    """Spot-verify known_L and known_rho on 1000 random pairs in the box.
-
-    For each pair: ||grad f(x) - grad f(y)|| <= L ||x - y|| and
-    ||H(x) - H(y)||_2 <= rho ||x - y|| + 1e-8.  Raises AssertionError naming
-    the first violated bound.
-    """
-    lo, hi = spec.box
-    d = spec.oracle.dimension
-    for _ in range(1000):
-        x = rng.uniform(lo, hi, size=d)
-        y = rng.uniform(lo, hi, size=d)
-        dist = float(np.linalg.norm(x - y))
-        gdiff = float(np.linalg.norm(spec.oracle.gradient(x) - spec.oracle.gradient(y)))
-        assert gdiff <= spec.known_L * dist * (1.0 + 1e-9) + 1e-12, (
-            f"{spec.name}: gradient Lipschitz violated, {gdiff} > L*{dist}"
-        )
-        hdiff = float(np.linalg.norm(dense_hessian(spec.oracle, x)
-                                     - dense_hessian(spec.oracle, y), 2))
-        assert hdiff <= spec.known_rho * dist + 1e-8, (
-            f"{spec.name}: Hessian Lipschitz violated, {hdiff} > rho*{dist}"
-        )
-    return True
 
 
 # ---------------------------------------------------------------------------

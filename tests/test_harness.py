@@ -1,4 +1,3 @@
-import hashlib
 import inspect
 import json
 import math
@@ -9,14 +8,12 @@ import pytest
 
 import gose
 import gose.harness
-from gose.cli import _build_parser, main
+from gose.cli import main
 from gose.core import BudgetZero, ConfigError, EvalCounters
 from gose.drivers import always_probe_baseline
-from gose.harness import (NC_THRESHOLDS, ExperimentConfig, OUT_ENV_VAR,
-                          build_configs, build_problem, resolve_out_dir,
-                          run_experiment, run_one, run_sweep,
-                          inject_asymmetric_probe, summary_line, trace_table,
-                          verify_nc_suite)
+from gose.harness import (ExperimentConfig, OUT_ENV_VAR, build_configs, build_problem,
+                          resolve_out_dir, run_experiment, run_one, run_sweep,
+                          summary_line, trace_table)
 from gose import (SmoothnessSpec, ToleranceConfig, as_counting,
                   derive_scsg_params, get_problem, gose_deterministic,
                   gose_finite_sum, gose_stochastic)
@@ -216,92 +213,6 @@ def test_sweep_invalid_cell_reported_others_run(tmp_path):
     ok = [r for r in rows if r.get("aggregate")]
     assert len(errors) == 1 and "16" in errors[0]["error"]
     assert len(ok) == 1
-
-
-# ---------------------------------------------------------------------------
-# verify-nc suite
-
-
-def test_verify_nc_deterministic_small():
-    res = verify_nc_suite(d=20, trials=40, engine="deterministic", seed=0)
-    assert res["passed"]
-    assert res["bottom_rate_psd"] == 1.0
-
-
-@pytest.mark.parametrize("engine", sorted(NC_THRESHOLDS))
-def test_verify_nc_every_engine_small(engine):
-    res = verify_nc_suite(d=10, trials=20, engine=engine, seed=0)
-    assert res["passed"] and res["unsound_directions"] == 0
-
-
-@pytest.mark.parametrize("engine", sorted(NC_THRESHOLDS))
-def test_cli_verify_nc_every_engine_at_d_50(engine):
-    # the deterministic engines settle bottom early here; a rate miss exits 1
-    assert main(["verify-nc", "--d", "50", "--trials", "100", "--engine", engine]) == 0
-
-
-# sha256 per engine over every verify_nc_suite(d=10, trials=20, seed=0) finder
-# outcome, in call order: is_direction, the bytes of lambda_hat, the direction's
-# bytes and hvp_or_grad_cost.  A mismatch is a change of some finder's result;
-# a hash moves only with a finder change that CHANGES.md lists, old and new.
-FINDER_OUTCOME_GOLDEN = {
-    "deterministic":
-        "56353c9cd95855ec919ef06c0baeed35af19d12b8e238c7af590464dc3258dcf",
-    "fd":
-        "0c66ed87f4d2c0f92f1b441ee4df39d80a44f941b6cd9621fb7626c5f1c4a008",
-    "minibatch_lanczos":
-        "ccad7647b0b8e4e43d5120d1880c8b627720e16433f52f59a5ae5e37f1869562",
-    "finite_sum":
-        "b0bc2cb372f64eaa47e5183729ce9a1e4d9ea39b672309976e47891a1754507e",
-}
-
-
-@pytest.mark.parametrize("engine", sorted(FINDER_OUTCOME_GOLDEN))
-def test_verify_nc_finder_outcomes_golden(engine, monkeypatch):
-    digest = hashlib.sha256()
-
-    def recording(finder):
-        def call(*args, **kwargs):
-            out = finder(*args, **kwargs)
-            digest.update(b"D" if out.is_direction else b"B")
-            digest.update(np.float64(out.lambda_hat).tobytes())
-            if out.direction is not None:
-                digest.update(np.asarray(out.direction, np.float64).tobytes())
-            digest.update(str(out.hvp_or_grad_cost).encode())
-            return out
-        return call
-
-    for name in ("approx_nc_deterministic", "approx_nc_stochastic", "approx_nc_finite_sum"):
-        monkeypatch.setattr(gose.harness, name, recording(getattr(gose.harness, name)))
-    verify_nc_suite(d=10, trials=20, engine=engine, seed=0)
-    assert digest.hexdigest() == FINDER_OUTCOME_GOLDEN[engine]
-
-
-def test_verify_nc_cli_defaults_are_the_suite_defaults():
-    args = _build_parser().parse_args(["verify-nc"])
-    suite = inspect.signature(verify_nc_suite).parameters
-    assert {name: getattr(args, name) for name in suite} == {
-        name: param.default for name, param in suite.items()}
-
-
-def test_verify_nc_unknown_engine():
-    with pytest.raises(ConfigError):
-        verify_nc_suite(engine="power_iteration")
-
-
-@pytest.mark.parametrize("value", ["0.5", True], ids=["str", "bool"])
-@pytest.mark.parametrize("name", ["eps_h", "delta"])
-def test_verify_nc_suite_setting_must_be_a_real_number(name, value):
-    # a string was a bare TypeError from the range test; a bool ran the suite
-    named = f"{name} must be a real number, got {type(value).__name__} {value!r}"
-    with pytest.raises(ConfigError, match=re.escape(named)):
-        verify_nc_suite(d=5, trials=1, **{name: value})
-
-
-def test_cli_verify_nc_rejects_removed_engine(capsys):
-    # minibatch Lanczos is the one stochastic engine; the oja stream is gone
-    assert main(["verify-nc", "--d", "5", "--trials", "1", "--engine", "oja"]) == 2
-    assert "config error: unknown engine 'oja'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -758,83 +669,12 @@ def test_cli_list_problems(capsys):
     assert "nonconvex_pca" in out and "chained_saddles" in out
 
 
-def test_cli_verify_nc(capsys):
-    code = main(["verify-nc", "--d", "20", "--trials", "30",
-                 "--engine", "deterministic"])
-    assert code == 0
-    assert "direction_rate" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("option, named", [("--trials", "trials"), ("--d", "d")])
-def test_cli_verify_nc_rejects_empty_suite(capsys, option, named):
-    assert main(["verify-nc", option, "0"]) == 2
-    assert f"config error: {named} must be >= 1, got 0" in capsys.readouterr().err
-    with pytest.raises(ConfigError, match=f"{named} must be >= 1, got -1"):
-        verify_nc_suite(**{named: -1})
-
-
-@pytest.mark.parametrize("named, values, interval", [
-    ("eps_h", ["nan", "0", "-1", "inf"], "(0, inf)"),
-    ("delta", ["nan", "0", "1", "1.5"], "(0, 1)"),
-])
-def test_cli_verify_nc_rejects_out_of_range_tolerance(capsys, named, values, interval):
-    # each exits 2 naming the field, before any trial runs
-    for value in values:
-        option = "--" + named.replace("_", "-")
-        assert main(["verify-nc", option, value, "--d", "5", "--trials", "2"]) == 2
-        err = capsys.readouterr().err
-        assert f"config error: {named} must lie in {interval}, got {float(value)}" in err
-        with pytest.raises(ConfigError, match=f"^{named} must lie in"):
-            verify_nc_suite(**{named: float(value)})
-
-
-@pytest.mark.parametrize("extra", [[], ["--inject-asymmetric"]])
-def test_cli_verify_nc_rejects_negative_seed(capsys, extra):
-    assert main(["verify-nc", "--d", "5", "--trials", "2", "--seed=-1", *extra]) == 2
-    err = capsys.readouterr().err
-    assert "config error: seed must be a non-negative integer, got -1" in err
-    for seed in (-1, 1.5, None):
-        with pytest.raises(ConfigError, match="^seed must be a non-negative integer"):
-            verify_nc_suite(d=5, trials=2, seed=seed)
-
-
-def suite_eps_h_limit(d):
-    """The largest eps_h with d * (3L)**2 / eps finite, L = 2 * eps_h."""
-    return math.sqrt(np.finfo(float).max * np.finfo(float).eps / d) / 6.0
-
-
-@pytest.mark.parametrize("value", ["1e300", "1e154"])
-def test_cli_verify_nc_rejects_eps_h_whose_suite_overflows(capsys, value):
-    # exit 2 naming eps_h, where the suite's arithmetic would overflow
-    assert main(["verify-nc", "--eps-h", value, "--d", "5", "--trials", "2"]) == 2
-    err = capsys.readouterr().err
-    assert "config error: eps_h must keep d*(6*eps_h)**2/eps finite" in err
-    assert f"got eps_h={float(value):g} at d=5" in err
-    with pytest.raises(ConfigError, match=r"^eps_h must keep"):
-        verify_nc_suite(d=50, trials=2, eps_h=1.0001 * suite_eps_h_limit(50))
-
-
-@pytest.mark.parametrize("engine", sorted(NC_THRESHOLDS))
-@pytest.mark.parametrize("d", [1, 5, 50])
-def test_verify_nc_runs_finite_up_to_the_eps_h_limit(engine, d):
-    # just inside the limit every engine's arithmetic stays finite, with no warning
-    with np.errstate(all="raise"):
-        res = verify_nc_suite(d=d, trials=3, eps_h=0.9999 * suite_eps_h_limit(d),
-                              engine=engine)
-    assert res["passed"] and res["unsound_directions"] == 0
-
-
-def test_cli_verify_nc_asymmetric_injection(capsys):
-    code = main(["verify-nc", "--inject-asymmetric"])
-    assert code == 3
-    assert "AsymmetricOperator" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("d", [1, 0])
-def test_cli_verify_nc_asymmetric_injection_needs_two_dimensions(capsys, d):
-    assert main(["verify-nc", "--inject-asymmetric", "--d", str(d)]) == 2
-    err = capsys.readouterr().err
-    assert f"config error: d must be >= 2 for an asymmetric operator, got {d}" in err
+def test_cli_rejects_removed_verify_nc(capsys):
+    # the finder contract suite is a test helper (tests/conftest.py), not a subcommand
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify-nc"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'verify-nc'" in capsys.readouterr().err
 
 
 def _never(*args):
@@ -848,12 +688,7 @@ def _never(*args):
      ConfigError, "samples must be >= 2 and an integer"),
     (lambda: gose.lanczos_min_eig(_never, 2, 2.5, np.random.default_rng(0)), BudgetZero,
      "max_matvecs must be >= 1 and an integer, got 2.5"),
-    (lambda: verify_nc_suite(d=2.5), ConfigError, "d must be >= 1, got 2.5"),
-    (lambda: verify_nc_suite(trials=2.5), ConfigError, "trials must be >= 1, got 2.5"),
-    (lambda: inject_asymmetric_probe(d=2.5, seed=0), ConfigError,
-     "d must be >= 2 for an asymmetric operator, got 2.5"),
-], ids=["amplify", "estimate_variance_bound", "lanczos_min_eig", "verify_nc_suite_d",
-        "verify_nc_suite_trials", "inject_asymmetric_probe"])
+], ids=["amplify", "estimate_variance_bound", "lanczos_min_eig"])
 def test_integer_arguments_reject_a_fraction(call, error, named):
     # each was a bare TypeError from range() or numpy
     with pytest.raises(error, match=re.escape(named)):

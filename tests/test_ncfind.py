@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib.machinery
 import importlib.util
 import math
@@ -21,17 +22,12 @@ from gose import (ObjectiveOracle, approx_nc_deterministic,
 from gose.core import (MAX_DRAWS, AsymmetricOperator, BudgetZero, EvalCounters,
                        LapackFailure, MalformedOracleOutput, NonFiniteMeasurement,
                        NotFiniteSum, NotStochastic, SizeOutOfRange)
-from gose.harness import _finite_sum_quadratic, verify_nc_suite
 from gose.ncfind import (_random_unit, _symmetry_probe, det_max_matvecs, eigh_tridiagonal,
                          finder_sizes, finite_sum_minibatch, stoch_minibatch,
                          validation_batch)
-from conftest import planted_symmetric
-
-
-def matrix_oracle(A):
-    d = A.shape[0]
-    return ObjectiveOracle(d, lambda x: 0.5 * float(x @ (A @ x)),
-                           lambda x: A @ x, hvp=lambda x, v: A @ v)
+import conftest
+from conftest import (NC_THRESHOLDS, finite_sum_quadratic, matrix_oracle,
+                      planted_symmetric, verify_nc_suite)
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +656,7 @@ def test_nc_finite_sum_planted_statistical(lam_min):
         spec = rng.uniform(-0.2, 1.0, 20)
         spec[0] = lam_min
         A = planted_symmetric(20, spec, rng)
-        out = approx_nc_finite_sum(_finite_sum_quadratic(A, 32, rng), np.zeros(20),
+        out = approx_nc_finite_sum(finite_sum_quadratic(A, 32, rng), np.zeros(20),
                                    0.5, 0.01, 1.0, rng)
         if out.is_direction:
             hits += 1
@@ -684,7 +680,78 @@ def test_nc_finite_sum_budget_compliance(rng):
 
 
 # ---------------------------------------------------------------------------
-# shared contract details
+# shared contract details: the planted-spectrum suite (conftest.verify_nc_suite)
+
+
+@pytest.mark.parametrize("trials", [40, 30])
+def test_verify_nc_deterministic_small(trials):
+    res = verify_nc_suite(d=20, trials=trials, engine="deterministic", seed=0)
+    assert res["passed"]
+    assert res["bottom_rate_psd"] == 1.0
+
+
+@pytest.mark.parametrize("engine", sorted(NC_THRESHOLDS))
+@pytest.mark.parametrize("d, trials", [(10, 20), (50, 100)])
+def test_verify_nc_every_engine(d, trials, engine):
+    res = verify_nc_suite(d=d, trials=trials, engine=engine, seed=0)
+    assert res["passed"] and res["unsound_directions"] == 0
+
+
+# sha256 per engine over every verify_nc_suite(d=10, trials=20, seed=0) finder
+# outcome, in call order: is_direction, the bytes of lambda_hat, the direction's
+# bytes and hvp_or_grad_cost.  A mismatch is a change of some finder's result;
+# a hash moves only with a finder change that CHANGES.md lists, old and new.
+FINDER_OUTCOME_GOLDEN = {
+    "deterministic":
+        "56353c9cd95855ec919ef06c0baeed35af19d12b8e238c7af590464dc3258dcf",
+    "fd":
+        "0c66ed87f4d2c0f92f1b441ee4df39d80a44f941b6cd9621fb7626c5f1c4a008",
+    "minibatch_lanczos":
+        "ccad7647b0b8e4e43d5120d1880c8b627720e16433f52f59a5ae5e37f1869562",
+    "finite_sum":
+        "b0bc2cb372f64eaa47e5183729ce9a1e4d9ea39b672309976e47891a1754507e",
+}
+
+
+@pytest.mark.parametrize("engine", sorted(FINDER_OUTCOME_GOLDEN))
+def test_verify_nc_finder_outcomes_golden(engine, monkeypatch):
+    digest = hashlib.sha256()
+
+    def recording(finder):
+        def call(*args, **kwargs):
+            out = finder(*args, **kwargs)
+            digest.update(b"D" if out.is_direction else b"B")
+            digest.update(np.float64(out.lambda_hat).tobytes())
+            if out.direction is not None:
+                digest.update(np.asarray(out.direction, np.float64).tobytes())
+            digest.update(str(out.hvp_or_grad_cost).encode())
+            return out
+        return call
+
+    for name in ("approx_nc_deterministic", "approx_nc_stochastic", "approx_nc_finite_sum"):
+        monkeypatch.setattr(conftest, name, recording(getattr(conftest, name)))
+    verify_nc_suite(d=10, trials=20, engine=engine, seed=0)
+    assert digest.hexdigest() == FINDER_OUTCOME_GOLDEN[engine]
+
+
+def suite_eps_h_limit(d):
+    """The largest eps_h with d * (3L)**2 / eps finite, L = 2 * eps_h.
+
+    The planted operators have norm at most L, so a Lanczos tridiagonal has
+    1-norm at most 3L, and LAPACK's inverse iteration for its Ritz vector
+    (dstein) grows a vector to about d * (3L)**2 / eps.
+    """
+    return math.sqrt(np.finfo(float).max * np.finfo(float).eps / d) / 6.0
+
+
+@pytest.mark.parametrize("engine", sorted(NC_THRESHOLDS))
+@pytest.mark.parametrize("d", [1, 5, 50])
+def test_verify_nc_runs_finite_up_to_the_eps_h_limit(engine, d):
+    # just inside the limit every engine's arithmetic stays finite, with no warning
+    with np.errstate(all="raise"):
+        res = verify_nc_suite(d=d, trials=3, eps_h=0.9999 * suite_eps_h_limit(d),
+                              engine=engine)
+    assert res["passed"] and res["unsound_directions"] == 0
 
 
 @pytest.mark.parametrize("engine", ["deterministic", "fd", "finite_sum", "minibatch_lanczos"])

@@ -8,9 +8,10 @@ import gose.problems
 from gose import (approx_nc_deterministic, as_streaming, certify_second_order, dense_hessian,
                   finite_diff_hvp, get_problem, list_problems,
                   make_chained_saddles, make_nonconvex_pca,
-                  make_quadratic_saddle, make_saddle_path, verify_lipschitz_constants)
+                  make_quadratic_saddle, make_saddle_path)
 from gose.core import ConfigError, DimensionTooLarge, ObjectiveOracle
 from gose.problems import PROBLEM_FACTORIES
+from conftest import verify_lipschitz_constants
 
 
 def test_registry_contents():

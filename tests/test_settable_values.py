@@ -11,7 +11,7 @@ from gose.harness import ExperimentConfig
 CONFIGS = [ToleranceConfig, SmoothnessSpec, ScsgConfig, ExperimentConfig]
 
 # config fields plus defaulted parameters of the public and harness functions
-MAX_SETTABLE_VALUES = 67
+MAX_SETTABLE_VALUES = 61
 
 
 def settable_values() -> int:
