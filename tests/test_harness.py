@@ -677,6 +677,28 @@ def test_cli_rejects_removed_verify_nc(capsys):
     assert "invalid choice: 'verify-nc'" in capsys.readouterr().err
 
 
+GOSE_ERRORS = [obj for obj in vars(gose.core).values()
+               if isinstance(obj, type) and issubclass(obj, gose.core.GoseError)]
+
+
+@pytest.mark.parametrize("error", [*GOSE_ERRORS, RuntimeError], ids=lambda e: e.__name__)
+def test_cli_exit_code_follows_the_error_class(monkeypatch, capsys, error):
+    # a configuration error exits 2; any other error, the library's or not, 3,
+    # naming its class
+    def fail():
+        raise error("planted")
+
+    monkeypatch.setattr(gose.cli, "list_problems", fail)
+    if issubclass(error, ConfigError):
+        code, named = 2, "config error: planted"
+    elif issubclass(error, gose.core.GoseError):
+        code, named = 3, f"error: {error.__name__}: planted"
+    else:
+        code, named = 3, f"internal error: {error.__name__}: planted"
+    assert main(["list-problems"]) == code
+    assert named in capsys.readouterr().err
+
+
 def _never(*args):
     raise AssertionError("called before the argument check")
 

@@ -64,6 +64,18 @@ def test_lanczos_rejects_asymmetric_operator(rng):
         lanczos_min_eig(lambda w: A @ w, 8, 10, rng)
 
 
+@pytest.mark.parametrize("analytic", [True, False], ids=["hvp", "fd"])
+def test_deterministic_finder_rejects_asymmetric_operator(rng, analytic):
+    # the probe guards the finder too, with differenced gradients as with an HVP
+    A = rng.standard_normal((8, 8))
+    A[0, 1] += 5.0
+    oracle = matrix_oracle(A)
+    if not analytic:
+        oracle = ObjectiveOracle(8, oracle.value, oracle.gradient)
+    with pytest.raises(AsymmetricOperator):
+        approx_nc_deterministic(oracle, np.zeros(8), 0.5, 0.01, np.linalg.norm(A, 2), rng)
+
+
 def test_lanczos_budget_validation(rng):
     calls = []
 
