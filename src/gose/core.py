@@ -29,7 +29,7 @@ class ConfigError(GoseError, ValueError):
 
 
 class NonPositiveConstant(ConfigError):
-    pass
+    """A numeric setting or size argument that is out of range or not a number (check_number)."""
 
 
 class EpsilonTooLarge(ConfigError):
@@ -66,14 +66,6 @@ class LapackFailure(GoseError, ArithmeticError):
 
 class MalformedOracleOutput(GoseError, ValueError):
     """A user oracle callable returned an array of the wrong shape, or not numbers."""
-
-
-class BudgetZero(ConfigError):
-    pass
-
-
-class InvalidP(ConfigError):
-    pass
 
 
 class MissingVarianceBound(ConfigError):
@@ -195,7 +187,8 @@ class ObjectiveOracle:
     other shape raises MalformedOracleOutput naming the method, as does any
     result numpy cannot read as floats, or a value that is not a real number.
     A draw count m that is not an integer >= 1, a component index i that is
-    not an integer in [0, n), or an index row with no index, raises
+    not an integer in [0, n), an index row with no index, or a direction v
+    whose shape is not x's (hvp also takes a (k, d) stack), raises
     ConfigError before any callable runs or any counter moves.
 
     A sample_gradient_batch(x, m, rng) callable returns the mean of m draws.
@@ -232,9 +225,8 @@ class ObjectiveOracle:
                  sample_hvp: Optional[Callable] = None,
                  sample_gradient_batch: Optional[Callable] = None,
                  sample_hvp_batch: Optional[Callable] = None):
-        for name, size, low in (("dimension", dimension, 1), ("n_components", n_components, 0)):
-            if not (is_integer(size) and size >= low):
-                raise NonPositiveConstant(f"{name} must be >= {low} and an integer, got {size!r}")
+        check_number("dimension", dimension, 1, integer=True)
+        check_number("n_components", n_components, 0, integer=True)
         if n_components > 0 and component_gradient is None:
             raise ConfigError("finite-sum oracle needs component_gradient")
         if hvp_batch is not None and hvp is None:
@@ -276,8 +268,8 @@ class ObjectiveOracle:
 
     def hvp(self, x, v) -> np.ndarray:
         x, v = np.asarray(x, float), np.asarray(v, float)
+        _check_direction(x, v, stack=True)
         if v.ndim == 2:
-            _check_stack(x, v)
             if self._hvp_batch is not None:
                 return _shaped("hvp_batch", self._hvp_batch(x, v), v.shape)
             return _hvp_rows(self.hvp, x, v)
@@ -317,9 +309,9 @@ class ObjectiveOracle:
     def component_hvp(self, i: int, x, v) -> np.ndarray:
         if self._component_hvp is not None:
             i = _component_index(i, self.n_components)
-            x = np.asarray(x, float)
-            return _shaped("component_hvp",
-                           self._component_hvp(i, x, np.asarray(v, float)), x.shape)
+            x, v = np.asarray(x, float), np.asarray(v, float)
+            _check_direction(x, v)
+            return _shaped("component_hvp", self._component_hvp(i, x, v), x.shape)
         return _finite_diff_component_hvp(self, i, x, v)
 
     # -- stochastic surface
@@ -362,6 +354,7 @@ class ObjectiveOracle:
         """
         m = _draw_count(m)
         x, v = np.asarray(x, float), np.asarray(v, float)
+        _check_direction(x, v)
         if m > 1 and self._sample_hvp_batch is not None:
             return _shaped("sample_hvp_batch", self._sample_hvp_batch(x, v, m, rng), x.shape)
         if self._sample_hvp is None:
@@ -386,11 +379,11 @@ def _shaped(method: str, out, shape: tuple) -> np.ndarray:
     return out
 
 
-def _check_stack(x: np.ndarray, V: np.ndarray) -> None:
-    """ConfigError unless V is a (k, d) stack of directions for the point x of shape (d,)."""
-    if V.shape[1:] != x.shape:
-        raise ConfigError(f"hvp needs directions of shape {x.shape} or a (k, {x.size}) stack,"
-                          f" got shape {V.shape}")
+def _check_direction(x: np.ndarray, v: np.ndarray, stack: bool = False) -> None:
+    """ConfigError unless v has x's shape (d,), or, with stack=True, is a (k, d) stack."""
+    if v.shape != x.shape and not (stack and v.ndim == 2 and v.shape[1:] == x.shape):
+        either = f" or be a (k, {x.size}) stack" if stack else ""
+        raise ConfigError(f"direction v must have shape {x.shape}{either}, got shape {v.shape}")
 
 
 def _hvp_rows(hvp: Callable, x: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -403,15 +396,15 @@ def _hvp_rows(hvp: Callable, x: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def _draw_count(m) -> int:
     """m as an int, or ConfigError unless it is an integer >= 1; a fraction is never truncated."""
-    if not ((type(m) is int or is_integer(m)) and m >= 1):  # a plain int skips is_integer
-        raise ConfigError(f"draw count m must be >= 1 and an integer, got {m!r}")
+    if type(m) is not int or m < 1:  # a plain int in range skips check_number
+        check_number("draw count m", m, 1, integer=True)
     return int(m)
 
 
 def _component_index(i, n: int) -> int:
     """i as an int, or ConfigError unless it is an integer in [0, n)."""
-    if not ((type(i) is int or is_integer(i)) and 0 <= i < n):
-        raise ConfigError(f"component index i must be an integer in [0, {n}), got {i!r}")
+    if type(i) is not int or not 0 <= i < n:  # a plain int in range skips check_number
+        check_number("component index i", i, 0, n, integer=True)
     return int(i)
 
 
@@ -426,8 +419,8 @@ def _index_rows(indices) -> np.ndarray:
 
 def _central_diff(grad_pair: Callable, x, v) -> np.ndarray:
     """Difference the gradients grad_pair returns for the (2, d) stack of x +- r*u."""
-    x = np.asarray(x, float)
-    v = np.asarray(v, float)
+    x, v = np.asarray(x, float), np.asarray(v, float)
+    _check_direction(x, v)
     nv = float(np.linalg.norm(v))
     if nv == 0.0:
         raise ZeroDirection("cannot differentiate along the zero vector")
@@ -510,9 +503,9 @@ class CountingOracle:
             out = self.base.hvp(x, v)
             self.counters.hvp_evals += len(out) if out.ndim == 2 else 1
             return out
-        if np.ndim(v) == 2:  # each row's central difference charges its two gradients
-            x, v = np.asarray(x, float), np.asarray(v, float)
-            _check_stack(x, v)
+        x, v = np.asarray(x, float), np.asarray(v, float)
+        _check_direction(x, v, stack=True)
+        if v.ndim == 2:  # each row's central difference charges its two gradients
             return _hvp_rows(self.hvp, x, v)
         return finite_diff_hvp(self, x, v)
 
@@ -575,16 +568,31 @@ def check_mode(mode: str, oracle, modes: tuple = MODES) -> None:
         raise NotFiniteSum("finite_sum mode needs an oracle with n_components >= 1")
 
 
-def is_integer(value) -> bool:
-    """Whether value is an int or a numpy integer; a bool, a float or NaN is not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def check_number(name: str, value, low=0.0, high=math.inf, *, closed: bool = False,
+                 integer: bool = False) -> None:
+    """NonPositiveConstant naming `name` unless value is a number in range.
 
-
-def check_real(name: str, value) -> None:
-    """NonPositiveConstant naming the field unless value is a real number (a bool is not)."""
+    The one check of a numeric setting or size argument.  A bool or a
+    non-number never passes; numpy scalars do, and NaN lies in no interval.
+    A real value must lie in (low, high), or in [low, high) with closed=True;
+    with integer=True the value must be an integer in [low, high).
+    """
+    if integer:
+        if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                and low <= value < high):
+            return
+        where = f">= {low}" if high == math.inf else f"in [{low}, {high})"
+        raise NonPositiveConstant(f"{name} must be an integer {where}, got {value!r}")
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise NonPositiveConstant(f"{name} must be a real number,"
                                   f" got {type(value).__name__} {value!r}")
+    if (low <= value if closed else low < value) and value < high:
+        return
+    if (low, high) == (0.0, math.inf):
+        rule = "be nonnegative and finite" if closed else "be positive and finite"
+    else:
+        rule = f"lie in {'[' if closed else '('}{low:g}, {high:g})"
+    raise NonPositiveConstant(f"{name} must {rule}, got {value}")
 
 
 def check_point(x, d: int, name: str = "x") -> np.ndarray:
@@ -617,12 +625,8 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("eps", "eps_h", "delta"):
-            val = getattr(self, name)
-            check_real(name, val)
-            if not (0.0 < val < 1.0):
-                raise NonPositiveConstant(f"{name} must lie in (0, 1), got {val}")
-        if not (is_integer(self.max_outer) and self.max_outer >= 1):
-            raise NonPositiveConstant(f"max_outer must be an integer >= 1, got {self.max_outer}")
+            check_number(name, getattr(self, name), 0.0, 1.0)
+        check_number("max_outer", self.max_outer, 1, integer=True)
 
 
 RHO_FLOOR = 1e-3  # the floor of rho_eff; not a setting, a larger one is a larger rho
@@ -644,15 +648,10 @@ class SmoothnessSpec:
 
     def __post_init__(self):
         # L in (0, inf); rho, and h_star and sigma when given, in [0, inf)
-        for name, kind in (("L", "positive"), ("rho", "nonnegative"),
-                           ("h_star", "nonnegative"), ("sigma", "nonnegative")):
-            val = getattr(self, name)
-            if val is None and name in ("h_star", "sigma"):
-                continue
-            check_real(name, val)
-            above = 0.0 < val if kind == "positive" else 0.0 <= val
-            if not (above and val < math.inf):
-                raise NonPositiveConstant(f"{name} must be {kind} and finite, got {val}")
+        check_number("L", self.L)
+        for name in ("rho", "h_star", "sigma"):
+            if name == "rho" or getattr(self, name) is not None:
+                check_number(name, getattr(self, name), closed=True)
 
     @property
     def rho_eff(self) -> float:

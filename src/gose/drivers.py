@@ -21,9 +21,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (Certificate, ConfigError, EvalCounters, SmoothnessSpec,
+from .core import (Certificate, EvalCounters, SmoothnessSpec,
                    STATUS_BUDGET, STATUS_FIRST_ORDER, STATUS_SECOND_ORDER,
-                   ToleranceConfig, as_counting, check_point, is_integer)
+                   ToleranceConfig, as_counting, check_number, check_point)
 from .escape import (check_run, one_step_deterministic, one_step_finite_sum,
                      one_step_stochastic)
 from .solvers import (DEFAULT_SOLVER, ScsgConfig, anchor_table, check_solver,
@@ -253,8 +253,7 @@ def amplify(run_once: Callable[[int], RunReport], reps: int,
     per-run success probability p the failure probability decays like
     (1-p)**reps.
     """
-    if not (is_integer(reps) and reps >= 1):
-        raise ConfigError(f"reps must be >= 1, got {reps!r} (integers only)")
+    check_number("reps", reps, 1, integer=True)
     reports = []
     for i in range(reps):
         report = run_once(base_seed + i)

@@ -21,8 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (MODES, ConfigError, DimensionTooLarge, EvalCounters,
-                   GoseError, NonPositiveConstant, SmoothnessSpec,
-                   ToleranceConfig, check_real, is_integer)
+                   GoseError, SmoothnessSpec, ToleranceConfig, check_number)
 from .drivers import RunReport, gose_deterministic, gose_finite_sum, gose_stochastic
 from .problems import (PROBLEM_FACTORIES, ProblemSpec, certify_second_order,
                        get_problem, with_gradient_noise)
@@ -64,14 +63,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not self.seeds or any(not (is_integer(seed) and seed >= 0) for seed in self.seeds):
-            raise ConfigError(f"config field 'seeds' must hold one or more non-negative ints,"
-                              f" got {self.seeds!r}")
+        if not self.seeds:
+            raise ConfigError("config field 'seeds' must hold one or more seeds")
+        for seed in self.seeds:
+            check_number("config field 'seeds'", seed, 0, integer=True)
         if self.noise_sigma is not None:
-            check_real("noise_sigma", self.noise_sigma)
-            if not 0.0 <= self.noise_sigma < math.inf:
-                raise NonPositiveConstant(f"noise_sigma must be nonnegative and finite,"
-                                          f" got {self.noise_sigma}")
+            check_number("noise_sigma", self.noise_sigma, closed=True)
         # checked in every mode, though only the deterministic driver runs a
         # solver and only the sampling drivers read scsg_b
         check_solver(self.solver_choice)

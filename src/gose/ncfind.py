@@ -45,8 +45,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import (AsymmetricOperator, BudgetZero, LapackFailure, NonFiniteMeasurement,
-                   as_counting, check_mode, check_point, checked_size, is_integer)
+from .core import (AsymmetricOperator, LapackFailure, NonFiniteMeasurement,
+                   as_counting, check_mode, check_number, check_point, checked_size)
 
 BOTTOM = "bottom"
 DIRECTION = "direction"
@@ -224,10 +224,10 @@ def lanczos_min_eig(hvp: Callable, d: int, max_matvecs: int,
     """Bottom Ritz pair of a symmetric operator given only v -> H v.
 
     Random unit start, full reorthogonalization, at most max_matvecs matvecs
-    in the loop (capped at d, where the Krylov space is exact); a max_matvecs
-    that is not an integer >= 1 raises BudgetZero before any matvec.  Stops
-    early on an invariant subspace or once the bottom Ritz residual
-    |b * y[-1]| is at most 1e-12 * max(1, |theta|).  The returned eigenvalue
+    in the loop (capped at d, where the Krylov space is exact); a d or a
+    max_matvecs that is not an integer >= 1 raises NonPositiveConstant
+    before any matvec.  Stops early on an invariant subspace or once the
+    bottom Ritz residual |b * y[-1]| is at most 1e-12 * max(1, |theta|).  The returned eigenvalue
     is recomputed as v' H v with one extra matvec at exit, so it is a true
     Rayleigh quotient of the returned unit vector.
 
@@ -267,8 +267,8 @@ def lanczos_min_eig(hvp: Callable, d: int, max_matvecs: int,
     value is NaN or infinite.  probe_tol of None skips the symmetry probe,
     which is meaningless for operators that resample noise on every call.
     """
-    if not (is_integer(max_matvecs) and max_matvecs >= 1):
-        raise BudgetZero(f"max_matvecs must be >= 1 and an integer, got {max_matvecs!r}")
+    check_number("d", d, 1, integer=True)
+    check_number("max_matvecs", max_matvecs, 1, integer=True)
     if probe_tol is not None:
         _symmetry_probe(hvp, d, rng, probe_tol)
 

@@ -24,8 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (ConfigError, DimensionTooLarge, NonPositiveConstant,
-                   ObjectiveOracle)
+from .core import ConfigError, DimensionTooLarge, ObjectiveOracle, check_number
 
 
 @dataclass
@@ -68,6 +67,7 @@ def _quadratic_oracle(A: np.ndarray) -> ObjectiveOracle:
 
 
 def _spectrum_or_default(spectrum, d: int) -> np.ndarray:
+    check_number("d", d, 1, integer=True)
     spectrum = np.asarray([1.0] * (d - 1) + [-1.0] if spectrum is None else spectrum, float)
     if spectrum.shape != (d,):
         raise ConfigError(f"spectrum must have length d={d}")
@@ -112,8 +112,7 @@ def make_bowl_saddle(d: int = 2, spectrum=None, q: float = 0.5, seed: int = 0,
     -lambda_min(A)**2/(4q).  The origin stays a strict saddle.  The default
     spectrum is d-1 ones and one -1.  q must lie in (0, inf).
     """
-    if not 0.0 < q < math.inf:
-        raise NonPositiveConstant(f"q must be positive and finite, got {q}")
+    check_number("q", q)
     spectrum = _spectrum_or_default(spectrum, d)
     if orth and d > 1:
         A, Q = _planted_spectrum(spectrum, np.random.default_rng(seed))
@@ -192,8 +191,7 @@ def make_chained_saddles(d: int) -> ProblemSpec:
     positive.  On the box [-1.5, 1.5]: |w''| <= 23 a and
     |w''(s)-w''(t)| <= 36 a |s-t|.
     """
-    if d < 2:
-        raise ConfigError("chained saddles need d >= 2")
+    check_number("d", d, 2, integer=True)
     a = np.linspace(0.5, 0.3, d)
     four_a = 4.0 * a
 
@@ -235,8 +233,7 @@ def make_saddle_path(d: int = 2) -> ProblemSpec:
     x0 = (0, 4, ..., 4) plain descent keeps x_1 = 0 exactly and slides into
     the saddle at the origin; one curvature step then opens the x_1 well.
     """
-    if d < 2:
-        raise ConfigError("saddle path needs d >= 2")
+    check_number("d", d, 2, integer=True)
     a = 0.25
 
     def value(x):
@@ -280,15 +277,16 @@ def make_nonconvex_pca(n: int, d: int, seed: int = 0,
     """f(x) = (1/n) sum_i [-(a_i'x)**2/2] + ||x||^4/4, rescaled data.
 
     The data matrix is rescaled so the empirical covariance M = (1/n) sum
-    a_i a_i' has top eigenvalue `top_eig`.  The origin is a strict saddle
+    a_i a_i' has top eigenvalue `top_eig`, in (0, inf).  The origin is a strict saddle
     (Hessian -M there); every global minimum sits along the top eigenvector
     at radius sqrt(top_eig) with value -top_eig**2/4, and for this objective
     all local minima are global.  Per-component gradients and HVPs are closed
     form, so the oracle is finite-sum capable.  Explicit `data` (n x d) skips
     the draw and the rescaling.
     """
-    if n < 1 or d < 2:
-        raise ConfigError("nonconvex PCA needs n >= 1 and d >= 2")
+    check_number("n", n, 1, integer=True)
+    check_number("d", d, 2, integer=True)
+    check_number("top_eig", top_eig)
     if data is not None:
         A = np.asarray(data, float).reshape(n, d).copy()
     else:
@@ -356,8 +354,7 @@ def make_nonconvex_pca(n: int, d: int, seed: int = 0,
 
 
 def make_rosenbrock(d: int = 2) -> ProblemSpec:
-    if d < 2:
-        raise ConfigError("rosenbrock needs d >= 2")
+    check_number("d", d, 2, integer=True)
 
     def value(x):
         return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
@@ -456,8 +453,7 @@ def with_gradient_noise(spec: ProblemSpec, sigma: float) -> ProblemSpec:
     draws are those of the memo-free view, bit for bit, provided the base
     gradient is a pure function of x.
     """
-    if not 0.0 <= sigma < math.inf:
-        raise NonPositiveConstant(f"sigma must be nonnegative and finite, got {sigma}")
+    check_number("sigma", sigma, closed=True)
     base = spec.oracle
     d = base.dimension
     coord = sigma / math.sqrt(d)

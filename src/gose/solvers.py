@@ -17,9 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ConfigError, InvalidP, MissingVarianceBound,
-                   NonPositiveConstant, as_counting, check_mode, check_real,
-                   checked_size, is_integer)
+from .core import (ConfigError, MissingVarianceBound, as_counting, check_mode,
+                   check_number, checked_size)
 
 DEFAULT_SOLVER = "agd"
 
@@ -64,11 +63,9 @@ class ScsgConfig:
     eta: float
 
     def __post_init__(self):
-        if not (is_integer(self.B) and is_integer(self.b) and 1 <= self.b <= self.B):
-            raise ConfigError(f"need integers 1 <= b <= B, got b={self.b!r}, B={self.B!r}")
-        check_real("eta", self.eta)
-        if not 0.0 < self.eta < math.inf:
-            raise NonPositiveConstant(f"eta must be positive and finite, got {self.eta}")
+        check_number("B", self.B, 1, integer=True)
+        check_number("b", self.b, 1, self.B + 1, integer=True)
+        check_number("eta", self.eta)
 
     @property
     def p(self) -> float:
@@ -82,16 +79,15 @@ def sample_geometric(p: float, rng: np.random.Generator) -> int:
     Inverse-CDF form floor(ln(U)/ln(p)) with U uniform on (0, 1]; the mean is
     p/(1-p).
     """
-    if not (0.0 < p < 1.0):
-        raise InvalidP(f"p must lie in (0, 1), got {p}")
+    check_number("p", p, 0.0, 1.0)
     u = 1.0 - rng.random()  # in (0, 1]
     return int(math.floor(math.log(u) / math.log(p)))
 
 
 def check_b_override(b_override) -> None:
     """A minibatch override (scsg_b in a run config) is None or an integer >= 1."""
-    if b_override is not None and not (is_integer(b_override) and b_override >= 1):
-        raise ConfigError(f"b_override (scsg_b) must be >= 1 and an integer, got {b_override!r}")
+    if b_override is not None:
+        check_number("b_override (scsg_b)", b_override, 1, integer=True)
 
 
 def derive_scsg_params(tol, smooth, mode: str, n: int = 0,
@@ -112,8 +108,7 @@ def derive_scsg_params(tol, smooth, mode: str, n: int = 0,
     """
     check_b_override(b_override)
     if mode == "finite_sum":
-        if n < 1:
-            raise ConfigError("finite_sum mode needs n >= 1")
+        check_number("n", n, 1, integer=True)
         b = 1 if b_override is None else int(b_override)
         return ScsgConfig(B=n, b=min(b, n), eta=1.0 / (smooth.L * n ** (2.0 / 3.0)))
     if mode != "stochastic":
@@ -147,9 +142,7 @@ def estimate_variance_bound(oracle, x, rng: np.random.Generator,
     Twice the empirical mean squared deviation of `samples` (>= 2) stochastic
     gradients drawn at x; the factor two is slack for the pilot being local.
     """
-    if not (is_integer(samples) and samples >= 2):
-        raise ConfigError(f"samples must be >= 2 and an integer (one draw has no variance),"
-                          f" got {samples!r}")
+    check_number("samples", samples, 2, integer=True)
     oracle = as_counting(oracle)
     draws = np.stack([oracle.sample_gradient(x, rng) for _ in range(samples)])
     mean = draws.mean(axis=0)
@@ -167,6 +160,7 @@ def anchor_table(oracle, x) -> tuple[np.ndarray, np.ndarray]:
     epoch that follows takes the table as its anchor side (scsg_epoch).
     """
     oracle = as_counting(oracle)
+    check_mode("finite_sum", oracle)
     x = np.asarray(x, float)
     n, d = oracle.n_components, oracle.dimension
     rows = max(ANCHOR_BLOCK_FLOATS // d, 1)
@@ -239,13 +233,6 @@ def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
     return y.copy()
 
 
-def _check_L(L: float) -> None:
-    """A solver's check before any oracle call: L a real number in (0, inf)."""
-    check_real("L", L)
-    if not 0.0 < L < math.inf:
-        raise NonPositiveConstant(f"L must be positive and finite, got {L}")
-
-
 def gd_to_stationarity(oracle, x0, L: float, eps: float,
                        g0: Optional[np.ndarray] = None,
                        f0: Optional[float] = None) -> SolveResult:
@@ -258,7 +245,7 @@ def gd_to_stationarity(oracle, x0, L: float, eps: float,
     descent reads no values.  An L that is not a real number in (0, inf)
     raises NonPositiveConstant before any oracle call.
     """
-    _check_L(L)
+    check_number("L", L)
     oracle = as_counting(oracle)
     x = np.asarray(x0, float)
     g = g0
@@ -293,7 +280,7 @@ def guarded_agd(oracle, x0, L: float, eps: float,
     returns has been valued, and the result carries that value.  L is checked,
     and MAX_ITERS caps the steps, as in gd_to_stationarity.
     """
-    _check_L(L)
+    check_number("L", L)
     oracle = as_counting(oracle)
     x = np.asarray(x0, float)
     x_prev = x.copy()

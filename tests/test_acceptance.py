@@ -273,6 +273,32 @@ def test_criterion_4_one_escape_per_entry(chained_runs, stoch_runs, fs_runs,
         assert misses <= binomial_tail_bound(escapes, delta)
 
 
+@pytest.mark.parametrize("name, d, eps", [("saddle_path", 2, 1e-3), ("saddle_path", 10, 1e-3),
+                                          ("chained_saddles", 10, 5e-4)])
+def test_escape_decrease_where_rho_holds(name, d, eps):
+    """Each escape lowers f by at least eps_h**3 / (24 * rho_eff**2), the cubic bound.
+
+    The bound assumes rho bounds the Hessian's change along the step, so the
+    runs pass the problem's own known_rho, with eps under the entry bound
+    eps_h**2 / (16 * rho_eff).  It holds here: the escapes start near critical
+    points inside the box whose constants
+    test_problems::test_lipschitz_spot_verification checks, and the step
+    eps_h / (2 * rho) is at most 0.028.
+    """
+    spec = get_problem(name, d=d)
+    smooth = SmoothnessSpec(L=spec.known_L, rho=spec.known_rho)
+    tol = ToleranceConfig(eps=eps, eps_h=EPS_H, delta=DELTA)
+    bound = tol.eps_h ** 3 / (24.0 * smooth.rho_eff ** 2)
+    for seed in range(50):
+        report = gose_deterministic(spec.oracle, spec.x0, tol, smooth,
+                                    rng=np.random.default_rng(seed))
+        for a, b in zip(report.trace, report.trace[1:]):
+            if a.branch == SMALL and a.escape_taken:
+                assert a.f_value - b.f_value >= bound
+        assert report.certificate.status == STATUS_SECOND_ORDER
+        assert certify_second_order(spec.oracle, report.certificate.point, eps, tol.eps_h)[0]
+
+
 # ---------------------------------------------------------------------------
 # 5. (d+1) curvature-computation bound on the chained-saddle problem
 

@@ -11,7 +11,7 @@ from gose import (Capabilities, CountingOracle, EvalCounters, ObjectiveOracle,
                   finite_diff_hvp, get_problem, gose_deterministic, with_gradient_noise)
 from gose.core import (RHO_FLOOR, ConfigError, EpsilonTooLarge, MalformedOracleOutput,
                        NonPositiveConstant, NotFiniteSum, NotStochastic,
-                       StochasticEpsilonTooLarge, ZeroDirection)
+                       StochasticEpsilonTooLarge, ZeroDirection, check_number)
 from gose.escape import check_run
 from gose.harness import ExperimentConfig
 
@@ -106,11 +106,11 @@ def test_max_outer_must_be_an_integer(max_outer):
 
 
 @pytest.mark.parametrize("sizes, named", [
-    ({"dimension": 2.5}, "dimension must be >= 1 and an integer, got 2.5"),
-    ({"dimension": True}, "dimension must be >= 1 and an integer, got True"),
-    ({"dimension": 0}, "dimension must be >= 1 and an integer, got 0"),
-    ({"dimension": 3, "n_components": 3.7}, "n_components must be >= 0 and an integer, got 3.7"),
-    ({"dimension": 3, "n_components": -1}, "n_components must be >= 0 and an integer, got -1"),
+    ({"dimension": 2.5}, "dimension must be an integer >= 1, got 2.5"),
+    ({"dimension": True}, "dimension must be an integer >= 1, got True"),
+    ({"dimension": 0}, "dimension must be an integer >= 1, got 0"),
+    ({"dimension": 3, "n_components": 3.7}, "n_components must be an integer >= 0, got 3.7"),
+    ({"dimension": 3, "n_components": -1}, "n_components must be an integer >= 0, got -1"),
 ], ids=["dimension_fraction", "dimension_bool", "dimension_zero", "n_components_fraction",
         "n_components_negative"])
 def test_oracle_sizes_must_be_integers(sizes, named):
@@ -147,6 +147,29 @@ def test_config_number_must_be_a_real_number(config, field, value):
     with pytest.raises(NonPositiveConstant, match=re.escape(named)):
         config(**{**valid, field: value})
     assert config(**{**valid, field: np.float32(0.25)}) is not None
+
+
+@pytest.mark.parametrize("value, bounds, named", [
+    (np.True_, {}, "x must be a real number, got bool"),
+    (1.0, {"low": 0.0, "high": 1.0}, "x must lie in (0, 1), got 1.0"),
+    (math.nan, {"closed": True}, "x must be nonnegative and finite, got nan"),
+    (np.float32(0.0), {}, "x must be positive and finite, got 0.0"),
+    (2.0, {"low": 1, "integer": True}, "x must be an integer >= 1, got 2.0"),
+    (np.bool_(True), {"low": 0, "integer": True}, "x must be an integer >= 0, got"),
+    (3, {"low": 0, "high": 3, "integer": True}, "x must be an integer in [0, 3), got 3"),
+])
+def test_check_number_names_the_argument(value, bounds, named):
+    with pytest.raises(NonPositiveConstant, match=re.escape(named)):
+        check_number("x", value, **bounds)
+
+
+@pytest.mark.parametrize("value, bounds", [
+    (np.float32(0.5), {}), (0, {"closed": True}), (np.float64(0.0), {"closed": True}),
+    (np.int64(2), {"low": 1, "integer": True}),
+    (np.uint8(2), {"low": 0, "high": 3, "integer": True}),
+])
+def test_check_number_takes_numpy_scalars(value, bounds):
+    assert check_number("x", value, **bounds) is None
 
 
 def test_configs_check_themselves_on_construction():
@@ -479,6 +502,46 @@ def test_hvp_stack_of_the_wrong_width_raises_before_any_counter_moves(analytic):
     assert oracle.counters == EvalCounters()
 
 
+def _direction_oracle(analytic, calls):
+    """d=4, n=3 components, stochastic; calls records every callable run."""
+    def recorded(fn):
+        def call(*args):
+            calls.append(fn)
+            return fn(*args)
+        return call
+
+    return ObjectiveOracle(
+        4, lambda x: float(x @ x), recorded(lambda x: 2.0 * x),
+        hvp=recorded(lambda x, v: 2.0 * v) if analytic else None,
+        n_components=3, component_gradient=recorded(lambda i, x: 2.0 * x),
+        component_hvp=recorded(lambda i, x, v: 2.0 * v) if analytic else None,
+        sample_gradient=recorded(lambda x, rng: 2.0 * x + rng.standard_normal(4)),
+        sample_hvp=recorded(lambda x, v, rng: 2.0 * v) if analytic else None)
+
+
+@pytest.mark.parametrize("shape", [(3,), (), (2, 2, 4)], ids=["wrong_length", "scalar", "3d"])
+@pytest.mark.parametrize("method", ["hvp", "component_hvp", "sample_hvp"])
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic_hvp", "synthesized_hvp"])
+def test_direction_of_the_wrong_shape_raises_before_any_callable_runs(analytic, method, shape):
+    # a wrong length reached the callable (a bare numpy error), and a scalar
+    # gave a (d,) answer
+    calls = []
+    oracle = _direction_oracle(analytic, calls)
+    co = as_counting(oracle)
+    x, v = np.ones(4), np.ones(shape)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    call = {"hvp": lambda o: o.hvp(x, v), "component_hvp": lambda o: o.component_hvp(1, x, v),
+            "sample_hvp": lambda o: o.sample_hvp(x, v, rng)}[method]
+    for target in (co, oracle):
+        with pytest.raises(ConfigError, match=re.escape("direction v must have shape (4,)")):
+            call(target)
+    assert calls == [] and co.counters == EvalCounters()
+    assert rng.bit_generator.state == state
+    v = np.ones(4)
+    assert call(co) == pytest.approx(2.0 * v) and calls
+
+
 @pytest.mark.parametrize("kind", ["hvp_batch", "analytic_rows", "synthesized_rows"])
 def test_counting_charges_each_row_of_a_hvp_stack(kind, rng):
     A = np.diag([1.0, 2.0, 3.0])
@@ -611,7 +674,7 @@ def _assert_draw_count_refused(kind, m):
                  lambda o: o.sample_gradient_batch(np.stack([x, v]), m, rng),
                  lambda o: o.sample_hvp(x, v, rng, m)):
         for target in (co, oracle):
-            with pytest.raises(ConfigError, match="draw count m must be >= 1 and an integer"):
+            with pytest.raises(ConfigError, match="draw count m must be an integer >= 1"):
                 call(target)
     assert co.counters == EvalCounters()
     assert rng.bit_generator.state == state

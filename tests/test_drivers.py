@@ -420,7 +420,7 @@ def test_amplify_reps_one_is_identity():
 
 
 def test_amplify_rejects_no_repetition():
-    with pytest.raises(ConfigError, match="reps must be >= 1, got 0"):
+    with pytest.raises(ConfigError, match="reps must be an integer >= 1, got 0"):
         amplify(lambda seed: fake_report(0.5, [1.0]), 0, lambda p: True)
 
 

@@ -9,7 +9,7 @@ import pytest
 import gose
 import gose.harness
 from gose.cli import main
-from gose.core import BudgetZero, ConfigError, EvalCounters
+from gose.core import ConfigError, EvalCounters, NonPositiveConstant
 from gose.drivers import always_probe_baseline
 from gose.harness import (ExperimentConfig, OUT_ENV_VAR, build_configs, build_problem,
                           resolve_out_dir, run_experiment, run_one, run_sweep,
@@ -577,7 +577,7 @@ def test_summary_line_is_strict_json_for_diverging_run():
 
 @pytest.mark.parametrize("seeds", [[1.5], [0, 2.0], [math.nan], [True]])
 def test_experiment_seeds_must_be_integers(seeds):
-    with pytest.raises(ConfigError, match="config field 'seeds' must hold"):
+    with pytest.raises(ConfigError, match="config field 'seeds' must be an integer >= 0"):
         ExperimentConfig(seeds=seeds)
     assert ExperimentConfig(seeds=[np.int64(3)]).seeds == [3]
 
@@ -704,12 +704,13 @@ def _never(*args):
 
 
 @pytest.mark.parametrize("call, error, named", [
-    (lambda: gose.amplify(_never, 2.5, _never), ConfigError, "reps must be >= 1, got 2.5"),
+    (lambda: gose.amplify(_never, 2.5, _never), ConfigError,
+     "reps must be an integer >= 1, got 2.5"),
     (lambda: gose.estimate_variance_bound(_never, np.zeros(2), np.random.default_rng(0),
                                           samples=2.5),
-     ConfigError, "samples must be >= 2 and an integer"),
-    (lambda: gose.lanczos_min_eig(_never, 2, 2.5, np.random.default_rng(0)), BudgetZero,
-     "max_matvecs must be >= 1 and an integer, got 2.5"),
+     ConfigError, "samples must be an integer >= 2"),
+    (lambda: gose.lanczos_min_eig(_never, 2, 2.5, np.random.default_rng(0)),
+     NonPositiveConstant, "max_matvecs must be an integer >= 1, got 2.5"),
 ], ids=["amplify", "estimate_variance_bound", "lanczos_min_eig"])
 def test_integer_arguments_reject_a_fraction(call, error, named):
     # each was a bare TypeError from range() or numpy

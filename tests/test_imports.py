@@ -1,10 +1,12 @@
 """No gose module, test or demo keeps a top-level import it never uses.
 
 The package __init__ re-exports, so it is left out; so is benchmarks/.
+Numbers are range-checked in one place, core.check_number.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -53,3 +55,37 @@ def test_module_uses_every_import(module):
 @pytest.mark.parametrize("script", SCRIPTS)
 def test_test_or_demo_uses_every_import(script):
     assert unused_imports((ROOT / script).read_text()) == []
+
+
+def number_checks(source: str) -> set:
+    """Functions that raise NonPositiveConstant or read numbers.Real or numbers.Integral."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        raises = isinstance(node, ast.Raise) and any(
+            isinstance(n, ast.Name) and n.id == "NonPositiveConstant" for n in ast.walk(node))
+        reads = (isinstance(node, ast.Attribute) and node.attr in ("Real", "Integral")
+                 and isinstance(node.value, ast.Name) and node.value.id == "numbers")
+        imports = isinstance(node, ast.ImportFrom) and node.module == "numbers"
+        if raises or reads or imports:
+            found.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_numbers_are_checked_only_in_check_number():
+    found = {module: number_checks((SRC / module).read_text()) for module in MODULES}
+    assert found == {module: {"check_number"} if module == "core.py" else set()
+                     for module in MODULES}
+
+
+@pytest.mark.parametrize("name", ["check_real", "_check_L", "BudgetZero", "InvalidP",
+                                  "is_integer"])
+def test_removed_number_checks_are_gone(name):
+    assert not [path.name for path in SRC.glob("*.py")
+                if re.search(rf"\b{name}\b", path.read_text())]

@@ -19,8 +19,8 @@ import gose.ncfind
 from gose import (ObjectiveOracle, approx_nc_deterministic,
                   approx_nc_finite_sum, approx_nc_stochastic, as_counting,
                   get_problem, lanczos_min_eig, make_nonconvex_pca)
-from gose.core import (MAX_DRAWS, AsymmetricOperator, BudgetZero, EvalCounters,
-                       LapackFailure, MalformedOracleOutput, NonFiniteMeasurement,
+from gose.core import (MAX_DRAWS, AsymmetricOperator, EvalCounters, LapackFailure,
+                       MalformedOracleOutput, NonFiniteMeasurement, NonPositiveConstant,
                        NotFiniteSum, NotStochastic, SizeOutOfRange)
 from gose.ncfind import (_random_unit, _symmetry_probe, det_max_matvecs, eigh_tridiagonal,
                          finder_sizes, finite_sum_minibatch, stoch_minibatch,
@@ -82,8 +82,11 @@ def test_lanczos_budget_validation(rng):
     def hvp(v):
         calls.append(1)
         return v.copy()
-    with pytest.raises(BudgetZero):
-        lanczos_min_eig(hvp, 4, 0, rng)
+    # a d of 0, 2.0 or -1 was an UnboundLocalError, a TypeError or a ValueError
+    for d, max_matvecs, named in ((4, 0, "max_matvecs"), (0, 3, "d"), (2.0, 3, "d"),
+                                  (-1, 3, "d")):
+        with pytest.raises(NonPositiveConstant, match=f"^{named} must be an integer >= 1"):
+            lanczos_min_eig(hvp, d, max_matvecs, rng)
     assert calls == []
 
 

@@ -8,7 +8,7 @@ import gose.problems
 from gose import (approx_nc_deterministic, as_streaming, certify_second_order, dense_hessian,
                   finite_diff_hvp, get_problem, list_problems,
                   make_chained_saddles, make_nonconvex_pca,
-                  make_quadratic_saddle, make_saddle_path)
+                  make_quadratic_saddle, make_saddle_path, with_gradient_noise)
 from gose.core import ConfigError, DimensionTooLarge, ObjectiveOracle
 from gose.problems import PROBLEM_FACTORIES
 from conftest import verify_lipschitz_constants
@@ -475,16 +475,36 @@ def test_certify_dimension_cap():
 @pytest.mark.parametrize("name, params, message", [
     ("quadratic_saddle", {"d": 3, "spectrum": [1.0, -1.0]}, "spectrum must have length d=3"),
     ("bowl_saddle", {"d": 2, "spectrum": [1.0, 0.5, -1.0]}, "spectrum must have length d=2"),
-    ("chained_saddles", {"d": 1}, "chained saddles need d >= 2"),
-    ("chained_saddles", {"d": 0}, "chained saddles need d >= 2"),
-    ("saddle_path", {"d": 1}, "saddle path needs d >= 2"),
-    ("rosenbrock", {"d": 1}, "rosenbrock needs d >= 2"),
-    ("nonconvex_pca", {"n": 0, "d": 3}, "nonconvex PCA needs n >= 1 and d >= 2"),
-    ("nonconvex_pca", {"n": 3, "d": 1}, "nonconvex PCA needs n >= 1 and d >= 2"),
+    ("chained_saddles", {"d": 1}, "d must be an integer >= 2, got 1"),
+    ("chained_saddles", {"d": 0}, "d must be an integer >= 2, got 0"),
+    ("saddle_path", {"d": 1}, "d must be an integer >= 2, got 1"),
+    ("rosenbrock", {"d": 1}, "d must be an integer >= 2, got 1"),
+    ("nonconvex_pca", {"n": 0, "d": 3}, "n must be an integer >= 1, got 0"),
+    ("nonconvex_pca", {"n": 3, "d": 1}, "d must be an integer >= 2, got 1"),
+    # each was a bare TypeError
+    ("chained_saddles", {"d": 2.5}, "d must be an integer >= 2, got 2.5"),
+    ("saddle_path", {"d": 3.0}, "d must be an integer >= 2, got 3.0"),
+    ("nonconvex_pca", {"n": 2.5, "d": 3}, "n must be an integer >= 1, got 2.5"),
+    ("nonconvex_pca", {"n": 5, "d": 3, "top_eig": -1.0}, "top_eig must be positive and finite"),
+    ("bowl_saddle", {"d": 2.5}, "d must be an integer >= 1, got 2.5"),
+    ("quadratic_saddle", {"d": 2.5}, "d must be an integer >= 1, got 2.5"),
+    ("bowl_saddle", {"q": "a"}, "q must be a real number, got str 'a'"),
+    # and True was taken as 1
+    ("bowl_saddle", {"q": True}, "q must be a real number, got bool True"),
 ])
 def test_factories_reject_bad_arguments(name, params, message):
     with pytest.raises(ConfigError, match=message):
         get_problem(name, **params)
+
+
+@pytest.mark.parametrize("sigma, named", [
+    ("a", "sigma must be a real number, got str 'a'"),
+    (True, "sigma must be a real number, got bool True"),
+    (-0.1, "sigma must be nonnegative and finite, got -0.1"),
+])
+def test_gradient_noise_sigma_must_be_a_nonnegative_number(sigma, named):
+    with pytest.raises(ConfigError, match=named):
+        with_gradient_noise(get_problem("sphere", d=2), sigma)
 
 
 def test_as_streaming_draws_one_component_per_call():

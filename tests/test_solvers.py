@@ -11,7 +11,7 @@ from gose import (ObjectiveOracle, ScsgConfig, SmoothnessSpec, ToleranceConfig,
                   as_counting, derive_scsg_params, estimate_variance_bound,
                   gd_to_stationarity, get_problem, guarded_agd,
                   sample_geometric, scsg_epoch, with_gradient_noise)
-from gose.core import (ConfigError, CountingOracle, EvalCounters, GoseError, InvalidP,
+from gose.core import (ConfigError, CountingOracle, EvalCounters, GoseError,
                        MalformedOracleOutput, MissingVarianceBound, NonPositiveConstant,
                        NotFiniteSum, NotStochastic, SizeOutOfRange)
 from gose.problems import as_finite_sum
@@ -49,7 +49,7 @@ def test_geometric_pmf_chi_square():
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5])
 def test_geometric_invalid_p(p):
-    with pytest.raises(InvalidP):
+    with pytest.raises(NonPositiveConstant):
         sample_geometric(p, np.random.default_rng(0))
 
 
@@ -107,7 +107,7 @@ def test_derive_rejects_override_below_one(mode, override):
     # an override below 1 is rejected, not clamped to 1
     tol = ToleranceConfig(eps=0.01, eps_h=0.5)
     smooth = SmoothnessSpec(L=1.0, rho=1.0, h_star=0.005)
-    with pytest.raises(ConfigError, match=r"b_override \(scsg_b\) must be >= 1"):
+    with pytest.raises(ConfigError, match=r"b_override \(scsg_b\) must be an integer >= 1"):
         derive_scsg_params(tol, smooth, mode, n=50, **{override: 0})
 
 
@@ -159,12 +159,13 @@ def test_scsg_config_validation():
         ScsgConfig(B=2, b=1, eta=-0.1)
 
 
-@pytest.mark.parametrize("sizes, named", [({"B": 10.5, "b": 2}, "B=10.5"),
-                                          ({"B": 10, "b": 2.5}, "b=2.5"),
-                                          ({"B": math.nan, "b": 1}, "B=nan"),
-                                          ({"B": 10, "b": True}, "b=True")])
+@pytest.mark.parametrize("sizes, named", [
+    ({"B": 10.5, "b": 2}, "B must be an integer >= 1, got 10.5"),
+    ({"B": 10, "b": 2.5}, "b must be an integer in [1, 11), got 2.5"),
+    ({"B": math.nan, "b": 1}, "B must be an integer >= 1, got nan"),
+    ({"B": 10, "b": True}, "b must be an integer in [1, 11), got True")])
 def test_scsg_sizes_must_be_integers(sizes, named):
-    with pytest.raises(ConfigError, match=f"^need integers 1 <= b <= B, got .*{named}"):
+    with pytest.raises(ConfigError, match=f"^{re.escape(named)}"):
         ScsgConfig(eta=0.1, **sizes)
     assert ScsgConfig(B=np.int64(10), b=np.int32(2), eta=0.1).p == 10 / 12
 
@@ -176,7 +177,7 @@ def test_derive_rejects_a_non_integer_override(mode, override, value):
     # an override is a size: never truncated to an int
     tol = ToleranceConfig(eps=0.01, eps_h=0.5)
     smooth = SmoothnessSpec(L=1.0, rho=1.0, h_star=0.005)
-    with pytest.raises(ConfigError, match=r"b_override \(scsg_b\) must be >= 1 and an integer"):
+    with pytest.raises(ConfigError, match=r"b_override \(scsg_b\) must be an integer >= 1"):
         derive_scsg_params(tol, smooth, mode, n=50, **{override: value})
     cfg = derive_scsg_params(tol, smooth, mode, n=50, **{override: np.int64(40)})
     assert cfg.b == 40
@@ -232,7 +233,7 @@ def test_estimate_variance_bound_near_two_sigma_squared(rng):
 @pytest.mark.parametrize("samples", [0, 1])
 def test_estimate_variance_bound_needs_two_draws(rng, samples):
     noisy = with_gradient_noise(get_problem("sphere", d=2), sigma=0.2)
-    with pytest.raises(ConfigError, match=f"samples must be >= 2.*got {samples}"):
+    with pytest.raises(ConfigError, match=f"samples must be an integer >= 2, got {samples}"):
         estimate_variance_bound(noisy.oracle, np.ones(2), rng, samples=samples)
 
 
@@ -433,6 +434,14 @@ def test_anchor_table_rows_match_one_dimensional_calls(kind, n):
         acc += row
     assert mean.tobytes() == (acc / n).tobytes()
     np.testing.assert_allclose(mean, oracle.gradient(x), rtol=0, atol=1e-12 * n)
+
+
+def test_anchor_table_needs_a_finite_sum_oracle():
+    # was a bare IndexError from the empty table's mean
+    oracle = as_counting(get_problem("chained_saddles", d=4).oracle)
+    with pytest.raises(NotFiniteSum, match="^finite_sum mode needs"):
+        anchor_table(oracle, np.ones(4))
+    assert oracle.counters == EvalCounters()
 
 
 @pytest.mark.parametrize("kind", ["batch_callable", "loop_fallback"])
