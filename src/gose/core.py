@@ -173,9 +173,11 @@ class ObjectiveOracle:
     hvp also takes a (k, d) stack of directions and returns the (k, d) stack
     of products, row j that of v[j].  An hvp_batch(x, V) callable serves a
     stack in one call and must return V's shape; any other shape raises
-    MalformedOracleOutput naming hvp_batch.  It needs hvp, which serves single
-    directions.  Without it the stack is served one row at a time, each call
-    on its own copy of the row, by the analytic hvp or central differences.
+    MalformedOracleOutput naming hvp_batch.  V may be read-only (certification
+    passes one cached identity), so hvp_batch must not write into it.  It
+    needs hvp, which serves single directions.  Without it the stack is served
+    one row at a time, each call on its own copy of the row, by the analytic
+    hvp or central differences.
 
     Stochastic callables must realize their randomness exclusively through the
     generator they receive, so that equal generator states reproduce the same

@@ -54,6 +54,7 @@ DIRECTION = "direction"
 _BREAKDOWN = 1e-13
 _RESID_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
+_BASIS_START = 8  # Lanczos basis columns allocated before the first doubling
 
 
 def _load_lapack():
@@ -224,7 +225,10 @@ def lanczos_min_eig(hvp: Callable, d: int, max_matvecs: int,
     """Bottom Ritz pair of a symmetric operator given only v -> H v.
 
     Random unit start, full reorthogonalization, at most max_matvecs matvecs
-    in the loop (capped at d, where the Krylov space is exact); a d or a
+    in the loop (capped at d, where the Krylov space is exact).  The basis Q
+    is a C-order (d, width) array that starts at 8 columns and doubles when
+    full, up to that cap; only the leading dimension of its products changes,
+    so the bits are those of a full-width basis.  A d or a
     max_matvecs that is not an integer >= 1 raises NonPositiveConstant
     before any matvec.  Stops early on an invariant subspace or once the
     bottom Ritz residual |b * y[-1]| is at most 1e-12 * max(1, |theta|).  The returned eigenvalue
@@ -273,7 +277,7 @@ def lanczos_min_eig(hvp: Callable, d: int, max_matvecs: int,
         _symmetry_probe(hvp, d, rng, probe_tol)
 
     m = min(max_matvecs, d)
-    Q = np.zeros((d, m))
+    Q = np.zeros((d, min(m, _BASIS_START)))
     alphas = np.zeros(m)
     betas = np.zeros(max(m - 1, 0))
     q = _random_unit(d, rng)
@@ -284,6 +288,9 @@ def lanczos_min_eig(hvp: Callable, d: int, max_matvecs: int,
         kw_log = math.log(1.648 * math.sqrt(d) * m / delta)
 
     for j in range(m):
+        if j == Q.shape[1]:                     # the basis is full: double it, up to m
+            Q, full = np.zeros((d, min(2 * j, m))), Q
+            Q[:, :j] = full
         Q[:, j] = q
         u = hvp(q)
         a = float(q @ u)

@@ -5,9 +5,10 @@ Hessian-vector products, so finite-difference synthesis can be cross-checked
 against it.  Declared L and rho are valid on the stated sampling box (they
 are global bounds there, not tight values).  certify_second_order is the
 brute-force ground truth used by the acceptance tests: dense Hessian
-assembled from one HVP call on the d unit directions, symmetrized, plus a
-symmetric eigendecomposition (the smallest diagonal entry when that Hessian
-is diagonal).  Chained saddles build their d planted saddles on read, so the
+assembled from one HVP call on the d unit directions (one cached, read-only
+identity), symmetrized unless it is already diagonal, plus a symmetric
+eigendecomposition (the smallest diagonal entry when that Hessian is
+diagonal).  Chained saddles build their d planted saddles on read, so the
 problem is O(d) to construct and hold, and their HVP keeps the curvature
 diagonal of the last point it saw and serves a stack of directions in one
 broadcast product (the oracle's hvp_batch); the other fixtures serve a
@@ -16,6 +17,7 @@ stack one direction per call.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Sequence
@@ -24,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ConfigError, DimensionTooLarge, ObjectiveOracle, check_number
+from .core import ConfigError, DimensionTooLarge, ObjectiveOracle, check_number, check_point
 
 
 @dataclass
@@ -71,7 +73,7 @@ def _spectrum_or_default(spectrum, d: int) -> np.ndarray:
     spectrum = np.asarray([1.0] * (d - 1) + [-1.0] if spectrum is None else spectrum, float)
     if spectrum.shape != (d,):
         raise ConfigError(f"spectrum must have length d={d}")
-    return spectrum
+    return check_point(spectrum, d, "spectrum")
 
 
 def make_quadratic_saddle(d: int = 2, spectrum=None, seed: int = 0,
@@ -80,8 +82,10 @@ def make_quadratic_saddle(d: int = 2, spectrum=None, seed: int = 0,
 
     The origin is a critical point; it is a strict saddle iff the spectrum has
     a negative entry.  L = max |spectrum|; the Hessian is constant so rho = 0
-    (rho_eff floors it at RHO_FLOOR).  The default spectrum is d-1 ones and one -1.
+    (rho_eff floors it at RHO_FLOOR).  The default spectrum is d-1 ones and one -1;
+    a given one must be finite.  seed must be an int >= 0 (not a SeedSequence).
     """
+    check_number("seed", seed, 0, integer=True)
     spectrum = _spectrum_or_default(spectrum, d)
     if orth and d > 1:
         A, _ = _planted_spectrum(spectrum, np.random.default_rng(seed))
@@ -110,9 +114,11 @@ def make_bowl_saddle(d: int = 2, spectrum=None, q: float = 0.5, seed: int = 0,
     stationary point; the ||x||^4 bowl creates minima at ||x*|| =
     sqrt(-lambda_min(A)/q) along the most-negative eigenvector, with value
     -lambda_min(A)**2/(4q).  The origin stays a strict saddle.  The default
-    spectrum is d-1 ones and one -1.  q must lie in (0, inf).
+    spectrum is d-1 ones and one -1; a given one must be finite.  q must lie
+    in (0, inf), and seed must be an int >= 0 (not a SeedSequence).
     """
     check_number("q", q)
+    check_number("seed", seed, 0, integer=True)
     spectrum = _spectrum_or_default(spectrum, d)
     if orth and d > 1:
         A, Q = _planted_spectrum(spectrum, np.random.default_rng(seed))
@@ -281,14 +287,16 @@ def make_nonconvex_pca(n: int, d: int, seed: int = 0,
     (Hessian -M there); every global minimum sits along the top eigenvector
     at radius sqrt(top_eig) with value -top_eig**2/4, and for this objective
     all local minima are global.  Per-component gradients and HVPs are closed
-    form, so the oracle is finite-sum capable.  Explicit `data` (n x d) skips
-    the draw and the rescaling.
+    form, so the oracle is finite-sum capable.  Explicit `data`, n * d finite
+    entries read as n x d, skips the draw and the rescaling.  seed must be an
+    int >= 0 (not a SeedSequence).
     """
     check_number("n", n, 1, integer=True)
     check_number("d", d, 2, integer=True)
     check_number("top_eig", top_eig)
+    check_number("seed", seed, 0, integer=True)
     if data is not None:
-        A = np.asarray(data, float).reshape(n, d).copy()
+        A = check_point(np.ravel(data), n * d, "data").reshape(n, d).copy()
     else:
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((n, d))
@@ -546,40 +554,63 @@ def as_streaming(spec: ProblemSpec) -> ProblemSpec:
 # Certification and verification oracles
 
 
-def dense_hessian(oracle, x) -> np.ndarray:
-    """Assemble the Hessian from one stacked HVP call, symmetrized: 0.5 (H' + H).
+@functools.lru_cache(maxsize=1)
+def _unit_stack(d: int) -> np.ndarray:
+    """np.eye(d), read-only and cached: certification holds one d x d constant."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
 
-    H = oracle.hvp(x, I), the stack of the d unit directions, so row i of H
-    is the product with e_i: one hvp_batch call where the oracle has one,
-    else d hvp calls, each with its own fresh unit vector, so an hvp that
-    writes into its v argument cannot spoil a later row.  d is capped at 500
-    (DimensionTooLarge), checked before anything is allocated.
+
+def _unit_products(oracle, x) -> np.ndarray:
+    """The raw stack oracle.hvp(x, I), unsymmetrized: row i is the product with e_i.
+
+    d is capped at 500 (DimensionTooLarge), checked before anything is
+    allocated.  I is _unit_stack(d): an hvp_batch gets it read-only, and each
+    hvp call without one gets a fresh copy of its row, so an hvp that writes
+    into v cannot spoil a later row or a later call.
     """
     d = oracle.dimension
     if d > 500:
         raise DimensionTooLarge(f"dense certification capped at d=500, got {d}")
-    H = oracle.hvp(np.asarray(x, float), np.eye(d))
+    return oracle.hvp(np.asarray(x, float), _unit_stack(d))
+
+
+def dense_hessian(oracle, x) -> np.ndarray:
+    """0.5 (H' + H) of the raw stack H = _unit_products(oracle, x); d <= 500.
+
+    H takes one hvp_batch call where the oracle has one, else d hvp calls.
+    """
+    H = _unit_products(oracle, x)
     return 0.5 * (H.T + H)
+
+
+def _is_diagonal(H: np.ndarray) -> bool:
+    return np.count_nonzero(H) == np.count_nonzero(np.diagonal(H))
 
 
 def certify_second_order(oracle, x, eps: float, eps_h: float):
     """Ground-truth check of the second-order condition at x.
 
     Returns (ok, grad_norm, lambda_min) where ok means grad_norm <= eps and
-    lambda_min >= -eps_h, with lambda_min from a dense symmetric
-    eigendecomposition of the Hessian dense_hessian assembles (one stacked
-    HVP call on the d unit directions; d <= 500, else DimensionTooLarge).
-    A diagonal Hessian (a separable f, such as chained saddles) has its
-    eigenvalues on the diagonal, so there lambda_min is the smallest diagonal
-    entry, exactly, without the O(d^3) eigensolve and the BLAS threads it
-    starts.
+    lambda_min >= -eps_h, lambda_min being that of the Hessian dense_hessian
+    assembles, bit for bit (d <= 500, else DimensionTooLarge).  A diagonal
+    Hessian (a separable f, such as chained saddles) has its eigenvalues on
+    the diagonal, so there lambda_min is the smallest diagonal entry, exactly,
+    without the O(d^3) eigensolve and the BLAS threads it starts.  A raw
+    stack that is already diagonal is not symmetrized: its diagonal h becomes
+    0.5 (h + h), the bits symmetrizing gives it, and no d x d copy is made.
     """
     x = np.asarray(x, float)
     grad_norm = float(np.linalg.norm(oracle.gradient(x)))
-    H = dense_hessian(oracle, x)
-    diag = np.diagonal(H)
-    if np.count_nonzero(H) == np.count_nonzero(diag):
-        lam_min = float(diag.min())
+    H = _unit_products(oracle, x)
+    diagonal = _is_diagonal(H)
+    if not diagonal:
+        H = 0.5 * (H.T + H)
+        diagonal = _is_diagonal(H)
+    if diagonal:  # 0.5 (h + h) leaves a symmetrized diagonal as it is
+        diag = np.diagonal(H)
+        lam_min = float((0.5 * (diag + diag)).min())
     else:
         lam_min = float(np.linalg.eigvalsh(H)[0])
     return (grad_norm <= eps and lam_min >= -eps_h), grad_norm, lam_min

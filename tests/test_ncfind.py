@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,114 @@ def test_lanczos_matches_full_ritz_reference(kind, d):
                 lam, v = run(hvp, d, budget, np.random.default_rng(seed))
                 runs.append((np.float64(lam).tobytes(), v.tobytes(), len(calls)))
             assert runs[0] == runs[1], (kind, d, seed, budget)
+
+
+def fixed_storage_lanczos(hvp, d, max_matvecs, rng, probe_tol=1e-6, stop_below=None,
+                          L=None, delta=None):
+    """lanczos_min_eig with its basis allocated at the full budget, np.zeros((d, m))."""
+    nc = gose.ncfind
+    if probe_tol is not None:
+        _symmetry_probe(hvp, d, rng, probe_tol)
+    m = min(max_matvecs, d)
+    Q = np.zeros((d, m))
+    alphas = np.zeros(m)
+    betas = np.zeros(max(m - 1, 0))
+    q = _random_unit(d, rng)
+    a_max = b_max = 0.0
+    stop = stop_below
+    kw_log = None
+    if None not in (stop_below, L, delta):
+        kw_log = math.log(1.648 * math.sqrt(d) * m / delta)
+    for j in range(m):
+        Q[:, j] = q
+        u = hvp(q)
+        a = float(q @ u)
+        alphas[j] = a
+        r = u - a * q
+        if j > 0:
+            r -= betas[j - 1] * Q[:, j - 1]
+        r -= Q[:, :j + 1] @ (Q[:, :j + 1].T @ r)
+        b = float(np.linalg.norm(r))
+        steps = j + 1
+        a_max = max(a_max, abs(a))
+        if j == 0:
+            theta, y = a, np.array([1.0])
+        else:
+            theta, y = nc.eigh_tridiagonal(alphas[:steps], betas[:j])
+        if b < nc._BREAKDOWN:
+            break
+        if abs(b * y[-1]) <= nc._RESID_TOL * max(1.0, abs(theta)):
+            break
+        if 0 < j < m - 1 and (stop is not None or kw_log is not None):
+            margin = 8.0 * steps * nc._EPS * (a_max + 2.0 * b_max)
+            if kw_log is not None and theta >= (
+                    stop_below + margin + 2.0 * L * (kw_log / (2 * steps - 1)) ** 2):
+                break
+            if stop is not None and theta <= stop - margin:
+                lam, v = nc._ritz_rayleigh(hvp, Q[:, :steps], y)
+                if lam <= stop_below:
+                    return lam, v
+                stop = None
+        if j + 1 < m:
+            betas[j] = b
+            b_max = max(b_max, b)
+            q = r / b
+    return nc._ritz_rayleigh(hvp, Q[:, :steps], y)
+
+
+def growth_operator(kind, d, seed):
+    """(hvp, ||H|| bound) of a symmetric operator that keeps Lanczos going for many steps."""
+    rng = np.random.default_rng(2000 + seed)
+    if kind == "chained":
+        prob = get_problem("chained_saddles", d=d)
+        x = rng.uniform(-1.2, 1.2, d)
+        return (lambda v: prob.oracle.hvp(x, v)), prob.known_L
+    # "psd" settles bottom where the budget allows, "indefinite" stops at a direction
+    spec = rng.uniform(0.05 if kind == "psd" else -1.0, 1.0, d)
+    A = planted_symmetric(d, spec, rng)
+    return (lambda v: A @ v), 1.0
+
+
+GROWTH_MODES = {
+    "plain": {},
+    "stop_settle": {"stop_below": -0.25, "delta": 0.01},  # L: the operator's bound
+    "no_probe": {"probe_tol": None},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GROWTH_MODES))
+@pytest.mark.parametrize("d, m", [(200, m) for m in (1, 2, 7, 8, 9, 16, 17, 33, 190)]
+                         + [(20, 20)])
+def test_grown_basis_matches_the_full_budget_basis_bit_for_bit(d, m, mode):
+    """Growing Q by doubling gives the (lam, v) bytes of the fixed (d, m) basis."""
+    for kind in ("chained", "psd", "indefinite"):
+        for seed in range(3):
+            op, L = growth_operator(kind, d, seed)
+            kwargs = dict(GROWTH_MODES[mode])
+            if "delta" in kwargs:
+                kwargs["L"] = L
+            runs = [run(op, d, m, np.random.default_rng(seed), **kwargs)
+                    for run in (lanczos_min_eig, fixed_storage_lanczos)]
+            (lam, v), (ref_lam, ref_v) = runs
+            assert (np.float64(lam).tobytes(), v.tobytes()) == (
+                np.float64(ref_lam).tobytes(), ref_v.tobytes()), (kind, seed)
+
+
+def test_escape_lanczos_at_d20000_holds_no_full_budget_basis():
+    """From the origin of chained saddles the call stops within 8 steps of its 279."""
+    prob = get_problem("chained_saddles", d=20_000)
+    x = np.zeros(20_000)
+    budget = det_max_matvecs(20_000, 0.5, 0.01, prob.known_L)
+    tracemalloc.start()
+    try:
+        lam, _ = lanczos_min_eig(lambda v: prob.oracle.hvp(x, v), 20_000, budget,
+                                 np.random.default_rng(0), stop_below=-0.25,
+                                 L=prob.known_L, delta=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert budget == 279 and lam <= -0.25
+    assert peak < 8e6  # the full-budget basis alone is 20,000 * 279 * 8 bytes = 44.6 MB
 
 
 # ---------------------------------------------------------------------------

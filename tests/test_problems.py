@@ -1,4 +1,5 @@
 import inspect
+import re
 import tracemalloc
 
 import numpy as np
@@ -466,6 +467,104 @@ def test_dense_hessian_without_hvp_batch_calls_hvp_once_per_fresh_unit_row():
         assert v.base is None and np.array_equal(v, np.eye(d)[i])
 
 
+def _certify_reference(oracle, x, eps, eps_h):
+    # symmetrize first, then the smallest diagonal entry of a diagonal H, else eigvalsh
+    grad_norm = float(np.linalg.norm(oracle.gradient(x)))
+    H = _hessian_by_columns(oracle, x)
+    diag = np.diagonal(H)
+    if np.count_nonzero(H) == np.count_nonzero(diag):
+        lam = float(diag.min())
+    else:
+        lam = float(np.linalg.eigvalsh(H)[0])
+    return grad_norm <= eps and lam >= -eps_h, grad_norm, np.float64(lam).tobytes()
+
+
+def _certify_bytes(oracle, x, eps, eps_h):
+    ok, grad_norm, lam = certify_second_order(oracle, x, eps, eps_h)
+    return ok, grad_norm, np.float64(lam).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEM_FACTORIES))
+def test_certify_matches_the_symmetrize_first_reference_bit_for_bit(name):
+    spec = get_problem(name, **HESSIAN_CASES[name])
+    lo, hi = spec.box
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        x = rng.uniform(lo, hi, spec.oracle.dimension)
+        assert (_certify_bytes(spec.oracle, x, 0.01, 0.5)
+                == _certify_reference(spec.oracle, x, 0.01, 0.5))
+
+
+def _matrix_hvp_oracle(M):
+    # hvp(x, v) = M v, and a stack V gives V M', row j the product with V[j]
+    d = len(M)
+    return ObjectiveOracle(d, lambda x: 0.0, lambda x: np.zeros(d),
+                           hvp=lambda x, v: M @ v, hvp_batch=lambda x, V: V @ M.T)
+
+
+def _diagonal_oracle(h):
+    # v -> h * v with 0 where v is 0, so a NaN or huge h_i stays on the diagonal
+    h = np.asarray(h)
+
+    def hvp(x, v):
+        return np.where(v == 0.0, 0.0, h * v)
+
+    return ObjectiveOracle(len(h), lambda x: 0.0, lambda x: np.zeros(len(h)),
+                           hvp=hvp, hvp_batch=hvp)
+
+
+def _antisymmetric_off_diagonal():
+    S = np.triu(np.arange(1.0, 26.0).reshape(5, 5), 1)
+    return _matrix_hvp_oracle(np.diag([0.5, -2.0, 3.0, 1.0, 0.25]) + S - S.T)
+
+
+@pytest.mark.parametrize("oracle, lam", [
+    # the raw stack is not diagonal, the symmetrized H is: its diagonal, through 0.5 (H' + H)
+    (_antisymmetric_off_diagonal(), -2.0),
+    # h + h overflows: both routes read -inf
+    (_diagonal_oracle([1.0, -1.5e308, 2.0]), -np.inf),
+    (_diagonal_oracle([1.0, np.nan, -2.0]), np.nan),
+], ids=["antisymmetric", "overflow", "nan"])
+def test_certify_corner_hessians_match_the_reference(oracle, lam):
+    x = np.zeros(oracle.dimension)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _certify_bytes(oracle, x, 0.01, 0.5)
+        assert got == _certify_reference(oracle, x, 0.01, 0.5)
+    assert np.array_equal(np.frombuffer(got[2]), [lam], equal_nan=True)
+
+
+def test_warm_chained_certification_holds_no_symmetrized_copy(rng):
+    d = 200
+    spec = make_chained_saddles(d)
+    x = rng.uniform(-1.5, 1.5, d)
+    certify_second_order(spec.oracle, x, 0.01, 0.5)  # warm: the unit stack is cached
+    tracemalloc.start()
+    try:
+        certify_second_order(spec.oracle, x, 0.01, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one d x d product; the unit stack, H' + H and its half would make four
+    assert peak < 1.5 * d * d * 8
+
+
+def test_hvp_batch_that_writes_into_v_raises_and_spoils_no_later_certification():
+    d = 4
+    M = np.diag([2.0, -1.0, 3.0, 0.5])
+
+    def writes(x, V):
+        V *= 2.0
+        return V @ M
+
+    bad = ObjectiveOracle(d, lambda x: 0.0, lambda x: np.zeros(d),
+                          hvp=lambda x, v: M @ v, hvp_batch=writes)
+    with pytest.raises(ValueError, match="read-only"):
+        certify_second_order(bad, np.zeros(d), 0.01, 0.5)
+    ok, _, lam = certify_second_order(_matrix_hvp_oracle(M), np.zeros(d), 0.01, 0.5)
+    assert not ok and lam == -1.0
+    assert np.array_equal(dense_hessian(_matrix_hvp_oracle(M), np.zeros(d)), M)
+
+
 def test_certify_dimension_cap():
     big = ObjectiveOracle(501, lambda x: 0.0, lambda x: np.zeros(501))
     with pytest.raises(DimensionTooLarge):
@@ -495,6 +594,42 @@ def test_certify_dimension_cap():
 def test_factories_reject_bad_arguments(name, params, message):
     with pytest.raises(ConfigError, match=message):
         get_problem(name, **params)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("quadratic_saddle", {"d": 2}), ("bowl_saddle", {"d": 2}),
+    ("nonconvex_pca", {"n": 5, "d": 3}),
+])
+@pytest.mark.parametrize("seed", [2.5, -1, True])
+def test_factory_seeds_must_be_integers(name, params, seed):
+    # each was a bare TypeError or ValueError from numpy, or True was taken as 1
+    with pytest.raises(ConfigError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
+        get_problem(name, seed=seed, **params)
+
+
+@pytest.mark.parametrize("name", ["quadratic_saddle", "bowl_saddle"])
+@pytest.mark.parametrize("spectrum, bad", [
+    ([np.nan, 1.0], 1), ([np.inf, -1.0], 1), ([-np.inf, np.nan], 2),
+])
+def test_spectrum_must_be_finite(name, spectrum, bad):
+    # each passed, with known_L NaN or inf
+    with pytest.raises(ConfigError, match=f"spectrum must be finite, got {bad} non-finite"):
+        get_problem(name, d=2, spectrum=spectrum)
+
+
+@pytest.mark.parametrize("data, message", [
+    (np.ones(7), re.escape("data must have shape (15,), got (7,)")),
+    (np.ones((3, 5)).tolist(), None),
+    (np.where(np.arange(15) % 4 == 0, np.nan, 1.0), "data must be finite, got 4 non-finite"),
+])
+def test_pca_data_must_be_n_times_d_finite_entries(data, message):
+    if message is None:  # any layout of n * d entries reads as n x d, in C order
+        spec = make_nonconvex_pca(5, 3, data=data)
+        same = make_nonconvex_pca(5, 3, data=np.ones((5, 3)))
+        assert spec.known_L == same.known_L
+        return
+    with pytest.raises(ConfigError, match=message):
+        make_nonconvex_pca(5, 3, data=data)
 
 
 @pytest.mark.parametrize("sigma, named", [
