@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import (Certificate, EvalCounters, SmoothnessSpec,
                    STATUS_BUDGET, STATUS_FIRST_ORDER, STATUS_SECOND_ORDER,
-                   ToleranceConfig, as_counting, check_number, check_point)
+                   ToleranceConfig, as_counting, check_number, check_point, norm)
 from .escape import (check_run, one_step_deterministic, one_step_finite_sum,
                      one_step_stochastic)
 from .solvers import (DEFAULT_SOLVER, ScsgConfig, anchor_table, check_solver,
@@ -111,7 +111,7 @@ def _drive(oracle, x0, K, measure, value, threshold, large_step, escape, echo):
         escapes = oracle.counters.escape_steps
         if g is None:
             g = measure(x)
-        gn = float(np.linalg.norm(g))
+        gn = norm(g)
         if not math.isfinite(gn):
             return _finish(oracle, x, gn, STATUS_BUDGET, trace, echo)
         fx = value(x) if f is None and value is not None else f
@@ -131,7 +131,7 @@ def _drive(oracle, x0, K, measure, value, threshold, large_step, escape, echo):
                                res.nc.lambda_hat)
             x, g, f = res.point, None, None
 
-    gn = float(np.linalg.norm(measure(x) if g is None else g))
+    gn = norm(measure(x) if g is None else g)
     return _finish(oracle, x, gn, _budget_status(gn, threshold), trace, echo)
 
 

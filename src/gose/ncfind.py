@@ -46,7 +46,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .core import (AsymmetricOperator, LapackFailure, NonFiniteMeasurement,
-                   as_counting, check_mode, check_number, check_point, checked_size)
+                   as_counting, check_mode, check_number, check_point, checked_size,
+                   norm)
 
 BOTTOM = "bottom"
 DIRECTION = "direction"
@@ -181,8 +182,8 @@ def finder_sizes(mode: str, oracle, eps_h: float, delta: float, L: float) -> Fin
 def _symmetry_probe(hvp: Callable, d: int, rng: np.random.Generator, tol: float):
     u = _random_unit(d, rng)
     w = _random_unit(d, rng)
-    s1 = float(w @ hvp(u))
-    s2 = float(u @ hvp(w))
+    s1 = float(w.dot(hvp(u)))
+    s2 = float(u.dot(hvp(w)))
     if not (math.isfinite(s1) and math.isfinite(s2)):
         raise NonFiniteMeasurement(f"symmetry probe: w'Hu={s1} vs u'Hw={s2}")
     if abs(s1 - s2) > tol * (1.0 + max(abs(s1), abs(s2))):
@@ -193,7 +194,7 @@ def _symmetry_probe(hvp: Callable, d: int, rng: np.random.Generator, tol: float)
 
 def _random_unit(d: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(d)
-    return v / np.linalg.norm(v)
+    return v / norm(v)
 
 
 def eigh_tridiagonal(d: np.ndarray, e: np.ndarray):
@@ -293,7 +294,7 @@ def lanczos_min_eig(hvp: Callable, d: int, max_matvecs: int,
             Q[:, :j] = full
         Q[:, j] = q
         u = hvp(q)
-        a = float(q @ u)
+        a = float(q.dot(u))
         if not math.isfinite(a):
             raise NonFiniteMeasurement(f"Lanczos step {j + 1}: a={a}")
         alphas[j] = a
@@ -302,7 +303,7 @@ def lanczos_min_eig(hvp: Callable, d: int, max_matvecs: int,
             r -= betas[j - 1] * Q[:, j - 1]
         # full reorthogonalization against all Lanczos vectors so far
         r -= Q[:, :j + 1] @ (Q[:, :j + 1].T @ r)
-        b = float(np.linalg.norm(r))
+        b = norm(r)
         if not math.isfinite(b):
             raise NonFiniteMeasurement(f"Lanczos step {j + 1}: b={b}")
         steps = j + 1
@@ -337,8 +338,8 @@ def lanczos_min_eig(hvp: Callable, d: int, max_matvecs: int,
 def _ritz_rayleigh(hvp: Callable, Q: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """The exit matvec: the unit Ritz vector v = Q y / ||Q y|| and v' H v."""
     v = Q @ y
-    v = v / np.linalg.norm(v)
-    return float(v @ hvp(v)), v
+    v = v / norm(v)
+    return float(v.dot(hvp(v))), v
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ConfigError, DimensionTooLarge, ObjectiveOracle, check_number, check_point
+from .core import (ConfigError, DimensionTooLarge, ObjectiveOracle, check_number, check_point,
+                   norm)
 
 
 @dataclass
@@ -62,9 +63,9 @@ def _quadratic_oracle(A: np.ndarray) -> ObjectiveOracle:
     d = A.shape[0]
     return ObjectiveOracle(
         dimension=d,
-        value=lambda x: 0.5 * float(x @ (A @ x)),
-        gradient=lambda x: A @ x,
-        hvp=lambda x, v: A @ v,
+        value=lambda x: 0.5 * float(x.dot(A.dot(x))),
+        gradient=lambda x: A.dot(x),
+        hvp=lambda x, v: A.dot(v),
     )
 
 
@@ -129,13 +130,13 @@ def make_bowl_saddle(d: int = 2, spectrum=None, q: float = 0.5, seed: int = 0,
     lam_min = float(spectrum.min())
 
     def value(x):
-        return 0.5 * float(x @ (A @ x)) + 0.25 * q * float(x @ x) ** 2
+        return 0.5 * float(x.dot(A.dot(x))) + 0.25 * q * float(x.dot(x)) ** 2
 
     def gradient(x):
-        return A @ x + q * float(x @ x) * x
+        return A.dot(x) + q * float(x.dot(x)) * x
 
     def hvp(x, v):
-        return A @ v + q * (float(x @ x) * v + 2.0 * x * float(x @ v))
+        return A.dot(v) + q * (float(x.dot(x)) * v + 2.0 * x * float(x.dot(v)))
 
     oracle = ObjectiveOracle(d, value, gradient, hvp=hvp)
     box = (-2.0, 2.0)
@@ -307,21 +308,22 @@ def make_nonconvex_pca(n: int, d: int, seed: int = 0,
     evals, evecs = np.linalg.eigh(M)
     lam_top = float(evals[-1])
     v_top = evecs[:, -1]
+    neg_M = -M
 
     def value(x):
-        return -0.5 * float(np.mean((A @ x) ** 2)) + 0.25 * float(x @ x) ** 2
+        return -0.5 * float(np.mean(A.dot(x) ** 2)) + 0.25 * float(x.dot(x)) ** 2
 
     def gradient(x):
-        return -M @ x + float(x @ x) * x
+        return neg_M.dot(x) + float(x.dot(x)) * x
 
     def hvp(x, v):
-        return -M @ v + float(x @ x) * v + 2.0 * x * float(x @ v)
+        return neg_M.dot(v) + float(x.dot(x)) * v + 2.0 * x * float(x.dot(v))
 
     def component_gradient(i, x):
-        return -A[i] * float(A[i] @ x) + float(x @ x) * x
+        return -A[i] * float(A[i].dot(x)) + float(x.dot(x)) * x
 
     def component_hvp(i, x, v):
-        return -A[i] * float(A[i] @ v) + float(x @ x) * v + 2.0 * x * float(x @ v)
+        return -A[i] * float(A[i].dot(v)) + float(x.dot(x)) * v + 2.0 * x * float(x.dot(v))
 
     def component_gradient_batch(idx, x):
         if idx.ndim == 2:  # stacked products, so each row rounds as a 1-D call
@@ -329,10 +331,10 @@ def make_nonconvex_pca(n: int, d: int, seed: int = 0,
             b = idx.shape[1]
             return -(Ai.transpose(0, 2, 1) @ (Ai @ x)[:, :, None])[:, :, 0] / b + float(x @ x) * x
         if len(idx) == 1:  # the finite-sum default b = 1: the bits of the line below
-            a = A[int(idx[0])]
-            return a * -float(a @ x) + float(x @ x) * x
+            a = A[idx[0]]
+            return a * -float(a.dot(x)) + float(x.dot(x)) * x
         Ai = A[idx]
-        return -Ai.T @ (Ai @ x) / len(idx) + float(x @ x) * x
+        return -Ai.T @ Ai.dot(x) / len(idx) + float(x.dot(x)) * x
 
     oracle = ObjectiveOracle(
         d, value, gradient, hvp=hvp,
@@ -474,8 +476,9 @@ def with_gradient_noise(spec: ProblemSpec, sigma: float) -> ProblemSpec:
     last = {}
 
     def sample_gradient_batch(x, m, rng):
-        # one noise draw, shared by every row of a (k, d) stack
-        noise = rng.standard_normal((m, d)).sum(axis=0)
+        # one noise draw, shared by every row of a (k, d) stack; add.reduce is
+        # what .sum(axis=0) calls, without its Python wrapper
+        noise = np.add.reduce(rng.standard_normal((m, d)), 0)
         noise /= m
         noise *= coord
         if x.ndim == 1:
@@ -492,7 +495,7 @@ def with_gradient_noise(spec: ProblemSpec, sigma: float) -> ProblemSpec:
 
     def sample_hvp(x, v, rng):
         z = rng.standard_normal(d)
-        return base.hvp(x, v) + sigma * (z * float(z @ v) - v)
+        return base.hvp(x, v) + sigma * (z * float(z.dot(v)) - v)
 
     def sample_hvp_batch(x, v, m, rng):
         # sample_hvp's arithmetic on all m draws at once: one (m, d) draw is the
@@ -602,7 +605,7 @@ def certify_second_order(oracle, x, eps: float, eps_h: float):
     0.5 (h + h), the bits symmetrizing gives it, and no d x d copy is made.
     """
     x = np.asarray(x, float)
-    grad_norm = float(np.linalg.norm(oracle.gradient(x)))
+    grad_norm = norm(oracle.gradient(x))
     H = _unit_products(oracle, x)
     diagonal = _is_diagonal(H)
     if not diagonal:

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (ConfigError, MissingVarianceBound, as_counting, check_mode,
-                   check_number, checked_size)
+                   check_number, checked_size, norm)
 
 DEFAULT_SOLVER = "agd"
 
@@ -28,9 +28,10 @@ DEFAULT_SOLVER = "agd"
 MAX_ITERS = 200_000
 
 # Floats (rows * d) one component_gradient_batch call of anchor_table may
-# gather: bounds the memory of a batch callable's intermediates whatever n is.
-# fs_pca (n = 200, d = 20) fits 3,276 rows, so its table is one call.  Not a
-# setting.
+# gather, and one gather of an epoch's anchor rows: bounds the memory of a
+# batch callable's intermediates whatever n is, and of the gathered rows
+# whatever T is.  fs_pca (n = 200, d = 20) fits 3,276 rows, so its table is
+# one call and an epoch one gather.  Not a setting.
 ANCHOR_BLOCK_FLOATS = 2 ** 16
 
 
@@ -194,7 +195,8 @@ def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
     work, one component_gradient_batch call per step.  Its indices come from
     one (T, b) draw per epoch: numpy fills bounded integers one element at a
     time, so the draw yields the same values, and leaves rng in the same
-    state, as T draws of b.
+    state, as T draws of b.  The anchor rows are gathered from the table a
+    block of at most ANCHOR_BLOCK_FLOATS floats at a time, not step by step.
     """
     oracle = as_counting(oracle)
     check_mode(mode, oracle, ("stochastic", "finite_sum"))
@@ -204,33 +206,48 @@ def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
         if table is None or np.shape(table) != shape:
             raise ConfigError(f"finite_sum epoch needs the anchor table of shape {shape},"
                               f" got {None if table is None else np.shape(table)}")
+        table = np.asarray(table, float)
     T = sample_geometric(cfg.p, rng)
     if T == 0:
         return x0
+    b, eta = cfg.b, np.array(cfg.eta)  # a 0-d array scales faster than a float, same bits
     if mode == "finite_sum":
+        batch = oracle.component_gradient_batch
+        rows = rng.integers(0, oracle.n_components, size=(T, b))
         y = x0.copy()
-        for idx in rng.integers(0, oracle.n_components, size=(T, cfg.b)):
-            if cfg.b == 1:
-                g_0 = table[idx[0]]
-            else:
-                g_0 = np.zeros(oracle.dimension)
-                for i in idx:
-                    g_0 += table[i]
-                g_0 /= cfg.b
-            step = oracle.component_gradient_batch(idx, y) - g_0
-            step += g_anchor
-            step *= cfg.eta
-            y -= step
+        step = np.empty(oracle.dimension)
+        block = max(ANCHOR_BLOCK_FLOATS // oracle.dimension, 1)
+        for start in range(0, T, block):  # one block unless T * d > ANCHOR_BLOCK_FLOATS
+            chunk = rows[start:start + block]
+            for idx, g_0 in zip(chunk, _anchor_rows(table, chunk)):
+                np.subtract(batch(idx, y), g_0, step)
+                step += g_anchor
+                step *= eta
+                y -= step
         return y
+    batch = oracle.sample_gradient_batch
     points = np.stack([x0, x0])
     y = points[0]  # stepped in place, so every call sees the current iterate
+    step = np.empty(oracle.dimension)
     for _ in range(T):
-        g = oracle.sample_gradient_batch(points, cfg.b, rng)
-        step = g[0] - g[1]
+        g = batch(points, b, rng)
+        np.subtract(g[0], g[1], step)
         step += g_anchor
-        step *= cfg.eta
+        step *= eta
         y -= step
     return y.copy()
+
+
+def _anchor_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """g_I(x0) for each (b,) index row I of rows: its b table rows added to zeros
+    in index order and divided by b, or its one table row when b = 1."""
+    if rows.shape[1] == 1:
+        return table[rows[:, 0]]
+    anchors = np.zeros((len(rows), table.shape[1]))
+    for column in rows.T:
+        anchors += table[column]
+    anchors /= rows.shape[1]
+    return anchors
 
 
 def gd_to_stationarity(oracle, x0, L: float, eps: float,
@@ -252,7 +269,7 @@ def gd_to_stationarity(oracle, x0, L: float, eps: float,
     for i in range(MAX_ITERS):
         if g is None:
             g = oracle.gradient(x)
-        gn = float(np.linalg.norm(g))
+        gn = norm(g)
         if gn <= eps:
             return SolveResult(x, gn, True, i, g)
         if not math.isfinite(gn):  # unbounded descent, stop honestly
@@ -260,7 +277,7 @@ def gd_to_stationarity(oracle, x0, L: float, eps: float,
         x = x - g / L
         g = None
     g = oracle.gradient(x)
-    gn = float(np.linalg.norm(g))
+    gn = norm(g)
     return SolveResult(x, gn, gn <= eps, MAX_ITERS, g)
 
 
@@ -296,19 +313,19 @@ def guarded_agd(oracle, x0, L: float, eps: float,
             g = g0
         else:
             g = oracle.gradient(y)
-        gn = float(np.linalg.norm(g))
+        gn = norm(g)
         if gn <= eps:
             fy = oracle.value(y)
             if fy <= f0:
                 return SolveResult(y, gn, True, i, g, fy)
         if not math.isfinite(gn) or not math.isfinite(fx):
             g = oracle.gradient(x)
-            return SolveResult(x, float(np.linalg.norm(g)), False, i, g, fx)
+            return SolveResult(x, norm(g), False, i, g, fx)
         x_new = y - g / L
         f_new = oracle.value(x_new)
         if f_new > fx:  # guard: extrapolation hurt, restart momentum at x
             g = oracle.gradient(x)
-            gn = float(np.linalg.norm(g))
+            gn = norm(g)
             if gn <= eps:
                 return SolveResult(x, gn, True, i, g, fx)
             x_new = x - g / L
@@ -316,7 +333,7 @@ def guarded_agd(oracle, x0, L: float, eps: float,
             theta_next = 1.0
         x_prev, x, fx, theta = x, x_new, f_new, theta_next
     g = oracle.gradient(x)
-    gn = float(np.linalg.norm(g))
+    gn = norm(g)
     return SolveResult(x, gn, gn <= eps, MAX_ITERS, g, fx)
 
 

@@ -12,6 +12,7 @@ from gose import (Capabilities, CountingOracle, EvalCounters, ObjectiveOracle,
 from gose.core import (RHO_FLOOR, ConfigError, EpsilonTooLarge, MalformedOracleOutput,
                        NonPositiveConstant, NotFiniteSum, NotStochastic,
                        StochasticEpsilonTooLarge, ZeroDirection, check_number)
+from gose.core import norm as core_norm
 from gose.escape import check_run
 from gose.harness import ExperimentConfig
 
@@ -748,6 +749,35 @@ def test_bad_index_rows_raise_before_any_counter_moves(indices, batch):
     assert co.counters == EvalCounters()
 
 
+@pytest.mark.parametrize("indices", [[[1, 2], [3]], ["a"], np.array([1.0, 2.0]), [0.5],
+                                     [True], np.array([[True], [False]]),
+                                     np.array([1, 2], dtype=object)],
+                         ids=["ragged", "string", "float_array", "fraction", "bool",
+                              "bool_rows", "object"])
+@pytest.mark.parametrize("batch", [True, False], ids=["batch_callable", "row_loop"])
+def test_non_integer_index_rows_raise_before_any_callable_or_counter(indices, batch):
+    # each was a bare ValueError or IndexError, or served as component 0 or 1
+    pca = get_problem("nonconvex_pca", n=5, d=3, seed=0).oracle
+    calls = []
+
+    def spy(callable_):
+        return lambda *args: calls.append(args) or callable_(*args)
+
+    oracle = ObjectiveOracle(
+        3, pca.value, pca.gradient, n_components=5,
+        component_gradient=spy(pca.component_gradient),
+        component_gradient_batch=spy(pca.component_gradient_batch) if batch else None)
+    co = as_counting(oracle)
+    for target in (co, oracle):
+        with pytest.raises(ConfigError, match="^component_gradient_batch needs"):
+            target.component_gradient_batch(indices, np.ones(3))
+    assert calls == [] and co.counters == EvalCounters()
+    # unsigned and narrow integer indices are components
+    for good in (np.array([1, 2], dtype=np.uint8), np.array([[4]], dtype=np.int32)):
+        assert co.component_gradient_batch(good, np.ones(3)).shape[-1] == 3
+    assert co.counters.component_grad_evals == 3
+
+
 def test_refused_calls_charge_nothing():
     # a call the base refuses, or whose result is malformed, costs no unit
     x, rng = np.ones(2), np.random.default_rng(0)
@@ -779,3 +809,48 @@ def test_single_draws_need_their_capability():
             target.component_gradient(0, np.ones(2))
         with pytest.raises(NotStochastic, match="no stochastic gradients"):
             target.sample_gradient(np.ones(2), np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# core.norm: np.linalg.norm's bits without its dispatch
+
+
+def _norm_cases():
+    rng = np.random.default_rng(7)
+    cases = {f"contiguous_{d}": rng.standard_normal(d) for d in (1, 2, 20, 200, 1001)}
+    stack = rng.standard_normal((40, 7))
+    cases.update(column=stack[:, 3], reversed=stack[::-1, 0], every_third=stack[::3, 5],
+                 matrix=stack, fortran=np.asfortranarray(stack), transposed=stack.T,
+                 empty=np.zeros(0))
+    special = {"zeros": [0.0, 0.0], "negative_zero": [-0.0, -0.0], "inf": [1.0, np.inf],
+               "minus_inf": [-np.inf, 2.0], "nan": [np.nan, 1.0], "nan_inf": [np.inf, np.nan],
+               "huge": [1e200, -1e200], "tiny": [1e-200, 1e-200], "subnormal": [5e-324, 3e-310],
+               "mixed": [1e200, 1e-200, 5e-324, -3.0]}
+    cases.update({name: np.array(values) for name, values in special.items()})
+    for name, values in special.items():  # the same values in a strided view
+        wide = np.zeros((len(values), 3))
+        wide[:, 1] = values
+        cases[name + "_strided"] = wide[:, 1]
+    return cases
+
+
+@pytest.mark.parametrize("name, v", list(_norm_cases().items()))
+def test_norm_gives_the_bits_of_np_linalg_norm(name, v):
+    with np.errstate(over="ignore"):  # 1e200 squared overflows in both
+        got, want = core_norm(v), np.linalg.norm(v)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == want.tobytes()
+
+
+def test_norm_without_ravel_order_k_would_round_differently():
+    # a strided view's dot without the memory-order ravel differs in its bits
+    # somewhere in this set; with it the bits always match np.linalg.norm
+    rng = np.random.default_rng(3)
+    differ = 0
+    for _ in range(300):
+        M = rng.standard_normal((int(rng.integers(2, 60)), int(rng.integers(2, 9))))
+        v = M.T if rng.random() < 0.5 else M[:, ::-1]
+        assert np.float64(core_norm(v)).tobytes() == np.linalg.norm(v).tobytes()
+        flat = v.ravel()
+        differ += math.sqrt(flat.dot(flat)) != core_norm(v)
+    assert differ > 0

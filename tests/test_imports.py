@@ -1,7 +1,8 @@
 """No gose module, test or demo keeps a top-level import it never uses.
 
 The package __init__ re-exports, so it is left out; so is benchmarks/.
-Numbers are range-checked in one place, core.check_number.
+Numbers are range-checked in one place, core.check_number, and vector norms
+are taken in one place, core.norm.
 """
 
 import ast
@@ -89,3 +90,32 @@ def test_numbers_are_checked_only_in_check_number():
 def test_removed_number_checks_are_gone(name):
     assert not [path.name for path in SRC.glob("*.py")
                 if re.search(rf"\b{name}\b", path.read_text())]
+
+
+
+def mentions_outside(source: str, text: str, function) -> list[int]:
+    """Lines that contain `text` outside every top-level def named `function` (None: any line)."""
+    inside = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            inside |= set(range(node.lineno, node.end_lineno + 1))
+    return [k for k, line in enumerate(source.splitlines(), 1)
+            if text in line and k not in inside]
+
+
+def test_checker_finds_mentions_outside_the_function():
+    source = ("import numpy as np\n"
+              "def norm(v):\n    'np.linalg.norm bits'\n    return v\n"
+              "def f(v):\n    return np.linalg.norm(v)\n")
+    assert mentions_outside(source, "linalg.norm", "norm") == [6]
+    assert mentions_outside(source, "linalg.norm", None) == [3, 6]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_vector_norms_are_taken_only_in_core_norm(module):
+    # core.norm is np.linalg.norm's own path for a vector without its
+    # dispatch; nothing else in the package may call np.linalg.norm
+    source = (SRC / module).read_text()
+    helper = "norm" if module == "core.py" else None
+    for text in ("linalg.norm", "linalg import norm"):
+        assert mentions_outside(source, text, helper) == [], text

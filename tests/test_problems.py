@@ -10,7 +10,7 @@ from gose import (approx_nc_deterministic, as_streaming, certify_second_order, d
                   finite_diff_hvp, get_problem, list_problems,
                   make_chained_saddles, make_nonconvex_pca,
                   make_quadratic_saddle, make_saddle_path, with_gradient_noise)
-from gose.core import ConfigError, DimensionTooLarge, ObjectiveOracle
+from gose.core import ConfigError, DimensionTooLarge, MalformedOracleOutput, ObjectiveOracle
 from gose.problems import PROBLEM_FACTORIES
 from conftest import verify_lipschitz_constants
 
@@ -336,6 +336,107 @@ def test_stacked_row_products_round_as_single_dots(d):
 
 
 # ---------------------------------------------------------------------------
+# per-step products: ndarray.dot gives the bits of @ on the shapes they take
+
+
+@pytest.mark.parametrize("d", [1, 2, 10, 20, 29, 200])
+def test_dot_gives_the_bits_of_matmul_on_the_fixture_product_shapes(d):
+    # vector . vector (contiguous, a row of a stack or of the data, a column
+    # of a C-order basis) and C-order matrix . vector (d x d, n x d)
+    rng = np.random.default_rng(d)
+    for _ in range(40):
+        x = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
+        stack, A = rng.standard_normal((2, d)), rng.standard_normal((7, d))
+        M, Q = rng.standard_normal((d, d)), rng.standard_normal((d, 5))
+        pairs = [(x, x), (A[3], x), (stack[1], x), (Q[:, 2], x), (x, Q[:, 4]),
+                 (Q[:, 1], Q[:, 3]), (M, x), (-M, stack[0]), (A, x), (M, Q[:, 0])]
+        for a, b in pairs:
+            assert a.dot(b).tobytes() == (a @ b).tobytes(), (a.shape, b.shape)
+
+
+def _pca_matmul_forms(A):
+    """nonconvex_pca's callables written with @, for the data matrix A."""
+    M = A.T @ A / len(A)
+    return {
+        "value": lambda x: -0.5 * float(np.mean((A @ x) ** 2)) + 0.25 * float(x @ x) ** 2,
+        "gradient": lambda x: -M @ x + float(x @ x) * x,
+        "hvp": lambda x, v: -M @ v + float(x @ x) * v + 2.0 * x * float(x @ v),
+        "component_gradient": lambda i, x: -A[i] * float(A[i] @ x) + float(x @ x) * x,
+        "component_hvp": lambda i, x, v: (-A[i] * float(A[i] @ v) + float(x @ x) * v
+                                          + 2.0 * x * float(x @ v)),
+        "batch_one": lambda i, x: A[i] * -float(A[i] @ x) + float(x @ x) * x,
+        "batch": lambda idx, x: -A[idx].T @ (A[idx] @ x) / len(idx) + float(x @ x) * x,
+    }
+
+
+@pytest.mark.parametrize("d", [2, 20, 63])
+def test_pca_callables_give_the_bits_of_their_matmul_forms(rng, d):
+    A = rng.standard_normal((9, d))
+    oracle = make_nonconvex_pca(n=9, d=d, data=A).oracle
+    ref = _pca_matmul_forms(A)
+    for _ in range(20):
+        x, v = rng.standard_normal(d), rng.standard_normal(d)
+        i, idx = int(rng.integers(9)), rng.integers(0, 9, size=4)
+        for got, want in [(oracle.value(x), ref["value"](x)),
+                          (oracle.gradient(x), ref["gradient"](x)),
+                          (oracle.hvp(x, v), ref["hvp"](x, v)),
+                          (oracle.component_gradient(i, x), ref["component_gradient"](i, x)),
+                          (oracle.component_hvp(i, x, v), ref["component_hvp"](i, x, v)),
+                          (oracle.component_gradient_batch(np.array([i]), x),
+                           ref["batch_one"](i, x)),
+                          (oracle.component_gradient_batch(idx, x), ref["batch"](idx, x))]:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("name", ["quadratic_saddle", "bowl_saddle"])
+@pytest.mark.parametrize("orth", [True, False])
+def test_quadratic_and_bowl_callables_give_the_bits_of_their_matmul_forms(rng, name, orth):
+    d, q = 10, 0.5
+    spectrum = np.linspace(-1.0, 2.0, d)
+    spec = get_problem(name, d=d, spectrum=spectrum, seed=3, orth=orth,
+                       **({"q": q} if name == "bowl_saddle" else {}))
+    A = (gose.problems._planted_spectrum(spectrum, np.random.default_rng(3))[0] if orth
+         else np.diag(spectrum))
+    bowl = q if name == "bowl_saddle" else 0.0
+    for _ in range(20):
+        x, v = rng.standard_normal(d), rng.standard_normal(d)
+        if bowl:
+            value = 0.5 * float(x @ (A @ x)) + 0.25 * q * float(x @ x) ** 2
+            grad = A @ x + q * float(x @ x) * x
+            hvp = A @ v + q * (float(x @ x) * v + 2.0 * x * float(x @ v))
+        else:
+            value, grad, hvp = 0.5 * float(x @ (A @ x)), A @ x, A @ v
+        assert spec.oracle.value(x) == value
+        assert spec.oracle.gradient(x).tobytes() == grad.tobytes()
+        assert spec.oracle.hvp(x, v).tobytes() == hvp.tobytes()
+
+
+def test_noisy_draws_give_the_bits_of_their_matmul_and_sum_forms():
+    base = get_problem("bowl_saddle", d=6, seed=1)
+    noisy = with_gradient_noise(base, sigma=0.3).oracle
+    rng = np.random.default_rng(5)
+    coord = 0.3 / np.sqrt(6)
+    for _ in range(20):
+        x, v = rng.standard_normal(6), rng.standard_normal(6)
+        state = rng.bit_generator.state
+        got = noisy.sample_hvp(x, v, rng)
+        ref_rng = np.random.default_rng()
+        ref_rng.bit_generator.state = state
+        z = ref_rng.standard_normal(6)
+        want = base.oracle.hvp(x, v) + 0.3 * (z * float(z @ v) - v)
+        assert got.tobytes() == want.tobytes()
+        points, state = np.stack([x, v]), rng.bit_generator.state
+        got = noisy.sample_gradient_batch(points, 7, rng)
+        ref_rng.bit_generator.state = state
+        noise = ref_rng.standard_normal((7, 6)).sum(axis=0)
+        noise /= 7
+        noise *= coord
+        want = np.stack([base.oracle.gradient(p) for p in points]) + noise
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
 # standard problems
 
 
@@ -558,7 +659,7 @@ def test_hvp_batch_that_writes_into_v_raises_and_spoils_no_later_certification()
 
     bad = ObjectiveOracle(d, lambda x: 0.0, lambda x: np.zeros(d),
                           hvp=lambda x, v: M @ v, hvp_batch=writes)
-    with pytest.raises(ValueError, match="read-only"):
+    with pytest.raises(MalformedOracleOutput, match="^hvp_batch wrote into .*read-only"):
         certify_second_order(bad, np.zeros(d), 0.01, 0.5)
     ok, _, lam = certify_second_order(_matrix_hvp_oracle(M), np.zeros(d), 0.01, 0.5)
     assert not ok and lam == -1.0

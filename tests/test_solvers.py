@@ -472,6 +472,47 @@ def test_epoch_finite_sum_stream_matches_per_step_draws(kind, b, B, n, seeds):
         assert rng.random() == ref_rng.random(), seed
 
 
+def _per_step_row_epoch(oracle, x0, cfg, g_anchor, rng, table):
+    # reference: the anchor side read from the table one step at a time
+    T = sample_geometric(cfg.p, rng)
+    y = x0.copy()
+    for idx in rng.integers(0, oracle.n_components, size=(T, cfg.b)):
+        if cfg.b == 1:
+            g_0 = table[idx[0]]
+        else:
+            g_0 = np.zeros(oracle.dimension)
+            for i in idx:
+                g_0 += table[i]
+            g_0 /= cfg.b
+        step = oracle.component_gradient_batch(idx, y) - g_0
+        step += g_anchor
+        step *= cfg.eta
+        y -= step
+    return y, T
+
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("mean_T", [200, 5000], ids=["one_gather", "gather_blocks"])
+def test_gathered_anchor_epoch_matches_per_step_rows(b, mean_T):
+    # equal points, counters and generator states; an epoch of more than
+    # TABLE_ROWS steps gathers its anchor rows in blocks
+    oracle = _pca_oracles()["batch_callable"]
+    cfg = ScsgConfig(B=mean_T * b, b=b, eta=1e-4)
+    x0 = np.linspace(-0.5, 0.5, 20)
+    table, g_anchor = anchor_table(oracle, x0)
+    lengths = []
+    for seed in range(4 if mean_T > TABLE_ROWS else 12):
+        co, rng, ref_rng = (as_counting(oracle), np.random.default_rng(seed),
+                            np.random.default_rng(seed))
+        y = scsg_epoch(co, x0, cfg, g_anchor, rng, "finite_sum", table=table)
+        ref, T = _per_step_row_epoch(oracle, x0, cfg, g_anchor, ref_rng, table)
+        assert y.tobytes() == ref.tobytes(), seed
+        assert co.counters == EvalCounters(component_grad_evals=b * T)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        lengths.append(T)
+    assert (max(lengths) > TABLE_ROWS) == (mean_T > TABLE_ROWS), lengths
+
+
 @pytest.mark.parametrize("b", [1, 3])
 def test_epoch_on_the_loop_fallback_matches_measured_anchors(b):
     # the loop fallback sums a row's component gradients to zeros in order,
