@@ -7,6 +7,7 @@ is never part of any contract.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -89,6 +90,14 @@ class SizeOutOfRange(ConfigError):
 # stoch_bowl).  A loop of this many oracle calls already runs for hours, and
 # one stacked draw of it holds 8 * MAX_DRAWS * d bytes.  Not a setting.
 MAX_DRAWS = 10 ** 8
+
+# Floats (rows * d) one batch call may return or gather: a component_hvp
+# block of the finite-sum finder, a component_gradient_batch block of
+# solvers.anchor_table, one gather of an epoch's anchor rows.  Bounds the
+# memory of a batch callable's intermediates whatever n is, and of the
+# gathered rows whatever T is.  fs_pca (n = 200, d = 20) fits 3,276 rows, so
+# its table and its full-batch validation are one call each.  Not a setting.
+ANCHOR_BLOCK_FLOATS = 2 ** 16
 
 
 def checked_size(name: str, formula: Callable[[], float], clamped: bool = False,
@@ -231,6 +240,20 @@ class ObjectiveOracle:
     MalformedOracleOutput.  Indices that are ragged, or not integers (bools
     included), raise ConfigError before any callable runs or any counter
     moves; their values are not range-checked.
+
+    component_hvp(i, x, v) also takes a 1-D integer index array i of k >= 1
+    indices and returns the mean of those components' HVPs at x along v: the
+    k products added to zeros in index order, then divided by k.  The
+    finite-sum finder takes each Lanczos matvec, and its validation, as one
+    such call.  A component_hvp_batch(indices, x, v) callable returns the
+    (k, d) products, row j that of indices[j]; the library adds the rows
+    itself, in order, calling it on blocks of at most ANCHOR_BLOCK_FLOATS
+    floats (k * d).  Any other shape raises MalformedOracleOutput naming
+    component_hvp_batch.  It needs component_hvp, which serves single
+    indices.  Without it the oracle makes one single call per index.  An
+    index array that is ragged, empty, not 1-D, not of integers (bools
+    included), or holds a value outside [0, n), raises ConfigError naming
+    component_hvp before any callable runs or any counter moves.
     """
 
     def __init__(self, dimension: int,
@@ -242,6 +265,7 @@ class ObjectiveOracle:
                  component_gradient: Optional[Callable] = None,
                  component_hvp: Optional[Callable] = None,
                  component_gradient_batch: Optional[Callable] = None,
+                 component_hvp_batch: Optional[Callable] = None,
                  sample_gradient: Optional[Callable] = None,
                  sample_hvp: Optional[Callable] = None,
                  sample_gradient_batch: Optional[Callable] = None,
@@ -254,6 +278,8 @@ class ObjectiveOracle:
             raise ConfigError("hvp_batch needs hvp")
         if sample_hvp_batch is not None and sample_hvp is None:
             raise ConfigError("sample_hvp_batch needs sample_hvp")
+        if component_hvp_batch is not None and component_hvp is None:
+            raise ConfigError("component_hvp_batch needs component_hvp")
         self.dimension = int(dimension)
         self.n_components = int(n_components)
         self._value = value
@@ -263,6 +289,7 @@ class ObjectiveOracle:
         self._component_gradient = component_gradient
         self._component_hvp = component_hvp
         self._component_gradient_batch = component_gradient_batch
+        self._component_hvp_batch = component_hvp_batch
         self._sample_gradient = sample_gradient
         self._sample_hvp = sample_hvp
         self._sample_gradient_batch = sample_gradient_batch
@@ -327,7 +354,11 @@ class ObjectiveOracle:
         return _shaped("component_gradient_batch", self._component_gradient_batch(indices, x),
                        shape)
 
-    def component_hvp(self, i: int, x, v) -> np.ndarray:
+    def component_hvp(self, i, x, v) -> np.ndarray:
+        """Component-i HVP at x along v, or the mean over a 1-D index array i."""
+        if _is_index_array(i):
+            return _mean_component_hvp(i, self.n_components, x, v, self.component_hvp,
+                                       self._component_hvp_batch)
         if self._component_hvp is not None:
             i = _component_index(i, self.n_components)
             x, v = np.asarray(x, float), np.asarray(v, float)
@@ -440,23 +471,62 @@ def _component_index(i, n: int) -> int:
     return int(i)
 
 
-def _index_rows(indices) -> np.ndarray:
-    """indices as an integer (b,) array or (T, b) rows, b >= 1, or ConfigError.
+def _index_rows(indices, method: str = "component_gradient_batch",
+                stack: bool = True) -> np.ndarray:
+    """indices as an integer (b,) array or, with stack=True, (T, b) rows, b >= 1.
 
-    Only the dtype is checked, not the values: a bool, float, string or
-    ragged index array is refused, an index outside [0, n) is not.
+    Else ConfigError naming method.  Only the dtype is checked, not the
+    values: a bool, float, string or ragged index array is refused, an index
+    outside [0, n) is not.
     """
     try:
         indices = np.asarray(indices)
     except ValueError as exc:  # ragged rows
-        raise ConfigError(f"component_gradient_batch needs an array of indices: {exc}") from None
-    if indices.ndim not in (1, 2) or indices.shape[-1] == 0:
-        raise ConfigError(f"component_gradient_batch needs 1-D or 2-D indices with at least"
-                          f" one per row, got shape {indices.shape}")
+        raise ConfigError(f"{method} needs an array of indices: {exc}") from None
+    if indices.ndim not in ((1, 2) if stack else (1,)) or indices.shape[-1] == 0:
+        raise ConfigError(f"{method} needs {'1-D or 2-D' if stack else '1-D'} indices with at"
+                          f" least one per row, got shape {indices.shape}")
     if indices.dtype.kind not in "iu":
-        raise ConfigError(f"component_gradient_batch needs integer indices, got dtype"
-                          f" {indices.dtype}")
+        raise ConfigError(f"{method} needs integer indices, got dtype {indices.dtype}")
     return indices
+
+
+def _is_index_array(i) -> bool:
+    """True for the index-array form of component_hvp: a list, tuple or n-D array, n >= 1."""
+    return type(i) is not int and (isinstance(i, (list, tuple))
+                                   or isinstance(i, np.ndarray) and i.ndim > 0)
+
+
+def _mean_component_hvp(indices, n: int, x, v, single: Callable,
+                        batch: Optional[Callable] = None) -> np.ndarray:
+    """The mean of single(i, x, v) over a 1-D index array, added to zeros in index order.
+
+    Bad indices raise ConfigError naming component_hvp (NotFiniteSum for
+    n = 0) before any call.  batch, when given, gives the same bits: a copy
+    of each block's first row takes the running sum, then an accumulation
+    adds the rows in order (add.reduce would pair them when d = 1).
+    """
+    if n == 0:
+        raise NotFiniteSum("oracle has no component gradients")
+    indices = _index_rows(indices, "component_hvp", stack=False)
+    low, high = indices.min(), indices.max()
+    if low < 0 or high >= n:
+        raise ConfigError(f"component_hvp needs indices in [0, {n}), got"
+                          f" {low if low < 0 else high}")
+    x, v = np.asarray(x, float), np.asarray(v, float)
+    _check_direction(x, v)
+    acc = np.zeros(x.size)
+    if batch is None:
+        for i in indices.tolist():
+            acc += single(i, x, v)
+        return acc / len(indices)
+    rows_per = max(ANCHOR_BLOCK_FLOATS // x.size, 1)
+    for start in range(0, len(indices), rows_per):
+        block = indices[start:start + rows_per]
+        rows = np.array(_shaped("component_hvp_batch", batch(block, x, v), (len(block), x.size)))
+        rows[0] += acc
+        acc = np.add.accumulate(rows, 0, out=rows)[-1]
+    return acc / len(indices)
 
 
 def _central_diff(grad_pair: Callable, x, v) -> np.ndarray:
@@ -505,10 +575,10 @@ class CountingOracle:
     The wrapped oracle stays untouched; all mutation lives here.  Synthesized
     HVPs route through this wrapper's gradient methods, so their two gradient
     calls are counted instead of an hvp_eval.  A (k, d) stack of HVP
-    directions is charged per row: k hvp_evals, or 2k gradients when
-    synthesized.  A call is charged once the base returns, so a call the base
-    refuses (NotFiniteSum, NotStochastic, a malformed result) leaves the
-    counters where they were.
+    directions, or a component_hvp over k indices, is charged per row or
+    index: k hvp_evals, or 2k gradients when synthesized.  A call is charged
+    once the base returns, so a call the base refuses (NotFiniteSum,
+    NotStochastic, a malformed result) leaves the counters where they were.
     """
 
     def __init__(self, base: ObjectiveOracle):
@@ -562,10 +632,14 @@ class CountingOracle:
         return out
 
     def component_hvp(self, i, x, v):
+        many = _is_index_array(i)
         if self.base._component_hvp is None:
+            if many:  # each index's central difference charges its two component gradients
+                return _mean_component_hvp(i, self.base.n_components, x, v,
+                                           functools.partial(_finite_diff_component_hvp, self))
             return _finite_diff_component_hvp(self, i, x, v)
         out = self.base.component_hvp(i, x, v)
-        self.counters.hvp_evals += 1
+        self.counters.hvp_evals += len(i) if many else 1
         return out
 
     def sample_gradient(self, x, rng):

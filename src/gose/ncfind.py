@@ -413,29 +413,22 @@ def approx_nc_stochastic(oracle, x, eps_h: float, delta: float, L: float,
                    -(eps_h / 2.0 + eps_h / 8.0), candidate)
 
 
-def _index_mean_hvp(oracle, x, v, indices) -> np.ndarray:
-    """Mean of component HVPs at x along v over `indices`."""
-    acc = np.zeros(oracle.dimension)
-    for i in indices:
-        acc += oracle.component_hvp(int(i), x, v)
-    return acc / len(indices)
-
-
 def approx_nc_finite_sum(oracle, x, eps_h: float, delta: float, L: float,
                          rng: np.random.Generator) -> NcOutcome:
     """Negative-curvature search over a finite sum of components.
 
-    Lanczos where each matvec averages per-component HVPs over a fresh index
-    minibatch sized so the loop costs about n**0.75 * sqrt(L/eps_h) component
-    HVPs in total, followed by one full-batch Rayleigh validation (n component
-    HVPs), the outcome's lambda_hat.  The full-batch measurement is exact, so
-    acceptance uses the plain -eps_h/2 threshold.
+    Lanczos where each matvec is one component_hvp call on a fresh index
+    minibatch, the mean of its component HVPs, sized so the loop costs about
+    n**0.75 * sqrt(L/eps_h) component HVPs in total, followed by one
+    full-batch Rayleigh validation (one call on all n indices), the outcome's
+    lambda_hat.  The full-batch measurement is exact, so acceptance uses the
+    plain -eps_h/2 threshold.
     """
     def candidate(oracle, x, sizes):
         n = oracle.n_components
         _, v = lanczos_min_eig(
-            lambda w: _index_mean_hvp(oracle, x, w, rng.integers(0, n, size=sizes.minibatch)),
+            lambda w: oracle.component_hvp(rng.integers(0, n, size=sizes.minibatch), x, w),
             oracle.dimension, sizes.max_matvecs, rng, probe_tol=None)
-        return float(v @ _index_mean_hvp(oracle, x, v, range(n))), v
+        return float(v @ oracle.component_hvp(np.arange(n), x, v)), v
 
     return _search("finite_sum", oracle, x, eps_h, delta, L, -eps_h / 2.0, candidate)

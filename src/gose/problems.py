@@ -133,7 +133,7 @@ def make_bowl_saddle(d: int = 2, spectrum=None, q: float = 0.5, seed: int = 0,
         return 0.5 * float(x.dot(A.dot(x))) + 0.25 * q * float(x.dot(x)) ** 2
 
     def gradient(x):
-        return A.dot(x) + q * float(x.dot(x)) * x
+        return A.dot(x) + q * x.dot(x) * x
 
     def hvp(x, v):
         return A.dot(v) + q * (float(x.dot(x)) * v + 2.0 * x * float(x.dot(v)))
@@ -332,9 +332,15 @@ def make_nonconvex_pca(n: int, d: int, seed: int = 0,
             return -(Ai.transpose(0, 2, 1) @ (Ai @ x)[:, :, None])[:, :, 0] / b + float(x @ x) * x
         if len(idx) == 1:  # the finite-sum default b = 1: the bits of the line below
             a = A[idx[0]]
-            return a * -float(a.dot(x)) + float(x.dot(x)) * x
+            return a * -a.dot(x) + x.dot(x) * x
         Ai = A[idx]
         return -Ai.T @ Ai.dot(x) / len(idx) + float(x.dot(x)) * x
+
+    def component_hvp_batch(idx, x, v):
+        # row j is component_hvp(idx[j], x, v): the stacked (1, d) @ (d, 1)
+        # products round each a_i.v as a 1-D dot does (Ai @ v may not)
+        Ai = A[idx]
+        return -Ai * (Ai[:, None, :] @ v[:, None])[:, 0] + x.dot(x) * v + 2.0 * x * x.dot(v)
 
     oracle = ObjectiveOracle(
         d, value, gradient, hvp=hvp,
@@ -342,6 +348,7 @@ def make_nonconvex_pca(n: int, d: int, seed: int = 0,
         component_gradient=component_gradient,
         component_hvp=component_hvp,
         component_gradient_batch=component_gradient_batch,
+        component_hvp_batch=component_hvp_batch,
     )
     r2 = 2.0 * math.sqrt(d)
     comp_L = float(np.max(np.sum(A ** 2, axis=1))) + 3.0 * r2 ** 2
@@ -467,6 +474,9 @@ def with_gradient_noise(spec: ProblemSpec, sigma: float) -> ProblemSpec:
     base = spec.oracle
     d = base.dimension
     coord = sigma / math.sqrt(d)
+    # the batch scales by 0-d arrays: the bits of the Python numbers, and faster
+    coord_0d = np.array(coord)
+    counts = {}  # m -> m as a 0-d float array, one per draw count the caller uses
 
     def sample_gradient(x, rng):
         return base.gradient(x) + coord * rng.standard_normal(d)
@@ -479,8 +489,11 @@ def with_gradient_noise(spec: ProblemSpec, sigma: float) -> ProblemSpec:
         # one noise draw, shared by every row of a (k, d) stack; add.reduce is
         # what .sum(axis=0) calls, without its Python wrapper
         noise = np.add.reduce(rng.standard_normal((m, d)), 0)
-        noise /= m
-        noise *= coord
+        count = counts.get(m)
+        if count is None:
+            count = counts[m] = np.array(float(m))
+        noise /= count
+        noise *= coord_0d
         if x.ndim == 1:
             return base.gradient(x) + noise
         out = np.empty(x.shape)
@@ -489,8 +502,7 @@ def with_gradient_noise(spec: ProblemSpec, sigma: float) -> ProblemSpec:
             seen = last.get(k)
             if seen is None or seen[0] != key:
                 seen = last[k] = (key, base.gradient(point).copy())
-            out[k] = seen[1]
-        out += noise
+            np.add(seen[1], noise, out[k])
         return out
 
     def sample_hvp(x, v, rng):

@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ConfigError, MissingVarianceBound, as_counting, check_mode,
-                   check_number, checked_size, norm)
+from .core import (ANCHOR_BLOCK_FLOATS, ConfigError, MissingVarianceBound, as_counting,
+                   check_mode, check_number, checked_size, norm)
 
 DEFAULT_SOLVER = "agd"
 
@@ -26,13 +26,6 @@ DEFAULT_SOLVER = "agd"
 # analysis bounds the steps to ||grad f|| <= eps, O(L * Delta_f / eps**2) for
 # gd, so this only makes the loop end.  Not a setting.
 MAX_ITERS = 200_000
-
-# Floats (rows * d) one component_gradient_batch call of anchor_table may
-# gather, and one gather of an epoch's anchor rows: bounds the memory of a
-# batch callable's intermediates whatever n is, and of the gathered rows
-# whatever T is.  fs_pca (n = 200, d = 20) fits 3,276 rows, so its table is
-# one call and an epoch one gather.  Not a setting.
-ANCHOR_BLOCK_FLOATS = 2 ** 16
 
 
 @dataclass
@@ -230,8 +223,8 @@ def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
     y = points[0]  # stepped in place, so every call sees the current iterate
     step = np.empty(oracle.dimension)
     for _ in range(T):
-        g = batch(points, b, rng)
-        np.subtract(g[0], g[1], step)
+        g_y, g_0 = batch(points, b, rng)
+        np.subtract(g_y, g_0, step)
         step += g_anchor
         step *= eta
         y -= step

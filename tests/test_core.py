@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import gose.core
 from gose import (Capabilities, CountingOracle, EvalCounters, ObjectiveOracle,
                   ScsgConfig, SmoothnessSpec, ToleranceConfig,
                   approx_nc_deterministic, as_counting, escape_step_length,
@@ -809,6 +810,150 @@ def test_single_draws_need_their_capability():
             target.component_gradient(0, np.ones(2))
         with pytest.raises(NotStochastic, match="no stochastic gradients"):
             target.sample_gradient(np.ones(2), np.random.default_rng(0))
+
+
+# ---------------------------------------------------------------------------
+# component_hvp over an index array: one call for the mean of k components
+
+
+def _loop_mean_hvp(oracle, x, v, indices):
+    """The per-index reference: single calls added to zeros in index order, over k."""
+    acc = np.zeros(oracle.dimension)
+    for i in indices:
+        acc += oracle.component_hvp(int(i), x, v)
+    return acc / len(indices)
+
+
+def _table_oracle(R, calls=None):
+    """Component i's HVP is the table row R[i], whatever x and v; the batch gathers rows."""
+    def batch(indices, x, v):
+        if calls is not None:
+            calls.append(len(indices))
+        return R[indices]
+
+    n, d = R.shape
+    return ObjectiveOracle(d, lambda x: 0.0, lambda x: np.zeros(d), n_components=n,
+                           component_gradient=lambda i, x: np.zeros(d),
+                           component_hvp=lambda i, x, v: R[i].copy(),
+                           component_hvp_batch=batch)
+
+
+def _signed_table(rng, n, d):
+    """Rows of mixed magnitude (the order of their sum matters) and signed zeros."""
+    R = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 9, size=(n, d))
+    R[rng.random((n, d)) < 0.15] = -0.0
+    R[rng.random((n, d)) < 0.05] = 0.0
+    return R
+
+
+def test_component_hvp_rows_are_summed_in_index_order():
+    # the library's sum of the batch rows is the per-index loop's, bit for bit:
+    # add.reduce pairs the rows when d = 1, and a -0.0 first row must become +0.0
+    rng = np.random.default_rng(40)
+    for case in range(300):
+        d = int(rng.choice([1, 2, 3, 10, 20]))
+        n = int(rng.integers(1, 301))
+        oracle = _table_oracle(_signed_table(rng, n, d))
+        k = int(rng.choice([1, n, int(rng.integers(1, 301))]))
+        indices = rng.integers(0, n, size=k)
+        x, v = np.zeros(d), np.ones(d)
+        want = _loop_mean_hvp(oracle, x, v, indices)
+        for target in (oracle, as_counting(oracle)):
+            assert target.component_hvp(indices, x, v).tobytes() == want.tobytes(), case
+
+
+@pytest.mark.parametrize("d, floats", [(1, 7), (3, 20), (20, 60), (20, 19)])
+def test_component_hvp_batch_blocks_keep_the_bits(monkeypatch, d, floats):
+    # at most ANCHOR_BLOCK_FLOATS floats per batch call, at least one row
+    monkeypatch.setattr(gose.core, "ANCHOR_BLOCK_FLOATS", floats)
+    rows = max(floats // d, 1)
+    rng = np.random.default_rng(d * floats)
+    calls = []
+    oracle = _table_oracle(_signed_table(rng, 50, d), calls)
+    for k in (1, rows, rows + 1, 5 * rows + 2, 200):
+        indices = rng.integers(0, 50, size=k)
+        calls.clear()
+        got = oracle.component_hvp(indices, np.zeros(d), np.ones(d))
+        assert got.tobytes() == _loop_mean_hvp(oracle, np.zeros(d), np.ones(d),
+                                               indices).tobytes(), k
+        assert calls == [rows] * (k // rows) + ([k % rows] if k % rows else [])
+
+
+def _components(kind, calls):
+    """PCA components at n=7, d=4, served as `kind`; calls records every callable run."""
+    pca = get_problem("nonconvex_pca", n=7, d=4, seed=3).oracle
+
+    def spy(callable_):
+        return lambda *args: calls.append(args) or callable_(*args)
+
+    return ObjectiveOracle(
+        4, pca.value, pca.gradient, n_components=7,
+        component_gradient=spy(pca.component_gradient),
+        component_hvp=None if kind == "synthesized" else spy(pca.component_hvp),
+        component_hvp_batch=spy(pca._component_hvp_batch) if kind == "batch" else None)
+
+
+@pytest.mark.parametrize("kind", ["batch", "loop", "synthesized"])
+def test_component_hvp_index_array_gives_the_loop_bits_and_charges_each_index(kind):
+    calls = []
+    oracle = _components(kind, calls)
+    rng = np.random.default_rng(1)
+    for k in (1, 3, 7, 11, 40):
+        indices = rng.integers(0, 7, size=k)
+        x, v = rng.standard_normal(4), rng.standard_normal(4)
+        for target in (oracle, as_counting(oracle)):
+            want = _loop_mean_hvp(target, x, v, indices)
+            assert target.component_hvp(indices, x, v).tobytes() == want.tobytes(), k
+        co = as_counting(oracle)
+        co.component_hvp(list(indices), x, v)  # a list is an index array too
+        if kind == "synthesized":  # each index's central difference: two gradients
+            assert co.counters == EvalCounters(component_grad_evals=2 * k)
+        else:
+            assert co.counters == EvalCounters(hvp_evals=k)
+    assert calls
+
+
+BAD_HVP_INDICES = {
+    "ragged": [[1, 2], [3]], "bool": [True], "bool_array": np.array([True, False]),
+    "fraction": [0.5], "float_array": np.array([1.0, 2.0]), "string": ["a"],
+    "object": np.array([1, 2], dtype=object), "rows": np.array([[1], [2]]),
+    "empty": np.zeros(0, int), "empty_list": [], "negative": [-1], "n": [7],
+    "one_past": np.array([0, 3, 7]), "huge": np.array([2 ** 40]),
+}
+
+
+@pytest.mark.parametrize("indices", list(BAD_HVP_INDICES.values()), ids=list(BAD_HVP_INDICES))
+@pytest.mark.parametrize("kind", ["batch", "loop", "synthesized"])
+def test_bad_component_hvp_indices_raise_before_any_callable_or_counter(kind, indices):
+    # a negative index wrapped around in a batch callable, a float or bool one
+    # reached numpy indexing
+    calls = []
+    oracle = _components(kind, calls)
+    co = as_counting(oracle)
+    for target in (co, oracle):
+        with pytest.raises(ConfigError, match="^component_hvp needs"):
+            target.component_hvp(indices, np.ones(4), np.ones(4))
+    assert calls == [] and co.counters == EvalCounters()
+
+
+def test_component_hvp_batch_needs_component_hvp_and_rows_of_its_indices():
+    with pytest.raises(ConfigError, match="component_hvp_batch needs component_hvp"):
+        ObjectiveOracle(2, lambda x: 0.0, lambda x: x, n_components=3,
+                        component_gradient=lambda i, x: x,
+                        component_hvp_batch=lambda indices, x, v: np.ones((len(indices), 2)))
+    x = np.ones(2)
+    for shape in [lambda k: (2,), lambda k: (k + 1, 2), lambda k: (k, 3), lambda k: (1, k, 2)]:
+        co = as_counting(ObjectiveOracle(
+            2, lambda x: 0.0, lambda x: x, n_components=3, component_gradient=lambda i, x: x,
+            component_hvp=lambda i, x, v: v,
+            component_hvp_batch=lambda indices, x, v: np.ones(shape(len(indices)))))
+        with pytest.raises(MalformedOracleOutput, match=r"^component_hvp_batch returned shape"):
+            co.component_hvp(np.array([0, 2]), x, x)
+        assert co.counters == EvalCounters()
+    plain = quad_oracle([1.0, 2.0])
+    for target in (plain, as_counting(plain)):
+        with pytest.raises(NotFiniteSum, match="no component gradients"):
+            target.component_hvp([0, 1], x, x)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 import gose.ncfind
 
-from gose import (ObjectiveOracle, approx_nc_deterministic,
+from gose import (CountingOracle, ObjectiveOracle, approx_nc_deterministic,
                   approx_nc_finite_sum, approx_nc_stochastic, as_counting,
-                  get_problem, lanczos_min_eig, make_nonconvex_pca)
+                  get_problem, lanczos_min_eig, make_nonconvex_pca, with_gradient_noise)
 from gose.core import (MAX_DRAWS, AsymmetricOperator, EvalCounters, LapackFailure,
                        MalformedOracleOutput, NonFiniteMeasurement, NonPositiveConstant,
                        NotFiniteSum, NotStochastic, SizeOutOfRange)
@@ -892,6 +892,55 @@ def test_finder_call_runs_lanczos_once(engine, monkeypatch):
     result = verify_nc_suite(d=10, trials=5, engine=engine)
     assert result["direction_rate"] > 0.0 and result["bottom_rate_psd"] > 0.0
     assert len(runs) == 2 * result["trials"]
+
+
+ORACLE_METHODS = ("value", "gradient", "hvp", "component_gradient", "component_gradient_batch",
+                  "component_hvp", "sample_gradient", "sample_gradient_batch", "sample_hvp")
+
+
+def _one_call_finders():
+    """(finder, oracle, L, the oracle method of its matvecs, calls besides Lanczos')."""
+    bowl = get_problem("bowl_saddle", d=6, seed=1)
+    pca = make_nonconvex_pca(n=60, d=8, seed=2).oracle
+    pca_loop = ObjectiveOracle(8, pca.value, pca.gradient, n_components=60,  # no batch callable
+                               component_gradient=pca.component_gradient,
+                               component_hvp=pca.component_hvp)
+    return {  # the deterministic exit quotient is Lanczos' own last matvec
+        "deterministic": (approx_nc_deterministic, bowl.oracle, 20.0, "hvp", 0),
+        "stochastic": (approx_nc_stochastic, with_gradient_noise(bowl, sigma=0.1).oracle, 20.0,
+                       "sample_hvp", 1),
+        "finite_sum_batch": (approx_nc_finite_sum, pca, 8.0, "component_hvp", 1),
+        "finite_sum_loop": (approx_nc_finite_sum, pca_loop, 8.0, "component_hvp", 1),
+    }
+
+
+@pytest.mark.parametrize("name", ["deterministic", "stochastic", "finite_sum_batch",
+                                  "finite_sum_loop"])
+def test_every_finder_matvec_is_one_oracle_call(name, monkeypatch):
+    # a per-index (or per-draw) loop in a finder would make k calls a matvec
+    finder, oracle, L, method, extra = _one_call_finders()[name]
+    calls, matvecs = [], []
+    for attr in ORACLE_METHODS:
+        def spy(self, *args, _attr=attr, _method=getattr(CountingOracle, attr), **kwargs):
+            calls.append(_attr)
+            return _method(self, *args, **kwargs)
+        monkeypatch.setattr(CountingOracle, attr, spy)
+    lanczos = gose.ncfind.lanczos_min_eig
+
+    def counted(hvp, *args, **kwargs):
+        return lanczos(lambda w: matvecs.append(w) or hvp(w), *args, **kwargs)
+
+    monkeypatch.setattr(gose.ncfind, "lanczos_min_eig", counted)
+    rng = np.random.default_rng(5)
+    kinds = set()
+    for x in (np.zeros(oracle.dimension), rng.standard_normal(oracle.dimension)):
+        calls.clear()
+        matvecs.clear()
+        out = finder(oracle, x, 0.5, 0.1, L, rng)
+        kinds.add(out.kind)
+        assert calls == [method] * (len(matvecs) + extra)
+        assert len(matvecs) > 2
+    assert kinds == {"direction", "bottom"}  # at the saddle, and where the bowl has risen
 
 
 # budgets that nothing clamps afterwards, as functions of L

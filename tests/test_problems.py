@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gose.core
 import gose.problems
 from gose import (approx_nc_deterministic, as_streaming, certify_second_order, dense_hessian,
                   finite_diff_hvp, get_problem, list_problems,
@@ -434,6 +435,57 @@ def test_noisy_draws_give_the_bits_of_their_matmul_and_sum_forms():
         want = np.stack([base.oracle.gradient(p) for p in points]) + noise
         assert got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [1, 2, 10])
+@pytest.mark.parametrize("m", [1, 2, 32, 11053])
+def test_noisy_batch_scales_by_arrays_and_adds_rows_with_the_float_bits(d, m):
+    # the noise scaled by 0-d arrays and added into each row gives the bits of
+    # the Python-float scaling and the broadcast add over copied rows
+    base = get_problem("bowl_saddle", d=d, seed=2)
+    noisy = with_gradient_noise(base, sigma=0.3).oracle
+    coord = 0.3 / np.sqrt(d)
+    rng, ref_rng = np.random.default_rng(m), np.random.default_rng(m)
+    x0 = ref_rng.standard_normal(d)
+    rng.standard_normal(d)
+    for shape in [(d,), (1, d), (2, d), (3, d), (2, d), (3, d)]:
+        points = ref_rng.standard_normal(shape)
+        rng.standard_normal(shape)
+        if len(shape) == 2:
+            points[-1] = x0  # the epoch's fixed anchor row, served from the memo after once
+        got = noisy.sample_gradient_batch(points, m, rng)
+        noise = np.add.reduce(ref_rng.standard_normal((m, d)), 0)
+        noise /= m
+        noise *= coord
+        want = (base.oracle.gradient(points) if len(shape) == 1
+                else np.stack([base.oracle.gradient(p) for p in points]))
+        want += noise
+        assert got.tobytes() == want.tobytes(), shape
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_pca_component_hvp_batch_gives_the_per_index_loop_bits(monkeypatch):
+    # the batch callable's rows are single calls' bits, and the oracle's sum of
+    # them the per-index loop's: repeated indices, k = 1, k = n, several blocks
+    rng = np.random.default_rng(40)
+    for case in range(320):
+        n, d = int(rng.integers(1, 120)), int(rng.choice([2, 3, 10, 20]))
+        oracle = make_nonconvex_pca(n=n, d=d, seed=case).oracle
+        k = [1, n, int(rng.integers(1, 3 * n + 2))][case % 3]
+        indices = rng.integers(0, n, size=k)
+        x, v = rng.standard_normal(d) * 10.0 ** rng.integers(-3, 3), rng.standard_normal(d)
+        if case % 10 == 0:
+            x[:], v[0] = 0.0, -0.0
+        rows = oracle._component_hvp_batch(indices, x, v)
+        singles = [oracle.component_hvp(int(i), x, v) for i in indices]
+        assert rows.tobytes() == np.stack(singles).tobytes(), case
+        want = np.zeros(d)
+        for row in singles:
+            want += row
+        want /= k
+        monkeypatch.setattr(gose.core, "ANCHOR_BLOCK_FLOATS",
+                            [2 ** 16, d, 3 * d + 1][case % 3 if case % 2 else 0])
+        assert oracle.component_hvp(indices, x, v).tobytes() == want.tobytes(), case
 
 
 # ---------------------------------------------------------------------------
