@@ -93,7 +93,8 @@ MAX_DRAWS = 10 ** 8
 
 # Floats (rows * d) one batch call may return or gather: a component_hvp
 # block of the finite-sum finder, a component_gradient_batch block of
-# solvers.anchor_table, one gather of an epoch's anchor rows.  Bounds the
+# solvers.anchor_table, one gather of an epoch's anchor rows, one block of a
+# stochastic epoch's draws (and of the noisy view's normals).  Bounds the
 # memory of a batch callable's intermediates whatever n is, and of the
 # gathered rows whatever T is.  fs_pca (n = 200, d = 20) fits 3,276 rows, so
 # its table and its full-batch validation are one call each.  Not a setting.
@@ -185,6 +186,7 @@ class Capabilities:
     finite_sum: bool
     stochastic: bool
     analytic_hvp: bool
+    sample_draws: bool = False
 
 
 class ObjectiveOracle:
@@ -223,13 +225,27 @@ class ObjectiveOracle:
     It receives either one point of shape (d,) or a (k, d) stack of points;
     for a stack it must evaluate the same m draws at every row and return a
     (k, d) array.  Any other shape raises MalformedOracleOutput.  This stacked
-    call, or the row replay that stands in for a missing callable, is the one
-    way two points see one draw: the SCSG epoch evaluates its minibatch at
-    the current point and at the anchor in one call, and a synthesized
-    sample_hvp its two probe points, all from the run's generator.  A
+    call, or the row replay standing in for a missing callable, is how two
+    points see one generator draw: the SCSG epoch (without sample_draws)
+    evaluates its minibatch at the current point and at the anchor in one
+    call, and a synthesized sample_hvp its two probe points.  A
     sample_hvp_batch(x, v, m, rng) callable likewise returns the mean of m
     HVP draws at x along v, of x's shape; any other shape raises
     MalformedOracleOutput.  It needs sample_hvp, which serves single draws.
+
+    A sample_draws(k, m, rng) callable returns k minibatch draws of m, exactly
+    as k consecutive sample_gradient_batch(., m, rng) calls would draw them,
+    and leaves rng where those calls would leave it: an array whose leading
+    axis has k entries, each in whatever form the oracle's own
+    sample_gradient_batch reads.  sample_gradient_batch(x, m, draws) then
+    takes such a block, or a slice of one, in the generator's place, at one
+    point x of shape (d,), and returns the (k, d) gradients, row j at draw j;
+    counting charges m * k as for k draws from a generator.  The SCSG epoch
+    draws a block of steps' minibatches at once and evaluates all their
+    anchors in one call.  It needs sample_gradient_batch.  A result whose
+    leading axis is not k raises MalformedOracleOutput naming sample_draws; a
+    draws block given to an oracle without sample_draws, or with a (k, d)
+    stack of points, raises ConfigError before any callable runs.
 
     A component_gradient_batch(indices, x) callable returns the mean component
     gradient over `indices`.  It receives either one index array of shape (b,),
@@ -269,7 +285,8 @@ class ObjectiveOracle:
                  sample_gradient: Optional[Callable] = None,
                  sample_hvp: Optional[Callable] = None,
                  sample_gradient_batch: Optional[Callable] = None,
-                 sample_hvp_batch: Optional[Callable] = None):
+                 sample_hvp_batch: Optional[Callable] = None,
+                 sample_draws: Optional[Callable] = None):
         check_number("dimension", dimension, 1, integer=True)
         check_number("n_components", n_components, 0, integer=True)
         if n_components > 0 and component_gradient is None:
@@ -280,6 +297,8 @@ class ObjectiveOracle:
             raise ConfigError("sample_hvp_batch needs sample_hvp")
         if component_hvp_batch is not None and component_hvp is None:
             raise ConfigError("component_hvp_batch needs component_hvp")
+        if sample_draws is not None and sample_gradient_batch is None:
+            raise ConfigError("sample_draws needs sample_gradient_batch")
         self.dimension = int(dimension)
         self.n_components = int(n_components)
         self._value = value
@@ -294,10 +313,12 @@ class ObjectiveOracle:
         self._sample_hvp = sample_hvp
         self._sample_gradient_batch = sample_gradient_batch
         self._sample_hvp_batch = sample_hvp_batch
+        self._sample_draws = sample_draws
         self.capabilities = Capabilities(
             finite_sum=self.n_components > 0,
             stochastic=sample_gradient is not None,
             analytic_hvp=hvp is not None,
+            sample_draws=sample_draws is not None,
         )
 
     # -- deterministic surface
@@ -380,10 +401,22 @@ class ObjectiveOracle:
         x may also be a (k, d) stack of points: the same m draws are then
         evaluated at every row (common random numbers) and a (k, d) array of
         means comes back.  Without a batch callable each row replays the
-        generator from its starting state.
+        generator from its starting state.  In rng's place a block of k
+        sample_draws draws gives the (k, d) means at one point x, row j at
+        draw j.
         """
         m = _draw_count(m)
         x = np.asarray(x, float)
+        if isinstance(rng, np.ndarray):
+            if self._sample_draws is None:
+                raise ConfigError("sample_gradient_batch takes a draws block only on an oracle"
+                                  " with sample_draws")
+            if x.ndim != 1 or rng.ndim == 0:
+                raise ConfigError(f"sample_gradient_batch evaluates a draws block at one point of"
+                                  f" shape (d,), got points of shape {x.shape} and draws of"
+                                  f" shape {rng.shape}")
+            return _shaped("sample_gradient_batch", self._sample_gradient_batch(x, m, rng),
+                           (len(rng),) + x.shape)
         if self._sample_gradient_batch is not None:
             return _shaped("sample_gradient_batch", self._sample_gradient_batch(x, m, rng),
                            x.shape)
@@ -396,6 +429,18 @@ class ObjectiveOracle:
                 acc += self.sample_gradient(row, rng)
         means /= m
         return means.reshape(x.shape)
+
+    def sample_draws(self, k: int, m: int, rng: np.random.Generator) -> np.ndarray:
+        """k minibatch draws of m from rng, as k sample_gradient_batch calls draw them."""
+        if self._sample_draws is None:
+            raise ConfigError("oracle has no sample_draws callable")
+        check_number("draw block k", k, 1, integer=True)
+        m = _draw_count(m)
+        out = np.asarray(self._sample_draws(k, m, rng))
+        if out.ndim == 0 or len(out) != k:
+            raise MalformedOracleOutput(f"sample_draws returned shape {out.shape}, expected a"
+                                        f" leading axis of {k}")
+        return out
 
     def sample_hvp(self, x, v, rng: np.random.Generator, m: int = 1) -> np.ndarray:
         """Mean of m stochastic HVP draws at x along v (one draw for m == 1).
@@ -576,9 +621,11 @@ class CountingOracle:
     HVPs route through this wrapper's gradient methods, so their two gradient
     calls are counted instead of an hvp_eval.  A (k, d) stack of HVP
     directions, or a component_hvp over k indices, is charged per row or
-    index: k hvp_evals, or 2k gradients when synthesized.  A call is charged
-    once the base returns, so a call the base refuses (NotFiniteSum,
-    NotStochastic, a malformed result) leaves the counters where they were.
+    index: k hvp_evals, or 2k gradients when synthesized.  sample_draws is not
+    charged: a block of k draws of m costs m * k stoch_grad_evals at each
+    point sample_gradient_batch evaluates it.  A call is charged once the base
+    returns, so a call the base refuses (NotFiniteSum, NotStochastic, a
+    malformed result) leaves the counters where they were.
     """
 
     def __init__(self, base: ObjectiveOracle):
@@ -651,6 +698,9 @@ class CountingOracle:
         out = self.base.sample_gradient_batch(x, m, rng)
         self.counters.stoch_grad_evals += int(m) * (len(out) if out.ndim == 2 else 1)
         return out
+
+    def sample_draws(self, k, m, rng):
+        return self.base.sample_draws(k, m, rng)
 
     def sample_hvp(self, x, v, rng, m=1):
         if self.base._sample_hvp is None:

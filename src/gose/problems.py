@@ -26,8 +26,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (ConfigError, DimensionTooLarge, ObjectiveOracle, check_number, check_point,
-                   norm)
+from .core import (ANCHOR_BLOCK_FLOATS, ConfigError, DimensionTooLarge, ObjectiveOracle,
+                   check_number, check_point, norm)
 
 
 @dataclass
@@ -457,52 +457,53 @@ def with_gradient_noise(spec: ProblemSpec, sigma: float) -> ProblemSpec:
     HVP draws add the rank-one mean-zero perturbation
     sigma * (z (z.v) - v), z ~ N(0, I).  All randomness flows through the
     generator argument, so equal generator states reproduce the same draw.
-    The batch callables return, bit for bit, what m single draws summed in
-    order give.  zeta does not depend on x, and a stacked (k, d) call shares
-    one draw across its rows, so an SCSG step's g_I(y) - g_I(x0) carries none
-    of it: only the branch batch, the escape subsample and the finder see
-    noise.  sigma must lie in [0, inf).
-
-    A stacked call keeps, per stack row, the exact bytes of the row's last
-    point and a copy of the base gradient there, and reuses that copy when a
-    row repeats its point.  An SCSG epoch passes (y, x0) with x0 fixed, so
-    its T steps measure grad f(x0) once: T + 1 base gradients, not 2T.  The
-    draws are those of the memo-free view, bit for bit, provided the base
-    gradient is a pure function of x.
+    sample_gradient_batch returns the base gradient plus the draw of m
+    normal rows of d, reduced over m (np.add.reduce), divided by m, times
+    sigma/sqrt(d); sample_hvp_batch returns, bit for bit, what m single draws
+    summed in order give.  zeta does not depend on x, and a stacked (k, d)
+    call shares one draw across its rows, so an SCSG step's g_I(y) - g_I(x0)
+    carries none of it: only the branch batch, the escape subsample and the
+    finder see noise.  sample_draws returns k such reduced, scaled draws as a
+    (k, d) array, from (k, m, d) normal blocks of at most ANCHOR_BLOCK_FLOATS
+    floats (one draw at least), the values and generator state of k draws of
+    (m, d); sample_gradient_batch adds a block of them to the base gradient at
+    one point.  sigma must lie in [0, inf).
     """
     check_number("sigma", sigma, closed=True)
     base = spec.oracle
     d = base.dimension
     coord = sigma / math.sqrt(d)
-    # the batch scales by 0-d arrays: the bits of the Python numbers, and faster
+    # the draws scale by 0-d arrays: the bits of the Python numbers, and faster
     coord_0d = np.array(coord)
     counts = {}  # m -> m as a 0-d float array, one per draw count the caller uses
 
     def sample_gradient(x, rng):
         return base.gradient(x) + coord * rng.standard_normal(d)
 
-    # stack row -> (bytes of its last point, copy of the base gradient there); one
-    # immutable pair per row, so a read that another caller races can only miss
-    last = {}
-
-    def sample_gradient_batch(x, m, rng):
-        # one noise draw, shared by every row of a (k, d) stack; add.reduce is
-        # what .sum(axis=0) calls, without its Python wrapper
-        noise = np.add.reduce(rng.standard_normal((m, d)), 0)
+    def sample_draws(k, m, rng):
+        # numpy fills normals one at a time, so a (j, m, d) block is the stream
+        # of j draws of (m, d), and add.reduce over its axis 1 sums each draw
+        # as add.reduce over axis 0 of the draw alone (what .sum(axis=0) calls)
+        noise = np.empty((k, d))
+        rows = max(ANCHOR_BLOCK_FLOATS // (m * d), 1)
+        for start in range(0, k, rows):
+            block = noise[start:start + rows]
+            np.add.reduce(rng.standard_normal((len(block), m, d)), 1, out=block)
         count = counts.get(m)
         if count is None:
             count = counts[m] = np.array(float(m))
         noise /= count
         noise *= coord_0d
+        return noise
+
+    def sample_gradient_batch(x, m, rng):
+        # rng is a generator, or a (k, d) block of sample_draws at one point x
+        noise = rng if isinstance(rng, np.ndarray) else sample_draws(1, m, rng)[0]
         if x.ndim == 1:
             return base.gradient(x) + noise
-        out = np.empty(x.shape)
+        out = np.empty(x.shape)  # one draw, shared by every row of the stack
         for k, point in enumerate(x):
-            key = point.tobytes()
-            seen = last.get(k)
-            if seen is None or seen[0] != key:
-                seen = last[k] = (key, base.gradient(point).copy())
-            np.add(seen[1], noise, out[k])
+            np.add(base.gradient(point), noise, out[k])
         return out
 
     def sample_hvp(x, v, rng):
@@ -524,6 +525,7 @@ def with_gradient_noise(spec: ProblemSpec, sigma: float) -> ProblemSpec:
         sample_gradient=sample_gradient,
         sample_gradient_batch=sample_gradient_batch,
         sample_hvp=sample_hvp, sample_hvp_batch=sample_hvp_batch,
+        sample_draws=sample_draws,
     )
     out = ProblemSpec(**{**spec.__dict__, "oracle": oracle,
                          "name": spec.name + "+noise"})

@@ -95,7 +95,8 @@ def derive_scsg_params(tol, smooth, mode: str, n: int = 0,
     rule for b reaches B, b is clamped to B (the epoch is then plain SGD).
     A B above MAX_DRAWS, or a size that is not finite, raises SizeOutOfRange.
 
-    Finite-sum: B = n, b = 1, eta = 1/(L * n**(2/3)).
+    Finite-sum: B = n, b = 1, eta = b**(2/3)/(L * n**(2/3)), which is
+    1/(L * n**(2/3)) at b = 1.
 
     b_override (an integer >= 1) bypasses the rule for b, which is still
     clamped to B.  A caller that must fix B builds its own ScsgConfig.
@@ -103,8 +104,8 @@ def derive_scsg_params(tol, smooth, mode: str, n: int = 0,
     check_b_override(b_override)
     if mode == "finite_sum":
         check_number("n", n, 1, integer=True)
-        b = 1 if b_override is None else int(b_override)
-        return ScsgConfig(B=n, b=min(b, n), eta=1.0 / (smooth.L * n ** (2.0 / 3.0)))
+        b = min(1 if b_override is None else int(b_override), n)
+        return ScsgConfig(B=n, b=b, eta=b ** (2.0 / 3.0) / (smooth.L * n ** (2.0 / 3.0)))
     if mode != "stochastic":
         raise ConfigError(f"mode must be 'stochastic' or 'finite_sum', got {mode!r}")
     h_star = smooth.h_star
@@ -175,11 +176,17 @@ def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
     draw.  Draws T ~ Geom(B/(B+b)) and iterates
         y <- y - eta * (g_I(y) - g_I(x0) + g_anchor)
     where g_I is the minibatch-mean gradient over b fresh indices (finite-sum)
-    or b fresh draws evaluated at both points in one stacked
-    sample_gradient_batch call on rng (stochastic, common random numbers; rng
-    is the only generator the epoch draws from).  Returns x0 unchanged when
-    T = 0.  Costs 2*b*T stochastic gradient evals, or b*T component gradient
-    evals.
+    or b fresh draws evaluated at both points (stochastic, common random
+    numbers; rng is the only generator the epoch draws from).  Returns x0
+    unchanged when T = 0.  Costs 2*b*T stochastic gradient evals, or b*T
+    component gradient evals.
+
+    Stochastic mode evaluates each step's draws at y and x0 in one stacked
+    sample_gradient_batch call on rng, unless the oracle has sample_draws:
+    then, per block of at most ANCHOR_BLOCK_FLOATS // d steps, it draws the
+    block's minibatches in one sample_draws call, evaluates all their anchors
+    g_I(x0) in one call, and makes one call at y per step.  Both consume rng
+    as T draws of b do, and give the same bits.
 
     Finite-sum mode needs table, the (n, d) component gradients at x0 that
     anchor_table returns (a missing or misshapen table is a ConfigError before
@@ -204,12 +211,12 @@ def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
     if T == 0:
         return x0
     b, eta = cfg.b, np.array(cfg.eta)  # a 0-d array scales faster than a float, same bits
+    step = np.empty(oracle.dimension)
+    block = max(ANCHOR_BLOCK_FLOATS // oracle.dimension, 1)  # steps per gather or draw
     if mode == "finite_sum":
         batch = oracle.component_gradient_batch
         rows = rng.integers(0, oracle.n_components, size=(T, b))
         y = x0.copy()
-        step = np.empty(oracle.dimension)
-        block = max(ANCHOR_BLOCK_FLOATS // oracle.dimension, 1)
         for start in range(0, T, block):  # one block unless T * d > ANCHOR_BLOCK_FLOATS
             chunk = rows[start:start + block]
             for idx, g_0 in zip(chunk, _anchor_rows(table, chunk)):
@@ -219,9 +226,19 @@ def scsg_epoch(oracle, x0, cfg: ScsgConfig, g_anchor: np.ndarray,
                 y -= step
         return y
     batch = oracle.sample_gradient_batch
+    if oracle.capabilities.sample_draws:
+        y = x0.copy()
+        row = step[None]  # a call at y on one draw returns one (1, d) row
+        for start in range(0, T, block):
+            draws = oracle.sample_draws(min(block, T - start), b, rng)
+            for j, g_0 in enumerate(batch(x0, b, draws)):
+                np.subtract(batch(y, b, draws[j:j + 1]), g_0, row)
+                step += g_anchor
+                step *= eta
+                y -= step
+        return y
     points = np.stack([x0, x0])
     y = points[0]  # stepped in place, so every call sees the current iterate
-    step = np.empty(oracle.dimension)
     for _ in range(T):
         g_y, g_0 = batch(points, b, rng)
         np.subtract(g_y, g_0, step)

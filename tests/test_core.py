@@ -464,6 +464,87 @@ def test_sample_hvp_batch_needs_single_draws():
                         sample_hvp_batch=lambda x, v, m, rng: v)
 
 
+def test_sample_draws_needs_the_batch_callable():
+    with pytest.raises(ConfigError, match="sample_draws needs sample_gradient_batch"):
+        ObjectiveOracle(1, lambda x: 0.0, lambda x: x, sample_gradient=lambda x, rng: x,
+                        sample_draws=lambda k, m, rng: np.zeros((k, 1)))
+
+
+def _drawing_oracle(calls, draws_shape=None, batch_shape=None, drawn=True):
+    """A stochastic d = 3 oracle whose callables record their calls and may return a
+    shape of the test's choosing; drawn=False leaves out sample_draws."""
+    def sample_draws(k, m, rng):
+        calls.append("sample_draws")
+        return np.zeros((k, 3) if draws_shape is None else draws_shape)
+
+    def sample_gradient_batch(x, m, rng):
+        calls.append("sample_gradient_batch")
+        if batch_shape is not None:
+            return np.zeros(batch_shape)
+        return x + (rng if isinstance(rng, np.ndarray) else 0.0)
+
+    return ObjectiveOracle(3, lambda x: 0.0, lambda x: x, sample_gradient=lambda x, rng: x,
+                           sample_gradient_batch=sample_gradient_batch,
+                           sample_draws=sample_draws if drawn else None)
+
+
+@pytest.mark.parametrize("case", ["no_sample_draws", "stacked_points", "zero_d_draws",
+                                  "block_of_zero"])
+def test_misused_draws_block_raises_before_any_callable_runs(case):
+    calls = []
+    co = as_counting(_drawing_oracle(calls, drawn=case != "no_sample_draws"))
+    x, draws, rng = np.ones(3), np.zeros((2, 3)), np.random.default_rng(0)
+    call, match = {
+        "no_sample_draws": (lambda: co.sample_gradient_batch(x, 4, draws),
+                            "takes a draws block only on an oracle with sample_draws"),
+        "stacked_points": (lambda: co.sample_gradient_batch(np.stack([x, x]), 4, draws),
+                           r"at one point of shape \(d,\), got points of shape \(2, 3\)"),
+        "zero_d_draws": (lambda: co.sample_gradient_batch(x, 4, np.zeros(())),
+                         r"draws of shape \(\)"),
+        "block_of_zero": (lambda: co.sample_draws(0, 4, rng), "draw block k"),
+    }[case]
+    with pytest.raises(ConfigError, match=match):
+        call()
+    if case == "no_sample_draws":
+        with pytest.raises(ConfigError, match="oracle has no sample_draws callable"):
+            co.sample_draws(2, 4, rng)
+    assert calls == []
+    assert co.counters == EvalCounters()
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (2, 4), (3, 3), (2, 3, 1)])
+def test_drawn_batch_of_the_wrong_shape_raises_typed(shape):
+    calls = []
+    co = as_counting(_drawing_oracle(calls, batch_shape=shape))
+    draws = co.sample_draws(2, 4, np.random.default_rng(0))
+    with pytest.raises(MalformedOracleOutput,
+                       match=re.escape(f"sample_gradient_batch returned shape {shape},"
+                                       f" expected (2, 3)")):
+        co.sample_gradient_batch(np.ones(3), 4, draws)
+    assert calls == ["sample_draws", "sample_gradient_batch"]
+    assert co.counters == EvalCounters()
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (3, 3), (1, 2, 3)])
+def test_draws_block_with_the_wrong_leading_axis_raises_typed(shape):
+    co = as_counting(_drawing_oracle([], draws_shape=shape))
+    with pytest.raises(MalformedOracleOutput,
+                       match=re.escape(f"sample_draws returned shape {shape}, expected a"
+                                       f" leading axis of 2")):
+        co.sample_draws(2, 4, np.random.default_rng(0))
+    assert co.counters == EvalCounters()
+
+
+def test_drawn_batch_charges_m_per_draw():
+    co = as_counting(_drawing_oracle([]))
+    assert co.capabilities.sample_draws
+    draws = co.sample_draws(5, 4, np.random.default_rng(0))
+    assert co.counters == EvalCounters()  # drawing is free
+    assert co.sample_gradient_batch(np.ones(3), 4, draws).shape == (5, 3)
+    assert co.sample_gradient_batch(np.ones(3), 4, draws[2:3]).shape == (1, 3)
+    assert co.counters.stoch_grad_evals == 4 * 5 + 4
+
+
 def rosenbrock_oracle(analytic: bool) -> ObjectiveOracle:
     # a nonlinear objective without hvp_batch: its stacks take the row path
     base = get_problem("rosenbrock", d=5).oracle

@@ -309,8 +309,7 @@ def test_stoch_escapes_noisy_saddle_and_certifies():
 
 
 def test_stoch_same_seed_on_one_shared_oracle_reports_identical():
-    # the noisy view keeps each stack row's last point and gradient across
-    # runs; a run must report the same after another run on that oracle
+    # a run must report the same after another run on one shared noisy oracle
     prob = get_problem("bowl_saddle", d=6,
                        spectrum=[-1.0, 0.3, 0.5, 0.6, 0.8, 1.0], q=0.5, seed=3)
     noisy = with_gradient_noise(prob, sigma=0.05)

@@ -452,7 +452,7 @@ def test_noisy_batch_scales_by_arrays_and_adds_rows_with_the_float_bits(d, m):
         points = ref_rng.standard_normal(shape)
         rng.standard_normal(shape)
         if len(shape) == 2:
-            points[-1] = x0  # the epoch's fixed anchor row, served from the memo after once
+            points[-1] = x0  # a row that repeats its point across calls
         got = noisy.sample_gradient_batch(points, m, rng)
         noise = np.add.reduce(ref_rng.standard_normal((m, d)), 0)
         noise /= m
@@ -462,6 +462,29 @@ def test_noisy_batch_scales_by_arrays_and_adds_rows_with_the_float_bits(d, m):
         want += noise
         assert got.tobytes() == want.tobytes(), shape
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [1, 10])
+@pytest.mark.parametrize("m", [1, 32, 11053])
+def test_noisy_draws_block_gives_the_bits_of_consecutive_batch_calls(d, m, monkeypatch):
+    # k draws in one sample_draws call, evaluated at one point, are the k
+    # consecutive sample_gradient_batch calls' results and generator state,
+    # also when k spans several normal blocks (of 3 draws here)
+    monkeypatch.setattr(gose.problems, "ANCHOR_BLOCK_FLOATS", 3 * m * d + 1)
+    noisy = with_gradient_noise(get_problem("bowl_saddle", d=d, seed=2), sigma=0.3).oracle
+    x = np.random.default_rng(d).standard_normal(d)
+    for k in (1, 3, 7):
+        rng, ref_rng = np.random.default_rng(k), np.random.default_rng(k)
+        draws = noisy.sample_draws(k, m, rng)
+        assert draws.shape == (k, d)
+        got = noisy.sample_gradient_batch(x, m, draws)
+        assert got.shape == (k, d)
+        for j in range(k):
+            want = noisy.sample_gradient_batch(x, m, ref_rng)
+            assert got[j].tobytes() == want.tobytes(), (k, j)
+            slice_j = noisy.sample_gradient_batch(x, m, draws[j:j + 1])
+            assert slice_j.tobytes() == want[None].tobytes(), (k, j)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_pca_component_hvp_batch_gives_the_per_index_loop_bits(monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import gose.problems
 import gose.solvers
 from gose import (ObjectiveOracle, ScsgConfig, SmoothnessSpec, ToleranceConfig,
                   as_counting, derive_scsg_params, estimate_variance_bound,
@@ -75,6 +76,22 @@ def test_derive_finite_sum_clamped_minibatch_derives_p():
     assert (cfg.B, cfg.b, cfg.p) == (200, 200, 0.5)
     with pytest.raises(TypeError):  # p is derived, never passed
         ScsgConfig(B=2, b=1, eta=0.1, p=0.5)
+
+
+def test_derive_finite_sum_step_follows_the_minibatch():
+    # eta = b**(2/3) / (L n**(2/3)) with b after clamping; at b = 1 it keeps
+    # the bits of 1/(L n**(2/3)), since 1 ** (2/3) == 1.0
+    tol = ToleranceConfig(eps=0.01, eps_h=0.5)
+    smooth = SmoothnessSpec(L=8.0, rho=1.0)
+    for n in (1, 7, 200, 1000):
+        for override in (None, 1):
+            cfg = derive_scsg_params(tol, smooth, "finite_sum", n=n, b_override=override)
+            assert cfg.eta == 1.0 / (8.0 * n ** (2.0 / 3.0)), (n, override)
+    cfg = derive_scsg_params(tol, smooth, "finite_sum", n=200, b_override=8)
+    assert (cfg.b, cfg.eta) == (8, 8 ** (2.0 / 3.0) / (8.0 * 200 ** (2.0 / 3.0)))
+    assert cfg.eta == pytest.approx(4.0 / (8.0 * 200 ** (2.0 / 3.0)))
+    clamped = derive_scsg_params(tol, smooth, "finite_sum", n=200, b_override=500)
+    assert (clamped.b, clamped.eta) == (200, 200 ** (2.0 / 3.0) / (8.0 * 200 ** (2.0 / 3.0)))
 
 
 def test_scsg_config_holds_sizes_and_step_only():
@@ -367,6 +384,30 @@ def test_epoch_stochastic_stream_matches_one_generator_reference(kind):
         assert rng.bit_generator.state == ref_rng.bit_generator.state, seed
 
 
+def test_drawn_epoch_over_several_blocks_matches_the_stacked_epoch(monkeypatch):
+    # blocks of 4 steps, and one minibatch per normal block in the noisy view:
+    # the drawn epoch gives the stacked epoch's point, counters and generator
+    # state, so each block draws afresh and anchors at x0
+    monkeypatch.setattr(gose.solvers, "ANCHOR_BLOCK_FLOATS", 4 * 6)
+    monkeypatch.setattr(gose.problems, "ANCHOR_BLOCK_FLOATS", 4 * 6)
+    noisy = _noisy_bowl_oracles()["batch_callable"]
+    stacked = ObjectiveOracle(6, noisy.value, noisy.gradient, sample_gradient=noisy.sample_gradient,
+                              sample_gradient_batch=noisy.sample_gradient_batch)
+    cfg = ScsgConfig(B=40, b=3, eta=0.05)
+    x0 = np.linspace(-1.0, 1.0, 6)
+    g_anchor = noisy.gradient(x0)
+    steps = []
+    for seed in range(20):
+        ends = []
+        for oracle in (noisy, stacked):
+            co, rng = as_counting(oracle), np.random.default_rng(seed)
+            y = scsg_epoch(co, x0, cfg, g_anchor, rng, "stochastic")
+            ends.append((y.tobytes(), co.counters, rng.bit_generator.state))
+        assert ends[0] == ends[1], seed
+        steps.append(co.counters.stoch_grad_evals // (2 * cfg.b))
+    assert max(steps) > 8, steps  # some epochs span three blocks or more
+
+
 def test_epoch_stochastic_batch_callable_of_wrong_shape_raises_typed_error():
     # a batch callable that knows only one point answers the (2, d) stack of
     # (y, x0) with one pooled (d,) mean; g[0] - g[1] would be a scalar step
@@ -580,6 +621,30 @@ def test_integer_draw_chunking_is_stream_neutral(n):
             assert block_rng.bit_generator.state == step_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("d", [1, 2, 10, 200])
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 32, 11053])
+def test_normal_draw_blocks_are_stream_neutral(d, m):
+    # the noisy view draws k minibatches as (j, m, d) normal blocks and sums
+    # each over axis 1 into its row: the values, the generator state and the
+    # per-draw add.reduce bits of k draws of (m, d), however k is split
+    # (at d = 1 add.reduce pairs the rows rather than adding them in order)
+    k = 5 if m * d <= 10 ** 5 else 2
+    for seed in range(2):
+        step_rng = np.random.default_rng(seed)
+        steps = [step_rng.standard_normal((m, d)) for _ in range(k)]
+        for split in sorted({k, 2, 1}):
+            block_rng = np.random.default_rng(seed)
+            sums = np.empty((k, d))
+            for start in range(0, k, split):
+                block = block_rng.standard_normal((min(split, k - start), m, d))
+                for j, draw in enumerate(block, start):
+                    assert draw.tobytes() == steps[j].tobytes(), (seed, split, j)
+                np.add.reduce(block, 1, out=sums[start:start + split])
+            assert block_rng.bit_generator.state == step_rng.bit_generator.state
+            for j, draw in enumerate(steps):
+                assert sums[j].tobytes() == np.add.reduce(draw, 0).tobytes(), (seed, split, j)
+
+
 class BatchCallCounter(CountingOracle):
     calls = 0
 
@@ -588,13 +653,20 @@ class BatchCallCounter(CountingOracle):
         return super().sample_gradient_batch(x, m, rng)
 
 
-def test_epoch_stochastic_makes_one_batch_call_per_step():
-    noisy = with_gradient_noise(get_problem("sphere", d=4), sigma=0.3)
+@pytest.mark.parametrize("drawn", [True, False])
+def test_epoch_stochastic_makes_one_batch_call_per_step(drawn):
+    # with sample_draws: one call per step at y, and one for the block's anchors;
+    # without it: one stacked (y, x0) call per step
+    noisy = with_gradient_noise(get_problem("sphere", d=4), sigma=0.3).oracle
+    if not drawn:
+        noisy = ObjectiveOracle(4, noisy.value, noisy.gradient, hvp=noisy.hvp,
+                                sample_gradient=noisy.sample_gradient,
+                                sample_gradient_batch=noisy.sample_gradient_batch)
     cfg = ScsgConfig(B=8, b=2, eta=0.05)
     seed = _seed_with_T(8.0 / 10.0, 5)
-    co = BatchCallCounter(noisy.oracle)
+    co = BatchCallCounter(noisy)
     scsg_epoch(co, np.ones(4), cfg, np.ones(4), np.random.default_rng(seed), "stochastic")
-    assert co.calls == 5
+    assert co.calls == (5 + 1 if drawn else 5)
     assert co.counters.stoch_grad_evals == 2 * 2 * 5
 
 
@@ -620,7 +692,7 @@ def test_epoch_on_the_noisy_view_measures_its_anchor_once():
     x0 = np.linspace(-1.0, 1.0, 6)
     scsg_epoch(co, x0, cfg, np.ones(6), np.random.default_rng(_seed_with_T(8.0 / 10.0, T)),
                "stochastic")
-    assert len(calls) == T + 1  # one per step at y, and x0 once (2T without the memo)
+    assert len(calls) == T + 1  # one per step at y, and x0 once per block of steps
     assert sum(c.tobytes() == x0.tobytes() for c in calls) == 2  # y starts at x0
     assert co.counters.stoch_grad_evals == 2 * cfg.b * T  # the counting model is unchanged
 
@@ -638,8 +710,9 @@ def _memo_free_batch(base, sigma):
 
 
 def test_noisy_view_stack_matches_a_memo_free_reference_across_epochs():
-    # two epochs per seed, the second anchored where the first ended, and all
-    # seeds on one oracle, so the kept rows go stale between epochs and runs
+    # the drawn epoch against the stacked one of an oracle without
+    # sample_draws: two epochs per seed, the second anchored where the first
+    # ended, and all seeds on one oracle, so no state may carry over
     bowl = get_problem("bowl_saddle", d=6, seed=1)
     noisy = with_gradient_noise(bowl, sigma=0.2).oracle
     reference = ObjectiveOracle(6, noisy.value, noisy.gradient, hvp=noisy.hvp,
@@ -662,8 +735,8 @@ def test_noisy_view_stack_matches_a_memo_free_reference_across_epochs():
 
 
 def test_noisy_view_keeps_a_copy_of_the_base_gradient():
-    # a gradient callable that answers in one reused buffer: the kept x0 row
-    # must survive the y row overwriting that buffer
+    # a gradient callable that answers in one reused buffer: each stack row
+    # must be read before the next row's call overwrites that buffer
     buf = np.empty(6)
 
     def gradient(bowl, x):
